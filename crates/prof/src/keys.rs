@@ -126,11 +126,18 @@ pub enum CounterKey {
     LocalHits,
     /// Times a scheduler worker slept on the idle condvar.
     WorkerParks,
+    /// Task wakes issued from a worker other than the task's home worker
+    /// (the woken rank's state crosses cores); a subset of the pool's
+    /// wakes, counted on the waking worker's scope.
+    RemoteWakes,
+    /// Dispatches of a rank task on a worker other than its home (a
+    /// stolen task runs once on loan, then returns home).
+    Loans,
 }
 
 impl CounterKey {
     /// Number of counter keys.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 13;
 
     /// Every key, in index order.
     pub const ALL: [CounterKey; Self::COUNT] = [
@@ -145,6 +152,8 @@ impl CounterKey {
         CounterKey::Steals,
         CounterKey::LocalHits,
         CounterKey::WorkerParks,
+        CounterKey::RemoteWakes,
+        CounterKey::Loans,
     ];
 
     /// Dense array index of this key.
@@ -167,6 +176,8 @@ impl CounterKey {
             CounterKey::Steals => "steals",
             CounterKey::LocalHits => "local_hits",
             CounterKey::WorkerParks => "worker_parks",
+            CounterKey::RemoteWakes => "remote_wakes",
+            CounterKey::Loans => "loans",
         }
     }
 }

@@ -135,10 +135,12 @@ impl ProfReport {
     pub fn sched_summary(&self) -> String {
         let idle = self.total_span(SpanKey::WorkerIdle);
         format!(
-            "task_wakes={} local_hits={} steals={} worker_parks={} idle={:.3}ms",
+            "task_wakes={} remote_wakes={} local_hits={} steals={} loans={} worker_parks={} idle={:.3}ms",
             self.total_counter(CounterKey::TaskWakes),
+            self.total_counter(CounterKey::RemoteWakes),
             self.total_counter(CounterKey::LocalHits),
             self.total_counter(CounterKey::Steals),
+            self.total_counter(CounterKey::Loans),
             self.total_counter(CounterKey::WorkerParks),
             idle.total_ns as f64 / 1e6,
         )

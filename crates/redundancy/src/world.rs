@@ -217,6 +217,10 @@ impl ReplicatedWorldBuilder {
         if let Some(workers) = self.workers {
             world = world.workers(workers);
         }
+        // Home all replicas of a virtual rank on one scheduler worker:
+        // every virtual message fans out to each of them.
+        let owner = |p| vmap.owner_of(redcr_mpi::Rank::new(p)).0.index() as u32;
+        world = world.placement_keys((0..n_physical as u32).map(owner).collect());
         let report = world.run(move |base: &Comm| {
             let mut comm = ReplicaComm::with_vote_cost(base, Arc::clone(&vmap), mode, vote_cost);
             if let Some(model) = corruption {

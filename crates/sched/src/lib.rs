@@ -5,11 +5,13 @@
 //! rank. A rank that would block — a receive with no matching message, a
 //! barrier, a checkpoint quiesce — *yields* its coroutine back to the
 //! worker via [`park_current`]; the sender that later satisfies it calls
-//! [`Waker::wake`], which marks the task runnable on a sharded run-queue.
+//! [`Waker::wake`], which queues the task on its *home* worker's deque.
 //! The spin-then-condvar-park fallback this replaces disappears from the
 //! hot path entirely: on a single worker the whole world becomes a
 //! user-space event loop with zero thread spawns and zero condvar traffic
-//! per segment, and with `W` workers the batch work-steals across them.
+//! per segment. With `W` workers each rank is homed on one of them — in
+//! contiguous blocks of an affinity key the caller may pass — and stays
+//! there; an idle worker only ever borrows a sibling's task for one run.
 //!
 //! ## Quick start
 //!
@@ -17,7 +19,7 @@
 //! use redcr_sched::{run_batch, Backend, PoolConfig};
 //!
 //! let cfg = PoolConfig { workers: 2, stack_bytes: 128 * 1024, backend: Backend::Coro };
-//! let batch = run_batch(&cfg, 8, None, |task| task * task);
+//! let batch = run_batch(&cfg, 8, None, None, |task| task * task); // no affinity keys, no profiler
 //! let squares: Vec<usize> = batch.results.into_iter().map(|r| r.unwrap()).collect();
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
@@ -35,11 +37,12 @@
 //!
 //! ## Determinism
 //!
-//! The scheduler introduces no entropy of its own (fixed steal rotation,
-//! FIFO deques, no clocks, no RNG — the crate is a detlint `hot` domain).
-//! Simulation results stay bit-identical across worker counts because the
-//! layers above order all observable effects by virtual time; the
-//! workspace gate tests assert that at 1, 2, and 8 workers.
+//! The scheduler introduces no entropy of its own (fixed placement and
+//! steal rotation, FIFO deques, no clocks, no RNG — the crate is a detlint
+//! `hot` domain). Simulation results stay bit-identical across worker
+//! counts and placements because the layers above order all observable
+//! effects by virtual time; the workspace gate tests assert that at 1, 2,
+//! 3, 8 and 16 workers, with and without the placement hint.
 
 mod ctx;
 mod pool;

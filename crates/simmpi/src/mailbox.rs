@@ -60,10 +60,10 @@
 //! `checkpoint::images` (`MemoryStorage`), `metrics::inner`
 //! (`MetricsRegistry`), `trace::events`
 //! ([`Recorder`](redcr_trace::Recorder)), and the `redcr-sched`
-//! run-queue/injector/idle locks — carry **zero nested acquisitions**,
+//! run-queue and idle locks — carry **zero nested acquisitions**,
 //! so it is trivially acyclic. In particular the scheduler wake a push
 //! triggers happens strictly *after* `inner` is dropped (the waker is
-//! cloned under the lock, invoked outside it), so `inner` never nests
+//! moved out under the lock, invoked outside it), so `inner` never nests
 //! with a run-queue lock. Code that needs to hold `inner` together with
 //! any other lock must pick an order, document it here, and will then
 //! show up as an edge in detlint's graph where a cycle fails the build.
@@ -395,6 +395,20 @@ struct Inner {
 }
 
 impl Inner {
+    /// Ends a scheduler task's registration and hands its waker to the
+    /// caller, who is about to notify it (token already granted). One
+    /// wake makes the task runnable and it re-checks the mailbox when it
+    /// runs, so later pushes find no waiter and skip the notification
+    /// altogether; moving the waker rather than cloning it also keeps the
+    /// pool's reference count at one increment and one decrement per
+    /// park. A plain-thread waiter (no waker) stays registered: it ends
+    /// its own registration when the condvar lets it go.
+    fn take_task_waker(&mut self) -> Option<redcr_sched::Waker> {
+        let waker = self.waiter.as_mut()?.waker.take()?;
+        self.waiter = None;
+        Some(waker)
+    }
+
     fn push_env(&mut self, env: Envelope) {
         let key = (env.src, env.wire_tag);
         let seq = self.seq;
@@ -511,7 +525,8 @@ impl Mailbox {
         }
     }
 
-    /// Re-acquires liveness after a sleep. A tokened waiter was already
+    /// Re-acquires liveness after a sleep. A tokened waiter (or a task
+    /// whose registration the notifier already ended, token granted) was
     /// counted live by whoever committed the wake; an untokened one means
     /// the sleep ended without a committed wake (e.g. a spurious condvar
     /// wake, or a scheduler notify left over from an earlier wait), so
@@ -548,8 +563,8 @@ impl Mailbox {
         let mut task = None;
         if notified {
             inner.wakeups += 1;
-            task = inner.waiter.as_ref().and_then(|w| w.waker.clone());
             self.grant_token(&mut inner);
+            task = inner.take_task_waker();
         }
         // Preserve the leaf-lock property: the scheduler wake (and the
         // condvar notify) happen strictly after `inner` is released.
@@ -587,7 +602,6 @@ impl Mailbox {
         mut grab: impl FnMut(&mut Inner) -> Option<T>,
     ) -> Outcome<T> {
         let _wait = prof.map(|p| p.span(SpanKey::MailboxRecvWait));
-        let task = redcr_sched::current_waker();
         let mut spins = 0u32;
         let mut parked = false;
         let mut inner = self.inner.lock();
@@ -621,7 +635,10 @@ impl Mailbox {
                 inner.waiter = None;
                 return Outcome::SourceDead(peer);
             }
-            if let Some(w) = &task {
+            // The owned waker is minted only here, once the wait is known
+            // to park, and moved into the waiter: a receive that matches
+            // at once never touches the pool's reference count.
+            if let Some(waker) = redcr_sched::current_waker() {
                 // Scheduler task: hand the worker to whoever should be
                 // sending. The waker registration and the RUNNING →
                 // NOTIFIED state machine in redcr-sched close the race
@@ -631,7 +648,7 @@ impl Mailbox {
                 // strictly before the coroutine freezes.
                 inner.waiter = Some(Waiter {
                     interest: Interest::from_spec(spec),
-                    waker: Some(w.clone()),
+                    waker: Some(waker),
                     tokened: false,
                 });
                 parked = true;
@@ -791,12 +808,11 @@ impl Mailbox {
     /// Wakes the parked receiver unconditionally (world abort).
     pub fn wake_all(&self) {
         let mut inner = self.inner.lock();
-        let waiting = inner.waiter.is_some();
-        let task = inner.waiter.as_ref().and_then(|w| w.waker.clone());
-        if waiting {
+        if inner.waiter.is_some() {
             inner.wakeups += 1;
             self.grant_token(&mut inner);
         }
+        let task = inner.take_task_waker();
         drop(inner);
         if let Some(w) = task {
             w.wake();
@@ -811,8 +827,8 @@ impl Mailbox {
         let mut inner = self.inner.lock();
         if inner.waiter.as_ref().is_some_and(|w| w.interest.wants_death(rank)) {
             inner.wakeups += 1;
-            let task = inner.waiter.as_ref().and_then(|w| w.waker.clone());
             self.grant_token(&mut inner);
+            let task = inner.take_task_waker();
             drop(inner);
             match task {
                 Some(w) => w.wake(),

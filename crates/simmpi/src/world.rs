@@ -46,6 +46,7 @@ impl World {
             metrics: None,
             profiler: None,
             workers: None,
+            placement_keys: None,
         }
     }
 }
@@ -62,6 +63,7 @@ pub struct WorldBuilder {
     metrics: Option<Arc<MetricsRegistry>>,
     profiler: Option<Arc<Profiler>>,
     workers: Option<usize>,
+    placement_keys: Option<Vec<u32>>,
 }
 
 impl WorldBuilder {
@@ -159,6 +161,17 @@ impl WorldBuilder {
         self
     }
 
+    /// Scheduler placement hint for layers that renumber ranks: one
+    /// affinity key per rank, equal for ranks that talk mostly to each
+    /// other (`redcr-red` passes each replica's virtual rank). Unset, the
+    /// rank index is the key — block placement, which suits tree
+    /// collectives and stencil halos. Never changes simulation results.
+    #[doc(hidden)]
+    pub fn placement_keys(mut self, keys: Vec<u32>) -> Self {
+        self.placement_keys = Some(keys);
+        self
+    }
+
     /// Runs `f` once per rank as tasks on the M:N scheduler pool and
     /// collects every rank's outcome.
     ///
@@ -194,7 +207,8 @@ impl WorldBuilder {
 
         let pool = redcr_sched::PoolConfig::resolve(self.workers, self.n);
         let shared_for_tasks = &shared;
-        let batch = redcr_sched::run_batch(&pool, self.n, profiler.map(|p| p.as_ref()), {
+        let keys = self.placement_keys.as_deref();
+        let batch = redcr_sched::run_batch(&pool, self.n, keys, profiler.map(|p| p.as_ref()), {
             move |rank| -> Slot<T> {
                 let shared = Arc::clone(shared_for_tasks);
                 let recorder = trace.map(|_| Rc::new(Recorder::new(rank as u32)));
@@ -391,8 +405,9 @@ pub(crate) struct Shared {
 impl Shared {
     fn new(n: usize, cost: CostModel, abort_horizon: f64, death_times: Vec<f64>) -> Self {
         let quiesce = Arc::new(Quiesce::new(n));
-        let mailboxes =
-            Arc::new((0..n).map(|_| Mailbox::with_quiesce(Arc::clone(&quiesce))).collect::<Vec<_>>());
+        let mailboxes = Arc::new(
+            (0..n).map(|_| Mailbox::with_quiesce(Arc::clone(&quiesce))).collect::<Vec<_>>(),
+        );
         quiesce.attach(&mailboxes);
         Shared {
             n,

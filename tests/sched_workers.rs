@@ -5,10 +5,11 @@
 //! and **must not** be able to change a single virtual quantity. This
 //! gate reruns the determinism-gate scenario with the worker count
 //! pinned to 1 (pure event loop, no stealing possible), 2 (the smallest
-//! pool where cross-worker wakes and steals exist), and 8 (one worker
-//! per virtual rank — maximally oversubscribed relative to this host),
-//! and asserts the same pre-swap pinned constants bit-for-bit — report
-//! totals AND the full trace FNV.
+//! pool where cross-worker wakes and steals exist), 3 (block placement
+//! cuts through a sphere's neighbourhood: 16 tasks in blocks of 6/5/5),
+//! 8 and 16 (one worker per virtual / per physical rank — maximally
+//! oversubscribed relative to this host), and asserts the same pre-swap
+//! pinned constants bit-for-bit — report totals AND the full trace FNV.
 //!
 //! A second test is a seeded steal storm: an oversubscribed CG run at a
 //! worker count far above the host's cores, where tasks yield and park
@@ -16,10 +17,22 @@
 //! the same scenario. No pinned constants there — the property is
 //! pool-width invariance itself, on a scenario shaped to maximize
 //! scheduler interleaving churn.
+//!
+//! A third test is placement invariance: the same r = 3 program run
+//! through `ReplicatedWorld` (which homes the replicas of a virtual rank
+//! on one worker) and through a bare `World` wrapped in `ReplicaComm`
+//! by hand (no hint, so plain rank blocks) must agree bit-for-bit.
 
+use std::sync::Arc;
+
+use redcr::mpi::collectives::ReduceOp;
+use redcr::mpi::trace::Collector;
+use redcr::mpi::{Communicator, Tag, World};
+use redcr::red::{ReplicaComm, ReplicatedWorld, VirtualMap, VoteCost, VotingMode};
 use redcr_apps::cg::{CgConfig, CgState};
 use redcr_core::apps::CgApp;
 use redcr_core::{ExecutorConfig, ResilientExecutor};
+use redcr_model::partition::RedundancyPartition;
 
 /// FNV-1a over the JSONL bytes — matches `tests/determinism_gate.rs`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -76,8 +89,8 @@ fn assert_pinned(report: &redcr_core::ExecutionReport<CgState>, workers: usize) 
 }
 
 #[test]
-fn gate_is_bit_identical_at_one_two_and_eight_workers() {
-    for workers in [1usize, 2, 8] {
+fn gate_is_bit_identical_at_every_pool_width() {
+    for workers in [1usize, 2, 3, 8, 16] {
         let report = gate_run_at(workers);
         assert_pinned(&report, workers);
     }
@@ -117,4 +130,63 @@ fn steal_storm_matches_single_worker_bit_for_bit() {
         fnv1a(wj.as_bytes()),
         "a 16-worker steal storm produced different trace bytes than one worker"
     );
+}
+
+/// Ring exchange plus an allreduce, forty times over: every virtual
+/// message fans out r² = 9 physical copies and is voted on receipt.
+fn ring_rounds(comm: &impl Communicator) -> redcr::mpi::Result<f64> {
+    let (me, n) = (comm.rank(), comm.size());
+    let mut acc = me.index() as f64;
+    for round in 0..40u64 {
+        comm.send_f64s(me.offset(1, n), Tag::new(round), &[acc])?;
+        let (vals, _) = comm.recv_f64s(me.offset(-1, n).into(), Tag::new(round).into())?;
+        acc = comm.allreduce_f64(&[vals[0] + 1.0], ReduceOp::Sum)?[0];
+    }
+    Ok(acc)
+}
+
+#[test]
+fn virtual_rank_placement_hint_changes_no_bit() {
+    // (virtual time bits, messages, bytes, per-rank results, trace FNV)
+    type Outcome = (u64, u64, u64, Vec<u64>, u64);
+    let bits = |rs: Vec<redcr::mpi::Result<f64>>| -> Vec<u64> {
+        rs.into_iter().map(|r| r.expect("rank result").to_bits()).collect()
+    };
+    let hinted = |workers: usize| -> Outcome {
+        let trace = Arc::new(Collector::new());
+        let r = ReplicatedWorld::builder(8, 3.0)
+            .expect("r = 3 is a valid degree")
+            .trace(Arc::clone(&trace))
+            .workers(workers)
+            .run(|comm| ring_rounds(comm))
+            .expect("hinted run");
+        let fnv = fnv1a(trace.take().to_jsonl().as_bytes());
+        (r.max_virtual_time.to_bits(), r.physical_messages, r.physical_bytes, bits(r.results), fnv)
+    };
+    let unhinted = |workers: usize| -> Outcome {
+        let partition = RedundancyPartition::new(8, 3.0).expect("r = 3 is a valid degree");
+        let vmap = Arc::new(VirtualMap::new(partition));
+        let trace = Arc::new(Collector::new());
+        let r = World::builder(vmap.n_physical())
+            .trace(Arc::clone(&trace))
+            .workers(workers)
+            .run(|base| {
+                let mode = VotingMode::default();
+                ring_rounds(&ReplicaComm::with_vote_cost(
+                    base,
+                    vmap.clone(),
+                    mode,
+                    VoteCost::default(),
+                ))
+            })
+            .expect("unhinted run");
+        let fnv = fnv1a(trace.take().to_jsonl().as_bytes());
+        (r.max_virtual_time.to_bits(), r.messages_sent, r.bytes_sent, bits(r.results), fnv)
+    };
+    let reference = hinted(1);
+    assert!(reference.1 > 40 * 8 * 9, "scenario must replicate its traffic: {reference:?}");
+    for workers in [2usize, 3, 8] {
+        assert_eq!(hinted(workers), reference, "with the hint, workers={workers}");
+        assert_eq!(unhinted(workers), reference, "without the hint, workers={workers}");
+    }
 }

@@ -17,16 +17,7 @@ use redcr_core::apps::CgApp;
 use redcr_core::{ExecutorConfig, ResilientExecutor};
 use redcr_mpi::trace::EventKind;
 use redcr_red::HealPolicy;
-
-/// FNV-1a over bytes — the same tiny stable hash the determinism gate pins.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+use redcr_sweep::spec::fnv1a;
 
 /// One seeded kill/heal race.
 #[derive(Debug, Clone)]

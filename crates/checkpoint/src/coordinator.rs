@@ -162,10 +162,9 @@ impl CheckpointCoordinator {
         C: Communicator,
         S: Serialize,
     {
+        let obs = comm.obs();
         let begin = comm.now();
-        if let Some(rec) = comm.recorder() {
-            rec.record(begin, redcr_mpi::trace::EventKind::CheckpointBegin { seq });
-        }
+        obs.event(begin, redcr_mpi::trace::EventKind::CheckpointBegin { seq });
         let channel = match self.protocol {
             CoordinationProtocol::Bookmark => bookmark::quiesce(comm)?,
             CoordinationProtocol::ChandyLamport => chandy_lamport::snapshot(comm, seq)?,
@@ -176,7 +175,7 @@ impl CheckpointCoordinator {
         // exclusions, compression, framing) — the part of a checkpoint the
         // simulator actually pays for on the host, as opposed to the
         // modeled virtual write cost charged below.
-        let encode_span = comm.prof().map(|p| p.span(redcr_mpi::prof::SpanKey::CheckpointEncode));
+        let encode_span = obs.span(redcr_mpi::prof::SpanKey::CheckpointEncode);
         let image = ProcessImage::capture_with(
             comm.rank().as_u32(),
             comm.now(),
@@ -191,28 +190,20 @@ impl CheckpointCoordinator {
             WriteMode::Synchronous => self.cost.write_cost(bytes.len()),
             WriteMode::Forked { stop_seconds } => stop_seconds,
         };
-        let commit_span = comm.prof().map(|p| p.span(redcr_mpi::prof::SpanKey::CheckpointCommit));
+        let commit_span = obs.span(redcr_mpi::prof::SpanKey::CheckpointCommit);
         comm.compute(cost)?;
         self.storage.store(SnapshotKey::new(seq, comm.rank().as_u32()), &bytes)?;
         comm.barrier()?;
         drop(commit_span);
         // Recorded only after the commit barrier: a rank that dies
         // mid-checkpoint never emits a commit event.
-        if let Some(rec) = comm.recorder() {
-            rec.record(
-                comm.now(),
-                redcr_mpi::trace::EventKind::CheckpointCommit {
-                    seq,
-                    bytes: bytes.len() as u64,
-                    cost,
-                },
-            );
-        }
-        if let Some(m) = comm.metrics() {
-            let now = comm.now();
-            m.inc(redcr_mpi::metrics::CounterKey::CheckpointCommits, now);
-            m.observe(redcr_mpi::metrics::HistKey::CommitLatency, now - begin);
-        }
+        let now = comm.now();
+        obs.event(
+            now,
+            redcr_mpi::trace::EventKind::CheckpointCommit { seq, bytes: bytes.len() as u64, cost },
+        );
+        obs.inc(redcr_mpi::metrics::CounterKey::CheckpointCommits, now);
+        obs.observe(redcr_mpi::metrics::HistKey::CommitLatency, now - begin);
         Ok(CheckpointReceipt { stored_bytes: bytes.len(), cost_seconds: cost, channel_messages })
     }
 
@@ -233,15 +224,9 @@ impl CheckpointCoordinator {
         comm.compute(cost)?;
         let image = ProcessImage::from_stored_bytes(&bytes)?;
         let state = image.restore()?;
-        if let Some(rec) = comm.recorder() {
-            rec.record(
-                comm.now(),
-                redcr_mpi::trace::EventKind::Restore { seq, cut: image.virtual_time },
-            );
-        }
-        if let Some(m) = comm.metrics() {
-            m.inc(redcr_mpi::metrics::CounterKey::Restores, comm.now());
-        }
+        let (obs, now) = (comm.obs(), comm.now());
+        obs.event(now, redcr_mpi::trace::EventKind::Restore { seq, cut: image.virtual_time });
+        obs.inc(redcr_mpi::metrics::CounterKey::Restores, now);
         Ok(Restored {
             state,
             channel: image.channel_state,

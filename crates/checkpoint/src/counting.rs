@@ -232,16 +232,8 @@ impl<C: Communicator> Communicator for CountingComm<'_, C> {
         self.inner.next_collective_seq()
     }
 
-    fn recorder(&self) -> Option<&redcr_mpi::trace::Recorder> {
-        self.inner.recorder()
-    }
-
-    fn metrics(&self) -> Option<&redcr_mpi::metrics::RankMetrics> {
-        self.inner.metrics()
-    }
-
-    fn prof(&self) -> Option<&redcr_mpi::prof::RankProf> {
-        self.inner.prof()
+    fn obs(&self) -> &redcr_mpi::Obs {
+        self.inner.obs()
     }
 }
 

@@ -18,9 +18,9 @@ use redcr_fault::{FailureEvent, FailureInjector, ReplicaGroups};
 use redcr_model::partition::RedundancyPartition;
 use redcr_mpi::collectives::ReduceOp;
 use redcr_mpi::metrics::{CounterKey, HistKey, MetricsRegistry};
-use redcr_mpi::prof::{ProfScope, Profiler, SpanKey as ProfSpanKey};
+use redcr_mpi::prof::{Profiler, SpanKey as ProfSpanKey};
 use redcr_mpi::trace::{heal, Collector, EventKind};
-use redcr_mpi::{Communicator, MpiError};
+use redcr_mpi::{Communicator, MpiError, Sinks};
 use redcr_red::{DetectorParams, HealPolicy, ReplicatedWorld};
 
 use crate::config::ExecutorConfig;
@@ -222,22 +222,23 @@ impl ResilientExecutor {
             }
         }
 
-        let registry = cfg.metrics.then(|| Arc::new(MetricsRegistry::new()));
-        let collector = cfg.tracing.then(|| Arc::new(Collector::new()));
-        // Wall-clock self-profiler. The driver thread keeps its own shard
-        // (segment / heal spans); each world hands per-rank shards to its
-        // rank threads. Everything is host-clock only — no virtual time.
-        let profiler = cfg.profiling.then(|| Arc::new(Profiler::new()));
-        let driver_prof = profiler.as_ref().map(|p| p.shard());
-        if let Some(c) = &collector {
-            for (v, members) in injector.groups().iter().enumerate() {
-                for (replica, &p) in members.iter().enumerate() {
-                    c.record(
-                        0.0,
-                        Some(p as u32),
-                        EventKind::Topology { sphere: v as u32, replica: replica as u32 },
-                    );
-                }
+        // The sinks every segment's world records into. The driver writes
+        // its own rank-less events and counters to them directly and keeps
+        // a profile shard for its segment / heal spans (host clock only —
+        // no virtual time).
+        let sinks = Sinks {
+            trace: cfg.tracing.then(|| Arc::new(Collector::new())),
+            metrics: cfg.metrics.then(|| Arc::new(MetricsRegistry::new())),
+            profiler: cfg.profiling.then(|| Arc::new(Profiler::new())),
+        };
+        let driver = sinks.driver();
+        for (v, members) in injector.groups().iter().enumerate() {
+            for (replica, &p) in members.iter().enumerate() {
+                sinks.event(
+                    0.0,
+                    Some(p as u32),
+                    EventKind::Topology { sphere: v as u32, replica: replica as u32 },
+                );
             }
         }
 
@@ -262,16 +263,14 @@ impl ResilientExecutor {
             attempts += 1;
             let plan = injector.plan_attempt(resume_time);
             let first_attempt = attempts == 1;
-            if let Some(c) = &collector {
-                c.record(plan.start_time, None, EventKind::AttemptStart { attempt: plan.attempt });
-                for (p, &d) in plan.schedule.death_times.iter().enumerate() {
-                    if d.is_finite() {
-                        c.record(
-                            plan.start_time + d,
-                            Some(p as u32),
-                            EventKind::Injected { rel: d },
-                        );
-                    }
+            sinks.event(plan.start_time, None, EventKind::AttemptStart { attempt: plan.attempt });
+            for (p, &d) in plan.schedule.death_times.iter().enumerate() {
+                if d.is_finite() {
+                    sinks.event(
+                        plan.start_time + d,
+                        Some(p as u32),
+                        EventKind::Injected { rel: d },
+                    );
                 }
             }
 
@@ -313,18 +312,10 @@ impl ResilientExecutor {
                     .voting_mode(cfg.voting)
                     .cost_model(cfg.comm_cost)
                     .death_times(deaths_abs.clone())
-                    .start_time(seg_start);
+                    .start_time(seg_start)
+                    .obs(sinks.clone());
                 if let Some(w) = cfg.workers {
                     builder = builder.workers(w);
-                }
-                if let Some(c) = &collector {
-                    builder = builder.trace(Arc::clone(c));
-                }
-                if let Some(r) = &registry {
-                    builder = builder.metrics(Arc::clone(r));
-                }
-                if let Some(p) = &profiler {
-                    builder = builder.profiler(Arc::clone(p));
                 }
                 let heal_ctx = (cfg.heal_policy != HealPolicy::Never).then(|| HealCtx {
                     policy: cfg.heal_policy,
@@ -333,7 +324,7 @@ impl ResilientExecutor {
                     deaths: deaths_abs.clone(),
                 });
                 let seed_ref = seed.clone();
-                let seg_span = driver_prof.as_ref().map(|p| p.span(ProfSpanKey::ExecutorSegment));
+                let seg_span = driver.span(ProfSpanKey::ExecutorSegment);
                 let mut report = builder.run(move |comm| {
                     let (mut state, mut next_seq, mut next_ckpt, mut checkpoints, counting) =
                         match &seed_ref {
@@ -463,7 +454,7 @@ impl ResilientExecutor {
                 // === Heal cycle ===
                 // Spans the suspect scan, donor vote, image transfer and
                 // relaunch prep; dropped when this loop iteration ends.
-                let _heal_span = driver_prof.as_ref().map(|p| p.span(ProfSpanKey::ExecutorHeal));
+                let _heal_span = driver.span(ProfSpanKey::ExecutorHeal);
                 // The boundary the detector fired at: the agreed clock
                 // maximum, advanced past the quiesce drain.
                 let mut boundary = report.max_virtual_time;
@@ -534,13 +525,9 @@ impl ResilientExecutor {
                 for &p in &suspects {
                     let sphere = sphere_of.get(p).copied().unwrap_or(0) as u32;
                     let suspected_at = params.suspicion_time(plan.start_time, deaths_abs[p]);
-                    if let Some(c) = &collector {
-                        c.record(suspected_at, Some(p as u32), EventKind::HeartbeatMiss { sphere });
-                        c.record(boundary, Some(p as u32), EventKind::RespawnBegin { sphere });
-                    }
-                    if let Some(r) = &registry {
-                        r.inc(CounterKey::Suspicions, suspected_at);
-                    }
+                    sinks.event(suspected_at, Some(p as u32), EventKind::HeartbeatMiss { sphere });
+                    sinks.event(boundary, Some(p as u32), EventKind::RespawnBegin { sphere });
+                    sinks.inc(CounterKey::Suspicions, suspected_at);
                 }
 
                 // Kill-during-transfer race: a sphere survives the heal iff
@@ -590,26 +577,22 @@ impl ResilientExecutor {
                     }
                     let latency = commit - died_at;
                     let rel_commit = commit - plan.start_time;
-                    if let Some(c) = &collector {
-                        if rel_rebirth.is_finite() {
-                            c.record(
-                                rebirth,
-                                Some(p as u32),
-                                EventKind::Injected { rel: rel_rebirth },
-                            );
-                        }
-                        c.record(
-                            commit,
+                    if rel_rebirth.is_finite() {
+                        sinks.event(
+                            rebirth,
                             Some(p as u32),
-                            EventKind::RespawnCommit { sphere, rel: rel_commit, latency },
+                            EventKind::Injected { rel: rel_rebirth },
                         );
-                        let copies = spheres.get(sphere as usize).map(Vec::len).unwrap_or(0) as u32;
-                        c.record(commit, Some(p as u32), EventKind::RejoinVote { sphere, copies });
                     }
-                    if let Some(r) = &registry {
-                        r.inc(CounterKey::Respawns, commit);
-                        r.observe(HistKey::HealLatency, latency);
-                    }
+                    sinks.event(
+                        commit,
+                        Some(p as u32),
+                        EventKind::RespawnCommit { sphere, rel: rel_commit, latency },
+                    );
+                    let copies = spheres.get(sphere as usize).map(Vec::len).unwrap_or(0) as u32;
+                    sinks.event(commit, Some(p as u32), EventKind::RejoinVote { sphere, copies });
+                    sinks.inc(CounterKey::Respawns, commit);
+                    sinks.observe(HistKey::HealLatency, latency);
                     respawns_total += 1;
                     attempt_heal_latency += latency;
                     // One commit per healed sphere per cycle: a cycle that
@@ -643,21 +626,19 @@ impl ResilientExecutor {
             };
             let end_rel = (attempt_end - plan.start_time).max(0.0);
             let rel_failure = job_fail_abs - plan.start_time;
-            if let Some(c) = &collector {
-                // Carries the exact relative values the accounting below
-                // compares, so the trace analyzer reproduces it bit-for-bit.
-                c.record(
-                    attempt_end,
-                    None,
-                    EventKind::AttemptEnd {
-                        attempt: plan.attempt,
-                        completed,
-                        rel_end: end_rel,
-                        rel_failure,
-                        killer: (!completed && rel_failure.is_finite()).then_some(killer as u32),
-                    },
-                );
-            }
+            // Carries the exact relative values the accounting below
+            // compares, so the trace analyzer reproduces it bit-for-bit.
+            sinks.event(
+                attempt_end,
+                None,
+                EventKind::AttemptEnd {
+                    attempt: plan.attempt,
+                    completed,
+                    rel_end: end_rel,
+                    rel_failure,
+                    killer: (!completed && rel_failure.is_finite()).then_some(killer as u32),
+                },
+            );
 
             // Degraded running time. Without heal commits, the legacy
             // first-to-last-death sweep over the sampled schedule (the
@@ -671,17 +652,13 @@ impl ResilientExecutor {
                     if first.is_finite() && first < end_rel {
                         let last = times.fold(f64::NEG_INFINITY, f64::max);
                         attempt_degraded += last.min(end_rel) - first;
-                        if let Some(r) = &registry {
-                            r.observe(HistKey::DegradedInterval, last.min(end_rel) - first);
-                        }
+                        sinks.observe(HistKey::DegradedInterval, last.min(end_rel) - first);
                     }
                 }
             } else {
                 let spans = heal::degraded_spans(&spheres, &deaths_rel, &heal_commits, end_rel);
-                if let Some(r) = &registry {
-                    for &span in &spans {
-                        r.observe(HistKey::DegradedInterval, span);
-                    }
+                for &span in &spans {
+                    sinks.observe(HistKey::DegradedInterval, span);
                 }
                 attempt_degraded = spans.iter().fold(0.0f64, |acc, &s| acc + s);
                 recovered_total +=
@@ -689,9 +666,7 @@ impl ResilientExecutor {
             }
             degraded_sphere_seconds += attempt_degraded;
 
-            if let Some(r) = &registry {
-                r.inc(CounterKey::Attempts, attempt_end);
-            }
+            sinks.inc(CounterKey::Attempts, attempt_end);
 
             if !completed {
                 // Every process death up to the job failure that was NOT a
@@ -700,18 +675,11 @@ impl ResilientExecutor {
                 if rel_failure.is_finite() {
                     let dead = deaths_rel.iter().filter(|&&(_, d)| d <= rel_failure).count();
                     let fatal = injector.groups().members(killer).len();
-                    masked_failures += dead.saturating_sub(fatal) as u64;
-                    if let Some(r) = &registry {
-                        r.add(
-                            CounterKey::MaskedFailures,
-                            dead.saturating_sub(fatal) as u64,
-                            attempt_end,
-                        );
-                    }
+                    let masked = dead.saturating_sub(fatal) as u64;
+                    masked_failures += masked;
+                    sinks.add(CounterKey::MaskedFailures, masked, attempt_end);
                 }
-                if let Some(r) = &registry {
-                    r.inc(CounterKey::Restarts, attempt_end);
-                }
+                sinks.inc(CounterKey::Restarts, attempt_end);
                 resume_time = attempt_end;
 
                 // Livelock guard: a restart that found no new checkpoint
@@ -734,9 +702,7 @@ impl ResilientExecutor {
             // prune its never-observed events from the log.
             let dead = deaths_rel.iter().filter(|&&(_, d)| d <= end_rel).count() as u64;
             masked_failures += dead;
-            if let Some(r) = &registry {
-                r.add(CounterKey::MaskedFailures, dead, attempt_end);
-            }
+            sinks.add(CounterKey::MaskedFailures, dead, attempt_end);
             injector.trace_mut().truncate_attempt(plan.attempt, report.max_virtual_time);
             let total_time = report.max_virtual_time;
             let n_physical = report.n_physical;
@@ -783,6 +749,8 @@ impl ResilientExecutor {
             }
             let checkpoints_committed = checkpoints_agreed.unwrap_or(0);
 
+            // The driver's spans join the profile; it buffers no events.
+            sinks.drain(&driver);
             return Ok(ExecutionReport {
                 total_virtual_time: total_time,
                 attempts,
@@ -799,14 +767,9 @@ impl ResilientExecutor {
                 n_physical,
                 node_seconds: n_physical as f64 * total_time,
                 failure_trace: injector.trace().clone(),
-                trace: collector.as_ref().map(|c| c.take()),
-                metrics: registry.as_ref().map(|r| r.report(cfg.scrape_interval)),
-                profile: profiler.as_ref().map(|p| {
-                    if let Some(shard) = &driver_prof {
-                        p.absorb(ProfScope::Driver, shard.drain());
-                    }
-                    p.report()
-                }),
+                trace: sinks.trace.as_ref().map(|c| c.take()),
+                metrics: sinks.metrics.as_ref().map(|r| r.report(cfg.scrape_interval)),
+                profile: sinks.profiler.as_ref().map(|p| p.report()),
                 final_states,
             });
         }

@@ -5,9 +5,10 @@
 //! rank thread owns a lock-free [`RankMetrics`] shard (plain `Cell`s and a
 //! `Vec` push on the hot path — no atomics, no locks), drained into a
 //! shared [`MetricsRegistry`] exactly once at rank teardown. Layers above
-//! the runtime reach the shard through
-//! `Communicator::metrics()` (the same hook pattern as the recorder), so
-//! when metrics are off the entire plane costs one `Option` check.
+//! the runtime reach the shard through the rank's telemetry handle
+//! (`Communicator::obs()`, shared with the recorder and the profiler), so
+//! when metrics are off the entire plane costs one `Option` check per
+//! site.
 //!
 //! Counter increments carry their **virtual-time** stamp, which is what
 //! makes the registry scrapeable after the fact: [`MetricsRegistry::scrape`]

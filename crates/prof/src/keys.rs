@@ -12,9 +12,9 @@
 pub enum SpanKey {
     /// One `Mailbox::push` by a sender (lock, enqueue, notify decision).
     MailboxSend,
-    /// One blocking mailbox wait, spin phase included, match to return.
+    /// One blocking mailbox wait, entry to return.
     MailboxRecvWait,
-    /// One condvar park inside a mailbox wait (wait entry to wake).
+    /// One scheduler park inside a mailbox wait (park to wake).
     MailboxPark,
     /// Serializing application state into a checkpoint image.
     CheckpointEncode,
@@ -103,13 +103,15 @@ impl SpanKey {
 /// One monotonic profiler counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CounterKey {
-    /// Condvar parks entered by mailbox waits.
+    /// Scheduler parks entered by mailbox waits.
     Parks,
-    /// Returns from a condvar park (spurious wakeups included).
+    /// Returns from a park (wakes left over from an earlier wait included).
     Wakes,
-    /// `notify_one` calls fired by senders toward a registered waiter.
+    /// Wakes fired by senders toward a registered waiter.
     Notifies,
-    /// Mailbox waits satisfied during the bounded spin phase.
+    /// Mailbox waits matched without parking (the name dates from the
+    /// spin phase the pre-scheduler mailbox had; it is part of the
+    /// `redcr-prof/1` schema).
     SpinResolved,
     /// Mailbox waits that had to park at least once before matching.
     ParkResolved,

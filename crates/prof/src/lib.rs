@@ -3,10 +3,11 @@
 //! Every other observability layer in this workspace (`redcr-trace`,
 //! `redcr-metrics`, the Perfetto export) watches the **simulated** machine
 //! in virtual time. This crate watches the **simulator** in wall-clock
-//! time: how long the real OS threads spend parked on mailbox condvars,
-//! spinning, encoding checkpoints, voting, or running sweep workers. Its
-//! first deliverable is the measured parking/context-switch baseline the
-//! planned M:N rank scheduler will be judged against.
+//! time: how long rank tasks spend parked in mailbox waits, encoding
+//! checkpoints or voting, and scheduler and sweep workers idling or
+//! running scenarios. Its first deliverable was the measured
+//! parking/context-switch baseline the M:N rank scheduler was judged
+//! against.
 //!
 //! ## Design
 //!
@@ -27,11 +28,12 @@
 //! ## Determinism contract
 //!
 //! This crate is the *only* non-bench crate allowed to read the host
-//! clock; it lives in the `wallclock` detlint domain. Callers hold shards
-//! behind `Option<Rc<RankProf>>` hooks that cost one `Option` check when
-//! profiling is off, and no wall-clock reading here ever feeds back into a
-//! virtual clock — profiler-off runs are bit-identical, profiler-on runs
-//! perturb nothing but wall time.
+//! clock; it lives in the `wallclock` detlint domain. Rank code reaches
+//! its shard through the runtime's one telemetry handle (`redcr_mpi::Obs`),
+//! which costs one `Option` check per site when profiling is off, and no
+//! wall-clock reading here ever feeds back into a virtual clock —
+//! profiler-off runs are bit-identical, profiler-on runs perturb nothing
+//! but wall time.
 
 // Wall-clock reads are this crate's entire purpose; it opts out of the
 // workspace-wide clippy bans the same way the bench harness does.

@@ -157,15 +157,12 @@ impl<'a> ReplicaComm<'a> {
     /// metrics are on, as a flight-recorder event / counter increment.
     fn record_vote(&self, copies: usize, unanimous: bool, corrected: bool) {
         self.stats.record_vote(unanimous, corrected);
-        if let Some(rec) = self.base.recorder() {
-            rec.record(
-                self.base.now(),
-                redcr_mpi::trace::EventKind::Vote { copies: copies as u32, unanimous, corrected },
-            );
-        }
-        if let Some(m) = self.base.metrics() {
-            m.inc(redcr_mpi::metrics::CounterKey::Votes, self.base.now());
-        }
+        let (obs, now) = (self.base.obs(), self.base.now());
+        obs.event(
+            now,
+            redcr_mpi::trace::EventKind::Vote { copies: copies as u32, unanimous, corrected },
+        );
+        obs.inc(redcr_mpi::metrics::CounterKey::Votes, now);
     }
 
     /// Whether sender replica `j` (of `r_send`) sends the full payload to
@@ -196,7 +193,7 @@ impl<'a> ReplicaComm<'a> {
         // Wall-clock span over the whole gather-and-vote: the redundant
         // copy receives plus the byte-wise comparison. Host clock only;
         // the virtual vote cost below is charged identically either way.
-        let _vote_span = self.base.prof().map(|p| p.span(redcr_mpi::prof::SpanKey::Vote));
+        let _vote_span = self.base.obs().span(redcr_mpi::prof::SpanKey::Vote);
         let vote_t0 = self.base.now();
         let senders = self.vmap.replicas_of(src_v);
         let r_send = senders.len();
@@ -296,9 +293,9 @@ impl<'a> ReplicaComm<'a> {
                 }
             }
         };
-        if let Some(m) = self.base.metrics() {
-            m.observe(redcr_mpi::metrics::HistKey::VoteLatency, self.base.now() - vote_t0);
-        }
+        self.base
+            .obs()
+            .observe(redcr_mpi::metrics::HistKey::VoteLatency, self.base.now() - vote_t0);
         Ok(payload)
     }
 
@@ -348,17 +345,12 @@ impl<'a> ReplicaComm<'a> {
                 if self.my_replica > 0 {
                     // Leadership moved to this replica — every lower-indexed
                     // replica of the sphere died.
-                    if let Some(rec) = self.base.recorder() {
-                        rec.record(
-                            self.base.now(),
-                            redcr_mpi::trace::EventKind::Failover {
-                                sphere: self.my_virtual.as_u32(),
-                            },
-                        );
-                    }
-                    if let Some(m) = self.base.metrics() {
-                        m.inc(redcr_mpi::metrics::CounterKey::Failovers, self.base.now());
-                    }
+                    let (obs, now) = (self.base.obs(), self.base.now());
+                    obs.event(
+                        now,
+                        redcr_mpi::trace::EventKind::Failover { sphere: self.my_virtual.as_u32() },
+                    );
+                    obs.inc(redcr_mpi::metrics::CounterKey::Failovers, now);
                 }
                 let (bytes, status) = self.base.recv_ns(RankSelector::Any, tag, ns)?;
                 let (src_v, k) = self.vmap.owner_of(status.source);
@@ -681,15 +673,7 @@ impl Communicator for ReplicaComm<'_> {
         s
     }
 
-    fn recorder(&self) -> Option<&redcr_mpi::trace::Recorder> {
-        self.base.recorder()
-    }
-
-    fn metrics(&self) -> Option<&redcr_mpi::metrics::RankMetrics> {
-        self.base.metrics()
-    }
-
-    fn prof(&self) -> Option<&redcr_mpi::prof::RankProf> {
-        self.base.prof()
+    fn obs(&self) -> &redcr_mpi::Obs {
+        self.base.obs()
     }
 }

@@ -4,10 +4,7 @@
 use std::sync::Arc;
 
 use redcr_model::partition::{AssignmentStrategy, RedundancyPartition};
-use redcr_mpi::metrics::MetricsRegistry;
-use redcr_mpi::prof::Profiler;
-use redcr_mpi::trace::Collector;
-use redcr_mpi::{Comm, CostModel, MpiError, Result, World};
+use redcr_mpi::{Comm, CostModel, MpiError, Result, Sinks, World};
 
 use crate::corruption::CorruptionModel;
 use crate::replica_comm::ReplicaComm;
@@ -42,9 +39,7 @@ impl ReplicatedWorld {
             abort_horizon: f64::INFINITY,
             start_time: 0.0,
             death_times: None,
-            trace: None,
-            metrics: None,
-            profiler: None,
+            sinks: Sinks::default(),
             workers: None,
         })
     }
@@ -61,9 +56,7 @@ pub struct ReplicatedWorldBuilder {
     abort_horizon: f64,
     start_time: f64,
     death_times: Option<Vec<f64>>,
-    trace: Option<Arc<Collector>>,
-    metrics: Option<Arc<MetricsRegistry>>,
-    profiler: Option<Arc<Profiler>>,
+    sinks: Sinks,
     workers: Option<usize>,
 }
 
@@ -138,30 +131,13 @@ impl ReplicatedWorldBuilder {
         self
     }
 
-    /// Enables flight recording into `collector` (see
-    /// [`redcr_mpi::WorldBuilder::trace`]). The replication layer adds its
-    /// own events on top of the base runtime's: per-message vote outcomes
-    /// and wildcard-receive leader failovers.
-    pub fn trace(mut self, collector: Arc<Collector>) -> Self {
-        self.trace = Some(collector);
-        self
-    }
-
-    /// Enables metrics collection into `registry` (see
-    /// [`redcr_mpi::WorldBuilder::metrics`]). The replication layer adds
-    /// its own counters on top of the base runtime's: votes, wildcard
-    /// leader failovers, and per-receive vote latency.
-    pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// Enables wall-clock self-profiling into `profiler` (see
-    /// [`redcr_mpi::WorldBuilder::profiler`]). The replication layer times
-    /// its own receive-path voting on top of the base runtime's mailbox
-    /// spans.
-    pub fn profiler(mut self, profiler: Arc<Profiler>) -> Self {
-        self.profiler = Some(profiler);
+    /// Sets the telemetry sinks (see [`redcr_mpi::WorldBuilder::obs`]).
+    /// The replication layer adds its own records on top of the base
+    /// runtime's: per-message vote outcomes and latency, wildcard-receive
+    /// leader failovers, and a wall-clock span over each receive-path
+    /// vote.
+    pub fn obs(mut self, sinks: Sinks) -> Self {
+        self.sinks = sinks;
         self
     }
 
@@ -201,18 +177,10 @@ impl ReplicatedWorldBuilder {
         let mut world = World::builder(n_physical)
             .cost_model(self.cost)
             .abort_horizon(self.abort_horizon)
-            .start_time(self.start_time);
+            .start_time(self.start_time)
+            .obs(self.sinks);
         if let Some(times) = self.death_times {
             world = world.death_times(times);
-        }
-        if let Some(collector) = self.trace {
-            world = world.trace(collector);
-        }
-        if let Some(registry) = self.metrics {
-            world = world.metrics(registry);
-        }
-        if let Some(profiler) = self.profiler {
-            world = world.profiler(profiler);
         }
         if let Some(workers) = self.workers {
             world = world.workers(workers);

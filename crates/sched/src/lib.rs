@@ -6,10 +6,9 @@
 //! barrier, a checkpoint quiesce — *yields* its coroutine back to the
 //! worker via [`park_current`]; the sender that later satisfies it calls
 //! [`Waker::wake`], which queues the task on its *home* worker's deque.
-//! The spin-then-condvar-park fallback this replaces disappears from the
-//! hot path entirely: on a single worker the whole world becomes a
-//! user-space event loop with zero thread spawns and zero condvar traffic
-//! per segment. With `W` workers each rank is homed on one of them — in
+//! This is the only way a rank blocks: on a single worker the whole world
+//! is a user-space event loop with zero thread spawns and zero condvar
+//! traffic per segment. With `W` workers each rank is homed on one of them — in
 //! contiguous blocks of an affinity key the caller may pass — and stays
 //! there; an idle worker only ever borrows a sibling's task for one run.
 //!

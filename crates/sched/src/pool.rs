@@ -114,13 +114,19 @@ impl PoolConfig {
                 std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
             })
             .clamp(1, n_tasks.max(1));
-        let stack_bytes = std::env::var("REDCR_STACK_KB")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map(|kb| kb * 1024)
-            .unwrap_or(DEFAULT_STACK_BYTES);
+        let stack_bytes = stack_bytes_from_kb(std::env::var("REDCR_STACK_KB").ok().as_deref());
         PoolConfig { workers, stack_bytes, backend }
     }
+}
+
+/// Coroutine stack size for a `REDCR_STACK_KB` value: unset, unparsable or
+/// too large to express in bytes all mean the default. The variable is
+/// outside input, so the multiply is checked — a wrapped product would be
+/// a tiny slab that overflows on first use.
+fn stack_bytes_from_kb(kb: Option<&str>) -> usize {
+    kb.and_then(|s| s.parse::<usize>().ok())
+        .and_then(|kb| kb.checked_mul(1024))
+        .unwrap_or(DEFAULT_STACK_BYTES)
 }
 
 // ---------------------------------------------------------------------------
@@ -519,14 +525,19 @@ pub fn current_waker() -> Option<Waker> {
     Some(Waker { shared, idx })
 }
 
-/// Blocks the current task until [`Waker::wake`] is called on it. On a
-/// pool task this freezes the coroutine and runs other tasks; on a plain
-/// thread it degrades to an OS yield so polling callers stay live.
+/// Blocks the current task until [`Waker::wake`] is called on it: freezes
+/// the coroutine and runs other tasks (or, under [`Backend::Threads`],
+/// sleeps on the task's permit).
+///
+/// # Panics
+///
+/// Panics when the calling thread is not running a pool task. Only a task
+/// has a waker ([`current_waker`] returns `None` elsewhere), so nothing
+/// could end such a park; callers get their waker first and never reach
+/// this.
 pub fn park_current() {
-    if with_task(|pool, idx, _| pool.park(idx)).is_none() {
-        // detlint::allow(R8, reason = "off-pool degradation only: a plain thread (tests, the driver) polling a mailbox donates its OS timeslice; pool tasks always park above")
-        std::thread::yield_now();
-    }
+    // detlint::allow(R4, reason = "caller bug, not a runtime condition: a park is preceded by current_waker(), which is None off-pool, so no correct caller gets here — and a silent return would turn its wait loop into a busy spin")
+    with_task(|pool, idx, _| pool.park(idx)).expect("park_current called off a scheduler task");
 }
 
 /// Cooperatively reschedules the current task behind other runnable work.
@@ -1178,5 +1189,23 @@ mod tests {
         assert_eq!(resolved.workers, 4);
         let one = PoolConfig::resolve(Some(0), 4);
         assert_eq!(one.workers, 1);
+    }
+
+    #[test]
+    fn stack_kb_overflow_falls_back_to_the_default() {
+        assert_eq!(stack_bytes_from_kb(None), DEFAULT_STACK_BYTES);
+        assert_eq!(stack_bytes_from_kb(Some("256")), 256 * 1024);
+        assert_eq!(stack_bytes_from_kb(Some("lots")), DEFAULT_STACK_BYTES);
+        assert_eq!(stack_bytes_from_kb(Some("-1")), DEFAULT_STACK_BYTES);
+        // usize::MAX / 1024 + 1 is the smallest value whose product wraps.
+        let wraps = (usize::MAX / 1024 + 1).to_string();
+        assert_eq!(stack_bytes_from_kb(Some(&wraps)), DEFAULT_STACK_BYTES);
+        assert_eq!(stack_bytes_from_kb(Some(&usize::MAX.to_string())), DEFAULT_STACK_BYTES);
+    }
+
+    #[test]
+    #[should_panic(expected = "off a scheduler task")]
+    fn park_off_pool_fails_loudly() {
+        park_current();
     }
 }

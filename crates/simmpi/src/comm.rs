@@ -6,14 +6,14 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use redcr_metrics::{CounterKey, HistKey, RankMetrics};
-use redcr_prof::RankProf;
-use redcr_trace::{EventKind, Recorder};
+use redcr_metrics::{CounterKey, HistKey};
+use redcr_trace::EventKind;
 
 use crate::communicator::Communicator;
 use crate::error::{MpiError, Result};
 use crate::mailbox::{MatchSpec, Outcome, PeekInfo};
 use crate::message::{Envelope, Status};
+use crate::obs::Obs;
 use crate::rank::{Rank, RankSelector};
 use crate::request::{Request, RequestKind};
 use crate::tag::{Namespace, Tag, TagSelector};
@@ -66,20 +66,11 @@ pub struct Comm {
     coll_seq: Cell<u64>,
     next_comm_id: Rc<Cell<u16>>,
     counters: Rc<SendCounters>,
-    recorder: Option<Rc<Recorder>>,
-    metrics: Option<Rc<RankMetrics>>,
-    prof: Option<Rc<RankProf>>,
+    obs: Rc<Obs>,
 }
 
 impl Comm {
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        rank: u32,
-        start_time: f64,
-        recorder: Option<Rc<Recorder>>,
-        metrics: Option<Rc<RankMetrics>>,
-        prof: Option<Rc<RankProf>>,
-    ) -> Self {
+    pub(crate) fn new(shared: Arc<Shared>, rank: u32, start_time: f64, obs: Obs) -> Self {
         let counters = Rc::new(SendCounters::new(Arc::clone(&shared)));
         Comm {
             shared,
@@ -88,9 +79,7 @@ impl Comm {
             coll_seq: Cell::new(0),
             next_comm_id: Rc::new(Cell::new(1)),
             counters,
-            recorder,
-            metrics,
-            prof,
+            obs: Rc::new(obs),
         }
     }
 
@@ -169,14 +158,7 @@ impl Comm {
     }
 
     fn check_abort(&self) -> Result<()> {
-        check_abort(
-            &self.shared,
-            &self.clock,
-            self.rank,
-            self.rank,
-            self.recorder.as_deref(),
-            self.metrics.as_deref(),
-        )
+        self.endpoint().check_abort()
     }
 
     /// Marks the whole job aborted (fail-stop escalation) and wakes every
@@ -198,45 +180,6 @@ impl Comm {
     }
 }
 
-fn check_abort(
-    shared: &Shared,
-    clock: &VirtualClock,
-    comm_rank: Rank,
-    world_rank: Rank,
-    recorder: Option<&Recorder>,
-    metrics: Option<&RankMetrics>,
-) -> Result<()> {
-    let now = clock.now();
-    let death = shared.death_time(world_rank);
-    if now >= death {
-        // This rank's own fail-stop: flag it (waking receivers blocked on
-        // it) and stop executing. Deliberately *not* a world abort — peers
-        // keep running and observe the death per-operation.
-        if shared.mark_dead(world_rank) {
-            if let Some(rec) = recorder {
-                rec.record(death, EventKind::Death);
-            }
-            if let Some(m) = metrics {
-                m.inc(CounterKey::Deaths, death);
-            }
-        }
-        return Err(MpiError::Dead { rank: world_rank, at: death });
-    }
-    if now >= shared.abort_horizon {
-        shared.trigger_abort();
-        return Err(MpiError::Aborted { rank: comm_rank, at: now });
-    }
-    // Deliberately NOT polled here: the world-abort flag. It is raised at
-    // a *physical* instant (whichever rank escalates first), so a running
-    // rank observing it would stop after a host-timing-dependent number
-    // of operations and make message counts run-to-run noisy. Running
-    // ranks stop only through deterministic virtual-time exits — own
-    // death, DeadPeer/SphereDead escalation, the horizon — and *parked*
-    // ranks return Aborted once the abort is final (no rank can ever
-    // push again). See `mailbox::Quiesce`.
-    Ok(())
-}
-
 /// Shared implementation of the point-to-point primitives, parameterized by
 /// the rank translation of the communicator.
 struct Endpoint<'a> {
@@ -248,21 +191,36 @@ struct Endpoint<'a> {
     comm_rank: Rank,
     comm_id: u16,
     counters: &'a SendCounters,
-    recorder: Option<&'a Recorder>,
-    metrics: Option<&'a RankMetrics>,
-    prof: Option<&'a RankProf>,
+    obs: &'a Obs,
 }
 
 impl Endpoint<'_> {
     fn check_abort(&self) -> Result<()> {
-        check_abort(
-            self.shared,
-            self.clock,
-            self.comm_rank,
-            self.world_rank,
-            self.recorder,
-            self.metrics,
-        )
+        let now = self.clock.now();
+        let death = self.shared.death_time(self.world_rank);
+        if now >= death {
+            // This rank's own fail-stop: flag it (waking receivers blocked on
+            // it) and stop executing. Deliberately *not* a world abort — peers
+            // keep running and observe the death per-operation.
+            if self.shared.mark_dead(self.world_rank) {
+                self.obs.event(death, EventKind::Death);
+                self.obs.inc(CounterKey::Deaths, death);
+            }
+            return Err(MpiError::Dead { rank: self.world_rank, at: death });
+        }
+        if now >= self.shared.abort_horizon {
+            self.shared.trigger_abort();
+            return Err(MpiError::Aborted { rank: self.comm_rank, at: now });
+        }
+        // Deliberately NOT polled here: the world-abort flag. It is raised at
+        // a *physical* instant (whichever rank escalates first), so a running
+        // rank observing it would stop after a host-timing-dependent number
+        // of operations and make message counts run-to-run noisy. Running
+        // ranks stop only through deterministic virtual-time exits — own
+        // death, DeadPeer/SphereDead escalation, the horizon — and *parked*
+        // ranks return Aborted once the abort is final (no rank can ever
+        // push again). See `mailbox::Quiesce`.
+        Ok(())
     }
 
     /// Returns the awaited world rank if `src` names a specific sender that
@@ -291,24 +249,20 @@ impl Endpoint<'_> {
         self.clock.advance_comm(self.shared.cost.msg_overhead);
         let bytes = data.len() as u64;
         self.counters.record(bytes);
-        self.shared.mailboxes[world_dest.index()].push_prof(
+        let now = self.clock.now();
+        self.shared.mailboxes[world_dest.index()].push(
             Envelope {
                 src: self.world_rank,
                 wire_tag: tag.wire(self.comm_id, ns),
                 payload: data,
-                send_time: self.clock.now(),
+                send_time: now,
             },
-            self.prof,
+            self.obs,
         );
-        if let Some(rec) = self.recorder {
-            rec.record(self.clock.now(), EventKind::Send { to: world_dest.as_u32(), bytes });
-        }
-        if let Some(m) = self.metrics {
-            let now = self.clock.now();
-            m.inc(CounterKey::Sends, now);
-            m.add(CounterKey::BytesSent, bytes, now);
-            m.observe(HistKey::PayloadSize, bytes as f64);
-        }
+        self.obs.event(now, EventKind::Send { to: world_dest.as_u32(), bytes });
+        self.obs.inc(CounterKey::Sends, now);
+        self.obs.add(CounterKey::BytesSent, bytes, now);
+        self.obs.observe(HistKey::PayloadSize, bytes as f64);
         Ok(())
     }
 
@@ -336,11 +290,11 @@ impl Endpoint<'_> {
         self.check_abort()?;
         let spec = self.spec(src, tag, ns, member_filter);
         let mailbox = &self.shared.mailboxes[self.world_rank.index()];
-        match mailbox.recv_match_prof(
+        match mailbox.recv_match(
             &spec,
             || self.shared.is_aborted(),
             || self.dead_source(src),
-            self.prof,
+            self.obs,
         ) {
             Outcome::Matched(env) => {
                 let avail = self.shared.cost.availability(env.send_time, env.len());
@@ -358,18 +312,11 @@ impl Endpoint<'_> {
     }
 
     fn record_recv(&self, env: &Envelope) {
-        if let Some(rec) = self.recorder {
-            rec.record(
-                self.clock.now(),
-                EventKind::Recv { from: env.src.as_u32(), bytes: env.payload.len() as u64 },
-            );
-        }
-        if let Some(m) = self.metrics {
-            let now = self.clock.now();
-            m.inc(CounterKey::Recvs, now);
-            m.add(CounterKey::BytesReceived, env.payload.len() as u64, now);
-            m.observe(HistKey::MessageLatency, now - env.send_time);
-        }
+        let (now, bytes) = (self.clock.now(), env.payload.len() as u64);
+        self.obs.event(now, EventKind::Recv { from: env.src.as_u32(), bytes });
+        self.obs.inc(CounterKey::Recvs, now);
+        self.obs.add(CounterKey::BytesReceived, bytes, now);
+        self.obs.observe(HistKey::MessageLatency, now - env.send_time);
     }
 
     fn iprobe(
@@ -426,11 +373,11 @@ impl Endpoint<'_> {
         self.check_abort()?;
         let spec = self.spec(src, tag, ns, member_filter);
         let mailbox = &self.shared.mailboxes[self.world_rank.index()];
-        match mailbox.peek_match_prof(
+        match mailbox.peek_match(
             &spec,
             || self.shared.is_aborted(),
             || self.dead_source(src),
-            self.prof,
+            self.obs,
         ) {
             Outcome::Matched(info) => {
                 let avail = self.shared.cost.availability(info.send_time, info.len);
@@ -533,16 +480,8 @@ impl Communicator for Comm {
         s
     }
 
-    fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_deref()
-    }
-
-    fn metrics(&self) -> Option<&RankMetrics> {
-        self.metrics.as_deref()
-    }
-
-    fn prof(&self) -> Option<&RankProf> {
-        self.prof.as_deref()
+    fn obs(&self) -> &Obs {
+        &self.obs
     }
 }
 
@@ -555,9 +494,7 @@ impl Comm {
             comm_rank: self.rank,
             comm_id: 0,
             counters: &self.counters,
-            recorder: self.recorder.as_deref(),
-            metrics: self.metrics.as_deref(),
-            prof: self.prof.as_deref(),
+            obs: &self.obs,
         }
     }
 
@@ -597,9 +534,7 @@ pub struct SubComm {
     my_sub_rank: Rank,
     my_world_rank: Rank,
     counters: Rc<SendCounters>,
-    recorder: Option<Rc<Recorder>>,
-    metrics: Option<Rc<RankMetrics>>,
-    prof: Option<Rc<RankProf>>,
+    obs: Rc<Obs>,
 }
 
 impl SubComm {
@@ -621,9 +556,7 @@ impl SubComm {
             my_sub_rank,
             my_world_rank: parent.rank,
             counters: Rc::clone(&parent.counters),
-            recorder: parent.recorder.clone(),
-            metrics: parent.metrics.clone(),
-            prof: parent.prof.clone(),
+            obs: Rc::clone(&parent.obs),
         })
     }
 
@@ -640,9 +573,7 @@ impl SubComm {
             comm_rank: self.my_sub_rank,
             comm_id: self.comm_id,
             counters: &self.counters,
-            recorder: self.recorder.as_deref(),
-            metrics: self.metrics.as_deref(),
-            prof: self.prof.as_deref(),
+            obs: &self.obs,
         }
     }
 
@@ -689,14 +620,7 @@ impl SubComm {
     }
 
     fn check_abort(&self) -> Result<()> {
-        check_abort(
-            &self.shared,
-            &self.clock,
-            self.my_sub_rank,
-            self.my_world_rank,
-            self.recorder.as_deref(),
-            self.metrics.as_deref(),
-        )
+        self.endpoint().check_abort()
     }
 }
 
@@ -796,15 +720,7 @@ impl Communicator for SubComm {
         s
     }
 
-    fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_deref()
-    }
-
-    fn metrics(&self) -> Option<&RankMetrics> {
-        self.metrics.as_deref()
-    }
-
-    fn prof(&self) -> Option<&RankProf> {
-        self.prof.as_deref()
+    fn obs(&self) -> &Obs {
+        &self.obs
     }
 }

@@ -123,32 +123,11 @@ pub trait Communicator {
     /// ranks and yields collision-free collective tags.
     fn next_collective_seq(&self) -> u64;
 
-    /// This rank's flight recorder, when the world was built with tracing
-    /// enabled (see `WorldBuilder::trace`). Interposition layers emit their
-    /// own events (votes, failovers, checkpoint commits) through this hook;
-    /// the default is no recorder, so tracing costs nothing unless enabled.
-    fn recorder(&self) -> Option<&redcr_trace::Recorder> {
-        None
-    }
-
-    /// This rank's metrics shard, when the world was built with metrics
-    /// enabled (see `WorldBuilder::metrics`). Interposition layers count
-    /// their own events (votes, failovers, checkpoint commits) through this
-    /// hook; the default is no shard, so metrics cost one `Option` check
-    /// unless enabled.
-    fn metrics(&self) -> Option<&redcr_metrics::RankMetrics> {
-        None
-    }
-
-    /// This rank's wall-clock profiling shard, when the world was built
-    /// with profiling enabled (see `WorldBuilder::profiler`).
-    /// Interposition layers time their own work (votes, checkpoint
-    /// encode/commit) through this hook; the default is no shard, so
-    /// profiling costs one `Option` check unless enabled. Profiling reads
-    /// the host clock only and never advances virtual time.
-    fn prof(&self) -> Option<&redcr_prof::RankProf> {
-        None
-    }
+    /// This rank's telemetry handle (see [`Obs`](crate::Obs)).
+    /// Interposition layers report their own events, counters and spans
+    /// (votes, failovers, checkpoint commits) through it; a wrapper
+    /// forwards its base communicator's handle.
+    fn obs(&self) -> &crate::Obs;
 
     // ------------------------------------------------------------------
     // Provided point-to-point conveniences

@@ -66,6 +66,7 @@ pub mod collectives;
 pub mod datatype;
 pub mod mailbox;
 pub mod message;
+pub mod obs;
 pub mod rank;
 pub mod request;
 pub mod tag;
@@ -77,18 +78,18 @@ mod communicator;
 mod error;
 
 /// The flight-recorder layer (re-exported from `redcr-trace`): enable it
-/// with [`WorldBuilder::trace`], pull events out of the
-/// [`trace::Collector`] afterwards.
+/// by putting a [`trace::Collector`] in the [`Sinks`] given to
+/// [`WorldBuilder::obs`], pull events out of it afterwards.
 pub use redcr_trace as trace;
 
-/// The metrics layer (re-exported from `redcr-metrics`): enable it with
-/// [`WorldBuilder::metrics`], pull totals and the virtual-time series out of
-/// the [`metrics::MetricsRegistry`] afterwards.
+/// The metrics layer (re-exported from `redcr-metrics`): enable it by
+/// putting a [`metrics::MetricsRegistry`] in the [`Sinks`], pull totals and
+/// the virtual-time series out of it afterwards.
 pub use redcr_metrics as metrics;
 
 /// The wall-clock self-profiling layer (re-exported from `redcr-prof`):
-/// enable it with [`WorldBuilder::profiler`], pull the span/counter report
-/// out of the [`prof::Profiler`] afterwards. Profiling watches the
+/// enable it by putting a [`prof::Profiler`] in the [`Sinks`], pull the
+/// span/counter report out of it afterwards. Profiling watches the
 /// *simulator* (host clock), never the simulated machine, and a run with
 /// it off is bit-identical to one without it compiled in at all.
 pub use redcr_prof as prof;
@@ -97,6 +98,7 @@ pub use comm::{Comm, SubComm};
 pub use communicator::Communicator;
 pub use error::{MpiError, Result};
 pub use message::Status;
+pub use obs::{Obs, Sinks};
 pub use rank::{Rank, RankSelector};
 pub use request::{Request, TestOutcome};
 pub use tag::{Tag, TagSelector};

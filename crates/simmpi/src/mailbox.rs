@@ -16,22 +16,23 @@
 //!   arrival — bit-for-bit the same envelope the old flat-queue scan
 //!   returned.
 //!
-//! Blocking receives have two regimes. When the receiver runs as an M:N
-//! scheduler task (the simulator's normal mode — see `redcr-sched`), a
-//! missing match registers an *interest* (which source/tag it waits for)
-//! together with the task's [`redcr_sched::Waker`] and immediately
-//! *parks the coroutine*: the worker thread moves on to runnable rank
-//! tasks, and the matching push marks the task runnable again on the
-//! scheduler's run-queue. No OS-level spin, park, or context switch
-//! happens at all. When the receiver is a plain OS thread (mailbox unit
-//! tests, the `REDCR_EXEC=threads` fallback backend), the pre-M:N
-//! behavior remains: a bounded *yield-spin* first, then a condvar park
-//! with the same registered interest.
+//! A blocking receive has one way to block. The receiver is a
+//! `redcr-sched` task (every rank of a world run is, on either execution
+//! backend): a missing match registers an *interest* (which source/tag it
+//! waits for) together with the task's [`redcr_sched::Waker`] and parks
+//! through [`redcr_sched::park_current`]. Under the coroutine backend
+//! the worker thread moves on to runnable rank tasks and the matching
+//! push marks the task runnable again on its home run-queue — no OS-level
+//! spin, park, or context switch happens at all; under
+//! `REDCR_EXEC=threads` the same call sleeps on the scheduler's per-task
+//! permit. The mailbox itself owns no condition variable. **A blocking
+//! wait that finds no match from a thread that is not a scheduler task
+//! panics** instead of hanging: nothing could ever wake it.
 //!
-//! Either way the push side wakes only when the deposited envelope can
-//! satisfy the parked interest, and skips notification entirely when no
-//! receiver is parked — no thundering herd. A generation counter records
-//! every notification actually sent, so tests can assert the
+//! The push side wakes only when the deposited envelope can satisfy the
+//! parked interest, and skips notification entirely when no receiver is
+//! parked — no thundering herd. A generation counter records every
+//! notification actually sent, so tests can assert the
 //! no-spurious-wakeup property.
 //!
 //! # Abort finality
@@ -47,11 +48,11 @@
 //! # Lock order
 //!
 //! The mailbox owns exactly one lock: `Mailbox::inner`
-//! (`parking_lot::Mutex<Inner>`, paired with the `cond` condvar). It is a
-//! **leaf lock**: every acquisition in this module either completes
-//! within a single statement or is dropped before any other lock in the
-//! workspace can be touched — a parked receiver waits on `cond` with
-//! `inner` (atomically) released, never while holding anything else.
+//! (`parking_lot::Mutex<Inner>`). It is a **leaf lock**: every
+//! acquisition in this module either completes within a single statement
+//! or is dropped before any other lock in the workspace can be touched —
+//! a receiver drops `inner` before it parks, so it never sleeps holding
+//! anything.
 //!
 //! This is verified, not aspirational: `detlint`'s R5 lock-order pass
 //! (run by `tests/detlint_clean.rs` and the CI `detlint` job) extracts
@@ -83,10 +84,11 @@ use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::{Condvar, Mutex};
-use redcr_prof::{CounterKey, RankProf, SpanKey, TrackKey};
+use parking_lot::Mutex;
+use redcr_prof::{CounterKey, SpanKey, TrackKey};
 
 use crate::message::Envelope;
+use crate::obs::Obs;
 use crate::rank::{Rank, RankSelector};
 use crate::tag::{Namespace, TagSelector, WireTag};
 
@@ -94,16 +96,6 @@ use crate::tag::{Namespace, TagSelector, WireTag};
 /// channel key per collective; pooling stops that from allocating a new
 /// `VecDeque` every time).
 const POOL_CAP: usize = 64;
-
-/// How many times a blocking receive on a *plain OS thread* yields its
-/// timeslice and re-checks before parking on the condition variable. Each
-/// yield hands the CPU to the ranks this receiver is waiting on, so on an
-/// oversubscribed host the matching send usually lands within a few
-/// yields; parking stays as the bounded fallback, so there is no
-/// unbounded busy-wait. Scheduler tasks skip the spin phase entirely —
-/// yielding the coroutine back to the worker *is* the way to let the
-/// sender run.
-const SPIN_YIELDS: u32 = 2;
 
 /// Cheap multiply-rotate hasher for the fixed-width `(Rank, WireTag)`
 /// channel keys. The std `HashMap` default (SipHash) costs more than the
@@ -226,16 +218,13 @@ impl Interest {
 }
 
 /// The registered state of a blocked receiver: what it waits for, plus
-/// how to wake it. A scheduler task carries its waker (the push side
-/// marks the task runnable); a plain OS thread leaves `waker` empty and
-/// is notified through the mailbox condvar instead. `tokened` records
-/// whether a wake already transferred the rank's "live" token back (see
-/// [`Quiesce`]) — set at most once per registration, under `inner`.
+/// the waker that marks its task runnable. The first notification ends the
+/// registration ([`Mailbox::claim_waiter`]), so a waiter still in place
+/// has not been woken.
 #[derive(Debug)]
 struct Waiter {
     interest: Interest,
-    waker: Option<redcr_sched::Waker>,
-    tokened: bool,
+    waker: redcr_sched::Waker,
 }
 
 /// Live-rank accounting that makes a world abort observable only once it
@@ -254,10 +243,11 @@ struct Waiter {
 /// * **parked ranks** return [`Outcome::Aborted`] only once the abort is
 ///   final, tracked by this counter: `live` counts ranks that can still
 ///   deposit an envelope — every rank not yet finished and not currently
-///   asleep, plus parked ranks whose wake has been committed (the waker
-///   transfers the token via `Waiter::tokened` *before* issuing the
-///   wake). A receiver gives its token up strictly after registering its
-///   waiter and strictly before sleeping. The first decrement to zero
+///   asleep, plus parked ranks whose wake has been committed (whoever
+///   ends the registration transfers the token back, under the mailbox
+///   lock, *before* issuing the wake). A receiver gives its token up
+///   strictly after registering its waiter and strictly before
+///   sleeping. The first decrement to zero
 ///   with the abort flag set therefore proves a frozen system — nobody
 ///   is executing and no committed wake is outstanding, so no further
 ///   push can ever occur — and flips the sticky `finality` flag, then
@@ -395,20 +385,6 @@ struct Inner {
 }
 
 impl Inner {
-    /// Ends a scheduler task's registration and hands its waker to the
-    /// caller, who is about to notify it (token already granted). One
-    /// wake makes the task runnable and it re-checks the mailbox when it
-    /// runs, so later pushes find no waiter and skip the notification
-    /// altogether; moving the waker rather than cloning it also keeps the
-    /// pool's reference count at one increment and one decrement per
-    /// park. A plain-thread waiter (no waker) stays registered: it ends
-    /// its own registration when the condvar lets it go.
-    fn take_task_waker(&mut self) -> Option<redcr_sched::Waker> {
-        let waker = self.waiter.as_mut()?.waker.take()?;
-        self.waiter = None;
-        Some(waker)
-    }
-
     fn push_env(&mut self, env: Envelope) {
         let key = (env.src, env.wire_tag);
         let seq = self.seq;
@@ -477,7 +453,6 @@ impl Inner {
 #[derive(Default)]
 pub struct Mailbox {
     inner: Mutex<Inner>,
-    cond: Condvar,
     /// Live-rank accounting shared by the whole world (None for
     /// standalone mailboxes, which keep immediate abort-on-flag waits).
     quiesce: Option<Arc<Quiesce>>,
@@ -501,17 +476,28 @@ impl Mailbox {
         Mailbox { quiesce: Some(quiesce), ..Self::default() }
     }
 
-    /// Transfers the live token to the registered waiter: the wake being
-    /// issued commits the parked rank to resume, so it counts as live
-    /// again from this instant. At most once per registration; must run
-    /// under `inner` (callers hold it).
-    fn grant_token(&self, inner: &mut Inner) {
-        if let (Some(q), Some(w)) = (&self.quiesce, inner.waiter.as_mut()) {
-            if !w.tokened {
-                w.tokened = true;
-                q.resume();
-            }
+    /// Commits a wake of the parked receiver, if there is one and
+    /// `unblocks` says the event at hand can end its wait: counts the
+    /// notification, transfers the live token back (the wake commits the
+    /// rank to resume, so it counts as live again from this instant) and
+    /// ends the registration. Returns the waker for the caller to invoke
+    /// once `inner` is released — the scheduler wake must not nest inside
+    /// the leaf lock. One wake makes the task runnable and it re-checks the
+    /// mailbox when it runs, so later pushes find no waiter and skip the
+    /// notification altogether; moving the waker rather than cloning it
+    /// also keeps the pool's reference count at one increment and one
+    /// decrement per park.
+    fn claim_waiter(
+        &self,
+        inner: &mut Inner,
+        unblocks: impl FnOnce(&Interest) -> bool,
+    ) -> Option<redcr_sched::Waker> {
+        let waiter = inner.waiter.take_if(|w| unblocks(&w.interest))?;
+        inner.wakeups += 1;
+        if let Some(q) = &self.quiesce {
+            q.resume();
         }
+        Some(waiter.waker)
     }
 
     /// Gives up this rank's live token just before it sleeps. Must be
@@ -525,97 +511,65 @@ impl Mailbox {
         }
     }
 
-    /// Re-acquires liveness after a sleep. A tokened waiter (or a task
-    /// whose registration the notifier already ended, token granted) was
-    /// counted live by whoever committed the wake; an untokened one means
-    /// the sleep ended without a committed wake (e.g. a spurious condvar
-    /// wake, or a scheduler notify left over from an earlier wait), so
-    /// the rank re-counts itself. Clears the registration either way.
+    /// Re-acquires liveness after a park. A task whose registration the
+    /// notifier already ended was counted live by whoever committed the
+    /// wake; a registration still in place means the park ended without a
+    /// committed wake (a scheduler notify left over from an earlier wait),
+    /// so the rank ends it and re-counts itself.
     fn settle(&self, inner: &mut Inner) {
-        let Some(q) = &self.quiesce else {
-            return;
-        };
-        if let Some(w) = inner.waiter.take() {
-            if !w.tokened {
-                q.resume();
-            }
+        if let (Some(q), Some(_)) = (&self.quiesce, inner.waiter.take()) {
+            q.resume();
         }
     }
 
     /// Deposits an envelope, waking the parked receiver only when the
-    /// envelope can satisfy its registered interest.
-    pub fn push(&self, env: Envelope) {
-        self.push_prof(env, None);
-    }
-
-    /// [`push`](Self::push) with an optional wall-clock profiling shard
-    /// (the *sender's*). When present it times the push, counts the
-    /// notify decision, and samples the post-push queue depth; profiling
+    /// envelope can satisfy its registered interest. `obs` is the
+    /// *sender's* handle: with profiling on it times the push, counts the
+    /// notify decision, and samples the post-push queue depth. Profiling
     /// reads the host clock only and never touches virtual time, so the
     /// deposited envelope is bit-identical either way.
-    pub fn push_prof(&self, env: Envelope, prof: Option<&RankProf>) {
-        let _send = prof.map(|p| p.span(SpanKey::MailboxSend));
+    pub fn push(&self, env: Envelope, obs: &Obs) {
+        let _send = obs.span(SpanKey::MailboxSend);
         let mut inner = self.inner.lock();
         let (src, wire) = (env.src, env.wire_tag);
         inner.push_env(env);
         let depth = inner.len;
-        let notified = inner.waiter.as_ref().is_some_and(|w| w.interest.wants(src, wire));
-        let mut task = None;
-        if notified {
-            inner.wakeups += 1;
-            self.grant_token(&mut inner);
-            task = inner.take_task_waker();
-        }
-        // Preserve the leaf-lock property: the scheduler wake (and the
-        // condvar notify) happen strictly after `inner` is released.
+        let waker = self.claim_waiter(&mut inner, |interest| interest.wants(src, wire));
         drop(inner);
-        if notified {
-            match &task {
-                Some(w) => w.wake(),
-                None => self.cond.notify_one(),
-            }
+        obs.count(CounterKey::Sends);
+        if let Some(w) = waker {
+            w.wake();
+            obs.count(CounterKey::Notifies);
+            obs.count(CounterKey::TaskWakes);
         }
-        if let Some(p) = prof {
-            p.count(CounterKey::Sends);
-            if notified {
-                p.count(CounterKey::Notifies);
-                if task.is_some() {
-                    p.count(CounterKey::TaskWakes);
-                }
-            }
-            p.sample(TrackKey::QueueDepth, depth as f64);
-        }
+        obs.sample(TrackKey::QueueDepth, depth as f64);
     }
 
-    /// The shared blocking wait loop. On a scheduler task a missing match
-    /// registers interest + waker and parks the coroutine (the worker
-    /// runs other ranks; the matching push requeues us). On a plain OS
-    /// thread it spin-yields a bounded number of times, then registers
-    /// interest and parks on the condvar. `grab` extracts the result once
-    /// a match exists.
+    /// The shared blocking wait loop: a missing match registers interest
+    /// and waker, then parks the task (the worker runs other ranks; the
+    /// matching push requeues us). `grab` extracts the result once a
+    /// match exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the wait has to block and the calling thread is not a
+    /// `redcr-sched` task (see the module docs).
     fn wait_match<T>(
         &self,
         spec: &MatchSpec<'_>,
         is_aborted: impl Fn() -> bool,
         dead_src: impl Fn() -> Option<Rank>,
-        prof: Option<&RankProf>,
+        obs: &Obs,
         mut grab: impl FnMut(&mut Inner) -> Option<T>,
     ) -> Outcome<T> {
-        let _wait = prof.map(|p| p.span(SpanKey::MailboxRecvWait));
-        let mut spins = 0u32;
+        let _wait = obs.span(SpanKey::MailboxRecvWait);
         let mut parked = false;
         let mut inner = self.inner.lock();
         loop {
             // detlint::allow(R7, reason = "grab is a caller-supplied matcher over the queue snapshot; the wait_match contract requires it to be a pure predicate (every call site passes a closure that only inspects `inner`), so it cannot park")
             if let Some(v) = grab(&mut inner) {
                 inner.waiter = None;
-                if let Some(p) = prof {
-                    p.count(if parked {
-                        CounterKey::ParkResolved
-                    } else {
-                        CounterKey::SpinResolved
-                    });
-                }
+                obs.count(if parked { CounterKey::ParkResolved } else { CounterKey::SpinResolved });
                 return Outcome::Matched(v);
             }
             // With live-rank accounting attached (world runs), the abort
@@ -638,98 +592,32 @@ impl Mailbox {
             // The owned waker is minted only here, once the wait is known
             // to park, and moved into the waiter: a receive that matches
             // at once never touches the pool's reference count.
-            if let Some(waker) = redcr_sched::current_waker() {
-                // Scheduler task: hand the worker to whoever should be
-                // sending. The waker registration and the RUNNING →
-                // NOTIFIED state machine in redcr-sched close the race
-                // between dropping `inner` and the coroutine freezing.
-                // The live token is given up strictly after the waiter is
-                // registered (wakes from here on transfer it back) and
-                // strictly before the coroutine freezes.
-                inner.waiter = Some(Waiter {
-                    interest: Interest::from_spec(spec),
-                    waker: Some(waker),
-                    tokened: false,
-                });
-                parked = true;
-                drop(inner);
-                self.retire(&is_aborted);
-                if let Some(p) = prof {
-                    p.count(CounterKey::Parks);
-                    p.sample(TrackKey::Parks, p.counter(CounterKey::Parks) as f64);
-                    let _park = p.span(SpanKey::MailboxPark);
-                    redcr_sched::park_current();
-                    p.count(CounterKey::Wakes);
-                } else {
-                    redcr_sched::park_current();
-                }
-                inner = self.inner.lock();
-                self.settle(&mut inner);
-            } else if spins < SPIN_YIELDS {
-                // Donate the timeslice to whoever should be sending; no
-                // interest is registered, so the matching push stays
-                // notification-free (the common fast path). The rank
-                // stays live: a yield is not a sleep.
-                spins += 1;
-                drop(inner);
-                // detlint::allow(R8, reason = "bounded spin donation on the OS-thread path: at most SPIN_YIELDS timeslice donations before registering interest and sleeping; the coro backend parks via the waker instead of reaching this arm")
-                std::thread::yield_now();
-                inner = self.inner.lock();
-            } else if self.quiesce.is_some() {
-                // OS-thread backend with live-rank accounting: same
-                // retire-before-sleep ordering as the coroutine path,
-                // done without ever holding `inner` across another
-                // mailbox's lock (a finality broadcast inside `retire`
-                // takes each in turn): register, unlock, retire, relock.
-                // A wake landing inside that window commits the token,
-                // which the re-check below observes — and committing one
-                // requires `inner`, which `cond.wait` releases
-                // atomically, so there is no lost-wake window.
-                inner.waiter = Some(Waiter {
-                    interest: Interest::from_spec(spec),
-                    waker: None,
-                    tokened: false,
-                });
-                parked = true;
-                drop(inner);
-                self.retire(&is_aborted);
-                inner = self.inner.lock();
-                if !inner.waiter.as_ref().is_none_or(|w| w.tokened) {
-                    if let Some(p) = prof {
-                        p.count(CounterKey::Parks);
-                        p.sample(TrackKey::Parks, p.counter(CounterKey::Parks) as f64);
-                        let _park = p.span(SpanKey::MailboxPark);
-                        // detlint::allow(R8, reason = "threads-backend park: under REDCR_EXEC=threads each rank owns an OS thread and the condvar wait IS the intended suspension; the coro backend takes the waker branch above")
-                        self.cond.wait(&mut inner);
-                        p.count(CounterKey::Wakes);
-                    } else {
-                        // detlint::allow(R8, reason = "threads-backend park (unprofiled arm): same intended OS-thread suspension as the profiled branch")
-                        self.cond.wait(&mut inner);
-                    }
-                }
-                self.settle(&mut inner);
-            } else {
-                // Standalone mailbox on a plain OS thread (unit tests):
-                // the original atomic register-and-wait under one lock
-                // hold.
-                inner.waiter = Some(Waiter {
-                    interest: Interest::from_spec(spec),
-                    waker: None,
-                    tokened: false,
-                });
-                parked = true;
-                if let Some(p) = prof {
-                    p.count(CounterKey::Parks);
-                    p.sample(TrackKey::Parks, p.counter(CounterKey::Parks) as f64);
-                    let _park = p.span(SpanKey::MailboxPark);
-                    // detlint::allow(R8, reason = "standalone-mailbox park: a mailbox used from a plain OS thread (unit tests) blocks that thread by design; world runs route through the quiesce arm above")
-                    self.cond.wait(&mut inner);
-                    p.count(CounterKey::Wakes);
-                } else {
-                    // detlint::allow(R8, reason = "standalone-mailbox park (unprofiled arm): same plain-OS-thread suspension as the profiled branch")
-                    self.cond.wait(&mut inner);
-                }
+            let Some(waker) = redcr_sched::current_waker() else {
+                // detlint::allow(R4, reason = "caller bug, not a runtime condition: every rank of a world run is a scheduler task, so only a bare Mailbox driven from a plain thread gets here — and it could never be woken; failing at once beats the hang it would otherwise be")
+                panic!(
+                    "blocking mailbox wait from a thread that is not a scheduler task: \
+                     nothing matches and nothing could wake it; call recv_match/peek_match \
+                     from inside redcr_sched::run_batch (a World run does), or use the try_ variants"
+                );
+            };
+            // Hand the worker to whoever should be sending. The waker
+            // registration and the RUNNING → NOTIFIED state machine in
+            // redcr-sched close the race between dropping `inner` and
+            // the task freezing. The live token is given up strictly
+            // after the waiter is registered (wakes from here on transfer
+            // it back) and strictly before the task freezes.
+            inner.waiter = Some(Waiter { interest: Interest::from_spec(spec), waker });
+            parked = true;
+            drop(inner);
+            self.retire(&is_aborted);
+            obs.count_tracked(CounterKey::Parks, TrackKey::Parks);
+            {
+                let _park = obs.span(SpanKey::MailboxPark);
+                redcr_sched::park_current();
             }
+            obs.count(CounterKey::Wakes);
+            inner = self.inner.lock();
+            self.settle(&mut inner);
         }
     }
 
@@ -740,29 +628,27 @@ impl Mailbox {
     /// as dead and nothing matching is buffered, the wait ends with
     /// [`Outcome::SourceDead`] — a dead rank has already deposited
     /// everything it will ever send, so no match can arrive later.
+    ///
+    /// `obs` is the receiver's handle: with profiling on it times the
+    /// whole wait and each park, and classifies the wait as resolved
+    /// without parking (`spin_resolved`) or after at least one park.
+    /// Profiling never changes what is matched or when.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing matches yet, the wait is not already over, and
+    /// the calling thread is not a `redcr-sched` task: the wait parks
+    /// through the scheduler and nothing else (see the module docs).
     pub fn recv_match(
         &self,
         spec: &MatchSpec<'_>,
         is_aborted: impl Fn() -> bool,
         dead_src: impl Fn() -> Option<Rank>,
+        obs: &Obs,
     ) -> RecvOutcome {
-        self.recv_match_prof(spec, is_aborted, dead_src, None)
-    }
-
-    /// [`recv_match`](Self::recv_match) with an optional wall-clock
-    /// profiling shard: times the whole wait (spin phase included) and
-    /// each condvar park, and classifies the wait as spin- or
-    /// park-resolved. Profiling never changes what is matched or when.
-    pub fn recv_match_prof(
-        &self,
-        spec: &MatchSpec<'_>,
-        is_aborted: impl Fn() -> bool,
-        dead_src: impl Fn() -> Option<Rank>,
-        prof: Option<&RankProf>,
-    ) -> RecvOutcome {
-        let out = self.wait_match(spec, is_aborted, dead_src, prof, |inner| inner.take_match(spec));
-        if let (Some(p), Outcome::Matched(_)) = (prof, &out) {
-            p.count(CounterKey::Recvs);
+        let out = self.wait_match(spec, is_aborted, dead_src, obs, |inner| inner.take_match(spec));
+        if matches!(out, Outcome::Matched(_)) {
+            obs.count(CounterKey::Recvs);
         }
         out
     }
@@ -776,27 +662,16 @@ impl Mailbox {
     /// Blocking probe: waits until an envelope matches `spec` and returns
     /// its metadata without removing it (and without cloning payload
     /// bytes). Unblocks like [`recv_match`](Self::recv_match) when the
-    /// world aborts or the awaited sender is dead.
+    /// world aborts or the awaited sender is dead, and has the same
+    /// scheduler-task precondition.
     pub fn peek_match(
         &self,
         spec: &MatchSpec<'_>,
         is_aborted: impl Fn() -> bool,
         dead_src: impl Fn() -> Option<Rank>,
+        obs: &Obs,
     ) -> PeekOutcome {
-        self.peek_match_prof(spec, is_aborted, dead_src, None)
-    }
-
-    /// [`peek_match`](Self::peek_match) with an optional wall-clock
-    /// profiling shard (see
-    /// [`recv_match_prof`](Self::recv_match_prof)).
-    pub fn peek_match_prof(
-        &self,
-        spec: &MatchSpec<'_>,
-        is_aborted: impl Fn() -> bool,
-        dead_src: impl Fn() -> Option<Rank>,
-        prof: Option<&RankProf>,
-    ) -> PeekOutcome {
-        self.wait_match(spec, is_aborted, dead_src, prof, |inner| inner.peek_match(spec))
+        self.wait_match(spec, is_aborted, dead_src, obs, |inner| inner.peek_match(spec))
     }
 
     /// Non-blocking probe: metadata of the oldest matching envelope, if
@@ -807,33 +682,20 @@ impl Mailbox {
 
     /// Wakes the parked receiver unconditionally (world abort).
     pub fn wake_all(&self) {
-        let mut inner = self.inner.lock();
-        if inner.waiter.is_some() {
-            inner.wakeups += 1;
-            self.grant_token(&mut inner);
-        }
-        let task = inner.take_task_waker();
-        drop(inner);
-        if let Some(w) = task {
-            w.wake();
-        }
-        self.cond.notify_all();
+        self.wake_if(|_| true);
     }
 
     /// Wakes the parked receiver only if the death of `rank` can unblock
     /// it, i.e. it waits on that specific source. Wildcard waiters never
     /// resolve to `SourceDead` and are left parked.
     pub fn wake_for_death(&self, rank: Rank) {
-        let mut inner = self.inner.lock();
-        if inner.waiter.as_ref().is_some_and(|w| w.interest.wants_death(rank)) {
-            inner.wakeups += 1;
-            self.grant_token(&mut inner);
-            let task = inner.take_task_waker();
-            drop(inner);
-            match task {
-                Some(w) => w.wake(),
-                None => self.cond.notify_one(),
-            }
+        self.wake_if(|interest| interest.wants_death(rank));
+    }
+
+    fn wake_if(&self, unblocks: impl FnOnce(&Interest) -> bool) {
+        let waker = self.claim_waiter(&mut self.inner.lock(), unblocks);
+        if let Some(w) = waker {
+            w.wake();
         }
     }
 
@@ -875,7 +737,6 @@ mod tests {
     use crate::tag::{Namespace, Tag};
     use bytes::Bytes;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     fn env(src: u32, tag: u64, data: &'static [u8]) -> Envelope {
         Envelope {
@@ -902,11 +763,50 @@ mod tests {
         spec(RankSelector::Any, TagSelector::Any)
     }
 
+    fn push(mb: &Mailbox, e: Envelope) {
+        mb.push(e, &Obs::off());
+    }
+
+    /// Runs `receiver` and `sender` as the two tasks of one scheduler
+    /// batch over a fresh mailbox and flag, once on one worker and once on
+    /// two. The sender starts only after the receiver has registered its
+    /// interest, so every test below acts on a receiver that is parked (or
+    /// committed to park: a wake landing before the task freezes turns the
+    /// park into a requeue inside the scheduler).
+    fn two_tasks(
+        receiver: impl Fn(&Mailbox, &AtomicBool) + Sync,
+        sender: impl Fn(&Mailbox, &AtomicBool) + Sync,
+    ) {
+        for workers in [1, 2] {
+            let (mb, flag) = (Mailbox::new(), AtomicBool::new(false));
+            let cfg = redcr_sched::PoolConfig {
+                workers,
+                stack_bytes: 128 * 1024,
+                backend: redcr_sched::Backend::native(),
+            };
+            let batch = redcr_sched::run_batch(&cfg, 2, None, None, |task| {
+                if task == 0 {
+                    receiver(&mb, &flag);
+                } else {
+                    while mb.inner.lock().waiter.is_none() {
+                        redcr_sched::yield_now();
+                    }
+                    sender(&mb, &flag);
+                }
+            });
+            for outcome in batch.results {
+                if let Err(panic) = outcome {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+    }
+
     #[test]
     fn fifo_within_channel() {
         let mb = Mailbox::new();
-        mb.push(env(0, 1, b"first"));
-        mb.push(env(0, 1, b"second"));
+        push(&mb, env(0, 1, b"first"));
+        push(&mb, env(0, 1, b"second"));
         let got = mb.try_recv_match(&exact(0, 1)).unwrap();
         assert_eq!(&got.payload[..], b"first");
         let got = mb.try_recv_match(&from_rank(0)).unwrap();
@@ -917,8 +817,8 @@ mod tests {
     #[test]
     fn matching_skips_non_matching_messages() {
         let mb = Mailbox::new();
-        mb.push(env(1, 9, b"other"));
-        mb.push(env(0, 1, b"wanted"));
+        push(&mb, env(1, 9, b"other"));
+        push(&mb, env(0, 1, b"wanted"));
         let got =
             mb.try_recv_match(&spec(RankSelector::Any, TagSelector::Tag(Tag::new(1)))).unwrap();
         assert_eq!(&got.payload[..], b"wanted");
@@ -928,9 +828,9 @@ mod tests {
     #[test]
     fn wildcard_takes_globally_oldest_across_channels() {
         let mb = Mailbox::new();
-        mb.push(env(2, 5, b"oldest"));
-        mb.push(env(0, 1, b"newer"));
-        mb.push(env(1, 3, b"newest"));
+        push(&mb, env(2, 5, b"oldest"));
+        push(&mb, env(0, 1, b"newer"));
+        push(&mb, env(1, 3, b"newest"));
         let got = mb.try_recv_match(&any()).unwrap();
         assert_eq!(&got.payload[..], b"oldest");
         let got = mb.try_recv_match(&any()).unwrap();
@@ -942,9 +842,9 @@ mod tests {
     #[test]
     fn specific_pop_preserves_global_order_for_wildcards() {
         let mb = Mailbox::new();
-        mb.push(env(2, 5, b"a"));
-        mb.push(env(1, 1, b"b"));
-        mb.push(env(3, 7, b"c"));
+        push(&mb, env(2, 5, b"a"));
+        push(&mb, env(1, 1, b"b"));
+        push(&mb, env(3, 7, b"c"));
         // Drain the middle channel by exact match first.
         let got = mb.try_recv_match(&exact(1, 1)).unwrap();
         assert_eq!(&got.payload[..], b"b");
@@ -956,7 +856,7 @@ mod tests {
     #[test]
     fn peek_does_not_remove_or_clone_payload() {
         let mb = Mailbox::new();
-        mb.push(env(2, 3, b"xy"));
+        push(&mb, env(2, 3, b"xy"));
         let info = mb.try_peek_match(&any()).unwrap();
         assert_eq!(info.src, Rank::new(2));
         assert_eq!(info.len, 2);
@@ -966,101 +866,104 @@ mod tests {
 
     #[test]
     fn blocking_recv_wakes_on_push() {
-        let mb = Arc::new(Mailbox::new());
-        let mb2 = Arc::clone(&mb);
-        let handle = std::thread::spawn(move || {
-            match mb2.recv_match(
-                &spec(RankSelector::Any, TagSelector::Tag(Tag::new(5))),
-                || false,
-                || None,
-            ) {
-                Outcome::Matched(e) => e.payload,
-                other => panic!("unexpected outcome {other:?}"),
-            }
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        mb.push(env(0, 5, b"late"));
-        assert_eq!(&handle.join().unwrap()[..], b"late");
+        two_tasks(
+            |mb, _| {
+                let wanted = spec(RankSelector::Any, TagSelector::Tag(Tag::new(5)));
+                match mb.recv_match(&wanted, || false, || None, &Obs::off()) {
+                    Outcome::Matched(e) => assert_eq!(&e.payload[..], b"late"),
+                    other => panic!("unexpected outcome {other:?}"),
+                }
+            },
+            |mb, _| push(mb, env(0, 5, b"late")),
+        );
     }
 
     #[test]
     fn blocking_recv_wakes_on_abort() {
-        let mb = Arc::new(Mailbox::new());
-        let aborted = Arc::new(AtomicBool::new(false));
-        let (mb2, ab2) = (Arc::clone(&mb), Arc::clone(&aborted));
-        let handle = std::thread::spawn(move || {
-            matches!(
-                mb2.recv_match(&any(), || ab2.load(Ordering::SeqCst), || None),
-                Outcome::Aborted
-            )
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        aborted.store(true, Ordering::SeqCst);
-        mb.wake_all();
-        assert!(handle.join().unwrap());
+        two_tasks(
+            |mb, aborted| {
+                let out =
+                    mb.recv_match(&any(), || aborted.load(Ordering::SeqCst), || None, &Obs::off());
+                assert!(matches!(out, Outcome::Aborted), "unexpected outcome {out:?}");
+            },
+            |mb, aborted| {
+                aborted.store(true, Ordering::SeqCst);
+                mb.wake_all();
+            },
+        );
     }
 
     #[test]
     fn blocking_recv_wakes_on_dead_source() {
-        let mb = Arc::new(Mailbox::new());
-        let dead = Arc::new(AtomicBool::new(false));
-        let (mb2, dead2) = (Arc::clone(&mb), Arc::clone(&dead));
-        let handle = std::thread::spawn(move || {
-            let dead_src = || if dead2.load(Ordering::SeqCst) { Some(Rank::new(7)) } else { None };
-            matches!(
-                mb2.recv_match(&from_rank(7), || false, dead_src),
-                Outcome::SourceDead(peer) if peer == Rank::new(7)
-            )
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        dead.store(true, Ordering::SeqCst);
-        mb.wake_for_death(Rank::new(7));
-        assert!(handle.join().unwrap());
+        two_tasks(
+            |mb, dead| {
+                let dead_src = || dead.load(Ordering::SeqCst).then_some(Rank::new(7));
+                let out = mb.recv_match(&from_rank(7), || false, dead_src, &Obs::off());
+                assert!(
+                    matches!(out, Outcome::SourceDead(peer) if peer == Rank::new(7)),
+                    "unexpected outcome {out:?}"
+                );
+            },
+            |mb, dead| {
+                dead.store(true, Ordering::SeqCst);
+                mb.wake_for_death(Rank::new(7));
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a scheduler task")]
+    fn blocking_recv_off_the_scheduler_fails_loudly() {
+        // Nothing buffered, not aborted, source alive: the wait would have
+        // to park, and this test thread is no scheduler task.
+        let _ = Mailbox::new().recv_match(&any(), || false, || None, &Obs::off());
     }
 
     #[test]
     fn buffered_message_beats_dead_source() {
         // A message deposited before the sender died must still be
         // delivered; only an *empty* channel from a dead sender errors.
+        // Neither wait has to park, so a plain thread may make them.
         let mb = Mailbox::new();
-        mb.push(env(7, 1, b"pre-death"));
-        let outcome = mb.recv_match(&from_rank(7), || false, || Some(Rank::new(7)));
+        push(&mb, env(7, 1, b"pre-death"));
+        let outcome = mb.recv_match(&from_rank(7), || false, || Some(Rank::new(7)), &Obs::off());
         match outcome {
             Outcome::Matched(e) => assert_eq!(&e.payload[..], b"pre-death"),
             other => panic!("unexpected outcome {other:?}"),
         }
         // Nothing buffered any more: now the dead source surfaces.
-        let outcome = mb.recv_match(&from_rank(7), || false, || Some(Rank::new(7)));
+        let outcome = mb.recv_match(&from_rank(7), || false, || Some(Rank::new(7)), &Obs::off());
         assert!(matches!(outcome, Outcome::SourceDead(_)));
     }
 
     #[test]
     fn push_without_parked_receiver_sends_no_wakeup() {
         let mb = Mailbox::new();
-        mb.push(env(0, 1, b"a"));
-        mb.push(env(1, 2, b"b"));
+        push(&mb, env(0, 1, b"a"));
+        push(&mb, env(1, 2, b"b"));
         assert_eq!(mb.wakeups(), 0, "no receiver parked: no notifications");
     }
 
     #[test]
     fn push_of_non_matching_message_does_not_wake_parked_receiver() {
-        let mb = Arc::new(Mailbox::new());
-        let mb2 = Arc::clone(&mb);
-        let handle =
-            std::thread::spawn(move || match mb2.recv_match(&exact(3, 5), || false, || None) {
-                Outcome::Matched(e) => e.payload,
-                other => panic!("unexpected outcome {other:?}"),
-            });
-        // Let the receiver park (register its interest), then push traffic
-        // the waiter is NOT interested in.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        for _ in 0..4 {
-            mb.push(env(0, 9, b"noise"));
-        }
-        assert_eq!(mb.wakeups(), 0, "non-matching pushes must not notify");
-        mb.push(env(3, 5, b"signal"));
-        assert_eq!(&handle.join().unwrap()[..], b"signal");
-        assert_eq!(mb.wakeups(), 1, "exactly the matching push notified");
+        two_tasks(
+            |mb, _| {
+                match mb.recv_match(&exact(3, 5), || false, || None, &Obs::off()) {
+                    Outcome::Matched(e) => assert_eq!(&e.payload[..], b"signal"),
+                    other => panic!("unexpected outcome {other:?}"),
+                }
+                assert_eq!(mb.wakeups(), 1, "exactly the matching push notified");
+            },
+            |mb, _| {
+                // The receiver's interest is registered: push traffic it
+                // is NOT interested in.
+                for _ in 0..4 {
+                    push(mb, env(0, 9, b"noise"));
+                }
+                assert_eq!(mb.wakeups(), 0, "non-matching pushes must not notify");
+                push(mb, env(3, 5, b"signal"));
+            },
+        );
     }
 
     #[test]
@@ -1074,7 +977,7 @@ mod tests {
     #[test]
     fn clear_empties() {
         let mb = Mailbox::new();
-        mb.push(env(0, 0, b""));
+        push(&mb, env(0, 0, b""));
         assert!(!mb.is_empty());
         mb.clear();
         assert!(mb.is_empty());
@@ -1086,7 +989,7 @@ mod tests {
         let mb = Mailbox::new();
         for round in 0..3 {
             for tag in 0..8u64 {
-                mb.push(env(0, 100 + round * 8 + tag, b"x"));
+                push(&mb, env(0, 100 + round * 8 + tag, b"x"));
             }
             for tag in 0..8u64 {
                 assert!(mb.try_recv_match(&exact(0, 100 + round * 8 + tag)).is_some());

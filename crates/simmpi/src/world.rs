@@ -9,17 +9,17 @@
 //! never affects simulation results — the workspace determinism gates
 //! prove bit-identical reports at 1, 2, and 8 workers.
 
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use redcr_metrics::{GaugeKey, MetricsRegistry, RankMetrics};
-use redcr_prof::{ProfScope, Profiler, RankProf};
-use redcr_trace::{Collector, EventKind, Recorder};
+use redcr_metrics::GaugeKey;
+use redcr_trace::EventKind;
 
 use crate::comm::Comm;
+use crate::communicator::Communicator;
 use crate::error::Result;
 use crate::mailbox::{Mailbox, Quiesce};
+use crate::obs::Sinks;
 use crate::time::CostModel;
 
 /// Entry point for configuring and running a simulated MPI world.
@@ -42,9 +42,7 @@ impl World {
             abort_horizon: f64::INFINITY,
             start_time: 0.0,
             death_times: None,
-            trace: None,
-            metrics: None,
-            profiler: None,
+            sinks: Sinks::default(),
             workers: None,
             placement_keys: None,
         }
@@ -59,9 +57,7 @@ pub struct WorldBuilder {
     abort_horizon: f64,
     start_time: f64,
     death_times: Option<Vec<f64>>,
-    trace: Option<Arc<Collector>>,
-    metrics: Option<Arc<MetricsRegistry>>,
-    profiler: Option<Arc<Profiler>>,
+    sinks: Sinks,
     workers: Option<usize>,
     placement_keys: Option<Vec<u32>>,
 }
@@ -111,39 +107,19 @@ impl WorldBuilder {
         self
     }
 
-    /// Enables flight recording into `collector`: every rank gets a
-    /// thread-local [`Recorder`] whose events (sends, receives, deaths,
-    /// plus whatever interposition layers emit through
-    /// [`Communicator::recorder`](crate::Communicator::recorder)) are
-    /// merged into the collector at rank teardown, closed by one
-    /// [`EventKind::RankFinish`] carrying the rank's busy/comm split.
-    pub fn trace(mut self, collector: Arc<Collector>) -> Self {
-        self.trace = Some(collector);
-        self
-    }
-
-    /// Enables metrics collection into `registry`: every rank gets a
-    /// thread-local [`RankMetrics`] shard (reachable through
-    /// [`Communicator::metrics`](crate::Communicator::metrics)) whose
-    /// counters, histograms and timestamped increments are absorbed into
-    /// the registry at rank teardown, after stamping the rank's final
-    /// virtual time into the [`GaugeKey::VirtualTime`] gauge. Metrics never
-    /// advance a virtual clock, so enabling them does not change what the
-    /// run computes.
-    pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// Enables wall-clock self-profiling into `profiler`: every rank gets
-    /// a thread-local [`RankProf`] shard (reachable through
-    /// [`Communicator::prof`](crate::Communicator::prof)) timing the
-    /// mailbox hot path — recv waits, condvar parks, pushes — absorbed
-    /// into the profiler at rank teardown. The profiler reads the *host*
-    /// clock only; it never advances a virtual clock, so profiled runs
-    /// stay bit-identical to unprofiled ones.
-    pub fn profiler(mut self, profiler: Arc<Profiler>) -> Self {
-        self.profiler = Some(profiler);
+    /// Sets the telemetry sinks (default: all off). Every rank gets an
+    /// [`Obs`](crate::Obs) handle, reachable through
+    /// [`Communicator::obs`](crate::Communicator::obs), with a rank-local
+    /// shard per enabled sink: the runtime records sends, receives and
+    /// deaths, the mailbox times its waits and pushes, and interposition
+    /// layers add their own. Shards merge into the sinks at rank teardown
+    /// — trace events in rank order, closed by one
+    /// [`EventKind::RankFinish`] carrying the rank's busy/comm split;
+    /// metrics after stamping the rank's final virtual time into the
+    /// [`GaugeKey::VirtualTime`] gauge. Telemetry never advances a virtual
+    /// clock, so enabling any of it does not change what the run computes.
+    pub fn obs(mut self, sinks: Sinks) -> Self {
+        self.sinks = sinks;
         self
     }
 
@@ -196,32 +172,18 @@ impl WorldBuilder {
         };
         let shared = Arc::new(Shared::new(self.n, self.cost, self.abort_horizon, death_times));
         let start_time = self.start_time;
-        let trace = self.trace;
-        let trace = trace.as_ref();
-        let metrics = self.metrics;
-        let metrics = metrics.as_ref();
-        let profiler = self.profiler;
-        let profiler = profiler.as_ref();
+        let sinks = &self.sinks;
         let f = &f;
-        type Slot<T> = (Result<T>, RankTiming, Option<Vec<redcr_trace::Event>>);
+        type Slot<T> = (Result<T>, RankTiming, Vec<redcr_trace::Event>);
 
         let pool = redcr_sched::PoolConfig::resolve(self.workers, self.n);
         let shared_for_tasks = &shared;
         let keys = self.placement_keys.as_deref();
-        let batch = redcr_sched::run_batch(&pool, self.n, keys, profiler.map(|p| p.as_ref()), {
+        let batch = redcr_sched::run_batch(&pool, self.n, keys, sinks.profiler.as_deref(), {
             move |rank| -> Slot<T> {
                 let shared = Arc::clone(shared_for_tasks);
-                let recorder = trace.map(|_| Rc::new(Recorder::new(rank as u32)));
-                let shard = metrics.map(|_| Rc::new(RankMetrics::new(rank as u32)));
-                let prof: Option<Rc<RankProf>> = profiler.map(|p| Rc::new(p.shard()));
-                let comm = Comm::new(
-                    shared,
-                    rank as u32,
-                    start_time,
-                    recorder.clone(),
-                    shard.clone(),
-                    prof.clone(),
-                );
+                let comm = Comm::new(shared, rank as u32, start_time, sinks.rank(rank as u32));
+                let obs = comm.obs();
                 let result =
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm))) {
                         Ok(r) => r,
@@ -256,27 +218,17 @@ impl WorldBuilder {
                     busy: comm.clock().busy_time(),
                     comm: comm.clock().comm_time(),
                 };
-                // Drain this rank's events but do NOT absorb them here:
-                // task teardown order is scheduling dependent, so
-                // absorbing after the batch (below, in rank order) is what
-                // keeps the collected trace deterministic run-to-run.
-                let events = if let Some(rec) = recorder.filter(|_| trace.is_some()) {
-                    rec.record(
-                        timing.finish,
-                        EventKind::RankFinish { busy: timing.busy, comm: timing.comm },
-                    );
-                    Some(rec.drain())
-                } else {
-                    None
-                };
-                if let (Some(registry), Some(shard)) = (metrics, shard) {
-                    shard.set_gauge(GaugeKey::VirtualTime, timing.finish, timing.finish);
-                    registry.absorb(shard.drain());
-                }
-                if let (Some(p), Some(shard)) = (profiler, prof) {
-                    p.absorb(ProfScope::Rank(rank as u32), shard.drain());
-                }
-                (result, timing, events)
+                obs.event(
+                    timing.finish,
+                    EventKind::RankFinish { busy: timing.busy, comm: timing.comm },
+                );
+                obs.gauge(GaugeKey::VirtualTime, timing.finish, timing.finish);
+                // The drain hands this rank's events back rather than
+                // absorbing them here: task teardown order is scheduling
+                // dependent, so absorbing after the batch (below, in rank
+                // order) is what keeps the collected trace deterministic
+                // run-to-run.
+                (result, timing, sinks.drain(obs))
             }
         });
 
@@ -285,9 +237,7 @@ impl WorldBuilder {
         for outcome in batch.results {
             match outcome {
                 Ok((r, t, events)) => {
-                    if let (Some(collector), Some(events)) = (trace, events) {
-                        collector.absorb(events);
-                    }
+                    sinks.absorb_events(events);
                     results.push(r);
                     timings.push(t);
                 }
@@ -475,7 +425,6 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::communicator::Communicator;
 
     #[test]
     fn single_rank_world_runs() {

@@ -25,17 +25,8 @@
 use redcr_apps::cg::{CgConfig, CgState};
 use redcr_core::apps::CgApp;
 use redcr_core::{ExecutorConfig, ResilientExecutor};
+use redcr_sweep::spec::fnv1a;
 use redcr_trace::Trace;
-
-/// FNV-1a over the JSONL bytes — tiny, dependency-free, and stable.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 fn gate_run() -> redcr_core::ExecutionReport<CgState> {
     let cfg = ExecutorConfig::new(8, 2.0)

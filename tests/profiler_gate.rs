@@ -23,30 +23,26 @@ use redcr_apps::cg::{CgConfig, CgState};
 use redcr_core::apps::CgApp;
 use redcr_core::{ExecutorConfig, ResilientExecutor};
 use redcr_mpi::prof::{CounterKey, SpanKey};
+use redcr_sweep::spec::fnv1a;
 use redcr_trace::{Analysis, CriticalPath};
 
-/// FNV-1a over the JSONL bytes — matches `tests/determinism_gate.rs`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// The determinism-gate scenario with the profiler switched ON.
-fn profiled_gate_run() -> redcr_core::ExecutionReport<CgState> {
+/// The determinism-gate scenario with the given sinks switched ON.
+fn gate_run(tracing: bool, metrics: bool, profiling: bool) -> redcr_core::ExecutionReport<CgState> {
     let cfg = ExecutorConfig::new(8, 2.0)
         .node_mtbf(150.0)
         .checkpoint_interval(10.0)
         .checkpoint_cost(0.5)
         .restart_cost(2.0)
         .seed(7)
-        .tracing(true)
-        .profiling(true);
+        .tracing(tracing)
+        .metrics(metrics)
+        .profiling(profiling);
     let app = CgApp::new(CgConfig::small(256), 40).with_step_pad(1.0);
-    ResilientExecutor::new(cfg).run(&app).expect("profiled gate run")
+    ResilientExecutor::new(cfg).run(&app).expect("gate run")
+}
+
+fn profiled_gate_run() -> redcr_core::ExecutionReport<CgState> {
+    gate_run(true, false, true)
 }
 
 // Identical constants to tests/determinism_gate.rs — captured on the
@@ -97,6 +93,50 @@ fn profiler_off_report_carries_no_profile() {
     let app = CgApp::new(CgConfig::small(64), 5);
     let report = ResilientExecutor::new(cfg).run(&app).expect("plain run");
     assert!(report.profile.is_none(), "profile present without profiling(true)");
+}
+
+#[test]
+fn all_sinks_on_reproduce_the_pinned_run_and_all_off_record_nothing() {
+    use redcr_mpi::metrics::{CounterKey as MetricKey, HistKey};
+
+    let off = gate_run(false, false, false);
+    assert!(off.trace.is_none() && off.metrics.is_none() && off.profile.is_none());
+    let on = gate_run(true, true, true);
+    for report in [&off, &on] {
+        assert_eq!(report.total_virtual_time.to_bits(), PRE_SWAP_TOTAL_BITS);
+        assert_eq!(report.degraded_sphere_seconds.to_bits(), PRE_SWAP_DEGRADED_BITS);
+        assert_eq!(report.physical_messages, 7911);
+        assert_eq!(report.physical_bytes, 2_353_184);
+    }
+
+    let jsonl = on.trace.as_ref().expect("tracing was on").to_jsonl();
+    assert_eq!(fnv1a(jsonl.as_bytes()), PRE_SWAP_TRACE_FNV);
+
+    // Every metrics total of this scenario, captured with the three
+    // per-layer hooks this handle replaced (`MetricKey::ALL` order).
+    let totals = &on.metrics.as_ref().expect("metrics were on").totals;
+    let counters = MetricKey::ALL.map(|k| totals.counter(k));
+    assert_eq!(counters, [7911, 7911, 2_353_184, 2_353_184, 3, 4304, 0, 42, 0, 1, 0, 3, 0, 0]);
+    let observations = HistKey::ALL.map(|k| totals.histogram(k).count());
+    assert_eq!(observations, [7911, 7911, 4304, 42, 3, 0], "{:?}", HistKey::ALL.map(HistKey::name));
+
+    // The profile's counts of virtual events are exact too; how often a
+    // wait parked is the host's business, that every matched wait was
+    // classified is not.
+    let prof = on.profile.as_ref().expect("profiling was on");
+    assert_eq!(prof.total_counter(CounterKey::Sends), 7911);
+    assert_eq!(prof.total_counter(CounterKey::Recvs), 7911);
+    assert_eq!(
+        prof.total_counter(CounterKey::SpinResolved) + prof.total_counter(CounterKey::ParkResolved),
+        7911
+    );
+    assert_eq!(prof.total_counter(CounterKey::Parks), prof.total_span(SpanKey::MailboxPark).count);
+    assert_eq!(prof.total_span(SpanKey::Vote).count, 4304);
+    assert_eq!(prof.total_span(SpanKey::CheckpointCommit).count, 42);
+    let sidecar = prof.to_json("gate");
+    for key in CounterKey::ALL {
+        assert!(sidecar.contains(&format!("\"{}\"", key.name())), "{} missing", key.name());
+    }
 }
 
 #[test]

@@ -27,22 +27,13 @@ use std::sync::Arc;
 
 use redcr::mpi::collectives::ReduceOp;
 use redcr::mpi::trace::Collector;
-use redcr::mpi::{Communicator, Tag, World};
+use redcr::mpi::{Communicator, Sinks, Tag, World};
 use redcr::red::{ReplicaComm, ReplicatedWorld, VirtualMap, VoteCost, VotingMode};
 use redcr_apps::cg::{CgConfig, CgState};
 use redcr_core::apps::CgApp;
 use redcr_core::{ExecutorConfig, ResilientExecutor};
 use redcr_model::partition::RedundancyPartition;
-
-/// FNV-1a over the JSONL bytes — matches `tests/determinism_gate.rs`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+use redcr_sweep::spec::fnv1a;
 
 /// The determinism-gate scenario with the scheduler pinned to `workers`.
 fn gate_run_at(workers: usize) -> redcr_core::ExecutionReport<CgState> {
@@ -156,7 +147,7 @@ fn virtual_rank_placement_hint_changes_no_bit() {
         let trace = Arc::new(Collector::new());
         let r = ReplicatedWorld::builder(8, 3.0)
             .expect("r = 3 is a valid degree")
-            .trace(Arc::clone(&trace))
+            .obs(Sinks { trace: Some(Arc::clone(&trace)), ..Sinks::default() })
             .workers(workers)
             .run(|comm| ring_rounds(comm))
             .expect("hinted run");
@@ -168,7 +159,7 @@ fn virtual_rank_placement_hint_changes_no_bit() {
         let vmap = Arc::new(VirtualMap::new(partition));
         let trace = Arc::new(Collector::new());
         let r = World::builder(vmap.n_physical())
-            .trace(Arc::clone(&trace))
+            .obs(Sinks { trace: Some(Arc::clone(&trace)), ..Sinks::default() })
             .workers(workers)
             .run(|base| {
                 let mode = VotingMode::default();

@@ -4,10 +4,10 @@
 
 use redcr_model::combined::SimplifiedForm;
 
+use crate::fig11;
 use crate::output::TextTable;
-use crate::paper::{constants, DEGREES};
+use crate::paper::DEGREES;
 use crate::table4::Table4;
-use crate::{fig11, table4, table5};
 
 /// The paired observed/modeled data.
 #[derive(Debug, Clone)]
@@ -92,13 +92,6 @@ pub fn generate_from(t4: &Table4, mtbfs: &[f64]) -> Fig12 {
     Fig12 { rows }
 }
 
-/// Generates everything from scratch (measured curve + Monte Carlo).
-pub fn generate(seeds: usize) -> Fig12 {
-    let t5 = table5::generate();
-    let t4 = table4::generate(&t5, seeds);
-    generate_from(&t4, &constants::MTBF_HOURS)
-}
-
 /// Renders the overlay plus the fit summary.
 pub fn render(fig: &Fig12) -> String {
     let mut t = TextTable::new().header(
@@ -132,10 +125,13 @@ pub fn render(fig: &Fig12) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::constants;
+    use crate::{table4, table5};
 
     #[test]
     fn observed_and_modeled_track_each_other() {
-        let fig = generate(10);
+        let t4 = table4::generate(&table5::generate(), 10);
+        let fig = generate_from(&t4, &constants::MTBF_HOURS);
         let r = fig.correlation();
         assert!(r > 0.8, "observed/modeled correlation {r} too weak");
         let mre = fig.mean_relative_error();

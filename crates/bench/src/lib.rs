@@ -1,21 +1,26 @@
 //! # redcr-bench — regenerating every table and figure of the paper
 //!
-//! One module per experiment; one binary per table/figure (plus `all`).
-//! Each module exposes a `generate()` function returning structured rows
-//! and a `render()` producing the printable table, so integration tests can
-//! assert the *shape* of each reproduction (who wins, where minima and
-//! crossovers fall) without string scraping.
+//! One module per experiment; `--bin all` is the one entry point that
+//! writes them to `results/` (artifact names as positional arguments, none
+//! for everything). Each module exposes a `generate()` function returning
+//! structured rows and a `render()` producing the printable table, so each
+//! module's unit tests assert the *shape* of its reproduction (who wins,
+//! where minima and crossovers fall) without string scraping.
 //!
 //! Absolute numbers are not expected to match the paper — the substrate is
 //! a virtual-time simulator, not the authors' 2012 cluster — but the shape
-//! claims are asserted in `tests/shape.rs` and recorded against the paper's
-//! values in `EXPERIMENTS.md`.
-//!
-//! Run everything with:
+//! claims are recorded against the paper's values in `EXPERIMENTS.md`.
 //!
 //! ```text
 //! cargo run -p redcr-bench --release --bin all
+//! cargo run -p redcr-bench --release --bin all -- table4 fig12
 //! ```
+//!
+//! The other binaries: `validation` (measured-vs-model gate), `chaos`
+//! (kill/heal race sweep), `sweep` (capacity-planner sweep), `profile`
+//! (one traced + profiled `cg_r3` run) and `perf`, the repository's one
+//! host-speed benchmark (`BENCHMARK.json`; a package of its own under
+//! `src/bin/perf/` that imports nothing from this library).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +34,6 @@ pub mod fig2;
 pub mod fig4_6;
 pub mod output;
 pub mod paper;
-pub mod runtime;
 pub mod sweepbench;
 pub mod table1;
 pub mod table2_3;

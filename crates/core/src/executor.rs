@@ -626,6 +626,7 @@ impl ResilientExecutor {
             };
             let end_rel = (attempt_end - plan.start_time).max(0.0);
             let rel_failure = job_fail_abs - plan.start_time;
+            let killer_seen = (!completed && rel_failure.is_finite()).then_some(killer as u32);
             // Carries the exact relative values the accounting below
             // compares, so the trace analyzer reproduces it bit-for-bit.
             sinks.event(
@@ -636,49 +637,29 @@ impl ResilientExecutor {
                     completed,
                     rel_end: end_rel,
                     rel_failure,
-                    killer: (!completed && rel_failure.is_finite()).then_some(killer as u32),
+                    killer: killer_seen,
                 },
             );
 
-            // Degraded running time. Without heal commits, the legacy
-            // first-to-last-death sweep over the sampled schedule (the
-            // bit-exact path the determinism gate pins); with commits, the
-            // heal-aware interval sweep shared with the trace analyzer.
-            let mut attempt_degraded = 0.0f64;
-            if heal_commits.is_empty() {
-                for members in injector.groups().iter() {
-                    let times = members.iter().map(|&p| plan.schedule.death_times[p]);
-                    let first = times.clone().fold(f64::INFINITY, f64::min);
-                    if first.is_finite() && first < end_rel {
-                        let last = times.fold(f64::NEG_INFINITY, f64::max);
-                        attempt_degraded += last.min(end_rel) - first;
-                        sinks.observe(HistKey::DegradedInterval, last.min(end_rel) - first);
-                    }
-                }
-            } else {
-                let spans = heal::degraded_spans(&spheres, &deaths_rel, &heal_commits, end_rel);
-                for &span in &spans {
-                    sinks.observe(HistKey::DegradedInterval, span);
-                }
-                attempt_degraded = spans.iter().fold(0.0f64, |acc, &s| acc + s);
-                recovered_total +=
-                    heal::recovered_seconds(&spheres, &deaths_rel, &heal_commits, end_rel);
+            // Degraded and recovered running time, and the deaths that
+            // redundancy masked: the accounting shared with the trace
+            // analyzer, which replays it from the events above.
+            let spans = heal::degraded_spans(&spheres, &deaths_rel, &heal_commits, end_rel);
+            for &span in &spans {
+                sinks.observe(HistKey::DegradedInterval, span);
             }
-            degraded_sphere_seconds += attempt_degraded;
+            degraded_sphere_seconds += spans.iter().fold(0.0f64, |acc, &s| acc + s);
+            recovered_total +=
+                heal::recovered_seconds(&spheres, &deaths_rel, &heal_commits, end_rel);
+            let masked =
+                heal::masked(&spheres, &deaths_rel, completed, end_rel, rel_failure, killer_seen);
+            masked_failures += masked;
 
             sinks.inc(CounterKey::Attempts, attempt_end);
+            sinks.add(CounterKey::MaskedFailures, masked, attempt_end);
 
             if !completed {
-                // Every process death up to the job failure that was NOT a
-                // member of the killer sphere was masked by redundancy.
                 failures += 1;
-                if rel_failure.is_finite() {
-                    let dead = deaths_rel.iter().filter(|&&(_, d)| d <= rel_failure).count();
-                    let fatal = injector.groups().members(killer).len();
-                    let masked = dead.saturating_sub(fatal) as u64;
-                    masked_failures += masked;
-                    sinks.add(CounterKey::MaskedFailures, masked, attempt_end);
-                }
                 sinks.inc(CounterKey::Restarts, attempt_end);
                 resume_time = attempt_end;
 
@@ -697,12 +678,8 @@ impl ResilientExecutor {
                 continue;
             }
 
-            // Completed: every death that occurred during the attempt was
-            // masked; the planned *job* failure never materialized, so
+            // Completed: the planned *job* failure never materialized, so
             // prune its never-observed events from the log.
-            let dead = deaths_rel.iter().filter(|&&(_, d)| d <= end_rel).count() as u64;
-            masked_failures += dead;
-            sinks.add(CounterKey::MaskedFailures, dead, attempt_end);
             injector.trace_mut().truncate_attempt(plan.attempt, report.max_virtual_time);
             let total_time = report.max_virtual_time;
             let n_physical = report.n_physical;
@@ -790,37 +767,11 @@ impl<T> TakeOk<T> for redcr_mpi::Result<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redcr_apps::cg::{CgConfig, CgSolver, CgState};
-
-    /// CG wrapped as a resilient app with a fixed iteration target.
-    struct CgApp {
-        solver: CgSolver,
-        iterations: u64,
-        /// Virtual seconds of synthetic extra compute per step, to stretch
-        /// runtime so checkpoints/failures trigger.
-        pad_seconds: f64,
-    }
-
-    impl ResilientApp for CgApp {
-        type State = CgState;
-
-        fn init<C: Communicator>(&self, comm: &C) -> redcr_mpi::Result<CgState> {
-            self.solver.init_state(comm)
-        }
-
-        fn step<C: Communicator>(&self, comm: &C, state: &mut CgState) -> redcr_mpi::Result<()> {
-            comm.compute(self.pad_seconds)?;
-            self.solver.step(comm, state)?;
-            Ok(())
-        }
-
-        fn is_done(&self, state: &CgState) -> bool {
-            state.iteration >= self.iterations
-        }
-    }
+    use crate::apps::CgApp;
+    use redcr_apps::cg::CgConfig;
 
     fn cg_app(n: usize, iterations: u64, pad: f64) -> CgApp {
-        CgApp { solver: CgSolver::new(CgConfig::small(n)), iterations, pad_seconds: pad }
+        CgApp::new(CgConfig::small(n), iterations).with_step_pad(pad)
     }
 
     #[test]

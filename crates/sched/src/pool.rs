@@ -120,12 +120,15 @@ impl PoolConfig {
 }
 
 /// Coroutine stack size for a `REDCR_STACK_KB` value: unset, unparsable or
-/// too large to express in bytes all mean the default. The variable is
-/// outside input, so the multiply is checked — a wrapped product would be
-/// a tiny slab that overflows on first use.
+/// too large all mean the default. The variable is outside input, so the
+/// multiply is checked — a wrapped product would be a tiny slab that
+/// overflows on first use — and so is the byte size against `isize::MAX`,
+/// the most an allocation `Layout` accepts (`Stack::new` has no error
+/// path for a layout it cannot build).
 fn stack_bytes_from_kb(kb: Option<&str>) -> usize {
     kb.and_then(|s| s.parse::<usize>().ok())
         .and_then(|kb| kb.checked_mul(1024))
+        .filter(|&bytes| bytes <= isize::MAX as usize)
         .unwrap_or(DEFAULT_STACK_BYTES)
 }
 
@@ -1201,6 +1204,13 @@ mod tests {
         let wraps = (usize::MAX / 1024 + 1).to_string();
         assert_eq!(stack_bytes_from_kb(Some(&wraps)), DEFAULT_STACK_BYTES);
         assert_eq!(stack_bytes_from_kb(Some(&usize::MAX.to_string())), DEFAULT_STACK_BYTES);
+        // The product can fit `usize` and still exceed what a `Layout`
+        // accepts: isize::MAX / 1024 KiB is the last size that does not.
+        let fits = isize::MAX as usize / 1024;
+        assert_eq!(stack_bytes_from_kb(Some(&fits.to_string())), fits * 1024);
+        assert_eq!(stack_bytes_from_kb(Some(&(fits + 1).to_string())), DEFAULT_STACK_BYTES);
+        assert!(std::alloc::Layout::from_size_align(fits * 1024, 16).is_ok());
+        assert!(std::alloc::Layout::from_size_align((fits + 1) * 1024, 16).is_err());
     }
 
     #[test]

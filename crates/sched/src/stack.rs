@@ -44,7 +44,9 @@ impl Stack {
         let size = bytes.max(MIN_STACK_BYTES) & !(ALIGN - 1);
         let layout = match Layout::from_size_align(size, ALIGN) {
             Ok(l) => l,
-            Err(_) => std::process::abort(), // unreachable: size/align are sane
+            // Unreachable: `size` is a multiple of ALIGN and callers keep it
+            // at most isize::MAX (`stack_bytes_from_kb` rejects larger).
+            Err(_) => std::process::abort(),
         };
         let base = unsafe { alloc(layout) };
         if base.is_null() {

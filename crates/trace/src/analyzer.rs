@@ -456,46 +456,14 @@ fn summarize(
         .map(|(c, b)| c - b)
         .fold(0.0f64, |acc, s| acc + s);
 
-    // Masked deaths, by the executor's exact rule: on a completed attempt
-    // every scheduled death with `rel <= rel_end` was masked; on a failed
-    // attempt, every death up to the job failure minus the killer sphere's
-    // own members.
-    let masked = if completed {
-        injected.iter().filter(|&&(_, rel)| rel <= rel_end).count() as u64
-    } else if rel_failure.is_finite() {
-        let dead = injected.iter().filter(|&&(_, rel)| rel <= rel_failure).count();
-        let fatal = killer.map_or(0, |k| spheres.get(k as usize).map_or(0, Vec::len));
-        dead.saturating_sub(fatal) as u64
-    } else {
-        0
-    };
-
-    // Degraded-sphere time, by the executor's exact rule. Without heal
-    // commits: per sphere, the span from its first member death to its
-    // last (a member that never dies holds the sphere's death at
-    // INFINITY), clipped to the attempt; iteration order (spheres
-    // ascending, then f64 min/max over members) matches the executor, so
-    // the floating-point sum does too. With commits, executor and analyzer
-    // both call the shared [`crate::heal`] sweep over the same inputs.
-    let (degraded_seconds, recovered_voting_seconds) = if heal_commits.is_empty() {
-        let mut degraded = 0.0f64;
-        for members in spheres {
-            let times = members.iter().map(|&m| {
-                injected.iter().find(|&&(rank, _)| rank == m).map_or(f64::INFINITY, |&(_, rel)| rel)
-            });
-            let first = times.clone().fold(f64::INFINITY, f64::min);
-            if first.is_finite() && first < rel_end {
-                let last = times.fold(f64::NEG_INFINITY, f64::max);
-                degraded += last.min(rel_end) - first;
-            }
-        }
-        (degraded, 0.0)
-    } else {
-        (
-            crate::heal::degraded_seconds(spheres, &injected, &heal_commits, rel_end),
-            crate::heal::recovered_seconds(spheres, &injected, &heal_commits, rel_end),
-        )
-    };
+    // Masked deaths and degraded / recovered time: the executor calls the
+    // same [`crate::heal`] functions over the same inputs, so the counts
+    // and the floating-point sums agree bit for bit.
+    let masked = crate::heal::masked(spheres, &injected, completed, rel_end, rel_failure, killer);
+    let degraded_seconds =
+        crate::heal::degraded_seconds(spheres, &injected, &heal_commits, rel_end);
+    let recovered_voting_seconds =
+        crate::heal::recovered_seconds(spheres, &injected, &heal_commits, rel_end);
 
     let lost_work = if completed { 0.0 } else { end - last_commit_time.max(start) };
 

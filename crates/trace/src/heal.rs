@@ -1,6 +1,6 @@
-//! Shared heal-aware accounting: the exact arithmetic behind
-//! `degraded_sphere_seconds` and `recovered_voting_seconds` once respawns
-//! enter the picture.
+//! Shared attempt accounting: the one implementation of the arithmetic
+//! behind `masked_failures`, `degraded_sphere_seconds` and
+//! `recovered_voting_seconds`.
 //!
 //! The resilient executor and the trace [`analyzer`](crate::analyzer) must
 //! agree on these totals **bit for bit** (the cross-check suite asserts
@@ -15,15 +15,15 @@
 //! * `commits` — one `(sphere, relative commit time)` entry per healed
 //!   sphere per heal cycle, in emission order with same-cycle duplicates
 //!   collapsed (a cycle healing two replicas of one sphere commits that
-//!   sphere once).
+//!   sphere once). Empty when nothing healed.
 //!
 //! A sphere's degraded interval opens at its first member death from full
-//! strength and closes either at a heal commit (back to `r` live copies)
-//! or at the sphere's own death; the residual tail is clipped to the
-//! attempt end, exactly like the legacy accounting. With zero commits the
-//! caller must use the legacy first-to-last-death formula instead — that
-//! path is pinned bit-for-bit by the determinism gate and is *not*
-//! re-derived here.
+//! strength, provided that death falls strictly before the attempt end,
+//! and closes either at a heal commit (back to `r` live copies) or at the
+//! sphere's own death; the residual tail is clipped to the attempt end.
+//! With zero commits this is the span from a sphere's first member death
+//! to its last — the totals the determinism gate pins; the unit tests keep
+//! that closed form as a reference oracle.
 
 /// Per-sphere degraded intervals, in sphere order then chronological
 /// order, each clipped to `rel_end` (the attempt end relative to its
@@ -57,7 +57,9 @@ pub fn degraded_spans(
         let mut open: Option<f64> = None;
         let mut dead = false;
         for (t, is_commit) in events {
-            if t > rel_end {
+            // Nothing at or past the attempt end opens or closes anything
+            // the clipped tail below does not already account for.
+            if t >= rel_end {
                 break;
             }
             if is_commit {
@@ -130,6 +132,29 @@ pub fn recovered_seconds(
     total
 }
 
+/// Process deaths masked by redundancy in one attempt. On a completed
+/// attempt every scheduled death up to the attempt end was masked; on a
+/// failed one, every death up to the job failure except the members of
+/// the `killer` sphere (none when the failure time is not finite).
+pub fn masked(
+    spheres: &[Vec<u32>],
+    deaths: &[(u32, f64)],
+    completed: bool,
+    rel_end: f64,
+    rel_failure: f64,
+    killer: Option<u32>,
+) -> u64 {
+    let dead_by = |t: f64| deaths.iter().filter(|&&(_, d)| d <= t).count();
+    if completed {
+        dead_by(rel_end) as u64
+    } else if rel_failure.is_finite() {
+        let fatal = killer.and_then(|k| spheres.get(k as usize)).map_or(0, Vec::len);
+        dead_by(rel_failure).saturating_sub(fatal) as u64
+    } else {
+        0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,5 +220,102 @@ mod tests {
         assert_eq!(recovered_seconds(&spheres(), &deaths, &commits, 10.0), 5.0);
         // Unknown sphere entries are skipped, not panicked on.
         assert_eq!(recovered_seconds(&spheres(), &deaths, &[(9, 5.0)], 10.0), 0.0);
+    }
+
+    #[test]
+    fn death_at_the_attempt_end_opens_no_interval() {
+        // The first death of sphere 0 lands exactly on the attempt end:
+        // no interval, not a zero-length one — with or without a commit.
+        let deaths = [(0, 10.0)];
+        assert!(degraded_spans(&spheres(), &deaths, &[], 10.0).is_empty());
+        assert!(degraded_spans(&spheres(), &deaths, &[(0, 10.0)], 10.0).is_empty());
+        // A *later* member death on the end still closes at the end.
+        let deaths = [(0, 4.0), (2, 10.0)];
+        assert_eq!(degraded_spans(&spheres(), &deaths, &[], 10.0), vec![6.0]);
+    }
+
+    #[test]
+    fn masked_counts_deaths_up_to_the_end_or_the_failure() {
+        let deaths = [(1, 2.0), (0, 3.0), (2, 4.0), (3, 9.0)];
+        // Completed at 4.0: three deaths happened, all masked.
+        assert_eq!(masked(&spheres(), &deaths, true, 4.0, f64::INFINITY, None), 3);
+        // Failed at 4.0 by sphere 0 (ranks 0 and 2): only rank 1's counts.
+        assert_eq!(masked(&spheres(), &deaths, false, 4.5, 4.0, Some(0)), 1);
+        // A failed attempt without a finite failure time masks nothing.
+        assert_eq!(masked(&spheres(), &deaths, false, 4.5, f64::INFINITY, None), 0);
+    }
+
+    /// The closed form the executor and the analyzer each carried before
+    /// the sweep became the only implementation: per sphere, first member
+    /// death to last (a member that never dies holds the last at
+    /// infinity), clipped to the attempt, opened only strictly before the
+    /// attempt end.
+    fn first_to_last_death(spheres: &[Vec<u32>], deaths: &[(u32, f64)], rel_end: f64) -> Vec<f64> {
+        let mut spans = Vec::new();
+        for members in spheres {
+            let times = members.iter().map(|&m| {
+                deaths.iter().find(|&&(rank, _)| rank == m).map_or(f64::INFINITY, |&(_, t)| t)
+            });
+            let first = times.clone().fold(f64::INFINITY, f64::min);
+            if first.is_finite() && first < rel_end {
+                let last = times.fold(f64::NEG_INFINITY, f64::max);
+                spans.push(last.min(rel_end) - first);
+            }
+        }
+        spans
+    }
+
+    #[test]
+    fn sweep_without_commits_is_the_first_to_last_death_formula() {
+        // SplitMix64: a fixed stream, no dependency.
+        let mut state = 2012u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let (mut on_the_end, mut before_any_death, mut with_survivor) = (0, 0, 0);
+        for _ in 0..4_000 {
+            // 1–5 spheres of 1–3 members each (degree-1 spheres included).
+            let mut spheres: Vec<Vec<u32>> = Vec::new();
+            let mut rank = 0u32;
+            for _ in 0..1 + next() % 5 {
+                let size = 1 + next() % 3;
+                spheres.push((rank..rank + size as u32).collect());
+                rank += size as u32;
+            }
+            // One death per rank at most; a third never die. Half the
+            // times sit on a coarse grid so ties across ranks are common.
+            let mut deaths: Vec<(u32, f64)> = Vec::new();
+            for r in 0..rank {
+                match next() % 6 {
+                    0 | 1 => with_survivor += 1,
+                    2 | 3 => deaths.push((r, (next() % 8) as f64 * 1.25)),
+                    _ => deaths.push((r, (next() >> 11) as f64 / (1u64 << 53) as f64 * 10.0)),
+                }
+            }
+            let rel_end = match (next() % 4, deaths.first()) {
+                // Exactly on some death.
+                (0, Some(_)) => deaths[(next() % deaths.len() as u64) as usize].1,
+                // At or before the earliest death.
+                (1, _) => deaths.iter().map(|d| d.1).fold(10.0, f64::min) * 0.5,
+                _ => (next() >> 11) as f64 / (1u64 << 53) as f64 * 12.0,
+            };
+            on_the_end += deaths.iter().filter(|d| d.1 == rel_end).count();
+            before_any_death += deaths.iter().all(|d| d.1 >= rel_end) as usize;
+
+            let want = first_to_last_death(&spheres, &deaths, rel_end);
+            let got = degraded_spans(&spheres, &deaths, &[], rel_end);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{spheres:?} {deaths:?} end {rel_end}");
+            let want_sum = want.iter().fold(0.0f64, |acc, &s| acc + s);
+            let got_sum = degraded_seconds(&spheres, &deaths, &[], rel_end);
+            assert_eq!(got_sum.to_bits(), want_sum.to_bits());
+            assert_eq!(recovered_seconds(&spheres, &deaths, &[], rel_end).to_bits(), 0);
+        }
+        // The generator really reaches the edge cases it claims to.
+        assert!(on_the_end > 100 && before_any_death > 100 && with_survivor > 100);
     }
 }

@@ -6,15 +6,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use redcr::apps::cg::{CgConfig, CgSolver, CgState};
-use redcr::apps::jacobi::{JacobiConfig, JacobiSolver, JacobiState};
+use redcr::apps::cg::CgConfig;
+use redcr::apps::jacobi::JacobiConfig;
 use redcr::ckpt::coordinator::CheckpointCoordinator;
 use redcr::ckpt::restart;
 use redcr::ckpt::storage::{DiskStorage, MemoryStorage, StableStorage};
 use redcr::ckpt::CountingComm;
 use redcr::cluster::combined::simulate_combined;
 use redcr::cluster::job::FailureExposure;
-use redcr::core::{ExecutorConfig, ResilientApp, ResilientExecutor};
+use redcr::core::apps::{CgApp, JacobiApp};
+use redcr::core::{ExecutorConfig, ResilientExecutor};
 use redcr::model::combined::CombinedConfig;
 use redcr::model::units;
 use redcr::mpi::{Communicator, CostModel, MpiError, Tag};
@@ -40,59 +41,11 @@ impl Drop for TempDir {
     }
 }
 
-struct CgApp {
-    solver: CgSolver,
-    iterations: u64,
-    pad: f64,
-}
-
-impl ResilientApp for CgApp {
-    type State = CgState;
-
-    fn init<C: Communicator>(&self, comm: &C) -> redcr::mpi::Result<CgState> {
-        self.solver.init_state(comm)
-    }
-
-    fn step<C: Communicator>(&self, comm: &C, state: &mut CgState) -> redcr::mpi::Result<()> {
-        comm.compute(self.pad)?;
-        self.solver.step(comm, state)?;
-        Ok(())
-    }
-
-    fn is_done(&self, state: &CgState) -> bool {
-        state.iteration >= self.iterations
-    }
-}
-
-struct JacobiApp {
-    solver: JacobiSolver,
-    iterations: u64,
-    pad: f64,
-}
-
-impl ResilientApp for JacobiApp {
-    type State = JacobiState;
-
-    fn init<C: Communicator>(&self, _comm: &C) -> redcr::mpi::Result<JacobiState> {
-        Ok(self.solver.init_state())
-    }
-
-    fn step<C: Communicator>(&self, comm: &C, state: &mut JacobiState) -> redcr::mpi::Result<()> {
-        comm.compute(self.pad)?;
-        self.solver.step(comm, state)?;
-        Ok(())
-    }
-
-    fn is_done(&self, state: &JacobiState) -> bool {
-        state.iteration >= self.iterations
-    }
-}
-
 #[test]
 fn cg_survives_failures_under_partial_redundancy() {
     // 1.5x partial redundancy: even virtual ranks replicated, odd ranks
     // singletons — the paper's Figure 1(b) topology, under real failures.
-    let app = CgApp { solver: CgSolver::new(CgConfig::small(48)), iterations: 30, pad: 1.0 };
+    let app = CgApp::new(CgConfig::small(48), 30).with_step_pad(1.0);
     let cfg = ExecutorConfig::new(6, 1.5)
         .node_mtbf(120.0)
         .checkpoint_interval(6.0)
@@ -106,7 +59,7 @@ fn cg_survives_failures_under_partial_redundancy() {
     }
     // The numerical answer matches a failure-free, unreplicated run.
     let clean = ResilientExecutor::new(ExecutorConfig::new(6, 1.0))
-        .run(&CgApp { solver: CgSolver::new(CgConfig::small(48)), iterations: 30, pad: 0.0 })
+        .run(&CgApp::new(CgConfig::small(48), 30))
         .unwrap();
     for (a, b) in report.final_states.iter().zip(&clean.final_states) {
         for (x, y) in a.x.iter().zip(&b.x) {
@@ -117,8 +70,7 @@ fn cg_survives_failures_under_partial_redundancy() {
 
 #[test]
 fn jacobi_app_recovers_through_checkpoints() {
-    let app =
-        JacobiApp { solver: JacobiSolver::new(JacobiConfig::small(8)), iterations: 50, pad: 1.0 };
+    let app = JacobiApp::new(JacobiConfig::small(8), 50).with_step_pad(1.0);
     let cfg = ExecutorConfig::new(4, 2.0)
         .node_mtbf(60.0)
         .checkpoint_interval(8.0)
@@ -136,7 +88,7 @@ fn jacobi_app_recovers_through_checkpoints() {
 fn checkpoints_survive_on_disk_storage() {
     let dir = TempDir::new("redcr-int");
     let storage = Arc::new(DiskStorage::open(&dir.0).unwrap());
-    let app = CgApp { solver: CgSolver::new(CgConfig::small(32)), iterations: 25, pad: 1.0 };
+    let app = CgApp::new(CgConfig::small(32), 25).with_step_pad(1.0);
     let cfg = ExecutorConfig::new(4, 2.0)
         .node_mtbf(50.0)
         .checkpoint_interval(5.0)
@@ -157,7 +109,7 @@ fn live_replica_failures_masked_without_restart() {
     // completes in ONE attempt with every death absorbed by a surviving
     // replica, and the numerics stay bitwise identical to a failure-free
     // run.
-    let app = || CgApp { solver: CgSolver::new(CgConfig::small(32)), iterations: 20, pad: 1.0 };
+    let app = || CgApp::new(CgConfig::small(32), 20).with_step_pad(1.0);
     let cfg = |degree: f64| {
         ExecutorConfig::new(4, degree)
             .node_mtbf(60.0)

@@ -12,38 +12,14 @@
 //! * the validation sidecar's per-rank α must match the trace analyzer's
 //!   derivation exactly (same bits).
 
-use redcr::apps::cg::{CgConfig, CgSolver, CgState};
-use redcr::core::{ExecutorConfig, ModelValidation, ResilientApp, ResilientExecutor};
+use redcr::apps::cg::CgConfig;
+use redcr::core::apps::CgApp;
+use redcr::core::{ExecutorConfig, ModelValidation, ResilientExecutor};
 use redcr::metrics::{CounterKey, HistKey};
-use redcr::mpi::Communicator;
 use redcr::trace::{perfetto, Analysis};
 
-struct CgApp {
-    solver: CgSolver,
-    iterations: u64,
-    pad: f64,
-}
-
-impl ResilientApp for CgApp {
-    type State = CgState;
-
-    fn init<C: Communicator>(&self, comm: &C) -> redcr::mpi::Result<CgState> {
-        self.solver.init_state(comm)
-    }
-
-    fn step<C: Communicator>(&self, comm: &C, state: &mut CgState) -> redcr::mpi::Result<()> {
-        comm.compute(self.pad)?;
-        self.solver.step(comm, state)?;
-        Ok(())
-    }
-
-    fn is_done(&self, state: &CgState) -> bool {
-        state.iteration >= self.iterations
-    }
-}
-
 fn cg_app(n: usize, iterations: u64, pad: f64) -> CgApp {
-    CgApp { solver: CgSolver::new(CgConfig::small(n)), iterations, pad }
+    CgApp::new(CgConfig::small(n), iterations).with_step_pad(pad)
 }
 
 /// The trace_analyzer storm: 2x redundancy under a harsh MTBF — restarts,

@@ -3,37 +3,13 @@
 //! `ExecutionReport` counters **exactly** — including the floating-point
 //! degraded-sphere total — and survive a JSONL round trip unchanged.
 
-use redcr::apps::cg::{CgConfig, CgSolver, CgState};
-use redcr::core::{ExecutorConfig, ResilientApp, ResilientExecutor};
-use redcr::mpi::Communicator;
+use redcr::apps::cg::CgConfig;
+use redcr::core::apps::CgApp;
+use redcr::core::{ExecutorConfig, ResilientExecutor};
 use redcr::trace::{Analysis, EventKind, Trace};
 
-struct CgApp {
-    solver: CgSolver,
-    iterations: u64,
-    pad: f64,
-}
-
-impl ResilientApp for CgApp {
-    type State = CgState;
-
-    fn init<C: Communicator>(&self, comm: &C) -> redcr::mpi::Result<CgState> {
-        self.solver.init_state(comm)
-    }
-
-    fn step<C: Communicator>(&self, comm: &C, state: &mut CgState) -> redcr::mpi::Result<()> {
-        comm.compute(self.pad)?;
-        self.solver.step(comm, state)?;
-        Ok(())
-    }
-
-    fn is_done(&self, state: &CgState) -> bool {
-        state.iteration >= self.iterations
-    }
-}
-
 fn cg_app(n: usize, iterations: u64, pad: f64) -> CgApp {
-    CgApp { solver: CgSolver::new(CgConfig::small(n)), iterations, pad }
+    CgApp::new(CgConfig::small(n), iterations).with_step_pad(pad)
 }
 
 /// A 2x run under harsh MTBF: several restarts, several masked deaths.

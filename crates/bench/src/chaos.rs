@@ -226,4 +226,35 @@ mod tests {
             assert!(o.expectation_met, "{}: race did not materialize: {o:?}", o.name);
         }
     }
+
+    /// The same agreement `tests/common/mod.rs` checks at the workspace
+    /// root (which cannot see this crate): the failure log tells the story
+    /// the report and the attempt brackets tell — also when a heal commit
+    /// or a kill during transfer rewrote it.
+    #[test]
+    fn failure_log_agrees_with_the_report_in_every_race() {
+        use redcr_mpi::trace::Analysis;
+        for s in scenarios() {
+            let app = CgApp::new(CgConfig::small(32), s.iterations).with_step_pad(1.0);
+            let report = ResilientExecutor::new(s.cfg.clone()).run(&app).expect("chaos run");
+            let log = &report.failure_trace;
+            let analysis = Analysis::analyze(report.trace.as_ref().unwrap()).expect("replay");
+            assert_eq!(log.job_failures() as u64, report.failures, "{}", s.name);
+
+            let mut fatal_peers = 0u64;
+            for a in &analysis.attempts {
+                let events = || log.events().iter().filter(|e| e.attempt == a.attempt);
+                let killers = events().filter(|e| e.killed_job).count();
+                assert_eq!(killers, usize::from(!a.completed), "{} attempt {}", s.name, a.attempt);
+                assert!(events().all(|e| e.time <= a.end), "{} attempt {}", s.name, a.attempt);
+                if let Some(killer) = a.killer {
+                    fatal_peers += analysis.spheres[killer as usize].len() as u64 - 1;
+                }
+            }
+            // Every other event is a masked death or one of the killer
+            // sphere's earlier members.
+            let others = log.events().iter().filter(|e| !e.killed_job).count() as u64;
+            assert_eq!(others, report.masked_failures + fatal_peers, "{}", s.name);
+        }
+    }
 }

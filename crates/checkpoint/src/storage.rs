@@ -266,7 +266,6 @@ impl StableStorage for DiskStorage {
 
     fn list(&self) -> Result<Vec<SnapshotKey>> {
         let mut keys = Vec::new();
-        // detlint::allow(R8, reason = "deliberate blocking recovery I/O: enumerating persisted snapshots only happens at restart, outside steady-state virtual time")
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
             if let Some(name) = entry.file_name().to_str() {

@@ -2,30 +2,53 @@
 //! replication + coordinated checkpointing + fault injection, restarting
 //! from the last checkpoint after every sphere failure, until the
 //! application completes.
+//!
+//! The executor is a state machine over one attempt timeline
+//! ([`redcr_fault::AttemptPlan`]). [`ResilientExecutor::run`] is the loop;
+//! each transition is a method of the private `Job` and is the single
+//! place that charges its virtual time, emits its events and counters and
+//! updates the running totals (DESIGN §4g has the full table):
+//!
+//! ```text
+//! begin_attempt ──▶ run_segment ──▶ Ended::{Completed, Failed} ──▶ close_attempt
+//!   ▲  │                ▲   │                    ▲                  │        │
+//!   │  ▼ gives up       │   ▼ Quiesced           │ KilledInTransfer │        ▼
+//!   │  (NoProgress,     └── heal ────────────────┘                  │   Next::Finish
+//!   │  AttemptsExhausted)  Committed                                │   ──▶ finish
+//!   └───────────────────────── Next::Restart ◀──────────────────────┘   (the report)
+//! ```
+//!
+//! What the ranks of a segment run lives in `executor::segment`. No function here
+//! may outgrow clippy's `too_many_lines` default: a transition that needs
+//! more room wants splitting, not a longer body.
+
+#![deny(clippy::too_many_lines)]
+
+mod segment;
 
 use std::sync::Arc;
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-use redcr_ckpt::bookmark;
 use redcr_ckpt::coordinator::CheckpointCoordinator;
 use redcr_ckpt::restart;
-use redcr_ckpt::snapshot::{ChannelMessage, ProcessImage};
+use redcr_ckpt::snapshot::ProcessImage;
 use redcr_ckpt::storage::{MemoryStorage, StableStorage, StorageCostModel};
-use redcr_ckpt::CountingComm;
-use redcr_fault::{FailureEvent, FailureInjector, ReplicaGroups};
+use redcr_fault::{AttemptPlan, FailureInjector, FailureTrace, ReplicaGroups};
 use redcr_model::partition::RedundancyPartition;
-use redcr_mpi::collectives::ReduceOp;
 use redcr_mpi::metrics::{CounterKey, HistKey, MetricsRegistry};
 use redcr_mpi::prof::{Profiler, SpanKey as ProfSpanKey};
-use redcr_mpi::trace::{heal, Collector, EventKind};
-use redcr_mpi::{Communicator, MpiError, Sinks};
-use redcr_red::{DetectorParams, HealPolicy, ReplicatedWorld};
+use redcr_mpi::trace::heal::HealLedger;
+use redcr_mpi::trace::{Collector, EventKind};
+use redcr_mpi::{Communicator, MpiError, Obs, Sinks};
+use redcr_red::stats::StatsSnapshot;
+use redcr_red::{DetectorParams, ReplicatedWorld};
 
 use crate::config::ExecutorConfig;
 use crate::report::ExecutionReport;
 use crate::{CoreError, Result};
+use segment::{rank_segment, Detector, DonorImage, Resume, SegmentOutcome};
 
 /// An application the executor can run, checkpoint and restart.
 ///
@@ -54,108 +77,459 @@ pub trait ResilientApp: Sync {
     fn is_done(&self, state: &Self::State) -> bool;
 }
 
-/// What one world segment of an attempt produced on each rank. An attempt
-/// is a sequence of segments: the failure detector splits it at heal
-/// boundaries, and only the last segment runs the application to
-/// completion.
-enum SegmentOutcome<S> {
-    /// The application finished; `checkpoints` counts commits across the
-    /// whole attempt (carried over heal relaunches).
-    Done { state: S, checkpoints: u64 },
-    /// The failure detector fired at the collective boundary: the segment
-    /// quiesced its channels so the executor can respawn the suspected
-    /// replicas and relaunch every rank from live state.
-    Heal {
-        state: S,
-        channel: Vec<ChannelMessage>,
-        boundary: f64,
-        next_seq: u64,
-        next_ckpt: f64,
-        checkpoints: u64,
-    },
+/// What the driver keeps of a segment's world once it has run: the
+/// virtual clock it stopped at and every physical rank's outcome.
+struct Ran<S> {
+    clock: f64,
+    results: Vec<redcr_mpi::Result<SegmentOutcome<S>>>,
 }
 
-/// Live state carried across a heal relaunch: one serialized checkpoint
-/// image per virtual rank (the donor replica's snapshot — the checkpoint
-/// codec doubles as the state-transfer wire format) plus the checkpoint
-/// cursor of the quiesced segment.
-struct HealSeed {
-    images: Vec<Vec<u8>>,
-    next_seq: u64,
-    next_ckpt: f64,
-    checkpoints: u64,
+/// How `run_segment` left the attempt.
+enum Segment<S> {
+    /// The failure detector fired and every live rank quiesced.
+    Quiesced(Ran<S>),
+    /// It was the attempt's last.
+    Ended(Ended<S>),
 }
 
-/// Failure-detector inputs of one segment. Present only when the policy
-/// heals, so the legacy `Never` path performs zero extra work.
-struct HealCtx {
-    policy: HealPolicy,
-    params: DetectorParams,
-    attempt_start: f64,
-    deaths: Vec<f64>,
+/// How an attempt's last segment left it.
+enum Ended<S> {
+    /// Every virtual rank kept a live replica running to completion.
+    Completed(Ran<S>),
+    /// Some sphere lost its last replica; the world stopped at `clock`.
+    Failed { clock: f64 },
 }
 
-impl HealCtx {
-    /// Whether any replica's suspicion deadline has elapsed at the agreed
-    /// clock boundary `now_max`. Pure in the boundary and the (identical)
-    /// death schedule, so every rank takes the same branch without any
-    /// extra communication.
-    fn suspects_at(&self, now_max: f64) -> bool {
-        self.deaths.iter().any(|&d| self.params.suspicion_time(self.attempt_start, d) <= now_max)
+/// How a heal cycle left the attempt.
+#[derive(Debug, PartialEq)]
+enum Healed {
+    /// The suspects were respawned; the next segment starts at the commit.
+    Committed,
+    /// A sphere's last donor died before the commit: the attempt fails,
+    /// its world having stopped at `clock`.
+    KilledInTransfer { clock: f64 },
+}
+
+/// What follows a closed attempt.
+enum Next<S> {
+    Restart,
+    /// The run is over; `finish` seals the report from the last segment.
+    Finish(Ran<S>),
+}
+
+/// One attempt in flight: its failure timeline, its heal ledger and how
+/// its next segment starts.
+struct Attempt {
+    plan: AttemptPlan,
+    ledger: HealLedger,
+    detector: Detector,
+    resume: Resume,
+    segment_start: f64,
+}
+
+/// The run-long half of the machine. Every transition is a method here.
+struct Job<'a, S> {
+    cfg: &'a ExecutorConfig,
+    coordinator: CheckpointCoordinator,
+    injector: FailureInjector,
+    /// Sphere membership as the trace-side accounting wants it (`u32`
+    /// ranks), mirrored once from the injector's [`ReplicaGroups`].
+    spheres: Vec<Vec<u32>>,
+    /// The sinks every segment's world records into. The driver writes
+    /// its own rank-less events and counters to them directly and keeps
+    /// a profile shard for its segment / heal spans (host clock only —
+    /// no virtual time).
+    sinks: Sinks,
+    driver: Obs,
+    /// The report in the making: every transition adds its own share of
+    /// the totals, and `finish` seals it.
+    report: ExecutionReport<S>,
+    resume_time: f64,
+    /// Livelock guard: consecutive restarts that found no new checkpoint.
+    stagnant: u64,
+    last_committed: Option<u64>,
+}
+
+impl<'a, S: Serialize + Send> Job<'a, S> {
+    fn new(cfg: &'a ExecutorConfig, storage: &Arc<dyn StableStorage>) -> Result<Self> {
+        let partition = RedundancyPartition::new(cfg.n_virtual, cfg.degree)?;
+        let counts: Vec<usize> =
+            (0..partition.n_virtual()).map(|v| partition.replicas_of(v) as usize).collect();
+        let groups = ReplicaGroups::from_counts(&counts);
+        let n_physical = groups.n_physical();
+        let spheres: Vec<Vec<u32>> =
+            groups.iter().map(|m| m.iter().map(|&p| p as u32).collect()).collect();
+        let sinks = Sinks {
+            trace: cfg.tracing.then(|| Arc::new(Collector::new())),
+            metrics: cfg.metrics.then(|| Arc::new(MetricsRegistry::new())),
+            profiler: cfg.profiling.then(|| Arc::new(Profiler::new())),
+        };
+        for (v, members) in spheres.iter().enumerate() {
+            for (replica, &p) in members.iter().enumerate() {
+                let kind = EventKind::Topology { sphere: v as u32, replica: replica as u32 };
+                sinks.event(0.0, Some(p), kind);
+            }
+        }
+        Ok(Job {
+            cfg,
+            coordinator: CheckpointCoordinator::new(Arc::clone(storage))
+                .cost_model(StorageCostModel::fixed(cfg.checkpoint_cost, cfg.restart_cost))
+                .protocol(cfg.protocol),
+            injector: FailureInjector::new(groups, cfg.node_mtbf, cfg.seed),
+            spheres,
+            driver: sinks.driver(),
+            sinks,
+            report: ExecutionReport {
+                total_virtual_time: 0.0,
+                attempts: 0,
+                failures: 0,
+                masked_failures: 0,
+                degraded_sphere_seconds: 0.0,
+                checkpoints_committed: 0,
+                respawns: 0,
+                heal_latency_seconds: 0.0,
+                recovered_voting_seconds: 0.0,
+                replication: StatsSnapshot::default(),
+                physical_messages: 0,
+                physical_bytes: 0,
+                n_physical,
+                node_seconds: 0.0,
+                failure_trace: FailureTrace::new(),
+                trace: None,
+                metrics: None,
+                profile: None,
+                final_states: Vec::new(),
+            },
+            resume_time: 0.0,
+            stagnant: 0,
+            last_committed: None,
+        })
     }
-}
 
-/// Absolute job-failure time of the current death timeline: the earliest
-/// moment any sphere loses its last replica (max member death, minimized
-/// over spheres; ties resolve to the lower sphere, matching the sampled
-/// schedule's own `job_failure`).
-fn job_failure_abs(groups: &ReplicaGroups, deaths_abs: &[f64]) -> (f64, usize) {
-    let mut when = f64::INFINITY;
-    let mut who = usize::MAX;
-    for (v, members) in groups.iter().enumerate() {
-        let dead_at = members
-            .iter()
-            .map(|&p| deaths_abs.get(p).copied().unwrap_or(f64::INFINITY))
-            .fold(f64::NEG_INFINITY, f64::max);
-        if dead_at < when {
-            when = dead_at;
-            who = v;
+    /// Restart → attempt. Takes the attempt's one look at stable storage,
+    /// which decides both how the attempt resumes and, after a failure,
+    /// whether the last one got anywhere; gives up when the livelock guard
+    /// or the attempt budget says so; then samples the failure timeline.
+    fn begin_attempt(&mut self) -> Result<Attempt> {
+        let cfg = self.cfg;
+        let storage = self.coordinator.storage().as_ref();
+        let latest = restart::latest_complete(storage, cfg.n_virtual as u32)?;
+        if self.report.attempts > 0 {
+            // Livelock guard: a restart that found no new checkpoint
+            // replays exactly the ground already lost.
+            if latest == self.last_committed {
+                self.stagnant += 1;
+                if self.stagnant >= cfg.no_progress_limit {
+                    return Err(CoreError::NoProgress { attempts: self.report.attempts });
+                }
+            } else {
+                self.last_committed = latest;
+                self.stagnant = 0;
+            }
+        }
+        if self.report.attempts >= cfg.max_attempts {
+            return Err(CoreError::AttemptsExhausted { attempts: self.report.attempts });
+        }
+        self.report.attempts += 1;
+
+        let plan = self.injector.plan_attempt(self.resume_time);
+        self.sinks.event(plan.start_time, None, EventKind::AttemptStart { attempt: plan.attempt });
+        for d in plan.deaths() {
+            self.sinks.event(d.abs, Some(d.process as u32), EventKind::Injected { rel: d.rel });
+        }
+        Ok(Attempt {
+            detector: Detector {
+                policy: cfg.heal_policy,
+                params: DetectorParams::new(cfg.heartbeat_period, cfg.suspicion_timeout),
+                attempt_start: plan.start_time,
+            },
+            resume: match latest {
+                Some(seq) => Resume::Stored(seq),
+                None => Resume::Scratch { pay_restart: self.report.attempts > 1 },
+            },
+            segment_start: self.resume_time,
+            ledger: HealLedger::default(),
+            plan,
+        })
+    }
+
+    /// Runs one world segment from `attempt.segment_start` and classifies
+    /// how it stopped.
+    fn run_segment<A>(&mut self, app: &A, attempt: &Attempt) -> Result<Segment<S>>
+    where
+        A: ResilientApp<State = S>,
+    {
+        let cfg = self.cfg;
+        let deaths = attempt.plan.absolute_death_times();
+        let mut builder = ReplicatedWorld::builder(cfg.n_virtual, cfg.degree)?
+            .voting_mode(cfg.voting)
+            .cost_model(cfg.comm_cost)
+            .death_times(deaths.to_vec())
+            .start_time(attempt.segment_start)
+            .obs(self.sinks.clone());
+        if let Some(w) = cfg.workers {
+            builder = builder.workers(w);
+        }
+        let coordinator = &self.coordinator;
+        let span = self.driver.span(ProfSpanKey::ExecutorSegment);
+        let world = builder.run(|comm| rank_segment(app, cfg, coordinator, attempt, comm))?;
+        drop(span);
+
+        self.report.replication = self.report.replication.add(&world.stats);
+        self.report.physical_messages += world.physical_messages;
+        self.report.physical_bytes += world.physical_bytes;
+        // Any non-fail-stop error is a genuine bug, never a planned death
+        // (Dead/DeadPeer/SphereDead/Aborted are all expected outcomes of
+        // live injection).
+        if let Some(e) =
+            world.results.iter().filter_map(|r| r.as_ref().err()).find(|e| !e.is_fail_stop())
+        {
+            return Err(CoreError::Runtime(e.clone()));
+        }
+        let ran = Ran { clock: world.max_virtual_time, results: world.results };
+        let failed = Ended::Failed { clock: ran.clock };
+        if world.aborted {
+            return Ok(Segment::Ended(failed));
+        }
+        if ran.results.iter().any(|r| matches!(r, Ok(SegmentOutcome::Quiesced { .. }))) {
+            return Ok(Segment::Quiesced(ran));
+        }
+        // Completed iff every virtual rank kept at least one live replica
+        // running to `Done`. A rank's *primary* may well be `Err(Dead)` —
+        // a surviving shadow carries the state then.
+        let done = |p: &usize| matches!(ran.results[*p], Ok(SegmentOutcome::Done { .. }));
+        let completed = self.injector.groups().iter().all(|members| members.iter().any(done));
+        Ok(Segment::Ended(if completed { Ended::Completed(ran) } else { failed }))
+    }
+
+    /// The heal cycle: name the suspects, capture the donor images, charge
+    /// the modeled repair time, and either lose the kill-during-transfer
+    /// race or respawn every suspect and point the attempt at a relaunch
+    /// from live state.
+    fn heal(&mut self, attempt: &mut Attempt, ran: Ran<S>) -> Result<Healed> {
+        // Spans the suspect scan, donor vote, image transfer and relaunch
+        // prep.
+        let _span = self.driver.span(ProfSpanKey::ExecutorHeal);
+        let (cfg, sinks, plan) = (self.cfg, &self.sinks, &mut attempt.plan);
+        // The boundary the detector fired at: the agreed clock maximum,
+        // advanced past the quiesce drain.
+        let boundary = ran.results.iter().fold(ran.clock, |at, r| match r {
+            Ok(SegmentOutcome::Quiesced { boundary, .. }) => at.max(*boundary),
+            _ => at,
+        });
+        // Everyone who is not a suspect is a potential donor.
+        let suspects: Vec<usize> =
+            attempt.detector.suspects(plan.absolute_death_times(), boundary).collect();
+        let spheres = &self.spheres;
+        let sphere_of =
+            |p: usize| spheres.iter().position(|m| m.contains(&(p as u32))).unwrap_or(0);
+        let (donors, transfer_bytes) =
+            donor_images(self.injector.groups(), &suspects, boundary, ran.results)?;
+        // The respawn commits after the modeled repair work: fresh process
+        // allocation plus shipping the donor images.
+        let commit =
+            boundary + cfg.respawn_cost + cfg.transfer_cost_per_byte * transfer_bytes as f64;
+
+        // Detection happened and the respawn began regardless of whether
+        // the transfer survives; record both per suspect.
+        for &p in &suspects {
+            let (rank, sphere) = (Some(p as u32), sphere_of(p) as u32);
+            let suspected_at = attempt.detector.suspicion_time(plan.absolute_death_times()[p]);
+            sinks.event(suspected_at, rank, EventKind::HeartbeatMiss { sphere });
+            sinks.event(boundary, rank, EventKind::RespawnBegin { sphere });
+            sinks.inc(CounterKey::Suspicions, suspected_at);
+        }
+        if plan.kill_in_transfer(&suspects, commit, self.injector.trace_mut()) {
+            // The respawn never commits; the attempt fails like any sphere
+            // death, at the new (earlier) failure time.
+            return Ok(Healed::KilledInTransfer { clock: ran.clock });
+        }
+
+        // Commit: respawn every suspect, drawing each incarnation's
+        // lifetime from the injector's deterministic stream, and replay
+        // the virtual map back to full voting strength.
+        let rel_commit = commit - plan.start_time;
+        for &p in &suspects {
+            let (rank, v) = (Some(p as u32), sphere_of(p));
+            let (sphere, copies) = (v as u32, spheres[v].len() as u32);
+            let latency = commit - plan.absolute_death_times()[p];
+            if let Some(d) = plan.respawn(p, commit, self.injector.resample_death()) {
+                sinks.event(d.abs, rank, EventKind::Injected { rel: d.rel });
+            }
+            sinks.event(
+                commit,
+                rank,
+                EventKind::RespawnCommit { sphere, rel: rel_commit, latency },
+            );
+            sinks.event(commit, rank, EventKind::RejoinVote { sphere, copies });
+            sinks.inc(CounterKey::Respawns, commit);
+            sinks.observe(HistKey::HealLatency, latency);
+            attempt.ledger.commit(sphere, rel_commit, latency);
+        }
+        // The timeline changed: when (and whether) the job now fails, and
+        // the failure log, follow it.
+        plan.settle(self.injector.trace_mut());
+        attempt.resume = Resume::Live(donors);
+        attempt.segment_start = commit;
+        Ok(Healed::Committed)
+    }
+
+    /// Ends the attempt on the virtual clock, emits its closing bracket,
+    /// folds its account into the totals and decides what follows.
+    fn close_attempt(&mut self, attempt: Attempt, ended: Ended<S>) -> Next<S> {
+        let Attempt { plan, ledger, .. } = attempt;
+        let (completed, clock) = match &ended {
+            Ended::Completed(ran) => (true, ran.clock),
+            Ended::Failed { clock } => (false, *clock),
+        };
+        // On a failure the survivors can be discovered slightly past the
+        // sampled sphere-death time (the death materializes at the next
+        // operation boundary), so take the max.
+        let end = if completed || !plan.job_failure_time.is_finite() {
+            clock
+        } else {
+            clock.max(plan.job_failure_time)
+        };
+        let rel_end = (end - plan.start_time).max(0.0);
+        let rel_failure = plan.rel_failure();
+        let killer = (!completed && rel_failure.is_finite()).then_some(plan.killer_sphere as u32);
+        // Carries the exact relative values the accounting below compares,
+        // so the trace analyzer reproduces it bit-for-bit.
+        let bracket = EventKind::AttemptEnd {
+            attempt: plan.attempt,
+            completed,
+            rel_end,
+            rel_failure,
+            killer,
+        };
+        self.sinks.event(end, None, bracket);
+
+        // Degraded and recovered running time, the deaths redundancy
+        // masked and the heal totals: the ledger the trace analyzer closes
+        // too, replaying it from the events above.
+        let deaths: Vec<(u32, f64)> =
+            plan.deaths().iter().map(|d| (d.process as u32, d.rel)).collect();
+        let account = ledger.close(&self.spheres, &deaths, completed, rel_end, rel_failure, killer);
+        for &span in &account.degraded_spans {
+            self.sinks.observe(HistKey::DegradedInterval, span);
+        }
+        let report = &mut self.report;
+        report.masked_failures += account.masked;
+        report.degraded_sphere_seconds += account.degraded_seconds;
+        report.recovered_voting_seconds += account.recovered_seconds;
+        report.respawns += account.respawns;
+        report.heal_latency_seconds += account.heal_latency_seconds;
+        self.sinks.inc(CounterKey::Attempts, end);
+        self.sinks.add(CounterKey::MaskedFailures, account.masked, end);
+
+        match ended {
+            Ended::Failed { .. } => {
+                report.failures += 1;
+                self.sinks.inc(CounterKey::Restarts, end);
+                self.resume_time = end;
+                Next::Restart
+            }
+            Ended::Completed(ran) => {
+                // The planned *job* failure never materialized, so prune
+                // its never-observed events from the log.
+                self.injector.trace_mut().truncate_attempt(plan.attempt, end);
+                Next::Finish(ran)
+            }
         }
     }
-    (when, who)
+
+    /// Collects the final states and seals the report.
+    fn finish(self, ran: Ran<S>) -> Result<ExecutionReport<S>> {
+        let groups = self.injector.groups();
+        let mut final_states = Vec::with_capacity(groups.n_virtual());
+        // The checkpoint decision is a collective (allreduce) and the
+        // commit is post-barrier, so every live replica of every virtual
+        // rank must report the same committed count. Divergence is
+        // corruption and must surface, not vanish under a `max`.
+        let mut agreed: Option<u64> = None;
+        for (v, live) in live_by_sphere(groups, ran.results).into_iter().enumerate() {
+            let virtual_rank = v as u32;
+            let mut state = None;
+            let mut counts: Vec<u64> = Vec::new();
+            for outcome in live {
+                if let SegmentOutcome::Done { state: s, checkpoints } = outcome {
+                    state.get_or_insert(s);
+                    counts.push(checkpoints);
+                }
+            }
+            let Some(state) = state else {
+                return Err(CoreError::Runtime(MpiError::App {
+                    what: format!("no live replica of rank {v} produced a result"),
+                }));
+            };
+            if counts.windows(2).any(|w| w[0] != w[1]) {
+                return Err(CoreError::CheckpointDivergence { virtual_rank, counts });
+            }
+            match agreed {
+                None => agreed = Some(counts[0]),
+                Some(agreed) if agreed != counts[0] => {
+                    let counts = vec![agreed, counts[0]];
+                    return Err(CoreError::CheckpointDivergence { virtual_rank, counts });
+                }
+                Some(_) => {}
+            }
+            final_states.push(state);
+        }
+
+        // The driver's spans join the profile; it buffers no events.
+        self.sinks.drain(&self.driver);
+        let mut report = self.report;
+        report.total_virtual_time = ran.clock;
+        report.checkpoints_committed = agreed.unwrap_or(0);
+        report.node_seconds = report.n_physical as f64 * ran.clock;
+        report.failure_trace = self.injector.trace().clone();
+        report.trace = self.sinks.trace.as_ref().map(|c| c.take());
+        report.metrics = self.sinks.metrics.as_ref().map(|r| r.report(self.cfg.scrape_interval));
+        report.profile = self.sinks.profiler.as_ref().map(|p| p.report());
+        report.final_states = final_states;
+        Ok(report)
+    }
 }
 
-/// Rewrites an attempt's failure log against its *current* timeline. A heal
-/// commit changes which deaths occur and which one (if any) kills the job,
-/// so the events recorded at plan time are dropped and re-recorded from the
-/// live death list, with `killed_job` pointing at the recomputed killer.
-fn rebuild_failure_log(
-    injector: &mut FailureInjector,
-    attempt: u64,
-    deaths_log: &[(u32, f64)],
-    job_fail_abs: f64,
-    killer: usize,
-) {
-    let fatal: Vec<usize> = if job_fail_abs.is_finite() {
-        injector.groups().members(killer).to_vec()
-    } else {
-        Vec::new()
-    };
-    let trace = injector.trace_mut();
-    trace.truncate_attempt(attempt, f64::NEG_INFINITY);
-    if !job_fail_abs.is_finite() {
-        return;
-    }
-    for &(p, abs) in deaths_log {
-        if abs <= job_fail_abs {
-            trace.record(FailureEvent {
-                attempt,
-                time: abs,
-                process: p as usize,
-                killed_job: abs == job_fail_abs && fatal.contains(&(p as usize)),
-            });
+/// Per virtual rank, the outcomes of its replicas that returned one, in
+/// replica order.
+fn live_by_sphere<T>(groups: &ReplicaGroups, results: Vec<redcr_mpi::Result<T>>) -> Vec<Vec<T>> {
+    let mut slots: Vec<Option<T>> = results.into_iter().map(redcr_mpi::Result::ok).collect();
+    groups.iter().map(|members| members.iter().filter_map(|&p| slots[p].take()).collect()).collect()
+}
+
+/// Captures one canonical image per virtual rank from its lowest-ranked
+/// replica that reached the quiesce (the donor), at the heal `boundary`,
+/// and counts the bytes to ship: only images of healing spheres — survivors
+/// keep their state in place.
+fn donor_images<S: Serialize>(
+    groups: &ReplicaGroups,
+    suspects: &[usize],
+    boundary: f64,
+    results: Vec<redcr_mpi::Result<SegmentOutcome<S>>>,
+) -> Result<(Vec<DonorImage>, u64)> {
+    let mut donors = Vec::with_capacity(groups.n_virtual());
+    let mut transfer_bytes = 0u64;
+    for (v, live) in live_by_sphere(groups, results).into_iter().enumerate() {
+        let donor = live.into_iter().find_map(|outcome| match outcome {
+            SegmentOutcome::Quiesced { state, channel, cursor, .. } => {
+                Some((state, channel, cursor))
+            }
+            SegmentOutcome::Done { .. } => None,
+        });
+        let Some((state, channel, cursor)) = donor else {
+            return Err(CoreError::Runtime(MpiError::App {
+                what: format!("no live donor replica for virtual rank {v}"),
+            }));
+        };
+        let image = ProcessImage::capture(v as u32, boundary, &state)?.with_channel_state(channel);
+        let bytes = image.to_stored_bytes()?;
+        if suspects.iter().any(|p| groups.members(v).contains(p)) {
+            transfer_bytes += bytes.len() as u64;
         }
+        donors.push(DonorImage { bytes, cursor });
     }
+    Ok((donors, transfer_bytes))
 }
 
 /// Runs [`ResilientApp`]s to completion under failures.
@@ -197,581 +571,199 @@ impl ResilientExecutor {
     /// out, [`CoreError::NoProgress`] if the livelock guard fires, or the
     /// underlying model/runtime/checkpoint error.
     pub fn run<A: ResilientApp>(&self, app: &A) -> Result<ExecutionReport<A::State>> {
-        let cfg = &self.config;
-        let partition = RedundancyPartition::new(cfg.n_virtual, cfg.degree)?;
-        let counts: Vec<usize> =
-            (0..partition.n_virtual()).map(|v| partition.replicas_of(v) as usize).collect();
-        let groups = ReplicaGroups::from_counts(&counts);
-        let mut injector = FailureInjector::new(groups, cfg.node_mtbf, cfg.seed);
-        let storage_cost = StorageCostModel::fixed(cfg.checkpoint_cost, cfg.restart_cost);
-        let coordinator = CheckpointCoordinator::new(Arc::clone(&self.storage))
-            .cost_model(storage_cost)
-            .protocol(cfg.protocol);
-        let params = DetectorParams::new(cfg.heartbeat_period, cfg.suspicion_timeout);
-        // Sphere membership in the two shapes the heal paths need: members
-        // per sphere (as u32, for the shared heal accounting) and sphere
-        // per physical rank.
-        let spheres: Vec<Vec<u32>> =
-            injector.groups().iter().map(|m| m.iter().map(|&p| p as u32).collect()).collect();
-        let mut sphere_of = vec![0usize; spheres.iter().map(Vec::len).sum()];
-        for (v, members) in injector.groups().iter().enumerate() {
-            for &p in members {
-                if let Some(slot) = sphere_of.get_mut(p) {
-                    *slot = v;
-                }
-            }
-        }
-
-        // The sinks every segment's world records into. The driver writes
-        // its own rank-less events and counters to them directly and keeps
-        // a profile shard for its segment / heal spans (host clock only —
-        // no virtual time).
-        let sinks = Sinks {
-            trace: cfg.tracing.then(|| Arc::new(Collector::new())),
-            metrics: cfg.metrics.then(|| Arc::new(MetricsRegistry::new())),
-            profiler: cfg.profiling.then(|| Arc::new(Profiler::new())),
-        };
-        let driver = sinks.driver();
-        for (v, members) in injector.groups().iter().enumerate() {
-            for (replica, &p) in members.iter().enumerate() {
-                sinks.event(
-                    0.0,
-                    Some(p as u32),
-                    EventKind::Topology { sphere: v as u32, replica: replica as u32 },
-                );
-            }
-        }
-
-        let mut resume_time = 0.0f64;
-        let mut attempts = 0u64;
-        let mut failures = 0u64;
-        let mut masked_failures = 0u64;
-        let mut degraded_sphere_seconds = 0.0f64;
-        let mut stagnant = 0u64;
-        let mut last_committed: Option<u64> = None;
-        let mut stats = redcr_red::stats::StatsSnapshot::default();
-        let mut physical_messages = 0u64;
-        let mut physical_bytes = 0u64;
-        let mut respawns_total = 0u64;
-        let mut heal_latency_total = 0.0f64;
-        let mut recovered_total = 0.0f64;
-
+        let mut job = Job::new(&self.config, &self.storage)?;
         loop {
-            if attempts >= cfg.max_attempts {
-                return Err(CoreError::AttemptsExhausted { attempts });
-            }
-            attempts += 1;
-            let plan = injector.plan_attempt(resume_time);
-            let first_attempt = attempts == 1;
-            sinks.event(plan.start_time, None, EventKind::AttemptStart { attempt: plan.attempt });
-            for (p, &d) in plan.schedule.death_times.iter().enumerate() {
-                if d.is_finite() {
-                    sinks.event(
-                        plan.start_time + d,
-                        Some(p as u32),
-                        EventKind::Injected { rel: d },
-                    );
+            let mut attempt = job.begin_attempt()?;
+            // One attempt is a sequence of world segments: the first
+            // starts from stable storage (or scratch); each heal cycle
+            // quiesces its segment, respawns the suspects, and relaunches
+            // the next segment from transferred live state.
+            let ended = loop {
+                match job.run_segment(app, &attempt)? {
+                    Segment::Ended(ended) => break ended,
+                    Segment::Quiesced(ran) => match job.heal(&mut attempt, ran)? {
+                        Healed::Committed => {}
+                        Healed::KilledInTransfer { clock } => break Ended::Failed { clock },
+                    },
                 }
-            }
-
-            // The attempt's *mutable* timeline: per-process absolute deaths
-            // (updated by respawns), the death log in trace-emission order
-            // (relative for the shared heal accounting, absolute for the
-            // failure log), and the heal commits so far.
-            let mut deaths_abs = plan.absolute_death_times();
-            let mut deaths_rel: Vec<(u32, f64)> = Vec::new();
-            let mut deaths_log: Vec<(u32, f64)> = Vec::new();
-            for (p, &d) in plan.schedule.death_times.iter().enumerate() {
-                if d.is_finite() {
-                    deaths_rel.push((p as u32, d));
-                    deaths_log.push((p as u32, plan.start_time + d));
-                }
-            }
-            let mut heal_commits: Vec<(u32, f64)> = Vec::new();
-            // Summed per attempt, folded into the run total once the
-            // attempt ends — the same float-addition order the trace
-            // analyzer uses, so the two stay bit-identical.
-            let mut attempt_heal_latency = 0.0f64;
-            let mut job_fail_abs = plan.job_failure_time;
-            let mut killer = plan.killer_sphere;
-            let mut seed: Option<Arc<HealSeed>> = None;
-            let mut seg_start = resume_time;
-
-            let coordinator = &coordinator;
-            let storage = &self.storage;
-            let interval = cfg.checkpoint_interval;
-            let restart_cost = cfg.restart_cost;
-            let app_ref = app;
-
-            // One attempt is a sequence of world segments: the first starts
-            // from stable storage (or scratch); each heal cycle quiesces
-            // its segment, respawns the suspects, and relaunches the next
-            // segment from transferred live state.
-            let (report, completed) = loop {
-                let mut builder = ReplicatedWorld::builder(cfg.n_virtual, cfg.degree)?
-                    .voting_mode(cfg.voting)
-                    .cost_model(cfg.comm_cost)
-                    .death_times(deaths_abs.clone())
-                    .start_time(seg_start)
-                    .obs(sinks.clone());
-                if let Some(w) = cfg.workers {
-                    builder = builder.workers(w);
-                }
-                let heal_ctx = (cfg.heal_policy != HealPolicy::Never).then(|| HealCtx {
-                    policy: cfg.heal_policy,
-                    params,
-                    attempt_start: plan.start_time,
-                    deaths: deaths_abs.clone(),
-                });
-                let seed_ref = seed.clone();
-                let seg_span = driver.span(ProfSpanKey::ExecutorSegment);
-                let mut report = builder.run(move |comm| {
-                    let (mut state, mut next_seq, mut next_ckpt, mut checkpoints, counting) =
-                        match &seed_ref {
-                            Some(seed) => {
-                                // Heal relaunch: every rank — respawned or
-                                // survivor — resumes from its sphere's
-                                // transferred image. The transfer itself is
-                                // charged on the executor side through the
-                                // segment's start time, not here.
-                                let v = comm.rank().index();
-                                let bytes = seed.images.get(v).ok_or_else(|| MpiError::App {
-                                    what: format!("no heal image for virtual rank {v}"),
-                                })?;
-                                let image = ProcessImage::from_stored_bytes(bytes)
-                                    .map_err(MpiError::from)?;
-                                let state: A::State = image.restore().map_err(MpiError::from)?;
-                                let counting =
-                                    CountingComm::with_restored_channel(comm, image.channel_state);
-                                (state, seed.next_seq, seed.next_ckpt, seed.checkpoints, counting)
-                            }
-                            None => {
-                                let n_ranks = comm.size() as u32;
-                                let latest = restart::latest_complete(storage.as_ref(), n_ranks)
-                                    .map_err(MpiError::from)?;
-                                match latest {
-                                    Some(seq) => {
-                                        // Restore: charges the read cost R to
-                                        // virtual time and primes the channel
-                                        // state.
-                                        let restored: redcr_ckpt::coordinator::Restored<A::State> =
-                                            coordinator
-                                                .restore(comm, seq)
-                                                .map_err(MpiError::from)?;
-                                        let counting = CountingComm::with_restored_channel(
-                                            comm,
-                                            restored.channel,
-                                        );
-                                        let next_ckpt = comm.now() + interval;
-                                        (restored.state, seq + 1, next_ckpt, 0, counting)
-                                    }
-                                    None => {
-                                        if !first_attempt {
-                                            // Restarting from scratch still
-                                            // pays the restart overhead
-                                            // (process re-launch).
-                                            comm.compute(restart_cost)?;
-                                        }
-                                        let counting = CountingComm::new(comm);
-                                        let state = app_ref.init(&counting)?;
-                                        let next_ckpt = comm.now() + interval;
-                                        (state, 0, next_ckpt, 0, counting)
-                                    }
-                                }
-                            }
-                        };
-
-                    loop {
-                        app_ref.step(&counting, &mut state)?;
-                        if app_ref.is_done(&state) {
-                            return Ok(SegmentOutcome::Done { state, checkpoints });
-                        }
-                        // Collective clock agreement so that every rank and
-                        // replica takes the checkpoint decision together.
-                        let now_max = counting.allreduce_f64(&[counting.now()], ReduceOp::Max)?[0];
-                        if let Some(ctx) = &heal_ctx {
-                            let due = ctx.suspects_at(now_max)
-                                && (ctx.policy != HealPolicy::AtCheckpoint || now_max >= next_ckpt);
-                            if due {
-                                // Every rank reaches this decision from the
-                                // same agreed boundary, so the quiesce is
-                                // collectively consistent.
-                                let channel = bookmark::quiesce(&counting)?;
-                                return Ok(SegmentOutcome::Heal {
-                                    state,
-                                    channel,
-                                    boundary: now_max,
-                                    next_seq,
-                                    next_ckpt,
-                                    checkpoints,
-                                });
-                            }
-                        }
-                        if now_max >= next_ckpt {
-                            coordinator
-                                .checkpoint(&counting, next_seq, &state)
-                                .map_err(MpiError::from)?;
-                            next_seq += 1;
-                            checkpoints += 1;
-                            next_ckpt = now_max + interval;
-                        }
-                    }
-                })?;
-                drop(seg_span);
-
-                stats = stats.add(&report.stats);
-                physical_messages += report.physical_messages;
-                physical_bytes += report.physical_bytes;
-
-                // Any non-fail-stop error is a genuine bug, never a planned
-                // death (Dead/DeadPeer/SphereDead/Aborted are all expected
-                // outcomes of live injection).
-                for r in &report.results {
-                    if let Err(e) = r {
-                        if !e.is_fail_stop() {
-                            return Err(CoreError::Runtime(e.clone()));
-                        }
-                    }
-                }
-
-                let healing = !report.aborted
-                    && report.results.iter().any(|r| matches!(r, Ok(SegmentOutcome::Heal { .. })));
-                if !healing {
-                    // Completed iff no job abort was raised and every
-                    // virtual rank kept at least one live replica running
-                    // to `Done`. A rank's *primary* may well be `Err(Dead)`
-                    // — a surviving shadow carries the state then.
-                    let vmap = report.vmap().clone();
-                    let completed = !report.aborted
-                        && (0..cfg.n_virtual as u32).all(|v| {
-                            vmap.replicas_of(redcr_mpi::Rank::new(v)).iter().any(|p| {
-                                matches!(report.results[p.index()], Ok(SegmentOutcome::Done { .. }))
-                            })
-                        });
-                    break (report, completed);
-                }
-
-                // === Heal cycle ===
-                // Spans the suspect scan, donor vote, image transfer and
-                // relaunch prep; dropped when this loop iteration ends.
-                let _heal_span = driver.span(ProfSpanKey::ExecutorHeal);
-                // The boundary the detector fired at: the agreed clock
-                // maximum, advanced past the quiesce drain.
-                let mut boundary = report.max_virtual_time;
-                for r in &report.results {
-                    if let Ok(SegmentOutcome::Heal { boundary: b, .. }) = r {
-                        boundary = boundary.max(*b);
-                    }
-                }
-                // Replicas whose suspicion deadline has elapsed at the
-                // boundary; everyone else is a potential donor.
-                let suspects: Vec<usize> = (0..deaths_abs.len())
-                    .filter(|&p| params.suspicion_time(plan.start_time, deaths_abs[p]) <= boundary)
-                    .collect();
-
-                // Capture one canonical image per virtual rank from its
-                // lowest-ranked replica that reached the quiesce (the
-                // donor). Only images of healing spheres count as transfer
-                // bytes — survivors keep their state in place.
-                let vmap = report.vmap().clone();
-                let mut images: Vec<Vec<u8>> = Vec::with_capacity(cfg.n_virtual as usize);
-                let mut transfer_bytes = 0u64;
-                let mut cursor: Option<(u64, f64, u64)> = None;
-                for v in 0..cfg.n_virtual as u32 {
-                    let mut donor_bytes = None;
-                    for p in vmap.replicas_of(redcr_mpi::Rank::new(v)) {
-                        let Some(outcome) = report.results[p.index()].take_ok() else { continue };
-                        let SegmentOutcome::Heal {
-                            state,
-                            channel,
-                            next_seq,
-                            next_ckpt,
-                            checkpoints,
-                            ..
-                        } = outcome
-                        else {
-                            continue;
-                        };
-                        let image =
-                            ProcessImage::capture(v, boundary, &state)?.with_channel_state(channel);
-                        donor_bytes = Some(image.to_stored_bytes()?);
-                        cursor = Some((next_seq, next_ckpt, checkpoints));
-                        break;
-                    }
-                    let Some(bytes) = donor_bytes else {
-                        return Err(CoreError::Runtime(MpiError::App {
-                            what: format!("no live donor replica for virtual rank {v}"),
-                        }));
-                    };
-                    if suspects.iter().any(|&p| sphere_of.get(p) == Some(&(v as usize))) {
-                        transfer_bytes += bytes.len() as u64;
-                    }
-                    images.push(bytes);
-                }
-                let Some((next_seq, next_ckpt, checkpoints)) = cursor else {
-                    return Err(CoreError::Runtime(MpiError::App {
-                        what: "heal cycle found no checkpoint cursor".into(),
-                    }));
-                };
-
-                // The respawn commits after the modeled repair work: fresh
-                // process allocation plus shipping the donor images.
-                let commit = boundary
-                    + cfg.respawn_cost
-                    + cfg.transfer_cost_per_byte * transfer_bytes as f64;
-
-                // Detection happened and the respawn began regardless of
-                // whether the transfer survives; record both per suspect.
-                for &p in &suspects {
-                    let sphere = sphere_of.get(p).copied().unwrap_or(0) as u32;
-                    let suspected_at = params.suspicion_time(plan.start_time, deaths_abs[p]);
-                    sinks.event(suspected_at, Some(p as u32), EventKind::HeartbeatMiss { sphere });
-                    sinks.event(boundary, Some(p as u32), EventKind::RespawnBegin { sphere });
-                    sinks.inc(CounterKey::Suspicions, suspected_at);
-                }
-
-                // Kill-during-transfer race: a sphere survives the heal iff
-                // some replica that is not itself being respawned outlives
-                // the commit. Otherwise the job dies mid-heal, at the
-                // moment its last donor went.
-                let mut kill_time = f64::INFINITY;
-                let mut kill_sphere = usize::MAX;
-                for (v, members) in injector.groups().iter().enumerate() {
-                    let last_donor = members
-                        .iter()
-                        .filter(|p| !suspects.contains(p))
-                        .map(|&p| deaths_abs.get(p).copied().unwrap_or(f64::INFINITY))
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    if last_donor.is_finite() && last_donor <= commit && last_donor < kill_time {
-                        kill_time = last_donor;
-                        kill_sphere = v;
-                    }
-                }
-                if kill_sphere != usize::MAX {
-                    // The respawn never commits; the attempt fails like any
-                    // sphere death, at the new (earlier) failure time.
-                    job_fail_abs = kill_time;
-                    killer = kill_sphere;
-                    rebuild_failure_log(
-                        &mut injector,
-                        plan.attempt,
-                        &deaths_log,
-                        job_fail_abs,
-                        killer,
-                    );
-                    break (report, false);
-                }
-
-                // Commit: respawn every suspect, drawing each incarnation's
-                // lifetime from the injector's deterministic stream, and
-                // replay the virtual map back to full voting strength.
-                for &p in &suspects {
-                    let sphere = sphere_of.get(p).copied().unwrap_or(0) as u32;
-                    let died_at = deaths_abs[p];
-                    let rebirth = commit + injector.resample_death();
-                    deaths_abs[p] = rebirth;
-                    let rel_rebirth = rebirth - plan.start_time;
-                    if rel_rebirth.is_finite() {
-                        deaths_rel.push((p as u32, rel_rebirth));
-                        deaths_log.push((p as u32, rebirth));
-                    }
-                    let latency = commit - died_at;
-                    let rel_commit = commit - plan.start_time;
-                    if rel_rebirth.is_finite() {
-                        sinks.event(
-                            rebirth,
-                            Some(p as u32),
-                            EventKind::Injected { rel: rel_rebirth },
-                        );
-                    }
-                    sinks.event(
-                        commit,
-                        Some(p as u32),
-                        EventKind::RespawnCommit { sphere, rel: rel_commit, latency },
-                    );
-                    let copies = spheres.get(sphere as usize).map(Vec::len).unwrap_or(0) as u32;
-                    sinks.event(commit, Some(p as u32), EventKind::RejoinVote { sphere, copies });
-                    sinks.inc(CounterKey::Respawns, commit);
-                    sinks.observe(HistKey::HealLatency, latency);
-                    respawns_total += 1;
-                    attempt_heal_latency += latency;
-                    // One commit per healed sphere per cycle: a cycle that
-                    // respawns two replicas of one sphere commits it once.
-                    let key = (sphere, rel_commit);
-                    if !heal_commits.contains(&key) {
-                        heal_commits.push(key);
-                    }
-                }
-
-                // The timeline changed: recompute when (and whether) the
-                // job now fails, and rewrite the failure log to match.
-                let (when, who) = job_failure_abs(injector.groups(), &deaths_abs);
-                job_fail_abs = when;
-                killer = who;
-                rebuild_failure_log(&mut injector, plan.attempt, &deaths_log, job_fail_abs, killer);
-
-                seed = Some(Arc::new(HealSeed { images, next_seq, next_ckpt, checkpoints }));
-                seg_start = commit;
             };
-
-            // Where the attempt ended on the virtual clock. On a failure
-            // the survivors can be discovered slightly past the sampled
-            // sphere-death time (the death materializes at the next
-            // operation boundary), so take the max.
-            heal_latency_total += attempt_heal_latency;
-            let attempt_end = if completed || !job_fail_abs.is_finite() {
-                report.max_virtual_time
-            } else {
-                report.max_virtual_time.max(job_fail_abs)
-            };
-            let end_rel = (attempt_end - plan.start_time).max(0.0);
-            let rel_failure = job_fail_abs - plan.start_time;
-            let killer_seen = (!completed && rel_failure.is_finite()).then_some(killer as u32);
-            // Carries the exact relative values the accounting below
-            // compares, so the trace analyzer reproduces it bit-for-bit.
-            sinks.event(
-                attempt_end,
-                None,
-                EventKind::AttemptEnd {
-                    attempt: plan.attempt,
-                    completed,
-                    rel_end: end_rel,
-                    rel_failure,
-                    killer: killer_seen,
-                },
-            );
-
-            // Degraded and recovered running time, and the deaths that
-            // redundancy masked: the accounting shared with the trace
-            // analyzer, which replays it from the events above.
-            let spans = heal::degraded_spans(&spheres, &deaths_rel, &heal_commits, end_rel);
-            for &span in &spans {
-                sinks.observe(HistKey::DegradedInterval, span);
+            match job.close_attempt(attempt, ended) {
+                Next::Restart => {}
+                Next::Finish(ran) => return job.finish(ran),
             }
-            degraded_sphere_seconds += spans.iter().fold(0.0f64, |acc, &s| acc + s);
-            recovered_total +=
-                heal::recovered_seconds(&spheres, &deaths_rel, &heal_commits, end_rel);
-            let masked =
-                heal::masked(&spheres, &deaths_rel, completed, end_rel, rel_failure, killer_seen);
-            masked_failures += masked;
-
-            sinks.inc(CounterKey::Attempts, attempt_end);
-            sinks.add(CounterKey::MaskedFailures, masked, attempt_end);
-
-            if !completed {
-                failures += 1;
-                sinks.inc(CounterKey::Restarts, attempt_end);
-                resume_time = attempt_end;
-
-                // Livelock guard: a restart that found no new checkpoint
-                // replays exactly the ground already lost.
-                let latest = restart::latest_complete(self.storage.as_ref(), cfg.n_virtual as u32)?;
-                if latest == last_committed {
-                    stagnant += 1;
-                    if stagnant >= cfg.no_progress_limit {
-                        return Err(CoreError::NoProgress { attempts });
-                    }
-                } else {
-                    last_committed = latest;
-                    stagnant = 0;
-                }
-                continue;
-            }
-
-            // Completed: the planned *job* failure never materialized, so
-            // prune its never-observed events from the log.
-            injector.trace_mut().truncate_attempt(plan.attempt, report.max_virtual_time);
-            let total_time = report.max_virtual_time;
-            let n_physical = report.n_physical;
-            let vmap = report.vmap().clone();
-            let mut results = report.results;
-            let mut final_states = Vec::with_capacity(cfg.n_virtual as usize);
-            // The checkpoint decision is a collective (allreduce) and the
-            // commit is post-barrier, so every live replica of every
-            // virtual rank must report the same committed count. Divergence
-            // is corruption and must surface, not vanish under a `max`.
-            let mut checkpoints_agreed: Option<u64> = None;
-            for v in 0..cfg.n_virtual as u32 {
-                let mut state = None;
-                let mut counts: Vec<u64> = Vec::new();
-                for p in vmap.replicas_of(redcr_mpi::Rank::new(v)) {
-                    if let Some(SegmentOutcome::Done { state: s, checkpoints: ckpts }) =
-                        results[p.index()].take_ok()
-                    {
-                        if state.is_none() {
-                            state = Some(s);
-                        }
-                        counts.push(ckpts);
-                    }
-                }
-                let Some(state) = state else {
-                    return Err(CoreError::Runtime(MpiError::App {
-                        what: format!("no live replica of rank {v} produced a result"),
-                    }));
-                };
-                if counts.windows(2).any(|w| w[0] != w[1]) {
-                    return Err(CoreError::CheckpointDivergence { virtual_rank: v, counts });
-                }
-                match checkpoints_agreed {
-                    None => checkpoints_agreed = Some(counts[0]),
-                    Some(agreed) if agreed != counts[0] => {
-                        return Err(CoreError::CheckpointDivergence {
-                            virtual_rank: v,
-                            counts: vec![agreed, counts[0]],
-                        });
-                    }
-                    Some(_) => {}
-                }
-                final_states.push(state);
-            }
-            let checkpoints_committed = checkpoints_agreed.unwrap_or(0);
-
-            // The driver's spans join the profile; it buffers no events.
-            sinks.drain(&driver);
-            return Ok(ExecutionReport {
-                total_virtual_time: total_time,
-                attempts,
-                failures,
-                masked_failures,
-                degraded_sphere_seconds,
-                checkpoints_committed,
-                respawns: respawns_total,
-                heal_latency_seconds: heal_latency_total,
-                recovered_voting_seconds: recovered_total,
-                replication: stats,
-                physical_messages,
-                physical_bytes,
-                n_physical,
-                node_seconds: n_physical as f64 * total_time,
-                failure_trace: injector.trace().clone(),
-                trace: sinks.trace.as_ref().map(|c| c.take()),
-                metrics: sinks.metrics.as_ref().map(|r| r.report(cfg.scrape_interval)),
-                profile: sinks.profiler.as_ref().map(|p| p.report()),
-                final_states,
-            });
         }
-    }
-}
-
-/// Small helper: move the Ok value out of a `Result` slot.
-trait TakeOk<T> {
-    fn take_ok(&mut self) -> Option<T>;
-}
-
-impl<T> TakeOk<T> for redcr_mpi::Result<T> {
-    fn take_ok(&mut self) -> Option<T> {
-        std::mem::replace(self, Err(MpiError::App { what: "result already taken".into() })).ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::segment::Cursor;
     use super::*;
     use crate::apps::CgApp;
     use redcr_apps::cg::CgConfig;
+    use redcr_ckpt::storage::SnapshotKey;
+    use redcr_ckpt::CkptError;
+    use redcr_red::HealPolicy;
+
+    fn memory() -> Arc<dyn StableStorage> {
+        Arc::new(MemoryStorage::new())
+    }
 
     fn cg_app(n: usize, iterations: u64, pad: f64) -> CgApp {
         CgApp::new(CgConfig::small(n), iterations).with_step_pad(pad)
+    }
+
+    /// A healing 2×2 job whose first attempt is planned but not run, so the
+    /// transitions can be driven by hand.
+    fn heal_cfg(respawn_cost: f64) -> ExecutorConfig {
+        ExecutorConfig::new(2, 2.0)
+            .node_mtbf(10.0)
+            .seed(1)
+            .heal_policy(HealPolicy::OnDegrade)
+            .heartbeat_period(0.5)
+            .suspicion_timeout(0.5)
+            .respawn_cost(respawn_cost)
+    }
+
+    /// A quiesced segment in which exactly the first replica to die is
+    /// suspected: everyone else returns a `u64` state at the boundary.
+    fn quiesced_at_first_suspicion(attempt: &Attempt) -> (usize, Ran<u64>) {
+        let deaths = attempt.plan.absolute_death_times();
+        let first = (0..deaths.len()).min_by(|&a, &b| deaths[a].total_cmp(&deaths[b])).unwrap();
+        let boundary = attempt.detector.suspicion_time(deaths[first]);
+        let suspects: Vec<usize> = attempt.detector.suspects(deaths, boundary).collect();
+        assert_eq!(suspects, vec![first], "seed drifted");
+        let cursor = Cursor { next_seq: 3, next_ckpt: boundary + 1.0, checkpoints: 2 };
+        let results = (0..deaths.len())
+            .map(|p| {
+                if p == first {
+                    return Err(MpiError::App { what: "dead".into() });
+                }
+                let state = 100 + p as u64;
+                Ok(SegmentOutcome::Quiesced { state, channel: Vec::new(), boundary, cursor })
+            })
+            .collect();
+        (first, Ran { clock: boundary, results })
+    }
+
+    #[test]
+    fn heal_commit_relaunches_from_live_state() {
+        let (cfg, storage) = (heal_cfg(0.25), memory());
+        let mut job = Job::<u64>::new(&cfg, &storage).unwrap();
+        let mut attempt = job.begin_attempt().unwrap();
+        assert!(matches!(attempt.resume, Resume::Scratch { pay_restart: false }));
+        let (suspect, ran) = quiesced_at_first_suspicion(&attempt);
+        let (boundary, died_at) = (ran.clock, attempt.plan.absolute_death_times()[suspect]);
+
+        assert_eq!(job.heal(&mut attempt, ran).unwrap(), Healed::Committed);
+        // No transfer cost configured: the commit is the respawn cost away.
+        assert_eq!(attempt.segment_start, boundary + 0.25);
+        let Resume::Live(donors) = &attempt.resume else { panic!("a healed attempt resumes live") };
+        assert_eq!(donors.len(), 2, "one donor image per virtual rank");
+        let cursor = Cursor { next_seq: 3, next_ckpt: boundary + 1.0, checkpoints: 2 };
+        assert!(donors.iter().all(|d| d.cursor == cursor && !d.bytes.is_empty()));
+        // The suspect's new incarnation dies after the commit, and the
+        // ledger saw one respawn of its sphere.
+        assert!(attempt.plan.absolute_death_times()[suspect] > attempt.segment_start);
+        assert_eq!(attempt.plan.deaths().len(), 5);
+        let account = attempt.ledger.clone().close(&job.spheres, &[], true, 0.0, 0.0, None);
+        assert_eq!(account.respawns, 1);
+        assert_eq!(account.heal_latency_seconds, attempt.segment_start - died_at);
+        assert_eq!(account.heal_commits, vec![((suspect % 2) as u32, attempt.segment_start)]);
+    }
+
+    #[test]
+    fn heal_killed_in_transfer_fails_the_attempt_at_the_donor_death() {
+        // A respawn so slow that the suspect's only donor dies first.
+        let (cfg, storage) = (heal_cfg(1e6), memory());
+        let mut job = Job::<u64>::new(&cfg, &storage).unwrap();
+        let mut attempt = job.begin_attempt().unwrap();
+        let (suspect, ran) = quiesced_at_first_suspicion(&attempt);
+        let clock = ran.clock;
+        let donor = job.injector.groups().members(suspect % 2)[1 - suspect / 2];
+        let donor_death = attempt.plan.absolute_death_times()[donor];
+
+        assert_eq!(job.heal(&mut attempt, ran).unwrap(), Healed::KilledInTransfer { clock });
+        assert!(matches!(attempt.resume, Resume::Scratch { .. }), "nothing was relaunched");
+        assert_eq!(attempt.plan.job_failure_time, donor_death);
+        assert_eq!(attempt.plan.killer_sphere, suspect % 2);
+
+        // Closing it is an ordinary restart, logged with one killer.
+        let next = job.close_attempt(attempt, Ended::Failed { clock });
+        assert!(matches!(next, Next::Restart));
+        assert_eq!((job.report.failures, job.report.respawns), (1, 0));
+        assert_eq!(job.resume_time, donor_death);
+        let log = job.injector.trace();
+        assert_eq!(log.job_failures(), 1);
+        assert!(log.events().iter().all(|e| e.killed_job == (e.process == donor)));
+        // The next attempt finds no checkpoint and pays the restart charge.
+        let again = job.begin_attempt().unwrap();
+        assert!(matches!(again.resume, Resume::Scratch { pay_restart: true }));
+        assert_eq!(again.plan.start_time, donor_death);
+    }
+
+    #[test]
+    fn heal_is_due_by_policy() {
+        let detector =
+            |policy| Detector { policy, params: DetectorParams::new(0.5, 0.5), attempt_start: 0.0 };
+        // Rank 1 died at 3.2: last beat 3.0, suspected at 3.5.
+        let deaths = [f64::INFINITY, 3.2];
+        let on_degrade = detector(HealPolicy::OnDegrade);
+        assert!(!on_degrade.heal_due(&deaths, 3.4, 100.0));
+        assert!(on_degrade.heal_due(&deaths, 3.5, 100.0));
+        assert_eq!(on_degrade.suspects(&deaths, 3.5).collect::<Vec<_>>(), vec![1]);
+        // AtCheckpoint waits for the checkpoint deadline (inclusive).
+        let at_checkpoint = detector(HealPolicy::AtCheckpoint);
+        assert!(!at_checkpoint.heal_due(&deaths, 5.9, 6.0));
+        assert!(at_checkpoint.heal_due(&deaths, 6.0, 6.0));
+        assert!(!at_checkpoint.heal_due(&[f64::INFINITY; 2], 6.0, 6.0), "nobody to heal");
+        assert!(!detector(HealPolicy::Never).heal_due(&deaths, 1e9, 0.0));
+    }
+
+    #[test]
+    fn resume_is_decided_from_the_one_storage_listing() {
+        use Resume::{Scratch, Stored};
+        // Empty storage: from scratch, and only a restart pays for it (the
+        // later-attempt case is driven in the kill-in-transfer test).
+        let (cfg, storage) = (ExecutorConfig::new(2, 1.0), memory());
+        let attempt = Job::<u64>::new(&cfg, &storage).unwrap().begin_attempt().unwrap();
+        assert!(matches!(attempt.resume, Scratch { pay_restart: false }));
+
+        // A complete generation already on storage is what the very first
+        // attempt resumes from.
+        for rank in 0..2 {
+            storage.store(SnapshotKey::new(7, rank), b"image").unwrap();
+        }
+        storage.store(SnapshotKey::new(8, 0), b"torn generation").unwrap();
+        let attempt = Job::<u64>::new(&cfg, &storage).unwrap().begin_attempt().unwrap();
+        assert!(matches!(attempt.resume, Stored(7)));
+    }
+
+    /// Stable storage that cannot be listed.
+    #[derive(Debug)]
+    struct Unlistable;
+
+    impl StableStorage for Unlistable {
+        fn store(&self, _: SnapshotKey, _: &[u8]) -> redcr_ckpt::Result<()> {
+            Ok(())
+        }
+        fn load(&self, key: SnapshotKey) -> redcr_ckpt::Result<Vec<u8>> {
+            Err(CkptError::NotFound { what: key.to_string() })
+        }
+        fn list(&self) -> redcr_ckpt::Result<Vec<SnapshotKey>> {
+            Err(CkptError::Storage(std::io::Error::other("listing denied")))
+        }
+        fn delete(&self, _: SnapshotKey) -> redcr_ckpt::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn unlistable_storage_is_a_checkpoint_error() {
+        let executor =
+            ResilientExecutor::with_storage(ExecutorConfig::new(2, 2.0), Arc::new(Unlistable));
+        let err = executor.run(&cg_app(16, 3, 0.0)).unwrap_err();
+        assert!(matches!(err, CoreError::Checkpoint(CkptError::Storage(_))), "got: {err}");
     }
 
     #[test]

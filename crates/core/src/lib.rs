@@ -8,15 +8,26 @@
 //! Poisson fault injection, and restart from the last checkpoint — on the
 //! virtual-time runtime ([`executor`]).
 //!
-//! The executor reproduces the paper's experimental procedure (Section 5):
+//! The executor reproduces the paper's experimental procedure (Section 5)
+//! as a state machine; each step is one of its transitions (see
+//! [`executor`]):
 //!
-//! 1. a failure injector samples per-physical-process failure times;
+//! 1. a failure injector samples per-physical-process failure times —
+//!    `begin_attempt`, which plans the attempt's failure timeline
+//!    ([`redcr_fault::AttemptPlan`]);
 //! 2. the application runs (replicated) until the first replica *sphere*
-//!    is completely dead;
+//!    is completely dead — `run_segment`, whose ranks run
+//!    `executor::segment::rank_segment`; with self-healing on, a segment
+//!    may instead quiesce into `heal`, which respawns the suspected
+//!    replicas and relaunches from live state;
 //! 3. the whole job is then terminated and restarted from the last
-//!    coordinated checkpoint, with spare nodes replacing the failed ones;
+//!    coordinated checkpoint, with spare nodes replacing the failed ones —
+//!    `close_attempt` ends the attempt and accounts for it, and the next
+//!    `begin_attempt` resumes from the newest complete checkpoint on
+//!    stable storage;
 //! 4. a checkpointer writes coordinated checkpoints at a fixed virtual-time
-//!    interval (Daly's `δ_opt` by default).
+//!    interval (Daly's `δ_opt` by default) — on the ranks, inside
+//!    `rank_segment`'s step loop.
 //!
 //! # Example: plan, then run
 //!

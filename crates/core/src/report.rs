@@ -18,6 +18,14 @@ pub struct ExecutionReport<S> {
     /// Individual process fail-stops that were **masked** by redundancy:
     /// the process died but its sphere kept at least one live replica, so
     /// the attempt did not have to restart because of it.
+    ///
+    /// The rule, per attempt ([`redcr_mpi::trace::heal::masked`]): a
+    /// completed attempt masked every scheduled death up to its end; a
+    /// failed one masked every death up to the job failure — the killing
+    /// death's own time, inclusive — except one per member of the killer
+    /// sphere. So over a run, the non-killing events of
+    /// [`failure_trace`](Self::failure_trace) number `masked_failures`
+    /// plus, per failed attempt, the killer sphere's size minus one.
     pub masked_failures: u64,
     /// Total virtual seconds spheres spent running **degraded** (at least
     /// one replica dead but the sphere still alive), summed over spheres

@@ -27,7 +27,7 @@
 //! let plan = injector.plan_attempt(0.0);
 //! // The job dies when the first whole sphere is dead — strictly after the
 //! // first individual process failure (at dual redundancy).
-//! assert!(plan.job_failure_time > plan.first_process_failure);
+//! assert!(plan.job_failure_time > plan.schedule.first_process_failure());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,7 +39,7 @@ pub mod poisson;
 pub mod schedule;
 pub mod trace;
 
-pub use injector::{AttemptPlan, FailureInjector};
+pub use injector::{AttemptPlan, Death, FailureInjector};
 pub use nodes::NodePlacement;
 pub use poisson::ExpSampler;
 pub use schedule::{FailureSchedule, ReplicaGroups};

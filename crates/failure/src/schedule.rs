@@ -101,6 +101,28 @@ impl ReplicaGroups {
     pub fn iter(&self) -> impl Iterator<Item = &[usize]> + '_ {
         self.groups.iter().map(Vec::as_slice)
     }
+
+    /// The one job-failure rule: a sphere dies with the **last** of its
+    /// members, and the job dies with the **first** sphere to do so.
+    /// `death_of` gives a process's death time, or `None` to leave the
+    /// process out of its sphere (a sphere with nobody left in is skipped).
+    /// Returns `(time, sphere, last member to die)`, ties going to the
+    /// lower sphere and the earlier replica, or `None` if no sphere ever
+    /// dies.
+    pub fn first_sphere_death(
+        &self,
+        death_of: impl Fn(usize) -> Option<f64>,
+    ) -> Option<(f64, usize, usize)> {
+        let later = |a: (f64, usize), b: (f64, usize)| if b.0 > a.0 { b } else { a };
+        self.iter()
+            .enumerate()
+            .filter_map(|(v, members)| {
+                let (t, p) =
+                    members.iter().filter_map(|&p| Some((death_of(p)?, p))).reduce(later)?;
+                t.is_finite().then_some((t, v, p))
+            })
+            .reduce(|first, next| if next.0 < first.0 { next } else { first })
+    }
 }
 
 /// One attempt's sampled failure times.
@@ -139,15 +161,9 @@ impl FailureSchedule {
     /// Panics if `groups` references physical ids outside this schedule.
     pub fn job_failure(&self, groups: &ReplicaGroups) -> (f64, usize) {
         assert_eq!(groups.n_physical(), self.death_times.len());
-        let mut best = (f64::INFINITY, usize::MAX);
-        for (v, members) in groups.iter().enumerate() {
-            let sphere_death =
-                members.iter().map(|&p| self.death_times[p]).fold(f64::NEG_INFINITY, f64::max);
-            if sphere_death < best.0 {
-                best = (sphere_death, v);
-            }
-        }
-        best
+        groups
+            .first_sphere_death(|p| Some(self.death_times[p]))
+            .map_or((f64::INFINITY, usize::MAX), |(time, sphere, _)| (time, sphere))
     }
 
     /// Physical processes dead by time `t`.

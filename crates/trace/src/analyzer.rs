@@ -19,6 +19,7 @@
 use std::fmt;
 
 use crate::event::{Event, EventKind};
+use crate::heal::HealLedger;
 use crate::recorder::Trace;
 
 /// Structural defects [`Analysis::analyze`] rejects (it never panics on a
@@ -169,8 +170,8 @@ pub struct AttemptSummary {
     /// commit), summed in `RespawnCommit` emission order.
     pub heal_latency_seconds: f64,
     /// Heal commits as `(sphere, relative commit time)` in emission order,
-    /// same-cycle duplicates collapsed — the analyzer-side mirror of the
-    /// executor's commit list fed to [`crate::heal`].
+    /// same-cycle duplicates collapsed, as the attempt's
+    /// [`HealLedger`] closed them.
     pub heal_commits: Vec<(u32, f64)>,
     /// Virtual seconds the attempt stalled inside heal cycles: deduped
     /// respawn-begin → respawn-commit spans, paired in order (a begin with
@@ -380,9 +381,7 @@ fn summarize(
     let mut votes = 0u64;
     let mut restored_from: Option<u64> = None;
     let mut last_commit_time = f64::NEG_INFINITY;
-    let mut respawns = 0u64;
-    let mut heal_latency_seconds = 0.0f64;
-    let mut heal_commits: Vec<(u32, f64)> = Vec::new();
+    let mut ledger = HealLedger::default();
     let mut heal_begin_times: Vec<f64> = Vec::new();
     let mut heal_commit_times: Vec<f64> = Vec::new();
 
@@ -429,12 +428,7 @@ fn summarize(
                 heal_begin_times.push(e.time);
             }
             EventKind::RespawnCommit { sphere, rel, latency } => {
-                respawns += 1;
-                heal_latency_seconds += latency;
-                let key = (*sphere, *rel);
-                if !heal_commits.contains(&key) {
-                    heal_commits.push(key);
-                }
+                ledger.commit(*sphere, *rel, *latency);
                 if !heal_commit_times.contains(&e.time) {
                     heal_commit_times.push(e.time);
                 }
@@ -456,14 +450,10 @@ fn summarize(
         .map(|(c, b)| c - b)
         .fold(0.0f64, |acc, s| acc + s);
 
-    // Masked deaths and degraded / recovered time: the executor calls the
-    // same [`crate::heal`] functions over the same inputs, so the counts
-    // and the floating-point sums agree bit for bit.
-    let masked = crate::heal::masked(spheres, &injected, completed, rel_end, rel_failure, killer);
-    let degraded_seconds =
-        crate::heal::degraded_seconds(spheres, &injected, &heal_commits, rel_end);
-    let recovered_voting_seconds =
-        crate::heal::recovered_seconds(spheres, &injected, &heal_commits, rel_end);
+    // Masked deaths, degraded / recovered time and the heal totals: the
+    // executor feeds and closes the same [`HealLedger`] over the same
+    // inputs, so the counts and the floating-point sums agree bit for bit.
+    let account = ledger.close(spheres, &injected, completed, rel_end, rel_failure, killer);
 
     let lost_work = if completed { 0.0 } else { end - last_commit_time.max(start) };
 
@@ -483,14 +473,14 @@ fn summarize(
         alphas,
         failovers,
         votes,
-        masked,
-        degraded_seconds,
+        masked: account.masked,
+        degraded_seconds: account.degraded_seconds,
         lost_work,
-        respawns,
-        heal_latency_seconds,
-        heal_commits,
+        respawns: account.respawns,
+        heal_latency_seconds: account.heal_latency_seconds,
+        heal_commits: account.heal_commits,
         heal_stall_seconds,
-        recovered_voting_seconds,
+        recovered_voting_seconds: account.recovered_seconds,
         events,
     }
 }

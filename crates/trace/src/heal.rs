@@ -1,11 +1,15 @@
 //! Shared attempt accounting: the one implementation of the arithmetic
-//! behind `masked_failures`, `degraded_sphere_seconds` and
-//! `recovered_voting_seconds`.
+//! behind `masked_failures`, `degraded_sphere_seconds`,
+//! `recovered_voting_seconds`, `respawns` and `heal_latency_seconds`.
 //!
 //! The resilient executor and the trace [`analyzer`](crate::analyzer) must
 //! agree on these totals **bit for bit** (the cross-check suite asserts
-//! exact equality), so both call the same pure functions over the same
-//! inputs in the same order:
+//! exact equality), so both keep one [`HealLedger`] per attempt: they feed
+//! it every respawn commit as it happens
+//! ([`HealLedger::commit`] — the executor from its heal transition, the
+//! analyzer from `RespawnCommit` events) and close it at the attempt end
+//! ([`HealLedger::close`]) into the attempt's [`AttemptAccount`]. Closing
+//! runs the pure functions below over the same inputs in the same order:
 //!
 //! * `deaths` — every scheduled fail-stop of the attempt, including the
 //!   re-sampled deaths of respawned incarnations, as `(physical rank,
@@ -15,7 +19,8 @@
 //! * `commits` — one `(sphere, relative commit time)` entry per healed
 //!   sphere per heal cycle, in emission order with same-cycle duplicates
 //!   collapsed (a cycle healing two replicas of one sphere commits that
-//!   sphere once). Empty when nothing healed.
+//!   sphere once). Empty when nothing healed. The ledger is the only place
+//!   that collapses them.
 //!
 //! A sphere's degraded interval opens at its first member death from full
 //! strength, provided that death falls strictly before the attempt end,
@@ -25,11 +30,76 @@
 //! to its last — the totals the determinism gate pins; the unit tests keep
 //! that closed form as a reference oracle.
 
+/// One attempt's heal bookkeeping, fed one respawn commit at a time.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct HealLedger {
+    respawns: u64,
+    heal_latency_seconds: f64,
+    commits: Vec<(u32, f64)>,
+}
+
+/// What one closed attempt adds to the run totals.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttemptAccount {
+    /// Process deaths masked by redundancy ([`masked`]).
+    pub masked: u64,
+    /// The degraded intervals ([`degraded_spans`]).
+    pub degraded_spans: Vec<f64>,
+    /// Their sum.
+    pub degraded_seconds: f64,
+    /// Post-commit full-strength time ([`recovered_seconds`]).
+    pub recovered_seconds: f64,
+    /// Replicas respawned: one per [`HealLedger::commit`].
+    pub respawns: u64,
+    /// Death-to-rejoin latency, summed in commit order.
+    pub heal_latency_seconds: f64,
+    /// `(sphere, relative commit time)` per healed sphere per heal cycle.
+    pub heal_commits: Vec<(u32, f64)>,
+}
+
+impl HealLedger {
+    /// One respawned replica of `sphere` rejoined at `rel_commit` (relative
+    /// to the attempt start), `latency` seconds after it died.
+    pub fn commit(&mut self, sphere: u32, rel_commit: f64, latency: f64) {
+        self.respawns += 1;
+        self.heal_latency_seconds += latency;
+        // One commit per healed sphere per cycle: a cycle that respawns
+        // two replicas of one sphere commits it once.
+        if !self.commits.contains(&(sphere, rel_commit)) {
+            self.commits.push((sphere, rel_commit));
+        }
+    }
+
+    /// Closes the attempt: `rel_end`, `rel_failure` and `killer` are the
+    /// values its `AttemptEnd` event carries.
+    pub fn close(
+        self,
+        spheres: &[Vec<u32>],
+        deaths: &[(u32, f64)],
+        completed: bool,
+        rel_end: f64,
+        rel_failure: f64,
+        killer: Option<u32>,
+    ) -> AttemptAccount {
+        let degraded_spans = degraded_spans(spheres, deaths, &self.commits, rel_end);
+        AttemptAccount {
+            masked: masked(spheres, deaths, completed, rel_end, rel_failure, killer),
+            // Summed per attempt with a left fold: the one order the
+            // floating-point total is formed in.
+            degraded_seconds: degraded_spans.iter().fold(0.0f64, |acc, &s| acc + s),
+            degraded_spans,
+            recovered_seconds: recovered_seconds(spheres, deaths, &self.commits, rel_end),
+            respawns: self.respawns,
+            heal_latency_seconds: self.heal_latency_seconds,
+            heal_commits: self.commits,
+        }
+    }
+}
+
 /// Per-sphere degraded intervals, in sphere order then chronological
 /// order, each clipped to `rel_end` (the attempt end relative to its
-/// start). The caller sums them with a left fold (see
-/// [`degraded_seconds`]) and may also feed each span to the
-/// degraded-interval histogram.
+/// start). [`HealLedger::close`] sums them; the executor also feeds each
+/// span to the degraded-interval histogram.
 pub fn degraded_spans(
     spheres: &[Vec<u32>],
     deaths: &[(u32, f64)],
@@ -55,7 +125,6 @@ pub fn degraded_spans(
 
         let mut live = full;
         let mut open: Option<f64> = None;
-        let mut dead = false;
         for (t, is_commit) in events {
             // Nothing at or past the attempt end opens or closes anything
             // the clipped tail below does not already account for.
@@ -77,30 +146,16 @@ pub fn degraded_spans(
                     if let Some(o) = open.take() {
                         spans.push(t - o);
                     }
-                    dead = true;
                     break;
                 }
             }
         }
-        if !dead {
-            if let Some(o) = open {
-                spans.push(rel_end - o);
-            }
+        // Still degraded when the attempt ended: clip the tail.
+        if let Some(o) = open {
+            spans.push(rel_end - o);
         }
     }
     spans
-}
-
-/// Total degraded-sphere seconds: the left fold of [`degraded_spans`].
-/// Executor and analyzer both call this, so the floating-point sum is
-/// formed in one canonical order.
-pub fn degraded_seconds(
-    spheres: &[Vec<u32>],
-    deaths: &[(u32, f64)],
-    commits: &[(u32, f64)],
-    rel_end: f64,
-) -> f64 {
-    degraded_spans(spheres, deaths, commits, rel_end).iter().fold(0.0f64, |acc, &s| acc + s)
 }
 
 /// Recovered voting-seconds: for each heal commit, the span the healed
@@ -162,6 +217,39 @@ mod tests {
     /// 2 spheres × 2 replicas: sphere 0 = {0, 2}, sphere 1 = {1, 3}.
     fn spheres() -> Vec<Vec<u32>> {
         vec![vec![0, 2], vec![1, 3]]
+    }
+
+    /// The degraded total of an attempt with these commits, as a closed
+    /// ledger reports it.
+    fn degraded_seconds(
+        spheres: &[Vec<u32>],
+        deaths: &[(u32, f64)],
+        commits: &[(u32, f64)],
+        rel_end: f64,
+    ) -> f64 {
+        let ledger = HealLedger { commits: commits.to_vec(), ..HealLedger::default() };
+        ledger.close(spheres, deaths, true, rel_end, f64::INFINITY, None).degraded_seconds
+    }
+
+    #[test]
+    fn ledger_commits_a_sphere_once_per_cycle() {
+        // At 3x, one cycle respawns two replicas of sphere 0 at the same
+        // commit instant; a later cycle respawns one of them again.
+        let spheres = || vec![vec![0, 2, 4], vec![1, 3, 5]];
+        let mut ledger = HealLedger::default();
+        ledger.commit(0, 5.0, 3.0);
+        ledger.commit(0, 5.0, 1.5);
+        ledger.commit(0, 8.0, 0.5);
+        let deaths = [(0, 2.0), (2, 3.5), (0, 7.5)];
+        let account = ledger.close(&spheres(), &deaths, true, 10.0, f64::INFINITY, None);
+        assert_eq!(account.heal_commits, vec![(0, 5.0), (0, 8.0)]);
+        assert_eq!(account.respawns, 3);
+        assert_eq!(account.heal_latency_seconds, (3.0 + 1.5) + 0.5);
+        // Degraded 2→5 and 7.5→8; recovered 5→7.5 and 8→10.
+        assert_eq!(account.degraded_spans, vec![3.0, 0.5]);
+        assert_eq!(account.degraded_seconds, 3.5);
+        assert_eq!(account.recovered_seconds, 2.5 + 2.0);
+        assert_eq!(account.masked, 3);
     }
 
     #[test]

@@ -28,6 +28,8 @@ use redcr_core::{ExecutorConfig, ResilientExecutor};
 use redcr_sweep::spec::fnv1a;
 use redcr_trace::Trace;
 
+mod common;
+
 fn gate_run() -> redcr_core::ExecutionReport<CgState> {
     let cfg = ExecutorConfig::new(8, 2.0)
         .node_mtbf(150.0)
@@ -87,4 +89,9 @@ fn gate_scenario_is_run_to_run_deterministic() {
     let b = gate_run();
     assert_eq!(a.total_virtual_time.to_bits(), b.total_virtual_time.to_bits());
     assert_eq!(a.trace.as_ref().unwrap().to_jsonl(), b.trace.as_ref().unwrap().to_jsonl());
+}
+
+#[test]
+fn failure_log_agrees_with_the_report() {
+    common::assert_failure_log_agrees("gate", &gate_run());
 }

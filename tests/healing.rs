@@ -12,6 +12,8 @@ use redcr_core::{ExecutionReport, ExecutorConfig, ResilientExecutor};
 use redcr_sweep::spec::fnv1a;
 use redcr_trace::{Analysis, EventKind};
 
+mod common;
+
 fn heal_cfg(policy: HealPolicy) -> ExecutorConfig {
     ExecutorConfig::new(4, 3.0)
         .node_mtbf(60.0)
@@ -187,4 +189,11 @@ fn healing_run_validates_against_repair_extended_model() {
     assert!(json.contains("\"respawns\""));
     assert!(json.contains("\"repair_rate\""));
     assert!(json.contains("\"heal_stall_seconds\""));
+}
+
+#[test]
+fn failure_log_agrees_with_the_report_under_every_policy() {
+    for policy in [HealPolicy::Never, HealPolicy::OnDegrade, HealPolicy::AtCheckpoint] {
+        common::assert_failure_log_agrees(&format!("{policy:?}"), &heal_run(policy));
+    }
 }

@@ -6,7 +6,10 @@
 use redcr::apps::cg::CgConfig;
 use redcr::core::apps::CgApp;
 use redcr::core::{ExecutorConfig, ResilientExecutor};
+use redcr::red::HealPolicy;
 use redcr::trace::{Analysis, EventKind, Trace};
+
+mod common;
 
 fn cg_app(n: usize, iterations: u64, pad: f64) -> CgApp {
     CgApp::new(CgConfig::small(n), iterations).with_step_pad(pad)
@@ -144,4 +147,66 @@ fn tracing_disabled_leaves_no_trace_and_costs_nothing() {
     assert_eq!(plain.attempts, traced.attempts);
     assert_eq!(plain.masked_failures, traced.masked_failures);
     assert_eq!(plain.checkpoints_committed, traced.checkpoints_committed);
+}
+
+#[test]
+fn masked_failures_count_the_deaths_beside_a_later_attempts_killer() {
+    // Seed 0 restarts twice. Its second attempt starts at
+    // 14.300148947999988 and injects rank 7 at rel 8.787396831599551 — the
+    // death that kills sphere 3 = {3, 7} — after ranks 2 and 4 died masked.
+    // Forming the failure time as `(start + d) − start` lands one ulp below
+    // `d`, drops the killer from `d <= rel_failure`, counts one masked
+    // death there instead of two, and reported 6 where the failure log
+    // shows 7.
+    let report = ResilientExecutor::new(storm_config().seed(0)).run(&cg_app(32, 30, 1.0)).unwrap();
+    assert_eq!((report.attempts, report.failures), (3, 2));
+    assert_eq!(report.masked_failures, 7);
+    let analysis = Analysis::analyze(report.trace.as_ref().unwrap()).unwrap();
+    assert_eq!(analysis.totals().masked_failures, 7);
+    let second = &analysis.attempts[1];
+    assert_eq!(second.start, 14.300148947999988);
+    assert_eq!((second.killer, second.rel_failure), (Some(3), 8.787396831599551));
+    assert_eq!(second.masked, 2);
+}
+
+#[test]
+fn rel_failure_is_the_killing_deaths_own_relative_time() {
+    // Over forty storm schedules, every failed attempt's bracket carries,
+    // bit for bit, the `Injected.rel` of a member of its killer sphere —
+    // also in attempts that do not start at 0, where a round trip through
+    // absolute time would be off by an ulp half the time.
+    let (mut failed, mut restarted_late) = (0, 0);
+    for seed in 0..40 {
+        let report =
+            ResilientExecutor::new(storm_config().seed(seed)).run(&cg_app(32, 30, 1.0)).unwrap();
+        let analysis = Analysis::analyze(report.trace.as_ref().unwrap()).unwrap();
+        for a in analysis.attempts.iter().filter(|a| !a.completed) {
+            let members =
+                &analysis.spheres[a.killer.expect("a failed attempt names its killer") as usize];
+            assert!(
+                a.injected.iter().any(|&(rank, rel)| {
+                    members.contains(&rank) && rel.to_bits() == a.rel_failure.to_bits()
+                }),
+                "seed {seed} attempt {}: rel_failure {:?} is no death of sphere {members:?}: {:?}",
+                a.attempt,
+                a.rel_failure,
+                a.injected
+            );
+            failed += 1;
+            restarted_late += usize::from(a.start > 0.0);
+        }
+    }
+    assert!(failed >= 40 && restarted_late >= 10, "{failed} failed, {restarted_late} of them late");
+}
+
+#[test]
+fn failure_log_agrees_with_the_report_across_storm_seeds() {
+    for seed in 0..10 {
+        let never = storm_config().seed(seed);
+        let healing = never.clone().heal_policy(HealPolicy::OnDegrade);
+        for (what, cfg) in [("never", never), ("on-degrade", healing)] {
+            let report = ResilientExecutor::new(cfg).run(&cg_app(32, 30, 1.0)).unwrap();
+            common::assert_failure_log_agrees(&format!("{what} seed {seed}"), &report);
+        }
+    }
 }

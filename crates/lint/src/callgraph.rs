@@ -61,13 +61,70 @@ const CONDVAR_METHODS: &[&str] = &["wait", "wait_timeout", "wait_while", "wait_t
 /// not claim these: `.clear()` on a `VecDeque` is not `Mailbox::clear`
 /// just because the workspace happens to define `clear` exactly once.
 const STD_METHOD_NAMES: &[&str] = &[
-    "all", "any", "append", "as_ref", "borrow", "borrow_mut", "chars", "clear", "clone", "cloned",
-    "collect", "contains", "copied", "count", "drain", "entry", "enumerate", "extend", "filter",
-    "find", "first", "flatten", "fold", "get", "get_mut", "insert", "into_iter", "is_empty",
-    "iter", "iter_mut", "join", "keys", "last", "len", "load", "map", "max", "min", "next",
-    "pop", "pop_front", "position", "push", "push_back", "push_str", "remove", "retain", "rev",
-    "skip", "sort", "sort_by", "sort_by_key", "split", "split_off", "store", "sum", "swap",
-    "take", "to_string", "truncate", "values", "windows", "write", "zip",
+    "all",
+    "any",
+    "append",
+    "as_ref",
+    "borrow",
+    "borrow_mut",
+    "chars",
+    "clear",
+    "clone",
+    "cloned",
+    "collect",
+    "contains",
+    "copied",
+    "count",
+    "drain",
+    "entry",
+    "enumerate",
+    "extend",
+    "filter",
+    "find",
+    "first",
+    "flatten",
+    "fold",
+    "get",
+    "get_mut",
+    "insert",
+    "into_iter",
+    "is_empty",
+    "iter",
+    "iter_mut",
+    "join",
+    "keys",
+    "last",
+    "len",
+    "load",
+    "map",
+    "max",
+    "min",
+    "next",
+    "pop",
+    "pop_front",
+    "position",
+    "push",
+    "push_back",
+    "push_str",
+    "remove",
+    "retain",
+    "rev",
+    "skip",
+    "sort",
+    "sort_by",
+    "sort_by_key",
+    "split",
+    "split_off",
+    "store",
+    "sum",
+    "swap",
+    "take",
+    "to_string",
+    "truncate",
+    "values",
+    "windows",
+    "write",
+    "zip",
 ];
 
 /// Result of the interprocedural pass.
@@ -164,8 +221,7 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
             if can_park[i] {
                 continue;
             }
-            let reaches =
-                targets[i].iter().any(|t| t.candidates().iter().any(|&c| can_park[c]));
+            let reaches = targets[i].iter().any(|t| t.candidates().iter().any(|&c| can_park[c]));
             if reaches {
                 can_park[i] = true;
                 changed = true;
@@ -181,8 +237,7 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
         .iter()
         .enumerate()
         .filter(|(_, f)| {
-            f.is_closure
-                && f.passed_to.as_deref().is_some_and(|p| SPAWNER_SEGMENTS.contains(&p))
+            f.is_closure && f.passed_to.as_deref().is_some_and(|p| SPAWNER_SEGMENTS.contains(&p))
         })
         .map(|(i, _)| i)
         .collect();
@@ -285,8 +340,15 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
     for start in 0..n {
         if state[start] == 0 {
             dfs_bound(
-                start, fns, &targets, &mut bound, &mut chain, &mut state, &mut recursive,
-                &mut cycles, &mut Vec::new(),
+                start,
+                fns,
+                &targets,
+                &mut bound,
+                &mut chain,
+                &mut state,
+                &mut recursive,
+                &mut cycles,
+                &mut Vec::new(),
             );
         }
     }
@@ -625,7 +687,15 @@ fn dfs_bound(
                 // fresh path: CHA-widened edges must not manufacture
                 // cycles across delegation wrappers.
                 0 if dispatch => dfs_bound(
-                    c, fns, targets, bound, chain, state, recursive, cycles, &mut Vec::new(),
+                    c,
+                    fns,
+                    targets,
+                    bound,
+                    chain,
+                    state,
+                    recursive,
+                    cycles,
+                    &mut Vec::new(),
                 ),
                 0 => dfs_bound(c, fns, targets, bound, chain, state, recursive, cycles, path),
                 1 => {
@@ -635,9 +705,10 @@ fn dfs_bound(
                     // Back edge: record the cycle c → … → i → c.
                     if let Some(pos) = path.iter().position(|&p| p == c) {
                         let cyc: Vec<usize> = path[pos..].to_vec();
-                        if !cycles.iter().any(|k| {
-                            k.len() == cyc.len() && k.iter().all(|x| cyc.contains(x))
-                        }) {
+                        if !cycles
+                            .iter()
+                            .any(|k| k.len() == cyc.len() && k.iter().all(|x| cyc.contains(x)))
+                        {
                             cycles.push(cyc);
                         }
                     }

@@ -119,9 +119,9 @@ pub fn lint_workspace_with(root: &Path, cfg: &Config) -> Result<Report, String> 
         }
         report.suppressions_used += out.suppressions_used;
     }
-    report.violations.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
-    });
+    report
+        .violations
+        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(report)
 }
 
@@ -154,9 +154,9 @@ pub fn lint_source(rel_name: &str, domain: Domain, src: &str) -> Report {
     let out = rules::apply_suppressions(rel_name, &lexed.suppressions, &mut report.violations);
     report.bad_suppressions = out.bad_suppressions;
     report.suppressions_used = out.suppressions_used;
-    report.violations.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
-    });
+    report
+        .violations
+        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     report
 }
 

@@ -77,9 +77,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    let callgraph_path = callgraph_path.or_else(|| {
-        json_path.as_ref().map(|j| j.with_file_name("detlint-callgraph.jsonl"))
-    });
+    let callgraph_path = callgraph_path
+        .or_else(|| json_path.as_ref().map(|j| j.with_file_name("detlint-callgraph.jsonl")));
     if let Some(path) = &callgraph_path {
         if let Err(e) = std::fs::write(path, report.callgraph.to_jsonl()) {
             eprintln!("detlint: writing {}: {e}", path.display());

@@ -140,15 +140,15 @@ pub enum LoopKind {
 const KEYWORDS: &[&str] = &[
     "if", "else", "while", "for", "loop", "match", "return", "in", "as", "move", "fn", "let",
     "ref", "mut", "break", "continue", "unsafe", "where", "impl", "dyn", "box", "use", "pub",
-    "const", "static", "struct", "enum", "trait", "type", "mod", "self", "Self", "super",
-    "crate", "await", "async",
+    "const", "static", "struct", "enum", "trait", "type", "mod", "self", "Self", "super", "crate",
+    "await", "async",
 ];
 
 fn is_keyword(s: &str) -> bool {
     KEYWORDS.contains(&s)
 }
 
-fn ident_at<'t>(toks: &'t [Token], i: usize) -> Option<&'t str> {
+fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
     match toks.get(i).map(|t| &t.tok) {
         Some(Tok::Ident(s)) => Some(s.as_str()),
         _ => None,
@@ -260,10 +260,8 @@ fn find_owner_spans(toks: &[Token]) -> Vec<(usize, usize, String)> {
                 Tok::Punct('{') => break,
                 Tok::Punct(';') => break, // `trait X: Y;`-ish degenerate
                 Tok::Punct('<') => depth += 1,
-                Tok::Punct('>') => {
-                    if !punct_at(toks, j.wrapping_sub(1), '-') {
-                        depth -= 1;
-                    }
+                Tok::Punct('>') if !punct_at(toks, j.wrapping_sub(1), '-') => {
+                    depth -= 1;
                 }
                 Tok::Ident(s) if s == "where" && depth <= 0 => break,
                 Tok::Ident(s) if s == "for" && depth <= 0 => name = None,
@@ -293,12 +291,10 @@ fn skip_angles(toks: &[Token], open: usize) -> usize {
     while j < toks.len() {
         match &toks[j].tok {
             Tok::Punct('<') => depth += 1,
-            Tok::Punct('>') => {
-                if !punct_at(toks, j.wrapping_sub(1), '-') {
-                    depth -= 1;
-                    if depth == 0 {
-                        return j + 1;
-                    }
+            Tok::Punct('>') if !punct_at(toks, j.wrapping_sub(1), '-') => {
+                depth -= 1;
+                if depth == 0 {
+                    return j + 1;
                 }
             }
             Tok::Punct('{') | Tok::Punct(';') => return j, // bail out: malformed
@@ -389,13 +385,15 @@ fn parse_params(toks: &[Token], start: usize, end: usize) -> (Vec<String>, u64) 
         match &toks[j].tok {
             Tok::Punct('(') | Tok::Punct('[') => depth += 1,
             Tok::Punct(')') | Tok::Punct(']') => depth = depth.saturating_sub(1),
-            Tok::Ident(s) => {
-                if depth == 1 && punct_at(toks, j + 1, ':') && !punct_at(toks, j + 2, ':') {
-                    if s != "self" && !is_keyword(s) {
-                        names.push(s.clone());
-                        bytes += LOCAL_SLOT_BYTES;
-                    }
-                }
+            Tok::Ident(s)
+                if depth == 1
+                    && punct_at(toks, j + 1, ':')
+                    && !punct_at(toks, j + 2, ':')
+                    && s != "self"
+                    && !is_keyword(s) =>
+            {
+                names.push(s.clone());
+                bytes += LOCAL_SLOT_BYTES;
             }
             _ => {}
         }
@@ -453,8 +451,11 @@ fn array_type_bytes(toks: &[Token], open: usize, limit: usize) -> Option<(u64, u
 }
 
 fn parse_numeric(text: &str) -> Option<u64> {
-    let digits: String =
-        text.chars().take_while(|c| c.is_ascii_digit() || *c == '_').filter(|c| *c != '_').collect();
+    let digits: String = text
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || *c == '_')
+        .filter(|c| *c != '_')
+        .collect();
     if digits.is_empty() {
         return None;
     }
@@ -591,16 +592,9 @@ fn parse_body(ctx: &mut BodyCtx<'_>, toks: &[Token], start: usize, end: usize) {
                 i = handle_let(ctx, toks, i, end);
             }
             Tok::Ident(_) | Tok::Punct('.') => {
-                if let Some(next) = try_call(
-                    ctx,
-                    toks,
-                    i,
-                    end,
-                    &mut guards,
-                    &loop_stack,
-                    &mut paren_stack,
-                    depth,
-                ) {
+                if let Some(next) =
+                    try_call(ctx, toks, i, end, &mut guards, &loop_stack, &mut paren_stack, depth)
+                {
                     i = next;
                 } else {
                     i += 1;
@@ -642,10 +636,8 @@ fn handle_let(ctx: &mut BodyCtx<'_>, toks: &[Token], at: usize, end: usize) -> u
                         Tok::Punct('=') if adepth <= 0 && !punct_at(toks, k + 1, '=') => break,
                         Tok::Punct(';') if adepth <= 0 => break,
                         Tok::Punct('<') => adepth += 1,
-                        Tok::Punct('>') => {
-                            if !punct_at(toks, k.wrapping_sub(1), '-') {
-                                adepth -= 1;
-                            }
+                        Tok::Punct('>') if !punct_at(toks, k.wrapping_sub(1), '-') => {
+                            adepth -= 1;
                         }
                         Tok::Punct('[') => {
                             if let Some((sz, after)) = array_type_bytes(toks, k, end) {
@@ -711,12 +703,13 @@ fn parse_closure(
                 Tok::Punct('(') | Tok::Punct('[') => depth += 1,
                 Tok::Punct(')') | Tok::Punct(']') => depth -= 1,
                 Tok::Punct('|') if depth <= 0 => break,
-                Tok::Ident(s) if !is_keyword(s) => {
+                Tok::Ident(s)
+                    if !is_keyword(s)
                     // Param idents; lowercase type idents after `:` are
                     // harmless extras in the local set.
-                    if s.chars().next().is_some_and(|c| c.is_lowercase() || c == '_') {
-                        params.push(s.clone());
-                    }
+                    && s.chars().next().is_some_and(|c| c.is_lowercase() || c == '_') =>
+                {
+                    params.push(s.clone());
                 }
                 _ => {}
             }
@@ -981,7 +974,9 @@ fn handle_lock(
         return;
     }
     // `==`/`!=`/`+=` etc. are not bindings.
-    if k >= 2 && matches!(&toks[k - 2].tok, Tok::Punct(c) if matches!(c, '=' | '!' | '<' | '>' | '+' | '-' | '*' | '/' | '&' | '|' | '^')) {
+    if k >= 2
+        && matches!(&toks[k - 2].tok, Tok::Punct(c) if matches!(c, '=' | '!' | '<' | '>' | '+' | '-' | '*' | '/' | '&' | '|' | '^'))
+    {
         return;
     }
     let mut b = k - 1;

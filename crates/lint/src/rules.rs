@@ -41,15 +41,35 @@ pub struct RuleInfo {
 /// old allows keep parsing (none retired yet).
 pub const RULES: &[RuleInfo] = &[
     RuleInfo { id: "R1", summary: "wall-clock reads in virtual-time code", interprocedural: false },
-    RuleInfo { id: "R2", summary: "randomized-iteration-order collections", interprocedural: false },
+    RuleInfo {
+        id: "R2",
+        summary: "randomized-iteration-order collections",
+        interprocedural: false,
+    },
     RuleInfo { id: "R3", summary: "unseeded randomness", interprocedural: false },
     RuleInfo { id: "R4", summary: "panics in rank-thread hot paths", interprocedural: false },
     RuleInfo { id: "R5", summary: "lock-order cycles", interprocedural: false },
     RuleInfo { id: "R6", summary: "Relaxed atomic orderings (advisory)", interprocedural: false },
-    RuleInfo { id: "R7", summary: "park/yield reachable under a live lock guard", interprocedural: true },
-    RuleInfo { id: "R8", summary: "OS-blocking calls reachable from a coroutine", interprocedural: true },
-    RuleInfo { id: "R9", summary: "coroutine stack bound over budget / recursion", interprocedural: true },
-    RuleInfo { id: "R10", summary: "non-cooperative spin loop in coroutine code", interprocedural: true },
+    RuleInfo {
+        id: "R7",
+        summary: "park/yield reachable under a live lock guard",
+        interprocedural: true,
+    },
+    RuleInfo {
+        id: "R8",
+        summary: "OS-blocking calls reachable from a coroutine",
+        interprocedural: true,
+    },
+    RuleInfo {
+        id: "R9",
+        summary: "coroutine stack bound over budget / recursion",
+        interprocedural: true,
+    },
+    RuleInfo {
+        id: "R10",
+        summary: "non-cooperative spin loop in coroutine code",
+        interprocedural: true,
+    },
 ];
 
 /// Whether `id` names a registered rule.
@@ -689,7 +709,8 @@ mod tests {
     fn unknown_rule_in_allow_is_flagged_and_suppresses_nothing() {
         // `R99` was never a rule; `R2` would fire but the allow names the
         // wrong id, so the finding stays live AND the typo is reported.
-        let src = "// detlint::allow(R99, reason = \"typo'd rule id\")\nuse std::collections::HashMap;\n";
+        let src =
+            "// detlint::allow(R99, reason = \"typo'd rule id\")\nuse std::collections::HashMap;\n";
         let (vs, out) = run_suppressed(Domain::Virtual, src);
         assert_eq!(vs.len(), 1);
         assert!(vs[0].suppressed.is_none(), "unknown rule must not suppress");

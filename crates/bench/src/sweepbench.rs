@@ -23,9 +23,9 @@
 //! Everything here is deterministic: a repeated invocation against a warm
 //! cache reports 100% hits and writes byte-identical JSON.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use redcr_json::Writer;
 use redcr_model::optimizer::{crossover, optimal_redundancy, throughput_break_even, RGrid};
 use redcr_sweep::cache::ResultCache;
 use redcr_sweep::engine::{run_sweep, SweepError, SweepReport};
@@ -216,10 +216,6 @@ pub fn landmarks(preset: SweepPreset) -> SweepLandmarks {
     }
 }
 
-fn opt_u64(v: Option<u64>) -> String {
-    v.map(|n| n.to_string()).unwrap_or_else(|| "null".into())
-}
-
 /// Renders the full output document (canonical key order, one scenario
 /// per line). Cache hit/miss accounting is deliberately *not* part of the
 /// document: warm and cold runs must produce byte-identical files.
@@ -231,38 +227,33 @@ pub fn render_doc(
     marks: &SweepLandmarks,
 ) -> String {
     let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"redcr-sweep-grid/1\",");
-    let _ = writeln!(out, "  \"preset\": \"{}\",", preset.name());
-    let _ = writeln!(out, "  \"landmarks\": {{");
-    let _ = writeln!(out, "    \"cross_1x_2x\": {},", opt_u64(marks.cross_1x_2x));
-    let _ = writeln!(out, "    \"cross_1x_3x\": {},", opt_u64(marks.cross_1x_3x));
-    let _ = writeln!(out, "    \"throughput_2x\": {},", opt_u64(marks.throughput_2x));
-    let _ = writeln!(out, "    \"triple_best_beyond\": {},", opt_u64(marks.triple_best_beyond));
-    out.push_str("    \"optimal_degree_by_mtbf\": [");
-    for (i, (mtbf, degree)) in marks.optimal_degree_by_mtbf.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{mtbf},{degree}]");
+    let mut w = Writer::document(&mut out, "redcr-sweep-grid/1");
+    w.field("preset", preset.name());
+    w.key("landmarks").begin_object();
+    w.field("cross_1x_2x", marks.cross_1x_2x).field("cross_1x_3x", marks.cross_1x_3x);
+    w.field("throughput_2x", marks.throughput_2x);
+    w.field("triple_best_beyond", marks.triple_best_beyond);
+    w.key("optimal_degree_by_mtbf").inline().begin_array();
+    for (mtbf, degree) in &marks.optimal_degree_by_mtbf {
+        w.begin_array().value(mtbf).value(degree).end_array();
     }
-    out.push_str("]\n  },\n");
-    let _ = writeln!(out, "  \"scenarios\": [");
-    for (i, e) in report.entries.iter().enumerate() {
-        let comma = if i + 1 == report.entries.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"hash\":\"{:016x}\",\"multiplicity\":{},\"spec\":{},\"result\":{}}}{comma}",
-            e.hash,
-            e.multiplicity,
-            e.spec.render_json(),
-            e.result.render_json()
-        );
+    w.end_array().end_object();
+    w.key("scenarios").begin_array();
+    for e in &report.entries {
+        w.inline().begin_object();
+        w.field("hash", format!("{:016x}", e.hash)).field("multiplicity", e.multiplicity);
+        w.key("spec");
+        e.spec.write_json(&mut w);
+        w.key("result");
+        e.result.write_json(&mut w);
+        w.end_object();
     }
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"pareto\": {},", pareto::render_json(front));
-    let _ = writeln!(out, "  \"pareto_groups\": {}", pareto::render_groups_json(groups));
-    out.push_str("}\n");
+    w.end_array();
+    w.key("pareto").inline();
+    pareto::write_json(&mut w, front);
+    w.key("pareto_groups").inline();
+    pareto::write_groups_json(&mut w, groups);
+    w.end_document();
     out
 }
 

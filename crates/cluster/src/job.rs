@@ -1,9 +1,7 @@
 //! Job configuration for the timeline simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// When is the job exposed to failures?
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FailureExposure {
     /// Failures can strike at any time, including during checkpoints and
     /// restarts — the assumption of the paper's analytic model
@@ -20,7 +18,7 @@ pub enum FailureExposure {
 }
 
 /// A job to simulate. All durations share one unit (the benches use hours).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobConfig {
     /// Total useful work the job must complete (`t`, or `t_Red` under
     /// redundancy).

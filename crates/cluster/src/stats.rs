@@ -1,10 +1,8 @@
 //! Simulation outcomes: the four-bucket time breakdown of the paper's
 //! Table 2 (work / checkpoint / recompute / restart).
 
-use serde::{Deserialize, Serialize};
-
 /// Where a finished job's time went.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct JobStats {
     /// Total wallclock, `T_total`.
     pub total_time: f64,

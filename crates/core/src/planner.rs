@@ -7,8 +7,6 @@
 //! fewest node-hours, or a weighted blend) and it recommends the
 //! redundancy degree and checkpoint interval.
 
-use serde::{Deserialize, Serialize};
-
 use redcr_model::combined::{CombinedConfig, CombinedOutcome, IntervalPolicy};
 use redcr_model::optimizer::{optimal_by_cost, CostWeights, RGrid};
 use redcr_model::reliability::Approximation;
@@ -17,7 +15,7 @@ use crate::config::ExecutorConfig;
 use crate::Result;
 
 /// A recommended configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// Recommended redundancy degree `r`.
     pub degree: f64,

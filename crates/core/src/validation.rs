@@ -24,8 +24,8 @@
 //! relative error stays under 20%.
 
 use std::fmt;
-use std::fmt::Write as _;
 
+use redcr_json::Writer;
 use redcr_model::checkpointing::{lost_work, restart_rework, total_time};
 use redcr_model::redundancy::{redundant_time, SystemModel};
 use redcr_model::repair::RepairModel;
@@ -363,79 +363,43 @@ impl ModelValidation {
     }
 
     /// Renders the report as a self-describing JSON document
-    /// (`"schema": "redcr-model-validation/1"`). Written by hand — the
-    /// workspace vendors no JSON library; finite floats use Rust's
-    /// shortest round-trip `Display`, non-finite values become `null`.
+    /// (`"schema": "redcr-model-validation/1"`); non-finite values (an
+    /// infinite node MTBF, say) become `null`.
     pub fn to_json(&self) -> String {
-        fn num(out: &mut String, x: f64) {
-            if x.is_finite() {
-                let _ = write!(out, "{x}");
-            } else {
-                out.push_str("null");
-            }
+        let mut out = String::with_capacity(1024);
+        let mut w = Writer::document(&mut out, "redcr-model-validation/1");
+        w.key("config").begin_object();
+        w.field("n_virtual", self.n_virtual).field("degree", self.degree);
+        w.field("node_mtbf", self.node_mtbf);
+        w.field("checkpoint_interval", self.checkpoint_interval);
+        w.field("restart_cost", self.restart_cost).field("seed", self.seed).end_object();
+        w.key("measured").begin_object();
+        w.key("ranks").begin_array();
+        for r in &self.ranks {
+            w.begin_object().field("rank", r.rank).field("alpha", r.alpha);
+            w.field("busy", r.busy).field("comm", r.comm).field("replicas", r.replicas);
+            w.end_object();
         }
-        let mut o = String::with_capacity(1024);
-        o.push_str("{\n  \"schema\": \"redcr-model-validation/1\",\n  \"config\": {");
-        let _ = write!(o, "\"n_virtual\": {}, \"degree\": ", self.n_virtual);
-        num(&mut o, self.degree);
-        o.push_str(", \"node_mtbf\": ");
-        num(&mut o, self.node_mtbf);
-        o.push_str(", \"checkpoint_interval\": ");
-        num(&mut o, self.checkpoint_interval);
-        o.push_str(", \"restart_cost\": ");
-        num(&mut o, self.restart_cost);
-        let _ = write!(o, ", \"seed\": {}}},\n  \"measured\": {{\n    \"ranks\": [", self.seed);
-        for (i, r) in self.ranks.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            let _ = write!(o, "\n      {{\"rank\": {}, \"alpha\": ", r.rank);
-            num(&mut o, r.alpha);
-            o.push_str(", \"busy\": ");
-            num(&mut o, r.busy);
-            o.push_str(", \"comm\": ");
-            num(&mut o, r.comm);
-            let _ = write!(o, ", \"replicas\": {}}}", r.replicas);
-        }
-        o.push_str("\n    ],\n    \"mean_alpha\": ");
-        num(&mut o, self.mean_alpha);
-        o.push_str(",\n    \"critical_path_alpha\": ");
-        num(&mut o, self.critical_path_alpha);
-        o.push_str(",\n    \"commit_latency_mean\": ");
-        num(&mut o, self.commit_latency_mean);
-        let _ = write!(
-            o,
-            ",\n    \"commits\": {}, \"attempts\": {}, \"failures\": {}, \"masked_failures\": {},",
-            self.commits, self.attempts, self.failures, self.masked_failures
-        );
-        let _ = write!(o, "\n    \"respawns\": {}, \"heal_latency_seconds\": ", self.respawns);
-        num(&mut o, self.heal_latency_seconds);
-        o.push_str(", \"recovered_voting_seconds\": ");
-        num(&mut o, self.recovered_voting_seconds);
-        o.push_str(", \"heal_stall_seconds\": ");
-        num(&mut o, self.heal_stall_seconds);
-        o.push_str(",\n    \"observed_total\": ");
-        num(&mut o, self.observed_total);
-        o.push_str("\n  },\n  \"model\": {\n    \"t_red\": ");
-        num(&mut o, self.t_red);
-        o.push_str(",\n    \"t_app\": ");
-        num(&mut o, self.t_app);
-        o.push_str(",\n    \"repair_rate\": ");
-        num(&mut o, self.repair_rate);
-        o.push_str(",\n    \"lambda\": ");
-        num(&mut o, self.lambda);
-        o.push_str(",\n    \"system_mtbf\": ");
-        num(&mut o, self.system_mtbf);
-        o.push_str(",\n    \"t_lost_work\": ");
-        num(&mut o, self.t_lost_work);
-        o.push_str(",\n    \"t_restart_rework\": ");
-        num(&mut o, self.t_restart_rework);
-        o.push_str(",\n    \"predicted_total\": ");
-        num(&mut o, self.predicted_total);
-        o.push_str("\n  },\n  \"relative_error\": ");
-        num(&mut o, self.relative_error);
-        o.push_str("\n}\n");
-        o
+        w.end_array();
+        w.field("mean_alpha", self.mean_alpha);
+        w.field("critical_path_alpha", self.critical_path_alpha);
+        w.field("commit_latency_mean", self.commit_latency_mean);
+        w.field("commits", self.commits).field("attempts", self.attempts);
+        w.field("failures", self.failures).field("masked_failures", self.masked_failures);
+        w.field("respawns", self.respawns);
+        w.field("heal_latency_seconds", self.heal_latency_seconds);
+        w.field("recovered_voting_seconds", self.recovered_voting_seconds);
+        w.field("heal_stall_seconds", self.heal_stall_seconds);
+        w.field("observed_total", self.observed_total).end_object();
+        w.key("model").begin_object();
+        w.field("t_red", self.t_red).field("t_app", self.t_app);
+        w.field("repair_rate", self.repair_rate).field("lambda", self.lambda);
+        w.field("system_mtbf", self.system_mtbf).field("t_lost_work", self.t_lost_work);
+        w.field("t_restart_rework", self.t_restart_rework);
+        w.field("predicted_total", self.predicted_total).end_object();
+        w.field("relative_error", self.relative_error);
+        w.end_document();
+        out
     }
 }
 

@@ -9,13 +9,11 @@
 //! the `window` study use the per-process model, as the paper's injector
 //! does; this is the ablation counterpart).
 
-use serde::{Deserialize, Serialize};
-
 use crate::poisson::ExpSampler;
 use crate::schedule::{FailureSchedule, ReplicaGroups};
 
 /// A placement of physical processes onto nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodePlacement {
     /// `node_of[p]` = node hosting physical process `p`.
     node_of: Vec<usize>,

@@ -1,13 +1,11 @@
 //! Failure schedules: sampled per-process death times and the sphere
 //! structure that decides when the *job* (rather than a process) fails.
 
-use serde::{Deserialize, Serialize};
-
 use crate::poisson::ExpSampler;
 
 /// The virtual→physical grouping: `groups[v]` lists the physical process
 /// ids forming virtual process `v`'s replica sphere.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaGroups {
     groups: Vec<Vec<usize>>,
     n_physical: usize,
@@ -126,7 +124,7 @@ impl ReplicaGroups {
 }
 
 /// One attempt's sampled failure times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureSchedule {
     /// `death_time[p]`: seconds (relative to attempt start) at which
     /// physical process `p` fail-stops. Always finite: under a Poisson

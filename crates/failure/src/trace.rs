@@ -1,9 +1,7 @@
 //! Failure event traces for post-run analysis.
 
-use serde::{Deserialize, Serialize};
-
 /// One physical-process failure observed during an attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureEvent {
     /// Attempt in which the failure occurred.
     pub attempt: u64,
@@ -16,7 +14,7 @@ pub struct FailureEvent {
 }
 
 /// An append-only log of failure events.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FailureTrace {
     events: Vec<FailureEvent>,
 }

@@ -25,8 +25,8 @@
 //!
 //! R1–R4 and R6 are per-file token scans. R5 and R7–R10 are
 //! interprocedural: hot + virtual files are parsed into a lightweight AST
-//! ([`parser`]), resolved into a whole-workspace call graph rooted at the
-//! coroutine entry points, and analyzed in [`callgraph`]. The graph and
+//! (`parser`), resolved into a whole-workspace call graph rooted at the
+//! coroutine entry points, and analyzed in `callgraph`. The graph and
 //! the per-root stack bounds are exported as a JSONL artifact.
 //!
 //! Domains are assigned per crate in `detlint.toml`. Suppress a finding

@@ -1,7 +1,9 @@
-//! Lint findings and report rendering: human text and the repo's
-//! established dependency-free JSONL.
+//! Lint findings and report rendering: human text and JSONL (one compact
+//! `redcr-json` object per line).
 
 use std::fmt::Write as _;
+
+use redcr_json::Writer;
 
 /// One finding.
 #[derive(Debug, Clone)]
@@ -135,39 +137,38 @@ impl CallGraph {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.edges {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"call_edge\",\"caller\":\"{}\",\"callee\":\"{}\",\"file\":\"{}\",\"line\":{}}}",
-                esc(&e.caller),
-                esc(&e.callee),
-                esc(&e.file),
-                e.line,
-            );
+            line(&mut out, "call_edge", |w| {
+                w.field("caller", &e.caller).field("callee", &e.callee);
+                w.field("file", &e.file).field("line", e.line);
+            });
         }
         for r in &self.roots {
-            let path: Vec<String> = r.path.iter().map(|p| format!("\"{}\"", esc(p))).collect();
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"root\",\"root\":\"{}\",\"file\":\"{}\",\"line\":{},\"bound_bytes\":{},\"frames\":{},\"recursive\":{},\"path\":[{}]}}",
-                esc(&r.root),
-                esc(&r.file),
-                r.line,
-                r.bound_bytes,
-                r.frames,
-                r.recursive,
-                path.join(","),
-            );
+            line(&mut out, "root", |w| {
+                w.field("root", &r.root).field("file", &r.file).field("line", r.line);
+                w.field("bound_bytes", r.bound_bytes).field("frames", r.frames);
+                w.field("recursive", r.recursive).key("path").begin_array();
+                for p in &r.path {
+                    w.value(p);
+                }
+                w.end_array();
+            });
         }
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"summary\",\"functions\":{},\"edges\":{},\"roots\":{},\"max_bound_bytes\":{}}}",
-            self.functions,
-            self.edges.len(),
-            self.roots.len(),
-            self.max_bound_bytes(),
-        );
+        line(&mut out, "summary", |w| {
+            w.field("functions", self.functions).field("edges", self.edges.len());
+            w.field("roots", self.roots.len()).field("max_bound_bytes", self.max_bound_bytes());
+        });
         out
     }
+}
+
+/// Appends one JSONL line: an object opening with its `kind` member,
+/// then whatever `members` writes.
+fn line(out: &mut String, kind: &str, members: impl FnOnce(&mut Writer<'_>)) {
+    let mut w = Writer::compact(out);
+    w.begin_object().field("kind", kind);
+    members(&mut w);
+    w.end_object();
+    out.push('\n');
 }
 
 impl Report {
@@ -271,86 +272,46 @@ impl Report {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for v in &self.violations {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"violation\",\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"advisory\":{},\"suppressed\":{},\"reason\":{},\"message\":\"{}\",\"rationale\":\"{}\"}}",
-                v.rule,
-                esc(&v.file),
-                v.line,
-                v.advisory,
-                v.suppressed.is_some(),
-                match &v.suppressed {
-                    Some(r) => format!("\"{}\"", esc(r)),
-                    None => "null".to_string(),
-                },
-                esc(&v.message),
-                esc(v.rationale),
-            );
+            line(&mut out, "violation", |w| {
+                w.field("rule", v.rule).field("file", &v.file).field("line", v.line);
+                w.field("advisory", v.advisory).field("suppressed", v.suppressed.is_some());
+                w.field("reason", &v.suppressed).field("message", &v.message);
+                w.field("rationale", v.rationale);
+            });
         }
         for e in &self.lock_edges {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"lock_edge\",\"held\":\"{}\",\"acquired\":\"{}\",\"file\":\"{}\",\"line\":{},\"fn\":\"{}\"}}",
-                esc(&e.held),
-                esc(&e.acquired),
-                esc(&e.file),
-                e.line,
-                esc(&e.func),
-            );
+            line(&mut out, "lock_edge", |w| {
+                w.field("held", &e.held).field("acquired", &e.acquired);
+                w.field("file", &e.file).field("line", e.line).field("fn", &e.func);
+            });
         }
         for b in &self.bad_suppressions {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"bad_suppression\",\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"missing_reason\":{},\"unknown_rule\":{}}}",
-                esc(&b.rule),
-                esc(&b.file),
-                b.line,
-                b.missing_reason,
-                b.unknown_rule,
-            );
+            line(&mut out, "bad_suppression", |w| {
+                w.field("rule", &b.rule).field("file", &b.file).field("line", b.line);
+                w.field("missing_reason", b.missing_reason).field("unknown_rule", b.unknown_rule);
+            });
         }
         // `rules` lists the ids with live unsuppressed findings, so CI can
         // grep one line to gate on specific rules.
         let mut live: Vec<&str> = self.unsuppressed().map(|v| v.rule).collect();
         live.sort_unstable();
         live.dedup();
-        let rules: Vec<String> = live.iter().map(|r| format!("\"{r}\"")).collect();
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"summary\",\"files\":{},\"findings\":{},\"suppressed\":{},\"unsuppressed\":{},\"rules\":[{}],\"bad_suppressions\":{},\"lock_classes\":{},\"lock_edges\":{},\"coroutine_roots\":{},\"max_stack_bound_bytes\":{},\"clean\":{}}}",
-            self.files_scanned,
-            self.violations.len(),
-            self.suppressions_used,
-            self.unsuppressed().count(),
-            rules.join(","),
-            self.bad_suppressions.len(),
-            self.lock_classes.len(),
-            self.lock_edges.len(),
-            self.callgraph.roots.len(),
-            self.callgraph.max_bound_bytes(),
-            self.is_clean(),
-        );
+        line(&mut out, "summary", |w| {
+            w.field("files", self.files_scanned).field("findings", self.violations.len());
+            w.field("suppressed", self.suppressions_used);
+            w.field("unsuppressed", self.unsuppressed().count()).key("rules").begin_array();
+            for rule in live {
+                w.value(rule);
+            }
+            w.end_array().field("bad_suppressions", self.bad_suppressions.len());
+            w.field("lock_classes", self.lock_classes.len());
+            w.field("lock_edges", self.lock_edges.len());
+            w.field("coroutine_roots", self.callgraph.roots.len());
+            w.field("max_stack_bound_bytes", self.callgraph.max_bound_bytes());
+            w.field("clean", self.is_clean());
+        });
         out
     }
-}
-
-/// Minimal JSON string escaping (mirrors `trace::jsonl`).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -373,6 +334,90 @@ mod tests {
         assert!(j.contains("a\\\"b.rs"));
         assert!(j.lines().last().unwrap().contains("\"clean\":false"));
         assert!(!r.is_clean());
+    }
+
+    /// Every line kind of both artifacts, byte for byte as the parent
+    /// commit's `format!` strings rendered them.
+    #[test]
+    fn jsonl_matches_the_golden_bytes() {
+        let mut r = Report { files_scanned: 3, suppressions_used: 1, ..Report::default() };
+        r.violations.push(Violation {
+            rule: "R1",
+            file: "crates/a\"b\\c.rs".into(),
+            line: 3,
+            advisory: false,
+            message: "`Instant`\treferenced\r\n\u{1}é".into(),
+            rationale: "wall clock",
+            suppressed: None,
+        });
+        r.violations.push(Violation {
+            rule: "R9",
+            file: "f.rs".into(),
+            line: 7,
+            advisory: true,
+            message: "m".into(),
+            rationale: "r",
+            suppressed: Some("depth \"bounded\"".into()),
+        });
+        r.lock_classes = vec!["a::x".into(), "b::y".into()];
+        r.lock_edges.push(LockEdge {
+            held: "a::x".into(),
+            acquired: "b::y".into(),
+            file: "g.rs".into(),
+            line: 11,
+            func: "f".into(),
+        });
+        r.bad_suppressions.push(BadSuppression {
+            file: "h.rs".into(),
+            line: 2,
+            rule: "R99".into(),
+            missing_reason: false,
+            unknown_rule: true,
+        });
+        r.callgraph = CallGraph {
+            functions: 5,
+            edges: vec![CallEdge {
+                caller: "A::f".into(),
+                callee: "g".into(),
+                file: "x.rs".into(),
+                line: 4,
+            }],
+            roots: vec![RootBound {
+                root: "World::run::{closure@197}".into(),
+                file: "w.rs".into(),
+                line: 197,
+                bound_bytes: 4096,
+                frames: 3,
+                recursive: false,
+                path: vec!["World::run::{closure@197}".into(), "A::f".into(), "g".into()],
+            }],
+        };
+        assert_eq!(
+            r.to_jsonl(),
+            concat!(
+                r#"{"kind":"violation","rule":"R1","file":"crates/a\"b\\c.rs","line":3,"advisory":false,"suppressed":false,"reason":null,"message":"`Instant`\treferenced\r\n\u0001é","rationale":"wall clock"}"#,
+                "\n",
+                r#"{"kind":"violation","rule":"R9","file":"f.rs","line":7,"advisory":true,"suppressed":true,"reason":"depth \"bounded\"","message":"m","rationale":"r"}"#,
+                "\n",
+                r#"{"kind":"lock_edge","held":"a::x","acquired":"b::y","file":"g.rs","line":11,"fn":"f"}"#,
+                "\n",
+                r#"{"kind":"bad_suppression","rule":"R99","file":"h.rs","line":2,"missing_reason":false,"unknown_rule":true}"#,
+                "\n",
+                r#"{"kind":"summary","files":3,"findings":2,"suppressed":1,"unsuppressed":1,"rules":["R1"],"bad_suppressions":1,"lock_classes":2,"lock_edges":1,"coroutine_roots":1,"max_stack_bound_bytes":4096,"clean":false}"#,
+                "\n",
+            )
+        );
+        assert_eq!(
+            r.callgraph.to_jsonl(),
+            concat!(
+                r#"{"kind":"call_edge","caller":"A::f","callee":"g","file":"x.rs","line":4}"#,
+                "\n",
+                r#"{"kind":"root","root":"World::run::{closure@197}","file":"w.rs","line":197,"bound_bytes":4096,"frames":3,"recursive":false,"path":["World::run::{closure@197}","A::f","g"]}"#,
+                "\n",
+                r#"{"kind":"summary","functions":5,"edges":1,"roots":1,"max_bound_bytes":4096}"#,
+                "\n",
+            )
+        );
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! rework. Each failure costs a restart of (up to) `R` plus the recomputation
 //! of the work lost since the last completed checkpoint.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_non_negative, ensure_positive, ModelError};
 use crate::Result;
 
@@ -126,7 +124,7 @@ pub fn young_interval(c: f64, theta: f64) -> Result<f64> {
 }
 
 /// Policy for choosing the checkpoint interval `δ`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum IntervalPolicy {
     /// Daly's higher-order interval (Eq. 15) — the paper's choice.
     #[default]

@@ -7,8 +7,6 @@
 //! expected wallclock time at redundancy degree `r` with checkpoint interval
 //! `δ`?
 
-use serde::{Deserialize, Serialize};
-
 pub use crate::checkpointing::IntervalPolicy;
 
 use crate::checkpointing::{lost_work, restart_rework, total_time};
@@ -21,7 +19,7 @@ use crate::{ModelError, Result};
 /// Full configuration of a combined C/R + redundancy run.
 ///
 /// All durations are in **hours**. Construct via [`CombinedConfig::builder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CombinedConfig {
     /// `N`: number of virtual (application-visible) processes.
     pub n_virtual: u64,
@@ -208,7 +206,7 @@ impl CombinedConfig {
 }
 
 /// Which rendering of the paper's simplified experimental model to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimplifiedForm {
     /// The formula exactly as printed in Section 6(5):
     /// `T = t_Red + t_Red·√(2cΘ) + t_Red·λ_sys·R`. Note the middle term is
@@ -222,7 +220,7 @@ pub enum SimplifiedForm {
 }
 
 /// Everything the combined model predicts for one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CombinedOutcome {
     /// The evaluated configuration (for provenance).
     pub config: CombinedConfig,

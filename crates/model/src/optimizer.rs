@@ -6,13 +6,11 @@
 //! HPC users can trade additional nodes for shorter wallclock time. The
 //! functions here mechanize that trade-off.
 
-use serde::{Deserialize, Serialize};
-
 use crate::combined::{CombinedConfig, CombinedOutcome};
 use crate::{ModelError, Result};
 
 /// A grid of candidate redundancy degrees.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RGrid(Vec<f64>);
 
 impl RGrid {
@@ -62,7 +60,7 @@ impl RGrid {
 }
 
 /// Result of a redundancy-degree search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BestDegree {
     /// The winning degree.
     pub degree: f64,
@@ -93,7 +91,7 @@ pub fn optimal_redundancy(cfg: &CombinedConfig, grid: &RGrid) -> Result<BestDegr
 /// about finishing fast uses [`CostWeights::time_only`]; a capacity-computing
 /// site that pays per node-hour uses [`CostWeights::resources_only`] or a
 /// blend.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Weight of the wallclock term, per hour.
     pub time_weight: f64,

@@ -14,8 +14,6 @@
 //! When `r` is a positive integer, `N⌊r⌋ = 0` and every virtual process has
 //! exactly `r` replicas.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_in_range, ModelError};
 use crate::Result;
 
@@ -34,7 +32,7 @@ pub const MAX_DEGREE: f64 = 16.0;
 ///
 /// [`Interleaved`]: AssignmentStrategy::Interleaved
 /// [`Blocked`]: AssignmentStrategy::Blocked
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AssignmentStrategy {
     /// Spread the extra replicas evenly across the rank space (paper default:
     /// for `r = 1.5` every even rank gets the extra replica).
@@ -46,7 +44,7 @@ pub enum AssignmentStrategy {
 
 /// The partition of `N` virtual processes induced by a (possibly fractional)
 /// redundancy degree `r` (Eqs. 5–8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RedundancyPartition {
     n_virtual: u64,
     degree: f64,

@@ -1,8 +1,6 @@
 //! Redundant execution time and system-level reliability under partial
 //! redundancy (paper Eq. 1 and Eqs. 9–10).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_in_range, ensure_non_negative, ensure_positive};
 use crate::partition::RedundancyPartition;
 use crate::reliability::{node_failure_probability, Approximation};
@@ -28,7 +26,7 @@ pub fn redundant_time(t: f64, alpha: f64, r: f64) -> Result<f64> {
 
 /// A system of `N` virtual processes at redundancy degree `r`, used to
 /// evaluate Eqs. 9–10.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemModel {
     partition: RedundancyPartition,
     /// Per-node MTBF `θ` (same unit as the times passed to methods).
@@ -37,7 +35,7 @@ pub struct SystemModel {
 }
 
 /// System-level reliability figures derived from Eqs. 9–10.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemReliability {
     /// `R_sys`: probability that every virtual process survives the horizon.
     pub reliability: f64,

@@ -6,13 +6,11 @@
 //! failure probability to `t/θ` (Eq. 3); both forms are provided here and an
 //! ablation bench quantifies where they diverge.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_non_negative, ensure_positive};
 use crate::Result;
 
 /// Which functional form to use for single-node failure probability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Approximation {
     /// The paper's first-order form `Pr(fail) = t/θ` (Eq. 3), clamped to 1.
     ///

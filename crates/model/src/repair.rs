@@ -36,8 +36,6 @@
 //! mean time for `r` exponential deaths), and for `r = 1` repair never
 //! applies (there is no donor), so `T = θ` for every `μ`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_non_negative, ensure_positive};
 use crate::partition::RedundancyPartition;
 use crate::redundancy::SystemReliability;
@@ -82,7 +80,7 @@ pub fn sphere_mean_lifetime(replicas: u64, node_mtbf: f64, repair_rate: f64) -> 
 /// A system of `N` virtual processes at redundancy degree `r` whose
 /// degraded spheres are healed at rate `μ`: the repair-rate extension of
 /// [`SystemModel`](crate::redundancy::SystemModel).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepairModel {
     partition: RedundancyPartition,
     node_mtbf: f64,

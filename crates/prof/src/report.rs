@@ -3,6 +3,8 @@
 
 use std::fmt::Write as _;
 
+use redcr_json::Writer;
+
 use crate::keys::{CounterKey, SpanKey, TrackKey};
 use crate::registry::ProfScope;
 use crate::shard::{ProfDrain, TrackSample};
@@ -151,70 +153,45 @@ impl ProfReport {
     /// stable) plus sparse per-scope breakdowns.
     pub fn to_json(&self, scenario: &str) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"redcr-prof/1\",\n");
-        let _ = writeln!(out, "  \"scenario\": {},", quote(scenario));
-        out.push_str("  \"totals\": {\n");
-        out.push_str("    \"spans\": {\n");
-        for (i, key) in SpanKey::ALL.iter().enumerate() {
-            let st = self.total_span(*key);
-            let _ = write!(
-                out,
-                "      {}: {{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}, \"mean_ns\": {}}}",
-                quote(key.name()),
-                st.count,
-                st.total_ns,
-                st.max_ns,
-                num(st.mean_ns()),
-            );
-            out.push_str(if i + 1 < SpanKey::COUNT { ",\n" } else { "\n" });
+        let mut w = Writer::document(&mut out, "redcr-prof/1");
+        w.field("scenario", scenario);
+        w.key("totals").begin_object();
+        w.key("spans").begin_object();
+        for key in SpanKey::ALL {
+            let st = self.total_span(key);
+            w.key(key.name()).inline().begin_object();
+            span_members(&mut w, st).field("mean_ns", st.mean_ns()).end_object();
         }
-        out.push_str("    },\n");
-        out.push_str("    \"counters\": {\n");
-        for (i, key) in CounterKey::ALL.iter().enumerate() {
-            let _ = write!(out, "      {}: {}", quote(key.name()), self.total_counter(*key));
-            out.push_str(if i + 1 < CounterKey::COUNT { ",\n" } else { "\n" });
+        w.end_object();
+        w.key("counters").begin_object();
+        for key in CounterKey::ALL {
+            w.field(key.name(), self.total_counter(key));
         }
-        out.push_str("    }\n  },\n");
-        out.push_str("  \"scopes\": [\n");
-        for (i, scope) in self.scopes.iter().enumerate() {
-            let _ = write!(out, "    {{\"scope\": {}, \"spans\": {{", quote(scope.label()));
-            let mut first = true;
+        w.end_object().end_object();
+        w.key("scopes").begin_array();
+        for scope in &self.scopes {
+            w.inline().begin_object().field("scope", scope.label());
+            w.key("spans").begin_object();
             for key in SpanKey::ALL {
                 let st = scope.span(key);
-                if st.count == 0 {
-                    continue;
+                if st.count > 0 {
+                    w.key(key.name()).begin_object();
+                    span_members(&mut w, st).end_object();
                 }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "{}: {{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
-                    quote(key.name()),
-                    st.count,
-                    st.total_ns,
-                    st.max_ns,
-                );
             }
-            out.push_str("}, \"counters\": {");
-            let mut first = true;
+            w.end_object();
+            w.key("counters").begin_object();
             for key in CounterKey::ALL {
                 let v = scope.counter(key);
-                if v == 0 {
-                    continue;
+                if v > 0 {
+                    w.field(key.name(), v);
                 }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                let _ = write!(out, "{}: {}", quote(key.name()), v);
             }
-            let _ = write!(out, "}}, \"samples_dropped\": {}}}", scope.samples_dropped());
-            out.push_str(if i + 1 < self.scopes.len() { ",\n" } else { "\n" });
+            w.end_object();
+            w.field("samples_dropped", scope.samples_dropped()).end_object();
         }
-        out.push_str("  ]\n}\n");
+        w.end_array();
+        w.end_document();
         out
     }
 
@@ -280,33 +257,8 @@ impl ProfReport {
     }
 }
 
-// Tiny handwritten-JSON helpers, same conventions as the other handwritten
-// exports in this workspace (the workspace vendors no JSON library).
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
+fn span_members<'w, 'a>(w: &'w mut Writer<'a>, st: SpanStat) -> &'w mut Writer<'a> {
+    w.field("count", st.count).field("total_ns", st.total_ns).field("max_ns", st.max_ns)
 }
 
 #[cfg(test)]

@@ -591,7 +591,7 @@ fn home_workers(n: usize, workers: usize, keys: Option<&[u32]>) -> Vec<usize> {
 ///
 /// `keys[i]` is task `i`'s affinity key: tasks with equal or neighbouring
 /// keys exchange the most messages and are homed on the same worker (see
-/// [`home_workers`]). Placement never changes what a task computes, only
+/// `home_workers`). Placement never changes what a task computes, only
 /// which OS thread runs it; the threads backend ignores it.
 ///
 /// When `profiler` is supplied, each worker records a `worker{k}` shard:

@@ -37,13 +37,13 @@
 //!
 //! # Abort finality
 //!
-//! World runs attach a [`Quiesce`] to every mailbox: a blocked wait then
+//! World runs attach a `Quiesce` to every mailbox: a blocked wait then
 //! resolves to [`Outcome::Aborted`] only once the abort is **final** —
 //! every rank has either finished or parked with no committed wake
 //! outstanding, so the mailbox state can never change again. This is
 //! what makes physical message counts bit-identical run-to-run on both
 //! execution backends even when a run ends in an abort; see the
-//! [`Quiesce`] docs for the token protocol.
+//! `Quiesce` docs for the token protocol.
 //!
 //! # Lock order
 //!

@@ -109,7 +109,7 @@ impl WorldBuilder {
 
     /// Sets the telemetry sinks (default: all off). Every rank gets an
     /// [`Obs`](crate::Obs) handle, reachable through
-    /// [`Communicator::obs`](crate::Communicator::obs), with a rank-local
+    /// [`Communicator::obs`], with a rank-local
     /// shard per enabled sink: the runtime records sends, receives and
     /// deaths, the mailbox times its waits and pushes, and interposition
     /// layers add their own. Shards merge into the sinks at rank teardown

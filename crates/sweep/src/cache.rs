@@ -6,14 +6,17 @@
 //! The `spec` object is stored for auditability (a cache line is
 //! self-describing); lookups go through the hash alone.
 //!
-//! The file format is append-only and tolerant: unparsable lines are
-//! counted and skipped, never served. A later line for the same hash wins
-//! (re-appends after a version bump of the encoding simply shadow).
+//! The file format is append-only and tolerant: the loader parses each
+//! line whole, and a line that is not one complete object with a 16-hex
+//! `hash` and a well-formed `result` — a torn write, say — is counted and
+//! skipped, never served. A later line for the same hash wins (re-appends
+//! after a version bump of the encoding simply shadow).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use redcr_json::{Error, Value, Writer};
 
 use crate::spec::ScenarioSpec;
 
@@ -45,85 +48,65 @@ impl ScenarioResult {
     /// Canonical JSON object: fixed key order, shortest round-trip float
     /// formatting, `null` for divergent wallclock/resources.
     pub fn render_json(&self) -> String {
-        let opt = |v: Option<f64>| match v {
-            Some(x) if x.is_finite() => format!("{x}"),
-            _ => "null".into(),
-        };
-        format!(
-            "{{\"total_time_hours\":{},\"node_hours\":{},\"completion_rate\":{},\
-             \"mean_failures\":{},\"mean_masked_failures\":{},\"mean_checkpoints\":{},\
-             \"mean_attempts\":{}}}",
-            opt(self.total_time_hours),
-            opt(self.node_hours),
-            self.completion_rate,
-            self.mean_failures,
-            self.mean_masked_failures,
-            self.mean_checkpoints,
-            self.mean_attempts,
-        )
+        let mut out = String::with_capacity(192);
+        self.write_json(&mut Writer::compact(&mut out));
+        out
+    }
+
+    /// Writes [`render_json`](Self::render_json)'s object as `w`'s next
+    /// value.
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        w.begin_object()
+            .field("total_time_hours", self.total_time_hours)
+            .field("node_hours", self.node_hours)
+            .field("completion_rate", self.completion_rate)
+            .field("mean_failures", self.mean_failures)
+            .field("mean_masked_failures", self.mean_masked_failures)
+            .field("mean_checkpoints", self.mean_checkpoints)
+            .field("mean_attempts", self.mean_attempts)
+            .end_object();
+    }
+
+    /// Reads back what [`write_json`](Self::write_json) wrote.
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        Ok(ScenarioResult {
+            total_time_hours: v.req("total_time_hours")?,
+            node_hours: v.req("node_hours")?,
+            completion_rate: v.req("completion_rate")?,
+            mean_failures: v.req("mean_failures")?,
+            mean_masked_failures: v.req("mean_masked_failures")?,
+            mean_checkpoints: v.req("mean_checkpoints")?,
+            mean_attempts: v.req("mean_attempts")?,
+        })
     }
 }
 
 /// Renders one full cache line (no trailing newline).
 pub fn render_line(spec: &ScenarioSpec, result: &ScenarioResult) -> String {
-    let mut out = String::with_capacity(256);
-    let _ = write!(
-        out,
-        "{{\"hash\":\"{}\",\"spec\":{},\"result\":{}}}",
-        spec.hash_hex(),
-        spec.render_json(),
-        result.render_json()
-    );
+    let mut out = String::with_capacity(512);
+    let mut w = Writer::compact(&mut out);
+    w.begin_object().field("hash", spec.hash_hex()).key("spec");
+    spec.write_json(&mut w);
+    w.key("result");
+    result.write_json(&mut w);
+    w.end_object();
     out
 }
 
-/// Parses the `"hash"` and `"result"` fields of a cache line.
-pub fn parse_line(line: &str) -> Option<(u64, ScenarioResult)> {
-    let hash_str = str_field(line, "hash")?;
-    if hash_str.len() != 16 {
-        return None;
-    }
-    let hash = u64::from_str_radix(hash_str, 16).ok()?;
-    let marker = "\"result\":{";
-    let start = line.find(marker)? + marker.len();
-    let body = &line[start..line.len().checked_sub(1)?];
-    let result = ScenarioResult {
-        total_time_hours: opt_number_field(body, "total_time_hours")?,
-        node_hours: opt_number_field(body, "node_hours")?,
-        completion_rate: opt_number_field(body, "completion_rate")??,
-        mean_failures: opt_number_field(body, "mean_failures")??,
-        mean_masked_failures: opt_number_field(body, "mean_masked_failures")??,
-        mean_checkpoints: opt_number_field(body, "mean_checkpoints")??,
-        mean_attempts: opt_number_field(body, "mean_attempts")??,
-    };
-    Some((hash, result))
-}
-
-fn str_field<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let marker = format!("\"{key}\":\"");
-    let start = doc.find(&marker)? + marker.len();
-    let rest = &doc[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// `Some(Some(v))` for a number, `Some(None)` for `null`, `None` when the
-/// key is missing or malformed.
-fn opt_number_field(body: &str, key: &str) -> Option<Option<f64>> {
-    let marker = format!("\"{key}\":");
-    let start = body.find(&marker)? + marker.len();
-    let rest = &body[start..];
-    if let Some(stripped) = rest.strip_prefix("null") {
-        // Guard against a key that merely *starts* like null (e.g. a
-        // string value): the next char must terminate the field.
-        if stripped.is_empty() || stripped.starts_with([',', '}']) {
-            return Some(None);
-        }
-        return None;
-    }
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok().map(Some)
+/// Parses a whole cache line and reads its `"hash"` and `"result"`
+/// members.
+///
+/// # Errors
+///
+/// The line is not one complete JSON object, its `hash` is not 16 hex
+/// digits, or its `result` lacks a member or has one of the wrong type.
+pub fn parse_line(line: &str) -> Result<(u64, ScenarioResult), Error> {
+    let v = redcr_json::parse(line)?;
+    let hash = Some(v.req::<&str>("hash")?)
+        .filter(|h| h.len() == 16 && h.bytes().all(|b| b.is_ascii_hexdigit()))
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .ok_or(Error::Mismatch { key: "hash".into(), expected: "16 hex digits" })?;
+    Ok((hash, ScenarioResult::from_json(v.req("result")?)?))
 }
 
 /// The persistent scenario-result store.
@@ -157,10 +140,10 @@ impl ResultCache {
                         continue;
                     }
                     match parse_line(line) {
-                        Some((hash, result)) => {
+                        Ok((hash, result)) => {
                             entries.insert(hash, result);
                         }
-                        None => malformed += 1,
+                        Err(_) => malformed += 1,
                     }
                 }
             }
@@ -200,7 +183,8 @@ impl ResultCache {
     pub fn append_batch(&mut self, batch: &[(ScenarioSpec, ScenarioResult)]) -> io::Result<()> {
         let mut text = String::new();
         for (spec, result) in batch {
-            let _ = writeln!(text, "{}", render_line(spec, result));
+            text.push_str(&render_line(spec, result));
+            text.push('\n');
             self.entries.insert(spec.hash(), *result);
         }
         if let Some(path) = &self.path {
@@ -303,19 +287,110 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn malformed_lines_are_skipped_not_served() {
-        let dir = std::env::temp_dir()
-            .join(format!("redcr_sweep_cache_malformed_{}", std::process::id()));
+    /// Writes `text` as a cache file and opens it.
+    fn open_text(tag: &str, text: &str) -> ResultCache {
+        let dir =
+            std::env::temp_dir().join(format!("redcr_sweep_cache_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.jsonl");
-        let good = render_line(&spec(), &result());
-        std::fs::write(&path, format!("not json\n{good}\n{{\"hash\":\"zz\"}}\n")).unwrap();
+        std::fs::write(&path, text).unwrap();
         let cache = ResultCache::open(&path).expect("open");
+        let _ = std::fs::remove_dir_all(&dir);
+        cache
+    }
+
+    #[test]
+    fn malformed_lines_are_skipped_not_served() {
+        let good = render_line(&spec(), &result());
+        let cache = open_text("malformed", &format!("not json\n{good}\n{{\"hash\":\"zz\"}}\n"));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.malformed_lines(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A write torn anywhere leaves a proper prefix of a line. The old
+    /// substring scanner served one cut 2–5 bytes short of the end with
+    /// `mean_attempts` 12.7, 12, 12 and 1.
+    #[test]
+    fn every_proper_prefix_of_a_line_is_rejected() {
+        let line = render_line(&spec(), &ScenarioResult { mean_attempts: 12.75, ..result() });
+        assert!(line.ends_with("\"mean_attempts\":12.75}}"));
+        let torn: String = (1..line.len()).map(|cut| format!("{}\n", &line[..cut])).collect();
+        let cache = open_text("torn", &torn);
+        assert_eq!(cache.len(), 0, "a torn line was served");
+        assert_eq!(cache.malformed_lines(), line.len() - 1);
+    }
+
+    /// `hash` and `result` are the line's own top-level members: text
+    /// inside a string value, or a member nested elsewhere, is not them.
+    #[test]
+    fn members_are_found_by_structure_not_by_substring() {
+        let real = render_line(&spec(), &result());
+        let decoy = "\"hash\":\"0000000000000000\",\"result\":{\"mean_attempts\":9}";
+        let mut noted = String::new();
+        Writer::compact(&mut noted).begin_object().field("note", decoy).end_object();
+        // {"note":"…decoy…","hash":"<real>",…}
+        let line = format!("{},{}", &noted[..noted.len() - 1], &real[1..]);
+        assert_eq!(parse_line(&line), Ok((spec().hash(), result())));
+        // The decoy as a nested member, and nothing at the top level.
+        assert!(parse_line(&format!("{{\"spec\":{{{decoy}}}}}")).is_err());
+        for bad_hash in ["+00000000000000f", "0000000000000000f", "000000000000000g"] {
+            let line = real.replacen(&spec().hash_hex(), bad_hash, 1);
+            assert!(parse_line(&line).is_err(), "{bad_hash}");
+        }
+    }
+
+    /// The bytes the parent commit rendered for these inputs.
+    #[test]
+    fn rendering_matches_the_golden_bytes() {
+        let spec = ScenarioSpec {
+            backend: Backend::Simulator,
+            n_virtual: 128,
+            degree: 2.25,
+            policy: SpecPolicy::Fixed(0.75),
+            node_mtbf_hours: 12.0,
+            workload: Workload {
+                base_time_hours: 46.0 / 60.0,
+                alpha: 0.2,
+                checkpoint_cost_hours: 120.0 / 3600.0,
+                restart_cost_hours: 500.0 / 3600.0,
+            },
+            seeds: 32,
+        };
+        let result = ScenarioResult {
+            total_time_hours: Some(130.25),
+            node_hours: Some(1.0e21),
+            completion_rate: 0.96875,
+            mean_failures: 0.0625,
+            mean_masked_failures: 1.0 / 3.0,
+            mean_checkpoints: 12.0,
+            mean_attempts: 12.75,
+        };
+        let golden_result = "{\"total_time_hours\":130.25,\"node_hours\":1000000000000000000000,\
+             \"completion_rate\":0.96875,\"mean_failures\":0.0625,\
+             \"mean_masked_failures\":0.3333333333333333,\"mean_checkpoints\":12,\
+             \"mean_attempts\":12.75}";
+        assert_eq!(result.render_json(), golden_result);
+        assert_eq!(
+            render_line(&spec, &result),
+            format!(
+                "{{\"hash\":\"34cad0374cbd87f2\",\"spec\":{},\"result\":{golden_result}}}",
+                spec.render_json()
+            )
+        );
+        let divergent = ScenarioResult {
+            total_time_hours: None,
+            node_hours: Some(f64::INFINITY),
+            completion_rate: 0.0,
+            mean_failures: 1e-7,
+            ..result
+        };
+        assert_eq!(
+            divergent.render_json(),
+            "{\"total_time_hours\":null,\"node_hours\":null,\"completion_rate\":0,\
+             \"mean_failures\":0.0000001,\"mean_masked_failures\":0.3333333333333333,\
+             \"mean_checkpoints\":12,\"mean_attempts\":12.75}"
+        );
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! on all three objectives and strictly better on one. Divergent
 //! scenarios (no finite wallclock) can never be on the frontier.
 
+use redcr_json::Writer;
+
 use crate::engine::SweepEntry;
 
 /// One frontier point, referencing its sweep entry.
@@ -118,37 +120,42 @@ pub fn grouped_frontiers(entries: &[SweepEntry]) -> Vec<GroupFrontier> {
 /// Canonical JSON array for a frontier (fixed key order, round-trip float
 /// formatting).
 pub fn render_json(front: &[ParetoPoint]) -> String {
-    let mut out = String::from("[");
-    for (i, p) in front.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"entry_index\":{},\"total_time_hours\":{},\"node_hours\":{},\
-             \"completion_rate\":{}}}",
-            p.entry_index, p.total_time_hours, p.node_hours, p.completion_rate
-        ));
-    }
-    out.push(']');
+    let mut out = String::new();
+    write_json(&mut Writer::compact(&mut out), front);
     out
+}
+
+/// Writes [`render_json`]'s array as `w`'s next value.
+pub fn write_json(w: &mut Writer<'_>, front: &[ParetoPoint]) {
+    w.begin_array();
+    for p in front {
+        w.begin_object()
+            .field("entry_index", p.entry_index)
+            .field("total_time_hours", p.total_time_hours)
+            .field("node_hours", p.node_hours)
+            .field("completion_rate", p.completion_rate)
+            .end_object();
+    }
+    w.end_array();
 }
 
 /// Canonical JSON array for grouped frontiers: one object per group with
 /// its 16-hex group hash and the group's frontier points.
 pub fn render_groups_json(groups: &[GroupFrontier]) -> String {
-    let mut out = String::from("[");
-    for (i, g) in groups.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"group\":\"{:016x}\",\"points\":{}}}",
-            g.group,
-            render_json(&g.points)
-        ));
-    }
-    out.push(']');
+    let mut out = String::new();
+    write_groups_json(&mut Writer::compact(&mut out), groups);
     out
+}
+
+/// Writes [`render_groups_json`]'s array as `w`'s next value.
+pub fn write_groups_json(w: &mut Writer<'_>, groups: &[GroupFrontier]) {
+    w.begin_array();
+    for g in groups {
+        w.begin_object().field("group", format!("{:016x}", g.group)).key("points");
+        write_json(w, &g.points);
+        w.end_object();
+    }
+    w.end_array();
 }
 
 #[cfg(test)]

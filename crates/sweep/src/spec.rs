@@ -13,6 +13,7 @@
 //! process layouts. Nothing wall-clock or environment-dependent may ever
 //! leak into it.
 
+use redcr_json::Writer;
 use redcr_model::combined::{CombinedConfig, IntervalPolicy};
 use redcr_model::Result as ModelResult;
 
@@ -238,21 +239,26 @@ impl ScenarioSpec {
     /// Canonical JSON object for this spec: fixed key order, shortest
     /// round-trip float formatting — byte-stable across runs.
     pub fn render_json(&self) -> String {
-        format!(
-            "{{\"backend\":\"{}\",\"n_virtual\":{},\"degree\":{},\"policy\":\"{}\",\
-             \"mtbf_hours\":{},\"base_time_hours\":{},\"alpha\":{},\
-             \"checkpoint_cost_hours\":{},\"restart_cost_hours\":{},\"seeds\":{}}}",
-            self.backend.name(),
-            self.n_virtual,
-            self.degree,
-            self.policy.render(),
-            self.node_mtbf_hours,
-            self.workload.base_time_hours,
-            self.workload.alpha,
-            self.workload.checkpoint_cost_hours,
-            self.workload.restart_cost_hours,
-            self.seeds,
-        )
+        let mut out = String::with_capacity(256);
+        self.write_json(&mut Writer::compact(&mut out));
+        out
+    }
+
+    /// Writes [`render_json`](Self::render_json)'s object as `w`'s next
+    /// value.
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        w.begin_object()
+            .field("backend", self.backend.name())
+            .field("n_virtual", self.n_virtual)
+            .field("degree", self.degree)
+            .field("policy", self.policy.render())
+            .field("mtbf_hours", self.node_mtbf_hours)
+            .field("base_time_hours", self.workload.base_time_hours)
+            .field("alpha", self.workload.alpha)
+            .field("checkpoint_cost_hours", self.workload.checkpoint_cost_hours)
+            .field("restart_cost_hours", self.workload.restart_cost_hours)
+            .field("seeds", self.seeds)
+            .end_object();
     }
 }
 
@@ -364,10 +370,17 @@ mod tests {
         assert_eq!(cfg.alpha, 0.2);
     }
 
+    /// The bytes the parent commit rendered for this spec.
     #[test]
-    fn render_json_is_deterministic() {
-        let s = base_spec();
-        assert_eq!(s.render_json(), s.render_json());
-        assert!(s.render_json().starts_with("{\"backend\":\"simulator\""));
+    fn render_json_matches_the_golden_bytes() {
+        let s = ScenarioSpec { degree: 2.25, policy: SpecPolicy::Fixed(0.75), ..base_spec() };
+        assert_eq!(
+            s.render_json(),
+            "{\"backend\":\"simulator\",\"n_virtual\":128,\"degree\":2.25,\
+             \"policy\":\"fixed:0.75\",\"mtbf_hours\":12,\
+             \"base_time_hours\":0.7666666666666667,\"alpha\":0.2,\
+             \"checkpoint_cost_hours\":0.03333333333333333,\
+             \"restart_cost_hours\":0.1388888888888889,\"seeds\":32}"
+        );
     }
 }

@@ -36,14 +36,14 @@
 //! executor's floating-point order), so they cross-check within tolerance,
 //! not bitwise.
 //!
-//! Send→recv matching is FIFO per `(sender, receiver)` pair. The simulator
-//! orders each `(source, wire-tag)` channel independently, so a program
-//! that interleaves tags out of order between one pair of ranks can be
-//! matched against the wrong in-flight message; the path length is
-//! unaffected (edges stay time-monotone), only the edge attribution
-//! coarsens.
+//! Send→recv matching is [`fifo_pairs`]: FIFO per `(sender, receiver)`
+//! pair. The simulator orders each `(source, wire-tag)` channel
+//! independently, so a program that interleaves tags out of order between
+//! one pair of ranks can be matched against the wrong in-flight message;
+//! the path length is unaffected (edges stay time-monotone), only the edge
+//! attribution coarsens.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::analyzer::{Analysis, AttemptSummary};
 use crate::event::{Event, EventKind};
@@ -225,6 +225,34 @@ fn on_rank_clock(e: &Event) -> bool {
     !matches!(e.kind, EventKind::Injected { .. } | EventKind::HeartbeatMiss { .. })
 }
 
+/// The one send↔recv pairing rule, shared with the Perfetto export's flow
+/// arrows: the k-th `Send` of `src` to `dst` matches the k-th `Recv` of
+/// `dst` from `src`. Returns `(send index, matching recv index)` into
+/// `events`, by channel and then by k.
+///
+/// Pairing is by position within each rank's own stream, never by position
+/// in `events`: a trace is absorbed rank by rank, so a receive of a lower
+/// rank from a higher one sits *before* its send in collection order.
+pub fn fifo_pairs(events: &[Event]) -> Vec<(usize, Option<usize>)> {
+    // (src, dst) -> (send indices, recv indices), each in program order.
+    let mut channels: BTreeMap<(u32, u32), (Vec<usize>, Vec<usize>)> = BTreeMap::new();
+    for (i, e) in events.iter().enumerate() {
+        match (&e.kind, e.rank) {
+            (EventKind::Send { to, .. }, Some(from)) => {
+                channels.entry((from, *to)).or_default().0.push(i);
+            }
+            (EventKind::Recv { from, .. }, Some(to)) => {
+                channels.entry((*from, to)).or_default().1.push(i);
+            }
+            _ => {}
+        }
+    }
+    channels
+        .into_values()
+        .flat_map(|(tx, rx)| tx.into_iter().enumerate().map(move |(k, s)| (s, rx.get(k).copied())))
+        .collect()
+}
+
 /// Builds one attempt's critical path and per-rank blame from its summary.
 fn attempt_path(a: &AttemptSummary) -> AttemptPath {
     // Per-rank event streams in collection order. A rank's recorder is
@@ -239,23 +267,9 @@ fn attempt_path(a: &AttemptSummary) -> AttemptPath {
         }
     }
 
-    // FIFO send→recv matching per (sender, receiver) pair:
     // cross_pred[recv event index] = matching send event index.
-    let mut queues: BTreeMap<(u32, u32), VecDeque<usize>> = BTreeMap::new();
-    let mut cross_pred: BTreeMap<usize, usize> = BTreeMap::new();
-    for (i, e) in a.events.iter().enumerate() {
-        match (&e.kind, e.rank) {
-            (EventKind::Send { to, .. }, Some(from)) => {
-                queues.entry((from, *to)).or_default().push_back(i);
-            }
-            (EventKind::Recv { from, .. }, Some(to)) => {
-                if let Some(s) = queues.entry((*from, to)).or_default().pop_front() {
-                    cross_pred.insert(i, s);
-                }
-            }
-            _ => {}
-        }
-    }
+    let cross_pred: BTreeMap<usize, usize> =
+        fifo_pairs(&a.events).into_iter().filter_map(|(s, r)| Some((r?, s))).collect();
 
     // Position of each event within its rank's stream, for O(1) program
     // predecessors.
@@ -291,7 +305,9 @@ fn attempt_path(a: &AttemptSummary) -> AttemptPath {
                 cross: false,
             });
         }
-        loop {
+        // A happens-before chain visits an event at most once. The bound
+        // only bites on a hand-made trace whose message edges form a cycle.
+        for _ in 0..a.events.len() {
             let e = &a.events[cur];
             let rank = e.rank.expect("path events are rank events");
             let prog = pos_in_rank[&cur].checked_sub(1).map(|p| per_rank[&rank][p]);
@@ -417,40 +433,70 @@ mod tests {
         )
     }
 
-    /// Rank 1 computes 1s, sends; rank 0 receives at 2.0 having been ready
-    /// since 0.5 — the path must route through the message edge.
+    /// Rank 1 computes 2s, sends; rank 0 receives at 2.5 having been ready
+    /// since 0 — the path must route through the message edge, whichever
+    /// side of it was collected first. A trace is absorbed in rank order,
+    /// so the drain order has the receive *before* its send.
     #[test]
     fn path_routes_through_binding_send_edge() {
-        let events = vec![
-            ev(0.0, None, EventKind::AttemptStart { attempt: 0 }),
+        let send = [
             ev(2.0, Some(1), EventKind::Send { to: 0, bytes: 8 }),
+            ev(2.0, Some(1), EventKind::RankFinish { busy: 2.0, comm: 0.0 }),
+        ];
+        let recv = [
             ev(2.5, Some(0), EventKind::Recv { from: 1, bytes: 8 }),
             ev(3.0, Some(0), EventKind::RankFinish { busy: 1.0, comm: 2.0 }),
-            ev(2.0, Some(1), EventKind::RankFinish { busy: 2.0, comm: 0.0 }),
-            end(3.0, 0, 3.0),
+        ];
+        for (what, ranks) in [("send first", [&send, &recv]), ("drain order", [&recv, &send])] {
+            let mut events = vec![ev(0.0, None, EventKind::AttemptStart { attempt: 0 })];
+            events.extend(ranks.into_iter().flatten().cloned());
+            events.push(end(3.0, 0, 3.0));
+            let analysis = Analysis::analyze(&Trace { events }).unwrap();
+            let path = CriticalPath::analyze(&analysis);
+            assert_eq!(path.attempts.len(), 1);
+            let a = &path.attempts[0];
+            // Forward order: rank 1's send (compute), the message edge
+            // (blocked), rank 0's finish (compute).
+            let shape: Vec<(Option<u32>, Blame, bool)> =
+                a.steps.iter().map(|s| (s.rank, s.blame, s.cross)).collect();
+            assert_eq!(
+                shape,
+                [
+                    (Some(1), Blame::Compute, false),
+                    (Some(0), Blame::BlockedOnRecv, true),
+                    (Some(0), Blame::Compute, false),
+                ],
+                "{what}"
+            );
+            let [compute, blocked, ..] = a.path_blame();
+            assert!((blocked - 0.5).abs() < 1e-12, "{what}: recv at 2.5 waited on the send at 2.0");
+            assert!((compute - 2.5).abs() < 1e-12, "{what}: rank 0's wait is not compute");
+            // Steps telescope: adjacent endpoints meet, spanning start to end.
+            for w in a.steps.windows(2) {
+                assert_eq!(w[0].to_time.to_bits(), w[1].from_time.to_bits());
+            }
+            assert_eq!(a.steps.first().unwrap().from_time, 0.0);
+            assert_eq!(a.steps.last().unwrap().to_time, 3.0);
+            assert_eq!(path.total_virtual_time.to_bits(), 3.0f64.to_bits());
+        }
+    }
+
+    /// A parsed trace can claim anything. Message edges that form a cycle
+    /// (each rank receives before it sends, all at one instant) must end
+    /// the walk, not spin it.
+    #[test]
+    fn cyclic_message_edges_end_the_walk() {
+        let events = vec![
+            ev(0.0, None, EventKind::AttemptStart { attempt: 0 }),
+            ev(1.0, Some(0), EventKind::Recv { from: 1, bytes: 8 }),
+            ev(1.0, Some(0), EventKind::Send { to: 1, bytes: 8 }),
+            ev(1.0, Some(1), EventKind::Recv { from: 0, bytes: 8 }),
+            ev(1.0, Some(1), EventKind::Send { to: 0, bytes: 8 }),
+            end(1.0, 0, 1.0),
         ];
         let analysis = Analysis::analyze(&Trace { events }).unwrap();
-        let path = CriticalPath::analyze(&analysis);
-        assert_eq!(path.attempts.len(), 1);
-        let a = &path.attempts[0];
-        // Forward order: rank 1's send (compute), the message edge
-        // (blocked), rank 0's finish (compute).
-        let crosses: Vec<bool> = a.steps.iter().map(|s| s.cross).collect();
-        assert!(crosses.contains(&true), "path must use the send→recv edge");
-        let blocked: f64 = a
-            .steps
-            .iter()
-            .filter(|s| s.blame == Blame::BlockedOnRecv)
-            .map(PathStep::duration)
-            .sum();
-        assert!((blocked - 0.5).abs() < 1e-12, "recv at 2.5 waited on the send at 2.0");
-        // Steps telescope: adjacent endpoints meet, spanning start to end.
-        for w in a.steps.windows(2) {
-            assert_eq!(w[0].to_time.to_bits(), w[1].from_time.to_bits());
-        }
-        assert_eq!(a.steps.first().unwrap().from_time, 0.0);
-        assert_eq!(a.steps.last().unwrap().to_time, 3.0);
-        assert_eq!(path.total_virtual_time.to_bits(), 3.0f64.to_bits());
+        let steps = &CriticalPath::analyze(&analysis).attempts[0].steps;
+        assert!(steps.len() <= 6, "{} steps", steps.len());
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! JSONL export and import of traces.
 //!
-//! The workspace vendors no JSON library, so the line format is written and
-//! parsed by hand: one flat JSON object per event, no nesting, no string
-//! escapes beyond what the fixed `ev` discriminators need. Finite `f64`s
-//! are written with Rust's shortest round-trip `Display`; non-finite values
-//! (only `rel_failure` can legitimately be `INFINITY`) are written as
-//! `null` and read back as `INFINITY`, so a parsed trace analyzes
-//! identically to the in-memory one.
+//! One flat JSON object per event, written and read through `redcr-json`.
+//! Its number rule writes a non-finite `f64` as `null` (only `rel_failure`
+//! can legitimately be `INFINITY`); this module reads a `null` float back
+//! as `INFINITY`, so a parsed trace analyzes identically to the in-memory
+//! one.
 
 use std::error::Error;
 use std::fmt;
-use std::fmt::Write as _;
+
+use redcr_json::{Value, Writer};
 
 use crate::event::{Event, EventKind};
 use crate::recorder::Trace;
@@ -55,106 +54,14 @@ impl From<crate::analyzer::AnalyzeError> for TraceError {
     }
 }
 
-/// Writes a finite float with round-trip `Display`, non-finite as `null`.
-fn push_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 impl Trace {
     /// Serializes the trace as JSONL: one event object per line, in
     /// collection order (the order matters — see [`crate::analyzer`]).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 64);
         for e in &self.events {
-            out.push_str("{\"t\":");
-            push_f64(&mut out, e.time);
-            out.push_str(",\"rank\":");
-            match e.rank {
-                Some(r) => {
-                    let _ = write!(out, "{r}");
-                }
-                None => out.push_str("null"),
-            }
-            let _ = write!(out, ",\"ev\":\"{}\"", e.kind_name());
-            match &e.kind {
-                EventKind::Send { to, bytes } => {
-                    let _ = write!(out, ",\"to\":{to},\"bytes\":{bytes}");
-                }
-                EventKind::Recv { from, bytes } => {
-                    let _ = write!(out, ",\"from\":{from},\"bytes\":{bytes}");
-                }
-                EventKind::Death => {}
-                EventKind::Vote { copies, unanimous, corrected } => {
-                    let _ = write!(
-                        out,
-                        ",\"copies\":{copies},\"unanimous\":{unanimous},\"corrected\":{corrected}"
-                    );
-                }
-                EventKind::Failover { sphere } => {
-                    let _ = write!(out, ",\"sphere\":{sphere}");
-                }
-                EventKind::CheckpointBegin { seq } => {
-                    let _ = write!(out, ",\"seq\":{seq}");
-                }
-                EventKind::CheckpointCommit { seq, bytes, cost } => {
-                    let _ = write!(out, ",\"seq\":{seq},\"bytes\":{bytes},\"cost\":");
-                    push_f64(&mut out, *cost);
-                }
-                EventKind::Restore { seq, cut } => {
-                    let _ = write!(out, ",\"seq\":{seq},\"cut\":");
-                    push_f64(&mut out, *cut);
-                }
-                EventKind::RankFinish { busy, comm } => {
-                    out.push_str(",\"busy\":");
-                    push_f64(&mut out, *busy);
-                    out.push_str(",\"comm\":");
-                    push_f64(&mut out, *comm);
-                }
-                EventKind::Topology { sphere, replica } => {
-                    let _ = write!(out, ",\"sphere\":{sphere},\"replica\":{replica}");
-                }
-                EventKind::AttemptStart { attempt } => {
-                    let _ = write!(out, ",\"attempt\":{attempt}");
-                }
-                EventKind::Injected { rel } => {
-                    out.push_str(",\"rel\":");
-                    push_f64(&mut out, *rel);
-                }
-                EventKind::HeartbeatMiss { sphere } => {
-                    let _ = write!(out, ",\"sphere\":{sphere}");
-                }
-                EventKind::RespawnBegin { sphere } => {
-                    let _ = write!(out, ",\"sphere\":{sphere}");
-                }
-                EventKind::RespawnCommit { sphere, rel, latency } => {
-                    let _ = write!(out, ",\"sphere\":{sphere},\"rel\":");
-                    push_f64(&mut out, *rel);
-                    out.push_str(",\"latency\":");
-                    push_f64(&mut out, *latency);
-                }
-                EventKind::RejoinVote { sphere, copies } => {
-                    let _ = write!(out, ",\"sphere\":{sphere},\"copies\":{copies}");
-                }
-                EventKind::AttemptEnd { attempt, completed, rel_end, rel_failure, killer } => {
-                    let _ = write!(out, ",\"attempt\":{attempt},\"completed\":{completed}");
-                    out.push_str(",\"rel_end\":");
-                    push_f64(&mut out, *rel_end);
-                    out.push_str(",\"rel_failure\":");
-                    push_f64(&mut out, *rel_failure);
-                    out.push_str(",\"killer\":");
-                    match killer {
-                        Some(k) => {
-                            let _ = write!(out, "{k}");
-                        }
-                        None => out.push_str("null"),
-                    }
-                }
-            }
-            out.push_str("}\n");
+            write_event(&mut Writer::compact(&mut out), e);
+            out.push('\n');
         }
         out
     }
@@ -165,7 +72,8 @@ impl Trace {
     /// # Errors
     ///
     /// Returns [`TraceError::Parse`] with the offending 1-based line number
-    /// on any syntax or schema violation.
+    /// on any syntax or schema violation — an integer member that does not
+    /// fit its field and a float literal that overflows included.
     pub fn from_jsonl(s: &str) -> Result<Trace, TraceError> {
         let mut events = Vec::new();
         for (i, line) in s.lines().enumerate() {
@@ -173,235 +81,104 @@ impl Trace {
             if line.is_empty() {
                 continue;
             }
-            let fields =
-                parse_object(line).map_err(|what| TraceError::Parse { line: i + 1, what })?;
-            let event = event_from_fields(&fields)
-                .map_err(|what| TraceError::Parse { line: i + 1, what })?;
+            let event = event_from_line(line)
+                .map_err(|e| TraceError::Parse { line: i + 1, what: e.to_string() })?;
             events.push(event);
         }
         Ok(Trace { events })
     }
 }
 
-/// A parsed flat-JSON value.
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Num(f64),
-    Bool(bool),
-    Null,
-    Str(String),
+fn write_event(w: &mut Writer<'_>, e: &Event) {
+    w.begin_object().field("t", e.time).field("rank", e.rank).field("ev", e.kind_name());
+    match &e.kind {
+        EventKind::Send { to, bytes } => w.field("to", to).field("bytes", bytes),
+        EventKind::Recv { from, bytes } => w.field("from", from).field("bytes", bytes),
+        EventKind::Death => w,
+        EventKind::Vote { copies, unanimous, corrected } => {
+            w.field("copies", copies).field("unanimous", unanimous).field("corrected", corrected)
+        }
+        EventKind::Failover { sphere }
+        | EventKind::HeartbeatMiss { sphere }
+        | EventKind::RespawnBegin { sphere } => w.field("sphere", sphere),
+        EventKind::CheckpointBegin { seq } => w.field("seq", seq),
+        EventKind::CheckpointCommit { seq, bytes, cost } => {
+            w.field("seq", seq).field("bytes", bytes).field("cost", cost)
+        }
+        EventKind::Restore { seq, cut } => w.field("seq", seq).field("cut", cut),
+        EventKind::RankFinish { busy, comm } => w.field("busy", busy).field("comm", comm),
+        EventKind::Topology { sphere, replica } => {
+            w.field("sphere", sphere).field("replica", replica)
+        }
+        EventKind::AttemptStart { attempt } => w.field("attempt", attempt),
+        EventKind::Injected { rel } => w.field("rel", rel),
+        EventKind::RespawnCommit { sphere, rel, latency } => {
+            w.field("sphere", sphere).field("rel", rel).field("latency", latency)
+        }
+        EventKind::RejoinVote { sphere, copies } => {
+            w.field("sphere", sphere).field("copies", copies)
+        }
+        EventKind::AttemptEnd { attempt, completed, rel_end, rel_failure, killer } => w
+            .field("attempt", attempt)
+            .field("completed", completed)
+            .field("rel_end", rel_end)
+            .field("rel_failure", rel_failure)
+            .field("killer", killer),
+    }
+    .end_object();
 }
 
-/// Field accessors over one parsed object.
-struct Fields(Vec<(String, Val)>);
-
-impl Fields {
-    fn get(&self, key: &str) -> Option<&Val> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// A required numeric field; `null` decodes as `INFINITY` (the writer's
-    /// encoding for non-finite floats).
-    fn num(&self, key: &str) -> Result<f64, String> {
-        match self.get(key) {
-            Some(Val::Num(x)) => Ok(*x),
-            Some(Val::Null) => Ok(f64::INFINITY),
-            Some(v) => Err(format!("field {key:?}: expected number, got {v:?}")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-
-    /// A required integer field (rejects `null`).
-    fn int(&self, key: &str) -> Result<u64, String> {
-        match self.get(key) {
-            Some(Val::Num(x)) if *x >= 0.0 && x.fract() == 0.0 => Ok(*x as u64),
-            Some(v) => Err(format!("field {key:?}: expected integer, got {v:?}")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-
-    /// A required nullable integer field.
-    fn opt_int(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.get(key) {
-            Some(Val::Null) => Ok(None),
-            _ => self.int(key).map(Some),
-        }
-    }
-
-    fn boolean(&self, key: &str) -> Result<bool, String> {
-        match self.get(key) {
-            Some(Val::Bool(b)) => Ok(*b),
-            Some(v) => Err(format!("field {key:?}: expected bool, got {v:?}")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-
-    fn string(&self, key: &str) -> Result<&str, String> {
-        match self.get(key) {
-            Some(Val::Str(s)) => Ok(s),
-            Some(v) => Err(format!("field {key:?}: expected string, got {v:?}")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
+/// A float member. `null` — the writer's encoding of a non-finite value —
+/// reads back as `INFINITY`.
+fn float(v: &Value, key: &str) -> Result<f64, redcr_json::Error> {
+    Ok(v.req::<Option<f64>>(key)?.unwrap_or(f64::INFINITY))
 }
 
-/// Parses one flat JSON object (`{"k":v,...}`) into its fields.
-fn parse_object(line: &str) -> Result<Fields, String> {
-    let mut sc = Scanner { bytes: line.as_bytes(), pos: 0 };
-    sc.skip_ws();
-    sc.expect(b'{')?;
-    let mut fields = Vec::new();
-    sc.skip_ws();
-    if sc.peek() == Some(b'}') {
-        sc.next();
-    } else {
-        loop {
-            sc.skip_ws();
-            let key = sc.parse_string()?;
-            sc.skip_ws();
-            sc.expect(b':')?;
-            sc.skip_ws();
-            let val = sc.parse_value()?;
-            fields.push((key, val));
-            sc.skip_ws();
-            match sc.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-    sc.skip_ws();
-    if sc.pos != sc.bytes.len() {
-        return Err("trailing characters after object".into());
-    }
-    Ok(Fields(fields))
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Scanner<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.next() {
-            Some(got) if got == b => Ok(()),
-            got => Err(format!("expected {:?}, got {got:?}", b as char)),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(c) => out.push(c as char),
-                    None => return Err("unterminated escape".into()),
-                },
-                Some(c) => out.push(c as char),
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, val: Val) -> Result<Val, String> {
-        for expected in word.bytes() {
-            if self.next() != Some(expected) {
-                return Err(format!("invalid literal (expected {word:?})"));
-            }
-        }
-        Ok(val)
-    }
-
-    fn parse_value(&mut self) -> Result<Val, String> {
-        match self.peek() {
-            Some(b'"') => self.parse_string().map(Val::Str),
-            Some(b't') => self.parse_keyword("true", Val::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Val::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Val::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                let start = self.pos;
-                while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "non-utf8 number".to_string())?;
-                text.parse::<f64>().map(Val::Num).map_err(|e| format!("bad number {text:?}: {e}"))
-            }
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-}
-
-fn event_from_fields(fields: &Fields) -> Result<Event, String> {
-    let time = fields.num("t")?;
-    let rank = fields.opt_int("rank")?.map(|r| r as u32);
-    let kind = match fields.string("ev")? {
-        "send" => EventKind::Send { to: fields.int("to")? as u32, bytes: fields.int("bytes")? },
-        "recv" => EventKind::Recv { from: fields.int("from")? as u32, bytes: fields.int("bytes")? },
+fn event_from_line(line: &str) -> Result<Event, Box<dyn Error>> {
+    let v = redcr_json::parse(line)?;
+    let kind = match v.req::<&str>("ev")? {
+        "send" => EventKind::Send { to: v.req("to")?, bytes: v.req("bytes")? },
+        "recv" => EventKind::Recv { from: v.req("from")?, bytes: v.req("bytes")? },
         "death" => EventKind::Death,
         "vote" => EventKind::Vote {
-            copies: fields.int("copies")? as u32,
-            unanimous: fields.boolean("unanimous")?,
-            corrected: fields.boolean("corrected")?,
+            copies: v.req("copies")?,
+            unanimous: v.req("unanimous")?,
+            corrected: v.req("corrected")?,
         },
-        "failover" => EventKind::Failover { sphere: fields.int("sphere")? as u32 },
-        "ckpt_begin" => EventKind::CheckpointBegin { seq: fields.int("seq")? },
+        "failover" => EventKind::Failover { sphere: v.req("sphere")? },
+        "ckpt_begin" => EventKind::CheckpointBegin { seq: v.req("seq")? },
         "ckpt_commit" => EventKind::CheckpointCommit {
-            seq: fields.int("seq")?,
-            bytes: fields.int("bytes")?,
-            cost: fields.num("cost")?,
+            seq: v.req("seq")?,
+            bytes: v.req("bytes")?,
+            cost: float(&v, "cost")?,
         },
-        "restore" => EventKind::Restore { seq: fields.int("seq")?, cut: fields.num("cut")? },
+        "restore" => EventKind::Restore { seq: v.req("seq")?, cut: float(&v, "cut")? },
         "rank_finish" => {
-            EventKind::RankFinish { busy: fields.num("busy")?, comm: fields.num("comm")? }
+            EventKind::RankFinish { busy: float(&v, "busy")?, comm: float(&v, "comm")? }
         }
-        "topology" => EventKind::Topology {
-            sphere: fields.int("sphere")? as u32,
-            replica: fields.int("replica")? as u32,
-        },
-        "attempt_start" => EventKind::AttemptStart { attempt: fields.int("attempt")? },
-        "injected" => EventKind::Injected { rel: fields.num("rel")? },
-        "heartbeat_miss" => EventKind::HeartbeatMiss { sphere: fields.int("sphere")? as u32 },
-        "respawn_begin" => EventKind::RespawnBegin { sphere: fields.int("sphere")? as u32 },
+        "topology" => EventKind::Topology { sphere: v.req("sphere")?, replica: v.req("replica")? },
+        "attempt_start" => EventKind::AttemptStart { attempt: v.req("attempt")? },
+        "injected" => EventKind::Injected { rel: float(&v, "rel")? },
+        "heartbeat_miss" => EventKind::HeartbeatMiss { sphere: v.req("sphere")? },
+        "respawn_begin" => EventKind::RespawnBegin { sphere: v.req("sphere")? },
         "respawn_commit" => EventKind::RespawnCommit {
-            sphere: fields.int("sphere")? as u32,
-            rel: fields.num("rel")?,
-            latency: fields.num("latency")?,
+            sphere: v.req("sphere")?,
+            rel: float(&v, "rel")?,
+            latency: float(&v, "latency")?,
         },
-        "rejoin_vote" => EventKind::RejoinVote {
-            sphere: fields.int("sphere")? as u32,
-            copies: fields.int("copies")? as u32,
-        },
+        "rejoin_vote" => {
+            EventKind::RejoinVote { sphere: v.req("sphere")?, copies: v.req("copies")? }
+        }
         "attempt_end" => EventKind::AttemptEnd {
-            attempt: fields.int("attempt")?,
-            completed: fields.boolean("completed")?,
-            rel_end: fields.num("rel_end")?,
-            rel_failure: fields.num("rel_failure")?,
-            killer: fields.opt_int("killer")?.map(|k| k as u32),
+            attempt: v.req("attempt")?,
+            completed: v.req("completed")?,
+            rel_end: float(&v, "rel_end")?,
+            rel_failure: float(&v, "rel_failure")?,
+            killer: v.req("killer")?,
         },
-        other => return Err(format!("unknown event kind {other:?}")),
+        other => return Err(format!("unknown event kind {other:?}").into()),
     };
-    Ok(Event { time, rank, kind })
+    Ok(Event { time: float(&v, "t")?, rank: v.req("rank")?, kind })
 }
 
 #[cfg(test)]
@@ -505,6 +282,12 @@ mod tests {
             let parsed = Trace::from_jsonl(&trace.to_jsonl()).unwrap();
             assert_eq!(parsed.events[0].time.to_bits(), v.to_bits(), "{v}");
         }
+        // Integers past 2^53 do not pass through an f64 on the way back.
+        for bytes in [(1 << 53) + 1, u64::MAX] {
+            let kind = EventKind::CheckpointCommit { seq: bytes, bytes, cost: 0.5 };
+            let trace = Trace { events: vec![Event { time: 1.0, rank: Some(u32::MAX), kind }] };
+            assert_eq!(Trace::from_jsonl(&trace.to_jsonl()).unwrap(), trace, "{bytes}");
+        }
     }
 
     #[test]
@@ -516,6 +299,17 @@ mod tests {
         assert!(err.to_string().contains("warp"), "{err}");
         let err = Trace::from_jsonl("{\"t\":0,\"ev\":\"send\",\"rank\":0,\"to\":1}\n").unwrap_err();
         assert!(err.to_string().contains("bytes"), "{err}");
+        // Narrowing is checked: a rank past u32 is not rank 0, an
+        // overflowing float is not infinity, a fraction is not an integer.
+        for bad in [
+            "{\"t\":0,\"rank\":4294967296,\"ev\":\"death\"}",
+            "{\"t\":1e999,\"rank\":0,\"ev\":\"death\"}",
+            "{\"t\":0,\"rank\":0,\"ev\":\"failover\",\"sphere\":1.5}",
+            "{\"t\":0,\"rank\":0,\"ev\":\"death\"} trailing",
+        ] {
+            let err = Trace::from_jsonl(bad).unwrap_err();
+            assert!(matches!(err, TraceError::Parse { line: 1, .. }), "{bad}: {err}");
+        }
     }
 
     #[test]

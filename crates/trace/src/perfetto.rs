@@ -13,23 +13,26 @@
 //! - `i` (instant) markers for deaths, scheduled fail-stops, wildcard
 //!   leader failovers and checkpoint restores;
 //! - **flow arrows** (`s`/`f` pairs bound to 1 µs `send`/`recv` slices)
-//!   for every matched physical message, paired FIFO per
-//!   `(sender, receiver)` channel within an attempt.
+//!   for every matched physical message, paired by
+//!   [`fifo_pairs`](crate::critical) within an attempt.
 //!
 //! Timestamps are **virtual microseconds** (virtual seconds × 10⁶), so the
 //! Perfetto timeline reads directly in the paper's virtual time.
 //!
-//! [`validate`] re-parses an emitted document with a small self-contained
-//! JSON reader (the workspace vendors no JSON library) and checks the
-//! structural invariants above, returning a [`PerfettoSummary`] of what it
-//! found — the CI smoke test and the acceptance tests run every export
-//! through it.
+//! The document is a JSON array with one compact event object per line;
+//! the line framing is this module's, every object is `redcr-json`'s.
+//!
+//! [`validate`] re-parses an emitted document and checks the structural
+//! invariants above, returning a [`PerfettoSummary`] of what it found —
+//! the CI smoke test and the acceptance tests run every export through it.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
+
+use redcr_json::{Value, Writer};
 
 use crate::analyzer::{Analysis, AnalyzeError};
+use crate::critical::fifo_pairs;
 use crate::event::EventKind;
 use crate::recorder::Trace;
 
@@ -104,136 +107,42 @@ pub fn export_with_counters(
 
     let mut out = String::with_capacity(trace.events.len() * 96 + 1024);
     out.push_str("[\n");
-    let mut first = true;
 
     // Track metadata: the executor lane and one lane per physical rank.
-    push_meta(&mut out, &mut first, "process_name", 0, 0, "redcr virtual-time run");
-    push_meta(&mut out, &mut first, "thread_name", 0, 0, "executor");
+    meta(&mut out, "process_name", 0, 0, "redcr virtual-time run");
+    meta(&mut out, "thread_name", 0, 0, "executor");
     for (&rank, &(sphere, replica)) in &roles {
         let name = if sphere == u32::MAX {
             format!("rank {rank}")
         } else {
             format!("rank {rank} (sphere {sphere}, replica {replica})")
         };
-        push_meta(&mut out, &mut first, "thread_name", 0, rank + 1, &name);
+        meta(&mut out, "thread_name", 0, rank + 1, &name);
     }
 
     let mut flow_id = 0u64;
     for a in &analysis.attempts {
         // Executor lane: one slice per attempt.
-        push_event(
-            &mut out,
-            &mut first,
-            &[
-                ("name", Js::Str(format!("attempt {}", a.attempt))),
-                ("cat", Js::Raw("\"attempt\"")),
-                ("ph", Js::Raw("\"X\"")),
-                ("ts", Js::Num(a.start * US)),
-                ("dur", Js::Num(((a.end - a.start) * US).max(1.0))),
-                ("pid", Js::Int(0)),
-                ("tid", Js::Int(0)),
-                (
-                    "args",
-                    Js::Args(vec![
-                        ("completed", Js::Bool(a.completed)),
-                        ("rel_end", Js::Num(a.rel_end)),
-                    ]),
-                ),
-            ],
-        );
+        slice(&mut out, &format!("attempt {}", a.attempt), "attempt", a.start, a.end, 0, |w| {
+            w.field("completed", a.completed).field("rel_end", a.rel_end);
+        });
 
-        // FIFO channel pairing: k-th send on (src, dst) matches the k-th
-        // receive of dst from src. Per-rank event order is time order, so
-        // each channel's send and receive lists are already sorted.
-        let mut sends: BTreeMap<(u32, u32), Vec<(f64, u64)>> = BTreeMap::new();
-        let mut recvs: BTreeMap<(u32, u32), Vec<(f64, u64)>> = BTreeMap::new();
         // Open checkpoint windows: (rank, seq, begin time).
         let mut begins: Vec<(u32, u64, f64)> = Vec::new();
 
         for e in &a.events {
             let Some(rank) = e.rank else { continue };
             let tid = rank + 1;
-            let ts = e.time * US;
             match &e.kind {
-                EventKind::Send { to, bytes } => {
-                    sends.entry((rank, *to)).or_default().push((e.time, *bytes));
-                }
-                EventKind::Recv { from, bytes } => {
-                    recvs.entry((*from, rank)).or_default().push((e.time, *bytes));
-                }
-                EventKind::Death => push_instant(&mut out, &mut first, "death", tid, ts, &[]),
-                EventKind::Injected { rel } => {
-                    push_instant(
-                        &mut out,
-                        &mut first,
-                        "injected",
-                        tid,
-                        ts,
-                        &[("rel", Js::Num(*rel))],
-                    );
-                }
-                EventKind::Failover { sphere } => {
-                    push_instant(
-                        &mut out,
-                        &mut first,
-                        "failover",
-                        tid,
-                        ts,
-                        &[("sphere", Js::Int(u64::from(*sphere)))],
-                    );
-                }
-                EventKind::Restore { seq, cut } => {
-                    push_instant(
-                        &mut out,
-                        &mut first,
-                        "restore",
-                        tid,
-                        ts,
-                        &[("seq", Js::Int(*seq)), ("cut", Js::Num(*cut))],
-                    );
-                }
-                EventKind::HeartbeatMiss { sphere } => {
-                    push_instant(
-                        &mut out,
-                        &mut first,
-                        "heartbeat_miss",
-                        tid,
-                        ts,
-                        &[("sphere", Js::Int(u64::from(*sphere)))],
-                    );
-                }
-                EventKind::RespawnBegin { sphere } => {
-                    push_instant(
-                        &mut out,
-                        &mut first,
-                        "respawn_begin",
-                        tid,
-                        ts,
-                        &[("sphere", Js::Int(u64::from(*sphere)))],
-                    );
-                }
-                EventKind::RespawnCommit { sphere, rel: _, latency } => {
-                    push_instant(
-                        &mut out,
-                        &mut first,
-                        "respawn_commit",
-                        tid,
-                        ts,
-                        &[("sphere", Js::Int(u64::from(*sphere))), ("latency", Js::Num(*latency))],
-                    );
-                }
-                EventKind::RejoinVote { sphere, copies } => {
-                    push_instant(
-                        &mut out,
-                        &mut first,
-                        "rejoin_vote",
-                        tid,
-                        ts,
-                        &[
-                            ("sphere", Js::Int(u64::from(*sphere))),
-                            ("copies", Js::Int(u64::from(*copies))),
-                        ],
-                    );
+                EventKind::Death
+                | EventKind::Injected { .. }
+                | EventKind::Failover { .. }
+                | EventKind::Restore { .. }
+                | EventKind::HeartbeatMiss { .. }
+                | EventKind::RespawnBegin { .. }
+                | EventKind::RespawnCommit { .. }
+                | EventKind::RejoinVote { .. } => {
+                    instant(&mut out, e.kind_name(), tid, e.time, &e.kind);
                 }
                 EventKind::CheckpointBegin { seq } => begins.push((rank, *seq, e.time)),
                 EventKind::CheckpointCommit { seq, bytes, cost } => {
@@ -243,96 +152,44 @@ pub fn export_with_counters(
                         .position(|&(r, s, _)| r == rank && s == *seq)
                         .map(|i| begins.swap_remove(i).2)
                         .unwrap_or(e.time);
-                    push_event(
-                        &mut out,
-                        &mut first,
-                        &[
-                            ("name", Js::Str(format!("checkpoint {seq}"))),
-                            ("cat", Js::Raw("\"checkpoint\"")),
-                            ("ph", Js::Raw("\"X\"")),
-                            ("ts", Js::Num(begin * US)),
-                            ("dur", Js::Num(((e.time - begin) * US).max(1.0))),
-                            ("pid", Js::Int(0)),
-                            ("tid", Js::Int(u64::from(tid))),
-                            (
-                                "args",
-                                Js::Args(vec![
-                                    ("bytes", Js::Int(*bytes)),
-                                    ("cost", Js::Num(*cost)),
-                                ]),
-                            ),
-                        ],
-                    );
+                    let name = format!("checkpoint {seq}");
+                    slice(&mut out, &name, "checkpoint", begin, e.time, tid, |w| {
+                        w.field("bytes", bytes).field("cost", cost);
+                    });
                 }
                 _ => {}
             }
         }
         // A rank that died mid-checkpoint leaves its begin unmatched.
         for (rank, seq, time) in begins {
-            push_instant(
-                &mut out,
-                &mut first,
-                "checkpoint begin (no commit)",
-                rank + 1,
-                time * US,
-                &[("seq", Js::Int(seq))],
-            );
+            let begin = EventKind::CheckpointBegin { seq };
+            instant(&mut out, "checkpoint begin (no commit)", rank + 1, time, &begin);
         }
 
-        for ((src, dst), tx) in &sends {
-            let empty = Vec::new();
-            let rx = recvs.get(&(*src, *dst)).unwrap_or(&empty);
-            for (i, &(send_t, bytes)) in tx.iter().enumerate() {
-                let matched = rx.get(i);
-                // The 1 µs anchor slice the flow endpoints bind to.
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &[
-                        ("name", Js::Str(format!("send → {dst}"))),
-                        ("cat", Js::Raw("\"comm\"")),
-                        ("ph", Js::Raw("\"X\"")),
-                        ("ts", Js::Num(send_t * US)),
-                        ("dur", Js::Num(1.0)),
-                        ("pid", Js::Int(0)),
-                        ("tid", Js::Int(u64::from(src + 1))),
-                        ("args", Js::Args(vec![("bytes", Js::Int(bytes))])),
-                    ],
-                );
-                let Some(&(recv_t, _)) = matched else { continue };
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &[
-                        ("name", Js::Str(format!("recv ← {src}"))),
-                        ("cat", Js::Raw("\"comm\"")),
-                        ("ph", Js::Raw("\"X\"")),
-                        ("ts", Js::Num(recv_t * US)),
-                        ("dur", Js::Num(1.0)),
-                        ("pid", Js::Int(0)),
-                        ("tid", Js::Int(u64::from(dst + 1))),
-                        ("args", Js::Args(vec![("bytes", Js::Int(bytes))])),
-                    ],
-                );
-                for (ph, tid, t) in [("\"s\"", src + 1, send_t), ("\"f\"", dst + 1, recv_t)] {
-                    let mut fields = vec![
-                        ("name", Js::Raw("\"msg\"")),
-                        ("cat", Js::Raw("\"msg\"")),
-                        ("ph", Js::Raw(ph)),
-                    ];
-                    if ph == "\"f\"" {
-                        fields.push(("bp", Js::Raw("\"e\"")));
-                    }
-                    fields.extend([
-                        ("id", Js::Int(flow_id)),
-                        ("ts", Js::Num(t * US)),
-                        ("pid", Js::Int(0)),
-                        ("tid", Js::Int(u64::from(tid))),
-                    ]);
-                    push_event(&mut out, &mut first, &fields);
+        for (send, recv) in fifo_pairs(&a.events) {
+            let (tx, rx) = (&a.events[send], recv.map(|r| &a.events[r]));
+            let (Some(src), EventKind::Send { to: dst, bytes }) = (tx.rank, &tx.kind) else {
+                unreachable!("fifo_pairs pairs a rank's Send events");
+            };
+            // The 1 µs anchor slices the flow endpoints bind to.
+            let mut anchor = |name: String, t: f64, tid: u32| {
+                slice(&mut out, &name, "comm", t, t, tid, |w| {
+                    w.field("bytes", bytes);
+                });
+            };
+            anchor(format!("send → {dst}"), tx.time, src + 1);
+            let Some(rx) = rx else { continue };
+            anchor(format!("recv ← {src}"), rx.time, dst + 1);
+            for (ph, tid, t) in [("s", src + 1, tx.time), ("f", dst + 1, rx.time)] {
+                let mut w = event(&mut out);
+                w.field("name", "msg").field("cat", "msg").field("ph", ph);
+                if ph == "f" {
+                    w.field("bp", "e");
                 }
-                flow_id += 1;
+                w.field("id", flow_id).field("ts", t * US).field("pid", 0u32).field("tid", tid);
+                w.end_object();
             }
+            flow_id += 1;
         }
     }
 
@@ -340,23 +197,14 @@ pub fn export_with_counters(
     // (scope, counter). Wall nanoseconds become microseconds so Perfetto's
     // axis unit matches the virtual tracks even though the origin differs.
     if !counters.is_empty() {
-        push_meta(&mut out, &mut first, "process_name", 1, 0, "redcr-prof (wall-clock)");
+        meta(&mut out, "process_name", 1, 0, "redcr-prof (wall-clock)");
         for c in counters {
             let track = format!("{}.{}", c.scope, c.name);
             for &(at_ns, value) in &c.samples {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &[
-                        ("name", Js::Str(track.clone())),
-                        ("cat", Js::Raw("\"prof\"")),
-                        ("ph", Js::Raw("\"C\"")),
-                        ("ts", Js::Num(at_ns as f64 / 1e3)),
-                        ("pid", Js::Int(1)),
-                        ("tid", Js::Int(0)),
-                        ("args", Js::Args(vec![("value", Js::Num(value))])),
-                    ],
-                );
+                let mut w = event(&mut out);
+                w.field("name", &track).field("cat", "prof").field("ph", "C");
+                w.field("ts", at_ns as f64 / 1e3).field("pid", 1u32).field("tid", 0u32);
+                w.key("args").begin_object().field("value", value).end_object().end_object();
             }
         }
     }
@@ -365,131 +213,67 @@ pub fn export_with_counters(
     Ok(out)
 }
 
-/// A JSON fragment to emit: exact integers, floats, strings or raw tokens.
-enum Js {
-    Int(u64),
-    Num(f64),
-    Bool(bool),
-    Str(String),
-    /// A pre-quoted literal (static names, `ph` tags).
-    Raw(&'static str),
-    Args(Vec<(&'static str, Js)>),
-}
-
-// detlint::allow(R9, reason = "recursion depth equals Js nesting, which this writer builds at most two levels deep (Args of scalars); runs on the tracer's own thread, never a coroutine stack")
-fn push_value(out: &mut String, v: &Js) {
-    match v {
-        Js::Int(x) => {
-            let _ = write!(out, "{x}");
-        }
-        Js::Num(x) => {
-            if x.is_finite() {
-                let _ = write!(out, "{x}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        Js::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Js::Str(s) => {
-            // Track and slice names are generated ASCII without quotes or
-            // backslashes, so no escaping is needed.
-            let _ = write!(out, "\"{s}\"");
-        }
-        Js::Raw(s) => out.push_str(s),
-        Js::Args(fields) => {
-            out.push('{');
-            for (i, (k, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{k}\":");
-                push_value(out, v);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn push_event(out: &mut String, first: &mut bool, fields: &[(&'static str, Js)]) {
-    if !*first {
+/// Opens the next event object on its own line of the array.
+fn event(out: &mut String) -> Writer<'_> {
+    if !out.ends_with("[\n") {
         out.push_str(",\n");
     }
-    *first = false;
-    out.push('{');
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{k}\":");
-        push_value(out, v);
-    }
-    out.push('}');
+    let mut w = Writer::compact(out);
+    w.begin_object();
+    w
 }
 
-fn push_meta(
+fn meta(out: &mut String, what: &str, pid: u32, tid: u32, name: &str) {
+    let mut w = event(out);
+    w.field("name", what).field("ph", "M").field("pid", pid).field("tid", tid);
+    w.key("args").begin_object().field("name", name).end_object().end_object();
+}
+
+/// A complete (`X`) slice over virtual `[begin, end]` (at least 1 µs)
+/// whose `args` object holds what `args` writes.
+fn slice(
     out: &mut String,
-    first: &mut bool,
-    what: &'static str,
-    pid: u32,
-    tid: u32,
     name: &str,
-) {
-    push_event(
-        out,
-        first,
-        &[
-            (
-                "name",
-                Js::Raw(match what {
-                    "process_name" => "\"process_name\"",
-                    _ => "\"thread_name\"",
-                }),
-            ),
-            ("ph", Js::Raw("\"M\"")),
-            ("pid", Js::Int(u64::from(pid))),
-            ("tid", Js::Int(u64::from(tid))),
-            ("args", Js::Args(vec![("name", Js::Str(name.to_string()))])),
-        ],
-    );
-}
-
-fn push_instant(
-    out: &mut String,
-    first: &mut bool,
-    name: &'static str,
+    cat: &str,
+    begin: f64,
+    end: f64,
     tid: u32,
-    ts: f64,
-    args: &[(&'static str, Js)],
+    args: impl FnOnce(&mut Writer<'_>),
 ) {
-    let mut fields = vec![
-        ("name", Js::Raw("")),
-        ("cat", Js::Raw("\"mark\"")),
-        ("ph", Js::Raw("\"i\"")),
-        ("s", Js::Raw("\"t\"")),
-        ("ts", Js::Num(ts)),
-        ("pid", Js::Int(0)),
-        ("tid", Js::Int(u64::from(tid))),
-    ];
-    fields[0].1 = Js::Str(name.to_string());
-    if !args.is_empty() {
-        let owned: Vec<(&'static str, Js)> = args.iter().map(|(k, v)| (*k, clone_js(v))).collect();
-        fields.push(("args", Js::Args(owned)));
-    }
-    push_event(out, first, &fields);
+    let mut w = event(out);
+    w.field("name", name).field("cat", cat).field("ph", "X").field("ts", begin * US);
+    w.field("dur", ((end - begin) * US).max(1.0)).field("pid", 0u32).field("tid", tid);
+    w.key("args").begin_object();
+    args(&mut w);
+    w.end_object().end_object();
 }
 
-// detlint::allow(R9, reason = "recursion depth equals Js nesting (at most two levels in every producer); tracer-thread only, never a coroutine stack")
-fn clone_js(v: &Js) -> Js {
-    match v {
-        Js::Int(x) => Js::Int(*x),
-        Js::Num(x) => Js::Num(*x),
-        Js::Bool(b) => Js::Bool(*b),
-        Js::Str(s) => Js::Str(s.clone()),
-        Js::Raw(s) => Js::Raw(s),
-        Js::Args(fields) => Js::Args(fields.iter().map(|(k, v)| (*k, clone_js(v))).collect()),
+/// An instant (`i`) marker at virtual `time`, with the `args` a marker
+/// of `kind` carries (a death carries none).
+fn instant(out: &mut String, name: &str, tid: u32, time: f64, kind: &EventKind) {
+    let mut w = event(out);
+    w.field("name", name).field("cat", "mark").field("ph", "i").field("s", "t");
+    w.field("ts", time * US).field("pid", 0u32).field("tid", tid);
+    if !matches!(kind, EventKind::Death) {
+        w.key("args").begin_object();
+        match kind {
+            EventKind::Injected { rel } => w.field("rel", rel),
+            EventKind::Failover { sphere }
+            | EventKind::HeartbeatMiss { sphere }
+            | EventKind::RespawnBegin { sphere } => w.field("sphere", sphere),
+            EventKind::Restore { seq, cut } => w.field("seq", seq).field("cut", cut),
+            EventKind::RespawnCommit { sphere, rel: _, latency } => {
+                w.field("sphere", sphere).field("latency", latency)
+            }
+            EventKind::RejoinVote { sphere, copies } => {
+                w.field("sphere", sphere).field("copies", copies)
+            }
+            EventKind::CheckpointBegin { seq } => w.field("seq", seq),
+            _ => unreachable!("{name} is not exported as a marker"),
+        };
+        w.end_object();
     }
+    w.end_object();
 }
 
 // ---------------------------------------------------------------------------
@@ -530,18 +314,17 @@ impl fmt::Display for PerfettoSummary {
     }
 }
 
-/// Structurally validates an exported Perfetto document without any JSON
-/// library: the top level must be an array of objects, every event needs a
-/// `ph` tag, non-metadata events need numeric `ts`/`pid`/`tid`, `X` slices
-/// need a `dur`, and flow endpoints must carry ids.
+/// Structurally validates an exported Perfetto document: the top level
+/// must be an array of objects, every event needs a `ph` tag, non-metadata
+/// events need numeric `ts`/`pid`/`tid`, `X` slices need a `dur`, and flow
+/// endpoints must carry ids.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violation (or JSON syntax error)
 /// found.
 pub fn validate(json: &str) -> Result<PerfettoSummary, String> {
-    let doc = JsonParser { bytes: json.as_bytes(), pos: 0 }.parse_document()?;
-    let Json::Arr(events) = doc else {
+    let Value::Arr(events) = redcr_json::parse(json).map_err(|e| e.to_string())? else {
         return Err("top level is not an array".into());
     };
     let mut summary = PerfettoSummary {
@@ -556,57 +339,8 @@ pub fn validate(json: &str) -> Result<PerfettoSummary, String> {
     let mut finishes: Vec<u64> = Vec::new();
 
     for (i, ev) in events.iter().enumerate() {
-        let Json::Obj(fields) = ev else {
-            return Err(format!("event {i}: not an object"));
-        };
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let num = |key: &str| match get(key) {
-            Some(Json::Num(x)) => Ok(*x),
-            other => Err(format!("event {i}: field {key:?} not a number ({other:?})")),
-        };
-        let Some(Json::Str(ph)) = get("ph") else {
-            return Err(format!("event {i}: missing \"ph\""));
-        };
-        if ph != "M" {
-            num("ts")?;
-            num("pid")?;
-            num("tid")?;
-        }
-        match ph.as_str() {
-            "M" => {
-                let Some(Json::Obj(args)) = get("args") else {
-                    return Err(format!("event {i}: metadata without args"));
-                };
-                if let Some(Json::Str(name)) =
-                    args.iter().find(|(k, _)| k == "name").map(|(_, v)| v)
-                {
-                    if name.starts_with("rank ") {
-                        summary.rank_tracks += 1;
-                    }
-                } else {
-                    return Err(format!("event {i}: metadata args without name"));
-                }
-            }
-            "X" => {
-                num("dur")?;
-                summary.slices += 1;
-            }
-            "i" => summary.instants += 1,
-            "C" => {
-                let Some(Json::Obj(args)) = get("args") else {
-                    return Err(format!("event {i}: counter without args"));
-                };
-                if !args.iter().any(|(k, v)| k == "value" && matches!(v, Json::Num(_))) {
-                    return Err(format!("event {i}: counter without numeric value"));
-                }
-                summary.counter_samples += 1;
-            }
-            "s" | "f" => {
-                let id = num("id")? as u64;
-                if ph == "s" { &mut starts } else { &mut finishes }.push(id);
-            }
-            other => return Err(format!("event {i}: unknown phase {other:?}")),
-        }
+        check_event(ev, &mut summary, &mut starts, &mut finishes)
+            .map_err(|e| format!("event {i}: {e}"))?;
     }
 
     starts.sort_unstable();
@@ -623,154 +357,43 @@ pub fn validate(json: &str) -> Result<PerfettoSummary, String> {
     Ok(summary)
 }
 
-/// A fully parsed JSON value (validator-side; supports nesting, unlike the
-/// flat JSONL scanner).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn parse_document(mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing characters at byte {}", self.pos));
-        }
-        Ok(v)
+/// Checks one event of a document and counts it into `summary`; flow
+/// endpoint ids go to `starts` / `finishes`.
+fn check_event(
+    ev: &Value,
+    summary: &mut PerfettoSummary,
+    starts: &mut Vec<u64>,
+    finishes: &mut Vec<u64>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    if !matches!(ev, Value::Obj(_)) {
+        return Err("not an object".into());
     }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+    let ph = ev.req::<&str>("ph")?;
+    if ph != "M" {
+        for key in ["ts", "pid", "tid"] {
+            ev.req::<f64>(key)?;
         }
     }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.bump() {
-            Some(got) if got == b => Ok(()),
-            got => Err(format!("byte {}: expected {:?}, got {got:?}", self.pos, b as char)),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, val: Json) -> Result<Json, String> {
-        for expected in word.bytes() {
-            if self.bump() != Some(expected) {
-                return Err(format!("byte {}: bad literal (expected {word:?})", self.pos));
+    match ph {
+        "M" => {
+            if ev.req::<&Value>("args")?.req::<&str>("name")?.starts_with("rank ") {
+                summary.rank_tracks += 1;
             }
         }
-        Ok(val)
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(c) => out.push(c as char),
-                    None => return Err("unterminated escape".into()),
-                },
-                Some(c) => out.push(c as char),
-                None => return Err("unterminated string".into()),
-            }
+        "X" => {
+            ev.req::<f64>("dur")?;
+            summary.slices += 1;
         }
-    }
-
-    // detlint::allow(R9, reason = "recursion depth equals input JSON nesting; this parser only reads back the tracer's own shallow output in tests, on a full OS stack")
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.peek() {
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.keyword("true", Json::Bool(true)),
-            Some(b'f') => self.keyword("false", Json::Bool(false)),
-            Some(b'n') => self.keyword("null", Json::Null),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.ws();
-                    match self.bump() {
-                        Some(b',') => continue,
-                        Some(b']') => return Ok(Json::Arr(items)),
-                        other => {
-                            return Err(format!(
-                                "byte {}: expected ',' or ']', got {other:?}",
-                                self.pos
-                            ))
-                        }
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.ws();
-                    let key = self.string()?;
-                    self.ws();
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    fields.push((key, val));
-                    self.ws();
-                    match self.bump() {
-                        Some(b',') => continue,
-                        Some(b'}') => return Ok(Json::Obj(fields)),
-                        other => {
-                            return Err(format!(
-                                "byte {}: expected ',' or '}}', got {other:?}",
-                                self.pos
-                            ))
-                        }
-                    }
-                }
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                let start = self.pos;
-                while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "non-utf8 number".to_string())?;
-                text.parse::<f64>().map(Json::Num).map_err(|e| format!("bad number {text:?}: {e}"))
-            }
-            other => Err(format!("byte {}: unexpected value start {other:?}", self.pos)),
+        "i" => summary.instants += 1,
+        "C" => {
+            ev.req::<&Value>("args")?.req::<f64>("value")?;
+            summary.counter_samples += 1;
         }
+        "s" => starts.push(ev.req("id")?),
+        "f" => finishes.push(ev.req("id")?),
+        other => return Err(format!("unknown phase {other:?}").into()),
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -897,5 +520,16 @@ mod tests {
         // A flow start with no finish.
         let bad = "[{\"ph\":\"s\",\"ts\":0,\"pid\":0,\"tid\":1,\"id\":7}]";
         assert!(validate(bad).unwrap_err().contains("unbalanced"));
+        // A depth bomb is an error, not a stack overflow.
+        assert!(validate(&"[".repeat(200_000)).unwrap_err().contains("nesting"));
+    }
+
+    /// The validator reads strings the way the writer escapes them: the
+    /// old reader took `\u0020` for the five characters `u0020` and each
+    /// byte of `é` for a character of its own.
+    #[test]
+    fn validator_decodes_escapes_and_utf8() {
+        let doc = "[{\"ph\":\"M\",\"args\":{\"name\":\"rank\\u00201 \\ud83d\\ude00 é\"}}]";
+        assert_eq!(validate(doc).unwrap().rank_tracks, 1);
     }
 }

@@ -7,7 +7,8 @@ use redcr::apps::cg::CgConfig;
 use redcr::core::apps::CgApp;
 use redcr::core::{ExecutorConfig, ResilientExecutor};
 use redcr::red::HealPolicy;
-use redcr::trace::{Analysis, EventKind, Trace};
+use redcr::trace::critical::fifo_pairs;
+use redcr::trace::{Analysis, CriticalPath, EventKind, Trace};
 
 mod common;
 
@@ -111,6 +112,54 @@ fn failure_free_trace_matches_stats_exactly() {
     assert_eq!(totals.failures, 0);
     assert_eq!(totals.masked_failures, 0);
     assert_eq!(totals.degraded_sphere_seconds, 0.0);
+}
+
+/// A trace is absorbed rank by rank, so every message from a higher rank
+/// to a lower one has its receive *before* its send in collection order.
+/// The critical-path analyzer used to pair in that order and so missed
+/// each of them — 1 120 of this run's 2 240 receives, all with
+/// `from > to`.
+#[test]
+fn critical_path_pairs_every_receive_and_crosses_in_both_rank_directions() {
+    let cfg = ExecutorConfig::new(8, 1.0).tracing(true).seed(1);
+    let report = ResilientExecutor::new(cfg).run(&cg_app(64, 40, 0.0)).unwrap();
+    let trace = report.trace.as_ref().unwrap();
+    let analysis = Analysis::analyze(trace).unwrap();
+    let [attempt] = &analysis.attempts[..] else { panic!("failure-free: one attempt") };
+
+    let receives =
+        attempt.events.iter().filter(|e| matches!(e.kind, EventKind::Recv { .. })).count();
+    let pairs = fifo_pairs(&attempt.events);
+    assert_eq!(receives, 2_240);
+    assert_eq!(pairs.len(), receives, "every send is one pair");
+    let mut downhill = 0;
+    for &(send, recv) in &pairs {
+        let (tx, rx) = (&attempt.events[send], &attempt.events[recv.expect("a matched send")]);
+        assert!(tx.time <= rx.time, "{tx:?} -> {rx:?}");
+        let (EventKind::Send { to, bytes }, EventKind::Recv { from, bytes: got }) =
+            (&tx.kind, &rx.kind)
+        else {
+            panic!("{tx:?} -> {rx:?}");
+        };
+        assert_eq!((tx.rank, Some(*to), bytes), (Some(*from), rx.rank, got));
+        downhill += usize::from(from > to && recv < Some(send));
+    }
+    assert_eq!(downhill, receives / 2, "receives collected ahead of their sends");
+
+    let path = CriticalPath::analyze(&analysis);
+    assert_eq!(path.total_virtual_time.to_bits(), report.total_virtual_time.to_bits());
+    let steps = &path.attempts[0].steps;
+    // A cross step ends on the receiver; the step before it ends on the sender.
+    let crossings: Vec<(u32, u32)> = steps
+        .windows(2)
+        .filter(|w| w[1].cross)
+        .map(|w| (w[0].rank.unwrap(), w[1].rank.unwrap()))
+        .collect();
+    assert!(crossings.iter().any(|(from, to)| from < to), "{crossings:?}");
+    assert!(crossings.iter().any(|(from, to)| from > to), "{crossings:?}");
+    for w in steps.windows(2) {
+        assert_eq!(w[0].to_time.to_bits(), w[1].from_time.to_bits(), "the path telescopes");
+    }
 }
 
 #[test]

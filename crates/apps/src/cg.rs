@@ -13,11 +13,9 @@
 //! benchmark repeats work to run long enough to attract failures) rather
 //! than residual-driven — but the residual is tracked and must shrink.
 //!
-//! [`CgState`] is serde-serializable: it is exactly what a checkpoint
-//! saves, and resuming from a restored state continues the solve
-//! identically.
-
-use serde::{Deserialize, Serialize};
+//! [`CgState`] is exactly what a checkpoint saves — its `codec_struct!`
+//! line is its stored layout — and resuming from a restored state
+//! continues the solve identically.
 
 use redcr_mpi::collectives::ReduceOp;
 use redcr_mpi::{datatype, Communicator, Result};
@@ -26,7 +24,7 @@ use crate::compute::ComputeModel;
 use crate::sparse::CsrMatrix;
 
 /// Configuration of a CG run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CgConfig {
     /// Global problem dimension.
     pub n: usize,
@@ -53,7 +51,7 @@ pub struct CgSolver {
 }
 
 /// The iteration state — what a checkpoint captures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CgState {
     /// Completed iterations.
     pub iteration: u64,
@@ -66,6 +64,7 @@ pub struct CgState {
     /// Global `rᵀr` from the previous iteration.
     pub rho: f64,
 }
+redcr_ckpt::codec_struct!(CgState { iteration, x, r, p, rho });
 
 impl CgState {
     /// The current residual norm `‖r‖₂ = √rho`.

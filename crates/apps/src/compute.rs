@@ -1,9 +1,7 @@
 //! Computation cost model: converts floating-point work into virtual time.
 
-use serde::{Deserialize, Serialize};
-
 /// Converts flop counts into virtual seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeModel {
     /// Seconds per floating-point operation (1 / sustained flop rate).
     pub secs_per_flop: f64,

@@ -5,7 +5,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use redcr_mpi::collectives::ReduceOp;
 use redcr_mpi::{Communicator, Result};
@@ -13,7 +12,7 @@ use redcr_mpi::{Communicator, Result};
 use crate::compute::ComputeModel;
 
 /// Configuration of an EP run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpConfig {
     /// Random pairs evaluated per rank per batch.
     pub pairs_per_batch: u64,
@@ -23,8 +22,8 @@ pub struct EpConfig {
     pub compute: ComputeModel,
 }
 
-/// Serializable EP state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Checkpointable EP state.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpState {
     /// Completed batches.
     pub batch: u64,
@@ -33,6 +32,7 @@ pub struct EpState {
     /// Total points so far.
     pub total: u64,
 }
+redcr_ckpt::codec_struct!(EpState { batch, inside, total });
 
 /// The EP kernel: Monte-Carlo estimation of π, one batch at a time.
 #[derive(Debug, Clone)]

@@ -2,8 +2,6 @@
 //! neighbour-communication workload with a lower communication fraction
 //! than CG.
 
-use serde::{Deserialize, Serialize};
-
 use redcr_mpi::collectives::ReduceOp;
 use redcr_mpi::{Communicator, Rank, Result, Tag};
 
@@ -14,7 +12,7 @@ const HALO_LEFT: u64 = 100;
 const HALO_RIGHT: u64 = 101;
 
 /// Configuration of a Jacobi run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JacobiConfig {
     /// Grid points per rank (interior).
     pub points_per_rank: usize,
@@ -38,14 +36,15 @@ impl JacobiConfig {
     }
 }
 
-/// Serializable Jacobi state (one rank's grid slice).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Checkpointable Jacobi state (one rank's grid slice).
+#[derive(Debug, Clone, PartialEq)]
 pub struct JacobiState {
     /// Completed sweeps.
     pub iteration: u64,
     /// The rank's interior points.
     pub u: Vec<f64>,
 }
+redcr_ckpt::codec_struct!(JacobiState { iteration, u });
 
 /// The Jacobi solver.
 #[derive(Debug, Clone)]

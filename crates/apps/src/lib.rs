@@ -20,7 +20,8 @@
 //!
 //! All kernels are generic over [`Communicator`](redcr_mpi::Communicator),
 //! so they run identically on the plain runtime and under the replication
-//! layer, and their states are `serde`-serializable for checkpointing.
+//! layer. Each state type states its checkpoint layout in one
+//! `redcr_ckpt::codec_struct!` line under its definition.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

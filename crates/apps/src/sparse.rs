@@ -3,10 +3,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed-sparse-row format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     n: usize,
     row_ptr: Vec<usize>,

@@ -1,382 +1,125 @@
-//! A compact, non-self-describing binary serde format for process images.
+//! The checkpoint wire format, written down once.
 //!
-//! Plays the role bincode plays in real checkpointing stacks: fixed-width
-//! little-endian primitives, `u64` length prefixes for sequences, strings
-//! and maps, `u32` variant indices for enums. The format is not
-//! self-describing — decoding requires the same type that was encoded —
-//! which is exactly the checkpoint/restore contract.
+//! Everything a process image stores goes through the [`Encode`] /
+//! [`Decode`] pair below, and the rules are the whole format:
+//!
+//! * integers and floats are fixed-width little-endian;
+//! * `bool` and the `Option` tag are one byte, `0` or `1`;
+//! * a sequence or string is a `u64` element count followed by its
+//!   elements (a string's elements are its UTF-8 bytes);
+//! * a struct is its fields, back to back, in the order its
+//!   [`codec_struct!`](crate::codec_struct) line lists them.
+//!
+//! There are no field names, type tags, padding or version: the format is
+//! not self-describing, and decoding requires the type that was encoded —
+//! which is exactly the checkpoint/restore contract. The stored length is
+//! what the storage cost model charges as the paper's `c` and `R`, so the
+//! layout is pinned by golden bytes (`tests/ckpt_codec.rs`).
 //!
 //! ```
-//! use serde::{Deserialize, Serialize};
-//!
-//! #[derive(Serialize, Deserialize, PartialEq, Debug)]
+//! #[derive(PartialEq, Debug)]
 //! struct SolverState { iter: u64, residual: f64, x: Vec<f64> }
+//! redcr_ckpt::codec_struct!(SolverState { iter, residual, x });
 //!
 //! # fn main() -> Result<(), redcr_ckpt::CkptError> {
 //! let state = SolverState { iter: 7, residual: 1e-9, x: vec![1.0, 2.0] };
 //! let bytes = redcr_ckpt::to_bytes(&state)?;
+//! assert_eq!(bytes.len(), 8 + 8 + (8 + 2 * 8));
 //! let back: SolverState = redcr_ckpt::from_bytes(&bytes)?;
 //! assert_eq!(back, state);
 //! # Ok(())
 //! # }
 //! ```
 
-use std::fmt::Display;
-
-use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
-use serde::ser::{self, Serialize};
-
 use crate::error::CkptError;
 use crate::Result;
 
-/// Serializes `value` into the binary format.
+/// Encodes `value` in the checkpoint format.
 ///
 /// # Errors
 ///
-/// Returns [`CkptError::Codec`] if the type cannot be represented (e.g.
-/// a serializer-driven map of unknown length).
-pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>> {
-    let mut ser = Serializer { out: Vec::new() };
-    value.serialize(&mut ser)?;
-    Ok(ser.out)
+/// None: appending to a `Vec<u8>` cannot fail. The `Result` stays because
+/// the signature is frozen: the benchmark under `crates/bench/src/bin/perf/`
+/// (which a change measured by it may not edit) and every caller up to the
+/// coordinator are written against it.
+pub fn to_bytes<T: Encode>(value: &T) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    value.encode(&mut out);
+    Ok(out)
 }
 
-/// Deserializes a value of type `T` from bytes produced by [`to_bytes`].
+/// Decodes a `T` from bytes produced by [`to_bytes`].
+///
+/// The bytes are input from outside the program (a file, a peer): every
+/// length prefix is checked against the bytes that remain before anything
+/// is reserved for it.
 ///
 /// # Errors
 ///
-/// Returns [`CkptError::Codec`] on truncated or malformed input, or if
-/// trailing bytes remain.
-pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
-    let mut de = Deserializer { input: bytes };
-    let value = T::deserialize(&mut de)?;
-    if !de.input.is_empty() {
-        return Err(CkptError::Codec(format!("{} trailing bytes", de.input.len())));
+/// Returns [`CkptError::Codec`] on truncated input, a length prefix larger
+/// than the input, a tag byte other than 0/1, invalid UTF-8, or trailing
+/// bytes.
+pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T> {
+    let mut input = Reader { input: bytes };
+    let value = T::decode(&mut input)?;
+    if !input.input.is_empty() {
+        return Err(CkptError::Codec(format!("{} trailing bytes", input.input.len())));
     }
     Ok(value)
 }
 
-impl ser::Error for CkptError {
-    fn custom<T: Display>(msg: T) -> Self {
-        CkptError::Codec(msg.to_string())
+/// A value with a checkpoint encoding.
+pub trait Encode {
+    /// Appends the value's encoding to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// Appends the elements of a sequence (not its count). Fixed-width
+    /// types override this to reserve once and copy in bulk.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(out);
+        }
     }
 }
 
-impl de::Error for CkptError {
-    fn custom<T: Display>(msg: T) -> Self {
-        CkptError::Codec(msg.to_string())
+/// A value that can be read back from its checkpoint encoding.
+pub trait Decode: Sized {
+    /// The fewest bytes any value of the type encodes to: what a sequence's
+    /// element count is checked against before anything is reserved.
+    const MIN_SIZE: usize;
+
+    /// Reads one value off the front of `input`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkptError::Codec`] on truncated or malformed input.
+    fn decode(input: &mut Reader<'_>) -> Result<Self>;
+
+    /// Reads the `len` elements of a sequence whose count the caller has
+    /// checked. This generic path reserves nothing and grows as elements
+    /// arrive; fixed-width types override it with one exact reservation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkptError::Codec`] on truncated or malformed input.
+    fn decode_vec(len: usize, input: &mut Reader<'_>) -> Result<Vec<Self>> {
+        (0..len).map(|_| Self::decode(input)).collect()
     }
 }
 
-struct Serializer {
-    out: Vec<u8>,
+/// The undecoded rest of an input. Opaque outside this module: a
+/// [`Decode`] impl written by [`codec_struct!`](crate::codec_struct) only
+/// hands it on to its fields.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    input: &'a [u8],
 }
 
-impl Serializer {
-    fn put_len(&mut self, len: usize) {
-        self.out.extend_from_slice(&(len as u64).to_le_bytes());
-    }
-}
-
-impl<'a> ser::Serializer for &'a mut Serializer {
-    type Ok = ();
-    type Error = CkptError;
-    type SerializeSeq = Compound<'a>;
-    type SerializeTuple = Compound<'a>;
-    type SerializeTupleStruct = Compound<'a>;
-    type SerializeTupleVariant = Compound<'a>;
-    type SerializeMap = Compound<'a>;
-    type SerializeStruct = Compound<'a>;
-    type SerializeStructVariant = Compound<'a>;
-
-    fn serialize_bool(self, v: bool) -> Result<()> {
-        self.out.push(v as u8);
-        Ok(())
-    }
-
-    fn serialize_i8(self, v: i8) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_i16(self, v: i16) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_i32(self, v: i32) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_i64(self, v: i64) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_u8(self, v: u8) -> Result<()> {
-        self.out.push(v);
-        Ok(())
-    }
-
-    fn serialize_u16(self, v: u16) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_u32(self, v: u32) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_u64(self, v: u64) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_f32(self, v: f32) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_f64(self, v: f64) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_char(self, v: char) -> Result<()> {
-        self.serialize_u32(v as u32)
-    }
-
-    fn serialize_str(self, v: &str) -> Result<()> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v.as_bytes());
-        Ok(())
-    }
-
-    fn serialize_bytes(self, v: &[u8]) -> Result<()> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v);
-        Ok(())
-    }
-
-    fn serialize_none(self) -> Result<()> {
-        self.out.push(0);
-        Ok(())
-    }
-
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<()> {
-        self.out.push(1);
-        value.serialize(self)
-    }
-
-    fn serialize_unit(self) -> Result<()> {
-        Ok(())
-    }
-
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<()> {
-        Ok(())
-    }
-
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<()> {
-        self.serialize_u32(variant_index)
-    }
-
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        value.serialize(self)
-    }
-
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        self.serialize_u32(variant_index)?;
-        value.serialize(self)
-    }
-
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self::SerializeSeq> {
-        let len = len.ok_or_else(|| {
-            CkptError::Codec("sequences of unknown length are not supported".into())
-        })?;
-        self.put_len(len);
-        Ok(Compound { ser: self })
-    }
-
-    fn serialize_tuple(self, _len: usize) -> Result<Self::SerializeTuple> {
-        Ok(Compound { ser: self })
-    }
-
-    fn serialize_tuple_struct(
-        self,
-        _name: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeTupleStruct> {
-        Ok(Compound { ser: self })
-    }
-
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeTupleVariant> {
-        serde::Serializer::serialize_u32(&mut *self, variant_index)?;
-        Ok(Compound { ser: self })
-    }
-
-    fn serialize_map(self, len: Option<usize>) -> Result<Self::SerializeMap> {
-        let len =
-            len.ok_or_else(|| CkptError::Codec("maps of unknown length are not supported".into()))?;
-        self.put_len(len);
-        Ok(Compound { ser: self })
-    }
-
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self::SerializeStruct> {
-        Ok(Compound { ser: self })
-    }
-
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeStructVariant> {
-        serde::Serializer::serialize_u32(&mut *self, variant_index)?;
-        Ok(Compound { ser: self })
-    }
-
-    fn is_human_readable(&self) -> bool {
-        false
-    }
-}
-
-struct Compound<'a> {
-    ser: &'a mut Serializer,
-}
-
-impl ser::SerializeSeq for Compound<'_> {
-    type Ok = ();
-    type Error = CkptError;
-
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        value.serialize(&mut *self.ser)
-    }
-
-    fn end(self) -> Result<()> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeTuple for Compound<'_> {
-    type Ok = ();
-    type Error = CkptError;
-
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        value.serialize(&mut *self.ser)
-    }
-
-    fn end(self) -> Result<()> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeTupleStruct for Compound<'_> {
-    type Ok = ();
-    type Error = CkptError;
-
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        value.serialize(&mut *self.ser)
-    }
-
-    fn end(self) -> Result<()> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeTupleVariant for Compound<'_> {
-    type Ok = ();
-    type Error = CkptError;
-
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        value.serialize(&mut *self.ser)
-    }
-
-    fn end(self) -> Result<()> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeMap for Compound<'_> {
-    type Ok = ();
-    type Error = CkptError;
-
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<()> {
-        key.serialize(&mut *self.ser)
-    }
-
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        value.serialize(&mut *self.ser)
-    }
-
-    fn end(self) -> Result<()> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStruct for Compound<'_> {
-    type Ok = ();
-    type Error = CkptError;
-
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        value.serialize(&mut *self.ser)
-    }
-
-    fn end(self) -> Result<()> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStructVariant for Compound<'_> {
-    type Ok = ();
-    type Error = CkptError;
-
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        value.serialize(&mut *self.ser)
-    }
-
-    fn end(self) -> Result<()> {
-        Ok(())
-    }
-}
-
-struct Deserializer<'de> {
-    input: &'de [u8],
-}
-
-impl<'de> Deserializer<'de> {
-    fn take(&mut self, n: usize) -> Result<&'de [u8]> {
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.input.len() < n {
             return Err(CkptError::Codec(format!(
                 "unexpected end of input: need {n} bytes, have {}",
@@ -388,260 +131,207 @@ impl<'de> Deserializer<'de> {
         Ok(head)
     }
 
-    fn take_len(&mut self) -> Result<usize> {
-        let bytes = self.take(8)?;
-        let v = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
-        usize::try_from(v).map_err(|_| CkptError::Codec("length overflows usize".into()))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("take returned exactly N bytes"))
     }
 
-    fn take_u32(&mut self) -> Result<u32> {
-        let bytes = self.take(4)?;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+    /// The one-byte tag of a `bool` or an `Option`.
+    fn tag(&mut self, what: &str) -> Result<bool> {
+        match self.take(1)?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(CkptError::Codec(format!("invalid {what} byte {other}"))),
+        }
+    }
+
+    /// A sequence's element count, accepted only if that many elements of
+    /// at least `min_size` bytes each can still be present.
+    fn count(&mut self, min_size: usize) -> Result<usize> {
+        let len = u64::from_le_bytes(self.array()?);
+        let left = self.input.len();
+        let fits = |n: &usize| n.checked_mul(min_size).is_some_and(|bytes| bytes <= left);
+        usize::try_from(len).ok().filter(fits).ok_or_else(|| {
+            CkptError::Codec(format!("length prefix {len} exceeds the {left} bytes that remain"))
+        })
     }
 }
 
-macro_rules! de_primitive {
-    ($fn_name:ident, $visit:ident, $ty:ty, $n:expr) => {
-        fn $fn_name<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-            let bytes = self.take($n)?;
-            visitor.$visit(<$ty>::from_le_bytes(bytes.try_into().expect("fixed width")))
+/// Little-endian fixed-width numbers; a slice of them is one reservation.
+macro_rules! fixed_width {
+    ($($ty:ty),*) => {$(
+        impl Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                out.reserve(std::mem::size_of_val(items));
+                for item in items {
+                    out.extend_from_slice(&item.to_le_bytes());
+                }
+            }
+        }
+
+        impl Decode for $ty {
+            const MIN_SIZE: usize = std::mem::size_of::<$ty>();
+
+            fn decode(input: &mut Reader<'_>) -> Result<Self> {
+                Ok(Self::from_le_bytes(input.array()?))
+            }
+
+            fn decode_vec(len: usize, input: &mut Reader<'_>) -> Result<Vec<Self>> {
+                let bytes = input.take(len.saturating_mul(Self::MIN_SIZE))?;
+                let items = bytes.chunks_exact(Self::MIN_SIZE);
+                Ok(items.map(|c| Self::from_le_bytes(c.try_into().expect("exact chunk"))).collect())
+            }
+        }
+    )*};
+}
+
+fixed_width!(u32, u64, i64, f32, f64);
+
+/// A byte is its own encoding, so a byte string moves as one copy.
+impl Encode for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+}
+
+impl Decode for u8 {
+    const MIN_SIZE: usize = 1;
+
+    fn decode(input: &mut Reader<'_>) -> Result<Self> {
+        Ok(input.take(1)?[0])
+    }
+
+    fn decode_vec(len: usize, input: &mut Reader<'_>) -> Result<Vec<Self>> {
+        Ok(input.take(len)?.to_vec())
+    }
+}
+
+impl Encode for bool {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+}
+
+impl Decode for bool {
+    const MIN_SIZE: usize = 1;
+
+    fn decode(input: &mut Reader<'_>) -> Result<Self> {
+        input.tag("bool")
+    }
+}
+
+impl<T: Encode> Encode for Option<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(self.is_some()));
+        if let Some(value) = self {
+            value.encode(out);
+        }
+    }
+}
+
+impl<T: Decode> Decode for Option<T> {
+    const MIN_SIZE: usize = 1;
+
+    fn decode(input: &mut Reader<'_>) -> Result<Self> {
+        if input.tag("option")? {
+            T::decode(input).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
+        T::encode_slice(self, out);
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    const MIN_SIZE: usize = 8;
+
+    fn decode(input: &mut Reader<'_>) -> Result<Self> {
+        // A count no input can back (elements of no bytes) would loop on
+        // nothing; no such type exists, and none may be added.
+        const { assert!(T::MIN_SIZE > 0) };
+        let len = input.count(T::MIN_SIZE)?;
+        T::decode_vec(len, input)
+    }
+}
+
+impl Encode for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_bytes().encode(out);
+    }
+}
+
+impl Decode for String {
+    const MIN_SIZE: usize = 8;
+
+    fn decode(input: &mut Reader<'_>) -> Result<Self> {
+        String::from_utf8(Vec::<u8>::decode(input)?)
+            .map_err(|e| CkptError::Codec(format!("invalid utf-8 string: {e}")))
+    }
+}
+
+/// Encoding a reference is encoding what it points at (`&[f64]`, `&&T`).
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+/// The smallest encoding of the field a projection returns: how
+/// [`codec_struct!`](crate::codec_struct) sums [`Decode::MIN_SIZE`] over
+/// fields it knows only by name.
+#[doc(hidden)]
+pub const fn min_size_of<S, T: Decode>(_field: fn(&S) -> &T) -> usize {
+    T::MIN_SIZE
+}
+
+/// Gives a struct its checkpoint layout: the listed fields, in the listed
+/// order, each through its own [`Encode`](crate::codec::Encode) /
+/// [`Decode`](crate::codec::Decode). Write it directly under the type; a
+/// field left out fails to compile.
+#[macro_export]
+macro_rules! codec_struct {
+    ($name:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::codec::Encode for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::codec::Encode::encode(&self.$field, out);)+
+            }
+        }
+
+        impl $crate::codec::Decode for $name {
+            const MIN_SIZE: usize =
+                0 $(+ $crate::codec::min_size_of(|s: &$name| &s.$field))+;
+
+            fn decode(input: &mut $crate::codec::Reader<'_>) -> $crate::Result<Self> {
+                Ok($name { $($field: $crate::codec::Decode::decode(input)?),+ })
+            }
         }
     };
-}
-
-impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
-    type Error = CkptError;
-
-    fn deserialize_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
-        Err(CkptError::Codec("format is not self-describing (deserialize_any)".into()))
-    }
-
-    fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        match self.take(1)?[0] {
-            0 => visitor.visit_bool(false),
-            1 => visitor.visit_bool(true),
-            other => Err(CkptError::Codec(format!("invalid bool byte {other}"))),
-        }
-    }
-
-    fn deserialize_i8<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        visitor.visit_i8(self.take(1)?[0] as i8)
-    }
-
-    de_primitive!(deserialize_i16, visit_i16, i16, 2);
-    de_primitive!(deserialize_i32, visit_i32, i32, 4);
-    de_primitive!(deserialize_i64, visit_i64, i64, 8);
-
-    fn deserialize_u8<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        visitor.visit_u8(self.take(1)?[0])
-    }
-
-    de_primitive!(deserialize_u16, visit_u16, u16, 2);
-    de_primitive!(deserialize_u32, visit_u32, u32, 4);
-    de_primitive!(deserialize_u64, visit_u64, u64, 8);
-    de_primitive!(deserialize_f32, visit_f32, f32, 4);
-    de_primitive!(deserialize_f64, visit_f64, f64, 8);
-
-    fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let v = self.take_u32()?;
-        let c = char::from_u32(v)
-            .ok_or_else(|| CkptError::Codec(format!("invalid char scalar {v}")))?;
-        visitor.visit_char(c)
-    }
-
-    fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let len = self.take_len()?;
-        let bytes = self.take(len)?;
-        let s = std::str::from_utf8(bytes)
-            .map_err(|e| CkptError::Codec(format!("invalid utf-8 string: {e}")))?;
-        visitor.visit_borrowed_str(s)
-    }
-
-    fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        self.deserialize_str(visitor)
-    }
-
-    fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let len = self.take_len()?;
-        visitor.visit_borrowed_bytes(self.take(len)?)
-    }
-
-    fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        self.deserialize_bytes(visitor)
-    }
-
-    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        match self.take(1)?[0] {
-            0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
-            other => Err(CkptError::Codec(format!("invalid option byte {other}"))),
-        }
-    }
-
-    fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        visitor.visit_unit()
-    }
-
-    fn deserialize_unit_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_unit()
-    }
-
-    fn deserialize_newtype_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_newtype_struct(self)
-    }
-
-    fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let len = self.take_len()?;
-        visitor.visit_seq(Counted { de: self, remaining: len })
-    }
-
-    fn deserialize_tuple<V: Visitor<'de>>(self, len: usize, visitor: V) -> Result<V::Value> {
-        visitor.visit_seq(Counted { de: self, remaining: len })
-    }
-
-    fn deserialize_tuple_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_seq(Counted { de: self, remaining: len })
-    }
-
-    fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let len = self.take_len()?;
-        visitor.visit_map(Counted { de: self, remaining: len })
-    }
-
-    fn deserialize_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_seq(Counted { de: self, remaining: fields.len() })
-    }
-
-    fn deserialize_enum<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        _variants: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_enum(EnumAccess { de: self })
-    }
-
-    fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
-        Err(CkptError::Codec("identifiers are not encoded".into()))
-    }
-
-    fn deserialize_ignored_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
-        Err(CkptError::Codec("cannot skip values in a non-self-describing format".into()))
-    }
-
-    fn is_human_readable(&self) -> bool {
-        false
-    }
-}
-
-struct Counted<'a, 'de> {
-    de: &'a mut Deserializer<'de>,
-    remaining: usize,
-}
-
-impl<'de> de::SeqAccess<'de> for Counted<'_, 'de> {
-    type Error = CkptError;
-
-    fn next_element_seed<T: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: T,
-    ) -> Result<Option<T::Value>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
-}
-
-impl<'de> de::MapAccess<'de> for Counted<'_, 'de> {
-    type Error = CkptError;
-
-    fn next_key_seed<K: de::DeserializeSeed<'de>>(&mut self, seed: K) -> Result<Option<K::Value>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-
-    fn next_value_seed<V: de::DeserializeSeed<'de>>(&mut self, seed: V) -> Result<V::Value> {
-        seed.deserialize(&mut *self.de)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
-}
-
-struct EnumAccess<'a, 'de> {
-    de: &'a mut Deserializer<'de>,
-}
-
-impl<'de> de::EnumAccess<'de> for EnumAccess<'_, 'de> {
-    type Error = CkptError;
-    type Variant = Self;
-
-    fn variant_seed<V: de::DeserializeSeed<'de>>(self, seed: V) -> Result<(V::Value, Self)> {
-        let index = self.de.take_u32()?;
-        let value = seed.deserialize(IntoDeserializer::<CkptError>::into_deserializer(index))?;
-        Ok((value, self))
-    }
-}
-
-impl<'de> de::VariantAccess<'de> for EnumAccess<'_, 'de> {
-    type Error = CkptError;
-
-    fn unit_variant(self) -> Result<()> {
-        Ok(())
-    }
-
-    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(self, seed: T) -> Result<T::Value> {
-        seed.deserialize(self.de)
-    }
-
-    fn tuple_variant<V: Visitor<'de>>(self, len: usize, visitor: V) -> Result<V::Value> {
-        visitor.visit_seq(Counted { de: self.de, remaining: len })
-    }
-
-    fn struct_variant<V: Visitor<'de>>(
-        self,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_seq(Counted { de: self.de, remaining: fields.len() })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
-    use std::collections::BTreeMap;
 
-    fn round_trip<T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug>(value: T) {
+    fn round_trip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = to_bytes(&value).unwrap();
         let back: T = from_bytes(&bytes).unwrap();
         assert_eq!(back, value);
@@ -656,7 +346,6 @@ mod tests {
         round_trip(u64::MAX);
         round_trip(std::f64::consts::PI);
         round_trip(f32::NEG_INFINITY);
-        round_trip('λ');
         round_trip(String::from("hello checkpoint"));
         round_trip(String::new());
     }
@@ -667,61 +356,61 @@ mod tests {
         round_trip(Vec::<f64>::new());
         round_trip(Some(5u32));
         round_trip(Option::<u32>::None);
-        round_trip((1u8, -2i32, String::from("t")));
-        let mut m = BTreeMap::new();
-        m.insert(String::from("a"), vec![1.0f64, 2.0]);
-        m.insert(String::from("b"), vec![]);
-        round_trip(m);
         round_trip(vec![vec![vec![1u8]]]);
     }
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
+    #[derive(PartialEq, Debug)]
     struct Nested {
         name: String,
         values: Vec<f64>,
         flag: Option<bool>,
     }
+    codec_struct!(Nested { name, values, flag });
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
-    enum Kind {
-        Unit,
-        New(u64),
-        Tuple(u8, u8),
-        Struct { x: f64, tag: String },
-    }
-
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
+    #[derive(PartialEq, Debug)]
     struct Image {
         rank: u32,
         nested: Nested,
-        kinds: Vec<Kind>,
-        unit: (),
+        more: Vec<Nested>,
+    }
+    codec_struct!(Image { rank, nested, more });
+
+    fn nested() -> Nested {
+        Nested { name: "cg-state".into(), values: vec![0.5, -0.25, 1e300], flag: Some(true) }
     }
 
     #[test]
-    fn derived_structs_and_enums() {
-        round_trip(Image {
-            rank: 17,
-            nested: Nested {
-                name: "cg-state".into(),
-                values: vec![0.5, -0.25, 1e300],
-                flag: Some(true),
-            },
-            kinds: vec![
-                Kind::Unit,
-                Kind::New(9),
-                Kind::Tuple(1, 2),
-                Kind::Struct { x: -0.0, tag: "t".into() },
-            ],
-            unit: (),
-        });
+    fn derived_structs() {
+        assert_eq!(Nested::MIN_SIZE, 8 + 8 + 1);
+        assert_eq!(Image::MIN_SIZE, 4 + 17 + 8);
+        round_trip(Image { rank: 17, nested: nested(), more: vec![nested(), nested()] });
+    }
+
+    #[test]
+    fn layout_is_fields_in_listed_order_little_endian() {
+        let bytes = to_bytes(&Nested { name: "é".into(), values: vec![1.0], flag: None }).unwrap();
+        let mut want = vec![2, 0, 0, 0, 0, 0, 0, 0, 0xc3, 0xa9];
+        want.extend([1, 0, 0, 0, 0, 0, 0, 0]);
+        want.extend(1.0f64.to_le_bytes());
+        want.push(0);
+        assert_eq!(bytes, want);
+        // A reference and a slice encode as the vector they view.
+        let v = vec![1.5f64, -2.0];
+        assert_eq!(to_bytes(&v.as_slice()).unwrap(), to_bytes(&v).unwrap());
+        assert_eq!(to_bytes(&&v).unwrap(), to_bytes(&v).unwrap());
     }
 
     #[test]
     fn truncated_input_errors() {
         let bytes = to_bytes(&vec![1u64, 2, 3]).unwrap();
-        let err = from_bytes::<Vec<u64>>(&bytes[..bytes.len() - 1]).unwrap_err();
-        assert!(matches!(err, CkptError::Codec(_)));
+        for cut in 0..bytes.len() {
+            let err = from_bytes::<Vec<u64>>(&bytes[..cut]).unwrap_err();
+            assert!(matches!(err, CkptError::Codec(_)), "cut at {cut}");
+        }
+        let bytes = to_bytes(&nested()).unwrap();
+        for cut in 0..bytes.len() {
+            assert!(from_bytes::<Nested>(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -735,6 +424,14 @@ mod tests {
     fn invalid_bool_and_option_tags() {
         assert!(from_bytes::<bool>(&[2]).is_err());
         assert!(from_bytes::<Option<u8>>(&[9]).is_err());
+        assert!(from_bytes::<Option<u8>>(&[1]).is_err());
+    }
+
+    #[test]
+    fn invalid_utf8_errors() {
+        let mut bytes = to_bytes(&String::from("ab")).unwrap();
+        bytes[8] = 0xff;
+        assert!(matches!(from_bytes::<String>(&bytes), Err(CkptError::Codec(_))));
     }
 
     #[test]
@@ -746,10 +443,26 @@ mod tests {
     }
 
     #[test]
+    fn length_prefix_is_checked_against_the_remaining_bytes() {
+        // 8 bytes of count, 8 bytes of payload: one f64, eight bytes, or
+        // nothing larger — whatever the count claims.
+        for len in [u64::MAX, 1 << 61, 1 << 40, 2] {
+            let mut bytes = len.to_le_bytes().to_vec();
+            bytes.extend([0u8; 8]);
+            assert!(from_bytes::<Vec<f64>>(&bytes).is_err(), "{len} f64s");
+            assert!(from_bytes::<Vec<Nested>>(&bytes).is_err(), "{len} structs");
+            assert!(from_bytes::<Vec<Vec<u8>>>(&bytes).is_err(), "{len} vectors");
+        }
+        let mut bytes = 9u64.to_le_bytes().to_vec();
+        bytes.extend([0u8; 8]);
+        assert!(from_bytes::<Vec<u8>>(&bytes).is_err());
+        bytes[0] = 8;
+        assert_eq!(from_bytes::<Vec<u8>>(&bytes).unwrap(), vec![0u8; 8]);
+    }
+
+    #[test]
     fn deterministic_encoding() {
-        let a = to_bytes(&("x", 1u64, vec![2.0f64])).unwrap();
-        let b = to_bytes(&("x", 1u64, vec![2.0f64])).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(to_bytes(&nested()).unwrap(), to_bytes(&nested()).unwrap());
     }
 
     #[test]
@@ -758,5 +471,8 @@ mod tests {
         let bytes = to_bytes(&nan).unwrap();
         let back: f64 = from_bytes(&bytes).unwrap();
         assert_eq!(back.to_bits(), nan.to_bits());
+        let back: Vec<f64> = from_bytes(&to_bytes(&vec![nan, -0.0]).unwrap()).unwrap();
+        assert_eq!(back[0].to_bits(), nan.to_bits());
+        assert_eq!(back[1].to_bits(), (-0.0f64).to_bits());
     }
 }

@@ -4,13 +4,11 @@
 
 use std::sync::Arc;
 
-use serde::de::DeserializeOwned;
-use serde::Serialize;
-
 use redcr_mpi::Communicator;
 
 use crate::bookmark;
 use crate::chandy_lamport;
+use crate::codec::{Decode, Encode};
 use crate::counting::CountingComm;
 use crate::exclusion::ExclusionSet;
 use crate::snapshot::{ChannelMessage, ProcessImage};
@@ -141,8 +139,32 @@ impl CheckpointCoordinator {
         &self.storage
     }
 
-    /// Takes coordinated checkpoint number `seq`. Collective: every rank of
-    /// `comm` must call with the same `seq` at the same logical point.
+    /// Takes coordinated checkpoint number `seq`, stamping the image with
+    /// this rank's own clock on entry. Ranks whose clocks differ — replicas
+    /// of one sphere, which store under one key — must agree on the cut
+    /// first and call [`checkpoint_at`](Self::checkpoint_at) with it.
+    ///
+    /// # Errors
+    ///
+    /// As [`checkpoint_at`](Self::checkpoint_at).
+    pub fn checkpoint<C, S>(
+        &self,
+        comm: &CountingComm<'_, C>,
+        seq: u64,
+        state: &S,
+    ) -> Result<CheckpointReceipt>
+    where
+        C: Communicator,
+        S: Encode,
+    {
+        self.checkpoint_at(comm, seq, comm.now(), state)
+    }
+
+    /// Takes coordinated checkpoint number `seq` at the virtual time `cut`.
+    /// Collective: every rank of `comm` must call with the same `seq` at
+    /// the same logical point. `cut` is stored in the image and comes back
+    /// as [`Restored::cut_time`]; every caller that stores under one key
+    /// must pass the same value, or which image survives is a race.
     ///
     /// The write cost is charged to the rank's virtual clock, then a
     /// barrier commits the checkpoint (matching the synchronous semantics
@@ -152,15 +174,16 @@ impl CheckpointCoordinator {
     ///
     /// Returns a protocol error if the run aborts mid-checkpoint, a codec
     /// error if the state cannot be serialized, or a storage error.
-    pub fn checkpoint<C, S>(
+    pub fn checkpoint_at<C, S>(
         &self,
         comm: &CountingComm<'_, C>,
         seq: u64,
+        cut: f64,
         state: &S,
     ) -> Result<CheckpointReceipt>
     where
         C: Communicator,
-        S: Serialize,
+        S: Encode,
     {
         let obs = comm.obs();
         let begin = comm.now();
@@ -178,7 +201,7 @@ impl CheckpointCoordinator {
         let encode_span = obs.span(redcr_mpi::prof::SpanKey::CheckpointEncode);
         let image = ProcessImage::capture_with(
             comm.rank().as_u32(),
-            comm.now(),
+            cut,
             state,
             &self.exclusions,
             self.compress,
@@ -217,7 +240,7 @@ impl CheckpointCoordinator {
     pub fn restore<C, T>(&self, comm: &C, seq: u64) -> Result<Restored<T>>
     where
         C: Communicator,
-        T: DeserializeOwned,
+        T: Decode,
     {
         let bytes = self.storage.load(SnapshotKey::new(seq, comm.rank().as_u32()))?;
         let cost = self.cost.read_cost(bytes.len());
@@ -251,13 +274,13 @@ mod tests {
     use super::*;
     use crate::storage::MemoryStorage;
     use redcr_mpi::{CostModel, Rank, Tag, World};
-    use serde::Deserialize;
 
-    #[derive(Serialize, Deserialize, Debug, PartialEq, Clone)]
+    #[derive(Debug, PartialEq, Clone)]
     struct State {
         iter: u64,
         data: Vec<f64>,
     }
+    crate::codec_struct!(State { iter, data });
 
     #[test]
     fn checkpoint_then_restore_round_trip() {
@@ -346,7 +369,7 @@ mod tests {
                     let prev = comm.rank().offset(-1, 4);
                     comm.send(peer, Tag::new(1), b"x")?;
                     comm.recv(prev.into(), Tag::new(1).into())?;
-                    let receipt = coord.checkpoint(&comm, 2, &comm.rank().index()).unwrap();
+                    let receipt = coord.checkpoint(&comm, 2, &comm.rank().as_u32()).unwrap();
                     assert_eq!(receipt.channel_messages, 0, "{protocol:?}");
                     Ok(())
                 })

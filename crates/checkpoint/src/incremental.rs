@@ -6,8 +6,6 @@
 //! per fixed-size page and diffs against the previous image — the
 //! software analogue with identical externally-visible behaviour.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CkptError;
 use crate::Result;
 
@@ -16,7 +14,7 @@ pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
 /// One checkpoint produced by the [`IncrementalEngine`]: either a full
 /// image or the dirty pages relative to the previous checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Increment {
     /// A complete image (the chain base).
     Full {

@@ -6,9 +6,10 @@
 //! coordinated checkpoint service; this crate provides the equivalent
 //! building blocks for applications running on the simulated runtime:
 //!
-//! * [`codec`] — a compact, non-self-describing binary serde format (the
-//!   role bincode plays in real systems) so any `Serialize` application
-//!   state can become a process image.
+//! * [`codec`] — the checkpoint wire format: the [`codec::Encode`] /
+//!   [`codec::Decode`] pair and [`codec_struct!`], the one line under a
+//!   state struct that lists its stored fields, so any application state
+//!   can become a process image.
 //! * [`snapshot`] — process images: application state + drained channel
 //!   state + the virtual time of the cut.
 //! * [`storage`] — stable-storage backends (in-memory and on-disk) with a

@@ -1,9 +1,6 @@
 //! Process images: what one rank contributes to a coordinated checkpoint.
 
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
-
-use crate::codec;
+use crate::codec::{self, Decode, Encode};
 use crate::compress;
 use crate::exclusion::ExclusionSet;
 use crate::Result;
@@ -11,7 +8,7 @@ use crate::Result;
 /// A buffered in-flight message captured as channel state during
 /// coordination (either drained by the bookmark protocol or recorded by
 /// Chandy–Lamport).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelMessage {
     /// Sending rank (communicator-level).
     pub src: u32,
@@ -20,9 +17,10 @@ pub struct ChannelMessage {
     /// Payload bytes.
     pub payload: Vec<u8>,
 }
+crate::codec_struct!(ChannelMessage { src, tag, payload });
 
 /// One rank's complete contribution to a coordinated checkpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessImage {
     /// The rank that produced this image (communicator-level).
     pub rank: u32,
@@ -35,6 +33,7 @@ pub struct ProcessImage {
     /// Whether `app_state` is RLE-compressed.
     pub compressed: bool,
 }
+crate::codec_struct!(ProcessImage { rank, virtual_time, app_state, channel_state, compressed });
 
 impl ProcessImage {
     /// Builds an image from a serializable application state.
@@ -42,7 +41,7 @@ impl ProcessImage {
     /// # Errors
     ///
     /// Returns a codec error if the state cannot be serialized.
-    pub fn capture<S: Serialize>(rank: u32, virtual_time: f64, state: &S) -> Result<Self> {
+    pub fn capture<S: Encode>(rank: u32, virtual_time: f64, state: &S) -> Result<Self> {
         Ok(ProcessImage {
             rank,
             virtual_time,
@@ -58,7 +57,7 @@ impl ProcessImage {
     /// # Errors
     ///
     /// Returns a codec error if the state cannot be serialized.
-    pub fn capture_with<S: Serialize>(
+    pub fn capture_with<S: Encode>(
         rank: u32,
         virtual_time: f64,
         state: &S,
@@ -84,7 +83,7 @@ impl ProcessImage {
     /// Returns a codec error if the bytes do not decode as `S` (e.g. after
     /// memory exclusion zeroed a region the type needs — the application
     /// contract is that excluded regions are re-derivable scratch space).
-    pub fn restore<S: DeserializeOwned>(&self) -> Result<S> {
+    pub fn restore<S: Decode>(&self) -> Result<S> {
         if self.compressed {
             let bytes = compress::decompress(&self.app_state)?;
             codec::from_bytes(&bytes)
@@ -117,12 +116,13 @@ impl ProcessImage {
 mod tests {
     use super::*;
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
+    #[derive(PartialEq, Debug, Clone)]
     struct State {
         iter: u64,
         x: Vec<f64>,
         label: String,
     }
+    crate::codec_struct!(State { iter, x, label });
 
     fn state() -> State {
         State { iter: 41, x: vec![1.5; 100], label: "solver".into() }

@@ -235,9 +235,11 @@ impl StableStorage for DiskStorage {
     fn store(&self, key: SnapshotKey, data: &[u8]) -> Result<()> {
         // Write-then-rename so that a torn write never looks like a valid
         // image (the stable-storage property). The temp name is unique per
-        // writer: replicas of the same virtual rank legitimately store the
-        // same key concurrently (their images are equivalent), and must not
-        // trip over each other's rename.
+        // writer: replicas of the same virtual rank store the same key
+        // concurrently and must not trip over each other's rename. Last
+        // writer wins, so their images have to be byte-identical — which
+        // is why the executor stamps them with the agreed cut
+        // (`CheckpointCoordinator::checkpoint_at`), not each replica's clock.
         static WRITER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         // detlint::allow(R6, reason = "pure uniqueness counter: the value only names a temp file and orders nothing cross-thread; fetch_add is atomic at every ordering")
         let writer = WRITER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);

@@ -28,9 +28,7 @@ mod segment;
 
 use std::sync::Arc;
 
-use serde::de::DeserializeOwned;
-use serde::Serialize;
-
+use redcr_ckpt::codec::{Decode, Encode};
 use redcr_ckpt::coordinator::CheckpointCoordinator;
 use redcr_ckpt::restart;
 use redcr_ckpt::snapshot::ProcessImage;
@@ -57,7 +55,7 @@ use segment::{rank_segment, Detector, DonorImage, Resume, SegmentOutcome};
 /// must survive a restart.
 pub trait ResilientApp: Sync {
     /// The checkpointable state.
-    type State: Serialize + DeserializeOwned + Send + 'static;
+    type State: Encode + Decode + Send + 'static;
 
     /// Builds the initial state (collective).
     ///
@@ -150,7 +148,7 @@ struct Job<'a, S> {
     last_committed: Option<u64>,
 }
 
-impl<'a, S: Serialize + Send> Job<'a, S> {
+impl<'a, S: Encode + Send> Job<'a, S> {
     fn new(cfg: &'a ExecutorConfig, storage: &Arc<dyn StableStorage>) -> Result<Self> {
         let partition = RedundancyPartition::new(cfg.n_virtual, cfg.degree)?;
         let counts: Vec<usize> =
@@ -502,7 +500,7 @@ fn live_by_sphere<T>(groups: &ReplicaGroups, results: Vec<redcr_mpi::Result<T>>)
 /// replica that reached the quiesce (the donor), at the heal `boundary`,
 /// and counts the bytes to ship: only images of healing spheres — survivors
 /// keep their state in place.
-fn donor_images<S: Serialize>(
+fn donor_images<S: Encode>(
     groups: &ReplicaGroups,
     suspects: &[usize],
     boundary: f64,

@@ -155,7 +155,12 @@ pub(super) fn rank_segment<A: ResilientApp>(
             return Ok(SegmentOutcome::Quiesced { state, channel, boundary: now_max, cursor });
         }
         if now_max >= cursor.next_ckpt {
-            coordinator.checkpoint(&counting, cursor.next_seq, &state).map_err(MpiError::from)?;
+            // Stamped with the agreed boundary, not this replica's own
+            // clock: the replicas of a sphere store under one key, and
+            // their images must not depend on which of them writes last.
+            coordinator
+                .checkpoint_at(&counting, cursor.next_seq, now_max, &state)
+                .map_err(MpiError::from)?;
             cursor = Cursor {
                 next_seq: cursor.next_seq + 1,
                 next_ckpt: now_max + interval,

@@ -95,52 +95,6 @@ pub fn decode_u64s(bytes: &[u8]) -> Result<Vec<u64>> {
         .collect())
 }
 
-/// Encodes a slice of `i64` as little-endian bytes.
-pub fn encode_i64s(values: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes little-endian bytes as `i64` values.
-///
-/// # Errors
-///
-/// Returns [`MpiError::DecodeError`] if the length is not a multiple of 8.
-pub fn decode_i64s(bytes: &[u8]) -> Result<Vec<i64>> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(MpiError::DecodeError { what: "i64 slice" });
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        // detlint::allow(R4, reason = "infallible: chunks_exact(8) yields exactly 8-byte slices")
-        .map(|c| i64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect())
-}
-
-/// Encodes a single `f64`.
-pub fn encode_f64(value: f64) -> Vec<u8> {
-    value.to_le_bytes().to_vec()
-}
-
-/// Decodes a single `f64`.
-///
-/// # Errors
-///
-/// Returns [`MpiError::DecodeError`] unless the payload is exactly 8 bytes.
-pub fn decode_f64(bytes: &[u8]) -> Result<f64> {
-    let arr: [u8; 8] =
-        bytes.try_into().map_err(|_| MpiError::DecodeError { what: "f64 scalar" })?;
-    Ok(f64::from_le_bytes(arr))
-}
-
-/// Encodes a single `u64`.
-pub fn encode_u64(value: u64) -> Vec<u8> {
-    value.to_le_bytes().to_vec()
-}
-
 /// Decodes a single `u64`.
 ///
 /// # Errors
@@ -169,22 +123,14 @@ mod tests {
     }
 
     #[test]
-    fn i64_round_trip() {
-        let xs = vec![0, -1, i64::MIN, i64::MAX];
-        assert_eq!(decode_i64s(&encode_i64s(&xs)).unwrap(), xs);
-    }
-
-    #[test]
     fn scalar_round_trip() {
-        assert_eq!(decode_f64(&encode_f64(2.5)).unwrap(), 2.5);
-        assert_eq!(decode_u64(&encode_u64(99)).unwrap(), 99);
+        assert_eq!(decode_u64(&99u64.to_le_bytes()).unwrap(), 99);
     }
 
     #[test]
     fn misaligned_length_rejected() {
         assert!(decode_f64s(&[0u8; 7]).is_err());
         assert!(decode_u64s(&[0u8; 9]).is_err());
-        assert!(decode_f64(&[0u8; 4]).is_err());
         assert!(decode_u64(&[0u8; 16]).is_err());
     }
 

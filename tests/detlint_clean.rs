@@ -8,6 +8,8 @@
 //! fires — a lint pass that silently matched nothing would otherwise
 //! look identical to a clean tree.
 
+use proptest::prelude::*;
+
 use redcr_lint::{lint_source, lint_workspace, Config, Domain};
 
 fn repo_root() -> std::path::PathBuf {
@@ -277,4 +279,32 @@ fn unknown_rule_in_allow_fails_the_run() {
         "unknown-rule flag not set: {:#?}",
         report.bad_suppressions
     );
+}
+
+/// Fragments that steer random text into the `detlint.toml` subset.
+#[rustfmt::skip]
+const TOML_SOUP: [&str; 24] = [
+    "[", "]", "[domains]", "[scan]", "[stack_budget]", "=", "\"", ",", "#", "\n", " ", "\t",
+    "exclude", "budget_kb", "sched", "\"hot\"", "\"virtual\"", "[\"a\", \"b\"]", "128",
+    "99999999999999999999999", "-1", "é", "\r\n", "\u{0}",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `detlint.toml` is read from disk: whatever is in it, the parser
+    /// returns a config or a message — it does not panic, and (running to
+    /// the end of this test) it does not hang.
+    #[test]
+    fn config_parse_never_panics(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+        picks in prop::collection::vec(0usize..TOML_SOUP.len(), 0..48),
+    ) {
+        let _ = Config::parse(&String::from_utf8_lossy(&bytes));
+        let soup: String = picks.iter().map(|&i| TOML_SOUP[i]).collect();
+        if let Ok(cfg) = Config::parse(&soup) {
+            // Whatever parsed is usable.
+            let _ = cfg.domain_for(std::path::Path::new("crates/sched/src/pool.rs"));
+        }
+    }
 }

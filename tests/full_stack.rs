@@ -3,14 +3,15 @@
 //! and the model/simulator agreement that constitutes the paper's central
 //! validation claim.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use redcr::apps::cg::CgConfig;
 use redcr::apps::jacobi::JacobiConfig;
 use redcr::ckpt::coordinator::CheckpointCoordinator;
 use redcr::ckpt::restart;
-use redcr::ckpt::storage::{DiskStorage, MemoryStorage, StableStorage};
+use redcr::ckpt::storage::{DiskStorage, MemoryStorage, SnapshotKey, StableStorage};
 use redcr::ckpt::CountingComm;
 use redcr::cluster::combined::simulate_combined;
 use redcr::cluster::job::FailureExposure;
@@ -183,6 +184,56 @@ fn checkpoint_commits_while_sphere_degraded() {
     // Both virtual ranks committed an image: the checkpoint is complete
     // and restartable.
     assert_eq!(restart::latest_complete(storage.as_ref(), 2).unwrap(), Some(0));
+}
+
+/// Stable storage that keeps every write, not just the last one per key.
+#[derive(Debug, Default)]
+struct EveryWrite {
+    inner: MemoryStorage,
+    writes: Mutex<BTreeMap<SnapshotKey, Vec<Vec<u8>>>>,
+}
+
+impl StableStorage for EveryWrite {
+    fn store(&self, key: SnapshotKey, data: &[u8]) -> redcr::ckpt::Result<()> {
+        self.writes.lock().unwrap().entry(key).or_default().push(data.to_vec());
+        self.inner.store(key, data)
+    }
+
+    fn load(&self, key: SnapshotKey) -> redcr::ckpt::Result<Vec<u8>> {
+        self.inner.load(key)
+    }
+
+    fn list(&self) -> redcr::ckpt::Result<Vec<SnapshotKey>> {
+        self.inner.list()
+    }
+
+    fn delete(&self, key: SnapshotKey) -> redcr::ckpt::Result<()> {
+        self.inner.delete(key)
+    }
+}
+
+#[test]
+fn replicas_of_one_sphere_store_byte_identical_images() {
+    // Both replicas of a sphere store under the sphere's one key and the
+    // last writer wins, so what a restart reads back must not depend on
+    // which of them that was — although, with a real network model, their
+    // clocks differ when they checkpoint.
+    let storage = Arc::new(EveryWrite::default());
+    let app = CgApp::new(CgConfig::small(64), 12).with_step_pad(1.0);
+    let cfg = ExecutorConfig::new(4, 2.0)
+        .checkpoint_interval(3.0)
+        .checkpoint_cost(0.2)
+        .comm_cost(CostModel::infiniband_qdr())
+        .seed(5);
+    let report = ResilientExecutor::with_storage(cfg, storage.clone()).run(&app).unwrap();
+    assert!(report.checkpoints_committed >= 2, "{report}");
+
+    let writes = storage.writes.lock().unwrap();
+    assert_eq!(writes.len() as u64, 4 * report.checkpoints_committed);
+    for (key, images) in writes.iter() {
+        assert_eq!(images.len(), 2, "{key}: one write per replica");
+        assert_eq!(images[0], images[1], "{key}: the replicas' images differ");
+    }
 }
 
 #[test]

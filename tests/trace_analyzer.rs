@@ -6,6 +6,7 @@
 use redcr::apps::cg::CgConfig;
 use redcr::core::apps::CgApp;
 use redcr::core::{ExecutorConfig, ResilientExecutor};
+use redcr::mpi::CostModel;
 use redcr::red::HealPolicy;
 use redcr::trace::critical::fifo_pairs;
 use redcr::trace::{Analysis, CriticalPath, EventKind, Trace};
@@ -177,6 +178,34 @@ fn jsonl_round_trip_preserves_trace_and_totals() {
     assert_eq!(totals.attempts, report.attempts);
     assert_eq!(totals.masked_failures, report.masked_failures);
     assert_eq!(totals.degraded_sphere_seconds.to_bits(), report.degraded_sphere_seconds.to_bits());
+}
+
+#[test]
+fn multi_attempt_trace_is_byte_identical_across_runs_on_two_workers() {
+    // The `flight_recorder` example's scenario: restarts that read stored
+    // images back, on a pool wide enough for the replicas of a sphere to
+    // race on their shared key. The pinned gates are single-attempt, so
+    // this is the run that notices a stored image depending on the host's
+    // schedule (it did: `restore.cut` carried the last writer's clock).
+    let run = || {
+        let config = ExecutorConfig::new(8, 2.0)
+            .node_mtbf(90.0)
+            .checkpoint_interval(10.0)
+            .checkpoint_cost(0.5)
+            .restart_cost(2.0)
+            .seed(2012)
+            .comm_cost(CostModel::infiniband_qdr())
+            .tracing(true)
+            .workers(2);
+        let report = ResilientExecutor::new(config).run(&cg_app(512, 60, 1.0)).unwrap();
+        assert!(report.attempts > 1, "the scenario must restart: {report}");
+        report.trace.expect("tracing was enabled").to_jsonl()
+    };
+    let first = run();
+    assert!(first.contains("\"restore\""), "a restart must restore a stored image");
+    for again in 1..5 {
+        assert!(run() == first, "run {again} differs from run 0");
+    }
 }
 
 #[test]

@@ -5,7 +5,10 @@
 use proptest::prelude::*;
 
 use redcr::apps::cg::{CgConfig, CgSolver};
-use redcr::apps::ep::{EpConfig, EpKernel};
+use redcr::apps::ep::{EpConfig, EpKernel, EpState};
+use redcr::apps::jacobi::JacobiState;
+use redcr::ckpt::exclusion::ExclusionSet;
+use redcr::ckpt::snapshot::{ChannelMessage, ProcessImage};
 use redcr::ckpt::{from_bytes, to_bytes};
 use redcr::mpi::{Communicator, CostModel};
 use redcr::red::{ReplicatedWorld, VoteCost};
@@ -141,6 +144,24 @@ proptest! {
         let bytes = to_bytes(&state).unwrap();
         let back: redcr::apps::cg::CgState = from_bytes(&bytes).unwrap();
         prop_assert_eq!(back, state);
+
+        // The other two kernels' states, and a whole stored image with
+        // channel state and compression on.
+        let jacobi = JacobiState { iteration: iter, u: xs.clone() };
+        prop_assert_eq!(from_bytes::<JacobiState>(&to_bytes(&jacobi).unwrap()).unwrap(), jacobi);
+        let ep = EpState { batch: iter, inside: rho.to_bits(), total: u64::MAX - iter };
+        prop_assert_eq!(from_bytes::<EpState>(&to_bytes(&ep).unwrap()).unwrap(), ep);
+        let image = ProcessImage::capture_with(7, rho, &state, &ExclusionSet::new(), true)
+            .unwrap()
+            .with_channel_state(vec![
+                ChannelMessage { src: 3, tag: iter, payload: bytes },
+                ChannelMessage { src: 0, tag: u64::MAX, payload: Vec::new() },
+            ]);
+        prop_assert!(image.compressed);
+        let stored = image.to_stored_bytes().unwrap();
+        let back = ProcessImage::from_stored_bytes(&stored).unwrap();
+        prop_assert_eq!(back.restore::<redcr::apps::cg::CgState>().unwrap(), state);
+        prop_assert_eq!(back, image);
     }
 
     /// RLE compression is lossless for arbitrary byte strings.

@@ -26,7 +26,7 @@ pub const T5_RANKS: u64 = 16;
 /// Table 5: CG iterations per run.
 pub const T5_ITERATIONS: u64 = 10;
 /// Table 5: per-flop cost calibrated so CG shows α ≈ 0.2 at degree 1 under
-/// [`CostModel::infiniband_qdr`] (measured α = 0.189 at this problem size).
+/// [`CostModel::infiniband_qdr`] (measured α = 0.184 at this problem size).
 pub const T5_SECS_PER_FLOP: f64 = 6e-8;
 
 /// Redundant-copy processing cost calibrated so the failure-free overhead

@@ -159,7 +159,7 @@ impl<'a, S: Encode + Send> Job<'a, S> {
             groups.iter().map(|m| m.iter().map(|&p| p as u32).collect()).collect();
         let sinks = Sinks {
             trace: cfg.tracing.then(|| Arc::new(Collector::new())),
-            metrics: cfg.metrics.then(|| Arc::new(MetricsRegistry::new())),
+            metrics: cfg.metrics.then(|| Arc::new(MetricsRegistry::new(cfg.scrape_interval))),
             profiler: cfg.profiling.then(|| Arc::new(Profiler::new())),
         };
         for (v, members) in spheres.iter().enumerate() {
@@ -482,7 +482,7 @@ impl<'a, S: Encode + Send> Job<'a, S> {
         report.node_seconds = report.n_physical as f64 * ran.clock;
         report.failure_trace = self.injector.trace().clone();
         report.trace = self.sinks.trace.as_ref().map(|c| c.take());
-        report.metrics = self.sinks.metrics.as_ref().map(|r| r.report(self.cfg.scrape_interval));
+        report.metrics = self.sinks.metrics.as_ref().map(|r| r.report());
         report.profile = self.sinks.profiler.as_ref().map(|p| p.report());
         report.final_states = final_states;
         Ok(report)

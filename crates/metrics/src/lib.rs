@@ -2,19 +2,24 @@
 //!
 //! Monotonic counters, gauges and log2-bucketed histograms, collected the
 //! same way the flight recorder and the replication statistics are: each
-//! rank thread owns a lock-free [`RankMetrics`] shard (plain `Cell`s and a
-//! `Vec` push on the hot path — no atomics, no locks), drained into a
-//! shared [`MetricsRegistry`] exactly once at rank teardown. Layers above
+//! rank thread owns a lock-free [`RankMetrics`] shard (plain `Cell`s on the
+//! hot path — no atomics, no locks, nothing that grows per increment),
+//! minted by and drained into a shared [`MetricsRegistry`] exactly once at
+//! rank teardown. Layers above
 //! the runtime reach the shard through the rank's telemetry handle
 //! (`Communicator::obs()`, shared with the recorder and the profiler), so
 //! when metrics are off the entire plane costs one `Option` check per
 //! site.
 //!
-//! Counter increments carry their **virtual-time** stamp, which is what
-//! makes the registry scrapeable after the fact: [`MetricsRegistry::scrape`]
-//! replays the merged increment stream at a fixed virtual-second cadence
-//! and yields a monotone time series whose final sample equals the drained
-//! totals exactly.
+//! Counter increments carry their **virtual-time** stamp, and the scrape
+//! grid's spacing is fixed when the registry is built, so an increment is
+//! added straight into the grid cell `((k−1)·interval, k·interval]` its
+//! stamp falls in: a shard holds one `[u64; CounterKey::COUNT]` per cell it
+//! touched, the registry merges cells by `k`, and
+//! [`MetricsRegistry::scrape`] is a running sum over them — a monotone time
+//! series at a fixed virtual-second cadence whose final sample equals the
+//! drained totals exactly. The increments themselves are not kept: the
+//! flight recorder is the per-event log, this plane is a fold.
 //!
 //! Nothing in this crate advances a virtual clock: enabling metrics never
 //! changes what a run computes, only what it reports.
@@ -28,7 +33,7 @@ mod shard;
 
 pub use histogram::Histogram;
 pub use registry::{MetricsRegistry, MetricsReport, MetricsSnapshot, ScrapePoint};
-pub use shard::{RankDrain, RankMetrics, Sample};
+pub use shard::{GridCell, RankDrain, RankMetrics};
 
 /// Monotonic counters tracked per rank and in the registry totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,10 +70,10 @@ pub enum CounterKey {
 
 impl CounterKey {
     /// Number of counter keys.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = Self::ALL.len();
 
-    /// Every counter key, in index order.
-    pub const ALL: [CounterKey; CounterKey::COUNT] = [
+    /// Every counter key, in declaration (= index) order.
+    pub const ALL: [CounterKey; 14] = [
         CounterKey::Sends,
         CounterKey::Recvs,
         CounterKey::BytesSent,
@@ -106,22 +111,7 @@ impl CounterKey {
     }
 
     pub(crate) fn index(self) -> usize {
-        match self {
-            CounterKey::Sends => 0,
-            CounterKey::Recvs => 1,
-            CounterKey::BytesSent => 2,
-            CounterKey::BytesReceived => 3,
-            CounterKey::Deaths => 4,
-            CounterKey::Votes => 5,
-            CounterKey::Failovers => 6,
-            CounterKey::CheckpointCommits => 7,
-            CounterKey::Restores => 8,
-            CounterKey::Attempts => 9,
-            CounterKey::Restarts => 10,
-            CounterKey::MaskedFailures => 11,
-            CounterKey::Respawns => 12,
-            CounterKey::Suspicions => 13,
-        }
+        self as usize
     }
 }
 
@@ -134,10 +124,10 @@ pub enum GaugeKey {
 
 impl GaugeKey {
     /// Number of gauge keys.
-    pub const COUNT: usize = 1;
+    pub const COUNT: usize = Self::ALL.len();
 
-    /// Every gauge key, in index order.
-    pub const ALL: [GaugeKey; GaugeKey::COUNT] = [GaugeKey::VirtualTime];
+    /// Every gauge key, in declaration (= index) order.
+    pub const ALL: [GaugeKey; 1] = [GaugeKey::VirtualTime];
 
     /// Stable snake_case name.
     pub fn name(self) -> &'static str {
@@ -147,9 +137,7 @@ impl GaugeKey {
     }
 
     pub(crate) fn index(self) -> usize {
-        match self {
-            GaugeKey::VirtualTime => 0,
-        }
+        self as usize
     }
 }
 
@@ -173,10 +161,10 @@ pub enum HistKey {
 
 impl HistKey {
     /// Number of histogram keys.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = Self::ALL.len();
 
-    /// Every histogram key, in index order.
-    pub const ALL: [HistKey; HistKey::COUNT] = [
+    /// Every histogram key, in declaration (= index) order.
+    pub const ALL: [HistKey; 6] = [
         HistKey::MessageLatency,
         HistKey::PayloadSize,
         HistKey::VoteLatency,
@@ -198,14 +186,7 @@ impl HistKey {
     }
 
     pub(crate) fn index(self) -> usize {
-        match self {
-            HistKey::MessageLatency => 0,
-            HistKey::PayloadSize => 1,
-            HistKey::VoteLatency => 2,
-            HistKey::CommitLatency => 3,
-            HistKey::DegradedInterval => 4,
-            HistKey::HealLatency => 5,
-        }
+        self as usize
     }
 }
 
@@ -222,6 +203,11 @@ mod tests {
             assert!(!k.name().is_empty());
         }
         assert!(seen.iter().all(|&s| s));
+        // `index` is the declaration position, so `ALL` must list the
+        // variants in declaration order.
+        for (i, k) in CounterKey::ALL.iter().enumerate() {
+            assert_eq!(k.index(), i);
+        }
         for (i, k) in HistKey::ALL.iter().enumerate() {
             assert_eq!(k.index(), i);
         }

@@ -1,18 +1,22 @@
-//! The shared registry: drained shards merge here; the scraper replays the
-//! merged increment stream on a virtual-time grid.
+//! The shared registry: drained shards merge here, grid cell by grid cell;
+//! the scraper is a running sum over the merged cells.
+
+use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
 use crate::histogram::Histogram;
-use crate::shard::{RankDrain, Sample};
-use crate::{CounterKey, GaugeKey, HistKey};
+use crate::shard::{cell_of, is_grid, RankDrain};
+use crate::{CounterKey, GaugeKey, HistKey, RankMetrics};
 
 /// The world-shared metrics sink. Rank shards are absorbed at teardown (one
 /// lock per rank per run); layers without a rank thread (the executor)
 /// record directly. Cheap to share: `Arc<MetricsRegistry>` mirrors how the
 /// trace `Collector` travels.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
+    /// Scrape-grid spacing, virtual seconds; every shard folds onto it.
+    interval: f64,
     inner: Mutex<Inner>,
 }
 
@@ -21,38 +25,47 @@ struct Inner {
     counters: [u64; CounterKey::COUNT],
     gauges: [(f64, f64); GaugeKey::COUNT],
     hists: [Histogram; HistKey::COUNT],
-    /// Per-rank counter totals, sorted by rank.
-    per_rank: Vec<(u32, [u64; CounterKey::COUNT])>,
-    /// The merged increment stream (unsorted; ranks drain at different
-    /// times).
-    samples: Vec<Sample>,
-}
-
-impl Default for Inner {
-    fn default() -> Self {
-        Inner {
-            counters: [0; CounterKey::COUNT],
-            gauges: [(f64::NAN, f64::NEG_INFINITY); GaugeKey::COUNT],
-            hists: std::array::from_fn(|_| Histogram::new()),
-            per_rank: Vec::new(),
-            samples: Vec::new(),
-        }
-    }
+    /// Per-rank counter totals.
+    per_rank: BTreeMap<u32, [u64; CounterKey::COUNT]>,
+    /// Counter increments by scrape-grid cell, every rank's and the
+    /// rank-less ones merged; sparse, and they sum to `counters`.
+    cells: BTreeMap<u64, [u64; CounterKey::COUNT]>,
+    /// Latest increment stamp (at least zero).
+    end: f64,
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
+    /// An empty registry whose counter series will be scraped on a grid of
+    /// `interval` virtual seconds.
+    pub fn new(interval: f64) -> Self {
+        MetricsRegistry {
+            interval,
+            inner: Mutex::new(Inner {
+                counters: [0; CounterKey::COUNT],
+                gauges: [(f64::NAN, f64::NEG_INFINITY); GaugeKey::COUNT],
+                hists: std::array::from_fn(|_| Histogram::new()),
+                per_rank: BTreeMap::new(),
+                cells: BTreeMap::new(),
+                end: 0.0,
+            }),
+        }
     }
 
-    /// Merges a drained rank shard: counters and histograms add, gauges
-    /// keep the later-stamped value, samples append.
+    /// Mints `rank`'s private shard, folding onto this registry's grid.
+    pub fn shard(&self, rank: u32) -> RankMetrics {
+        RankMetrics::new(rank, self.interval)
+    }
+
+    /// Merges a drained rank shard: counters, grid cells and histograms
+    /// add, gauges keep the later-stamped value.
     pub fn absorb(&self, drain: RankDrain) {
         let mut inner = self.inner.lock();
-        for i in 0..CounterKey::COUNT {
-            inner.counters[i] += drain.counters[i];
+        add_into(&mut inner.counters, &drain.counters);
+        add_into(inner.per_rank.entry(drain.rank).or_default(), &drain.counters);
+        for (k, sums) in &drain.cells {
+            add_into(inner.cells.entry(*k).or_default(), sums);
         }
+        inner.end = inner.end.max(drain.end);
         for (i, &(value, time)) in drain.gauges.iter().enumerate() {
             if time > inner.gauges[i].1 {
                 inner.gauges[i] = (value, time);
@@ -61,15 +74,6 @@ impl MetricsRegistry {
         for (i, h) in drain.hists.iter().enumerate() {
             inner.hists[i].merge(h);
         }
-        match inner.per_rank.binary_search_by_key(&drain.rank, |&(r, _)| r) {
-            Ok(at) => {
-                for i in 0..CounterKey::COUNT {
-                    inner.per_rank[at].1[i] += drain.counters[i];
-                }
-            }
-            Err(at) => inner.per_rank.insert(at, (drain.rank, drain.counters)),
-        }
-        inner.samples.extend(drain.samples);
     }
 
     /// Increments `key` by one at virtual time `time` (rank-less; used by
@@ -85,7 +89,8 @@ impl MetricsRegistry {
         }
         let mut inner = self.inner.lock();
         inner.counters[key.index()] += delta;
-        inner.samples.push(Sample { time, key, delta });
+        inner.cells.entry(cell_of(time, self.interval)).or_default()[key.index()] += delta;
+        inner.end = inner.end.max(time);
     }
 
     /// Records one rank-less histogram observation.
@@ -103,67 +108,65 @@ impl MetricsRegistry {
         }
     }
 
-    /// Replays the merged increment stream on a virtual-time grid of
-    /// spacing `interval` seconds: sample `k` holds every counter's value
-    /// at virtual time `k·interval` (increments stamped exactly on a grid
-    /// point are included in that point). The series is monotone
-    /// non-decreasing by construction and its final sample equals the
-    /// drained totals exactly.
+    /// The counter series on the registry's virtual-time grid: sample `k`
+    /// holds every counter's value at virtual time `k·interval`, the sum of
+    /// grid cells `0..=k` (increments stamped exactly on a grid point are
+    /// included in that point). The series is monotone non-decreasing by
+    /// construction and its final sample equals the drained totals exactly.
     ///
-    /// A non-positive or non-finite `interval` collapses the grid to a
+    /// A non-positive or non-finite interval collapses the grid to a
     /// single final sample. A grid that would exceed one million points is
     /// coarsened to that bound (the totals are unaffected).
-    pub fn scrape(&self, interval: f64) -> Vec<ScrapePoint> {
-        let inner = self.inner.lock();
-        let mut samples: Vec<Sample> = inner.samples.clone();
-        drop(inner);
-        samples.sort_by(|a, b| a.time.total_cmp(&b.time));
-        let end = samples.last().map_or(0.0, |s| s.time).max(0.0);
-
+    pub fn scrape(&self) -> Vec<ScrapePoint> {
         const MAX_POINTS: f64 = 1_000_000.0;
-        let interval = if interval.is_finite() && interval > 0.0 {
-            if end / interval > MAX_POINTS {
-                end / MAX_POINTS
-            } else {
-                interval
-            }
-        } else {
+        let inner = self.inner.lock();
+        let (interval, end) = (self.interval, inner.end);
+        let (spacing, coarsened) = if !is_grid(interval) {
             // One point at the end of the run.
-            end.max(1.0)
+            (end.max(1.0), false)
+        } else if end / interval > MAX_POINTS {
+            (end / MAX_POINTS, true)
+        } else {
+            (interval, false)
         };
+        // The point `end` falls on is the last; a coarsened cell moves to
+        // where its upper edge falls on the wider grid, but never past it.
+        let last = cell_of(end, spacing);
+        let place =
+            |k: u64| if coarsened { cell_of(k as f64 * interval, spacing).min(last) } else { k };
 
         let mut points = Vec::new();
         let mut acc = [0u64; CounterKey::COUNT];
-        let mut next = 0usize;
-        for k in 0u64.. {
-            let t = k as f64 * interval;
-            while next < samples.len() && samples[next].time <= t {
-                acc[samples[next].key.index()] += samples[next].delta;
-                next += 1;
-            }
-            points.push(ScrapePoint { time: t, counters: acc });
-            if t >= end {
-                break;
-            }
+        let mut settle = |len: u64, counters: [u64; CounterKey::COUNT]| {
+            let open = points.len() as u64..len;
+            points.extend(open.map(|k| ScrapePoint { time: k as f64 * spacing, counters }));
+        };
+        for (&k, sums) in &inner.cells {
+            // Nothing later can reach the points before this cell's.
+            settle(place(k), acc);
+            add_into(&mut acc, sums);
         }
+        settle(last + 1, acc);
         points
     }
 
     /// Bundles totals, per-rank counters and the scraped series into one
     /// detached report.
-    pub fn report(&self, scrape_interval: f64) -> MetricsReport {
-        let series = self.scrape(scrape_interval);
-        let inner = self.inner.lock();
+    pub fn report(&self) -> MetricsReport {
+        let per_rank = self.inner.lock().per_rank.iter().map(|(&r, &sums)| (r, sums)).collect();
         MetricsReport {
-            totals: MetricsSnapshot {
-                counters: inner.counters,
-                gauges: inner.gauges,
-                hists: inner.hists.clone(),
-            },
-            per_rank: inner.per_rank.clone(),
-            scrape_interval,
-            series,
+            totals: self.snapshot(),
+            per_rank,
+            scrape_interval: self.interval,
+            series: self.scrape(),
         }
+    }
+}
+
+/// Adds `sums` into `acc`, counter by counter.
+fn add_into(acc: &mut [u64; CounterKey::COUNT], sums: &[u64; CounterKey::COUNT]) {
+    for (a, s) in acc.iter_mut().zip(sums) {
+        *a += s;
     }
 }
 
@@ -234,17 +237,18 @@ impl MetricsReport {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
-    use crate::RankMetrics;
 
     #[test]
     fn absorb_merges_counters_per_rank_and_histograms() {
-        let reg = MetricsRegistry::new();
-        let a = RankMetrics::new(0);
+        let reg = MetricsRegistry::new(1.0);
+        let a = reg.shard(0);
         a.inc(CounterKey::Sends, 1.0);
         a.observe(HistKey::PayloadSize, 8.0);
         a.set_gauge(GaugeKey::VirtualTime, 5.0, 5.0);
-        let b = RankMetrics::new(1);
+        let b = reg.shard(1);
         b.inc(CounterKey::Sends, 2.0);
         b.inc(CounterKey::Recvs, 2.5);
         b.observe(HistKey::PayloadSize, 16.0);
@@ -260,23 +264,12 @@ mod tests {
         assert_eq!(snap.gauge(GaugeKey::VirtualTime), Some(7.0), "later stamp wins");
         assert_eq!(snap.histogram(HistKey::PayloadSize).count(), 2);
 
-        let report = reg.report(1.0);
+        let report = reg.report();
         assert_eq!(report.per_rank_counter(CounterKey::Sends), vec![(0, 1), (1, 1)]);
+        assert_eq!(report.scrape_interval, 1.0);
     }
 
-    #[test]
-    fn scrape_is_monotone_and_final_sample_equals_totals() {
-        let reg = MetricsRegistry::new();
-        let m = RankMetrics::new(0);
-        for i in 0..10 {
-            m.inc(CounterKey::Sends, i as f64 * 0.7);
-            m.add(CounterKey::BytesSent, 100, i as f64 * 0.7);
-        }
-        reg.absorb(m.drain());
-        reg.inc(CounterKey::Attempts, 6.5);
-
-        let series = reg.scrape(1.0);
-        assert!(series.len() >= 7, "6.3s of samples on a 1s grid: {}", series.len());
+    fn assert_monotone_and_lands_on_totals(reg: &MetricsRegistry, series: &[ScrapePoint]) {
         for pair in series.windows(2) {
             assert!(pair[1].time > pair[0].time);
             for k in CounterKey::ALL {
@@ -288,6 +281,22 @@ mod tests {
         for k in CounterKey::ALL {
             assert_eq!(last.counter(k), totals.counter(k), "{k:?} final sample != total");
         }
+    }
+
+    #[test]
+    fn scrape_is_monotone_and_final_sample_equals_totals() {
+        let reg = MetricsRegistry::new(1.0);
+        let m = reg.shard(0);
+        for i in 0..10 {
+            m.inc(CounterKey::Sends, i as f64 * 0.7);
+            m.add(CounterKey::BytesSent, 100, i as f64 * 0.7);
+        }
+        reg.absorb(m.drain());
+        reg.inc(CounterKey::Attempts, 6.5);
+
+        let series = reg.scrape();
+        assert!(series.len() >= 7, "6.3s of samples on a 1s grid: {}", series.len());
+        assert_monotone_and_lands_on_totals(&reg, &series);
         // Boundary stamps are included in the grid point they land on.
         let at_0 = &series[0];
         assert_eq!(at_0.counter(CounterKey::Sends), 1, "t=0 increment included at t=0");
@@ -295,17 +304,126 @@ mod tests {
 
     #[test]
     fn degenerate_intervals_collapse_to_final_sample() {
-        let reg = MetricsRegistry::new();
-        reg.add(CounterKey::Sends, 3, 2.0);
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let series = reg.scrape(bad);
+            let reg = MetricsRegistry::new(bad);
+            reg.add(CounterKey::Sends, 3, 2.0);
+            let series = reg.scrape();
             let last = series.last().unwrap();
             assert_eq!(last.counter(CounterKey::Sends), 3, "interval {bad}");
         }
         // Empty registry still yields one (all-zero) sample.
-        let empty = MetricsRegistry::new();
-        let series = empty.scrape(1.0);
+        let empty = MetricsRegistry::new(1.0);
+        let series = empty.scrape();
         assert_eq!(series.len(), 1);
         assert_eq!(series[0].counter(CounterKey::Sends), 0);
+    }
+
+    #[test]
+    fn a_grid_past_a_million_points_is_coarsened_onto_the_totals() {
+        let reg = MetricsRegistry::new(1.0);
+        let m = reg.shard(0);
+        m.inc(CounterKey::Sends, 0.0);
+        m.add(CounterKey::BytesSent, 7, 2.5);
+        m.add(CounterKey::BytesSent, 9, 4_999_999.5);
+        reg.absorb(m.drain());
+        reg.inc(CounterKey::Attempts, 5.0e6);
+
+        let series = reg.scrape();
+        assert!(series.len() <= 1_000_001, "{} points", series.len());
+        assert!(series.len() > 999_000, "coarsened to the bound, not below it: {}", series.len());
+        assert_monotone_and_lands_on_totals(&reg, &series);
+        assert_eq!(series[0].counter(CounterKey::Sends), 1);
+        assert_eq!(series[1].counter(CounterKey::BytesSent), 7, "2.5 s is inside the first 5 s");
+        assert_eq!(series.last().unwrap().time, 5.0e6);
+    }
+
+    /// The scraper this crate had before counters were folded onto the
+    /// grid as they happen, kept as the reference: hold every increment,
+    /// sort the stream by stamp, and replay it against the grid with
+    /// `stamp <= k·interval`.
+    fn replay(mut stream: Vec<(f64, CounterKey, u64)>, interval: f64) -> Vec<ScrapePoint> {
+        stream.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let end = stream.last().map_or(0.0, |s| s.0).max(0.0);
+        let interval = if interval.is_finite() && interval > 0.0 {
+            assert!(end / interval <= 1_000_000.0, "coarsening is not part of the reference");
+            interval
+        } else {
+            end.max(1.0)
+        };
+        let mut points = Vec::new();
+        let mut acc = [0u64; CounterKey::COUNT];
+        let mut next = 0usize;
+        for k in 0u64.. {
+            let t = k as f64 * interval;
+            while next < stream.len() && stream[next].0 <= t {
+                acc[stream[next].1.index()] += stream[next].2;
+                next += 1;
+            }
+            points.push(ScrapePoint { time: t, counters: acc });
+            if t >= end {
+                break;
+            }
+        }
+        points
+    }
+
+    const INTERVALS: [f64; 9] = [1.0, 0.37, 0.1, 2.5, 1e-3, 0.7, 0.0, -2.0, f64::NAN];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Increments reach the registry through three rank shards and the
+        /// rank-less door, with stamps out of order, on grid points and one
+        /// ulp either side of them; shards drain in any order, some twice.
+        #[test]
+        fn the_fold_is_the_replay(
+            interval in 0usize..INTERVALS.len(),
+            stretch in 0.5f64..2.0,
+            ops in prop::collection::vec(
+                (0usize..4, 0u32..60, 0u8..5, 0.0f64..1.0, 0usize..CounterKey::COUNT, 0u64..4),
+                0..200,
+            ),
+            early_drain in 0usize..200,
+            order in 0usize..6,
+        ) {
+            // The listed spacings as they are (the decimal ones are where a
+            // quotient rounds across a boundary), or stretched to any other.
+            let interval = INTERVALS[interval] * if stretch < 1.0 { 1.0 } else { stretch };
+            let reg = MetricsRegistry::new(interval);
+            let shards = [reg.shard(0), reg.shard(1), reg.shard(2)];
+            let step = if interval > 0.0 { interval } else { 1.0 };
+            let mut stream = Vec::new();
+            for (i, &(door, point, nudge, frac, key, delta)) in ops.iter().enumerate() {
+                let edge = f64::from(point) * step;
+                let time = match nudge {
+                    0 => edge,
+                    1 => f64::from_bits(edge.to_bits() + 1),
+                    2 if point > 0 => f64::from_bits(edge.to_bits() - 1),
+                    2 => -frac,
+                    _ => edge + frac * step,
+                };
+                let key = CounterKey::ALL[key];
+                match shards.get(door) {
+                    Some(shard) => shard.add(key, delta, time),
+                    None => reg.add(key, delta, time),
+                }
+                if delta > 0 {
+                    stream.push((time, key, delta));
+                }
+                if i == early_drain {
+                    reg.absorb(shards[door % 3].drain());
+                }
+            }
+            for at in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]][order] {
+                reg.absorb(shards[at].drain());
+            }
+            let expected = replay(stream, interval);
+            let series = reg.scrape();
+            prop_assert_eq!(series.len(), expected.len());
+            for (got, want) in series.iter().zip(&expected) {
+                prop_assert_eq!(got.time.to_bits(), want.time.to_bits());
+                prop_assert_eq!(got.counters, want.counters, "at t={}", want.time);
+            }
+        }
     }
 }

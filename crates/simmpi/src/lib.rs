@@ -83,8 +83,9 @@ mod error;
 pub use redcr_trace as trace;
 
 /// The metrics layer (re-exported from `redcr-metrics`): enable it by
-/// putting a [`metrics::MetricsRegistry`] in the [`Sinks`], pull totals and
-/// the virtual-time series out of it afterwards.
+/// putting a [`metrics::MetricsRegistry`] (built with the scrape-grid
+/// spacing) in the [`Sinks`], pull totals and the virtual-time series out
+/// of it afterwards.
 pub use redcr_metrics as metrics;
 
 /// The wall-clock self-profiling layer (re-exported from `redcr-prof`):

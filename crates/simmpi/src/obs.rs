@@ -4,7 +4,10 @@
 //! [`MetricsRegistry`] and the wall-clock [`Profiler`], each optional.
 //! Builders and the executor driver hold one. Every rank task mints one
 //! [`Obs`] from it: rank-local shards (plain `Cell`/`Vec` updates, no locks
-//! or atomics) for exactly the sinks that are on. Layers reach the handle
+//! or atomics) for exactly the sinks that are on — the recorder's grows by
+//! one event per call, the metrics shard's only with the scrape-grid cells
+//! it touches (the registry mints it, so it folds onto the registry's
+//! grid). Layers reach the handle
 //! through [`Communicator::obs`](crate::Communicator::obs) and state what
 //! happened once — `obs.event(t, kind)`, `obs.inc(key, t)`,
 //! `obs.span(key)` — and a sink that is off costs one predictable branch.
@@ -47,7 +50,7 @@ impl Sinks {
         Obs {
             scope: ProfScope::Rank(rank),
             recorder: self.trace.as_ref().map(|_| Recorder::new(rank)),
-            metrics: self.metrics.as_ref().map(|_| Box::new(RankMetrics::new(rank))),
+            metrics: self.metrics.as_ref().map(|registry| Box::new(registry.shard(rank))),
             prof: self.prof_shard(),
         }
     }
@@ -226,7 +229,7 @@ mod tests {
 
         let sinks = Sinks {
             trace: Some(Arc::new(Collector::new())),
-            metrics: Some(Arc::new(MetricsRegistry::new())),
+            metrics: Some(Arc::new(MetricsRegistry::new(1.0))),
             profiler: Some(Arc::new(Profiler::new())),
         };
         let (rank, driver) = (sinks.rank(5), sinks.driver());

@@ -6,7 +6,8 @@
 //!   this includes the physical traffic counters: the abort edge is a
 //!   pure function of virtual time);
 //! * the virtual-time scraper's counter series must be monotone
-//!   non-decreasing with its final sample equal to the drained totals;
+//!   non-decreasing with its final sample equal to the drained totals,
+//!   and bit for bit the series pinned in `SERIES_GOLDENS`;
 //! * a traced storm run must export valid Perfetto JSON (one track per
 //!   physical rank, at least one matched send/recv flow pair);
 //! * the validation sidecar's per-rank α must match the trace analyzer's
@@ -16,6 +17,7 @@ use redcr::apps::cg::CgConfig;
 use redcr::core::apps::CgApp;
 use redcr::core::{ExecutorConfig, ModelValidation, ResilientExecutor};
 use redcr::metrics::{CounterKey, HistKey};
+use redcr::sweep::spec::fnv1a;
 use redcr::trace::{perfetto, Analysis};
 
 fn cg_app(n: usize, iterations: u64, pad: f64) -> CgApp {
@@ -88,29 +90,55 @@ fn metrics_totals_agree_with_report_counters() {
     assert_eq!(per_rank_sends, report.physical_messages);
 }
 
+/// The storm at five `(scrape interval, seed)` inputs, each with the
+/// series it scraped before counters were folded onto the grid as they
+/// happen: point count, attempts, and FNV-1a 64 over every point's
+/// `time.to_bits()` then its counters in `CounterKey::ALL` order, all
+/// little-endian. The first is the configuration this test always ran.
+const SERIES_GOLDENS: [(f64, u64, usize, u64, u64); 5] = [
+    (1.0, 8, 36, 2, 0xf1e1_fe16_be95_b92e),
+    (0.37, 8, 94, 2, 0x12f3_2402_2ecb_947f),
+    (0.1, 3, 344, 2, 0x0103_0023_bb93_12ba),
+    (2.5, 11, 17, 4, 0x1e1f_b813_50ef_191b),
+    (1.0, 0, 36, 3, 0xcd39_e86c_10d8_3c12),
+];
+
 #[test]
 fn scraped_series_is_monotone_and_lands_on_totals() {
-    let report =
-        ResilientExecutor::new(storm_config().metrics(true)).run(&cg_app(32, 30, 1.0)).unwrap();
-    let m = report.metrics.as_ref().unwrap();
-    assert!(m.series.len() > 2, "a multi-second run scrapes several samples");
+    for (interval, seed, points, attempts, golden) in SERIES_GOLDENS {
+        let config = storm_config().seed(seed).scrape_interval(interval).metrics(true);
+        let report = ResilientExecutor::new(config).run(&cg_app(32, 30, 1.0)).unwrap();
+        let m = report.metrics.as_ref().unwrap();
+        assert!(m.series.len() > 2, "a multi-second run scrapes several samples");
 
-    for key in CounterKey::ALL {
-        let mut prev_t = f64::NEG_INFINITY;
-        let mut prev_v = 0u64;
-        for p in &m.series {
-            assert!(p.time >= prev_t, "scrape grid must not go backwards");
-            let v = p.counter(key);
-            assert!(v >= prev_v, "{}: {} < {} at t={}", key.name(), v, prev_v, p.time);
-            prev_t = p.time;
-            prev_v = v;
+        for key in CounterKey::ALL {
+            let mut prev_t = f64::NEG_INFINITY;
+            let mut prev_v = 0u64;
+            for p in &m.series {
+                assert!(p.time >= prev_t, "scrape grid must not go backwards");
+                let v = p.counter(key);
+                assert!(v >= prev_v, "{}: {} < {} at t={}", key.name(), v, prev_v, p.time);
+                prev_t = p.time;
+                prev_v = v;
+            }
+            assert_eq!(
+                m.series.last().unwrap().counter(key),
+                m.totals.counter(key),
+                "{}: final sample must equal the drained total",
+                key.name()
+            );
         }
-        assert_eq!(
-            m.series.last().unwrap().counter(key),
-            m.totals.counter(key),
-            "{}: final sample must equal the drained total",
-            key.name()
-        );
+
+        // The series did not move.
+        let mut bytes = Vec::new();
+        for p in &m.series {
+            bytes.extend(p.time.to_bits().to_le_bytes());
+            bytes.extend(CounterKey::ALL.iter().flat_map(|&key| p.counter(key).to_le_bytes()));
+        }
+        let what = format!("interval {interval}, seed {seed}");
+        assert_eq!(m.scrape_interval, interval, "{what}");
+        assert_eq!((m.series.len(), report.attempts), (points, attempts), "{what}");
+        assert_eq!(fnv1a(&bytes), golden, "{what}: {:016x}", fnv1a(&bytes));
     }
 }
 

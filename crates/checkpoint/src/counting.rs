@@ -113,29 +113,35 @@ impl<'a, C: Communicator> CountingComm<'a, C> {
         msg
     }
 
-    fn try_stash_match(&self, src: RankSelector, tag: TagSelector) -> Option<(Bytes, Status)> {
-        let mut stash = self.stash.borrow_mut();
-        let pos = stash.iter().position(|m| {
+    /// Position of the oldest stashed message matching `src`/`tag`.
+    fn stash_position(&self, src: RankSelector, tag: TagSelector) -> Option<usize> {
+        self.stash.borrow().iter().position(|m| {
             src.matches(Rank::new(m.src))
                 && match tag {
                     TagSelector::Tag(t) => t.value() == m.tag,
                     TagSelector::Any => true,
                 }
-        })?;
-        let m = stash.remove(pos).expect("position just found");
-        let status = Status {
+        })
+    }
+
+    /// The status a stashed message is received or probed with.
+    fn stash_status(&self, m: &ChannelMessage) -> Status {
+        Status {
             source: Rank::new(m.src),
             tag: Tag::new(m.tag),
             len: m.payload.len(),
             completed_at: self.inner.now(),
-        };
-        Some((Bytes::from(m.payload), status))
+        }
+    }
+
+    /// Stash entries are logically "arrived": probes report them first.
+    fn peek_stash(&self, src: RankSelector, tag: TagSelector) -> Option<Status> {
+        let pos = self.stash_position(src, tag)?;
+        Some(self.stash_status(&self.stash.borrow()[pos]))
     }
 }
 
 impl<C: Communicator> Communicator for CountingComm<'_, C> {
-    type Request = CountingRequest;
-
     fn rank(&self) -> Rank {
         self.inner.rank()
     }
@@ -168,64 +174,30 @@ impl<C: Communicator> Communicator for CountingComm<'_, C> {
         if ns != Namespace::User {
             return self.inner.recv_ns(src, tag, ns);
         }
-        if let Some(hit) = self.try_stash_match(src, tag) {
-            return Ok(hit);
+        if let Some(pos) = self.stash_position(src, tag) {
+            let m = self.stash.borrow_mut().remove(pos).expect("position just found");
+            let status = self.stash_status(&m);
+            return Ok((Bytes::from(m.payload), status));
         }
         let (bytes, status) = self.inner.recv_ns(src, tag, ns)?;
         self.recvd_from.borrow_mut()[status.source.index()] += 1;
         Ok((bytes, status))
     }
 
-    fn isend(&self, dest: Rank, tag: Tag, data: Bytes) -> Result<Self::Request> {
-        self.send_ns(dest, tag, data, Namespace::User)?;
-        Ok(CountingRequest(CountingRequestKind::Send))
-    }
-
-    fn irecv(&self, src: RankSelector, tag: TagSelector) -> Result<Self::Request> {
-        Ok(CountingRequest(CountingRequestKind::Recv { src, tag }))
-    }
-
-    fn wait(&self, req: Self::Request) -> Result<Option<(Bytes, Status)>> {
-        match req.0 {
-            CountingRequestKind::Send => Ok(None),
-            CountingRequestKind::Recv { src, tag } => {
-                self.recv_ns(src, tag, Namespace::User).map(Some)
-            }
-        }
-    }
-
     fn iprobe(&self, src: RankSelector, tag: TagSelector) -> Result<Option<Status>> {
-        // Stash entries are logically "arrived": report them first.
-        if let Some((bytes, status)) = self.peek_stash(src, tag) {
-            let _ = bytes;
-            return Ok(Some(status));
-        }
-        self.inner.iprobe(src, tag)
-    }
-
-    fn test(&self, req: Self::Request) -> Result<redcr_mpi::TestOutcome<Self::Request>> {
-        match req.0 {
-            CountingRequestKind::Send => Ok(redcr_mpi::TestOutcome::Completed(None)),
-            CountingRequestKind::Recv { src, tag } => {
-                // A stash hit or a buffered transport message means the
-                // receive completes without blocking.
-                if self.iprobe(src, tag)?.is_some() {
-                    let out = self.recv_ns(src, tag, Namespace::User)?;
-                    Ok(redcr_mpi::TestOutcome::Completed(Some(out)))
-                } else {
-                    Ok(redcr_mpi::TestOutcome::Pending(CountingRequest(
-                        CountingRequestKind::Recv { src, tag },
-                    )))
-                }
-            }
+        match self.peek_stash(src, tag) {
+            Some(status) => Ok(Some(status)),
+            None => self.inner.iprobe(src, tag),
         }
     }
 
-    fn probe(&self, src: RankSelector, tag: TagSelector) -> Result<Status> {
-        if let Some((_, status)) = self.peek_stash(src, tag) {
-            return Ok(status);
+    fn probe_any(&self, specs: &[(RankSelector, TagSelector)]) -> Result<(usize, Status)> {
+        let stashed =
+            specs.iter().enumerate().find_map(|(i, &(s, t))| Some((i, self.peek_stash(s, t)?)));
+        match stashed {
+            Some(hit) => Ok(hit),
+            None => self.inner.probe_any(specs),
         }
-        self.inner.probe(src, tag)
     }
 
     fn next_collective_seq(&self) -> u64 {
@@ -235,38 +207,6 @@ impl<C: Communicator> Communicator for CountingComm<'_, C> {
     fn obs(&self) -> &redcr_mpi::Obs {
         self.inner.obs()
     }
-}
-
-impl<C: Communicator> CountingComm<'_, C> {
-    fn peek_stash(&self, src: RankSelector, tag: TagSelector) -> Option<(usize, Status)> {
-        let stash = self.stash.borrow();
-        let m = stash.iter().find(|m| {
-            src.matches(Rank::new(m.src))
-                && match tag {
-                    TagSelector::Tag(t) => t.value() == m.tag,
-                    TagSelector::Any => true,
-                }
-        })?;
-        Some((
-            m.payload.len(),
-            Status {
-                source: Rank::new(m.src),
-                tag: Tag::new(m.tag),
-                len: m.payload.len(),
-                completed_at: self.inner.now(),
-            },
-        ))
-    }
-}
-
-/// A pending non-blocking operation on a [`CountingComm`].
-#[derive(Debug)]
-pub struct CountingRequest(CountingRequestKind);
-
-#[derive(Debug)]
-enum CountingRequestKind {
-    Send,
-    Recv { src: RankSelector, tag: TagSelector },
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 
-use parking_lot::Mutex;
+use redcr_sched::sync::Mutex;
 
 use crate::error::CkptError;
 use crate::Result;

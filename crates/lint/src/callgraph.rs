@@ -597,6 +597,13 @@ fn resolve(
             }) {
                 return Target::Blocking(joined);
             }
+            // A path rooted in the standard library is never a workspace
+            // function, whatever its last two segments are called:
+            // `std::sync::Mutex::new` inside the workspace's own
+            // `Mutex::new` is delegation, not recursion.
+            if matches!(full[0].as_str(), "std" | "core" | "alloc") {
+                return Target::External;
+            }
             let last = full.last().map(String::as_str).unwrap_or("");
             // Exact `Type::method` match first.
             if full.len() >= 2 {

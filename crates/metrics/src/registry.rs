@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use parking_lot::Mutex;
+use redcr_sched::sync::Mutex;
 
 use crate::histogram::Histogram;
 use crate::shard::{cell_of, is_grid, RankDrain};

@@ -70,7 +70,7 @@ mod world;
 
 pub use corruption::CorruptionModel;
 pub use heartbeat::{DetectorParams, FailureDetector, HealPolicy};
-pub use replica_comm::{RedRequest, ReplicaComm};
+pub use replica_comm::ReplicaComm;
 pub use stats::ReplicationStats;
 pub use vmap::VirtualMap;
 pub use voting::{hash_payload, VoteCost, VoteOutcome, VotingMode};

@@ -8,7 +8,8 @@ use bytes::Bytes;
 
 use redcr_mpi::tag::Namespace;
 use redcr_mpi::{
-    datatype, Comm, Communicator, MpiError, Rank, RankSelector, Result, Status, Tag, TagSelector,
+    datatype, Comm, Communicator, MpiError, Rank, RankSelector, Request, Result, Status, Tag,
+    TagSelector, TestOutcome,
 };
 
 use crate::corruption::{CorruptionInjector, CorruptionModel};
@@ -299,6 +300,20 @@ impl<'a> ReplicaComm<'a> {
         Ok(payload)
     }
 
+    /// The physical replicas of virtual rank `v`, or the error for a rank
+    /// outside the virtual world.
+    fn check_virtual(&self, v: Rank) -> Result<&[Rank]> {
+        if v.index() >= self.vmap.n_virtual() {
+            return Err(MpiError::InvalidRank { rank: v.index(), size: self.vmap.n_virtual() });
+        }
+        Ok(self.vmap.replicas_of(v))
+    }
+
+    /// A physical probe status with its source mapped to the virtual rank.
+    fn virtualize(&self, s: Status) -> Status {
+        Status { source: self.vmap.owner_of(s.source).0, ..s }
+    }
+
     /// The wildcard (`ANY_SOURCE`) receive protocol of paper Section 3.
     fn recv_wildcard(&self, tag: TagSelector, ns: Namespace) -> Result<(Bytes, Status)> {
         if ns != Namespace::User {
@@ -397,9 +412,7 @@ impl<'a> ReplicaComm<'a> {
         tag: TagSelector,
         ns: Namespace,
     ) -> Result<(Bytes, Status)> {
-        if src_v.index() >= self.vmap.n_virtual() {
-            return Err(MpiError::InvalidRank { rank: src_v.index(), size: self.vmap.n_virtual() });
-        }
+        let senders = self.check_virtual(src_v)?;
         let (resolved_tag, pre_matched) = match tag {
             TagSelector::Tag(t) => (t, None),
             TagSelector::Any => {
@@ -407,7 +420,6 @@ impl<'a> ReplicaComm<'a> {
                 // then collect the rest with the resolved tag. Normally the
                 // first replica resolves; if it fail-stopped without a
                 // buffered copy, fail over to the next live sender replica.
-                let senders = self.vmap.replicas_of(src_v);
                 let mut resolved = None;
                 for (k, phys) in senders.iter().enumerate() {
                     match self.base.recv_ns(RankSelector::Rank(*phys), TagSelector::Any, ns) {
@@ -442,24 +454,7 @@ impl<'a> ReplicaComm<'a> {
     }
 }
 
-/// A pending non-blocking operation on a [`ReplicaComm`]. Wraps the set of
-/// physical operations belonging to one virtual operation (the paper's
-/// "set of request handles" with an identifying handle returned to the
-/// application).
-#[derive(Debug)]
-pub struct RedRequest(RedRequestKind);
-
-#[derive(Debug)]
-enum RedRequestKind {
-    /// All physical sends already injected (eager).
-    Send,
-    /// Deferred virtual receive.
-    Recv { src: RankSelector, tag: TagSelector },
-}
-
 impl Communicator for ReplicaComm<'_> {
-    type Request = RedRequest;
-
     fn rank(&self) -> Rank {
         self.my_virtual
     }
@@ -477,12 +472,14 @@ impl Communicator for ReplicaComm<'_> {
     }
 
     fn send_ns(&self, dest: Rank, tag: Tag, data: Bytes, ns: Namespace) -> Result<()> {
-        if dest.index() >= self.vmap.n_virtual() {
-            return Err(MpiError::InvalidRank { rank: dest.index(), size: self.vmap.n_virtual() });
-        }
+        let receivers = self.check_virtual(dest)?;
         self.stats.record_virtual_send();
-        let receivers = self.vmap.replicas_of(dest);
         let r_send = self.vmap.replica_count(self.my_virtual);
+        // In Msg-PlusHash mode a sphere of several senders pairs each
+        // receiver replica with one full-copy sender; the others send it
+        // the hash.
+        let hash = (self.mode == VotingMode::MsgPlusHash && r_send > 1)
+            .then(|| datatype::u64s_to_bytes(&[hash_payload(&data)]));
         // Live degradation: copies destined to a fail-stopped replica are
         // skipped (the runtime reports them as DeadPeer). The corruption
         // injector is still consulted for skipped copies so its counter
@@ -491,44 +488,19 @@ impl Communicator for ReplicaComm<'_> {
         // of the destination sphere accepted a copy is the failure
         // unmaskable and escalated to a job abort.
         let mut delivered = 0usize;
-        match self.mode {
-            VotingMode::AllToAll => {
-                for phys in receivers {
-                    let copy = self.maybe_corrupt(data.clone());
-                    match self.base.send_ns(*phys, tag, copy, ns) {
-                        Ok(()) => {
-                            self.stats.record_physical_send(data.len(), false);
-                            delivered += 1;
-                        }
-                        Err(MpiError::DeadPeer { .. }) => self.stats.record_dead_peer_send(),
-                        Err(e) => return Err(e),
-                    }
+        for (i, phys) in receivers.iter().enumerate() {
+            let (copy, is_hash) = match &hash {
+                Some(h) if !Self::pairs_full(self.my_replica, i, r_send) => (h.clone(), true),
+                _ => (self.maybe_corrupt(data.clone()), false),
+            };
+            let len = copy.len();
+            match self.base.send_ns(*phys, tag, copy, ns) {
+                Ok(()) => {
+                    self.stats.record_physical_send(len, is_hash);
+                    delivered += 1;
                 }
-            }
-            VotingMode::MsgPlusHash => {
-                let hash = datatype::u64s_to_bytes(&[hash_payload(&data)]);
-                for (i, phys) in receivers.iter().enumerate() {
-                    if r_send == 1 || Self::pairs_full(self.my_replica, i, r_send) {
-                        let copy = self.maybe_corrupt(data.clone());
-                        match self.base.send_ns(*phys, tag, copy, ns) {
-                            Ok(()) => {
-                                self.stats.record_physical_send(data.len(), false);
-                                delivered += 1;
-                            }
-                            Err(MpiError::DeadPeer { .. }) => self.stats.record_dead_peer_send(),
-                            Err(e) => return Err(e),
-                        }
-                    } else {
-                        match self.base.send_ns(*phys, tag, hash.clone(), ns) {
-                            Ok(()) => {
-                                self.stats.record_physical_send(hash.len(), true);
-                                delivered += 1;
-                            }
-                            Err(MpiError::DeadPeer { .. }) => self.stats.record_dead_peer_send(),
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
+                Err(MpiError::DeadPeer { .. }) => self.stats.record_dead_peer_send(),
+                Err(e) => return Err(e),
             }
         }
         if delivered == 0 {
@@ -550,25 +522,6 @@ impl Communicator for ReplicaComm<'_> {
         }
     }
 
-    fn isend(&self, dest: Rank, tag: Tag, data: Bytes) -> Result<Self::Request> {
-        self.send_ns(dest, tag, data, Namespace::User)?;
-        Ok(RedRequest(RedRequestKind::Send))
-    }
-
-    fn irecv(&self, src: RankSelector, tag: TagSelector) -> Result<Self::Request> {
-        Ok(RedRequest(RedRequestKind::Recv { src, tag }))
-    }
-
-    fn wait(&self, req: Self::Request) -> Result<Option<(Bytes, Status)>> {
-        match req.0 {
-            RedRequestKind::Send => Ok(None),
-            RedRequestKind::Recv { src, tag } => {
-                let (bytes, status) = self.recv_ns(src, tag, Namespace::User)?;
-                Ok(Some((bytes, status)))
-            }
-        }
-    }
-
     fn iprobe(&self, src: RankSelector, tag: TagSelector) -> Result<Option<Status>> {
         // Probe the primary replica of the (virtual) source, failing over
         // to the next replica when the probed one is dead with nothing
@@ -576,21 +529,11 @@ impl Communicator for ReplicaComm<'_> {
         // replicas may observe different instantaneous states, so
         // applications must not let control flow diverge on iprobe
         // outcomes.
-        let virtualize = |s: Status| {
-            let (v, _) = self.vmap.owner_of(s.source);
-            Status { source: v, ..s }
-        };
         match src {
             RankSelector::Rank(v) => {
-                if v.index() >= self.vmap.n_virtual() {
-                    return Err(MpiError::InvalidRank {
-                        rank: v.index(),
-                        size: self.vmap.n_virtual(),
-                    });
-                }
-                for phys in self.vmap.replicas_of(v) {
+                for phys in self.check_virtual(v)? {
                     if let Some(s) = self.base.iprobe(RankSelector::Rank(*phys), tag)? {
-                        return Ok(Some(virtualize(s)));
+                        return Ok(Some(self.virtualize(s)));
                     }
                     if !self.base.peer_dead_by_now(*phys) {
                         // Live replica with nothing buffered: the message
@@ -602,68 +545,63 @@ impl Communicator for ReplicaComm<'_> {
                 }
                 Ok(None)
             }
-            RankSelector::Any => Ok(self.base.iprobe(RankSelector::Any, tag)?.map(virtualize)),
+            RankSelector::Any => {
+                Ok(self.base.iprobe(RankSelector::Any, tag)?.map(|s| self.virtualize(s)))
+            }
         }
     }
 
-    fn probe(&self, src: RankSelector, tag: TagSelector) -> Result<Status> {
-        match src {
-            RankSelector::Rank(v) => {
-                if v.index() >= self.vmap.n_virtual() {
-                    return Err(MpiError::InvalidRank {
-                        rank: v.index(),
-                        size: self.vmap.n_virtual(),
-                    });
-                }
-                // Blocking probe with replica failover, mirroring
-                // `gather_copies_and_vote`'s degradation.
-                for phys in self.vmap.replicas_of(v) {
-                    match self.base.probe(RankSelector::Rank(*phys), tag) {
-                        Ok(s) => {
-                            let (v, _) = self.vmap.owner_of(s.source);
-                            return Ok(Status { source: v, ..s });
+    fn probe_any(&self, specs: &[(RankSelector, TagSelector)]) -> Result<(usize, Status)> {
+        // Each specific virtual source is probed through one replica at a
+        // time, starting with its primary; `physical` is the set as the
+        // base sees it and doubles as the per-spec replica cursor.
+        let mut physical = Vec::with_capacity(specs.len());
+        for &(src, tag) in specs {
+            let src = match src {
+                RankSelector::Rank(v) => RankSelector::Rank(self.check_virtual(v)?[0]),
+                RankSelector::Any => RankSelector::Any,
+            };
+            physical.push((src, tag));
+        }
+        // Blocking probe with replica failover, mirroring
+        // `gather_copies_and_vote`'s degradation: a replica that is dead
+        // with nothing buffered hands over to the next one of its sphere.
+        loop {
+            match self.base.probe_any(&physical) {
+                Ok((i, s)) => return Ok((i, self.virtualize(s))),
+                Err(MpiError::DeadPeer { peer, .. }) => {
+                    let (v, k) = self.vmap.owner_of(peer);
+                    let Some(&next) = self.vmap.replicas_of(v).get(k + 1) else {
+                        self.base.abort_job();
+                        return Err(MpiError::SphereDead { virtual_rank: v, at: self.base.now() });
+                    };
+                    for (src, _) in &mut physical {
+                        if *src == RankSelector::Rank(peer) {
+                            *src = RankSelector::Rank(next);
                         }
-                        Err(MpiError::DeadPeer { .. }) => continue,
-                        Err(e) => return Err(e),
                     }
                 }
-                self.base.abort_job();
-                Err(MpiError::SphereDead { virtual_rank: v, at: self.base.now() })
-            }
-            RankSelector::Any => {
-                let s = self.base.probe(RankSelector::Any, tag)?;
-                let (v, _) = self.vmap.owner_of(s.source);
-                Ok(Status { source: v, ..s })
+                Err(e) => return Err(e),
             }
         }
     }
 
-    fn test(&self, req: Self::Request) -> Result<redcr_mpi::TestOutcome<Self::Request>> {
-        match req.0 {
-            RedRequestKind::Send => Ok(redcr_mpi::TestOutcome::Completed(None)),
-            RedRequestKind::Recv { src: RankSelector::Rank(v), tag } => {
-                // The primary copy's arrival is the completion signal; the
-                // sibling copies are (at most) a short blocking receive away.
-                if self.iprobe(RankSelector::Rank(v), tag)?.is_some() {
-                    let out = self.recv_specific(v, tag, Namespace::User)?;
-                    Ok(redcr_mpi::TestOutcome::Completed(Some(out)))
-                } else {
-                    Ok(redcr_mpi::TestOutcome::Pending(RedRequest(RedRequestKind::Recv {
-                        src: RankSelector::Rank(v),
-                        tag,
-                    })))
-                }
+    fn test(&self, req: Request) -> Result<TestOutcome> {
+        // The one override of a provided method in the tree. Wildcard
+        // receives must run the envelope-forwarding protocol on every
+        // replica in lock-step; testing them non-blockingly could diverge
+        // across replicas, so they are conservatively reported pending.
+        // For a specific source the primary copy's arrival is the
+        // completion signal; the sibling copies are (at most) a short
+        // blocking receive away.
+        match req {
+            Request::Send => Ok(TestOutcome::Completed(None)),
+            Request::Recv { src: RankSelector::Rank(v), tag }
+                if self.iprobe(RankSelector::Rank(v), tag)?.is_some() =>
+            {
+                Ok(TestOutcome::Completed(Some(self.recv_specific(v, tag, Namespace::User)?)))
             }
-            RedRequestKind::Recv { src: RankSelector::Any, tag } => {
-                // Wildcard receives must run the envelope-forwarding
-                // protocol on every replica in lock-step; testing them
-                // non-blockingly could diverge across replicas, so they are
-                // conservatively reported pending.
-                Ok(redcr_mpi::TestOutcome::Pending(RedRequest(RedRequestKind::Recv {
-                    src: RankSelector::Any,
-                    tag,
-                })))
-            }
+            pending => Ok(TestOutcome::Pending(pending)),
         }
     }
 

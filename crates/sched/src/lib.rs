@@ -46,6 +46,7 @@
 mod ctx;
 mod pool;
 mod stack;
+pub mod sync;
 
 pub use pool::{
     current_waker, park_current, run_batch, yield_now, Backend, BatchResult, BatchStats,

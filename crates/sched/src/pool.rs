@@ -50,10 +50,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering, Ordering::SeqCst};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
 use redcr_prof::{CounterKey, ProfScope, Profiler, RankProf, SpanKey, TrackKey};
 
 use crate::stack::{Stack, DEFAULT_STACK_BYTES};
+use crate::sync::{Condvar, Mutex};
 
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 use crate::ctx;
@@ -408,7 +408,7 @@ impl PoolShared {
                 let mut g = t.permit.lock();
                 // detlint::allow(R10, reason = "threads-backend park: the condvar wait inside IS the park — under REDCR_EXEC=threads each rank owns an OS thread and blocking it is the intended suspension; the coro backend takes the context-switch arm instead")
                 while !*g {
-                    t.unpark.wait(&mut g);
+                    g = t.unpark.wait(g);
                 }
                 *g = false;
             }
@@ -807,7 +807,7 @@ fn idle_wait(shared: &PoolShared, k: usize, shard: Option<&RankProf>) {
         let _idle = shard.map(|s| s.span(SpanKey::WorkerIdle));
         let mut g = shared.idle.lock();
         while *g == epoch && shared.live.load(SeqCst) != 0 {
-            shared.idle_cv.wait(&mut g);
+            g = shared.idle_cv.wait(g);
         }
     }
     shared.idlers.fetch_sub(1, SeqCst);
@@ -839,7 +839,9 @@ fn run_task(shared: &PoolShared, idx: usize, k: usize) {
         YK_YIELD => {
             // A yield promises to run *behind* other runnable work. With
             // nothing else queued here the yielder would be popped straight
-            // back while the rank it polls for sits on a sibling's deque.
+            // back while the rank it polls for (a `test` loop waiting on a
+            // message) sits on a sibling's deque: `yield_now` is public API,
+            // and a caller that polls must make progress at every width.
             if shared.queues[k].looks_empty() {
                 if let Some(other) = steal(shared, k) {
                     shared.queues[k].push(other);

@@ -1,5 +1,6 @@
-//! Concrete communicators: the world communicator [`Comm`] and derived
-//! sub-communicators [`SubComm`].
+//! The concrete communicator: [`Comm`] is the world communicator every
+//! rank's closure receives and, with a group attached by
+//! [`split`](Comm::split) or [`dup`](Comm::dup), a derived one.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -11,12 +12,11 @@ use redcr_trace::EventKind;
 
 use crate::communicator::Communicator;
 use crate::error::{MpiError, Result};
-use crate::mailbox::{MatchSpec, Outcome, PeekInfo};
+use crate::mailbox::{Mailbox, MatchSpec, Outcome};
 use crate::message::{Envelope, Status};
 use crate::obs::Obs;
 use crate::rank::{Rank, RankSelector};
-use crate::request::{Request, RequestKind};
-use crate::tag::{Namespace, Tag, TagSelector};
+use crate::tag::{Namespace, Tag, TagSelector, WireTag};
 use crate::time::VirtualClock;
 use crate::world::Shared;
 
@@ -53,7 +53,22 @@ impl Drop for SendCounters {
     }
 }
 
-/// The world communicator of one rank: every rank's closure receives one.
+/// What a derived communicator adds to the world: a subset of the world
+/// ranks, renumbered, in a tag space of its own.
+#[derive(Debug)]
+struct Group {
+    comm_id: u16,
+    /// Members in group-rank order (world ranks).
+    members: Vec<Rank>,
+    /// Reverse map: world rank index → group rank.
+    reverse: Vec<Option<u32>>,
+    /// This rank's group rank.
+    my_rank: Rank,
+}
+
+/// One rank's handle on a communicator: the world (every rank's closure
+/// receives one) or a group derived from it by [`split`](Comm::split) /
+/// [`dup`](Comm::dup), with renumbered ranks and an isolated tag space.
 ///
 /// `Comm` is `Send` (it can be created on the rank's own thread) but not
 /// `Sync`: a rank's communicator belongs to that rank's thread alone, like
@@ -61,25 +76,33 @@ impl Drop for SendCounters {
 #[derive(Debug)]
 pub struct Comm {
     shared: Arc<Shared>,
-    rank: Rank,
+    /// This rank's world rank ([`Communicator::rank`] is its rank here).
+    world_rank: Rank,
     clock: Rc<VirtualClock>,
     coll_seq: Cell<u64>,
     next_comm_id: Rc<Cell<u16>>,
     counters: Rc<SendCounters>,
     obs: Rc<Obs>,
+    /// `None`: the world — communicator id 0, identity rank translation.
+    group: Option<Group>,
 }
+
+/// A communicator derived by [`Comm::split`] or [`Comm::dup`]. The same
+/// type as the world communicator; the name says which one is meant.
+pub type SubComm = Comm;
 
 impl Comm {
     pub(crate) fn new(shared: Arc<Shared>, rank: u32, start_time: f64, obs: Obs) -> Self {
         let counters = Rc::new(SendCounters::new(Arc::clone(&shared)));
         Comm {
             shared,
-            rank: Rank::new(rank),
+            world_rank: Rank::new(rank),
             clock: Rc::new(VirtualClock::starting_at(start_time)),
             coll_seq: Cell::new(0),
             next_comm_id: Rc::new(Cell::new(1)),
             counters,
             obs: Rc::new(obs),
+            group: None,
         }
     }
 
@@ -97,9 +120,12 @@ impl Comm {
     ///
     /// # Errors
     ///
-    /// Returns an error if the run aborted.
+    /// Returns [`MpiError::CollectiveMismatch`], before any traffic, when
+    /// called on a derived communicator (see [`dup`](Self::dup)), or an
+    /// error if the run aborted.
     pub fn split(&self, color: u64, key: u64) -> Result<SubComm> {
-        let my = crate::datatype::encode_u64s(&[color, key, self.rank.as_u32() as u64]);
+        self.world_only()?;
+        let my = crate::datatype::encode_u64s(&[color, key, self.world_rank.as_u32() as u64]);
         let all = self.allgather(Bytes::from(my))?;
         let mut members: Vec<(u64, u32)> = Vec::new();
         for part in &all {
@@ -112,9 +138,7 @@ impl Comm {
             }
         }
         members.sort_unstable();
-        let world_ranks: Vec<Rank> = members.iter().map(|&(_, r)| Rank::new(r)).collect();
-        let comm_id = self.allocate_comm_id();
-        SubComm::derive(self, world_ranks, comm_id)
+        self.derive(members.iter().map(|&(_, r)| Rank::new(r)).collect())
     }
 
     /// Duplicates the world communicator into an isolated tag space.
@@ -122,21 +146,59 @@ impl Comm {
     ///
     /// # Errors
     ///
-    /// Returns an error if the run aborted.
+    /// Returns [`MpiError::CollectiveMismatch`], before any traffic, when
+    /// called on a derived communicator: communicator ids come from a
+    /// per-rank counter that stays aligned across ranks only because every
+    /// rank of the world takes part in every derivation. Otherwise returns
+    /// an error if the run aborted.
     pub fn dup(&self) -> Result<SubComm> {
+        self.world_only()?;
         // Synchronize so every rank allocates the same comm id at the same
         // point in its collective sequence.
         self.barrier()?;
-        let world_ranks: Vec<Rank> = (0..self.size()).map(|i| Rank::new(i as u32)).collect();
-        let comm_id = self.allocate_comm_id();
-        SubComm::derive(self, world_ranks, comm_id)
+        self.derive(self.members())
     }
 
-    fn allocate_comm_id(&self) -> u16 {
-        let id = self.next_comm_id.get();
+    fn world_only(&self) -> Result<()> {
+        match self.group {
+            None => Ok(()),
+            Some(_) => Err(MpiError::CollectiveMismatch {
+                what: "split and dup are collective over the world communicator only",
+            }),
+        }
+    }
+
+    /// The communicator over `members` (world ranks, in group-rank order)
+    /// with the next communicator id.
+    fn derive(&self, members: Vec<Rank>) -> Result<SubComm> {
+        let mut reverse = vec![None; self.shared.n];
+        for (i, wr) in members.iter().enumerate() {
+            reverse[wr.index()] = Some(i as u32);
+        }
+        let my_rank = reverse[self.world_rank.index()]
+            .map(Rank::new)
+            .ok_or(MpiError::InvalidRank { rank: self.world_rank.index(), size: members.len() })?;
+        let comm_id = self.next_comm_id.get();
         // detlint::allow(R4, reason = "deterministic resource-exhaustion bug (65535 derives), not a runtime race; making every derive fallible for it would poison the whole API for an unreachable case")
-        self.next_comm_id.set(id.checked_add(1).expect("communicator id space exhausted"));
-        id
+        self.next_comm_id.set(comm_id.checked_add(1).expect("communicator id space exhausted"));
+        Ok(Comm {
+            shared: Arc::clone(&self.shared),
+            world_rank: self.world_rank,
+            clock: Rc::clone(&self.clock),
+            coll_seq: Cell::new(0),
+            next_comm_id: Rc::clone(&self.next_comm_id),
+            counters: Rc::clone(&self.counters),
+            obs: Rc::clone(&self.obs),
+            group: Some(Group { comm_id, members, reverse, my_rank }),
+        })
+    }
+
+    /// The world ranks of the members, in this communicator's rank order.
+    pub fn members(&self) -> Vec<Rank> {
+        match &self.group {
+            None => (0..self.shared.n).map(|i| Rank::new(i as u32)).collect(),
+            Some(g) => g.members.clone(),
+        }
     }
 
     /// Observed communication fraction α of this rank so far.
@@ -157,10 +219,6 @@ impl Comm {
         self.check_abort()
     }
 
-    fn check_abort(&self) -> Result<()> {
-        self.endpoint().check_abort()
-    }
-
     /// Marks the whole job aborted (fail-stop escalation) and wakes every
     /// blocked rank. Used by interposition layers when a failure can no
     /// longer be masked (e.g. the last replica of a sphere died).
@@ -178,23 +236,7 @@ impl Comm {
     pub fn peer_dead_by_now(&self, peer: Rank) -> bool {
         self.shared.death_time(peer) <= self.clock.now()
     }
-}
 
-/// Shared implementation of the point-to-point primitives, parameterized by
-/// the rank translation of the communicator.
-struct Endpoint<'a> {
-    shared: &'a Shared,
-    clock: &'a VirtualClock,
-    /// This rank's world rank.
-    world_rank: Rank,
-    /// This rank's communicator-level rank (for error reporting).
-    comm_rank: Rank,
-    comm_id: u16,
-    counters: &'a SendCounters,
-    obs: &'a Obs,
-}
-
-impl Endpoint<'_> {
     fn check_abort(&self) -> Result<()> {
         let now = self.clock.now();
         let death = self.shared.death_time(self.world_rank);
@@ -210,7 +252,7 @@ impl Endpoint<'_> {
         }
         if now >= self.shared.abort_horizon {
             self.shared.trigger_abort();
-            return Err(MpiError::Aborted { rank: self.comm_rank, at: now });
+            return Err(MpiError::Aborted { rank: self.rank(), at: now });
         }
         // Deliberately NOT polled here: the world-abort flag. It is raised at
         // a *physical* instant (whichever rank escalates first), so a running
@@ -223,495 +265,188 @@ impl Endpoint<'_> {
         Ok(())
     }
 
-    /// Returns the awaited world rank if `src` names a specific sender that
-    /// has fail-stopped (receives use this to stop waiting: a dead rank has
-    /// already deposited everything it will ever send).
-    fn dead_source(&self, src: RankSelector) -> Option<Rank> {
-        match src {
+    fn mailbox(&self) -> &Mailbox {
+        &self.shared.mailboxes[self.world_rank.index()]
+    }
+
+    /// The structural match specification of a receive or probe posted on
+    /// this communicator: selectors translated to world ranks, plus the
+    /// group's membership table for `ANY_SOURCE`.
+    fn spec(&self, src: RankSelector, tag: TagSelector, ns: Namespace) -> Result<MatchSpec<'_>> {
+        let Some(g) = &self.group else {
+            return Ok(MatchSpec { comm_id: 0, ns, src, tag, member: None });
+        };
+        let src = match src {
+            RankSelector::Rank(r) => RankSelector::Rank(g.to_world(r)?),
+            RankSelector::Any => RankSelector::Any,
+        };
+        Ok(MatchSpec { comm_id: g.comm_id, ns, src, tag, member: Some(&g.reverse) })
+    }
+
+    /// Returns the awaited world rank if `spec` names a specific sender
+    /// that has fail-stopped (receives use this to stop waiting: a dead
+    /// rank has already deposited everything it will ever send).
+    fn dead_source(&self, spec: &MatchSpec<'_>) -> Option<Rank> {
+        match spec.src {
             RankSelector::Rank(r) if self.shared.is_dead(r) => Some(r),
             _ => None,
         }
     }
 
-    fn send(&self, world_dest: Rank, tag: Tag, data: Bytes, ns: Namespace) -> Result<()> {
+    /// The match a blocking mailbox wait ended with, or the error it ended
+    /// with instead.
+    fn matched<T>(&self, outcome: Outcome<T>) -> Result<T> {
+        let at = self.clock.now();
+        match outcome {
+            Outcome::Matched(v) => Ok(v),
+            Outcome::Aborted => Err(MpiError::Aborted { rank: self.rank(), at }),
+            Outcome::SourceDead(peer) => Err(MpiError::DeadPeer { peer, at }),
+        }
+    }
+
+    /// Advances the clock to the instant a message deposited at `send_time`
+    /// is available here.
+    fn sync_to_arrival(&self, send_time: f64, len: usize) {
+        self.clock.sync_to(self.shared.cost.availability(send_time, len));
+    }
+
+    /// The status of a message from world rank `src`, in this
+    /// communicator's rank numbering, stamped with the current time.
+    fn status(&self, src: Rank, wire_tag: WireTag, len: usize) -> Status {
+        let source = match &self.group {
+            None => src,
+            // detlint::allow(R4, reason = "invariant: the membership table in the match spec admits member sources only")
+            Some(g) => Rank::new(g.reverse[src.index()].expect("sender is a member")),
+        };
+        Status { source, tag: wire_tag.user_tag(), len, completed_at: self.clock.now() }
+    }
+}
+
+impl Group {
+    fn to_world(&self, rank: Rank) -> Result<Rank> {
+        self.members
+            .get(rank.index())
+            .copied()
+            .ok_or(MpiError::InvalidRank { rank: rank.index(), size: self.members.len() })
+    }
+}
+
+impl Communicator for Comm {
+    fn rank(&self) -> Rank {
+        self.group.as_ref().map_or(self.world_rank, |g| g.my_rank)
+    }
+
+    fn size(&self) -> usize {
+        self.group.as_ref().map_or(self.shared.n, |g| g.members.len())
+    }
+
+    fn now(&self) -> f64 {
+        self.clock.now()
+    }
+
+    fn compute(&self, seconds: f64) -> Result<()> {
         self.check_abort()?;
-        if world_dest.index() >= self.shared.n {
-            return Err(MpiError::InvalidRank { rank: world_dest.index(), size: self.shared.n });
+        self.clock.advance_compute(seconds);
+        self.check_abort()
+    }
+
+    fn send_ns(&self, dest: Rank, tag: Tag, data: Bytes, ns: Namespace) -> Result<()> {
+        let (dest, comm_id) = match &self.group {
+            None => (dest, 0),
+            Some(g) => (g.to_world(dest)?, g.comm_id),
+        };
+        self.check_abort()?;
+        if dest.index() >= self.shared.n {
+            return Err(MpiError::InvalidRank { rank: dest.index(), size: self.shared.n });
         }
         // Deterministic dead-peer detection: the destination is dead from
         // this rank's point of view once its sampled death time is at or
         // before this rank's clock. (Delivery to a peer that dies *later*
         // in virtual time stays valid: the message is either consumed
         // before the peer's death or sits unread in its mailbox.)
-        if self.shared.death_time(world_dest) <= self.clock.now() {
-            return Err(MpiError::DeadPeer { peer: world_dest, at: self.clock.now() });
+        if self.peer_dead_by_now(dest) {
+            return Err(MpiError::DeadPeer { peer: dest, at: self.clock.now() });
         }
         self.clock.advance_comm(self.shared.cost.msg_overhead);
         let bytes = data.len() as u64;
         self.counters.record(bytes);
         let now = self.clock.now();
-        self.shared.mailboxes[world_dest.index()].push(
+        self.shared.mailboxes[dest.index()].push(
             Envelope {
                 src: self.world_rank,
-                wire_tag: tag.wire(self.comm_id, ns),
+                wire_tag: tag.wire(comm_id, ns),
                 payload: data,
                 send_time: now,
             },
-            self.obs,
+            &self.obs,
         );
-        self.obs.event(now, EventKind::Send { to: world_dest.as_u32(), bytes });
+        self.obs.event(now, EventKind::Send { to: dest.as_u32(), bytes });
         self.obs.inc(CounterKey::Sends, now);
         self.obs.add(CounterKey::BytesSent, bytes, now);
         self.obs.observe(HistKey::PayloadSize, bytes as f64);
         Ok(())
     }
 
-    /// The structural match specification for a receive or probe posted on
-    /// this endpoint's communicator.
-    fn spec<'a>(
+    fn recv_ns(
         &self,
         src: RankSelector,
         tag: TagSelector,
         ns: Namespace,
-        member_filter: Option<&'a dyn Fn(Rank) -> bool>,
-    ) -> MatchSpec<'a> {
-        MatchSpec { comm_id: self.comm_id, ns, src, tag, member: member_filter }
-    }
-
-    /// Receives with `src` given as a *world-rank* selector plus an optional
-    /// membership filter for `ANY_SOURCE` in sub-communicators.
-    fn recv(
-        &self,
-        src: RankSelector,
-        tag: TagSelector,
-        ns: Namespace,
-        member_filter: Option<&dyn Fn(Rank) -> bool>,
-    ) -> Result<Envelope> {
+    ) -> Result<(Bytes, Status)> {
+        let spec = self.spec(src, tag, ns)?;
         self.check_abort()?;
-        let spec = self.spec(src, tag, ns, member_filter);
-        let mailbox = &self.shared.mailboxes[self.world_rank.index()];
-        match mailbox.recv_match(
+        let env = self.matched(self.mailbox().recv_match(
             &spec,
             || self.shared.is_aborted(),
-            || self.dead_source(src),
-            self.obs,
-        ) {
-            Outcome::Matched(env) => {
-                let avail = self.shared.cost.availability(env.send_time, env.len());
-                self.clock.sync_to(avail);
-                self.clock.advance_comm(self.shared.cost.msg_overhead);
-                self.check_abort()?;
-                self.record_recv(&env);
-                Ok(env)
-            }
-            Outcome::Aborted => {
-                Err(MpiError::Aborted { rank: self.comm_rank, at: self.clock.now() })
-            }
-            Outcome::SourceDead(peer) => Err(MpiError::DeadPeer { peer, at: self.clock.now() }),
-        }
-    }
-
-    fn record_recv(&self, env: &Envelope) {
-        let (now, bytes) = (self.clock.now(), env.payload.len() as u64);
+            || self.dead_source(&spec),
+            &self.obs,
+        ))?;
+        self.sync_to_arrival(env.send_time, env.len());
+        self.clock.advance_comm(self.shared.cost.msg_overhead);
+        self.check_abort()?;
+        let (now, bytes) = (self.clock.now(), env.len() as u64);
         self.obs.event(now, EventKind::Recv { from: env.src.as_u32(), bytes });
         self.obs.inc(CounterKey::Recvs, now);
         self.obs.add(CounterKey::BytesReceived, bytes, now);
         self.obs.observe(HistKey::MessageLatency, now - env.send_time);
+        let status = self.status(env.src, env.wire_tag, env.len());
+        Ok((env.payload, status))
     }
 
-    fn iprobe(
-        &self,
-        src: RankSelector,
-        tag: TagSelector,
-        ns: Namespace,
-        member_filter: Option<&dyn Fn(Rank) -> bool>,
-    ) -> Result<Option<PeekInfo>> {
+    fn iprobe(&self, src: RankSelector, tag: TagSelector) -> Result<Option<Status>> {
+        let spec = self.spec(src, tag, Namespace::User)?;
         self.check_abort()?;
-        let spec = self.spec(src, tag, ns, member_filter);
-        let mailbox = &self.shared.mailboxes[self.world_rank.index()];
-        if let Some(info) = mailbox.try_peek_match(&spec) {
-            let avail = self.shared.cost.availability(info.send_time, info.len);
-            self.clock.sync_to(avail);
-            Ok(Some(info))
-        } else {
-            Ok(None)
-        }
+        Ok(self.mailbox().try_peek_match(&spec).map(|info| {
+            self.sync_to_arrival(info.send_time, info.len);
+            self.status(info.src, info.wire_tag, info.len)
+        }))
     }
 
-    /// Non-blocking matched receive: consumes and returns the first
-    /// matching envelope if one is buffered.
-    fn try_recv(
-        &self,
-        src: RankSelector,
-        tag: TagSelector,
-        ns: Namespace,
-        member_filter: Option<&dyn Fn(Rank) -> bool>,
-    ) -> Result<Option<Envelope>> {
-        self.check_abort()?;
-        let spec = self.spec(src, tag, ns, member_filter);
-        let mailbox = &self.shared.mailboxes[self.world_rank.index()];
-        match mailbox.try_recv_match(&spec) {
-            Some(env) => {
-                let avail = self.shared.cost.availability(env.send_time, env.len());
-                self.clock.sync_to(avail);
-                self.clock.advance_comm(self.shared.cost.msg_overhead);
-                self.check_abort()?;
-                self.record_recv(&env);
-                Ok(Some(env))
+    fn probe_any(&self, specs: &[(RankSelector, TagSelector)]) -> Result<(usize, Status)> {
+        assert!(!specs.is_empty(), "probe_any needs at least one selector pair");
+        // One pair (every `probe`) stays off the heap.
+        let (one, many);
+        let specs = match specs {
+            [(src, tag)] => {
+                one = self.spec(*src, *tag, Namespace::User)?;
+                std::slice::from_ref(&one)
             }
-            None => Ok(None),
-        }
-    }
-
-    fn probe(
-        &self,
-        src: RankSelector,
-        tag: TagSelector,
-        ns: Namespace,
-        member_filter: Option<&dyn Fn(Rank) -> bool>,
-    ) -> Result<PeekInfo> {
+            _ => {
+                let translated = specs.iter().map(|&(s, t)| self.spec(s, t, Namespace::User));
+                many = translated.collect::<Result<Vec<_>>>()?;
+                &many[..]
+            }
+        };
         self.check_abort()?;
-        let spec = self.spec(src, tag, ns, member_filter);
-        let mailbox = &self.shared.mailboxes[self.world_rank.index()];
-        match mailbox.peek_match(
-            &spec,
+        let (i, info) = self.matched(self.mailbox().peek_any(
+            specs,
             || self.shared.is_aborted(),
-            || self.dead_source(src),
-            self.obs,
-        ) {
-            Outcome::Matched(info) => {
-                let avail = self.shared.cost.availability(info.send_time, info.len);
-                self.clock.sync_to(avail);
-                self.check_abort()?;
-                Ok(info)
-            }
-            Outcome::Aborted => {
-                Err(MpiError::Aborted { rank: self.comm_rank, at: self.clock.now() })
-            }
-            Outcome::SourceDead(peer) => Err(MpiError::DeadPeer { peer, at: self.clock.now() }),
-        }
-    }
-}
-
-impl Communicator for Comm {
-    type Request = Request;
-
-    fn rank(&self) -> Rank {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.shared.n
-    }
-
-    fn now(&self) -> f64 {
-        self.clock.now()
-    }
-
-    fn compute(&self, seconds: f64) -> Result<()> {
+            || specs.iter().find_map(|s| self.dead_source(s)),
+            &self.obs,
+        ))?;
+        self.sync_to_arrival(info.send_time, info.len);
         self.check_abort()?;
-        self.clock.advance_compute(seconds);
-        self.check_abort()
-    }
-
-    fn send_ns(&self, dest: Rank, tag: Tag, data: Bytes, ns: Namespace) -> Result<()> {
-        self.endpoint().send(dest, tag, data, ns)
-    }
-
-    fn recv_ns(
-        &self,
-        src: RankSelector,
-        tag: TagSelector,
-        ns: Namespace,
-    ) -> Result<(Bytes, Status)> {
-        let env = self.endpoint().recv(src, tag, ns, None)?;
-        Ok(self.envelope_to_result(env))
-    }
-
-    fn isend(&self, dest: Rank, tag: Tag, data: Bytes) -> Result<Self::Request> {
-        self.send_ns(dest, tag, data, Namespace::User)?;
-        Ok(Request(RequestKind::Send))
-    }
-
-    fn irecv(&self, src: RankSelector, tag: TagSelector) -> Result<Self::Request> {
-        self.check_abort()?;
-        Ok(Request(RequestKind::Recv { src, tag }))
-    }
-
-    fn wait(&self, req: Self::Request) -> Result<Option<(Bytes, Status)>> {
-        match req.0 {
-            RequestKind::Send => Ok(None),
-            RequestKind::Recv { src, tag } => {
-                let (bytes, status) = self.recv_ns(src, tag, Namespace::User)?;
-                Ok(Some((bytes, status)))
-            }
-        }
-    }
-
-    fn iprobe(&self, src: RankSelector, tag: TagSelector) -> Result<Option<Status>> {
-        let info = self.endpoint().iprobe(src, tag, Namespace::User, None)?;
-        Ok(info.map(|i| self.peek_to_status(i)))
-    }
-
-    fn probe(&self, src: RankSelector, tag: TagSelector) -> Result<Status> {
-        let info = self.endpoint().probe(src, tag, Namespace::User, None)?;
-        Ok(self.peek_to_status(info))
-    }
-
-    fn test(&self, req: Self::Request) -> Result<crate::TestOutcome<Self::Request>> {
-        match req.0 {
-            RequestKind::Send => Ok(crate::TestOutcome::Completed(None)),
-            RequestKind::Recv { src, tag } => {
-                match self.endpoint().try_recv(src, tag, Namespace::User, None)? {
-                    Some(env) => {
-                        Ok(crate::TestOutcome::Completed(Some(self.envelope_to_result(env))))
-                    }
-                    None => {
-                        Ok(crate::TestOutcome::Pending(Request(RequestKind::Recv { src, tag })))
-                    }
-                }
-            }
-        }
-    }
-
-    fn next_collective_seq(&self) -> u64 {
-        let s = self.coll_seq.get();
-        self.coll_seq.set(s + 1);
-        s
-    }
-
-    fn obs(&self) -> &Obs {
-        &self.obs
-    }
-}
-
-impl Comm {
-    fn endpoint(&self) -> Endpoint<'_> {
-        Endpoint {
-            shared: &self.shared,
-            clock: &self.clock,
-            world_rank: self.rank,
-            comm_rank: self.rank,
-            comm_id: 0,
-            counters: &self.counters,
-            obs: &self.obs,
-        }
-    }
-
-    fn envelope_to_result(&self, env: Envelope) -> (Bytes, Status) {
-        let status = Status {
-            source: env.src,
-            tag: env.wire_tag.user_tag(),
-            len: env.payload.len(),
-            completed_at: self.clock.now(),
-        };
-        (env.payload, status)
-    }
-
-    fn peek_to_status(&self, info: PeekInfo) -> Status {
-        Status {
-            source: info.src,
-            tag: info.wire_tag.user_tag(),
-            len: info.len,
-            completed_at: self.clock.now(),
-        }
-    }
-}
-
-/// A communicator derived from the world by [`Comm::split`] or
-/// [`Comm::dup`]: a subset of world ranks with renumbered ranks and an
-/// isolated tag space.
-#[derive(Debug)]
-pub struct SubComm {
-    shared: Arc<Shared>,
-    clock: Rc<VirtualClock>,
-    coll_seq: Cell<u64>,
-    comm_id: u16,
-    /// Members in sub-rank order (world ranks).
-    members: Vec<Rank>,
-    /// Reverse map: world rank index → sub rank.
-    reverse: Vec<Option<u32>>,
-    my_sub_rank: Rank,
-    my_world_rank: Rank,
-    counters: Rc<SendCounters>,
-    obs: Rc<Obs>,
-}
-
-impl SubComm {
-    fn derive(parent: &Comm, members: Vec<Rank>, comm_id: u16) -> Result<Self> {
-        let mut reverse = vec![None; parent.shared.n];
-        for (i, wr) in members.iter().enumerate() {
-            reverse[wr.index()] = Some(i as u32);
-        }
-        let my_sub_rank = reverse[parent.rank.index()]
-            .map(Rank::new)
-            .ok_or(MpiError::InvalidRank { rank: parent.rank.index(), size: members.len() })?;
-        Ok(SubComm {
-            shared: Arc::clone(&parent.shared),
-            clock: Rc::clone(&parent.clock),
-            coll_seq: Cell::new(0),
-            comm_id,
-            members,
-            reverse,
-            my_sub_rank,
-            my_world_rank: parent.rank,
-            counters: Rc::clone(&parent.counters),
-            obs: Rc::clone(&parent.obs),
-        })
-    }
-
-    /// The world ranks of the members, in sub-rank order.
-    pub fn members(&self) -> &[Rank] {
-        &self.members
-    }
-
-    fn endpoint(&self) -> Endpoint<'_> {
-        Endpoint {
-            shared: &self.shared,
-            clock: &self.clock,
-            world_rank: self.my_world_rank,
-            comm_rank: self.my_sub_rank,
-            comm_id: self.comm_id,
-            counters: &self.counters,
-            obs: &self.obs,
-        }
-    }
-
-    fn to_world(&self, sub: Rank) -> Result<Rank> {
-        self.members
-            .get(sub.index())
-            .copied()
-            .ok_or(MpiError::InvalidRank { rank: sub.index(), size: self.members.len() })
-    }
-
-    fn to_sub(&self, world: Rank) -> Rank {
-        // detlint::allow(R4, reason = "invariant: callers only translate ranks already validated against the sub-communicator membership")
-        Rank::new(self.reverse[world.index()].expect("sender is a member"))
-    }
-
-    fn translate_selector(&self, src: RankSelector) -> Result<RankSelector> {
-        Ok(match src {
-            RankSelector::Rank(r) => RankSelector::Rank(self.to_world(r)?),
-            RankSelector::Any => RankSelector::Any,
-        })
-    }
-
-    fn envelope_to_result(&self, env: Envelope) -> (Bytes, Status) {
-        let status = Status {
-            source: self.to_sub(env.src),
-            tag: env.wire_tag.user_tag(),
-            len: env.payload.len(),
-            completed_at: self.clock.now(),
-        };
-        (env.payload, status)
-    }
-
-    fn peek_to_status(&self, info: PeekInfo) -> Status {
-        Status {
-            source: self.to_sub(info.src),
-            tag: info.wire_tag.user_tag(),
-            len: info.len,
-            completed_at: self.clock.now(),
-        }
-    }
-
-    fn member_filter(&self) -> impl Fn(Rank) -> bool + '_ {
-        move |world: Rank| self.reverse[world.index()].is_some()
-    }
-
-    fn check_abort(&self) -> Result<()> {
-        self.endpoint().check_abort()
-    }
-}
-
-impl Communicator for SubComm {
-    type Request = Request;
-
-    fn rank(&self) -> Rank {
-        self.my_sub_rank
-    }
-
-    fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    fn now(&self) -> f64 {
-        self.clock.now()
-    }
-
-    fn compute(&self, seconds: f64) -> Result<()> {
-        self.check_abort()?;
-        self.clock.advance_compute(seconds);
-        self.check_abort()
-    }
-
-    fn send_ns(&self, dest: Rank, tag: Tag, data: Bytes, ns: Namespace) -> Result<()> {
-        let world_dest = self.to_world(dest)?;
-        self.endpoint().send(world_dest, tag, data, ns)
-    }
-
-    fn recv_ns(
-        &self,
-        src: RankSelector,
-        tag: TagSelector,
-        ns: Namespace,
-    ) -> Result<(Bytes, Status)> {
-        let world_src = self.translate_selector(src)?;
-        let filter = self.member_filter();
-        let env = self.endpoint().recv(world_src, tag, ns, Some(&filter))?;
-        Ok(self.envelope_to_result(env))
-    }
-
-    fn isend(&self, dest: Rank, tag: Tag, data: Bytes) -> Result<Self::Request> {
-        self.send_ns(dest, tag, data, Namespace::User)?;
-        Ok(Request(RequestKind::Send))
-    }
-
-    fn irecv(&self, src: RankSelector, tag: TagSelector) -> Result<Self::Request> {
-        self.check_abort()?;
-        Ok(Request(RequestKind::Recv { src, tag }))
-    }
-
-    fn wait(&self, req: Self::Request) -> Result<Option<(Bytes, Status)>> {
-        match req.0 {
-            RequestKind::Send => Ok(None),
-            RequestKind::Recv { src, tag } => {
-                let (bytes, status) = self.recv_ns(src, tag, Namespace::User)?;
-                Ok(Some((bytes, status)))
-            }
-        }
-    }
-
-    fn iprobe(&self, src: RankSelector, tag: TagSelector) -> Result<Option<Status>> {
-        let world_src = self.translate_selector(src)?;
-        let filter = self.member_filter();
-        let info = self.endpoint().iprobe(world_src, tag, Namespace::User, Some(&filter))?;
-        Ok(info.map(|i| self.peek_to_status(i)))
-    }
-
-    fn probe(&self, src: RankSelector, tag: TagSelector) -> Result<Status> {
-        let world_src = self.translate_selector(src)?;
-        let filter = self.member_filter();
-        let info = self.endpoint().probe(world_src, tag, Namespace::User, Some(&filter))?;
-        Ok(self.peek_to_status(info))
-    }
-
-    fn test(&self, req: Self::Request) -> Result<crate::TestOutcome<Self::Request>> {
-        match req.0 {
-            RequestKind::Send => Ok(crate::TestOutcome::Completed(None)),
-            RequestKind::Recv { src, tag } => {
-                let world_src = self.translate_selector(src)?;
-                let filter = self.member_filter();
-                match self.endpoint().try_recv(world_src, tag, Namespace::User, Some(&filter))? {
-                    Some(env) => {
-                        Ok(crate::TestOutcome::Completed(Some(self.envelope_to_result(env))))
-                    }
-                    None => {
-                        Ok(crate::TestOutcome::Pending(Request(RequestKind::Recv { src, tag })))
-                    }
-                }
-            }
-        }
+        Ok((i, self.status(info.src, info.wire_tag, info.len)))
     }
 
     fn next_collective_seq(&self) -> u64 {

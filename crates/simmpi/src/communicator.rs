@@ -1,9 +1,12 @@
 //! The [`Communicator`] trait: the MPI-like call surface shared by the base
-//! runtime ([`Comm`](crate::Comm), [`SubComm`](crate::SubComm)) and the
-//! replication layer (`redcr_red::ReplicaComm`).
+//! runtime ([`Comm`](crate::Comm), world or derived) and the layers that
+//! interpose on it (`redcr_red::ReplicaComm`, `redcr_ckpt::CountingComm`).
 //!
 //! Applications written against this trait run unchanged with or without
 //! redundancy — the transparency property of the paper's RedMPI design.
+//! The trait is deliberately narrow where it is *required*: a layer
+//! implements ten methods and no type, and inherits the non-blocking
+//! operations, the probes' conveniences and every collective.
 
 use bytes::Bytes;
 
@@ -12,23 +15,26 @@ use crate::datatype;
 use crate::error::Result;
 use crate::message::Status;
 use crate::rank::{Rank, RankSelector};
-use crate::request::TestOutcome;
+use crate::request::{Request, TestOutcome};
 use crate::tag::{Namespace, Tag, TagSelector};
 
 /// An MPI-like communicator.
 ///
 /// # Required methods
 ///
-/// Implementations provide point-to-point primitives (`send_ns`/`recv_ns`
-/// plus the non-blocking trio), clock access, and a deterministic collective
-/// sequence counter. Everything else — typed sends, send-receive, wait-all,
-/// and all collectives — is provided on top, so an implementation that
-/// interposes on the point-to-point primitives (like the replication layer)
-/// automatically covers the collectives as well.
+/// Ten: [`rank`](Self::rank), [`size`](Self::size), [`now`](Self::now),
+/// [`compute`](Self::compute), [`send_ns`](Self::send_ns),
+/// [`recv_ns`](Self::recv_ns), [`iprobe`](Self::iprobe),
+/// [`probe_any`](Self::probe_any),
+/// [`next_collective_seq`](Self::next_collective_seq) and
+/// [`obs`](Self::obs) — identity, the clock, the two point-to-point choke
+/// points, the two ways to look without taking, a deterministic collective
+/// sequence counter and the telemetry handle. Everything else — the
+/// non-blocking operations over [`Request`], `probe`, typed sends,
+/// send-receive and all collectives — is provided on top, so an
+/// implementation that interposes on the required ten (like the
+/// replication layer) covers the rest as well.
 pub trait Communicator {
-    /// Handle for a pending non-blocking operation.
-    type Request;
-
     /// This process's rank within the communicator.
     fn rank(&self) -> Rank;
 
@@ -70,28 +76,6 @@ pub trait Communicator {
         ns: Namespace,
     ) -> Result<(Bytes, Status)>;
 
-    /// Starts a non-blocking send of user-namespace data.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`send_ns`](Self::send_ns).
-    fn isend(&self, dest: Rank, tag: Tag, data: Bytes) -> Result<Self::Request>;
-
-    /// Posts a non-blocking user-namespace receive.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the run aborted.
-    fn irecv(&self, src: RankSelector, tag: TagSelector) -> Result<Self::Request>;
-
-    /// Completes a non-blocking operation. Send requests yield `None`;
-    /// receive requests yield the payload and status.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the run aborted while waiting.
-    fn wait(&self, req: Self::Request) -> Result<Option<(Bytes, Status)>>;
-
     /// Non-blocking probe for a matching user-namespace message.
     ///
     /// # Errors
@@ -99,24 +83,26 @@ pub trait Communicator {
     /// Returns an error if the run aborted.
     fn iprobe(&self, src: RankSelector, tag: TagSelector) -> Result<Option<Status>>;
 
-    /// Blocking probe: waits until a matching user-namespace message is
-    /// available and returns its status without consuming it.
+    /// Blocking probe over a set: waits until a user-namespace message
+    /// matching one of `specs` is available and returns that pair's index
+    /// and the message's status, without consuming it. When several pairs
+    /// already have a message buffered, the lowest index wins. This is the
+    /// one blocking wait [`probe`](Self::probe) and
+    /// [`waitany`](Self::waitany) are built on.
+    ///
+    /// As with [`iprobe`](Self::iprobe), under replication the index is
+    /// advisory: replicas may see different arrival orders, so applications
+    /// must not let control flow diverge on it.
     ///
     /// # Errors
     ///
-    /// Returns an error if the run aborted while waiting.
-    fn probe(&self, src: RankSelector, tag: TagSelector) -> Result<Status>;
-
-    /// Non-blocking completion test, mirroring `MPI_Test`: completes the
-    /// operation if it can finish promptly, otherwise hands the request
-    /// back. Implementations may conservatively report
-    /// [`TestOutcome::Pending`] for operations they cannot test cheaply
-    /// (e.g. wildcard receives under replication).
+    /// Returns an error if the run aborted while waiting, or if a specific
+    /// source in `specs` is dead with nothing matching buffered.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns an error if the run aborted.
-    fn test(&self, req: Self::Request) -> Result<TestOutcome<Self::Request>>;
+    /// Panics if `specs` is empty.
+    fn probe_any(&self, specs: &[(RankSelector, TagSelector)]) -> Result<(usize, Status)>;
 
     /// Returns the next collective sequence number. Every rank calls
     /// collectives in the same order, so the sequence is identical across
@@ -177,11 +163,83 @@ pub trait Communicator {
         self.recv(src, recv_tag)
     }
 
+    /// Blocking probe: waits until a matching user-namespace message is
+    /// available and returns its status without consuming it.
+    ///
+    /// # Errors
+    ///
+    /// See [`probe_any`](Self::probe_any).
+    fn probe(&self, src: RankSelector, tag: TagSelector) -> Result<Status> {
+        Ok(self.probe_any(&[(src, tag)])?.1)
+    }
+
+    // ------------------------------------------------------------------
+    // Provided non-blocking operations
+    // ------------------------------------------------------------------
+
+    /// Starts a non-blocking send of user-namespace data. Sends are eager,
+    /// so the message is in flight when this returns.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`send_ns`](Self::send_ns).
+    fn isend(&self, dest: Rank, tag: Tag, data: Bytes) -> Result<Request> {
+        self.send_ns(dest, tag, data, Namespace::User)?;
+        Ok(Request::Send)
+    }
+
+    /// Posts a non-blocking user-namespace receive. Posting only records
+    /// the selectors: it moves no clock and checks nothing, so an invalid
+    /// source or an aborted run surfaces when the request is completed.
+    ///
+    /// # Errors
+    ///
+    /// None today; the `Result` keeps the call shaped like `MPI_Irecv`.
+    fn irecv(&self, src: RankSelector, tag: TagSelector) -> Result<Request> {
+        Ok(Request::Recv { src, tag })
+    }
+
+    /// Completes a non-blocking operation. Send requests yield `None`;
+    /// receive requests yield the payload and status.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the run aborted while waiting.
+    fn wait(&self, req: Request) -> Result<Option<(Bytes, Status)>> {
+        match req {
+            Request::Send => Ok(None),
+            Request::Recv { src, tag } => self.recv(src, tag).map(Some),
+        }
+    }
+
+    /// Non-blocking completion test, mirroring `MPI_Test`: a receive whose
+    /// message [`iprobe`](Self::iprobe) reports is completed with
+    /// [`recv`](Self::recv), a send is complete, and anything else is
+    /// handed back. Implementations may conservatively report
+    /// [`TestOutcome::Pending`] for operations they cannot test cheaply
+    /// (wildcard receives under replication).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the run aborted.
+    fn test(&self, req: Request) -> Result<TestOutcome> {
+        match req {
+            Request::Send => Ok(TestOutcome::Completed(None)),
+            Request::Recv { src, tag } if self.iprobe(src, tag)?.is_some() => {
+                Ok(TestOutcome::Completed(Some(self.recv(src, tag)?)))
+            }
+            pending => Ok(TestOutcome::Pending(pending)),
+        }
+    }
+
     /// Waits for *one* of the requests to complete, mirroring
-    /// `MPI_Waitany`: polls with [`test`](Self::test) a bounded number of
-    /// rounds, then blocks on the first remaining request. Returns the
-    /// completed request's index (within the input order), its result, and
-    /// the still-pending requests (in their original relative order).
+    /// `MPI_Waitany`: the first send if there is one (sends are eager),
+    /// otherwise whichever receive [`probe_any`](Self::probe_any) finds a
+    /// message for — the caller parks on the whole set, it never polls.
+    /// Returns the completed request's index (within the input order), its
+    /// result, and the still-pending requests (in their original relative
+    /// order). Under replication the index is advisory, as for
+    /// [`probe_any`](Self::probe_any).
     ///
     /// # Errors
     ///
@@ -193,33 +251,21 @@ pub trait Communicator {
     #[allow(clippy::type_complexity)] // (index, recv payload, remaining) mirrors MPI_Waitany
     fn waitany(
         &self,
-        reqs: Vec<Self::Request>,
-    ) -> Result<(usize, Option<(Bytes, Status)>, Vec<Self::Request>)>
-    where
-        Self: Sized,
-    {
+        mut reqs: Vec<Request>,
+    ) -> Result<(usize, Option<(Bytes, Status)>, Vec<Request>)> {
         assert!(!reqs.is_empty(), "waitany needs at least one request");
-        let mut slots: Vec<Option<Self::Request>> = reqs.into_iter().map(Some).collect();
-        for _round in 0..64 {
-            for i in 0..slots.len() {
-                // detlint::allow(R4, reason = "invariant: a slot is refilled immediately unless its request completed, which returns from the loop")
-                let req = slots[i].take().expect("slot filled until completed");
-                match self.test(req)? {
-                    TestOutcome::Completed(out) => {
-                        let rest: Vec<Self::Request> = slots.into_iter().flatten().collect();
-                        return Ok((i, out, rest));
-                    }
-                    TestOutcome::Pending(req) => slots[i] = Some(req),
-                }
+        let i = match reqs.iter().position(Request::is_send) {
+            Some(first_send) => first_send,
+            None => {
+                let recvs = reqs.iter().filter_map(|req| match *req {
+                    Request::Recv { src, tag } => Some((src, tag)),
+                    Request::Send => None,
+                });
+                self.probe_any(&recvs.collect::<Vec<_>>())?.0
             }
-            redcr_sched::yield_now();
-        }
-        // Nothing completed promptly: block on the first request.
-        // detlint::allow(R4, reason = "invariant: the polling rounds above never leave a slot empty without returning")
-        let first = slots[0].take().expect("first slot present");
-        let out = self.wait(first)?;
-        let rest: Vec<Self::Request> = slots.into_iter().flatten().collect();
-        Ok((0, out, rest))
+        };
+        let out = self.wait(reqs.remove(i))?;
+        Ok((i, out, reqs))
     }
 
     /// Waits for every request, returning results in request order.
@@ -229,7 +275,7 @@ pub trait Communicator {
     /// Returns the first error; remaining requests are abandoned.
     fn waitall(
         &self,
-        reqs: impl IntoIterator<Item = Self::Request>,
+        reqs: impl IntoIterator<Item = Request>,
     ) -> Result<Vec<Option<(Bytes, Status)>>>
     where
         Self: Sized,

@@ -6,9 +6,20 @@
 //! non-blocking point-to-point messaging, wildcard receives
 //! (`MPI_ANY_SOURCE`), and collectives built *over* point-to-point messages
 //! (matching the paper's assumption that "all collective communication in
-//! MPI is based on point-to-point MPI messages") — but runs every rank as an
-//! OS thread inside one process and accounts time on a **virtual clock**
-//! instead of wallclock.
+//! MPI is based on point-to-point MPI messages") — but runs every rank as a
+//! `redcr-sched` task inside one process and accounts time on a **virtual
+//! clock** instead of wallclock.
+//!
+//! ## One trait, one communicator, one request
+//!
+//! [`Communicator`] is the call surface: ten required methods, with the
+//! non-blocking operations, the probes' conveniences and every collective
+//! provided on top — so a layer that interposes (the replication layer,
+//! the checkpoint service's message counter) implements the ten and
+//! inherits the rest. [`Comm`] is the one concrete communicator: the world
+//! every rank closure receives and, through [`Comm::split`] /
+//! [`Comm::dup`], the communicators derived from it. [`Request`] is the one
+//! handle type for pending non-blocking operations, on every layer.
 //!
 //! ## Virtual time
 //!
@@ -95,12 +106,16 @@ pub use redcr_metrics as metrics;
 /// it off is bit-identical to one without it compiled in at all.
 pub use redcr_prof as prof;
 
+/// The concrete communicator. `SubComm` is the same type under the name
+/// that says "derived by `split` / `dup`".
 pub use comm::{Comm, SubComm};
+/// The MPI-like call surface every communicator layer implements.
 pub use communicator::Communicator;
 pub use error::{MpiError, Result};
 pub use message::Status;
 pub use obs::{Obs, Sinks};
 pub use rank::{Rank, RankSelector};
+/// The one non-blocking request handle and what testing one yields.
 pub use request::{Request, TestOutcome};
 pub use tag::{Tag, TagSelector};
 pub use time::CostModel;

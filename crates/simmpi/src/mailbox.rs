@@ -48,7 +48,7 @@
 //! # Lock order
 //!
 //! The mailbox owns exactly one lock: `Mailbox::inner`
-//! (`parking_lot::Mutex<Inner>`). It is a **leaf lock**: every
+//! (`redcr_sched::sync::Mutex<Inner>`). It is a **leaf lock**: every
 //! acquisition in this module either completes within a single statement
 //! or is dropped before any other lock in the workspace can be touched —
 //! a receiver drops `inner` before it parks, so it never sleeps holding
@@ -84,8 +84,8 @@ use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
 use redcr_prof::{CounterKey, SpanKey, TrackKey};
+use redcr_sched::sync::Mutex;
 
 use crate::message::Envelope;
 use crate::obs::Obs;
@@ -146,10 +146,11 @@ pub struct MatchSpec<'a> {
     pub src: RankSelector,
     /// Tag selector.
     pub tag: TagSelector,
-    /// Membership filter for `ANY_SOURCE` on sub-communicators: a source
-    /// outside the group never matches. Irrelevant (and skipped) for
-    /// specific-source receives, whose source is pre-validated.
-    pub member: Option<&'a dyn Fn(Rank) -> bool>,
+    /// Membership filter for `ANY_SOURCE` on derived communicators: the
+    /// group's world-rank → group-rank table, in which a source outside
+    /// the group has no entry and never matches. Irrelevant (and skipped)
+    /// for specific-source receives, whose source is pre-validated.
+    pub member: Option<&'a [Option<u32>]>,
 }
 
 impl MatchSpec<'_> {
@@ -162,7 +163,7 @@ impl MatchSpec<'_> {
             TagSelector::Tag(t) => wire.value() == t.value(),
             TagSelector::Any => true,
         };
-        tag_ok && self.src.matches(src) && self.member.is_none_or(|f| f(src))
+        tag_ok && self.src.matches(src) && self.member.is_none_or(|m| m[src.index()].is_some())
     }
 
     /// The unique channel key when both source and tag are specific.
@@ -186,10 +187,18 @@ struct Interest {
     src: Option<Rank>,
     /// Wake only on pushes with this exact wire tag (`None`: any tag).
     wire: Option<WireTag>,
+    /// Wake on the death of any rank, not only of `src`.
+    any_death: bool,
 }
 
 impl Interest {
-    fn from_spec(spec: &MatchSpec<'_>) -> Self {
+    /// The interest of a wait on `specs`. A set of several registers the
+    /// coarsest interest there is — any push, any death — and leaves the
+    /// sorting-out to the re-check.
+    fn from_specs(specs: &[MatchSpec<'_>]) -> Self {
+        let [spec] = specs else {
+            return Interest { src: None, wire: None, any_death: true };
+        };
         let src = match spec.src {
             RankSelector::Rank(r) => Some(r),
             RankSelector::Any => None,
@@ -203,7 +212,7 @@ impl Interest {
             (RankSelector::Rank(_), TagSelector::Tag(t)) => Some(t.wire(spec.comm_id, spec.ns)),
             _ => None,
         };
-        Interest { src, wire }
+        Interest { src, wire, any_death: false }
     }
 
     fn wants(&self, src: Rank, wire: WireTag) -> bool {
@@ -213,7 +222,7 @@ impl Interest {
     /// Whether the death of `rank` can unblock this waiter (only
     /// specific-source receives ever end in `SourceDead`).
     fn wants_death(&self, rank: Rank) -> bool {
-        self.src == Some(rank)
+        self.any_death || self.src == Some(rank)
     }
 }
 
@@ -362,8 +371,9 @@ pub enum Outcome<T> {
 /// Outcome of a blocking matched receive.
 pub type RecvOutcome = Outcome<Envelope>;
 
-/// Outcome of a blocking probe.
-pub type PeekOutcome = Outcome<PeekInfo>;
+/// Outcome of a blocking probe: the index of the spec that matched, and
+/// what it matched.
+pub type PeekOutcome = Outcome<(usize, PeekInfo)>;
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -545,10 +555,11 @@ impl Mailbox {
         obs.sample(TrackKey::QueueDepth, depth as f64);
     }
 
-    /// The shared blocking wait loop: a missing match registers interest
-    /// and waker, then parks the task (the worker runs other ranks; the
+    /// The one blocking wait loop: a missing match registers interest and
+    /// waker, then parks the task (the worker runs other ranks; the
     /// matching push requeues us). `grab` extracts the result once a
-    /// match exists.
+    /// match exists; `specs` — everything `grab` may match — only shapes
+    /// the parked interest.
     ///
     /// # Panics
     ///
@@ -556,7 +567,7 @@ impl Mailbox {
     /// `redcr-sched` task (see the module docs).
     fn wait_match<T>(
         &self,
-        spec: &MatchSpec<'_>,
+        specs: &[MatchSpec<'_>],
         is_aborted: impl Fn() -> bool,
         dead_src: impl Fn() -> Option<Rank>,
         obs: &Obs,
@@ -606,7 +617,7 @@ impl Mailbox {
             // the task freezing. The live token is given up strictly
             // after the waiter is registered (wakes from here on transfer
             // it back) and strictly before the task freezes.
-            inner.waiter = Some(Waiter { interest: Interest::from_spec(spec), waker });
+            inner.waiter = Some(Waiter { interest: Interest::from_specs(specs), waker });
             parked = true;
             drop(inner);
             self.retire(&is_aborted);
@@ -646,7 +657,9 @@ impl Mailbox {
         dead_src: impl Fn() -> Option<Rank>,
         obs: &Obs,
     ) -> RecvOutcome {
-        let out = self.wait_match(spec, is_aborted, dead_src, obs, |inner| inner.take_match(spec));
+        let out = self.wait_match(std::slice::from_ref(spec), is_aborted, dead_src, obs, |inner| {
+            inner.take_match(spec)
+        });
         if matches!(out, Outcome::Matched(_)) {
             obs.count(CounterKey::Recvs);
         }
@@ -659,19 +672,23 @@ impl Mailbox {
         self.inner.lock().take_match(spec)
     }
 
-    /// Blocking probe: waits until an envelope matches `spec` and returns
-    /// its metadata without removing it (and without cloning payload
-    /// bytes). Unblocks like [`recv_match`](Self::recv_match) when the
-    /// world aborts or the awaited sender is dead, and has the same
+    /// Blocking probe over a set: waits until an envelope matches one of
+    /// `specs` and returns that spec's index with the envelope's metadata,
+    /// without removing it (and without cloning payload bytes). When
+    /// several specs have a match buffered the lowest index wins. Unblocks
+    /// like [`recv_match`](Self::recv_match) when the world aborts or
+    /// `dead_src` names a sender some spec awaits, and has the same
     /// scheduler-task precondition.
-    pub fn peek_match(
+    pub fn peek_any(
         &self,
-        spec: &MatchSpec<'_>,
+        specs: &[MatchSpec<'_>],
         is_aborted: impl Fn() -> bool,
         dead_src: impl Fn() -> Option<Rank>,
         obs: &Obs,
     ) -> PeekOutcome {
-        self.wait_match(spec, is_aborted, dead_src, obs, |inner| inner.peek_match(spec))
+        self.wait_match(specs, is_aborted, dead_src, obs, |inner| {
+            specs.iter().enumerate().find_map(|(i, s)| Some((i, inner.peek_match(s)?)))
+        })
     }
 
     /// Non-blocking probe: metadata of the oldest matching envelope, if

@@ -593,14 +593,16 @@ fn send_requests_test_complete_immediately() {
         .unwrap();
 }
 
-#[test]
-fn waitany_returns_the_ready_request() {
+/// Rank 0 waits on receives from ranks 1 and 2. Rank 2 sends after
+/// `yields` cooperative yields; rank 1 only replies after rank 0 acks rank
+/// 2's message — so `waitany` must pick index 1 first, however late that
+/// message is.
+fn waitany_picks_rank_2_first(workers: usize, yields: usize) {
     World::builder(3)
+        .workers(workers)
         .cost_model(CostModel::zero())
         .run(|comm| {
             if comm.rank().index() == 0 {
-                // Rank 2 sends promptly; rank 1 only replies after we ack
-                // rank 2's message — so waitany must pick index 1 first.
                 let r1 = comm.irecv(Rank::new(1).into(), tag(1).into())?;
                 let r2 = comm.irecv(Rank::new(2).into(), tag(2).into())?;
                 let (idx, out, rest) = comm.waitany(vec![r1, r2])?;
@@ -616,6 +618,9 @@ fn waitany_returns_the_ready_request() {
                 comm.recv(Rank::new(0).into(), tag(9).into())?;
                 comm.send(Rank::new(0), tag(1), b"slow")?;
             } else {
+                for _ in 0..yields {
+                    redcr_mpi::yield_now();
+                }
                 comm.send(Rank::new(0), tag(2), b"fast")?;
             }
             Ok(())
@@ -623,4 +628,66 @@ fn waitany_returns_the_ready_request() {
         .unwrap()
         .into_results()
         .unwrap();
+}
+
+#[test]
+fn waitany_returns_the_ready_request() {
+    // The late sender (1 000 yields) outlasts any polling budget: a
+    // `waitany` that gives up and blocks on request 0 never returns, at any
+    // width. Each world runs on its own thread so that failure is a
+    // timeout here, not a hung suite.
+    for yields in [0, 1_000] {
+        for workers in [1, 2, 3] {
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                waitany_picks_rank_2_first(workers, yields);
+                let _ = done.send(());
+            });
+            finished
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("{workers} workers, {yields} yields: hung or failed"));
+        }
+    }
+}
+
+#[test]
+fn split_and_dup_of_a_derived_communicator_are_refused_before_any_traffic() {
+    let report = World::builder(4)
+        .cost_model(CostModel::zero())
+        .run(|comm| {
+            assert_eq!(comm.members(), (0..4).map(Rank::new).collect::<Vec<_>>());
+            let halves = comm.split((comm.rank().index() / 2) as u64, 0)?;
+            let whole = comm.dup()?;
+            comm.barrier()?; // every derivation's traffic is behind us
+            Ok((comm.members(), halves.members(), whole.members()))
+        })
+        .unwrap();
+    let derived_traffic = report.messages_sent;
+    let lists = report.into_results().unwrap();
+    for (world, (all, half, whole)) in lists.iter().enumerate() {
+        assert_eq!(all, whole);
+        let base = (world / 2 * 2) as u32;
+        assert_eq!(half, &[Rank::new(base), Rank::new(base + 1)]);
+    }
+
+    // The same run, with every refused call added: not one message more.
+    let report = World::builder(4)
+        .cost_model(CostModel::zero())
+        .run(|comm| {
+            let halves = comm.split((comm.rank().index() / 2) as u64, 0)?;
+            let whole = comm.dup()?;
+            comm.barrier()?;
+            for derived in [&halves, &whole] {
+                for refused in [derived.split(0, 0), derived.dup()] {
+                    assert!(
+                        matches!(refused, Err(MpiError::CollectiveMismatch { .. })),
+                        "got {refused:?}"
+                    );
+                }
+            }
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(report.messages_sent, derived_traffic);
+    report.into_results().unwrap();
 }

@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::fmt;
 
-use parking_lot::Mutex;
+use redcr_sched::sync::Mutex;
 
 use crate::event::{Event, EventKind};
 

@@ -1,6 +1,6 @@
 //! Worker-count independence gate for the M:N rank scheduler.
 //!
-//! The scheduler (DESIGN.md §4j) multiplexes rank coroutines onto a
+//! The scheduler (DESIGN.md §4e.1) multiplexes rank coroutines onto a
 //! work-stealing pool; the pool's width is a host-side throughput knob
 //! and **must not** be able to change a single virtual quantity. This
 //! gate reruns the determinism-gate scenario with the worker count

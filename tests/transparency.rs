@@ -1,6 +1,7 @@
 //! Property-based cross-crate tests: replication transparency (any degree,
 //! any kernel, same answer) and checkpoint round-trip fidelity under
-//! arbitrary cut points.
+//! arbitrary cut points — plus the one non-blocking body every communicator
+//! layer has to run unchanged.
 
 use proptest::prelude::*;
 
@@ -9,9 +10,96 @@ use redcr::apps::ep::{EpConfig, EpKernel, EpState};
 use redcr::apps::jacobi::JacobiState;
 use redcr::ckpt::exclusion::ExclusionSet;
 use redcr::ckpt::snapshot::{ChannelMessage, ProcessImage};
+use redcr::ckpt::CountingComm;
 use redcr::ckpt::{from_bytes, to_bytes};
-use redcr::mpi::{Communicator, CostModel};
+use redcr::mpi::{Communicator, CostModel, Rank, Tag, TestOutcome, World};
 use redcr::red::{ReplicatedWorld, VoteCost};
+
+/// The non-blocking operations as an application uses them, on a
+/// communicator of three ranks: a ring exchange through `irecv` + `isend` +
+/// `waitall`; a `test` that is pending before the message was sent and
+/// completes after; a `waitany` over two receives of which the second is
+/// the one that can complete. None of it is written per layer any more, so
+/// one body checks all of them.
+fn nonblocking<C: Communicator>(comm: &C) -> redcr::mpi::Result<()> {
+    let (me, n) = (comm.rank(), comm.size());
+    assert_eq!(n, 3);
+    let (next, prev) = (me.offset(1, n), me.offset(-1, n));
+
+    let r = comm.irecv(prev.into(), Tag::new(1).into())?;
+    let w = comm.isend(next, Tag::new(1), vec![me.as_u32() as u8].into())?;
+    let done = comm.waitall([r, w])?;
+    let (payload, status) = done[0].as_ref().expect("a receive yields its message");
+    assert_eq!((&payload[..], status.source), (&[prev.as_u32() as u8][..], prev));
+    assert!(done[1].is_none(), "a send yields nothing");
+
+    let (zero, one, two) = (Rank::new(0), Rank::new(1), Rank::new(2));
+    if me == zero {
+        // Rank 1 answers only once it has heard "go".
+        let posted = comm.irecv(one.into(), Tag::new(2).into())?;
+        let TestOutcome::Pending(mut posted) = comm.test(posted)? else {
+            panic!("nothing was sent yet");
+        };
+        comm.send(one, Tag::new(3), b"go")?;
+        let (payload, status) = loop {
+            match comm.test(posted)? {
+                TestOutcome::Completed(out) => break out.expect("a receive yields its message"),
+                TestOutcome::Pending(again) => posted = again,
+            }
+            redcr::mpi::yield_now();
+        };
+        assert_eq!((&payload[..], status.source), (&b"answer"[..], one));
+
+        // Rank 1 sends only after rank 2's message was acknowledged.
+        let from_one = comm.irecv(one.into(), Tag::new(4).into())?;
+        let from_two = comm.irecv(two.into(), Tag::new(5).into())?;
+        let (index, out, rest) = comm.waitany(vec![from_one, from_two])?;
+        assert_eq!((index, &out.expect("a receive").0[..]), (1, &b"prompt"[..]));
+        comm.send(one, Tag::new(6), b"ack")?;
+        let (index, out, rest) = comm.waitany(rest)?;
+        assert_eq!((index, &out.expect("a receive").0[..]), (0, &b"late"[..]));
+        assert!(rest.is_empty());
+    } else if me == one {
+        comm.recv(zero.into(), Tag::new(3).into())?;
+        comm.send(zero, Tag::new(2), b"answer")?;
+        comm.recv(zero.into(), Tag::new(6).into())?;
+        comm.send(zero, Tag::new(4), b"late")?;
+    } else {
+        comm.send(zero, Tag::new(5), b"prompt")?;
+    }
+    Ok(())
+}
+
+/// `Comm` (world and derived), `ReplicaComm` and `CountingComm` used to
+/// carry a copy each of the non-blocking operations and a request type to
+/// go with it; now they inherit them, and this is where each is held to it.
+#[test]
+fn nonblocking_operations_work_through_every_layer() {
+    World::builder(3)
+        .run(|comm| {
+            nonblocking(comm)?;
+            nonblocking(&CountingComm::new(comm))?;
+            let dup = comm.dup()?;
+            nonblocking(&dup)?;
+            nonblocking(&CountingComm::new(&dup))
+        })
+        .unwrap()
+        .into_results()
+        .unwrap();
+    let report = ReplicatedWorld::builder(3, 2.0)
+        .unwrap()
+        .run(|comm| {
+            nonblocking(comm)?;
+            nonblocking(&CountingComm::new(comm))
+        })
+        .unwrap();
+    assert!(!report.aborted);
+    for v in 0..3 {
+        for replica in report.replica_results(v) {
+            assert_eq!(*replica, Ok(()));
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

@@ -2,7 +2,7 @@
 //! failure-free), written as three sidecars under `results/` (honouring
 //! `REDCR_RESULTS_DIR`):
 //!
-//! * `profile_cg_r3.json` — the `redcr-prof/1` span/counter sidecar;
+//! * `profile_cg_r3.json` — the `redcr-prof/2` span/counter sidecar;
 //! * `profile_cg_r3.folded` — folded stacks, one `path count_ns` line per
 //!   frame (`inferno-flamegraph` input);
 //! * `profile_cg_r3.perfetto.json` — the run's virtual-time trace with the

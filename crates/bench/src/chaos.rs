@@ -142,7 +142,7 @@ fn run_once(s: &ChaosScenario) -> RunCapture {
     // Commit instants with their multiplicity: the double-kill race shows
     // up as one commit time carrying several RespawnCommit events.
     let mut cycles: Vec<(u64, f64)> = Vec::new();
-    for e in &trace.events {
+    for e in trace.events() {
         if let EventKind::RespawnCommit { .. } = e.kind {
             if let Some(c) = cycles.iter_mut().find(|c| c.1 == e.time) {
                 c.0 += 1;

@@ -481,28 +481,26 @@ mod tests {
     }
 
     fn traced_run() -> Trace {
-        Trace {
-            events: vec![
-                ev(0.0, Some(0), EventKind::Topology { sphere: 0, replica: 0 }),
-                ev(0.0, Some(1), EventKind::Topology { sphere: 0, replica: 1 }),
-                ev(0.0, None, EventKind::AttemptStart { attempt: 0 }),
-                ev(2.0, Some(0), EventKind::CheckpointBegin { seq: 0 }),
-                ev(2.5, Some(0), EventKind::CheckpointCommit { seq: 0, bytes: 64, cost: 0.5 }),
-                ev(10.0, Some(0), EventKind::RankFinish { busy: 8.0, comm: 2.0 }),
-                ev(10.0, Some(1), EventKind::RankFinish { busy: 8.0, comm: 2.0 }),
-                ev(
-                    10.0,
-                    None,
-                    EventKind::AttemptEnd {
-                        attempt: 0,
-                        completed: true,
-                        rel_end: 10.0,
-                        rel_failure: f64::INFINITY,
-                        killer: None,
-                    },
-                ),
-            ],
-        }
+        Trace::from_events(vec![
+            ev(0.0, Some(0), EventKind::Topology { sphere: 0, replica: 0 }),
+            ev(0.0, Some(1), EventKind::Topology { sphere: 0, replica: 1 }),
+            ev(0.0, None, EventKind::AttemptStart { attempt: 0 }),
+            ev(2.0, Some(0), EventKind::CheckpointBegin { seq: 0 }),
+            ev(2.5, Some(0), EventKind::CheckpointCommit { seq: 0, bytes: 64, cost: 0.5 }),
+            ev(10.0, Some(0), EventKind::RankFinish { busy: 8.0, comm: 2.0 }),
+            ev(10.0, Some(1), EventKind::RankFinish { busy: 8.0, comm: 2.0 }),
+            ev(
+                10.0,
+                None,
+                EventKind::AttemptEnd {
+                    attempt: 0,
+                    completed: true,
+                    rel_end: 10.0,
+                    rel_failure: f64::INFINITY,
+                    killer: None,
+                },
+            ),
+        ])
     }
 
     fn cfg() -> ExecutorConfig {
@@ -550,22 +548,20 @@ mod tests {
 
     #[test]
     fn incomplete_run_is_rejected() {
-        let trace = Trace {
-            events: vec![
-                ev(0.0, None, EventKind::AttemptStart { attempt: 0 }),
-                ev(
-                    1.0,
-                    None,
-                    EventKind::AttemptEnd {
-                        attempt: 0,
-                        completed: false,
-                        rel_end: 1.0,
-                        rel_failure: 1.0,
-                        killer: Some(0),
-                    },
-                ),
-            ],
-        };
+        let trace = Trace::from_events(vec![
+            ev(0.0, None, EventKind::AttemptStart { attempt: 0 }),
+            ev(
+                1.0,
+                None,
+                EventKind::AttemptEnd {
+                    attempt: 0,
+                    completed: false,
+                    rel_end: 1.0,
+                    rel_failure: 1.0,
+                    killer: Some(0),
+                },
+            ),
+        ]);
         let err = ModelValidation::from_run(&cfg(), &report_with(Some(trace), 1.0)).unwrap_err();
         assert_eq!(err, ValidationError::NoCompletedAttempt);
     }

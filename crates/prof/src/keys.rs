@@ -111,7 +111,7 @@ pub enum CounterKey {
     Notifies,
     /// Mailbox waits matched without parking (the name dates from the
     /// spin phase the pre-scheduler mailbox had; it is part of the
-    /// `redcr-prof/1` schema).
+    /// `redcr-prof/2` schema).
     SpinResolved,
     /// Mailbox waits that had to park at least once before matching.
     ParkResolved,

@@ -15,7 +15,11 @@
 //!
 //! * [`RankProf`] is a rank-thread-local shard — `Send` but not `Sync`,
 //!   all-`Cell` on the hot path, drained once at rank teardown. Spans are
-//!   measured with RAII [`SpanGuard`]s over [`std::time::Instant`].
+//!   RAII [`SpanGuard`]s: every entry is counted, and a scheduled sample
+//!   of them — the first 64 of a key on a shard, then one in sixteen at
+//!   random gaps — is measured over [`std::time::Instant`]. A key's total
+//!   is scaled up from its timed entries and reported with its standard
+//!   error ([`SpanStat`]); rare long spans are all timed, hence exact.
 //! * [`Profiler`] is the shared registry: a `Mutex` that is only locked at
 //!   absorb (teardown) and report time, never on a hot path, so it adds no
 //!   edge to the workspace lock graph.

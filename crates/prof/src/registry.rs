@@ -28,6 +28,16 @@ impl ProfScope {
             ProfScope::Worker(w) => format!("worker{w}"),
         }
     }
+
+    /// A number unique to the scope: what seeds its shards' timing
+    /// schedules, so they differ between ranks and repeat between runs.
+    pub(crate) fn seed(&self) -> u64 {
+        match *self {
+            ProfScope::Driver => 0,
+            ProfScope::Rank(r) => 1 << 32 | u64::from(r),
+            ProfScope::Worker(w) => 2 << 32 | u64::from(w),
+        }
+    }
 }
 
 /// The shared wall-clock profiler.
@@ -39,7 +49,7 @@ impl ProfScope {
 #[derive(Debug)]
 pub struct Profiler {
     origin: Instant,
-    inner: Mutex<Vec<(ProfScope, ProfDrain)>>,
+    inner: Mutex<Vec<ProfDrain>>,
 }
 
 impl Default for Profiler {
@@ -55,28 +65,28 @@ impl Profiler {
         Profiler { origin: Instant::now(), inner: Mutex::new(Vec::new()) }
     }
 
-    /// Creates a fresh shard sharing this profiler's time origin. Move it
-    /// onto the recording thread and [`absorb`](Self::absorb) its drain at
-    /// teardown.
-    pub fn shard(&self) -> RankProf {
-        RankProf::new(self.origin)
+    /// Creates `scope`'s fresh shard, sharing this profiler's time origin.
+    /// Move it onto the recording thread and [`absorb`](Self::absorb) its
+    /// drain at teardown.
+    pub fn shard(&self, scope: ProfScope) -> RankProf {
+        RankProf::new(scope, self.origin)
     }
 
     /// Absorbs one drained shard. Repeated absorbs for the same scope
     /// merge (a rank thread per attempt, say).
-    pub fn absorb(&self, scope: ProfScope, drain: ProfDrain) {
+    pub fn absorb(&self, drain: ProfDrain) {
         let mut inner = self.inner.lock().expect("profiler poisoned");
-        if let Some((_, slot)) = inner.iter_mut().find(|(s, _)| *s == scope) {
+        if let Some(slot) = inner.iter_mut().find(|d| d.scope == drain.scope) {
             slot.merge(drain);
         } else {
-            inner.push((scope, drain));
+            inner.push(drain);
         }
     }
 
     /// Drains everything absorbed so far into a report, sorted by scope.
     pub fn report(&self) -> ProfReport {
         let mut scopes = std::mem::take(&mut *self.inner.lock().expect("profiler poisoned"));
-        scopes.sort_by_key(|(s, _)| *s);
+        scopes.sort_by_key(|d| d.scope);
         ProfReport::new(scopes)
     }
 }
@@ -89,15 +99,15 @@ mod tests {
     #[test]
     fn absorb_merges_same_scope_and_sorts() {
         let p = Profiler::new();
-        let s = p.shard();
+        let s = p.shard(ProfScope::Rank(3));
         s.count(CounterKey::Parks);
-        p.absorb(ProfScope::Rank(3), s.drain());
+        p.absorb(s.drain());
         s.count(CounterKey::Parks);
         s.count(CounterKey::Parks);
-        p.absorb(ProfScope::Rank(3), s.drain());
-        let d = p.shard();
+        p.absorb(s.drain());
+        let d = p.shard(ProfScope::Driver);
         d.count(CounterKey::Wakes);
-        p.absorb(ProfScope::Driver, d.drain());
+        p.absorb(d.drain());
 
         let report = p.report();
         let labels: Vec<_> = report.scopes().iter().map(|s| s.label().to_owned()).collect();

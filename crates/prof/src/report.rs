@@ -6,18 +6,22 @@ use std::fmt::Write as _;
 use redcr_json::Writer;
 
 use crate::keys::{CounterKey, SpanKey, TrackKey};
-use crate::registry::ProfScope;
-use crate::shard::{ProfDrain, TrackSample};
+use crate::shard::{ProfDrain, TrackSample, ALWAYS_TIMED, MEAN_GAP};
 
-/// Read-only statistics of one span key.
+/// Statistics of one span key.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpanStat {
-    /// Times the span was entered.
+    /// Times the span was entered. Exact.
     pub count: u64,
-    /// Total wall-clock nanoseconds across all entries.
+    /// Entries whose duration was measured.
+    pub timed: u64,
+    /// Total wall-clock nanoseconds across all entries: per shard,
+    /// `timed_total × count / timed` — exact where `timed == count`.
     pub total_ns: u64,
-    /// Longest single entry, nanoseconds.
+    /// Longest measured entry, nanoseconds.
     pub max_ns: u64,
+    /// Standard error of `total_ns`, nanoseconds (0 where it is exact).
+    pub stderr_ns: f64,
 }
 
 impl SpanStat {
@@ -28,6 +32,24 @@ impl SpanStat {
         } else {
             self.total_ns as f64 / self.count as f64
         }
+    }
+
+    /// Standard error of `total_ns` as a fraction of it.
+    pub fn rel_stderr(&self) -> f64 {
+        if self.total_ns == 0 {
+            0.0
+        } else {
+            self.stderr_ns / self.total_ns as f64
+        }
+    }
+
+    /// Adds an independent sample's statistics (another shard's).
+    pub(crate) fn merge(&mut self, other: SpanStat) {
+        self.count += other.count;
+        self.timed += other.timed;
+        self.total_ns += other.total_ns;
+        self.max_ns = self.max_ns.max(other.max_ns);
+        self.stderr_ns = self.stderr_ns.hypot(other.stderr_ns);
     }
 }
 
@@ -46,8 +68,7 @@ impl ScopeProf {
 
     /// Statistics of one span key on this scope.
     pub fn span(&self, key: SpanKey) -> SpanStat {
-        let c = self.drain.spans[key.index()];
-        SpanStat { count: c.count, total_ns: c.total_ns, max_ns: c.max_ns }
+        self.drain.spans[key.index()]
     }
 
     /// Value of one counter on this scope.
@@ -60,9 +81,16 @@ impl ScopeProf {
         &self.drain.tracks[key.index()]
     }
 
-    /// Track samples discarded because the per-track cap was hit.
+    /// Track samples offered but not kept: off the schedule, or decimated
+    /// when a track filled.
     pub fn samples_dropped(&self) -> u64 {
         self.drain.samples_dropped
+    }
+
+    /// Clock readings this scope's shards made, spans and track samples
+    /// together.
+    pub fn clock_reads(&self) -> u64 {
+        self.drain.clock_reads
     }
 }
 
@@ -85,11 +113,11 @@ pub struct ProfReport {
 }
 
 impl ProfReport {
-    pub(crate) fn new(scopes: Vec<(ProfScope, ProfDrain)>) -> Self {
+    pub(crate) fn new(scopes: Vec<ProfDrain>) -> Self {
         ProfReport {
             scopes: scopes
                 .into_iter()
-                .map(|(scope, drain)| ScopeProf { label: scope.label(), drain })
+                .map(|drain| ScopeProf { label: drain.scope.label(), drain })
                 .collect(),
         }
     }
@@ -103,12 +131,14 @@ impl ProfReport {
     pub fn total_span(&self, key: SpanKey) -> SpanStat {
         let mut out = SpanStat::default();
         for s in &self.scopes {
-            let st = s.span(key);
-            out.count += st.count;
-            out.total_ns += st.total_ns;
-            out.max_ns = out.max_ns.max(st.max_ns);
+            out.merge(s.span(key));
         }
         out
+    }
+
+    /// Clock readings made across every scope.
+    pub fn clock_reads(&self) -> u64 {
+        self.scopes.iter().map(ScopeProf::clock_reads).sum()
     }
 
     /// Aggregate value of one counter across every scope.
@@ -148,13 +178,19 @@ impl ProfReport {
         )
     }
 
-    /// Renders the JSON sidecar (`redcr-prof/1` schema): aggregate span
-    /// and counter tables (every key, zeros included, so the shape is
-    /// stable) plus sparse per-scope breakdowns.
+    /// Renders the JSON sidecar (`redcr-prof/2` schema): the sampling
+    /// constants and the clock readings they led to, aggregate span and
+    /// counter tables (every key, zeros included, so the shape is stable)
+    /// plus sparse per-scope breakdowns. A span's `count` is exact; its
+    /// `total_ns` is estimated from its `timed` entries wherever the two
+    /// differ, to within `rel_stderr`; `max_ns` is over the timed entries.
     pub fn to_json(&self, scenario: &str) -> String {
         let mut out = String::with_capacity(4096);
-        let mut w = Writer::document(&mut out, "redcr-prof/1");
+        let mut w = Writer::document(&mut out, "redcr-prof/2");
         w.field("scenario", scenario);
+        w.key("sampling").inline().begin_object();
+        w.field("always_timed", ALWAYS_TIMED).field("mean_gap", MEAN_GAP);
+        w.field("clock_reads", self.clock_reads()).end_object();
         w.key("totals").begin_object();
         w.key("spans").begin_object();
         for key in SpanKey::ALL {
@@ -258,7 +294,8 @@ impl ProfReport {
 }
 
 fn span_members<'w, 'a>(w: &'w mut Writer<'a>, st: SpanStat) -> &'w mut Writer<'a> {
-    w.field("count", st.count).field("total_ns", st.total_ns).field("max_ns", st.max_ns)
+    w.field("count", st.count).field("timed", st.timed).field("total_ns", st.total_ns);
+    w.field("max_ns", st.max_ns).field("rel_stderr", st.rel_stderr())
 }
 
 #[cfg(test)]
@@ -267,7 +304,7 @@ mod tests {
 
     fn sample_report() -> crate::ProfReport {
         let p = Profiler::new();
-        let s = p.shard();
+        let s = p.shard(ProfScope::Rank(0));
         {
             let _wait = s.span(SpanKey::MailboxRecvWait);
             let _park = s.span(SpanKey::MailboxPark);
@@ -275,14 +312,14 @@ mod tests {
         s.count(CounterKey::Parks);
         s.count(CounterKey::Wakes);
         s.sample(TrackKey::QueueDepth, 2.0);
-        p.absorb(ProfScope::Rank(0), s.drain());
+        p.absorb(s.drain());
         p.report()
     }
 
     #[test]
     fn json_sidecar_has_schema_and_all_keys() {
         let json = sample_report().to_json("unit");
-        assert!(json.contains("\"schema\": \"redcr-prof/1\""));
+        assert!(json.contains("\"schema\": \"redcr-prof/2\""));
         assert!(json.contains("\"scenario\": \"unit\""));
         for key in SpanKey::ALL {
             assert!(json.contains(&format!("\"{}\"", key.name())), "{}", key.name());
@@ -301,6 +338,24 @@ mod tests {
             weight.parse::<u64>().expect("integer nanosecond weight");
         }
         assert!(folded.contains("rank0;mailbox;recv_wait;park "));
+    }
+
+    #[test]
+    fn folded_self_time_saturates_when_a_childs_estimate_exceeds_its_parents() {
+        // Parent and child are estimated from different entries, so a
+        // child's total can come out above the wait that encloses it.
+        let s = Profiler::new().shard(ProfScope::Rank(0));
+        let mut drain = s.drain();
+        let stat =
+            |total_ns| crate::SpanStat { count: 100, timed: 70, total_ns, ..Default::default() };
+        assert_eq!(SpanKey::MailboxPark.parent(), Some(SpanKey::MailboxRecvWait));
+        drain.spans[SpanKey::MailboxRecvWait.index()] = stat(900);
+        drain.spans[SpanKey::MailboxPark.index()] = stat(1000);
+        let folded = crate::ProfReport::new(vec![drain]).folded();
+        assert_eq!(
+            folded, "rank0;mailbox;recv_wait;park 1000\n",
+            "no line for a parent with no self time"
+        );
     }
 
     #[test]

@@ -718,7 +718,7 @@ fn worker_loop(shared: &Arc<PoolShared>, k: usize, profiler: Option<&Profiler>) 
     // work.
     let me = Context { pool: Arc::as_ptr(shared), worker: Some(k), task: None };
     let prev = CONTEXT.with(|c| c.replace(Some(me)));
-    let shard = profiler.map(|p| p.shard());
+    let shard = profiler.map(|p| p.shard(ProfScope::Worker(k as u32)));
     while shared.live.load(SeqCst) != 0 {
         match next_task(shared, k, shard.as_ref()) {
             Some(idx) => {
@@ -742,7 +742,7 @@ fn worker_loop(shared: &Arc<PoolShared>, k: usize, profiler: Option<&Profiler>) 
         ] {
             s.add(key, cell.load(SeqCst));
         }
-        p.absorb(ProfScope::Worker(k as u32), s.drain());
+        p.absorb(s.drain());
     }
     CONTEXT.with(|c| c.set(prev));
 }

@@ -4,12 +4,13 @@
 //! [`MetricsRegistry`] and the wall-clock [`Profiler`], each optional.
 //! Builders and the executor driver hold one. Every rank task mints one
 //! [`Obs`] from it: rank-local shards (plain `Cell`/`Vec` updates, no locks
-//! or atomics) for exactly the sinks that are on — the recorder's grows by
-//! one event per call, the metrics shard's only with the scrape-grid cells
-//! it touches (the registry mints it, so it folds onto the registry's
-//! grid). Layers reach the handle
-//! through [`Communicator::obs`](crate::Communicator::obs) and state what
-//! happened once — `obs.event(t, kind)`, `obs.inc(key, t)`,
+//! or atomics) for exactly the sinks that are on — the recorder writes one
+//! event per call into a fixed-size chunk, the metrics shard grows only
+//! with the scrape-grid cells it touches (the registry mints it, so it
+//! folds onto the registry's grid), the profile shard counts every span
+//! and reads the host clock for about one in sixteen. Layers reach the
+//! handle through [`Communicator::obs`](crate::Communicator::obs) and state
+//! what happened once — `obs.event(t, kind)`, `obs.inc(key, t)`,
 //! `obs.span(key)` — and a sink that is off costs one predictable branch.
 //! Nothing here advances a virtual clock, so a run computes the same bits
 //! with any sink on or off.
@@ -19,11 +20,12 @@
 //! A rank's handle is drained exactly once, at rank teardown
 //! ([`Sinks::drain`]). Metrics and profile shards merge into their sinks
 //! right there, inside the task: both merges are order-independent. Trace
-//! events are *returned* instead, and the world absorbs them after the
-//! batch in rank order ([`Sinks::absorb_events`]) — task teardown order
-//! depends on host scheduling, the collected trace must not. Driver-level
-//! records ([`Sinks::event`], [`Sinks::inc`]) go to the shared sinks
-//! directly, so they bracket each segment's rank events.
+//! events are *returned* instead — the chunks themselves, which the
+//! collector adopts, so an event is never copied — and the world absorbs
+//! them after the batch in rank order ([`Sinks::absorb_events`]): task
+//! teardown order depends on host scheduling, the collected trace must
+//! not. Driver-level records ([`Sinks::event`], [`Sinks::inc`]) go to the
+//! shared sinks directly, so they bracket each segment's rank events.
 
 use std::sync::Arc;
 
@@ -31,7 +33,7 @@ use redcr_metrics::{CounterKey as MetricKey, GaugeKey, HistKey, MetricsRegistry,
 use redcr_prof::{
     CounterKey as ProfCounter, ProfScope, Profiler, RankProf, SpanGuard, SpanKey, TrackKey,
 };
-use redcr_trace::{Collector, Event, EventKind, Recorder};
+use redcr_trace::{Collector, EventKind, Recorder, Trace};
 
 /// The world-shared telemetry sinks; `None` means that plane is off.
 #[derive(Debug, Clone, Default)]
@@ -48,10 +50,9 @@ impl Sinks {
     /// Mints physical rank `rank`'s handle, with a shard per enabled sink.
     pub fn rank(&self, rank: u32) -> Obs {
         Obs {
-            scope: ProfScope::Rank(rank),
             recorder: self.trace.as_ref().map(|_| Recorder::new(rank)),
             metrics: self.metrics.as_ref().map(|registry| Box::new(registry.shard(rank))),
-            prof: self.prof_shard(),
+            prof: self.prof_shard(ProfScope::Rank(rank)),
         }
     }
 
@@ -59,11 +60,11 @@ impl Sinks {
     /// The driver's events and counters are rank-less and go through
     /// [`event`](Self::event) / [`inc`](Self::inc) instead.
     pub fn driver(&self) -> Obs {
-        Obs { scope: ProfScope::Driver, recorder: None, metrics: None, prof: self.prof_shard() }
+        Obs { recorder: None, metrics: None, prof: self.prof_shard(ProfScope::Driver) }
     }
 
-    fn prof_shard(&self) -> Option<Box<RankProf>> {
-        self.profiler.as_ref().map(|profiler| Box::new(profiler.shard()))
+    fn prof_shard(&self, scope: ProfScope) -> Option<Box<RankProf>> {
+        self.profiler.as_ref().map(|profiler| Box::new(profiler.shard(scope)))
     }
 
     /// Records one driver-level trace event directly, attributed to `rank`
@@ -94,21 +95,22 @@ impl Sinks {
     }
 
     /// Drains `obs` at teardown: merges its metrics and profile shards
-    /// into the sinks and returns its trace events for the caller to
+    /// into the sinks and returns its trace events — the chunks they were
+    /// recorded into, not a copy — for the caller to
     /// [`absorb_events`](Self::absorb_events) in a deterministic order
     /// (see the module docs). Empty when tracing is off.
-    pub fn drain(&self, obs: &Obs) -> Vec<Event> {
+    pub fn drain(&self, obs: &Obs) -> Trace {
         if let (Some(registry), Some(shard)) = (&self.metrics, &obs.metrics) {
             registry.absorb(shard.drain());
         }
         if let (Some(profiler), Some(shard)) = (&self.profiler, &obs.prof) {
-            profiler.absorb(obs.scope, shard.drain());
+            profiler.absorb(shard.drain());
         }
         obs.recorder.as_ref().map(Recorder::drain).unwrap_or_default()
     }
 
-    /// Merges one rank's drained trace events into the collector.
-    pub fn absorb_events(&self, events: Vec<Event>) {
+    /// Hands one rank's drained trace events to the collector.
+    pub fn absorb_events(&self, events: Trace) {
         if let Some(collector) = &self.trace {
             collector.absorb(events);
         }
@@ -121,7 +123,6 @@ impl Sinks {
 /// words to mint and move — a world mints one per rank per segment.
 #[derive(Debug)]
 pub struct Obs {
-    scope: ProfScope,
     recorder: Option<Recorder>,
     metrics: Option<Box<RankMetrics>>,
     prof: Option<Box<RankProf>>,
@@ -130,7 +131,7 @@ pub struct Obs {
 impl Obs {
     /// A handle with every sink off: each call is a no-op.
     pub fn off() -> Obs {
-        Obs { scope: ProfScope::Driver, recorder: None, metrics: None, prof: None }
+        Obs { recorder: None, metrics: None, prof: None }
     }
 
     /// Records trace event `kind` at virtual time `time`.
@@ -237,7 +238,7 @@ mod tests {
         exercise(&driver);
         assert!(sinks.drain(&driver).is_empty(), "the driver buffers no events");
         let events = sinks.drain(&rank);
-        assert_eq!(events.iter().map(|e| e.rank).collect::<Vec<_>>(), [Some(5)]);
+        assert_eq!(events.events().map(|e| e.rank).collect::<Vec<_>>(), [Some(5)]);
         assert!(sinks.drain(&rank).is_empty(), "a second drain contributes nothing");
         sinks.absorb_events(events);
         sinks.event(3.0, None, EventKind::AttemptStart { attempt: 1 });

@@ -174,7 +174,7 @@ impl WorldBuilder {
         let start_time = self.start_time;
         let sinks = &self.sinks;
         let f = &f;
-        type Slot<T> = (Result<T>, RankTiming, Vec<redcr_trace::Event>);
+        type Slot<T> = (Result<T>, RankTiming, redcr_trace::Trace);
 
         let pool = redcr_sched::PoolConfig::resolve(self.workers, self.n);
         let shared_for_tasks = &shared;

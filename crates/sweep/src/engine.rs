@@ -246,7 +246,7 @@ pub fn run_sweep_profiled(
                 let tx = tx.clone();
                 let next = &next;
                 scope.spawn(move || {
-                    let shard = profiler.map(|p| p.shard());
+                    let shard = profiler.map(|p| p.shard(ProfScope::Worker(w as u32)));
                     loop {
                         let qi = next.fetch_add(1, Ordering::SeqCst);
                         if qi >= cold.len() {
@@ -260,7 +260,7 @@ pub fn run_sweep_profiled(
                         }
                     }
                     if let (Some(p), Some(shard)) = (profiler, shard) {
-                        p.absorb(ProfScope::Worker(w as u32), shard.drain());
+                        p.absorb(shard.drain());
                     }
                 });
             }

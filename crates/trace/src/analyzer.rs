@@ -228,7 +228,7 @@ impl Analysis {
     /// that rank's teardown. Malformed traces are rejected, never panicked
     /// on.
     pub fn analyze(trace: &Trace) -> Result<Analysis, AnalyzeError> {
-        if trace.events.is_empty() {
+        if trace.is_empty() {
             return Err(AnalyzeError::EmptyTrace);
         }
         let mut spheres: Vec<Vec<u32>> = Vec::new();
@@ -240,7 +240,7 @@ impl Analysis {
         // recorder was drained, so no further event of theirs may follow.
         let mut finished: Vec<u32> = Vec::new();
 
-        for event in &trace.events {
+        for event in trace.events() {
             match &event.kind {
                 EventKind::Topology { sphere, replica: _ } => {
                     let s = *sphere as usize;
@@ -553,7 +553,7 @@ mod tests {
             ),
         ]);
 
-        let analysis = Analysis::analyze(&Trace { events }).unwrap();
+        let analysis = Analysis::analyze(&Trace::from_events(events)).unwrap();
         assert_eq!(analysis.spheres, vec![vec![0, 2], vec![1, 3]]);
         assert_eq!(analysis.attempts.len(), 2);
 
@@ -604,7 +604,7 @@ mod tests {
                 },
             ),
         ]);
-        let analysis = Analysis::analyze(&Trace { events }).unwrap();
+        let analysis = Analysis::analyze(&Trace::from_events(events)).unwrap();
         assert_eq!(analysis.attempts[0].masked, 0);
         assert_eq!(analysis.attempts[0].degraded_seconds, 0.0);
         assert_eq!(analysis.totals().masked_failures, 0);
@@ -629,7 +629,7 @@ mod tests {
                 },
             ),
         ];
-        let analysis = Analysis::analyze(&Trace { events }).unwrap();
+        let analysis = Analysis::analyze(&Trace::from_events(events)).unwrap();
         let timeline = analysis.attempts[0].rank_timeline(0);
         assert_eq!(timeline.len(), 2);
         assert!(matches!(timeline[0].kind, EventKind::Recv { .. }));
@@ -652,24 +652,24 @@ mod tests {
 
     #[test]
     fn malformed_brackets_rejected() {
-        let err = Analysis::analyze(&Trace { events: vec![end(1.0, 0)] }).unwrap_err();
+        let err = Analysis::analyze(&Trace::from_events(vec![end(1.0, 0)])).unwrap_err();
         assert_eq!(err, AnalyzeError::UnmatchedEnd { attempt: 0 });
 
         let start = ev(0.0, None, EventKind::AttemptStart { attempt: 0 });
-        let err = Analysis::analyze(&Trace { events: vec![start.clone()] }).unwrap_err();
+        let err = Analysis::analyze(&Trace::from_events(vec![start.clone()])).unwrap_err();
         assert_eq!(err, AnalyzeError::NeverEnded { attempt: 0 });
 
         let nested = ev(0.5, None, EventKind::AttemptStart { attempt: 1 });
-        let err = Analysis::analyze(&Trace { events: vec![start.clone(), nested] }).unwrap_err();
+        let err = Analysis::analyze(&Trace::from_events(vec![start.clone(), nested])).unwrap_err();
         assert_eq!(err, AnalyzeError::NestedStart { open: 0, attempt: 1 });
 
-        let err = Analysis::analyze(&Trace { events: vec![start, end(1.0, 7)] }).unwrap_err();
+        let err = Analysis::analyze(&Trace::from_events(vec![start, end(1.0, 7)])).unwrap_err();
         assert_eq!(err, AnalyzeError::MismatchedEnd { open: 0, attempt: 7 });
     }
 
     #[test]
     fn empty_trace_rejected() {
-        let err = Analysis::analyze(&Trace { events: vec![] }).unwrap_err();
+        let err = Analysis::analyze(&Trace::default()).unwrap_err();
         assert_eq!(err, AnalyzeError::EmptyTrace);
         assert_eq!(err.to_string(), "trace has no events");
     }
@@ -682,7 +682,7 @@ mod tests {
             ev(1.0, None, EventKind::AttemptStart { attempt: 1 }),
             end(2.0, 1),
         ];
-        let err = Analysis::analyze(&Trace { events }).unwrap_err();
+        let err = Analysis::analyze(&Trace::from_events(events)).unwrap_err();
         assert_eq!(err, AnalyzeError::OutOfOrder { prev: 2, attempt: 1 });
 
         // A repeated attempt number is also out of order.
@@ -692,7 +692,7 @@ mod tests {
             ev(1.0, None, EventKind::AttemptStart { attempt: 0 }),
             end(2.0, 0),
         ];
-        let err = Analysis::analyze(&Trace { events }).unwrap_err();
+        let err = Analysis::analyze(&Trace::from_events(events)).unwrap_err();
         assert_eq!(err, AnalyzeError::OutOfOrder { prev: 0, attempt: 0 });
     }
 
@@ -704,7 +704,7 @@ mod tests {
             ev(1.5, Some(0), EventKind::Send { to: 1, bytes: 8 }),
             end(2.0, 0),
         ];
-        let err = Analysis::analyze(&Trace { events }).unwrap_err();
+        let err = Analysis::analyze(&Trace::from_events(events)).unwrap_err();
         assert_eq!(err, AnalyzeError::EventAfterTeardown { rank: 0, attempt: 0 });
 
         // A *different* rank is still free to emit after rank 0 finishes,
@@ -719,7 +719,7 @@ mod tests {
             ev(3.5, Some(0), EventKind::RankFinish { busy: 1.0, comm: 0.5 }),
             end(4.0, 1),
         ];
-        let analysis = Analysis::analyze(&Trace { events }).unwrap();
+        let analysis = Analysis::analyze(&Trace::from_events(events)).unwrap();
         assert_eq!(analysis.attempts.len(), 2);
     }
 

@@ -451,7 +451,7 @@ mod tests {
             let mut events = vec![ev(0.0, None, EventKind::AttemptStart { attempt: 0 })];
             events.extend(ranks.into_iter().flatten().cloned());
             events.push(end(3.0, 0, 3.0));
-            let analysis = Analysis::analyze(&Trace { events }).unwrap();
+            let analysis = Analysis::analyze(&Trace::from_events(events)).unwrap();
             let path = CriticalPath::analyze(&analysis);
             assert_eq!(path.attempts.len(), 1);
             let a = &path.attempts[0];
@@ -494,7 +494,7 @@ mod tests {
             ev(1.0, Some(1), EventKind::Send { to: 0, bytes: 8 }),
             end(1.0, 0, 1.0),
         ];
-        let analysis = Analysis::analyze(&Trace { events }).unwrap();
+        let analysis = Analysis::analyze(&Trace::from_events(events)).unwrap();
         let steps = &CriticalPath::analyze(&analysis).attempts[0].steps;
         assert!(steps.len() <= 6, "{} steps", steps.len());
     }
@@ -508,7 +508,7 @@ mod tests {
             ev(4.0, Some(0), EventKind::RankFinish { busy: 3.0, comm: 1.0 }),
             end(4.0, 0, 4.0),
         ];
-        let analysis = Analysis::analyze(&Trace { events }).unwrap();
+        let analysis = Analysis::analyze(&Trace::from_events(events)).unwrap();
         let path = CriticalPath::analyze(&analysis);
         let a = &path.attempts[0];
         let [compute, blocked, ckpt, heal] = a.path_blame();
@@ -542,7 +542,7 @@ mod tests {
                 },
             ),
         ];
-        let analysis = Analysis::analyze(&Trace { events }).unwrap();
+        let analysis = Analysis::analyze(&Trace::from_events(events)).unwrap();
         let path = CriticalPath::analyze(&analysis);
         assert_eq!(path.total_virtual_time, 0.0);
         assert_eq!(path.blame_alpha(), None);
@@ -557,7 +557,7 @@ mod tests {
             ev(4.0, Some(1), EventKind::RankFinish { busy: 1.0, comm: 3.0 }),
             end(4.0, 0, 4.0),
         ];
-        let analysis = Analysis::analyze(&Trace { events }).unwrap();
+        let analysis = Analysis::analyze(&Trace::from_events(events)).unwrap();
         let path = CriticalPath::analyze(&analysis);
         // (1 + 3) blocked over (4 + 4) active.
         assert!((path.blame_alpha().unwrap() - 0.5).abs() < 1e-12);

@@ -58,8 +58,8 @@ impl Trace {
     /// Serializes the trace as JSONL: one event object per line, in
     /// collection order (the order matters — see [`crate::analyzer`]).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 64);
-        for e in &self.events {
+        let mut out = String::with_capacity(self.len() * 64);
+        for e in self.events() {
             write_event(&mut Writer::compact(&mut out), e);
             out.push('\n');
         }
@@ -85,7 +85,7 @@ impl Trace {
                 .map_err(|e| TraceError::Parse { line: i + 1, what: e.to_string() })?;
             events.push(event);
         }
-        Ok(Trace { events })
+        Ok(Trace::from_events(events))
     }
 }
 
@@ -186,61 +186,55 @@ mod tests {
     use super::*;
 
     fn sample_trace() -> Trace {
-        Trace {
-            events: vec![
-                Event {
-                    time: 0.0,
-                    rank: Some(0),
-                    kind: EventKind::Topology { sphere: 0, replica: 0 },
+        Trace::from_events(vec![
+            Event { time: 0.0, rank: Some(0), kind: EventKind::Topology { sphere: 0, replica: 0 } },
+            Event { time: 0.0, rank: None, kind: EventKind::AttemptStart { attempt: 0 } },
+            Event { time: 3.75, rank: Some(1), kind: EventKind::Injected { rel: 3.75 } },
+            Event { time: 0.5, rank: Some(0), kind: EventKind::Send { to: 1, bytes: 64 } },
+            Event { time: 0.75, rank: Some(1), kind: EventKind::Recv { from: 0, bytes: 64 } },
+            Event {
+                time: 0.75,
+                rank: Some(1),
+                kind: EventKind::Vote { copies: 2, unanimous: true, corrected: false },
+            },
+            Event { time: 3.75, rank: Some(1), kind: EventKind::Death },
+            Event { time: 3.8, rank: Some(0), kind: EventKind::Failover { sphere: 0 } },
+            Event { time: 4.0, rank: Some(0), kind: EventKind::CheckpointBegin { seq: 0 } },
+            Event {
+                time: 4.25,
+                rank: Some(0),
+                kind: EventKind::CheckpointCommit { seq: 0, bytes: 1024, cost: 0.1 },
+            },
+            Event { time: 5.0, rank: Some(0), kind: EventKind::Restore { seq: 0, cut: 4.1 } },
+            Event { time: 5.25, rank: Some(1), kind: EventKind::HeartbeatMiss { sphere: 0 } },
+            Event { time: 5.3, rank: Some(1), kind: EventKind::RespawnBegin { sphere: 0 } },
+            Event {
+                time: 5.5,
+                rank: Some(1),
+                kind: EventKind::RespawnCommit { sphere: 0, rel: 5.5, latency: 1.75 },
+            },
+            Event {
+                time: 5.5,
+                rank: Some(1),
+                kind: EventKind::RejoinVote { sphere: 0, copies: 2 },
+            },
+            Event {
+                time: 6.0,
+                rank: Some(0),
+                kind: EventKind::RankFinish { busy: 5.0, comm: 1.0 },
+            },
+            Event {
+                time: 6.0,
+                rank: None,
+                kind: EventKind::AttemptEnd {
+                    attempt: 0,
+                    completed: true,
+                    rel_end: 6.0,
+                    rel_failure: f64::INFINITY,
+                    killer: None,
                 },
-                Event { time: 0.0, rank: None, kind: EventKind::AttemptStart { attempt: 0 } },
-                Event { time: 3.75, rank: Some(1), kind: EventKind::Injected { rel: 3.75 } },
-                Event { time: 0.5, rank: Some(0), kind: EventKind::Send { to: 1, bytes: 64 } },
-                Event { time: 0.75, rank: Some(1), kind: EventKind::Recv { from: 0, bytes: 64 } },
-                Event {
-                    time: 0.75,
-                    rank: Some(1),
-                    kind: EventKind::Vote { copies: 2, unanimous: true, corrected: false },
-                },
-                Event { time: 3.75, rank: Some(1), kind: EventKind::Death },
-                Event { time: 3.8, rank: Some(0), kind: EventKind::Failover { sphere: 0 } },
-                Event { time: 4.0, rank: Some(0), kind: EventKind::CheckpointBegin { seq: 0 } },
-                Event {
-                    time: 4.25,
-                    rank: Some(0),
-                    kind: EventKind::CheckpointCommit { seq: 0, bytes: 1024, cost: 0.1 },
-                },
-                Event { time: 5.0, rank: Some(0), kind: EventKind::Restore { seq: 0, cut: 4.1 } },
-                Event { time: 5.25, rank: Some(1), kind: EventKind::HeartbeatMiss { sphere: 0 } },
-                Event { time: 5.3, rank: Some(1), kind: EventKind::RespawnBegin { sphere: 0 } },
-                Event {
-                    time: 5.5,
-                    rank: Some(1),
-                    kind: EventKind::RespawnCommit { sphere: 0, rel: 5.5, latency: 1.75 },
-                },
-                Event {
-                    time: 5.5,
-                    rank: Some(1),
-                    kind: EventKind::RejoinVote { sphere: 0, copies: 2 },
-                },
-                Event {
-                    time: 6.0,
-                    rank: Some(0),
-                    kind: EventKind::RankFinish { busy: 5.0, comm: 1.0 },
-                },
-                Event {
-                    time: 6.0,
-                    rank: None,
-                    kind: EventKind::AttemptEnd {
-                        attempt: 0,
-                        completed: true,
-                        rel_end: 6.0,
-                        rel_failure: f64::INFINITY,
-                        killer: None,
-                    },
-                },
-            ],
-        }
+            },
+        ])
     }
 
     #[test]
@@ -254,19 +248,17 @@ mod tests {
 
     #[test]
     fn infinity_round_trips_as_null() {
-        let trace = Trace {
-            events: vec![Event {
-                time: 1.0,
-                rank: None,
-                kind: EventKind::AttemptEnd {
-                    attempt: 2,
-                    completed: false,
-                    rel_end: 1.5,
-                    rel_failure: f64::INFINITY,
-                    killer: Some(3),
-                },
-            }],
-        };
+        let trace = Trace::from_events(vec![Event {
+            time: 1.0,
+            rank: None,
+            kind: EventKind::AttemptEnd {
+                attempt: 2,
+                completed: false,
+                rel_end: 1.5,
+                rel_failure: f64::INFINITY,
+                killer: Some(3),
+            },
+        }]);
         let text = trace.to_jsonl();
         assert!(text.contains("\"rel_failure\":null"), "{text}");
         let parsed = Trace::from_jsonl(&text).unwrap();
@@ -278,14 +270,14 @@ mod tests {
         let values = [1e-300, 1.0 / 3.0, 123_456_789.123_456_78, f64::MAX, 5e-324];
         for v in values {
             let trace =
-                Trace { events: vec![Event { time: v, rank: Some(0), kind: EventKind::Death }] };
+                Trace::from_events(vec![Event { time: v, rank: Some(0), kind: EventKind::Death }]);
             let parsed = Trace::from_jsonl(&trace.to_jsonl()).unwrap();
-            assert_eq!(parsed.events[0].time.to_bits(), v.to_bits(), "{v}");
+            assert_eq!(parsed.events().next().unwrap().time.to_bits(), v.to_bits(), "{v}");
         }
         // Integers past 2^53 do not pass through an f64 on the way back.
         for bytes in [(1 << 53) + 1, u64::MAX] {
             let kind = EventKind::CheckpointCommit { seq: bytes, bytes, cost: 0.5 };
-            let trace = Trace { events: vec![Event { time: 1.0, rank: Some(u32::MAX), kind }] };
+            let trace = Trace::from_events(vec![Event { time: 1.0, rank: Some(u32::MAX), kind }]);
             assert_eq!(Trace::from_jsonl(&trace.to_jsonl()).unwrap(), trace, "{bytes}");
         }
     }

@@ -4,8 +4,9 @@
 //! replication layer (`redcr-red`), the checkpoint coordinator
 //! (`redcr-ckpt`) and the resilient executor (`redcr-core`) — emits
 //! structured, virtual-time-stamped [`Event`]s into a per-rank [`Recorder`]
-//! that is merged into a shared [`Collector`] at world teardown, the same
-//! rank-thread-local pattern the replication statistics use. The resulting
+//! whose chunks a shared [`Collector`] adopts at world teardown (an event
+//! is written once and never copied), the same rank-thread-local pattern
+//! the replication statistics use. The resulting
 //! [`Trace`] can be exported as JSONL (one event per line) and replayed by
 //! the [`analyzer`], which reconstructs per-attempt, per-rank timelines and
 //! derives the paper's measured quantities — observed communication

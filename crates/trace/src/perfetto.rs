@@ -105,7 +105,7 @@ pub fn export_with_counters(
         }
     }
 
-    let mut out = String::with_capacity(trace.events.len() * 96 + 1024);
+    let mut out = String::with_capacity(trace.len() * 96 + 1024);
     out.push_str("[\n");
 
     // Track metadata: the executor lane and one lane per physical rank.
@@ -406,34 +406,32 @@ mod tests {
     }
 
     fn small_trace() -> Trace {
-        Trace {
-            events: vec![
-                ev(0.0, Some(0), EventKind::Topology { sphere: 0, replica: 0 }),
-                ev(0.0, Some(1), EventKind::Topology { sphere: 1, replica: 0 }),
-                ev(0.0, None, EventKind::AttemptStart { attempt: 0 }),
-                // Rank 0's stream (drained first), then rank 1's: per-rank
-                // time order, not globally sorted — as collected.
-                ev(0.5, Some(0), EventKind::Send { to: 1, bytes: 64 }),
-                ev(1.0, Some(0), EventKind::Send { to: 1, bytes: 32 }),
-                ev(2.0, Some(0), EventKind::CheckpointBegin { seq: 0 }),
-                ev(2.5, Some(0), EventKind::CheckpointCommit { seq: 0, bytes: 128, cost: 0.5 }),
-                ev(3.0, Some(0), EventKind::RankFinish { busy: 2.0, comm: 1.0 }),
-                ev(0.6, Some(1), EventKind::Recv { from: 0, bytes: 64 }),
-                ev(1.1, Some(1), EventKind::Recv { from: 0, bytes: 32 }),
-                ev(2.8, Some(1), EventKind::Death),
-                ev(
-                    3.0,
-                    None,
-                    EventKind::AttemptEnd {
-                        attempt: 0,
-                        completed: true,
-                        rel_end: 3.0,
-                        rel_failure: f64::INFINITY,
-                        killer: None,
-                    },
-                ),
-            ],
-        }
+        Trace::from_events(vec![
+            ev(0.0, Some(0), EventKind::Topology { sphere: 0, replica: 0 }),
+            ev(0.0, Some(1), EventKind::Topology { sphere: 1, replica: 0 }),
+            ev(0.0, None, EventKind::AttemptStart { attempt: 0 }),
+            // Rank 0's stream (drained first), then rank 1's: per-rank
+            // time order, not globally sorted — as collected.
+            ev(0.5, Some(0), EventKind::Send { to: 1, bytes: 64 }),
+            ev(1.0, Some(0), EventKind::Send { to: 1, bytes: 32 }),
+            ev(2.0, Some(0), EventKind::CheckpointBegin { seq: 0 }),
+            ev(2.5, Some(0), EventKind::CheckpointCommit { seq: 0, bytes: 128, cost: 0.5 }),
+            ev(3.0, Some(0), EventKind::RankFinish { busy: 2.0, comm: 1.0 }),
+            ev(0.6, Some(1), EventKind::Recv { from: 0, bytes: 64 }),
+            ev(1.1, Some(1), EventKind::Recv { from: 0, bytes: 32 }),
+            ev(2.8, Some(1), EventKind::Death),
+            ev(
+                3.0,
+                None,
+                EventKind::AttemptEnd {
+                    attempt: 0,
+                    completed: true,
+                    rel_end: 3.0,
+                    rel_failure: f64::INFINITY,
+                    killer: None,
+                },
+            ),
+        ])
     }
 
     #[test]
@@ -476,7 +474,7 @@ mod tests {
                 },
             ),
         ];
-        let json = export(&Trace { events }).unwrap();
+        let json = export(&Trace::from_events(events)).unwrap();
         let summary = validate(&json).unwrap();
         assert_eq!(summary.flow_pairs, 0);
         assert!(json.contains("send \u{2192} 1"));
@@ -505,7 +503,7 @@ mod tests {
 
     #[test]
     fn malformed_trace_refused() {
-        let err = export(&Trace { events: vec![] }).unwrap_err();
+        let err = export(&Trace::default()).unwrap_err();
         assert_eq!(err, AnalyzeError::EmptyTrace);
     }
 

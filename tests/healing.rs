@@ -57,7 +57,7 @@ fn heals_3_to_2_to_3_and_returns_to_full_voting() {
     let mut begins = 0u64;
     let mut commits = 0u64;
     let mut rejoins = 0u64;
-    for e in &trace.events {
+    for e in trace.events() {
         match &e.kind {
             EventKind::HeartbeatMiss { .. } => misses += 1,
             EventKind::RespawnBegin { .. } => begins += 1,

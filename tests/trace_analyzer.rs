@@ -54,7 +54,7 @@ fn analyzer_totals_match_execution_report_exactly() {
 
     // Send events are recorded at the same site as the physical counters.
     let sends: Vec<&redcr::trace::Event> =
-        trace.events.iter().filter(|e| matches!(e.kind, EventKind::Send { .. })).collect();
+        trace.events().filter(|e| matches!(e.kind, EventKind::Send { .. })).collect();
     assert_eq!(sends.len() as u64, report.physical_messages);
     let bytes: u64 = sends
         .iter()
@@ -169,7 +169,7 @@ fn jsonl_round_trip_preserves_trace_and_totals() {
     let trace = report.trace.expect("tracing was enabled");
 
     let jsonl = trace.to_jsonl();
-    assert!(jsonl.lines().count() == trace.events.len());
+    assert!(jsonl.lines().count() == trace.len());
     let parsed = Trace::from_jsonl(&jsonl).unwrap();
     assert_eq!(parsed, trace, "JSONL round trip must be lossless");
 

@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::parser::{Callee, FnDef, LoopKind, Workspace};
 use crate::report::{CallEdge, CallGraph, RootBound, Violation};
-use crate::rules::{RATIONALE_R10, RATIONALE_R7, RATIONALE_R8, RATIONALE_R9};
+use crate::rules::finding;
 
 /// Calls with one of these final path segments take the rank closure that
 /// becomes a coroutine root: `run_batch` is the scheduler entry itself,
@@ -194,11 +194,12 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
     let empty = BTreeMap::new();
     let targets: Vec<Vec<Target>> = fns
         .iter()
-        .map(|f| {
+        .enumerate()
+        .map(|(i, f)| {
             let aliases = ws.file_aliases.get(&f.file).unwrap_or(&empty);
             f.calls
                 .iter()
-                .map(|c| resolve(&c.callee, f, fns, aliases, &by_name, &by_qual))
+                .map(|c| resolve(&c.callee, i, fns, aliases, &by_name, &by_qual))
                 .collect()
         })
         .collect();
@@ -276,32 +277,18 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
             match &targets[i][ci] {
                 Target::Workspace(cands) | Target::Dispatch(cands) => {
                     if let Some(&parker) = cands.iter().find(|&&c| can_park[c]) {
-                        out.violations.push(Violation {
-                            rule: "R7",
-                            file: f.file.clone(),
-                            line: call.line,
-                            advisory: false,
-                            message: format!(
-                                "call of `{}` can reach a park/yield while holding `{held}`",
-                                fns[parker].name
-                            ),
-                            rationale: RATIONALE_R7,
-                            suppressed: None,
-                        });
+                        let message = format!(
+                            "call of `{}` can reach a park/yield while holding `{held}`",
+                            fns[parker].name
+                        );
+                        out.violations.push(finding("R7", &f.file, call.line, false, message));
                     }
                 }
                 Target::Dynamic(name) => {
-                    out.violations.push(Violation {
-                        rule: "R7",
-                        file: f.file.clone(),
-                        line: call.line,
-                        advisory: true,
-                        message: format!(
-                            "call through function value `{name}` while holding `{held}` — callee unknown, may park"
-                        ),
-                        rationale: RATIONALE_R7,
-                        suppressed: None,
-                    });
+                    let message = format!(
+                        "call through function value `{name}` while holding `{held}` — callee unknown, may park"
+                    );
+                    out.violations.push(finding("R7", &f.file, call.line, true, message));
                 }
                 _ => {}
             }
@@ -315,17 +302,9 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
         }
         for (ci, call) in f.calls.iter().enumerate() {
             if let Target::Blocking(path) = &targets[i][ci] {
-                out.violations.push(Violation {
-                    rule: "R8",
-                    file: f.file.clone(),
-                    line: call.line,
-                    advisory: false,
-                    message: format!(
-                        "OS-blocking call `{path}` is reachable from a coroutine root"
-                    ),
-                    rationale: RATIONALE_R8,
-                    suppressed: None,
-                });
+                let message =
+                    format!("OS-blocking call `{path}` is reachable from a coroutine root");
+                out.violations.push(finding("R8", &f.file, call.line, false, message));
             }
         }
     }
@@ -355,19 +334,12 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
     for cycle in &cycles {
         let Some(&head) = cycle.iter().min_by_key(|&&i| &fns[i].name) else { continue };
         let names: Vec<&str> = cycle.iter().map(|&i| fns[i].name.as_str()).collect();
-        out.violations.push(Violation {
-            rule: "R9",
-            file: fns[head].file.clone(),
-            line: fns[head].line,
-            advisory: true,
-            message: format!(
-                "recursion cycle `{} -> {}` makes the stack bound unbounded",
-                names.join(" -> "),
-                fns[head].name
-            ),
-            rationale: RATIONALE_R9,
-            suppressed: None,
-        });
+        let message = format!(
+            "recursion cycle `{} -> {}` makes the stack bound unbounded",
+            names.join(" -> "),
+            fns[head].name
+        );
+        out.violations.push(finding("R9", &fns[head].file, fns[head].line, true, message));
     }
 
     let budget_bytes = budget_kb.saturating_mul(1024);
@@ -391,18 +363,11 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
             path,
         });
         if !recursive[r] && bound[r] > budget_bytes {
-            out.violations.push(Violation {
-                rule: "R9",
-                file: fns[r].file.clone(),
-                line: fns[r].line,
-                advisory: false,
-                message: format!(
-                    "coroutine root `{}` needs an estimated {} bytes of stack, over the {budget_kb} KiB budget",
-                    fns[r].name, bound[r]
-                ),
-                rationale: RATIONALE_R9,
-                suppressed: None,
-            });
+            let message = format!(
+                "coroutine root `{}` needs an estimated {} bytes of stack, over the {budget_kb} KiB budget",
+                fns[r].name, bound[r]
+            );
+            out.violations.push(finding("R9", &fns[r].file, fns[r].line, false, message));
         }
     }
 
@@ -429,18 +394,11 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
             });
             if !cooperative {
                 let kw = if lp.kind == LoopKind::Loop { "loop" } else { "while" };
-                out.violations.push(Violation {
-                    rule: "R10",
-                    file: f.file.clone(),
-                    line: lp.line,
-                    advisory: false,
-                    message: format!(
-                        "`{kw}` in coroutine-reachable `{}` can iterate without reaching a yield, park, or recv",
-                        f.name
-                    ),
-                    rationale: RATIONALE_R10,
-                    suppressed: None,
-                });
+                let message = format!(
+                    "`{kw}` in coroutine-reachable `{}` can iterate without reaching a yield, park, or recv",
+                    f.name
+                );
+                out.violations.push(finding("R10", &f.file, lp.line, false, message));
             }
         }
     }
@@ -504,23 +462,34 @@ fn widen_bodyless(
     Target::Workspace(cands)
 }
 
-/// Resolves one call site. Alias expansion mirrors the R1–R3 resolver.
+/// Whether `f` is `caller` or a function enclosing it (a closure's
+/// definer, that definer's, …).
+fn encloses(f: usize, caller: usize, fns: &[FnDef]) -> bool {
+    std::iter::successors(Some(caller), |&i| fns[i].parent).any(|i| i == f)
+}
+
+/// Resolves the call sites of `fns[caller]`. Alias expansion mirrors the
+/// R1–R3 resolver.
 ///
-/// Precision policy (the soundness caveats documented in DESIGN §4k):
+/// Precision policy (the soundness caveats documented in DESIGN §4f):
 /// `self.m()` / `Self::m()` resolve through the caller's impl type;
 /// other method calls resolve only when the receiver's name matches a
 /// workspace type (`comm.recv()` → `Comm::recv`) or the method name is
-/// defined exactly once in the workspace. Everything else is External —
-/// under-approximate on purpose, because matching `.push()` against every
-/// impl floods the graph with phantom edges (and phantom R9 cycles).
+/// defined exactly once in the workspace — and never to the caller or a
+/// function enclosing it: `prof.span(key)` inside `Obs::span` is another
+/// type's `span`, and only `self.m()` is recursion. Everything else is
+/// External — under-approximate on purpose, because matching `.push()`
+/// against every impl floods the graph with phantom edges (and phantom R9
+/// cycles).
 fn resolve(
     callee: &Callee,
-    caller: &FnDef,
+    caller_idx: usize,
     fns: &[FnDef],
     aliases: &BTreeMap<String, String>,
     by_name: &BTreeMap<&str, Vec<usize>>,
     by_qual: &BTreeMap<&str, Vec<usize>>,
 ) -> Target {
+    let caller = &fns[caller_idx];
     match callee {
         Callee::Closure(idx) | Callee::BoundClosure(idx) => Target::Workspace(vec![*idx]),
         Callee::Dynamic(name) => Target::Dynamic(name.clone()),
@@ -531,7 +500,8 @@ fn resolve(
                 return Target::Blocking(format!("Condvar::{name}"));
             }
             let recv = receiver.as_deref().unwrap_or("");
-            if recv == "self" || recv == "Self" {
+            let on_self = recv == "self" || recv == "Self";
+            if on_self {
                 if let Some(owner) = owner_of(caller) {
                     if let Some(idxs) = by_qual.get(format!("{owner}::{name}").as_str()) {
                         return widen_bodyless(idxs.clone(), name, fns, by_name);
@@ -543,7 +513,7 @@ fn resolve(
                 for (qual, idxs) in by_qual.iter() {
                     let Some((ty, m)) = qual.rsplit_once("::") else { continue };
                     if m == name && receiver_matches(&recv_norm, &normalize(ty)) {
-                        cands.extend(idxs);
+                        cands.extend(idxs.iter().filter(|&&c| !encloses(c, caller_idx, fns)));
                     }
                 }
                 if !cands.is_empty() {
@@ -563,7 +533,11 @@ fn resolve(
             match by_name.get(name.as_str()) {
                 // A method name defined exactly once in the workspace is
                 // almost certainly that definition.
-                Some(idxs) if idxs.len() == 1 => Target::Workspace(idxs.clone()),
+                Some(idxs)
+                    if idxs.len() == 1 && (on_self || !encloses(idxs[0], caller_idx, fns)) =>
+                {
+                    Target::Workspace(idxs.clone())
+                }
                 // Defined several times *including* a bodyless trait
                 // declaration: a trait method called through a generic or
                 // unrecognized receiver (`self.inner.recv_ns(…)`) — a

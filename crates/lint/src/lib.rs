@@ -23,11 +23,15 @@
 //! | R9 | hot + virtual | per-coroutine-root stack bound over `[stack_budget]` / recursion |
 //! | R10| hot + virtual | `loop`/`while` in coroutine code with no yield/park/recv on any path |
 //!
-//! R1–R4 and R6 are per-file token scans. R5 and R7–R10 are
-//! interprocedural: hot + virtual files are parsed into a lightweight AST
-//! (`parser`), resolved into a whole-workspace call graph rooted at the
-//! coroutine entry points, and analyzed in `callgraph`. The graph and
-//! the per-root stack bounds are exported as a JSONL artifact.
+//! One pipeline lowers each file once — lexer → test mask → imports — and
+//! feeds every rule from that lowering: R1–R4 and R6 scan its tokens;
+//! hot + virtual files are then parsed into a lightweight AST
+//! (`parser`) whose lock acquisitions fold into the R5 lock graph
+//! (`lockorder`) and whose call sites resolve into a whole-workspace call
+//! graph rooted at the coroutine entry points, where R7–R10 run
+//! (`callgraph`). Suppressions apply last, to every finding alike. The
+//! call graph and the per-root stack bounds are exported as a JSONL
+//! artifact.
 //!
 //! Domains are assigned per crate in `detlint.toml`. Suppress a finding
 //! with `// detlint::allow(<rule>, reason = "…")` on the same or the
@@ -59,49 +63,51 @@ use std::path::{Path, PathBuf};
 /// one that fails loudly.
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     let cfg = Config::load(&root.join("detlint.toml"))?;
-    lint_workspace_with(root, &cfg)
+    let mut paths = Vec::new();
+    collect_rs_files(root, root, &cfg.exclude, &mut paths)?;
+    paths.sort();
+    let mut files = Vec::with_capacity(paths.len());
+    for rel in &paths {
+        let src = std::fs::read_to_string(root.join(rel))
+            .map_err(|e| format!("{}: {e}", rel.display()))?;
+        files.push((rel_display(rel), cfg.domain_for(rel), src));
+    }
+    Ok(lint_files(&cfg, files))
 }
 
-/// Like [`lint_workspace`], with an explicit config.
-///
-/// # Errors
-///
-/// See [`lint_workspace`].
-pub fn lint_workspace_with(root: &Path, cfg: &Config) -> Result<Report, String> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &cfg.exclude, &mut files)?;
-    files.sort();
+/// Lints one in-memory source file under `domain` — the fixture-test and
+/// seeded-violation entry point — through the same pipeline as
+/// [`lint_workspace`], with the default config. The interprocedural
+/// passes (R5, R7–R10) see just this file, so fixtures exercising them
+/// must be self-contained (stub their own `park_current` etc.).
+pub fn lint_source(rel_name: &str, domain: Domain, src: &str) -> Report {
+    lint_files(&Config::default(), vec![(rel_name.to_string(), domain, src.to_string())])
+}
 
+/// The pipeline: `files` are (workspace-relative path, domain, source).
+fn lint_files(cfg: &Config, files: Vec<(String, Domain, String)>) -> Report {
     let mut report = Report::default();
-    let mut lock_seqs = Vec::new();
     let mut ws = parser::Workspace::default();
     // (rel, suppressions, report_health): suppressions apply everywhere
     // they lex, but their *health* (stale/malformed/unknown) is only
     // reported where rules fire — in tooling/test files every
     // allow-shaped comment (including the linter's own docs describing
     // the syntax) would read as stale.
-    let mut file_sups: Vec<(String, Vec<lexer::Suppression>, bool)> = Vec::new();
-    for rel in &files {
-        let src = std::fs::read_to_string(root.join(rel))
-            .map_err(|e| format!("{}: {e}", rel.display()))?;
-        let rel_str = rel_display(rel);
-        let domain = cfg.domain_for(rel);
-        let lexed = lexer::lex(&src);
-        let skip = rules::test_skip_mask(&lexed);
-        report.violations.extend(rules::check_file(&rel_str, domain, &lexed, &skip));
+    let mut file_sups = Vec::new();
+    for (rel, domain, src) in files {
+        let low = rules::lower(&src);
+        report.violations.extend(rules::check_file(&rel, domain, &low));
         if matches!(domain, Domain::Hot | Domain::Virtual) {
-            let crate_name = crate_of(rel);
-            lock_seqs.extend(lockorder::extract(&rel_str, &crate_name, &lexed, &skip));
-            parser::parse_file(&mut ws, &rel_str, &crate_name, domain, &lexed, &skip);
+            parser::parse_file(&mut ws, &rel, crate_of(&rel), &low);
         }
-        if !lexed.suppressions.is_empty() {
+        if !low.lexed.suppressions.is_empty() {
             let report_health = !matches!(domain, Domain::Tooling | Domain::Test);
-            file_sups.push((rel_str, lexed.suppressions, report_health));
+            file_sups.push((rel, low.lexed.suppressions, report_health));
         }
         report.files_scanned += 1;
     }
 
-    let (classes, edges, cycle_violations) = lockorder::analyze(&lock_seqs);
+    let (classes, edges, cycle_violations) = lockorder::analyze(&ws);
     report.lock_classes = classes;
     report.lock_edges = edges;
     report.violations.extend(cycle_violations);
@@ -122,41 +128,6 @@ pub fn lint_workspace_with(root: &Path, cfg: &Config) -> Result<Report, String> 
     report
         .violations
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    Ok(report)
-}
-
-/// Lints one in-memory source file under `domain` — the fixture-test and
-/// seeded-violation entry point. The interprocedural passes (R5, R7–R10)
-/// run over just this file with the default stack budget, so fixtures
-/// exercising them must be self-contained (stub their own `park_current`
-/// etc.).
-pub fn lint_source(rel_name: &str, domain: Domain, src: &str) -> Report {
-    let lexed = lexer::lex(src);
-    let skip = rules::test_skip_mask(&lexed);
-    let mut report = Report {
-        violations: rules::check_file(rel_name, domain, &lexed, &skip),
-        files_scanned: 1,
-        ..Report::default()
-    };
-    if matches!(domain, Domain::Hot | Domain::Virtual) {
-        let seqs = lockorder::extract(rel_name, "fixture", &lexed, &skip);
-        let (classes, edges, cycles) = lockorder::analyze(&seqs);
-        report.lock_classes = classes;
-        report.lock_edges = edges;
-        report.violations.extend(cycles);
-
-        let mut ws = parser::Workspace::default();
-        parser::parse_file(&mut ws, rel_name, "fixture", domain, &lexed, &skip);
-        let analysis = callgraph::analyze(&ws, Config::default().stack_budget_kb);
-        report.violations.extend(analysis.violations);
-        report.callgraph = analysis.artifact;
-    }
-    let out = rules::apply_suppressions(rel_name, &lexed.suppressions, &mut report.violations);
-    report.bad_suppressions = out.bad_suppressions;
-    report.suppressions_used = out.suppressions_used;
-    report
-        .violations
-        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     report
 }
 
@@ -164,11 +135,12 @@ fn rel_display(rel: &Path) -> String {
     rel.iter().filter_map(|c| c.to_str()).collect::<Vec<_>>().join("/")
 }
 
-fn crate_of(rel: &Path) -> String {
-    let comps: Vec<&str> = rel.iter().filter_map(|c| c.to_str()).collect();
-    match comps.as_slice() {
-        ["crates", name, ..] => (*name).to_string(),
-        _ => "root".to_string(),
+/// The crate directory a workspace-relative path lives in, or `root`.
+fn crate_of(rel: &str) -> &str {
+    let mut comps = rel.split('/');
+    match (comps.next(), comps.next()) {
+        (Some("crates"), Some(name)) => name,
+        _ => "root",
     }
 }
 

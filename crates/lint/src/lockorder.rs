@@ -1,344 +1,55 @@
-//! R5: the lock-order pass.
+//! R5: the lock-order fold.
 //!
-//! Extracts `Mutex`/`RwLock` acquisition sites (`….lock()`, `….read()`,
-//! `….write()` are all treated as `.lock()`-like; only `.lock()` exists in
-//! this workspace) per function, tracks which guards are *held* when a
-//! second lock is taken, builds the inter-crate lock graph over *lock
-//! classes* (`crate::receiver-field`), and reports any cycle.
+//! The parser records every `.lock(` acquisition (temporaries included)
+//! with the lock guards live at it, under the one guard model R7 uses too:
+//! a bound guard lives until `drop(g)` or its scope's closing brace, a
+//! temporary binds nothing. This module folds those records into the
+//! inter-crate lock graph over *lock classes* (`crate::receiver`) and
+//! reports any cycle.
 //!
 //! Heuristics (documented so their limits are explicit):
 //!
-//! * a lock bound by `let g = x.lock();` (or reassigned `g = x.lock();`)
-//!   is held until `drop(g)` or the end of the function — scopes are not
-//!   modelled, which over-approximates hold ranges (safe direction: may
-//!   report an edge that a tight scope actually prevents, never misses a
-//!   real nesting);
-//! * a lock used as a temporary (`x.lock().method(…)`) is released at the
-//!   end of its statement and creates no edge to later acquisitions;
+//! * a lock taken inside a closure literal also counts the guards live
+//!   where the closure is defined (and, transitively, where its definer
+//!   was) — an over-approximation in the safe direction, since most
+//!   closures run within their definer's extent;
 //! * lock classes are named by the receiver field/variable, qualified by
 //!   crate — two same-named fields in one crate would merge (none do
 //!   today).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{Lexed, Tok, Token};
+use crate::parser::{Callee, Workspace};
 use crate::report::{LockEdge, Violation};
-use crate::rules::{match_brace, RATIONALE_R5};
+use crate::rules::finding;
 
-/// One acquisition event inside a function.
-#[derive(Debug, Clone)]
-pub struct Acquire {
-    /// Lock class (`crate::field`).
-    pub class: String,
-    /// Line of the `.lock()` call.
-    pub line: u32,
-    /// Guard binding name when bound (`let g = …` / `g = …`).
-    pub binding: Option<String>,
-    /// True when the guard is a statement temporary.
-    pub temporary: bool,
-}
-
-/// A function's ordered lock events.
-#[derive(Debug, Clone)]
-pub struct FnLockSeq {
-    /// Workspace-relative file.
-    pub file: String,
-    /// Function name.
-    pub func: String,
-    /// Events in source order: acquisitions and explicit `drop(…)`s.
-    pub events: Vec<Event>,
-}
-
-/// An event in a function body.
-#[derive(Debug, Clone)]
-pub enum Event {
-    /// A lock acquisition.
-    Acquire(Acquire),
-    /// `drop(binding)`.
-    Drop(String),
-}
-
-/// Extracts lock sequences for every function in a file. `skip` masks
-/// test-only tokens.
-pub fn extract(rel: &str, crate_name: &str, lexed: &Lexed, skip: &[bool]) -> Vec<FnLockSeq> {
-    let toks = &lexed.tokens;
-    // Locate fn bodies (start, end) in token indices.
-    let mut spans: Vec<(usize, usize, String)> = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        let is_fn = matches!(&toks[i].tok, Tok::Ident(s) if s == "fn") && !skip[i];
-        if !is_fn {
-            i += 1;
-            continue;
-        }
-        let name = match toks.get(i + 1).map(|t| &t.tok) {
-            Some(Tok::Ident(n)) => n.clone(),
-            _ => {
-                i += 1;
-                continue;
-            }
-        };
-        // Scan to the body `{` or a `;` (trait method without body).
-        let mut j = i + 2;
-        let mut body = None;
-        while j < toks.len() {
-            match toks[j].tok {
-                Tok::Punct('{') => {
-                    body = Some(j);
-                    break;
-                }
-                Tok::Punct(';') => break,
-                _ => j += 1,
-            }
-        }
-        if let Some(open) = body {
-            let close = match_brace(toks, open);
-            spans.push((open, close, name));
-            i = open + 1; // nested fns get their own span
-        } else {
-            i = j + 1;
-        }
-    }
-
-    // Assign each acquisition to the innermost enclosing fn.
-    let innermost = |idx: usize| -> Option<usize> {
-        spans
-            .iter()
-            .enumerate()
-            .filter(|(_, (s, e, _))| *s <= idx && idx <= *e)
-            .min_by_key(|(_, (s, e, _))| e - s)
-            .map(|(k, _)| k)
-    };
-
-    let mut seqs: Vec<FnLockSeq> = spans
-        .iter()
-        .map(|(_, _, name)| FnLockSeq {
-            file: rel.to_string(),
-            func: name.clone(),
-            events: Vec::new(),
-        })
-        .collect();
-
-    let mut k = 0usize;
-    while k + 3 < toks.len() {
-        if skip[k] {
-            k += 1;
-            continue;
-        }
-        // `drop ( ident )`
-        if let Tok::Ident(id) = &toks[k].tok {
-            if id == "drop"
-                && matches!(toks[k + 1].tok, Tok::Punct('('))
-                && matches!(&toks[k + 2].tok, Tok::Ident(_))
-                && matches!(toks[k + 3].tok, Tok::Punct(')'))
-            {
-                if let (Some(f), Tok::Ident(b)) = (innermost(k), &toks[k + 2].tok) {
-                    seqs[f].events.push(Event::Drop(b.clone()));
-                }
-                k += 4;
-                continue;
-            }
-        }
-        // `. lock ( )`
-        let is_lock = matches!(toks[k].tok, Tok::Punct('.'))
-            && matches!(&toks[k + 1].tok, Tok::Ident(s) if s == "lock")
-            && matches!(toks[k + 2].tok, Tok::Punct('('))
-            && matches!(toks[k + 3].tok, Tok::Punct(')'));
-        if !is_lock {
-            k += 1;
-            continue;
-        }
-        let Some(f) = innermost(k) else {
-            k += 4;
-            continue;
-        };
-        let receiver = receiver_name(toks, k);
-        let class = format!("{crate_name}::{receiver}");
-        // Temporary vs bound: look past trailing `.unwrap()` / `.expect(…)`.
-        let mut after = k + 4;
-        loop {
-            let adapter = matches!(toks.get(after).map(|t| &t.tok), Some(Tok::Punct('.')))
-                && matches!(
-                    toks.get(after + 1).map(|t| &t.tok),
-                    Some(Tok::Ident(s)) if s == "unwrap" || s == "expect"
-                );
-            if !adapter {
-                break;
-            }
-            // Skip `.name ( … )` with balanced parens.
-            let mut p = after + 2;
-            if matches!(toks.get(p).map(|t| &t.tok), Some(Tok::Punct('('))) {
-                let mut depth = 0i32;
-                while p < toks.len() {
-                    match toks[p].tok {
-                        Tok::Punct('(') => depth += 1,
-                        Tok::Punct(')') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                p += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    p += 1;
-                }
-            }
-            after = p;
-        }
-        let temporary = matches!(toks.get(after).map(|t| &t.tok), Some(Tok::Punct('.')));
-        let binding = if temporary { None } else { binding_name(toks, k) };
-        seqs[f].events.push(Event::Acquire(Acquire {
-            class,
-            line: toks[k + 1].line,
-            binding,
-            temporary,
-        }));
-        k += 4;
-    }
-
-    seqs.retain(|s| !s.events.is_empty());
-    seqs
-}
-
-/// Walks back from the `.` of `.lock()` to name the receiver: the nearest
-/// field/variable identifier, skipping over index expressions.
-fn receiver_name(toks: &[Token], dot: usize) -> String {
-    let mut j = dot;
-    loop {
-        if j == 0 {
-            return "<expr>".into();
-        }
-        j -= 1;
-        match &toks[j].tok {
-            Tok::Ident(s) if s == "self" => return "self".into(),
-            Tok::Ident(s) => return s.clone(),
-            Tok::Punct(']') => {
-                // Skip the index expression to its `[`.
-                let mut depth = 0i32;
-                while j > 0 {
-                    match toks[j].tok {
-                        Tok::Punct(']') => depth += 1,
-                        Tok::Punct('[') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j -= 1;
-                }
-            }
-            Tok::Punct(')') => {
-                let mut depth = 0i32;
-                while j > 0 {
-                    match toks[j].tok {
-                        Tok::Punct(')') => depth += 1,
-                        Tok::Punct('(') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j -= 1;
-                }
-            }
-            Tok::Punct('.') => {}
-            _ => return "<expr>".into(),
-        }
-    }
-}
-
-/// Finds the binding a lock expression is assigned to: walk back over the
-/// receiver chain to `=`, then take the identifier before it.
-fn binding_name(toks: &[Token], dot: usize) -> Option<String> {
-    let mut j = dot;
-    // Walk back over the receiver chain (idents / `.` / index brackets).
-    while j > 0 {
-        j -= 1;
-        match &toks[j].tok {
-            Tok::Ident(_) | Tok::Punct('.') => {}
-            Tok::Punct(']') => {
-                let mut depth = 0i32;
-                while j > 0 {
-                    match toks[j].tok {
-                        Tok::Punct(']') => depth += 1,
-                        Tok::Punct('[') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j -= 1;
-                }
-            }
-            Tok::Punct('=') => {
-                // Exclude `==`, `!=`, `<=`, `>=`, `+=`-style tokens.
-                if j > 0
-                    && matches!(
-                        toks[j - 1].tok,
-                        Tok::Punct('=')
-                            | Tok::Punct('!')
-                            | Tok::Punct('<')
-                            | Tok::Punct('>')
-                            | Tok::Punct('+')
-                            | Tok::Punct('-')
-                            | Tok::Punct('*')
-                            | Tok::Punct('/')
-                    )
-                {
-                    return None;
-                }
-                if let Some(Tok::Ident(name)) = toks.get(j - 1).map(|t| &t.tok) {
-                    return Some(name.clone());
-                }
-                return None;
-            }
-            _ => return None,
-        }
-    }
-    None
-}
-
-/// Builds the lock graph from all functions' sequences and reports cycles.
-pub fn analyze(seqs: &[FnLockSeq]) -> (Vec<String>, Vec<LockEdge>, Vec<Violation>) {
+/// Folds every function's acquisitions into the lock graph and reports
+/// its cycles: (classes, edges, R5 findings).
+pub fn analyze(ws: &Workspace) -> (Vec<String>, Vec<LockEdge>, Vec<Violation>) {
+    let fns = &ws.functions;
+    // Guards live where each closure is defined, inherited by its body. A
+    // closure is pushed after its definer, so index order visits the
+    // definer's `Callee::Closure` site first.
+    let mut outer: Vec<Vec<String>> = vec![Vec::new(); fns.len()];
     let mut classes: BTreeSet<String> = BTreeSet::new();
     let mut edges: BTreeMap<(String, String), LockEdge> = BTreeMap::new();
-
-    for seq in seqs {
-        // (class, binding) currently presumed held.
-        let mut held: Vec<(String, Option<String>)> = Vec::new();
-        for ev in &seq.events {
-            match ev {
-                Event::Drop(name) => {
-                    held.retain(|(_, b)| b.as_deref() != Some(name.as_str()));
-                }
-                Event::Acquire(a) => {
-                    classes.insert(a.class.clone());
-                    for (h, _) in &held {
-                        if *h != a.class {
-                            edges.entry((h.clone(), a.class.clone())).or_insert_with(|| LockEdge {
-                                held: h.clone(),
-                                acquired: a.class.clone(),
-                                file: seq.file.clone(),
-                                line: a.line,
-                                func: seq.func.clone(),
-                            });
-                        }
-                    }
-                    if !a.temporary {
-                        // A rebind of the same name replaces the old guard.
-                        if let Some(b) = &a.binding {
-                            held.retain(|(_, hb)| hb.as_deref() != Some(b.as_str()));
-                        }
-                        held.push((a.class.clone(), a.binding.clone()));
-                    }
-                }
+    for (i, f) in fns.iter().enumerate() {
+        for call in &f.calls {
+            if let Callee::Closure(c) = call.callee {
+                let inherited = call.guards.iter().chain(&outer[i]).cloned().collect();
+                outer[c] = inherited;
+            }
+        }
+        for lock in &f.locks {
+            classes.insert(lock.class.clone());
+            for held in lock.held.iter().chain(&outer[i]).filter(|&h| *h != lock.class) {
+                edges.entry((held.clone(), lock.class.clone())).or_insert_with(|| LockEdge {
+                    held: held.clone(),
+                    acquired: lock.class.clone(),
+                    file: f.file.clone(),
+                    line: lock.line,
+                    func: f.name.clone(),
+                });
             }
         }
     }
@@ -400,15 +111,8 @@ fn find_cycles(
             .get(&(cycle[cycle.len() - 2].clone(), cycle[cycle.len() - 1].clone()))
             .or_else(|| edges.values().next());
         let (file, line) = anchor.map(|e| (e.file.clone(), e.line)).unwrap_or_default();
-        violations.push(Violation {
-            rule: "R5",
-            file,
-            line,
-            advisory: false,
-            message: format!("lock-order cycle: {}", cycle.join(" -> ")),
-            rationale: RATIONALE_R5,
-            suppressed: None,
-        });
+        let message = format!("lock-order cycle: {}", cycle.join(" -> "));
+        violations.push(finding("R5", &file, line, false, message));
     }
     violations
 }
@@ -416,14 +120,14 @@ fn find_cycles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::rules::test_skip_mask;
+    use crate::config::Domain;
+    use crate::parser::parse_file;
+    use crate::rules::lower;
 
     fn run(src: &str) -> (Vec<String>, Vec<LockEdge>, Vec<Violation>) {
-        let lexed = lex(src);
-        let skip = test_skip_mask(&lexed);
-        let seqs = extract("t.rs", "t", &lexed, &skip);
-        analyze(&seqs)
+        let mut ws = Workspace::default();
+        parse_file(&mut ws, "t.rs", "t", &lower(src));
+        analyze(&ws)
     }
 
     #[test]
@@ -487,5 +191,35 @@ mod tests {
             "fn f(&self, i: usize) { let g = self.boxes[i].lock(); let h = self.world.lock(); }";
         let (classes, _, _) = run(src);
         assert!(classes.contains(&"t::boxes".to_string()), "{classes:?}");
+    }
+
+    #[test]
+    fn scoped_guard_creates_no_edge() {
+        let src = "fn f(&self) { { let a = self.x.lock(); } let b = self.y.lock(); }";
+        let (classes, edges, _) = run(src);
+        assert_eq!(classes, vec!["t::x", "t::y"]);
+        assert!(edges.is_empty(), "{edges:?}");
+    }
+
+    /// R7's twin of `scoped_guard_creates_no_edge`: the guard the lock
+    /// graph calls dead is dead for park-under-lock too.
+    #[test]
+    fn scoped_guard_is_not_held_across_a_park() {
+        let park = "fn park_current() {}\n";
+        let scoped = "fn f(&self) { { let a = self.x.lock(); } park_current(); }";
+        let report = crate::lint_source("t.rs", Domain::Hot, &format!("{park}{scoped}"));
+        assert!(report.is_clean(), "{report:?}");
+        let unscoped = "fn f(&self) { let a = self.x.lock(); park_current(); }";
+        let report = crate::lint_source("t.rs", Domain::Hot, &format!("{park}{unscoped}"));
+        assert!(report.unsuppressed().any(|v| v.rule == "R7"), "{report:?}");
+    }
+
+    #[test]
+    fn closure_under_a_live_guard_is_an_edge() {
+        let src = "fn f(&self) { let a = self.alpha.lock(); \
+                   self.items.iter().for_each(|i| { let b = self.beta.lock(); }); }";
+        let (_, edges, _) = run(src);
+        assert_eq!(edges.len(), 1, "{edges:?}");
+        assert_eq!((edges[0].held.as_str(), edges[0].acquired.as_str()), ("t::alpha", "t::beta"));
     }
 }

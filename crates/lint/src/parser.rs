@@ -1,5 +1,6 @@
 //! Recursive-descent item/expression parser: turns the token stream into
-//! a lightweight per-function AST for the interprocedural rules R7–R10.
+//! a lightweight per-function AST for the lock-order fold R5 and the
+//! interprocedural rules R7–R10.
 //!
 //! For every `fn` item (and every closure literal, which becomes a
 //! synthetic `outer::{closure@LINE}` function) the parser records:
@@ -7,16 +8,19 @@
 //! * every **call site** — path calls (`a::b::f(…)`), method calls
 //!   (`x.f(…)`), and calls through local bindings / parameters
 //!   (`f(…)` where `f` is a local — an *unknown callee*);
-//! * the **lock guards live** at each call site, tracked with the same
-//!   `.lock()` detection the R5 lock-order pass uses (guards end at
-//!   `drop(g)` or at their scope's closing brace);
+//! * every **lock acquisition** (`.lock(`, temporaries included) with the
+//!   guards live at it — the R5 lock graph is a fold over these records —
+//!   and the **lock guards live** at each call site, for R7. One guard
+//!   model serves both: a guard bound by `let g = x.lock()` (or `g = …`)
+//!   lives until `drop(g)` or its scope's closing brace; a temporary
+//!   guard binds nothing;
 //! * the enclosing **loops** (`loop` / `while` / `for`) of each call, for
 //!   the non-cooperative-spin rule R10;
 //! * a **frame-size estimate** for the stack-budget rule R9: a fixed base
 //!   per frame plus a slot per local/parameter plus the byte size of
 //!   by-value arrays (`[T; N]` types and `[expr; N]` literals).
 //!
-//! Soundness caveats (documented in DESIGN §4k): macros are not expanded
+//! Soundness caveats (documented in DESIGN §4f): macros are not expanded
 //! (calls *inside* macro arguments are still seen; calls *generated* by a
 //! macro body are not); trait-method calls resolve by method name across
 //! every impl (over-approximation); calls through function values are
@@ -25,9 +29,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::config::Domain;
-use crate::lexer::{Lexed, Tok, Token};
-use crate::rules;
+use crate::lexer::{Tok, Token};
+use crate::rules::{group_start, ident_at, match_delim, punct_at, Lowered};
 
 /// Fixed per-frame overhead estimate: return address, saved registers,
 /// alignment and spill slack.
@@ -54,10 +57,6 @@ pub struct FnDef {
     pub file: String,
     /// Crate directory name (`simmpi`, …) or `root`.
     pub crate_name: String,
-    /// Domain of the file (only Hot/Virtual files are parsed). Kept for
-    /// artifact consumers even though no rule branches on it yet.
-    #[allow(dead_code)]
-    pub domain: Domain,
     /// 1-based line of the `fn` keyword / closure's `|`.
     pub line: u32,
     /// R9 frame estimate in bytes.
@@ -66,9 +65,9 @@ pub struct FnDef {
     pub calls: Vec<CallSite>,
     /// Loops in body order.
     pub loops: Vec<LoopInfo>,
-    /// Global index of the enclosing function, for closures. Kept for
-    /// artifact consumers even though no rule branches on it yet.
-    #[allow(dead_code)]
+    /// Lock acquisitions in body order.
+    pub locks: Vec<LockSite>,
+    /// Global index of the enclosing function, for closures.
     pub parent: Option<usize>,
     /// Last path/method segment of the call this closure literal is an
     /// argument of (`run_batch`, `map`, …), if any.
@@ -93,6 +92,18 @@ pub struct CallSite {
     /// Indices into [`FnDef::loops`] of every enclosing loop, outermost
     /// first.
     pub loops: Vec<usize>,
+}
+
+/// One `.lock(` acquisition, temporaries included: the R5 fold's input.
+#[derive(Debug)]
+pub struct LockSite {
+    /// Lock class: `crate::receiver`, or `crate::<expr>` without one.
+    pub class: String,
+    /// 1-based line of the `lock` token.
+    pub line: u32,
+    /// Classes of the guards live in this body when the lock is taken (a
+    /// closure's definition-site guards are its `Callee::Closure` site's).
+    pub held: Vec<String>,
 }
 
 /// Call-site classification.
@@ -148,34 +159,11 @@ fn is_keyword(s: &str) -> bool {
     KEYWORDS.contains(&s)
 }
 
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
-    matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c)
-}
-
-/// Parses one lexed file into `ws`. Only Hot/Virtual files should be fed
+/// Parses one lowered file into `ws`. Only Hot/Virtual files should be fed
 /// here; test-masked tokens are skipped entirely.
-pub fn parse_file(
-    ws: &mut Workspace,
-    file: &str,
-    crate_name: &str,
-    domain: Domain,
-    lexed: &Lexed,
-    skip: &[bool],
-) {
-    let toks = &lexed.tokens;
-    let (imports, _in_use) = rules::parse_uses(toks);
-    let mut aliases = BTreeMap::new();
-    for imp in &imports {
-        aliases.insert(imp.alias.clone(), imp.path.join("::"));
-    }
-    ws.file_aliases.insert(file.to_string(), aliases);
+pub fn parse_file(ws: &mut Workspace, file: &str, crate_name: &str, low: &Lowered) {
+    let (toks, skip) = (&low.lexed.tokens, &low.skip);
+    ws.file_aliases.insert(file.to_string(), low.aliases.clone());
 
     let owner_spans = find_owner_spans(toks);
 
@@ -200,11 +188,11 @@ pub fn parse_file(
                     name,
                     file: file.to_string(),
                     crate_name: crate_name.to_string(),
-                    domain,
                     line: toks[i].line,
                     frame_bytes: FRAME_BASE_BYTES + sig.param_bytes,
                     calls: Vec::new(),
                     loops: Vec::new(),
+                    locks: Vec::new(),
                     parent: None,
                     passed_to: None,
                     is_closure: false,
@@ -215,7 +203,6 @@ pub fn parse_file(
                         ws,
                         file,
                         crate_name,
-                        domain,
                         fn_idx: idx,
                         locals: sig.params.iter().cloned().collect(),
                         closure_bindings: BTreeMap::new(),
@@ -271,7 +258,7 @@ fn find_owner_spans(toks: &[Token]) -> Vec<(usize, usize, String)> {
             j += 1;
         }
         if punct_at(toks, j, '{') {
-            let close = rules::match_brace(toks, j);
+            let close = match_delim(toks, j);
             if let Some(n) = name {
                 spans.push((j, close, n));
             }
@@ -329,14 +316,14 @@ fn parse_fn_signature(toks: &[Token], at: usize) -> Option<FnSig> {
     if !punct_at(toks, j, '(') {
         return None;
     }
-    let params_close = match_paren(toks, j);
+    let params_close = match_delim(toks, j);
     let (params, param_bytes) = parse_params(toks, j + 1, params_close);
     // Scan to the body `{` or a terminating `;` (trait decl).
     let mut k = params_close + 1;
     while k < toks.len() {
         match &toks[k].tok {
             Tok::Punct('{') => {
-                let close = rules::match_brace(toks, k);
+                let close = match_delim(toks, k);
                 return Some(FnSig {
                     name,
                     params,
@@ -352,26 +339,6 @@ fn parse_fn_signature(toks: &[Token], at: usize) -> Option<FnSig> {
         }
     }
     None
-}
-
-/// Finds the `)` matching the `(` at `open`.
-fn match_paren(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < toks.len() {
-        match toks[j].tok {
-            Tok::Punct('(') => depth += 1,
-            Tok::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    toks.len() - 1
 }
 
 /// Parameter names (idents directly before a `:` at paren depth 1) and a
@@ -502,11 +469,15 @@ struct Guard {
     depth: u32,
 }
 
+/// The classes of the live `guards`.
+fn classes(guards: &[Guard]) -> Vec<String> {
+    guards.iter().map(|g| g.class.clone()).collect()
+}
+
 struct BodyCtx<'a> {
     ws: &'a mut Workspace,
     file: &'a str,
     crate_name: &'a str,
-    domain: Domain,
     fn_idx: usize,
     /// Locals and parameters in scope (fn-wide; shadowing is irrelevant
     /// for unknown-callee classification).
@@ -593,7 +564,7 @@ fn parse_body(ctx: &mut BodyCtx<'_>, toks: &[Token], start: usize, end: usize) {
             }
             Tok::Ident(_) | Tok::Punct('.') => {
                 if let Some(next) =
-                    try_call(ctx, toks, i, end, &mut guards, &loop_stack, &mut paren_stack, depth)
+                    try_call(ctx, toks, i, &mut guards, &loop_stack, &mut paren_stack, depth)
                 {
                     i = next;
                 } else {
@@ -728,7 +699,7 @@ fn parse_closure(
     // Body region: a block, or a bare expression up to `,`/`)`/`;`/`}` at
     // relative depth 0.
     let (region_start, region_end, resume) = if punct_at(toks, body_start, '{') {
-        let close = rules::match_brace(toks, body_start);
+        let close = match_delim(toks, body_start);
         (body_start + 1, close, close + 1)
     } else {
         let mut depth = 0i32;
@@ -758,11 +729,11 @@ fn parse_closure(
         name: format!("{parent_name}::{{closure@{line}}}"),
         file: ctx.file.to_string(),
         crate_name: ctx.crate_name.to_string(),
-        domain: ctx.domain,
         line,
         frame_bytes: FRAME_BASE_BYTES + params.len() as u64 * LOCAL_SLOT_BYTES,
         calls: Vec::new(),
         loops: Vec::new(),
+        locks: Vec::new(),
         parent: Some(parent_idx),
         passed_to,
         is_closure: true,
@@ -770,13 +741,7 @@ fn parse_closure(
     });
     // The definer gets a call-shaped edge to the closure, with the guard
     // and loop context of the definition site.
-    let site = CallSite {
-        callee: Callee::Closure(closure_idx),
-        line,
-        guards: guards.iter().map(|g| g.class.clone()).collect(),
-        loops: loop_stack.iter().filter(|(_, _, opened)| *opened).map(|(li, _, _)| *li).collect(),
-    };
-    ctx.ws.functions[parent_idx].calls.push(site);
+    push_call(ctx, Callee::Closure(closure_idx), line, guards, loop_stack);
 
     // `let name = [move] |…|` binds the closure to a local.
     let mut b = bar;
@@ -805,7 +770,6 @@ fn parse_closure(
         ws: ctx.ws,
         file: ctx.file,
         crate_name: ctx.crate_name,
-        domain: ctx.domain,
         fn_idx: closure_idx,
         locals: inner_locals,
         closure_bindings: inner_bindings,
@@ -816,12 +780,10 @@ fn parse_closure(
 
 /// Tries to recognize a call (or a `.lock()` guard acquisition) at `i`.
 /// Returns the index to continue from if something was consumed.
-#[allow(clippy::too_many_arguments)]
 fn try_call(
     ctx: &mut BodyCtx<'_>,
     toks: &[Token],
     i: usize,
-    end: usize,
     guards: &mut Vec<Guard>,
     loop_stack: &[(usize, u32, bool)],
     paren_stack: &mut Vec<Option<String>>,
@@ -834,9 +796,8 @@ fn try_call(
             return None;
         }
         if name == "lock" {
-            handle_lock(ctx, toks, i, end, guards, depth);
-            // Fall through to record nothing as a call: `.lock()` is the
-            // guard event, mirroring the R5 extractor.
+            // `.lock()` is a lock event, not a call.
+            handle_lock(ctx, toks, i, guards, depth);
             paren_stack.push(None);
             return Some(i + 3);
         }
@@ -927,126 +888,80 @@ fn push_call(
     let site = CallSite {
         callee,
         line,
-        guards: guards.iter().map(|g| g.class.clone()).collect(),
+        guards: classes(guards),
         loops: loop_stack.iter().filter(|(_, _, opened)| *opened).map(|(li, _, _)| *li).collect(),
     };
     ctx.ws.functions[ctx.fn_idx].calls.push(site);
 }
 
-/// Handles `<recv>.lock(` at the `.`: registers a guard if the result is
-/// bound (`let g = x.lock()…;` or `g = x.lock()…;`), mirroring the R5
-/// extractor's binding/temporary logic.
+/// Handles `<recv>.lock(` at the `.`: records the acquisition with the
+/// guards live at it, then registers a guard if the result is bound
+/// (`let g = x.lock()…;` or `g = x.lock()…;`).
 fn handle_lock(
-    ctx: &BodyCtx<'_>,
+    ctx: &mut BodyCtx<'_>,
     toks: &[Token],
     dot: usize,
-    end: usize,
     guards: &mut Vec<Guard>,
     depth: u32,
 ) {
-    let Some(receiver) = receiver_name(toks, dot) else { return };
+    let receiver = receiver_name(toks, dot).unwrap_or_else(|| "<expr>".to_string());
     let class = format!("{}::{receiver}", ctx.crate_name);
-    // Walk past `lock(…)` and any `.unwrap()` / `.expect(…)` adapters.
-    let mut j = match_paren(toks, dot + 2) + 1;
-    loop {
-        if punct_at(toks, j, '.') {
-            match ident_at(toks, j + 1) {
-                Some("unwrap") | Some("expect") if punct_at(toks, j + 2, '(') => {
-                    j = match_paren(toks, j + 2) + 1;
-                    continue;
-                }
-                _ => return, // chained further: a temporary, not a binding
+    let site = LockSite { class: class.clone(), line: toks[dot + 1].line, held: classes(guards) };
+    ctx.ws.functions[ctx.fn_idx].locks.push(site);
+    // Walk past `lock(…)` and any `.unwrap()` / `.expect(…)` adapters; a
+    // guard chained into anything else is a temporary.
+    let mut j = match_delim(toks, dot + 2) + 1;
+    while punct_at(toks, j, '.') {
+        match ident_at(toks, j + 1) {
+            Some("unwrap" | "expect") if punct_at(toks, j + 2, '(') => {
+                j = match_delim(toks, j + 2) + 1;
             }
+            _ => return,
         }
-        break;
     }
-    let _ = end;
-    // Find the binding: walk back from the receiver chain to `=`.
-    let mut k = dot;
-    // Receiver chain start: skip back over `ident` / `.` / `self`.
-    while k > 0 {
-        match &toks[k - 1].tok {
-            Tok::Ident(_) | Tok::Punct('.') => k -= 1,
+    if let Some(binding) = binding_name(toks, dot) {
+        guards.retain(|g| g.binding != binding);
+        guards.push(Guard { binding, class, depth });
+    }
+}
+
+/// Start of the receiver chain ending just before `dot`: walks back over
+/// identifiers, `.` and index/call groups (`self.boxes[i].get()`).
+fn chain_start(toks: &[Token], dot: usize) -> usize {
+    let mut j = dot;
+    while j > 0 {
+        match &toks[j - 1].tok {
+            Tok::Punct(')' | ']') => j = group_start(toks, j - 1),
+            Tok::Ident(_) | Tok::Punct('.') => j -= 1,
             _ => break,
         }
     }
-    if k == 0 || !punct_at(toks, k - 1, '=') {
-        return;
-    }
-    // `==`/`!=`/`+=` etc. are not bindings.
-    if k >= 2
-        && matches!(&toks[k - 2].tok, Tok::Punct(c) if matches!(c, '=' | '!' | '<' | '>' | '+' | '-' | '*' | '/' | '&' | '|' | '^'))
-    {
-        return;
-    }
-    let mut b = k - 1;
-    // Skip a `mut` and take the ident before `=`.
-    while b > 0 {
-        if let Some(s) = ident_at(toks, b - 1) {
-            if s == "mut" {
-                b -= 1;
-                continue;
-            }
-            let binding = s.to_string();
-            guards.retain(|g| g.binding != binding);
-            guards.push(Guard { binding, class, depth });
-            return;
-        }
-        return;
-    }
+    j
 }
 
 /// Last identifier of the receiver chain before the `.` at `dot`,
 /// skipping back over index/call groups: `self.inner.lock()` → `inner`,
-/// `table[i].lock()` → `table`.
+/// `table[i].lock()` → `table`, `self.lock()` → `self`.
 fn receiver_name(toks: &[Token], dot: usize) -> Option<String> {
     let mut j = dot;
     while j > 0 {
         match &toks[j - 1].tok {
-            Tok::Punct(')') => {
-                let mut depth = 0usize;
-                while j > 0 {
-                    match toks[j - 1].tok {
-                        Tok::Punct(')') => depth += 1,
-                        Tok::Punct('(') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                j -= 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j -= 1;
-                }
-            }
-            Tok::Punct(']') => {
-                let mut depth = 0usize;
-                while j > 0 {
-                    match toks[j - 1].tok {
-                        Tok::Punct(']') => depth += 1,
-                        Tok::Punct('[') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                j -= 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j -= 1;
-                }
-            }
-            Tok::Ident(s) => {
-                if s == "self" && j >= 2 && punct_at(toks, j - 2, '.') {
-                    // keep walking: `self.x` receiver is `x`, but a bare
-                    // `self.lock()` receiver is `self`.
-                }
-                return Some(s.clone());
-            }
+            Tok::Punct(')' | ']') => j = group_start(toks, j - 1),
             Tok::Punct('.') => j -= 1,
+            Tok::Ident(s) => return Some(s.clone()),
             _ => return None,
         }
     }
     None
+}
+
+/// The local a chain ending at `dot` is assigned to: the identifier before
+/// the `=` in front of the chain.
+fn binding_name(toks: &[Token], dot: usize) -> Option<String> {
+    let eq = chain_start(toks, dot).checked_sub(1)?;
+    if !punct_at(toks, eq, '=') {
+        return None;
+    }
+    // `==`, `!=`, `+=`, … end in `=` too, after punctuation.
+    ident_at(toks, eq.checked_sub(1)?).map(str::to_string)
 }

@@ -1,28 +1,14 @@
-//! Per-file rule pass: the banned-path rules R1–R3 and R6, the no-panic
-//! rule R4, test-code masking, `use`-resolution, and suppression
-//! application. The lock-order pass R5 lives in [`crate::lockorder`] and
-//! shares the test mask computed here.
+//! Lowering and the per-file rules. [`lower`] lexes, test-masks and
+//! use-resolves a file exactly once; the banned-path rules R1–R3 and R6
+//! and the no-panic rule R4 scan that lowering here, and the parser reads
+//! the same one for R5 and R7–R10. Also here: the rule registry, the two
+//! delimiter helpers every pass shares, and suppression application.
 
 use std::collections::BTreeMap;
 
 use crate::config::Domain;
-use crate::lexer::{Lexed, Tok, Token};
+use crate::lexer::{self, Lexed, Suppression, Tok, Token};
 use crate::report::{BadSuppression, Violation};
-
-/// Why each rule exists, printed with every finding.
-pub const RATIONALE_R1: &str =
-    "wall-clock reads leak host timing into the virtual-time domain and break bit-identical replay";
-pub const RATIONALE_R2: &str = "HashMap/HashSet iteration order is seeded per process (RandomState); any ordered drain diverges between runs — use BTreeMap or a sorted drain";
-pub const RATIONALE_R3: &str =
-    "unseeded randomness breaks deterministic replay; all entropy must flow from an explicit seed";
-pub const RATIONALE_R4: &str = "a panicking rank never reaches the teardown protocol, deadlocking its peers — propagate a typed error instead";
-pub const RATIONALE_R5: &str =
-    "inconsistent lock acquisition order across threads can deadlock the rank fleet";
-pub const RATIONALE_R6: &str = "Relaxed ordering provides no happens-before; cross-thread control-flow flags may observe stale values (advisory)";
-pub const RATIONALE_R7: &str = "parking a coroutine while holding a lock keeps the lock held across the suspension; every other rank touching it then blocks an OS worker thread and the M:N pool can deadlock";
-pub const RATIONALE_R8: &str = "an OS-blocking call on a coroutine stack stalls the whole worker thread, serializing every rank multiplexed onto it and leaking wall-clock timing into the virtual-time domain";
-pub const RATIONALE_R9: &str = "coroutine stacks are fixed-size heap slabs guarded by a canary, not OS guard pages; an overflow corrupts adjacent memory before the canary check can catch it, so stack depth must be bounded statically";
-pub const RATIONALE_R10: &str = "a loop that never reaches a yield, park, or recv monopolizes its worker thread; under cooperative scheduling the other ranks on that worker starve forever";
 
 /// One entry in the rule registry: every rule id `detlint` has ever
 /// shipped. `detlint::allow` comments naming an id outside this table are
@@ -33,42 +19,75 @@ pub struct RuleInfo {
     pub id: &'static str,
     /// One-line summary for reports.
     pub summary: &'static str,
-    /// True for the call-graph rules (R7–R10); false for per-file rules.
-    pub interprocedural: bool,
+    /// Why the rule exists, printed with every finding.
+    pub rationale: &'static str,
+    /// True for a rule that binds only the hot domain; every other rule
+    /// binds hot and virtual files alike.
+    pub hot_only: bool,
 }
 
 /// The registry. Retired rules would stay here with a tombstone summary so
 /// old allows keep parsing (none retired yet).
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo { id: "R1", summary: "wall-clock reads in virtual-time code", interprocedural: false },
+    RuleInfo {
+        id: "R1",
+        summary: "wall-clock reads in virtual-time code",
+        rationale: "wall-clock reads leak host timing into the virtual-time domain and break bit-identical replay",
+        hot_only: false,
+    },
     RuleInfo {
         id: "R2",
         summary: "randomized-iteration-order collections",
-        interprocedural: false,
+        rationale: "HashMap/HashSet iteration order is seeded per process (RandomState); any ordered drain diverges between runs — use BTreeMap or a sorted drain",
+        hot_only: false,
     },
-    RuleInfo { id: "R3", summary: "unseeded randomness", interprocedural: false },
-    RuleInfo { id: "R4", summary: "panics in rank-thread hot paths", interprocedural: false },
-    RuleInfo { id: "R5", summary: "lock-order cycles", interprocedural: false },
-    RuleInfo { id: "R6", summary: "Relaxed atomic orderings (advisory)", interprocedural: false },
+    RuleInfo {
+        id: "R3",
+        summary: "unseeded randomness",
+        rationale: "unseeded randomness breaks deterministic replay; all entropy must flow from an explicit seed",
+        hot_only: false,
+    },
+    RuleInfo {
+        id: "R4",
+        summary: "panics in rank-thread hot paths",
+        rationale: "a panicking rank never reaches the teardown protocol, deadlocking its peers — propagate a typed error instead",
+        hot_only: true,
+    },
+    RuleInfo {
+        id: "R5",
+        summary: "lock-order cycles",
+        rationale: "inconsistent lock acquisition order across threads can deadlock the rank fleet",
+        hot_only: false,
+    },
+    RuleInfo {
+        id: "R6",
+        summary: "Relaxed atomic orderings (advisory)",
+        rationale: "Relaxed ordering provides no happens-before; cross-thread control-flow flags may observe stale values (advisory)",
+        hot_only: false,
+    },
     RuleInfo {
         id: "R7",
         summary: "park/yield reachable under a live lock guard",
-        interprocedural: true,
+        rationale: "parking a coroutine while holding a lock keeps the lock held across the suspension; every other rank touching it then blocks an OS worker thread and the M:N pool can deadlock",
+        hot_only: false,
     },
     RuleInfo {
         id: "R8",
         summary: "OS-blocking calls reachable from a coroutine",
-        interprocedural: true,
+        rationale: "an OS-blocking call on a coroutine stack stalls the whole worker thread, serializing every rank multiplexed onto it and leaking wall-clock timing into the virtual-time domain",
+        hot_only: false,
     },
     RuleInfo {
         id: "R9",
         summary: "coroutine stack bound over budget / recursion",
-        interprocedural: true,
+        rationale: "coroutine stacks are fixed-size heap slabs guarded by a canary, not OS guard pages; an overflow corrupts adjacent memory before the canary check can catch it, so stack depth must be bounded statically",
+        hot_only: false,
     },
     RuleInfo {
         id: "R10",
         summary: "non-cooperative spin loop in coroutine code",
-        interprocedural: true,
+        rationale: "a loop that never reaches a yield, park, or recv monopolizes its worker thread; under cooperative scheduling the other ranks on that worker starve forever",
+        hot_only: false,
     },
 ];
 
@@ -77,80 +96,143 @@ pub fn rule_known(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)
 }
 
+/// Whether `rule` applies to files in `domain`: hot files get every rule,
+/// virtual files every rule but the hot-only ones, other domains none.
+pub fn rule_active(rule: &str, domain: Domain) -> bool {
+    match domain {
+        Domain::Hot => true,
+        Domain::Virtual => !RULES.iter().any(|r| r.id == rule && r.hot_only),
+        Domain::Wallclock | Domain::Tooling | Domain::Test => false,
+    }
+}
+
+/// A raw (unsuppressed) finding of `rule`, carrying the registry's
+/// rationale.
+pub fn finding(
+    rule: &'static str,
+    file: &str,
+    line: u32,
+    advisory: bool,
+    message: String,
+) -> Violation {
+    let rationale = RULES.iter().find(|r| r.id == rule).map_or("", |r| r.rationale);
+    Violation { rule, file: file.to_string(), line, advisory, message, rationale, suppressed: None }
+}
+
 /// A banned fully-qualified path prefix.
 struct BannedPath {
     rule: &'static str,
     /// Matches the resolved path exactly or on a `::` segment boundary.
     prefix: &'static str,
     advisory: bool,
-    rationale: &'static str,
 }
 
 const BANNED_PATHS: &[BannedPath] = &[
-    BannedPath {
-        rule: "R1",
-        prefix: "std::time::Instant",
-        advisory: false,
-        rationale: RATIONALE_R1,
-    },
-    BannedPath {
-        rule: "R1",
-        prefix: "std::time::SystemTime",
-        advisory: false,
-        rationale: RATIONALE_R1,
-    },
-    BannedPath {
-        rule: "R2",
-        prefix: "std::collections::HashMap",
-        advisory: false,
-        rationale: RATIONALE_R2,
-    },
-    BannedPath {
-        rule: "R2",
-        prefix: "std::collections::HashSet",
-        advisory: false,
-        rationale: RATIONALE_R2,
-    },
-    BannedPath { rule: "R3", prefix: "rand::thread_rng", advisory: false, rationale: RATIONALE_R3 },
-    BannedPath { rule: "R3", prefix: "rand::random", advisory: false, rationale: RATIONALE_R3 },
-    BannedPath {
-        rule: "R3",
-        prefix: "std::collections::hash_map::RandomState",
-        advisory: false,
-        rationale: RATIONALE_R3,
-    },
-    BannedPath {
-        rule: "R6",
-        prefix: "std::sync::atomic::Ordering::Relaxed",
-        advisory: true,
-        rationale: RATIONALE_R6,
-    },
+    BannedPath { rule: "R1", prefix: "std::time::Instant", advisory: false },
+    BannedPath { rule: "R1", prefix: "std::time::SystemTime", advisory: false },
+    BannedPath { rule: "R2", prefix: "std::collections::HashMap", advisory: false },
+    BannedPath { rule: "R2", prefix: "std::collections::HashSet", advisory: false },
+    BannedPath { rule: "R3", prefix: "rand::thread_rng", advisory: false },
+    BannedPath { rule: "R3", prefix: "rand::random", advisory: false },
+    BannedPath { rule: "R3", prefix: "std::collections::hash_map::RandomState", advisory: false },
+    BannedPath { rule: "R6", prefix: "std::sync::atomic::Ordering::Relaxed", advisory: true },
 ];
 
 /// Bare method/function segments banned by R3 wherever they appear (they
 /// draw from OS entropy regardless of the receiver type).
 const BANNED_SEGMENTS_R3: &[&str] = &["thread_rng", "from_entropy"];
 
-/// Whether `rule` applies to files in `domain`. The interprocedural rules
-/// R7–R10 fire wherever the parser runs (hot + virtual); this predicate
-/// gates the per-file rules and documents the contract for both.
-pub fn rule_active(rule: &str, domain: Domain) -> bool {
-    match domain {
-        Domain::Hot => {
-            matches!(rule, "R1" | "R2" | "R3" | "R4" | "R5" | "R6" | "R7" | "R8" | "R9" | "R10")
-        }
-        Domain::Virtual => {
-            matches!(rule, "R1" | "R2" | "R3" | "R5" | "R6" | "R7" | "R8" | "R9" | "R10")
-        }
-        Domain::Wallclock | Domain::Tooling | Domain::Test => false,
+/// One file, lowered once for every pass.
+pub struct Lowered {
+    /// Tokens and suppression comments.
+    pub lexed: Lexed,
+    /// Test-only tokens (see [`test_skip_mask`]); no rule looks at them.
+    pub skip: Vec<bool>,
+    /// Local alias → full `use` path, for the banned-path scan and the
+    /// call resolver alike.
+    pub aliases: BTreeMap<String, String>,
+    imports: Vec<Import>,
+    /// Tokens belonging to `use` declarations.
+    in_use: Vec<bool>,
+}
+
+/// Lexes, test-masks and use-resolves `src`.
+pub fn lower(src: &str) -> Lowered {
+    let lexed = lexer::lex(src);
+    let skip = test_skip_mask(&lexed);
+    let (imports, in_use) = parse_uses(&lexed.tokens);
+    let aliases = imports.iter().map(|imp| (imp.alias.clone(), imp.path.join("::"))).collect();
+    Lowered { lexed, skip, aliases, imports, in_use }
+}
+
+/// The identifier at `i`, if any.
+pub fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
+    match toks.get(i).map(|t| &t.tok) {
+        Some(Tok::Ident(s)) => Some(s.as_str()),
+        _ => None,
     }
+}
+
+/// Whether the token at `i` is the punctuation `c`.
+pub fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
+    matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c)
+}
+
+/// The (opener, closer) pair of the delimiter at `at`: parentheses,
+/// brackets, or braces for anything else.
+fn delims(toks: &[Token], at: usize) -> (char, char) {
+    match toks[at].tok {
+        Tok::Punct('(' | ')') => ('(', ')'),
+        Tok::Punct('[' | ']') => ('[', ']'),
+        _ => ('{', '}'),
+    }
+}
+
+/// The one forward matcher: index of the delimiter closing the `(`, `[`
+/// or `{` at `open` (the last token when unbalanced).
+pub fn match_delim(toks: &[Token], open: usize) -> usize {
+    let (o, c) = delims(toks, open);
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(open) {
+        match t.tok {
+            Tok::Punct(p) if p == o => depth += 1,
+            Tok::Punct(p) if p == c => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return j;
+                }
+            }
+            _ => {}
+        }
+    }
+    toks.len() - 1
+}
+
+/// The one backward skipper: index of the `(` or `[` opening the group
+/// that `close` ends (0 when unbalanced).
+pub fn group_start(toks: &[Token], close: usize) -> usize {
+    let (o, c) = delims(toks, close);
+    let mut depth = 0usize;
+    for j in (0..=close).rev() {
+        match toks[j].tok {
+            Tok::Punct(p) if p == c => depth += 1,
+            Tok::Punct(p) if p == o => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return j;
+                }
+            }
+            _ => {}
+        }
+    }
+    0
 }
 
 /// Computes the mask of tokens inside test-only code: items annotated
 /// `#[test]`, `#[cfg(test)]` (including `#[cfg(all(test, …))]`), or any
 /// `…::test` attribute path. `#[cfg(not(test))]` is production code and is
 /// NOT masked.
-pub fn test_skip_mask(lexed: &Lexed) -> Vec<bool> {
+fn test_skip_mask(lexed: &Lexed) -> Vec<bool> {
     let toks = &lexed.tokens;
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
@@ -181,7 +263,7 @@ pub fn test_skip_mask(lexed: &Lexed) -> Vec<bool> {
                     break;
                 }
                 Tok::Punct('{') => {
-                    end = match_brace(toks, k) + 1;
+                    end = match_delim(toks, k) + 1;
                     break;
                 }
                 _ => k += 1,
@@ -196,31 +278,15 @@ pub fn test_skip_mask(lexed: &Lexed) -> Vec<bool> {
 }
 
 fn is_attr_start(toks: &[Token], i: usize) -> bool {
-    matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Punct('#')))
-        && matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('[')))
+    punct_at(toks, i, '#') && punct_at(toks, i + 1, '[')
 }
 
 /// Parses `#[…]` starting at the `#`; returns the idents inside and the
 /// index just past the closing `]`.
 fn parse_attr(toks: &[Token], i: usize) -> (Vec<String>, usize) {
-    let mut ids = Vec::new();
-    let mut depth = 0usize;
-    let mut j = i + 1;
-    while j < toks.len() {
-        match &toks[j].tok {
-            Tok::Punct('[') => depth += 1,
-            Tok::Punct(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    return (ids, j + 1);
-                }
-            }
-            Tok::Ident(s) => ids.push(s.clone()),
-            _ => {}
-        }
-        j += 1;
-    }
-    (ids, j)
+    let close = match_delim(toks, i + 1);
+    let ids = (i + 1..close).filter_map(|j| ident_at(toks, j).map(str::to_string)).collect();
+    (ids, close + 1)
 }
 
 fn is_test_attr(ids: &[String]) -> bool {
@@ -235,51 +301,30 @@ fn is_test_attr(ids: &[String]) -> bool {
     }
 }
 
-/// Finds the index of the `}` matching the `{` at `open`.
-pub fn match_brace(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < toks.len() {
-        match toks[j].tok {
-            Tok::Punct('{') => depth += 1,
-            Tok::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    toks.len() - 1
-}
-
 /// One resolved import: local alias → full path segments.
 #[derive(Debug)]
-pub(crate) struct Import {
-    pub(crate) alias: String,
-    pub(crate) path: Vec<String>,
-    pub(crate) line: u32,
-    pub(crate) token_index: usize,
+struct Import {
+    alias: String,
+    path: Vec<String>,
+    line: u32,
+    token_index: usize,
 }
 
 /// Parses every `use` declaration; returns imports and the mask of tokens
 /// belonging to use declarations (so the expression scan skips them).
-pub(crate) fn parse_uses(toks: &[Token]) -> (Vec<Import>, Vec<bool>) {
+fn parse_uses(toks: &[Token]) -> (Vec<Import>, Vec<bool>) {
     let mut imports = Vec::new();
     let mut in_use = vec![false; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {
-        let is_use = matches!(&toks[i].tok, Tok::Ident(s) if s == "use");
-        if !is_use {
+        if ident_at(toks, i) != Some("use") {
             i += 1;
             continue;
         }
         let start = i;
         // Find terminating `;` (use decls contain no semicolons inside).
         let mut end = i + 1;
-        while end < toks.len() && !matches!(toks[end].tok, Tok::Punct(';')) {
+        while end < toks.len() && !punct_at(toks, end, ';') {
             end += 1;
         }
         for m in &mut in_use[start..=end.min(toks.len() - 1)] {
@@ -306,25 +351,21 @@ fn parse_use_tree(
             Tok::Ident(s) => {
                 prefix.push(s.clone());
                 i += 1;
-                if matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Punct(':')))
-                    && matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct(':')))
-                {
+                if punct_at(toks, i, ':') && punct_at(toks, i + 1, ':') {
                     i += 2;
                     continue;
                 }
                 // `as` rename?
-                if let Some(Tok::Ident(kw)) = toks.get(i).map(|t| &t.tok) {
-                    if kw == "as" {
-                        if let Some(Tok::Ident(alias)) = toks.get(i + 1).map(|t| &t.tok) {
-                            out.push(Import {
-                                alias: alias.clone(),
-                                path: prefix.clone(),
-                                line: toks[i + 1].line,
-                                token_index: i + 1,
-                            });
-                            prefix.truncate(depth_at_entry);
-                            return i + 2;
-                        }
+                if ident_at(toks, i) == Some("as") {
+                    if let Some(alias) = ident_at(toks, i + 1) {
+                        out.push(Import {
+                            alias: alias.to_string(),
+                            path: prefix.clone(),
+                            line: toks[i + 1].line,
+                            token_index: i + 1,
+                        });
+                        prefix.truncate(depth_at_entry);
+                        return i + 2;
                     }
                 }
                 // Leaf without rename.
@@ -339,27 +380,20 @@ fn parse_use_tree(
             }
             Tok::Punct('{') => {
                 i += 1;
-                loop {
-                    if i >= end {
-                        break;
-                    }
-                    if matches!(toks[i].tok, Tok::Punct('}')) {
+                while i < end {
+                    if punct_at(toks, i, '}') {
                         i += 1;
                         break;
                     }
                     i = parse_use_tree(toks, i, end, prefix, out);
-                    if matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Punct(','))) {
+                    if punct_at(toks, i, ',') {
                         i += 1;
                     }
                 }
                 prefix.truncate(depth_at_entry);
                 return i;
             }
-            Tok::Punct('*') => {
-                // Glob: unresolvable, ignore.
-                prefix.truncate(depth_at_entry);
-                return i + 1;
-            }
+            // A glob (`*`, unresolvable) or anything else ends the tree.
             _ => {
                 prefix.truncate(depth_at_entry);
                 return i + 1;
@@ -370,84 +404,62 @@ fn parse_use_tree(
     i
 }
 
-/// Checks a resolved path against the banned table; returns the match.
-fn banned_match(full: &str, domain: Domain) -> Option<&'static BannedPath> {
-    BANNED_PATHS.iter().find(|b| {
+/// What a resolved path hits, as (rule, advisory, verb): its banned-table
+/// entry ("reference to"), else R3 when an entropy segment appears
+/// anywhere in it ("call of").
+fn banned(
+    full: &str,
+    segs: &[String],
+    domain: Domain,
+) -> Option<(&'static str, bool, &'static str)> {
+    let hit = BANNED_PATHS.iter().find(|b| {
         rule_active(b.rule, domain)
             && (full == b.prefix
                 || (full.starts_with(b.prefix) && full[b.prefix.len()..].starts_with("::")))
-    })
+    });
+    match hit {
+        Some(b) => Some((b.rule, b.advisory, "reference to")),
+        None => (rule_active("R3", domain)
+            && segs.iter().any(|s| BANNED_SEGMENTS_R3.contains(&s.as_str())))
+        .then_some(("R3", false, "call of")),
+    }
 }
 
-/// Runs R1–R4 and R6 over one lexed file, returning raw findings.
+/// Runs R1–R4 and R6 over one lowered file, returning raw findings.
 /// Suppressions are applied later by [`apply_suppressions`], once every
 /// pass (including the interprocedural ones) has contributed findings.
-pub fn check_file(rel: &str, domain: Domain, lexed: &Lexed, skip: &[bool]) -> Vec<Violation> {
+pub fn check_file(rel: &str, domain: Domain, low: &Lowered) -> Vec<Violation> {
     let mut out = Vec::new();
-    let toks = &lexed.tokens;
-    let (imports, in_use) = parse_uses(toks);
-
-    // Alias map: local name → full path. `self`/`crate`/`super`-rooted
-    // paths can never resolve to std/rand, but keeping them is harmless.
-    let mut use_map: BTreeMap<&str, String> = BTreeMap::new();
-    for imp in &imports {
-        use_map.insert(imp.alias.as_str(), imp.path.join("::"));
-    }
+    let toks = &low.lexed.tokens;
 
     // Banned imports at the `use` site itself.
-    for imp in &imports {
-        if skip.get(imp.token_index).copied().unwrap_or(false) {
+    for imp in &low.imports {
+        if low.skip.get(imp.token_index).copied().unwrap_or(false) {
             continue;
         }
         let full = imp.path.join("::");
-        if let Some(b) = banned_match(&full, domain) {
-            out.push(Violation {
-                rule: b.rule,
-                file: rel.to_string(),
-                line: imp.line,
-                advisory: b.advisory,
-                message: format!("import of `{full}`"),
-                rationale: b.rationale,
-                suppressed: None,
-            });
-        } else if rule_active("R3", domain)
-            && imp.path.iter().any(|s| BANNED_SEGMENTS_R3.contains(&s.as_str()))
-        {
-            out.push(Violation {
-                rule: "R3",
-                file: rel.to_string(),
-                line: imp.line,
-                advisory: false,
-                message: format!("import of `{full}`"),
-                rationale: RATIONALE_R3,
-                suppressed: None,
-            });
+        if let Some((rule, advisory, _)) = banned(&full, &imp.path, domain) {
+            out.push(finding(rule, rel, imp.line, advisory, format!("import of `{full}`")));
         }
     }
 
     // Expression scan: resolved path chains + R4 panic patterns.
+    let r4 = rule_active("R4", domain);
     let mut i = 0usize;
     while i < toks.len() {
-        if skip[i] || in_use[i] {
+        if low.skip[i] || low.in_use[i] {
             i += 1;
             continue;
         }
         match &toks[i].tok {
             Tok::Ident(first) => {
                 // R4: bare panic-family macros.
-                if rule_active("R4", domain)
+                if r4
                     && matches!(first.as_str(), "panic" | "unreachable" | "todo" | "unimplemented")
-                    && matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('!')))
+                    && punct_at(toks, i + 1, '!')
                 {
-                    out.push(Violation {
-                        rule: "R4",
-                        file: rel.to_string(),
-                        line: toks[i].line,
-                        advisory: false,
-                        message: format!("`{first}!` in rank-thread hot path"),
-                        rationale: RATIONALE_R4,
-                        suppressed: None,
-                    });
+                    let msg = format!("`{first}!` in rank-thread hot path");
+                    out.push(finding("R4", rel, toks[i].line, false, msg));
                     i += 2;
                     continue;
                 }
@@ -455,20 +467,14 @@ pub fn check_file(rel: &str, domain: Domain, lexed: &Lexed, skip: &[bool]) -> Ve
                 let line = toks[i].line;
                 let mut chain = vec![first.clone()];
                 let mut j = i + 1;
-                while matches!(toks.get(j).map(|t| &t.tok), Some(Tok::Punct(':')))
-                    && matches!(toks.get(j + 1).map(|t| &t.tok), Some(Tok::Punct(':')))
-                {
-                    match toks.get(j + 2).map(|t| &t.tok) {
-                        Some(Tok::Ident(s)) => {
-                            chain.push(s.clone());
-                            j += 3;
-                        }
-                        _ => break,
-                    }
+                while punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') {
+                    let Some(s) = ident_at(toks, j + 2) else { break };
+                    chain.push(s.to_string());
+                    j += 3;
                 }
                 // Resolve through the alias map.
-                let full = match use_map.get(chain[0].as_str()) {
-                    Some(expansion) if chain.len() > 1 => {
+                let full = match low.aliases.get(&chain[0]) {
+                    Some(expansion) => {
                         let mut f = expansion.clone();
                         for seg in &chain[1..] {
                             f.push_str("::");
@@ -476,56 +482,23 @@ pub fn check_file(rel: &str, domain: Domain, lexed: &Lexed, skip: &[bool]) -> Ve
                         }
                         f
                     }
-                    Some(expansion) => expansion.clone(),
                     None => chain.join("::"),
                 };
-                if let Some(b) = banned_match(&full, domain) {
-                    out.push(Violation {
-                        rule: b.rule,
-                        file: rel.to_string(),
-                        line,
-                        advisory: b.advisory,
-                        message: format!("reference to `{full}`"),
-                        rationale: b.rationale,
-                        suppressed: None,
-                    });
-                } else if rule_active("R3", domain)
-                    && chain.iter().any(|s| BANNED_SEGMENTS_R3.contains(&s.as_str()))
-                {
-                    out.push(Violation {
-                        rule: "R3",
-                        file: rel.to_string(),
-                        line,
-                        advisory: false,
-                        message: format!("call of `{full}`"),
-                        rationale: RATIONALE_R3,
-                        suppressed: None,
-                    });
+                if let Some((rule, advisory, verb)) = banned(&full, &chain, domain) {
+                    out.push(finding(rule, rel, line, advisory, format!("{verb} `{full}`")));
                 }
                 i = j;
             }
-            Tok::Punct('.') => {
-                // R4: `.unwrap()` / `.expect(`.
-                if rule_active("R4", domain) {
-                    if let Some(Tok::Ident(m)) = toks.get(i + 1).map(|t| &t.tok) {
-                        if (m == "unwrap" || m == "expect")
-                            && matches!(toks.get(i + 2).map(|t| &t.tok), Some(Tok::Punct('(')))
-                        {
-                            out.push(Violation {
-                                rule: "R4",
-                                file: rel.to_string(),
-                                line: toks[i + 1].line,
-                                advisory: false,
-                                message: format!("`.{m}()` in rank-thread hot path"),
-                                rationale: RATIONALE_R4,
-                                suppressed: None,
-                            });
-                            i += 3;
-                            continue;
-                        }
-                    }
-                }
-                i += 1;
+            // R4: `.unwrap()` / `.expect(`.
+            Tok::Punct('.')
+                if r4
+                    && matches!(ident_at(toks, i + 1), Some("unwrap" | "expect"))
+                    && punct_at(toks, i + 2, '(') =>
+            {
+                let msg =
+                    format!("`.{}()` in rank-thread hot path", ident_at(toks, i + 1).unwrap_or(""));
+                out.push(finding("R4", rel, toks[i + 1].line, false, msg));
+                i += 3;
             }
             _ => i += 1,
         }
@@ -552,7 +525,7 @@ pub struct SuppressionOutcome {
 /// reported as stale.
 pub fn apply_suppressions(
     rel: &str,
-    suppressions: &[crate::lexer::Suppression],
+    suppressions: &[Suppression],
     violations: &mut [Violation],
 ) -> SuppressionOutcome {
     let mut out = SuppressionOutcome::default();
@@ -604,20 +577,16 @@ pub fn apply_suppressions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
     fn run(domain: Domain, src: &str) -> Vec<Violation> {
-        let lexed = lex(src);
-        let skip = test_skip_mask(&lexed);
-        check_file("t.rs", domain, &lexed, &skip)
+        check_file("t.rs", domain, &lower(src))
     }
 
     /// check_file + suppression application, mirroring the pipeline.
     fn run_suppressed(domain: Domain, src: &str) -> (Vec<Violation>, SuppressionOutcome) {
-        let lexed = lex(src);
-        let skip = test_skip_mask(&lexed);
-        let mut vs = check_file("t.rs", domain, &lexed, &skip);
-        let out = apply_suppressions("t.rs", &lexed.suppressions, &mut vs);
+        let low = lower(src);
+        let mut vs = check_file("t.rs", domain, &low);
+        let out = apply_suppressions("t.rs", &low.lexed.suppressions, &mut vs);
         (vs, out)
     }
 
@@ -726,8 +695,11 @@ mod tests {
         }
         assert!(!rule_known("R0"));
         assert!(!rule_known("R11"));
-        // Interprocedural split matches the pass structure.
-        assert!(RULES.iter().filter(|r| r.interprocedural).count() == 4);
+        // R4 is the one hot-only rule, and every finding has a rationale.
+        let hot_only: Vec<&str> = RULES.iter().filter(|r| r.hot_only).map(|r| r.id).collect();
+        assert_eq!(hot_only, ["R4"]);
+        assert!(RULES.iter().all(|r| !r.rationale.is_empty()));
+        assert!(rule_active("R4", Domain::Hot) && !rule_active("R4", Domain::Virtual));
     }
 
     #[test]

@@ -165,7 +165,7 @@ fn r7_park_under_lock_fires() {
     let advisory: Vec<_> = v.iter().filter(|x| x.advisory).collect();
     assert_eq!(deny.len(), 1, "{v:#?}");
     assert!(deny[0].message.contains("Mail::recv"), "{}", deny[0].message);
-    assert!(deny[0].message.contains("fixture::state"), "{}", deny[0].message);
+    assert!(deny[0].message.contains("root::state"), "{}", deny[0].message);
     assert_eq!(advisory.len(), 1, "{v:#?}");
     assert!(advisory[0].message.contains("probe"), "{}", advisory[0].message);
 }
@@ -224,6 +224,52 @@ fn r9_shallow_root_does_not_fire() {
     assert!(root.bound_bytes > 1024, "the 1 KiB scratch buffer must be counted: {root:#?}");
     assert!(root.bound_bytes < 16 * 1024, "{root:#?}");
     assert_eq!(report.callgraph.max_bound_bytes(), root.bound_bytes);
+}
+
+#[test]
+fn r9_a_foreign_receiver_is_not_recursion() {
+    let src = include_str!("fixtures/r9_foreign_receiver.rs");
+    let report = lint("r9_foreign_receiver.rs", Domain::Virtual, src);
+    let v = only_rule(&report, "R9");
+    // `other.events().eq(..)` in `Trace::eq` and `prof.span(..)` in a
+    // closure of `Obs::span` are not cycles; `self.down(..)` still is.
+    assert_eq!(v.len(), 1, "{v:#?}");
+    assert!(v[0].message.contains("`Walk::down -> Walk::down`"), "{}", v[0].message);
+}
+
+/// `lint_source` is `lint_workspace` over one file: on a one-crate tree
+/// both report the same findings, lock graph and call graph.
+#[test]
+fn lint_source_and_lint_workspace_agree() {
+    let src = "use std::time::Instant;\n\
+               fn park_current() {}\n\
+               pub struct Pair { alpha: Mutex<u64>, beta: Mutex<u64> }\n\
+               impl Pair {\n\
+               fn forward(&self) { let a = self.alpha.lock(); let b = self.beta.lock(); }\n\
+               fn backward(&self) { let b = self.beta.lock(); let a = self.alpha.lock(); }\n\
+               fn stall(&self) { let a = self.alpha.lock(); park_current(); }\n\
+               }\n";
+    let root = std::env::temp_dir().join(format!("detlint-agree-{}", std::process::id()));
+    std::fs::create_dir_all(root.join("crates/x/src")).unwrap();
+    std::fs::write(root.join("detlint.toml"), "[domains]\nx = \"virtual\"\n").unwrap();
+    std::fs::write(root.join("crates/x/src/lib.rs"), src).unwrap();
+    let tree = redcr_lint::lint_workspace(&root);
+    std::fs::remove_dir_all(&root).unwrap();
+    let tree = tree.unwrap();
+    let one = lint_source("crates/x/src/lib.rs", Domain::Virtual, src);
+
+    let shown = |r: &Report| -> Vec<String> {
+        r.violations
+            .iter()
+            .map(|v| format!("{}:{}: {} {}", v.file, v.line, v.rule, v.message))
+            .collect()
+    };
+    assert_eq!(rules_of(&one), ["R1", "R5", "R7"], "{one:#?}");
+    assert_eq!(shown(&tree), shown(&one));
+    assert_eq!(tree.lock_classes, one.lock_classes);
+    assert_eq!(tree.lock_edges, one.lock_edges);
+    assert_eq!(tree.callgraph.to_jsonl(), one.callgraph.to_jsonl());
+    assert_eq!(tree.to_jsonl(), one.to_jsonl());
 }
 
 #[test]

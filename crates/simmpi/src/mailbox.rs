@@ -54,15 +54,15 @@
 //! a receiver drops `inner` before it parks, so it never sleeps holding
 //! anything.
 //!
-//! This is verified, not aspirational: `detlint`'s R5 lock-order pass
-//! (run by `tests/detlint_clean.rs` and the CI `detlint` job) extracts
-//! every acquisition site in the workspace and builds the inter-crate
-//! lock graph. The graph's classes — `simmpi::inner` (this file),
-//! `checkpoint::images` (`MemoryStorage`), `metrics::inner`
-//! (`MetricsRegistry`), `trace::events`
+//! This is verified, not aspirational: `detlint`'s R5 lock-order fold
+//! (run by `tests/detlint_clean.rs` and the CI `detlint` job) builds the
+//! inter-crate lock graph from every acquisition site in the workspace,
+//! each seeing the guards live in its scope. The graph's eight classes —
+//! `simmpi::inner` (this file), `checkpoint::images` (`MemoryStorage`),
+//! `metrics::inner` (`MetricsRegistry`), `trace::events`
 //! ([`Recorder`](redcr_trace::Recorder)), and the `redcr-sched`
-//! run-queue and idle locks — carry **zero nested acquisitions**,
-//! so it is trivially acyclic. In particular the scheduler wake a push
+//! `deque`, `idle`, `permit` and `slot` locks — carry **zero nested
+//! acquisitions**, so it is trivially acyclic. In particular the scheduler wake a push
 //! triggers happens strictly *after* `inner` is dropped (the waker is
 //! moved out under the lock, invoked outside it), so `inner` never nests
 //! with a run-queue lock. Code that needs to hold `inner` together with

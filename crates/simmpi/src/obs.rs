@@ -175,9 +175,7 @@ impl Obs {
     /// Opens a wall-clock span, closed when the guard drops.
     #[inline]
     pub fn span(&self, key: SpanKey) -> Option<SpanGuard<'_>> {
-        // Path call: detlint resolves a method by name, and `.span(..)` on
-        // the shard would read as this method calling itself (R9).
-        self.prof.as_ref().map(|prof| RankProf::span(prof, key))
+        self.prof.as_ref().map(|prof| prof.span(key))
     }
 
     /// Increments profiler counter `key` by one.

@@ -158,9 +158,7 @@ impl Trace {
 
 impl PartialEq for Trace {
     fn eq(&self, other: &Self) -> bool {
-        // Path call: detlint resolves a method by name, and `.eq(..)` on the
-        // iterator would read as this method calling itself (R9).
-        std::iter::Iterator::eq(self.events(), other.events())
+        self.events().eq(other.events())
     }
 }
 

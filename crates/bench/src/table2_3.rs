@@ -7,7 +7,7 @@
 //! exceeds capacity (the paper's "useful work becomes insignificant" row)
 //! are reported as divergent.
 
-use redcr_cluster::combined::simulate_combined;
+use redcr_cluster::combined::PreparedJob;
 use redcr_cluster::job::FailureExposure;
 use redcr_cluster::sweep::monte_carlo;
 
@@ -36,8 +36,8 @@ fn simulate_row(nodes: u64, job_hours: f64, mtbf_years: f64, seeds: usize) -> Br
     if cfg.evaluate().is_err() {
         return BreakdownRow { nodes, job_hours, mtbf_years, breakdown: None };
     }
-    let agg = monte_carlo(seeds, crate::worker_threads(), |seed| {
-        simulate_combined(&cfg, FailureExposure::AllTime, seed)
+    let agg = PreparedJob::derive(&cfg, FailureExposure::AllTime).and_then(|prepared| {
+        monte_carlo(seeds, crate::worker_threads(), |seed| prepared.simulate(seed))
     });
     let breakdown = match agg {
         Ok(agg) if agg.completed > 0 => {

@@ -9,9 +9,8 @@
 //! at the paper's measured constants (`c = 120 s`, `R = 500 s`,
 //! Daly-interval checkpointing, failures not injected during overheads).
 
-use redcr_cluster::failure_source::SphereSource;
+use redcr_cluster::combined::PreparedJob;
 use redcr_cluster::job::{FailureExposure, JobConfig};
-use redcr_cluster::simulate::simulate_job;
 use redcr_cluster::sweep::monte_carlo;
 use redcr_fault::ReplicaGroups;
 use redcr_model::redundancy::SystemModel;
@@ -84,12 +83,8 @@ pub fn simulate_cell(t5: &Table5, mtbf_hours: f64, degree_idx: usize, seeds: usi
         exposure: FailureExposure::WorkOnly,
         max_attempts: 200_000,
     };
-    let node_mtbf = cfg.node_mtbf;
-    let agg = monte_carlo(seeds, crate::worker_threads(), |seed| {
-        let groups = ReplicaGroups::from_counts(&counts);
-        let mut source = SphereSource::new(groups, node_mtbf, seed);
-        simulate_job(&job, &mut source)
-    });
+    let prepared = PreparedJob::new(job, ReplicaGroups::from_counts(&counts), cfg.node_mtbf);
+    let agg = monte_carlo(seeds, crate::worker_threads(), |seed| prepared.simulate(seed));
     let minutes = match agg {
         Ok(agg) if agg.completed > 0 => Some(agg.mean_total_time * 60.0),
         _ => None,

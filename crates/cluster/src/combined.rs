@@ -54,9 +54,51 @@ pub fn derive_job(
     Ok((job, groups))
 }
 
+/// A job and its sphere layout, built once and simulated under any number
+/// of seeds: a Monte-Carlo loop over one scenario derives nothing per trial
+/// and shares the groups between trials.
+#[derive(Debug, Clone)]
+pub struct PreparedJob {
+    job: JobConfig,
+    source: SphereSource,
+}
+
+impl PreparedJob {
+    /// Prepares `job` against per-process failures at MTBF `node_mtbf` on
+    /// the spheres `groups`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node_mtbf` is not positive.
+    pub fn new(job: JobConfig, groups: ReplicaGroups, node_mtbf: f64) -> Self {
+        // A template: `simulate` reseeds it, so its own seed never draws.
+        PreparedJob { job, source: SphereSource::new(groups, node_mtbf, 0) }
+    }
+
+    /// Prepares a combined model configuration (see [`derive_job`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates model errors (invalid parameters, divergent interval).
+    pub fn derive(cfg: &CombinedConfig, exposure: FailureExposure) -> Result<Self, SimError> {
+        let (job, groups) = derive_job(cfg, exposure)?;
+        Ok(PreparedJob::new(job, groups, cfg.node_mtbf))
+    }
+
+    /// Simulates the job once with failure seed `seed`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::TooManyAttempts`] for divergent configurations.
+    pub fn simulate(&self, seed: u64) -> Result<JobStats, SimError> {
+        simulate_job(&self.job, &mut self.source.reseeded(seed))
+    }
+}
+
 /// Runs one Monte-Carlo simulation of a combined C/R + redundancy
 /// configuration: per-process exponential failures, sphere-level job death,
-/// Daly-interval checkpointing.
+/// Daly-interval checkpointing. Loops over seeds should
+/// [`PreparedJob::derive`] once instead.
 ///
 /// # Errors
 ///
@@ -67,9 +109,7 @@ pub fn simulate_combined(
     exposure: FailureExposure,
     seed: u64,
 ) -> Result<JobStats, SimError> {
-    let (job, groups) = derive_job(cfg, exposure)?;
-    let mut source = SphereSource::new(groups, cfg.node_mtbf, seed);
-    simulate_job(&job, &mut source)
+    PreparedJob::derive(cfg, exposure)?.simulate(seed)
 }
 
 #[cfg(test)]

@@ -22,7 +22,8 @@
 //!   parallelized across OS threads.
 //! * [`combined`] — bridges `redcr-model::combined::CombinedConfig` to a
 //!   simulation: redundant time from Eq. 1, sphere structure from the
-//!   partial-redundancy partition, Daly's interval from Eq. 15.
+//!   partial-redundancy partition, Daly's interval from Eq. 15; a
+//!   [`combined::PreparedJob`] derives that once and simulates it per seed.
 //!
 //! # Example
 //!

@@ -33,12 +33,29 @@ impl ExpSampler {
     }
 
     /// Draws one exponential sample (`INFINITY` for an infinite mean).
+    /// Always `self.time(self.draw())`, except that an infinite mean draws
+    /// nothing.
     pub fn sample(&mut self) -> f64 {
         if self.mean.is_infinite() {
             return f64::INFINITY;
         }
-        let u: f64 = self.rng.gen(); // [0, 1)
-        -self.mean * (1.0 - u).ln()
+        let x = self.draw();
+        self.time(x)
+    }
+
+    /// The uniform half of [`sample`](Self::sample): `x = 1 − u` for the
+    /// next `u ∈ [0, 1)`, so `x ∈ (0, 1]`. `u` is a multiple of 2⁻⁵³, which
+    /// makes the subtraction exact.
+    pub fn draw(&mut self) -> f64 {
+        let u: f64 = self.rng.gen();
+        1.0 - u
+    }
+
+    /// The transform half of [`sample`](Self::sample): the exponential time
+    /// `−θ·ln x` of a draw. Decreasing in `x`, so comparing draws compares
+    /// times in reverse — up to the rounding of `ln`.
+    pub fn time(&self, x: f64) -> f64 {
+        -self.mean * x.ln()
     }
 
     /// Draws the arrival times of a Poisson process within `[0, horizon)`.
@@ -83,6 +100,17 @@ mod tests {
         }
         let mut c = ExpSampler::new(1.0, 100);
         assert_ne!(a.sample(), c.sample());
+    }
+
+    #[test]
+    fn sample_is_the_time_of_a_draw() {
+        let mut a = ExpSampler::new(3.5, 11);
+        let mut b = ExpSampler::new(3.5, 11);
+        for _ in 0..1000 {
+            let x = b.draw();
+            assert!(x > 0.0 && x <= 1.0);
+            assert_eq!(a.sample().to_bits(), b.time(x).to_bits());
+        }
     }
 
     #[test]

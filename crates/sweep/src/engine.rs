@@ -15,7 +15,7 @@ use std::sync::mpsc;
 
 use redcr_prof::{ProfScope, Profiler, SpanKey};
 
-use redcr_cluster::combined::simulate_combined;
+use redcr_cluster::combined::PreparedJob;
 use redcr_cluster::job::FailureExposure;
 use redcr_cluster::sweep::monte_carlo;
 use redcr_cluster::SimError;
@@ -142,13 +142,21 @@ pub fn evaluate(spec: &ScenarioSpec) -> Result<ScenarioResult, SweepError> {
             Err(e) => Err(e.into()),
         },
         Backend::Simulator => {
-            let runs = spec.seeds as usize;
+            // Without a trial there is no result, and "divergent" would be
+            // a wrong one that the cache then keeps.
+            if spec.seeds == 0 {
+                return Err(SweepError::Model(ModelError::InvalidParameter {
+                    name: "seeds",
+                    value: 0.0,
+                    reason: "a simulator scenario needs at least one seed",
+                }));
+            }
             // Parallelism lives at the scenario level (the engine's work
             // queue); each scenario runs its seeds serially so the seed
-            // assignment 0..runs is trivially deterministic.
-            let agg = monte_carlo(runs, 1, |seed| {
-                simulate_combined(&cfg, FailureExposure::AllTime, seed)
-            })?;
+            // assignment 0..seeds is trivially deterministic. The job and
+            // its spheres are derived once, not per seed.
+            let prepared = PreparedJob::derive(&cfg, FailureExposure::AllTime)?;
+            let agg = monte_carlo(spec.seeds as usize, 1, |seed| prepared.simulate(seed))?;
             if agg.completed == 0 {
                 return Ok(divergent_result());
             }
@@ -417,6 +425,49 @@ mod tests {
         assert!(matches!(evaluate(&spec), Err(SweepError::Model(_))));
         let mut cache = ResultCache::in_memory();
         assert!(run_sweep(&[spec], 2, &mut cache).is_err());
+    }
+
+    #[test]
+    fn zero_seed_simulator_scenario_is_an_error_and_is_not_cached() {
+        let spec = sim_spec(2.0, 0);
+        assert!(matches!(
+            evaluate(&spec),
+            Err(SweepError::Model(ModelError::InvalidParameter { name: "seeds", .. }))
+        ));
+        let mut cache = ResultCache::in_memory();
+        assert!(run_sweep(&[spec], 2, &mut cache).is_err());
+        assert!(cache.is_empty(), "a scenario without trials must not be cached");
+    }
+
+    /// The Section 6 surface: MTBF {6, 12, 18, 24, 30} h × degree 1–3 in
+    /// quarter steps × both backends, 90 scenarios.
+    fn surface(seeds: u32) -> Vec<ScenarioSpec> {
+        let mut specs = Vec::new();
+        for node_mtbf_hours in [6.0, 12.0, 18.0, 24.0, 30.0] {
+            for quarter in 4..=12 {
+                for backend in [Backend::Model, Backend::Simulator] {
+                    let degree = f64::from(quarter) / 4.0;
+                    specs.push(ScenarioSpec {
+                        backend,
+                        node_mtbf_hours,
+                        seeds,
+                        ..model_spec(128, degree)
+                    });
+                }
+            }
+        }
+        specs
+    }
+
+    #[test]
+    fn surface_results_are_pinned() {
+        // Captured before the simulator compared draws instead of times:
+        // the FNV-1a of every rendered result, in submission order.
+        const SURFACE_FNV: u64 = 16_847_061_759_451_550_398;
+        let report = run_sweep(&surface(32), 2, &mut ResultCache::in_memory()).unwrap();
+        assert_eq!(report.entries.len(), 90);
+        let rendered: String = report.entries.iter().map(|e| e.result.render_json()).collect();
+        assert_eq!(crate::spec::fnv1a(rendered.as_bytes()), SURFACE_FNV);
     }
 
     #[test]

@@ -3,13 +3,23 @@
 //! than CG.
 
 use redcr_mpi::collectives::ReduceOp;
-use redcr_mpi::{Communicator, Rank, Result, Tag};
+use redcr_mpi::{Communicator, MpiError, Rank, Result, Tag};
 
 use crate::compute::ComputeModel;
 
 /// Halo-exchange tags.
 const HALO_LEFT: u64 = 100;
 const HALO_RIGHT: u64 = 101;
+
+/// Points a sweep relaxes per block: the block's old values and its two
+/// neighbours are copied to an 8 KiB stack array, so the sweep updates
+/// the state in place with no second grid.
+const BLOCK: usize = 1024;
+
+/// Independent running maxima of the update size. Eight lanes with no
+/// dependency between them let the compiler vectorise the max; a max is
+/// order-independent, so the lanes agree bit for bit with one serial fold.
+const LANES: usize = 8;
 
 /// Configuration of a Jacobi run.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +43,18 @@ impl JacobiConfig {
             right_boundary: 1.0,
             compute: ComputeModel::zero(),
         }
+    }
+
+    /// Checks that every rank owns at least one point.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MpiError::App`] if `points_per_rank` is 0.
+    pub fn validate(&self) -> Result<()> {
+        if self.points_per_rank == 0 {
+            return Err(no_points());
+        }
+        Ok(())
     }
 }
 
@@ -73,19 +95,22 @@ impl JacobiSolver {
     ///
     /// # Errors
     ///
-    /// Propagates runtime errors (abort).
+    /// Returns [`MpiError::App`] if the rank has no points, and propagates
+    /// runtime errors (abort).
     pub fn step<C: Communicator>(&self, comm: &C, state: &mut JacobiState) -> Result<f64> {
         let me = comm.rank().index();
         let n = comm.size();
-        let local = &state.u;
-        let m = local.len();
+        let m = state.u.len();
+        let (Some(&first), Some(&last)) = (state.u.first(), state.u.last()) else {
+            return Err(no_points());
+        };
 
         // Exchange halo values (eager sends never deadlock).
         if me > 0 {
-            comm.send_f64s(Rank::new((me - 1) as u32), Tag::new(HALO_LEFT), &[local[0]])?;
+            comm.send_f64s(Rank::new((me - 1) as u32), Tag::new(HALO_LEFT), &[first])?;
         }
         if me + 1 < n {
-            comm.send_f64s(Rank::new((me + 1) as u32), Tag::new(HALO_RIGHT), &[local[m - 1]])?;
+            comm.send_f64s(Rank::new((me + 1) as u32), Tag::new(HALO_RIGHT), &[last])?;
         }
         let left = if me > 0 {
             comm.recv_f64s(Rank::new((me - 1) as u32).into(), Tag::new(HALO_RIGHT).into())?.0[0]
@@ -98,18 +123,8 @@ impl JacobiSolver {
             self.config.right_boundary
         };
 
-        // Relax.
-        let mut next = Vec::with_capacity(m);
-        let mut max_delta = 0.0f64;
-        for i in 0..m {
-            let l = if i == 0 { left } else { local[i - 1] };
-            let r = if i + 1 == m { right } else { local[i + 1] };
-            let v = 0.5 * (l + r);
-            max_delta = max_delta.max((v - local[i]).abs());
-            next.push(v);
-        }
+        let max_delta = relax(&mut state.u, left, right);
         comm.compute(self.config.compute.cost(3 * m as u64))?;
-        state.u = next;
         state.iteration += 1;
 
         let global = comm.allreduce_f64(&[max_delta], ReduceOp::Max)?;
@@ -135,10 +150,165 @@ impl JacobiSolver {
     }
 }
 
+/// The error for a rank that owns no grid points: a sweep has nothing to
+/// relax and no end value to send its neighbours.
+fn no_points() -> MpiError {
+    MpiError::App { what: "a Jacobi rank needs at least one point (points_per_rank = 0)".into() }
+}
+
+/// One Jacobi sweep over `u` in place, with `left` and `right` the values
+/// beyond its ends: every point becomes the mean of its old neighbours.
+/// Returns the largest `|new − old|`, ignoring NaN as [`f64::max`] does.
+///
+/// Each block's old values, framed by its two old neighbours, are copied
+/// to the stack first, so every point is computed from old values only:
+/// exactly what a second grid would give, bit for bit.
+fn relax(u: &mut [f64], left: f64, right: f64) -> f64 {
+    let m = u.len();
+    let mut old = [0.0f64; BLOCK + 2];
+    let mut lanes = [0.0f64; LANES];
+    // The old value of the point before the block.
+    let mut before = left;
+    for start in (0..m).step_by(BLOCK) {
+        let end = (start + BLOCK).min(m);
+        let n = end - start;
+        old[0] = before;
+        old[1..=n].copy_from_slice(&u[start..end]);
+        old[n + 1] = if end == m { right } else { u[end] };
+        before = old[n];
+        let block = &mut u[start..end];
+        let mut chunks = block.chunks_exact_mut(LANES);
+        for (c, chunk) in chunks.by_ref().enumerate() {
+            let window: &[f64; LANES + 2] =
+                old[c * LANES..c * LANES + LANES + 2].try_into().expect("a full window");
+            for lane in 0..LANES {
+                let v = 0.5 * (window[lane] + window[lane + 2]);
+                let d = (v - window[lane + 1]).abs();
+                lanes[lane] = if d > lanes[lane] { d } else { lanes[lane] };
+                chunk[lane] = v;
+            }
+        }
+        let tail = n - n % LANES;
+        for (lane, v) in chunks.into_remainder().iter_mut().enumerate() {
+            let i = tail + lane;
+            let next = 0.5 * (old[i] + old[i + 2]);
+            let d = (next - old[i + 1]).abs();
+            lanes[lane] = if d > lanes[lane] { d } else { lanes[lane] };
+            *v = next;
+        }
+    }
+    lanes.into_iter().fold(0.0, |acc, d| if d > acc { d } else { acc })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use redcr_mpi::{CostModel, World};
+
+    /// The two-buffer sweep [`relax`] replaced, kept as its oracle: a fresh
+    /// grid, one point at a time, the boundary decided per point, and a
+    /// serial `f64::max` fold.
+    fn relax_two_buffers(u: &mut Vec<f64>, left: f64, right: f64) -> f64 {
+        let m = u.len();
+        let mut next = Vec::with_capacity(m);
+        let mut max_delta = 0.0f64;
+        for i in 0..m {
+            let l = if i == 0 { left } else { u[i - 1] };
+            let r = if i + 1 == m { right } else { u[i + 1] };
+            let v = 0.5 * (l + r);
+            max_delta = max_delta.max((v - u[i]).abs());
+            next.push(v);
+        }
+        *u = next;
+        max_delta
+    }
+
+    /// Every value's bits, except that a NaN is any NaN: Rust leaves the
+    /// sign and payload of a NaN result unspecified (an `a + b` of two NaNs
+    /// may return either's), so no codegen of either sweep pins them.
+    fn bits(u: &[f64]) -> Vec<u64> {
+        u.iter().map(|v| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() }).collect()
+    }
+
+    /// Lengths at and around every block and lane edge.
+    const EDGE_LENGTHS: [usize; 9] = [1, 2, 7, 8, 9, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5];
+
+    /// A value drawn from `bits`: `special` draws in 256 are special (±0,
+    /// NaN, ±∞, extremes, a subnormal of either sign), the rest ordinary
+    /// magnitudes.
+    fn value(bits: u64, special: u64) -> f64 {
+        const SPECIAL: [f64; 10] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+        ];
+        if bits % 256 >= special {
+            return ((bits >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e3;
+        }
+        if bits & 256 == 0 {
+            SPECIAL[(bits >> 9) as usize % SPECIAL.len()]
+        } else {
+            f64::from_bits((bits >> 12) | (bits & 512) << 54)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn in_place_sweep_is_the_two_buffer_sweep_bit_for_bit(
+            pick in 0usize..12,
+            random_len in 1usize..5001,
+            seed in any::<u64>(),
+            density in 0usize..3,
+        ) {
+            let m = EDGE_LENGTHS.get(pick).copied().unwrap_or(random_len);
+            // None, a few, or many: NaN spreads a point a sweep, so dense
+            // specials soon leave little else to compare.
+            let special = [0, 2, 32][density];
+            let mut rng = seed;
+            let mut draw = || {
+                // SplitMix64.
+                rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = rng;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                value(z ^ (z >> 31), special)
+            };
+            let (left, right) = (draw(), draw());
+            let mut fast: Vec<f64> = (0..m).map(|_| draw()).collect();
+            let mut oracle = fast.clone();
+            for sweep in 0..20 {
+                let got = relax(&mut fast, left, right);
+                let want = relax_two_buffers(&mut oracle, left, right);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "max_delta, sweep {} of {}", sweep, m);
+                prop_assert_eq!(bits(&fast), bits(&oracle), "state, sweep {} of {}", sweep, m);
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_with_no_points_is_a_typed_error() {
+        let solver = JacobiSolver::new(JacobiConfig::small(0));
+        let report = World::builder(2)
+            .cost_model(CostModel::zero())
+            .run(|comm| {
+                let mut state = solver.init_state();
+                let err = solver.step(comm, &mut state).unwrap_err();
+                assert!(matches!(err, MpiError::App { .. }), "{err}");
+                Ok(state.iteration)
+            })
+            .unwrap();
+        assert_eq!(report.into_results().unwrap(), vec![0, 0], "nothing was relaxed");
+    }
 
     #[test]
     fn converges_to_linear_profile() {

@@ -8,7 +8,9 @@
 //! * a sequence or string is a `u64` element count followed by its
 //!   elements (a string's elements are its UTF-8 bytes);
 //! * a struct is its fields, back to back, in the order its
-//!   [`codec_struct!`](crate::codec_struct) line lists them.
+//!   [`codec_struct!`](crate::codec_struct) line lists them (a stored
+//!   [`ProcessImage`](crate::ProcessImage) is the one hand-written layout,
+//!   in `snapshot`).
 //!
 //! There are no field names, type tags, padding or version: the format is
 //! not self-describing, and decoding requires the type that was encoded —
@@ -43,8 +45,10 @@ use crate::Result;
 /// (which a change measured by it may not edit) and every caller up to the
 /// coordinator are written against it.
 pub fn to_bytes<T: Encode>(value: &T) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
+    let len = value.encoded_len();
+    let mut out = Vec::with_capacity(len);
     value.encode(&mut out);
+    debug_assert_eq!(out.len(), len, "encoded_len disagrees with encode");
     Ok(out)
 }
 
@@ -73,8 +77,13 @@ pub trait Encode {
     /// Appends the value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
+    /// The number of bytes [`encode`](Self::encode) appends: what a writer
+    /// reserves up front, so that its output is allocated once and never
+    /// regrown.
+    fn encoded_len(&self) -> usize;
+
     /// Appends the elements of a sequence (not its count). Fixed-width
-    /// types override this to reserve once and copy in bulk.
+    /// types override this to copy in bulk.
     fn encode_slice(items: &[Self], out: &mut Vec<u8>)
     where
         Self: Sized,
@@ -111,8 +120,8 @@ pub trait Decode: Sized {
 }
 
 /// The undecoded rest of an input. Opaque outside this module: a
-/// [`Decode`] impl written by [`codec_struct!`](crate::codec_struct) only
-/// hands it on to its fields.
+/// [`Decode`] impl written by [`codec_struct!`](crate::codec_struct) (or
+/// by hand, as `ProcessImage`'s is) only hands it on to its fields.
 #[derive(Debug)]
 pub struct Reader<'a> {
     input: &'a [u8],
@@ -156,7 +165,10 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Little-endian fixed-width numbers; a slice of them is one reservation.
+/// Little-endian fixed-width numbers. A slice of them is converted 4 KiB at
+/// a time in a stack buffer and appended from there: one write pass over
+/// the output, with no per-element capacity check and no zero fill of the
+/// output first (which a `resize` would cost on freshly mapped pages).
 macro_rules! fixed_width {
     ($($ty:ty),*) => {$(
         impl Encode for $ty {
@@ -164,10 +176,20 @@ macro_rules! fixed_width {
                 out.extend_from_slice(&self.to_le_bytes());
             }
 
+            fn encoded_len(&self) -> usize {
+                std::mem::size_of::<$ty>()
+            }
+
             fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                const WIDTH: usize = std::mem::size_of::<$ty>();
+                let mut stage = [0u8; 4096];
                 out.reserve(std::mem::size_of_val(items));
-                for item in items {
-                    out.extend_from_slice(&item.to_le_bytes());
+                for chunk in items.chunks(4096 / WIDTH) {
+                    let bytes = &mut stage[..chunk.len() * WIDTH];
+                    for (slot, item) in bytes.chunks_exact_mut(WIDTH).zip(chunk) {
+                        slot.copy_from_slice(&item.to_le_bytes());
+                    }
+                    out.extend_from_slice(bytes);
                 }
             }
         }
@@ -196,6 +218,10 @@ impl Encode for u8 {
         out.push(*self);
     }
 
+    fn encoded_len(&self) -> usize {
+        1
+    }
+
     fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
         out.extend_from_slice(items);
     }
@@ -217,6 +243,10 @@ impl Encode for bool {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
+
+    fn encoded_len(&self) -> usize {
+        1
+    }
 }
 
 impl Decode for bool {
@@ -233,6 +263,10 @@ impl<T: Encode> Encode for Option<T> {
         if let Some(value) = self {
             value.encode(out);
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::encoded_len)
     }
 }
 
@@ -253,11 +287,19 @@ impl<T: Encode> Encode for [T] {
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
         T::encode_slice(self, out);
     }
+
+    fn encoded_len(&self) -> usize {
+        8 + self.iter().map(T::encoded_len).sum::<usize>()
+    }
 }
 
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.as_slice().encode(out);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.as_slice().encoded_len()
     }
 }
 
@@ -277,6 +319,10 @@ impl Encode for String {
     fn encode(&self, out: &mut Vec<u8>) {
         self.as_bytes().encode(out);
     }
+
+    fn encoded_len(&self) -> usize {
+        self.as_bytes().encoded_len()
+    }
 }
 
 impl Decode for String {
@@ -292,6 +338,10 @@ impl Decode for String {
 impl<T: Encode + ?Sized> Encode for &T {
     fn encode(&self, out: &mut Vec<u8>) {
         (**self).encode(out);
+    }
+
+    fn encoded_len(&self) -> usize {
+        (**self).encoded_len()
     }
 }
 
@@ -314,6 +364,10 @@ macro_rules! codec_struct {
             fn encode(&self, out: &mut Vec<u8>) {
                 $($crate::codec::Encode::encode(&self.$field, out);)+
             }
+
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::codec::Encode::encoded_len(&self.$field))+
+            }
         }
 
         impl $crate::codec::Decode for $name {
@@ -333,6 +387,7 @@ mod tests {
 
     fn round_trip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = to_bytes(&value).unwrap();
+        assert_eq!(value.encoded_len(), bytes.len(), "{value:?}");
         let back: T = from_bytes(&bytes).unwrap();
         assert_eq!(back, value);
     }
@@ -398,6 +453,11 @@ mod tests {
         let v = vec![1.5f64, -2.0];
         assert_eq!(to_bytes(&v.as_slice()).unwrap(), to_bytes(&v).unwrap());
         assert_eq!(to_bytes(&&v).unwrap(), to_bytes(&v).unwrap());
+        // A slice longer than one staging buffer is its elements in order.
+        let long: Vec<u32> = (0..3000).collect();
+        let mut want = 3000u64.to_le_bytes().to_vec();
+        want.extend(long.iter().flat_map(|x| x.to_le_bytes()));
+        assert_eq!(to_bytes(&long).unwrap(), want);
     }
 
     #[test]

@@ -172,8 +172,8 @@ impl CheckpointCoordinator {
     ///
     /// # Errors
     ///
-    /// Returns a protocol error if the run aborts mid-checkpoint, a codec
-    /// error if the state cannot be serialized, or a storage error.
+    /// Returns a protocol error if the run aborts mid-checkpoint, or a
+    /// storage error.
     pub fn checkpoint_at<C, S>(
         &self,
         comm: &CountingComm<'_, C>,
@@ -194,28 +194,25 @@ impl CheckpointCoordinator {
             CoordinationProtocol::AppQuiesced => comm.channel_state(),
         };
         let channel_messages = channel.len();
-        // Wall-clock span over the real serialization work (capture,
+        // Wall-clock span over the real serialization work (encoding,
         // exclusions, compression, framing) — the part of a checkpoint the
         // simulator actually pays for on the host, as opposed to the
         // modeled virtual write cost charged below.
         let encode_span = obs.span(redcr_mpi::prof::SpanKey::CheckpointEncode);
-        let image = ProcessImage::capture_with(
-            comm.rank().as_u32(),
-            cut,
-            state,
-            &self.exclusions,
-            self.compress,
-        )?
-        .with_channel_state(channel);
-        let bytes = image.to_stored_bytes()?;
+        let rank = comm.rank().as_u32();
+        let bytes =
+            ProcessImage::write(rank, cut, state, &self.exclusions, self.compress, &channel);
         drop(encode_span);
+        let stored_bytes = bytes.len();
         let cost = match self.write_mode {
-            WriteMode::Synchronous => self.cost.write_cost(bytes.len()),
+            WriteMode::Synchronous => self.cost.write_cost(stored_bytes),
             WriteMode::Forked { stop_seconds } => stop_seconds,
         };
         let commit_span = obs.span(redcr_mpi::prof::SpanKey::CheckpointCommit);
         comm.compute(cost)?;
-        self.storage.store(SnapshotKey::new(seq, comm.rank().as_u32()), &bytes)?;
+        self.storage.store(SnapshotKey::new(seq, rank), &bytes)?;
+        // Storage has its own copy: this one need not wait out the barrier.
+        drop(bytes);
         comm.barrier()?;
         drop(commit_span);
         // Recorded only after the commit barrier: a rank that dies
@@ -223,11 +220,11 @@ impl CheckpointCoordinator {
         let now = comm.now();
         obs.event(
             now,
-            redcr_mpi::trace::EventKind::CheckpointCommit { seq, bytes: bytes.len() as u64, cost },
+            redcr_mpi::trace::EventKind::CheckpointCommit { seq, bytes: stored_bytes as u64, cost },
         );
         obs.inc(redcr_mpi::metrics::CounterKey::CheckpointCommits, now);
         obs.observe(redcr_mpi::metrics::HistKey::CommitLatency, now - begin);
-        Ok(CheckpointReceipt { stored_bytes: bytes.len(), cost_seconds: cost, channel_messages })
+        Ok(CheckpointReceipt { stored_bytes, cost_seconds: cost, channel_messages })
     }
 
     /// Loads this rank's image from checkpoint `seq`, charging the read

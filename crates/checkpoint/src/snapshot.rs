@@ -1,6 +1,14 @@
 //! Process images: what one rank contributes to a coordinated checkpoint.
+//!
+//! A stored image is, in order: the rank (`u32`), the virtual time of the
+//! cut (`f64`), the application state as a length-prefixed byte string, the
+//! channel state (a sequence of [`ChannelMessage`]s) and the compression
+//! flag (`bool`). That layout is written in exactly one place,
+//! `write_layout`, which [`ProcessImage::write`] (the checkpoint and heal
+//! paths, straight from a live state) and
+//! [`ProcessImage::to_stored_bytes`] (an image already in memory) share.
 
-use crate::codec::{self, Decode, Encode};
+use crate::codec::{self, Decode, Encode, Reader};
 use crate::compress;
 use crate::exclusion::ExclusionSet;
 use crate::Result;
@@ -33,7 +41,6 @@ pub struct ProcessImage {
     /// Whether `app_state` is RLE-compressed.
     pub compressed: bool,
 }
-crate::codec_struct!(ProcessImage { rank, virtual_time, app_state, channel_state, compressed });
 
 impl ProcessImage {
     /// Builds an image from a serializable application state.
@@ -51,23 +58,36 @@ impl ProcessImage {
         })
     }
 
-    /// Builds an image with memory exclusion and optional compression
-    /// applied to the serialized state.
+    /// The stored bytes of the image of `state` cut at `cut`, written in
+    /// one pass: the state is encoded straight into the output, memory
+    /// exclusion zeroes its excluded ranges there, and compression (when
+    /// on) replaces it with its RLE form. Without compression the output is
+    /// allocated once, at its exact length.
     ///
-    /// # Errors
-    ///
-    /// Returns a codec error if the state cannot be serialized.
-    pub fn capture_with<S: Encode>(
+    /// [`from_stored_bytes`](Self::from_stored_bytes) reads back an image
+    /// whose `app_state` is the state's encoding with `exclusions` zeroed,
+    /// RLE-compressed if `compressed`, and whose channel state is `channel`.
+    pub fn write<S: Encode>(
         rank: u32,
-        virtual_time: f64,
+        cut: f64,
         state: &S,
         exclusions: &ExclusionSet,
         compressed: bool,
-    ) -> Result<Self> {
-        let mut bytes = codec::to_bytes(state)?;
-        exclusions.apply(&mut bytes);
-        let app_state = if compressed { compress::compress(&bytes) } else { bytes };
-        Ok(ProcessImage { rank, virtual_time, app_state, channel_state: Vec::new(), compressed })
+        channel: &[ChannelMessage],
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        let encode_state = |out: &mut Vec<u8>| {
+            let start = out.len();
+            state.encode(out);
+            exclusions.apply(&mut out[start..]);
+            if compressed {
+                let packed = compress::compress(&out[start..]);
+                out.truncate(start);
+                out.extend_from_slice(&packed);
+            }
+        };
+        write_layout(&mut out, rank, cut, state.encoded_len(), encode_state, channel, compressed);
+        out
     }
 
     /// Attaches drained channel state.
@@ -92,7 +112,8 @@ impl ProcessImage {
         }
     }
 
-    /// Serializes the whole image for stable storage.
+    /// Serializes the whole image for stable storage, into one buffer of
+    /// exactly the stored length.
     ///
     /// # Errors
     ///
@@ -102,13 +123,76 @@ impl ProcessImage {
     }
 
     /// Deserializes an image previously produced by
-    /// [`to_stored_bytes`](Self::to_stored_bytes).
+    /// [`to_stored_bytes`](Self::to_stored_bytes) or
+    /// [`write`](Self::write).
     ///
     /// # Errors
     ///
     /// Returns a codec error on malformed input.
     pub fn from_stored_bytes(bytes: &[u8]) -> Result<Self> {
         codec::from_bytes(bytes)
+    }
+}
+
+/// The stored length of an image whose application state is `state_len`
+/// bytes.
+fn stored_len(state_len: usize, channel: &[ChannelMessage]) -> usize {
+    4 + 8 + (8 + state_len) + channel.encoded_len() + 1
+}
+
+/// The stored layout, stated once. `state` appends the application state's
+/// bytes (`state_len` is what to reserve for them; compression changes the
+/// count): their length prefix is written as a placeholder before and
+/// patched after, so they go straight into `out` instead of through a
+/// buffer of their own.
+fn write_layout(
+    out: &mut Vec<u8>,
+    rank: u32,
+    cut: f64,
+    state_len: usize,
+    state: impl FnOnce(&mut Vec<u8>),
+    channel: &[ChannelMessage],
+    compressed: bool,
+) {
+    out.reserve(stored_len(state_len, channel));
+    rank.encode(out);
+    cut.encode(out);
+    let prefix = out.len();
+    0u64.encode(out);
+    state(out);
+    let len = (out.len() - prefix - 8) as u64;
+    out[prefix..prefix + 8].copy_from_slice(&len.to_le_bytes());
+    channel.encode(out);
+    compressed.encode(out);
+}
+
+impl Encode for ProcessImage {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let app_state = |out: &mut Vec<u8>| out.extend_from_slice(&self.app_state);
+        let (rank, cut, len) = (self.rank, self.virtual_time, self.app_state.len());
+        write_layout(out, rank, cut, len, app_state, &self.channel_state, self.compressed);
+    }
+
+    fn encoded_len(&self) -> usize {
+        stored_len(self.app_state.len(), &self.channel_state)
+    }
+}
+
+impl Decode for ProcessImage {
+    const MIN_SIZE: usize = u32::MIN_SIZE
+        + f64::MIN_SIZE
+        + Vec::<u8>::MIN_SIZE
+        + Vec::<ChannelMessage>::MIN_SIZE
+        + bool::MIN_SIZE;
+
+    fn decode(input: &mut Reader<'_>) -> Result<Self> {
+        Ok(ProcessImage {
+            rank: Decode::decode(input)?,
+            virtual_time: Decode::decode(input)?,
+            app_state: Decode::decode(input)?,
+            channel_state: Decode::decode(input)?,
+            compressed: Decode::decode(input)?,
+        })
     }
 }
 
@@ -146,13 +230,22 @@ mod tests {
         let back = ProcessImage::from_stored_bytes(&bytes).unwrap();
         assert_eq!(back, img);
         assert_eq!(back.channel_state.len(), 1);
+        let written =
+            ProcessImage::write(1, 7.0, &state(), &ExclusionSet::new(), false, &back.channel_state);
+        assert_eq!(written, bytes);
+    }
+
+    /// The image [`ProcessImage::write`] stored, read back.
+    fn written(state: &State, exclusions: &ExclusionSet, compressed: bool) -> ProcessImage {
+        let bytes = ProcessImage::write(2, 1.0, state, exclusions, compressed, &[]);
+        ProcessImage::from_stored_bytes(&bytes).unwrap()
     }
 
     #[test]
     fn compression_shrinks_repetitive_state() {
         let plain = ProcessImage::capture(0, 0.0, &state()).unwrap();
-        let squeezed =
-            ProcessImage::capture_with(0, 0.0, &state(), &ExclusionSet::new(), true).unwrap();
+        let squeezed = written(&state(), &ExclusionSet::new(), true);
+        assert!(squeezed.compressed);
         assert!(squeezed.app_state.len() < plain.app_state.len());
         let back: State = squeezed.restore().unwrap();
         assert_eq!(back, state());
@@ -166,7 +259,7 @@ mod tests {
         let mut ex = ExclusionSet::new();
         // Serialized layout: iter (8) + len (8) + 100 f64 (800) + string.
         ex.exclude(16 + 400..16 + 800);
-        let img = ProcessImage::capture_with(2, 1.0, &s, &ex, false).unwrap();
+        let img = written(&s, &ex, false);
         let back: State = img.restore().unwrap();
         assert_eq!(back.iter, s.iter);
         assert_eq!(back.label, s.label);

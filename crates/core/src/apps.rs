@@ -84,6 +84,7 @@ impl ResilientApp for JacobiApp {
     type State = JacobiState;
 
     fn init<C: Communicator>(&self, _comm: &C) -> redcr_mpi::Result<JacobiState> {
+        self.solver.config().validate()?;
         Ok(self.solver.init_state())
     }
 
@@ -150,7 +151,9 @@ mod tests {
     use super::*;
     use crate::config::ExecutorConfig;
     use crate::executor::ResilientExecutor;
+    use crate::CoreError;
     use redcr_apps::compute::ComputeModel;
+    use redcr_mpi::MpiError;
 
     #[test]
     fn cg_adapter_runs_under_failures() {
@@ -172,6 +175,16 @@ mod tests {
         let app = JacobiApp::new(JacobiConfig::small(6), 15).with_step_pad(0.5);
         let report = ResilientExecutor::new(ExecutorConfig::new(2, 1.0)).run(&app).unwrap();
         assert_eq!(report.final_states[0].iteration, 15);
+    }
+
+    #[test]
+    fn jacobi_adapter_refuses_ranks_with_no_points() {
+        let app = JacobiApp::new(JacobiConfig::small(0), 15);
+        let err = ResilientExecutor::new(ExecutorConfig::new(2, 2.0)).run(&app).unwrap_err();
+        let CoreError::Runtime(MpiError::App { what }) = &err else {
+            panic!("expected an application error, got: {err}");
+        };
+        assert!(what.contains("points_per_rank = 0"), "{what}");
     }
 
     #[test]

@@ -30,6 +30,7 @@ use std::sync::Arc;
 
 use redcr_ckpt::codec::{Decode, Encode};
 use redcr_ckpt::coordinator::CheckpointCoordinator;
+use redcr_ckpt::exclusion::ExclusionSet;
 use redcr_ckpt::restart;
 use redcr_ckpt::snapshot::ProcessImage;
 use redcr_ckpt::storage::{MemoryStorage, StableStorage, StorageCostModel};
@@ -520,8 +521,8 @@ fn donor_images<S: Encode>(
                 what: format!("no live donor replica for virtual rank {v}"),
             }));
         };
-        let image = ProcessImage::capture(v as u32, boundary, &state)?.with_channel_state(channel);
-        let bytes = image.to_stored_bytes()?;
+        let bytes =
+            ProcessImage::write(v as u32, boundary, &state, &ExclusionSet::new(), false, &channel);
         if suspects.iter().any(|p| groups.members(v).contains(p)) {
             transfer_bytes += bytes.len() as u64;
         }

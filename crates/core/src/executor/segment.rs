@@ -4,6 +4,7 @@
 use redcr_ckpt::bookmark;
 use redcr_ckpt::coordinator::{CheckpointCoordinator, Restored};
 use redcr_ckpt::snapshot::{ChannelMessage, ProcessImage};
+use redcr_ckpt::storage::SnapshotKey;
 use redcr_ckpt::CountingComm;
 use redcr_mpi::collectives::ReduceOp;
 use redcr_mpi::{Communicator, MpiError};
@@ -11,6 +12,12 @@ use redcr_red::{DetectorParams, HealPolicy, ReplicaComm};
 
 use super::{Attempt, ResilientApp};
 use crate::config::ExecutorConfig;
+
+/// Checkpoint generations each virtual rank keeps on stable storage: the
+/// newest, which a restart resumes from, and the one before it, which is
+/// still complete if the newest turns out not to be. The replicas of a
+/// sphere share its keys and retire them together (deleting is idempotent).
+const GENERATIONS_KEPT: u64 = 2;
 
 /// How a segment's ranks come by their state. Decided once per segment on
 /// the driver (`Job::begin_attempt` from the attempt's one look at stable
@@ -98,7 +105,8 @@ impl Detector {
 
 /// One rank's segment: obtain the state as the attempt's `resume` says, then step
 /// the application until it finishes or the failure detector calls a heal,
-/// checkpointing at the configured interval.
+/// checkpointing at the configured interval and keeping
+/// [`GENERATIONS_KEPT`] generations on stable storage.
 pub(super) fn rank_segment<A: ResilientApp>(
     app: &A,
     cfg: &ExecutorConfig,
@@ -161,6 +169,12 @@ pub(super) fn rank_segment<A: ResilientApp>(
             coordinator
                 .checkpoint_at(&counting, cursor.next_seq, now_max, &state)
                 .map_err(MpiError::from)?;
+            // The commit barrier has passed, so this generation and the one
+            // before it are both complete; the one before that goes.
+            if let Some(retired) = cursor.next_seq.checked_sub(GENERATIONS_KEPT) {
+                let key = SnapshotKey::new(retired, counting.rank().as_u32());
+                coordinator.storage().delete(key).map_err(MpiError::from)?;
+            }
             cursor = Cursor {
                 next_seq: cursor.next_seq + 1,
                 next_ckpt: now_max + interval,

@@ -1,5 +1,6 @@
 //! The counting `#[global_allocator]` of the memory tests
-//! (`tests/metrics_memory.rs`, `tests/trace_memory.rs`): each includes this
+//! (`tests/metrics_memory.rs`, `tests/trace_memory.rs`,
+//! `tests/ckpt_memory.rs`): each includes this
 //! file by `#[path]` and installs [`Counting`] for its own binary, which
 //! holds one test so that nothing else allocates while it counts.
 
@@ -14,16 +15,25 @@ pub const MMAP_THRESHOLD: usize = 128 * 1024;
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
 /// Single requests above [`MMAP_THRESHOLD`] so far.
 static LARGE_REQUESTS: AtomicU64 = AtomicU64::new(0);
+/// The size of the latest of them.
+static LAST_LARGE: AtomicU64 = AtomicU64::new(0);
 
 /// `(bytes requested, requests above the threshold)` so far.
 pub fn requested() -> (u64, u64) {
     (REQUESTED.load(Ordering::Relaxed), LARGE_REQUESTS.load(Ordering::Relaxed))
 }
 
+/// The size of the latest request above the threshold (0 before any).
+#[allow(dead_code)] // not every binary that includes this file asks
+pub fn last_large_request() -> u64 {
+    LAST_LARGE.load(Ordering::Relaxed)
+}
+
 fn count(grown_by: usize, size: usize) {
     REQUESTED.fetch_add(grown_by as u64, Ordering::Relaxed);
     if size > MMAP_THRESHOLD {
         LARGE_REQUESTS.fetch_add(1, Ordering::Relaxed);
+        LAST_LARGE.store(size as u64, Ordering::Relaxed);
     }
 }
 

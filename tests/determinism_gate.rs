@@ -22,11 +22,16 @@
 //! original flat-mailbox baseline. What it proves is that the delivery
 //! path is semantics-preserving where the old path was deterministic.
 
+use std::sync::Arc;
+
 use redcr_apps::cg::{CgConfig, CgState};
-use redcr_core::apps::CgApp;
-use redcr_core::{ExecutorConfig, ResilientExecutor};
+use redcr_apps::jacobi::{JacobiConfig, JacobiState};
+use redcr_ckpt::restart::latest_complete;
+use redcr_ckpt::storage::{MemoryStorage, SnapshotKey, StableStorage};
+use redcr_core::apps::{CgApp, JacobiApp};
+use redcr_core::{ExecutionReport, ExecutorConfig, ResilientExecutor};
 use redcr_sweep::spec::fnv1a;
-use redcr_trace::Trace;
+use redcr_trace::{EventKind, Trace};
 
 mod common;
 
@@ -94,4 +99,84 @@ fn gate_scenario_is_run_to_run_deterministic() {
 #[test]
 fn failure_log_agrees_with_the_report() {
     common::assert_failure_log_agrees("gate", &gate_run());
+}
+
+// The checkpoint path: a Jacobi solve at r=2 whose node deaths restart it
+// twice, each time from a stored generation (restarts are bit-stable since
+// abort finality, see above). Captured before the in-place sweep, the
+// one-pass image writer and generation retention; all three must leave
+// every number alone. (The final states do not depend on the failures: any
+// restart replays the same sweeps.)
+const JACOBI_VIRTUAL: u32 = 4;
+const JACOBI_TOTAL_BITS: u64 = 0x4053_8007_a1b2_cb5c; // 78.000465798 s
+const JACOBI_STATES_FNV: u64 = 0xb77b_5aa5_fb3d_bd6d;
+
+/// 1 500 points a rank, so a sweep crosses a block edge.
+fn jacobi_app() -> JacobiApp {
+    let config =
+        JacobiConfig { left_boundary: -0.5, right_boundary: 2.0, ..JacobiConfig::small(1500) };
+    JacobiApp::new(config, 60).with_step_pad(1.0)
+}
+
+fn jacobi_run(storage: &Arc<MemoryStorage>, cfg: ExecutorConfig) -> ExecutionReport<JacobiState> {
+    let storage: Arc<dyn StableStorage> = storage.clone();
+    ResilientExecutor::with_storage(cfg, storage).run(&jacobi_app()).expect("jacobi run")
+}
+
+fn jacobi_gate_run(storage: &Arc<MemoryStorage>) -> ExecutionReport<JacobiState> {
+    let cfg = ExecutorConfig::new(u64::from(JACOBI_VIRTUAL), 2.0)
+        .node_mtbf(60.0)
+        .checkpoint_interval(5.0)
+        .checkpoint_cost(0.5)
+        .restart_cost(2.0)
+        .seed(0);
+    jacobi_run(storage, cfg)
+}
+
+fn states_fnv(report: &ExecutionReport<JacobiState>) -> u64 {
+    fnv1a(&redcr_ckpt::to_bytes(&report.final_states).unwrap())
+}
+
+#[test]
+fn jacobi_checkpoint_path_matches_its_capture_and_keeps_two_generations() {
+    let storage = Arc::new(MemoryStorage::new());
+    let report = jacobi_gate_run(&storage);
+    assert_eq!(report.total_virtual_time.to_bits(), JACOBI_TOTAL_BITS);
+    assert_eq!(report.attempts, 3);
+    assert_eq!(report.failures, 2);
+    assert_eq!(report.masked_failures, 7);
+    assert_eq!(report.checkpoints_committed, 3);
+    assert_eq!(report.physical_messages, 3626);
+    assert_eq!(report.physical_bytes, 49_488);
+    assert_eq!(states_fnv(&report), JACOBI_STATES_FNV);
+    // Eleven generations were committed over the three attempts; the
+    // newest two are left.
+    let keys = storage.list().unwrap();
+    assert!(keys.len() <= 2 * JACOBI_VIRTUAL as usize, "{} images kept: {keys:?}", keys.len());
+    let newest = latest_complete(storage.as_ref(), JACOBI_VIRTUAL).unwrap().expect("a generation");
+    assert_eq!(newest, 10);
+    assert!(keys.iter().all(|k| k.seq + 1 >= newest), "{keys:?}");
+}
+
+#[test]
+fn a_torn_newest_generation_resumes_from_the_one_before() {
+    let storage = Arc::new(MemoryStorage::new());
+    jacobi_gate_run(&storage);
+    let newest = latest_complete(storage.as_ref(), JACOBI_VIRTUAL).unwrap().expect("a generation");
+    storage.delete(SnapshotKey::new(newest, 1)).unwrap();
+    assert_eq!(latest_complete(storage.as_ref(), JACOBI_VIRTUAL).unwrap(), Some(newest - 1));
+
+    // A failure-free restart of the same job from what storage holds.
+    let cfg = ExecutorConfig::new(u64::from(JACOBI_VIRTUAL), 2.0).tracing(true);
+    let report = jacobi_run(&storage, cfg);
+    let trace = report.trace.as_ref().expect("tracing was on");
+    let restored: Vec<u64> = trace
+        .events()
+        .filter_map(|e| match e.kind {
+            EventKind::Restore { seq, .. } => Some(seq),
+            _ => None,
+        })
+        .collect();
+    assert!(!restored.is_empty() && restored.iter().all(|&seq| seq == newest - 1), "{restored:?}");
+    assert_eq!(states_fnv(&report), JACOBI_STATES_FNV, "the solve finishes as it did");
 }

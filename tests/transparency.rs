@@ -239,17 +239,17 @@ proptest! {
         prop_assert_eq!(from_bytes::<JacobiState>(&to_bytes(&jacobi).unwrap()).unwrap(), jacobi);
         let ep = EpState { batch: iter, inside: rho.to_bits(), total: u64::MAX - iter };
         prop_assert_eq!(from_bytes::<EpState>(&to_bytes(&ep).unwrap()).unwrap(), ep);
-        let image = ProcessImage::capture_with(7, rho, &state, &ExclusionSet::new(), true)
-            .unwrap()
-            .with_channel_state(vec![
-                ChannelMessage { src: 3, tag: iter, payload: bytes },
-                ChannelMessage { src: 0, tag: u64::MAX, payload: Vec::new() },
-            ]);
-        prop_assert!(image.compressed);
-        let stored = image.to_stored_bytes().unwrap();
+        let channel = vec![
+            ChannelMessage { src: 3, tag: iter, payload: bytes },
+            ChannelMessage { src: 0, tag: u64::MAX, payload: Vec::new() },
+        ];
+        let stored = ProcessImage::write(7, rho, &state, &ExclusionSet::new(), true, &channel);
         let back = ProcessImage::from_stored_bytes(&stored).unwrap();
+        prop_assert_eq!((back.rank, back.virtual_time.to_bits()), (7, rho.to_bits()));
+        prop_assert!(back.compressed);
         prop_assert_eq!(back.restore::<redcr::apps::cg::CgState>().unwrap(), state);
-        prop_assert_eq!(back, image);
+        prop_assert_eq!(&back.channel_state, &channel);
+        prop_assert_eq!(back.to_stored_bytes().unwrap(), stored);
     }
 
     /// RLE compression is lossless for arbitrary byte strings.

@@ -130,11 +130,7 @@ impl CgSolver {
         debug_assert_eq!(state.p.len(), hi - lo);
 
         // 1. Assemble the full search direction p (irregular exchange).
-        let parts = comm.allgather(datatype::f64s_to_bytes(&state.p))?;
-        let mut p_full = Vec::with_capacity(n);
-        for part in &parts {
-            p_full.extend(datatype::decode_f64s(part)?);
-        }
+        let p_full = allgather_f64s(comm, &state.p, n)?;
         debug_assert_eq!(p_full.len(), n);
 
         // 2. Local sparse matvec q = A p over the owned rows.
@@ -195,15 +191,23 @@ impl CgSolver {
     ///
     /// Propagates runtime errors (abort).
     pub fn verify<C: Communicator>(&self, comm: &C, state: &CgState) -> Result<f64> {
-        let parts = comm.allgather(datatype::f64s_to_bytes(&state.x))?;
-        let mut x_full = Vec::with_capacity(self.config.n);
-        for part in &parts {
-            x_full.extend(datatype::decode_f64s(part)?);
-        }
+        let x_full = allgather_f64s(comm, &state.x, self.config.n)?;
         let (ax, _) = self.matrix.matvec_block(&x_full, 0, self.config.n);
         let err = ax.iter().map(|v| (v - 1.0).abs()).fold(0.0, f64::max);
         Ok(err)
     }
+}
+
+/// Gathers every rank's `block` into the full vector of length `n`:
+/// one allgather, decoded straight from the broadcast bytes into one
+/// allocation.
+fn allgather_f64s<C: Communicator>(comm: &C, block: &[f64], n: usize) -> Result<Vec<f64>> {
+    let parts = comm.allgather(datatype::f64s_to_bytes(block))?;
+    let mut full = Vec::with_capacity(n);
+    for part in &parts {
+        datatype::extend_f64s(&mut full, part)?;
+    }
+    Ok(full)
 }
 
 #[cfg(test)]

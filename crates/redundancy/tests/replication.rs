@@ -2,7 +2,7 @@
 //! amplification, partial redundancy, voting, wildcard protocol.
 
 use bytes::Bytes;
-use redcr_mpi::collectives::ReduceOp;
+use redcr_mpi::collectives::{Gathered, ReduceOp};
 use redcr_mpi::{Communicator, CostModel, Rank, RankSelector, Tag, TagSelector};
 use redcr_red::{ReplicatedWorld, VotingMode};
 
@@ -116,10 +116,11 @@ fn collectives_work_under_partial_redundancy() {
                 let me = comm.rank().index() as f64;
                 let sum = comm.allreduce_f64(&[me], ReduceOp::Sum)?;
                 assert_eq!(sum[0], 28.0);
-                let parts = comm.allgather(Bytes::from(vec![comm.rank().index() as u8]))?;
+                let parts: Gathered =
+                    comm.allgather(Bytes::from(vec![comm.rank().index() as u8]))?;
                 assert_eq!(parts.len(), 8);
                 for (i, p) in parts.iter().enumerate() {
-                    assert_eq!(p[0] as usize, i);
+                    assert_eq!(p, [i as u8]);
                 }
                 comm.barrier()?;
                 Ok(())

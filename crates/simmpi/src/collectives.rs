@@ -128,39 +128,97 @@ pub fn frame_parts(parts: &[Bytes]) -> Bytes {
     Bytes::from(out)
 }
 
-/// Inverse of [`frame_parts`].
-///
-/// # Errors
-///
-/// Returns [`MpiError::DecodeError`] on malformed framing.
-pub fn unframe_parts(buf: &Bytes) -> Result<Vec<Bytes>> {
-    let err = || MpiError::DecodeError { what: "framed parts" };
-    let mut offset = 0usize;
-    let take8 = |offset: &mut usize| -> Result<u64> {
-        let end = offset.checked_add(8).ok_or_else(err)?;
-        if end > buf.len() {
+/// The parts of one [`frame_parts`] buffer, read in place: what
+/// [`allgather`](crate::Communicator::allgather) returns. Every part is a
+/// borrowed `&[u8]` into the one broadcast buffer, so reading n parts
+/// allocates nothing and touches no reference count.
+#[derive(Debug)]
+pub struct Gathered {
+    buf: Bytes,
+    count: usize,
+}
+
+impl Gathered {
+    /// Inverse of [`frame_parts`]: walks the frame once and checks it. The
+    /// header's part count sizes nothing; a count the body cannot hold
+    /// fails when the body runs out.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MpiError::DecodeError`] on malformed framing.
+    pub fn unframe(buf: Bytes) -> Result<Self> {
+        let err = || MpiError::DecodeError { what: "framed parts" };
+        let (count, mut rest) = buf.split_first_chunk::<8>().ok_or_else(err)?;
+        let count = u64::from_le_bytes(*count);
+        for _ in 0..count {
+            (_, rest) = split_part(rest).ok_or_else(err)?;
+        }
+        if !rest.is_empty() {
             return Err(err());
         }
-        // detlint::allow(R4, reason = "infallible: the slice is exactly 8 bytes, bounds-checked against buf.len() just above")
-        let v = u64::from_le_bytes(buf[*offset..end].try_into().expect("8 bytes"));
-        *offset = end;
-        Ok(v)
-    };
-    let count = take8(&mut offset)? as usize;
-    let mut parts = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        let len = take8(&mut offset)? as usize;
-        let end = offset.checked_add(len).ok_or_else(err)?;
-        if end > buf.len() {
-            return Err(err());
+        // Every part took at least its 8-byte length out of `buf`, so the
+        // count fits.
+        Ok(Gathered { buf, count: count as usize })
+    }
+
+    /// Number of parts (the communicator's size, for an allgather).
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether there are no parts.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The parts, in rank order.
+    pub fn iter(&self) -> Parts<'_> {
+        Parts { rest: &self.buf[8..], left: self.count }
+    }
+}
+
+impl<'a> IntoIterator for &'a Gathered {
+    type Item = &'a [u8];
+    type IntoIter = Parts<'a>;
+
+    fn into_iter(self) -> Parts<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the parts of a [`Gathered`].
+#[derive(Debug, Clone)]
+pub struct Parts<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for Parts<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.left == 0 {
+            return None;
         }
-        parts.push(buf.slice(offset..end));
-        offset = end;
+        // `Gathered::unframe` checked every length, so this never fails.
+        let (part, rest) = split_part(self.rest)?;
+        self.rest = rest;
+        self.left -= 1;
+        Some(part)
     }
-    if offset != buf.len() {
-        return Err(err());
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
-    Ok(parts)
+}
+
+impl ExactSizeIterator for Parts<'_> {}
+
+/// Splits one length-prefixed part off the front of `frame`: `(part,
+/// rest)`, or `None` if the prefix or the part runs past the end.
+fn split_part(frame: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (len, rest) = frame.split_first_chunk::<8>()?;
+    rest.split_at_checked(usize::try_from(u64::from_le_bytes(*len)).ok()?)
 }
 
 #[cfg(test)]
@@ -192,26 +250,42 @@ mod tests {
     #[test]
     fn frame_round_trip() {
         let parts = vec![Bytes::from_static(b"a"), Bytes::new(), Bytes::from_static(b"hello")];
-        let framed = frame_parts(&parts);
-        let back = unframe_parts(&framed).unwrap();
-        assert_eq!(back, parts);
+        let back = Gathered::unframe(frame_parts(&parts)).unwrap();
+        assert_eq!(back.len(), 3);
+        assert_eq!(back.iter().len(), 3);
+        assert!(back.iter().eq(parts.iter().map(|p| &p[..])));
     }
 
     #[test]
     fn frame_empty_list() {
-        let framed = frame_parts(&[]);
-        assert!(unframe_parts(&framed).unwrap().is_empty());
+        let back = Gathered::unframe(frame_parts(&[])).unwrap();
+        assert!(back.is_empty());
+        assert_eq!(back.iter().next(), None);
+    }
+
+    fn rejected(buf: Vec<u8>) -> bool {
+        matches!(Gathered::unframe(Bytes::from(buf)), Err(MpiError::DecodeError { .. }))
     }
 
     #[test]
     fn unframe_rejects_garbage() {
-        assert!(unframe_parts(&Bytes::from_static(b"abc")).is_err());
+        assert!(rejected(b"abc".to_vec()));
         // Count says 1 part but no length follows.
-        let framed = Bytes::from(1u64.to_le_bytes().to_vec());
-        assert!(unframe_parts(&framed).is_err());
+        assert!(rejected(1u64.to_le_bytes().to_vec()));
         // Trailing junk.
         let mut buf = frame_parts(&[Bytes::from_static(b"x")]).to_vec();
         buf.push(0);
-        assert!(unframe_parts(&Bytes::from(buf)).is_err());
+        assert!(rejected(buf));
+        // A part longer than what is left.
+        let mut buf = frame_parts(&[Bytes::from_static(b"xy")]).to_vec();
+        buf.pop();
+        assert!(rejected(buf));
+        // A length no slice can have.
+        assert!(rejected([1u64.to_le_bytes(), u64::MAX.to_le_bytes()].concat()));
+        // Huge counts over an 8-byte body: one empty part, then the body
+        // runs out. Nothing is reserved for the parts the header claims.
+        for count in [1u64 << 20, u64::MAX] {
+            assert!(rejected([count.to_le_bytes(), 0u64.to_le_bytes()].concat()), "count {count}");
+        }
     }
 }

@@ -129,12 +129,11 @@ impl Comm {
         let all = self.allgather(Bytes::from(my))?;
         let mut members: Vec<(u64, u32)> = Vec::new();
         for part in &all {
-            let vals = crate::datatype::decode_u64s(part)?;
-            if vals.len() != 3 {
+            let (&[c, k, r], []) = part.as_chunks::<8>() else {
                 return Err(MpiError::CollectiveMismatch { what: "split exchange payload" });
-            }
-            if vals[0] == color {
-                members.push((vals[1], vals[2] as u32));
+            };
+            if u64::from_le_bytes(c) == color {
+                members.push((u64::from_le_bytes(k), u64::from_le_bytes(r) as u32));
             }
         }
         members.sort_unstable();

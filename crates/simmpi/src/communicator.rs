@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 
-use crate::collectives::{frame_parts, unframe_parts, ReduceOp};
+use crate::collectives::{frame_parts, Gathered, ReduceOp};
 use crate::datatype;
 use crate::error::Result;
 use crate::message::Status;
@@ -544,12 +544,15 @@ pub trait Communicator {
     }
 
     /// All-gather: every rank returns all ranks' payloads in rank order
-    /// (gather to 0 + broadcast of the framed parts).
+    /// (gather to 0 + broadcast of the framed parts). The parts are read in
+    /// place from the one broadcast buffer: see [`Gathered`].
     ///
     /// # Errors
     ///
-    /// Returns an error if the run aborted.
-    fn allgather(&self, data: Bytes) -> Result<Vec<Bytes>>
+    /// Returns an error if the run aborted, or
+    /// [`MpiError::DecodeError`](crate::MpiError::DecodeError) if the
+    /// broadcast frame is malformed.
+    fn allgather(&self, data: Bytes) -> Result<Gathered>
     where
         Self: Sized,
     {
@@ -559,8 +562,7 @@ pub trait Communicator {
             Some(parts) => frame_parts(&parts),
             None => Bytes::new(),
         };
-        let out = self.bcast(root, framed)?;
-        unframe_parts(&out)
+        Gathered::unframe(self.bcast(root, framed)?)
     }
 
     /// Scatters `parts` from `root` (only the root's `parts` is consulted;

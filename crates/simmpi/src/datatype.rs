@@ -60,14 +60,31 @@ pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
 ///
 /// Returns [`MpiError::DecodeError`] if the length is not a multiple of 8.
 pub fn decode_f64s(bytes: &[u8]) -> Result<Vec<f64>> {
+    let mut out = Vec::with_capacity(bytes.len() / 8);
+    extend_f64s(&mut out, bytes)?;
+    Ok(out)
+}
+
+/// [`decode_f64s`] appending to `out` instead of returning a new vector:
+/// the decode-into counterpart of
+/// [`ReduceOp::fold_f64_bytes`](crate::collectives::ReduceOp::fold_f64_bytes),
+/// for assembling one vector from the parts of an allgather.
+///
+/// # Errors
+///
+/// Returns [`MpiError::DecodeError`] if the length is not a multiple of 8;
+/// `out` is then unchanged.
+pub fn extend_f64s(out: &mut Vec<f64>, bytes: &[u8]) -> Result<()> {
     if !bytes.len().is_multiple_of(8) {
         return Err(MpiError::DecodeError { what: "f64 slice" });
     }
-    Ok(bytes
-        .chunks_exact(8)
-        // detlint::allow(R4, reason = "infallible: chunks_exact(8) yields exactly 8-byte slices")
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect())
+    out.extend(
+        bytes
+            .chunks_exact(8)
+            // detlint::allow(R4, reason = "infallible: chunks_exact(8) yields exactly 8-byte slices")
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8"))),
+    );
+    Ok(())
 }
 
 /// Encodes a slice of `u64` as little-endian bytes.
@@ -132,6 +149,15 @@ mod tests {
         assert!(decode_f64s(&[0u8; 7]).is_err());
         assert!(decode_u64s(&[0u8; 9]).is_err());
         assert!(decode_u64(&[0u8; 16]).is_err());
+    }
+
+    #[test]
+    fn extend_appends_and_leaves_out_alone_on_error() {
+        let mut out = vec![1.0];
+        extend_f64s(&mut out, &encode_f64s(&[2.0, 3.0])).unwrap();
+        assert_eq!(out, vec![1.0, 2.0, 3.0]);
+        assert!(extend_f64s(&mut out, &[0u8; 12]).is_err());
+        assert_eq!(out, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

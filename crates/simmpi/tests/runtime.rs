@@ -2,7 +2,7 @@
 //! collectives, virtual-time accounting, sub-communicators and aborts.
 
 use bytes::Bytes;
-use redcr_mpi::collectives::ReduceOp;
+use redcr_mpi::collectives::{Gathered, ReduceOp};
 use redcr_mpi::{Communicator, CostModel, MpiError, Rank, RankSelector, Tag, TagSelector, World};
 
 fn tag(v: u64) -> Tag {
@@ -273,8 +273,10 @@ fn allgather_returns_rank_ordered_parts() {
         .cost_model(CostModel::zero())
         .run(|comm| {
             let me = comm.rank().index() as u8;
-            let parts = comm.allgather(Bytes::from(vec![me]))?;
-            Ok(parts.iter().map(|p| p[0]).collect::<Vec<u8>>())
+            let parts: Gathered = comm.allgather(Bytes::from(vec![me]))?;
+            assert_eq!(parts.len(), n);
+            assert_eq!(parts.iter().len(), n);
+            Ok(parts.iter().map(|p: &[u8]| p[0]).collect::<Vec<u8>>())
         })
         .unwrap();
     for r in report.into_results().unwrap() {

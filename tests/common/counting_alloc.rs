@@ -1,6 +1,6 @@
 //! The counting `#[global_allocator]` of the memory tests
 //! (`tests/metrics_memory.rs`, `tests/trace_memory.rs`,
-//! `tests/ckpt_memory.rs`): each includes this
+//! `tests/ckpt_memory.rs`, `tests/allgather_memory.rs`): each includes this
 //! file by `#[path]` and installs [`Counting`] for its own binary, which
 //! holds one test so that nothing else allocates while it counts.
 
@@ -13,14 +13,24 @@ pub const MMAP_THRESHOLD: usize = 128 * 1024;
 
 /// Bytes requested from the allocator so far, on every thread.
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
+/// Allocations (`alloc` and `realloc` calls) so far, on every thread.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Single requests above [`MMAP_THRESHOLD`] so far.
 static LARGE_REQUESTS: AtomicU64 = AtomicU64::new(0);
 /// The size of the latest of them.
 static LAST_LARGE: AtomicU64 = AtomicU64::new(0);
 
 /// `(bytes requested, requests above the threshold)` so far.
+#[allow(dead_code)] // not every binary that includes this file asks
 pub fn requested() -> (u64, u64) {
     (REQUESTED.load(Ordering::Relaxed), LARGE_REQUESTS.load(Ordering::Relaxed))
+}
+
+/// Allocations so far: every `alloc`, and every `realloc` (a `Vec` that
+/// grows in place still costs an allocator call).
+#[allow(dead_code)] // not every binary that includes this file asks
+pub fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 /// The size of the latest request above the threshold (0 before any).
@@ -30,6 +40,7 @@ pub fn last_large_request() -> u64 {
 }
 
 fn count(grown_by: usize, size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     REQUESTED.fetch_add(grown_by as u64, Ordering::Relaxed);
     if size > MMAP_THRESHOLD {
         LARGE_REQUESTS.fetch_add(1, Ordering::Relaxed);

@@ -1,12 +1,12 @@
-//! Checkpoint compression (paper Section 2, "checkpoint compression"):
-//! reduces checkpoint latency by shrinking process images before they hit
-//! stable storage.
+//! Checkpoint compression (paper Section 2, "checkpoint compression"): a
+//! way to cut checkpoint latency by shrinking process images before they
+//! hit stable storage. The checkpoint path does not use it; stored images
+//! hold the state uncompressed.
 //!
 //! The codec here is a byte-oriented run-length scheme tuned for process
-//! images, which are dominated by long zero runs (untouched allocations,
-//! excluded regions — see [`crate::exclusion`]). Literal stretches are
-//! copied verbatim with a length prefix, so incompressible data costs only
-//! ~1/127 overhead.
+//! images, which are dominated by long zero runs (untouched allocations).
+//! Literal stretches are copied verbatim with a length prefix, so
+//! incompressible data costs only ~1/127 overhead.
 //!
 //! Wire format: a sequence of blocks, each starting with a control byte
 //! `c`: `c >= 0x80` ⇒ a run of `c - 0x7d` (3..=130) copies of the next
@@ -27,7 +27,6 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 
     let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, data: &[u8]| {
         let mut start = from;
-        // detlint::allow(R10, reason = "bounded CPU loop: start advances by at least one chunk per iteration toward a fixed `to`; encoding a snapshot is finite work charged to the checkpoint, not a wait")
         while start < to {
             let chunk = (to - start).min(MAX_LITERAL);
             out.push((chunk - 1) as u8);
@@ -36,12 +35,10 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         }
     };
 
-    // detlint::allow(R10, reason = "bounded CPU loop: i strictly advances to data.len(); RLE encoding is finite per-snapshot work, not a wait")
     while i < data.len() {
         // Measure the run starting at i.
         let b = data[i];
         let mut run = 1;
-        // detlint::allow(R10, reason = "bounded CPU loop: run grows to at most MAX_RUN or the end of data")
         while i + run < data.len() && data[i + run] == b && run < MAX_RUN {
             run += 1;
         }

@@ -7,33 +7,11 @@ use std::sync::Arc;
 use redcr_mpi::Communicator;
 
 use crate::bookmark;
-use crate::chandy_lamport;
 use crate::codec::{Decode, Encode};
 use crate::counting::CountingComm;
-use crate::exclusion::ExclusionSet;
 use crate::snapshot::{ChannelMessage, ProcessImage};
 use crate::storage::{SnapshotKey, StableStorage, StorageCostModel};
 use crate::Result;
-
-/// Tag bit reserved by the replication layer
-/// ([`redcr_red`-internal envelope traffic]); checkpoint markers must never
-/// collide with it.
-pub const REPLICATION_TAG_BIT: u64 = 1 << 45;
-
-/// Which coordination protocol establishes the consistent cut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CoordinationProtocol {
-    /// Open MPI-style all-to-all bookmark exchange (the paper's platform
-    /// default).
-    #[default]
-    Bookmark,
-    /// Chandy–Lamport marker protocol.
-    ChandyLamport,
-    /// No protocol: the application guarantees it checkpoints at a
-    /// quiescent point (no user messages in flight). Cheapest; wrong if the
-    /// guarantee is violated.
-    AppQuiesced,
-}
 
 /// Receipt describing one completed coordinated checkpoint (per rank).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,77 +38,22 @@ pub struct Restored<T> {
     pub cost_seconds: f64,
 }
 
-/// How the image write is overlapped with execution.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum WriteMode {
-    /// Stop-and-write: the full write cost is charged to the application's
-    /// virtual clock (BLCR's default behaviour; what the paper's `c`
-    /// measures).
-    #[default]
-    Synchronous,
-    /// Forked checkpointing (paper Section 2): a copy-on-write child writes
-    /// the image while the parent resumes; only the brief fork/quiesce stop
-    /// (seconds) is charged to the application. The write still happens —
-    /// the checkpoint only commits (barrier) after it — but its cost is
-    /// hidden from the compute timeline.
-    Forked {
-        /// Virtual seconds the application is stopped for the fork.
-        stop_seconds: f64,
-    },
-}
-
 /// Coordinates checkpoints of a whole communicator onto stable storage.
 #[derive(Debug, Clone)]
 pub struct CheckpointCoordinator {
     storage: Arc<dyn StableStorage>,
     cost: StorageCostModel,
-    protocol: CoordinationProtocol,
-    write_mode: WriteMode,
-    compress: bool,
-    exclusions: ExclusionSet,
 }
 
 impl CheckpointCoordinator {
-    /// A coordinator writing to `storage` with zero storage cost, the
-    /// bookmark protocol, and no compression/exclusion.
+    /// A coordinator writing to `storage` with zero storage cost.
     pub fn new(storage: Arc<dyn StableStorage>) -> Self {
-        CheckpointCoordinator {
-            storage,
-            cost: StorageCostModel::zero(),
-            protocol: CoordinationProtocol::default(),
-            write_mode: WriteMode::default(),
-            compress: false,
-            exclusions: ExclusionSet::new(),
-        }
+        CheckpointCoordinator { storage, cost: StorageCostModel::zero() }
     }
 
     /// Sets the storage cost model.
     pub fn cost_model(mut self, cost: StorageCostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Sets the coordination protocol.
-    pub fn protocol(mut self, protocol: CoordinationProtocol) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Sets the write mode (synchronous or forked).
-    pub fn write_mode(mut self, mode: WriteMode) -> Self {
-        self.write_mode = mode;
-        self
-    }
-
-    /// Enables RLE compression of application state.
-    pub fn compressed(mut self, on: bool) -> Self {
-        self.compress = on;
-        self
-    }
-
-    /// Sets memory-exclusion regions applied to the serialized state.
-    pub fn exclusions(mut self, exclusions: ExclusionSet) -> Self {
-        self.exclusions = exclusions;
         self
     }
 
@@ -166,9 +89,10 @@ impl CheckpointCoordinator {
     /// as [`Restored::cut_time`]; every caller that stores under one key
     /// must pass the same value, or which image survives is a race.
     ///
-    /// The write cost is charged to the rank's virtual clock, then a
-    /// barrier commits the checkpoint (matching the synchronous semantics
-    /// of the paper's BLCR-based service).
+    /// One fixed sequence, as in the paper's Open MPI service: the bookmark
+    /// quiesce, the image write, the write cost charged to the rank's
+    /// virtual clock, the store, and a barrier that commits the checkpoint
+    /// (BLCR's synchronous write).
     ///
     /// # Errors
     ///
@@ -188,26 +112,18 @@ impl CheckpointCoordinator {
         let obs = comm.obs();
         let begin = comm.now();
         obs.event(begin, redcr_mpi::trace::EventKind::CheckpointBegin { seq });
-        let channel = match self.protocol {
-            CoordinationProtocol::Bookmark => bookmark::quiesce(comm)?,
-            CoordinationProtocol::ChandyLamport => chandy_lamport::snapshot(comm, seq)?,
-            CoordinationProtocol::AppQuiesced => comm.channel_state(),
-        };
+        let channel = bookmark::quiesce(comm)?;
         let channel_messages = channel.len();
-        // Wall-clock span over the real serialization work (encoding,
-        // exclusions, compression, framing) — the part of a checkpoint the
-        // simulator actually pays for on the host, as opposed to the
-        // modeled virtual write cost charged below.
+        // Wall-clock span over the real serialization work (encoding and
+        // framing) — the part of a checkpoint the simulator actually pays
+        // for on the host, as opposed to the modeled virtual write cost
+        // charged below.
         let encode_span = obs.span(redcr_mpi::prof::SpanKey::CheckpointEncode);
         let rank = comm.rank().as_u32();
-        let bytes =
-            ProcessImage::write(rank, cut, state, &self.exclusions, self.compress, &channel);
+        let bytes = ProcessImage::write(rank, cut, state, &channel);
         drop(encode_span);
         let stored_bytes = bytes.len();
-        let cost = match self.write_mode {
-            WriteMode::Synchronous => self.cost.write_cost(stored_bytes),
-            WriteMode::Forked { stop_seconds } => stop_seconds,
-        };
+        let cost = self.cost.write_cost(stored_bytes);
         let commit_span = obs.span(redcr_mpi::prof::SpanKey::CheckpointCommit);
         comm.compute(cost)?;
         self.storage.store(SnapshotKey::new(seq, rank), &bytes)?;
@@ -346,82 +262,6 @@ mod tests {
             .unwrap()
             .into_results()
             .unwrap();
-    }
-
-    #[test]
-    fn all_protocols_produce_equivalent_cuts_at_quiescent_points() {
-        for protocol in [
-            CoordinationProtocol::Bookmark,
-            CoordinationProtocol::ChandyLamport,
-            CoordinationProtocol::AppQuiesced,
-        ] {
-            let storage: Arc<dyn StableStorage> = Arc::new(MemoryStorage::new());
-            let coord = CheckpointCoordinator::new(Arc::clone(&storage)).protocol(protocol);
-            World::builder(4)
-                .cost_model(CostModel::zero())
-                .run(move |base| {
-                    let comm = CountingComm::new(base);
-                    // Fully matched traffic, then checkpoint.
-                    let peer = comm.rank().offset(1, 4);
-                    let prev = comm.rank().offset(-1, 4);
-                    comm.send(peer, Tag::new(1), b"x")?;
-                    comm.recv(prev.into(), Tag::new(1).into())?;
-                    let receipt = coord.checkpoint(&comm, 2, &comm.rank().as_u32()).unwrap();
-                    assert_eq!(receipt.channel_messages, 0, "{protocol:?}");
-                    Ok(())
-                })
-                .unwrap()
-                .into_results()
-                .unwrap();
-            assert_eq!(storage.list().unwrap().len(), 4, "{protocol:?}");
-        }
-    }
-
-    #[test]
-    fn compression_and_exclusion_applied() {
-        let storage: Arc<dyn StableStorage> = Arc::new(MemoryStorage::new());
-        let coord = CheckpointCoordinator::new(Arc::clone(&storage)).compressed(true);
-        World::builder(1)
-            .cost_model(CostModel::zero())
-            .run(move |base| {
-                let comm = CountingComm::new(base);
-                let state = State { iter: 1, data: vec![0.0; 10_000] };
-                let receipt = coord.checkpoint(&comm, 0, &state).unwrap();
-                assert!(receipt.stored_bytes < 2_000, "zeros compress: {}", receipt.stored_bytes);
-                let restored: Restored<State> = coord.restore(comm.inner(), 0).unwrap();
-                assert_eq!(restored.state, state);
-                Ok(())
-            })
-            .unwrap()
-            .into_results()
-            .unwrap();
-    }
-
-    #[test]
-    fn forked_mode_hides_write_cost() {
-        let storage: Arc<dyn StableStorage> = Arc::new(MemoryStorage::new());
-        let sync_coord = CheckpointCoordinator::new(Arc::clone(&storage))
-            .cost_model(StorageCostModel::fixed(120.0, 500.0));
-        let forked_coord = CheckpointCoordinator::new(Arc::clone(&storage))
-            .cost_model(StorageCostModel::fixed(120.0, 500.0))
-            .write_mode(WriteMode::Forked { stop_seconds: 2.0 });
-        let report = World::builder(1)
-            .cost_model(CostModel::zero())
-            .run(move |base| {
-                let comm = CountingComm::new(base);
-                let sync_receipt = sync_coord.checkpoint(&comm, 0, &1u64).unwrap();
-                let after_sync = comm.now();
-                let forked_receipt = forked_coord.checkpoint(&comm, 1, &1u64).unwrap();
-                let after_forked = comm.now();
-                assert_eq!(sync_receipt.cost_seconds, 120.0);
-                assert_eq!(forked_receipt.cost_seconds, 2.0);
-                assert!((after_forked - after_sync - 2.0).abs() < 1e-9);
-                Ok(())
-            })
-            .unwrap();
-        report.into_results().unwrap();
-        // Both images are durably stored regardless of mode.
-        assert_eq!(storage.list().unwrap().len(), 2);
     }
 
     #[test]

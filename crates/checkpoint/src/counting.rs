@@ -4,7 +4,7 @@
 //! Open MPI's checkpoint service tracks "all messages moving in and out of
 //! the point-to-point stack" (paper Section 2). [`CountingComm`] does the
 //! same for our runtime: it counts user-namespace messages per peer, and
-//! keeps a *stash* of messages that a coordination protocol drained from
+//! keeps a *stash* of messages that the bookmark quiesce drained from
 //! the transport before they were matched by the application. Subsequent
 //! application receives consume the stash first, so draining is invisible
 //! to the application — and the stash is exactly the **channel state** a
@@ -80,14 +80,13 @@ impl<'a, C: Communicator> CountingComm<'a, C> {
     }
 
     /// Receives one user message directly from the transport (bypassing the
-    /// stash) and appends it to the stash. Used by coordination protocols
-    /// to drain in-flight traffic. Returns the source rank, or the full
-    /// status for marker inspection.
+    /// stash) and appends it to the stash. Used by the bookmark quiesce to
+    /// drain in-flight traffic.
     ///
     /// # Errors
     ///
     /// Propagates transport errors (e.g. abort).
-    pub fn drain_one(&self) -> Result<Status> {
+    pub fn drain_one(&self) -> Result<()> {
         let (bytes, status) =
             self.inner.recv_ns(RankSelector::Any, TagSelector::Any, Namespace::User)?;
         self.drains.set(self.drains.get() + 1);
@@ -97,20 +96,7 @@ impl<'a, C: Communicator> CountingComm<'a, C> {
             tag: status.tag.value(),
             payload: bytes.to_vec(),
         });
-        Ok(status)
-    }
-
-    /// Removes the most recently drained message from the stash (used by
-    /// protocols that must not stash control markers).
-    pub(crate) fn unstash_last(&self) -> Option<ChannelMessage> {
-        let msg = self.stash.borrow_mut().pop_back();
-        if let Some(m) = &msg {
-            // The marker was counted as a received user message by
-            // drain_one; control traffic must not perturb the bookmark
-            // totals, so undo the count.
-            self.recvd_from.borrow_mut()[m.src as usize] -= 1;
-        }
-        msg
+        Ok(())
     }
 
     /// Position of the oldest stashed message matching `src`/`tag`.

@@ -20,26 +20,21 @@
 //! * [`bookmark`] — the all-to-all *bookmark exchange* quiesce protocol
 //!   used by Open MPI: ranks exchange per-peer send totals and drain until
 //!   the totals equalize.
-//! * [`chandy_lamport`] — the classic distributed-snapshot marker protocol
-//!   as the alternative coordination strategy.
 //! * [`incremental`] — page-level incremental checkpoints with full-image
-//!   reconstruction.
-//! * [`compress`] — run-length checkpoint compression.
-//! * [`exclusion`] — memory-exclusion regions (skip scratch buffers).
-//! * [`coordinator`] — ties it together: quiesce, snapshot, store, and
-//!   charge the checkpoint cost to virtual time.
+//!   reconstruction (not on the checkpoint path).
+//! * [`compress`] — run-length compression (not on the checkpoint path).
+//! * [`coordinator`] — ties it together: quiesce, write the image, charge
+//!   the checkpoint cost to virtual time, store and commit.
 //! * [`restart`] — locating and loading the latest complete checkpoint.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bookmark;
-pub mod chandy_lamport;
 pub mod codec;
 pub mod compress;
 pub mod coordinator;
 pub mod counting;
-pub mod exclusion;
 pub mod incremental;
 pub mod restart;
 pub mod snapshot;
@@ -48,7 +43,7 @@ pub mod storage;
 mod error;
 
 pub use codec::{from_bytes, to_bytes};
-pub use coordinator::{CheckpointCoordinator, CoordinationProtocol, WriteMode};
+pub use coordinator::CheckpointCoordinator;
 pub use counting::CountingComm;
 pub use error::CkptError;
 pub use snapshot::ProcessImage;

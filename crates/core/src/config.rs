@@ -1,6 +1,5 @@
 //! Executor configuration.
 
-use redcr_ckpt::coordinator::CoordinationProtocol;
 use redcr_mpi::CostModel;
 use redcr_red::{HealPolicy, VotingMode};
 
@@ -25,8 +24,6 @@ pub struct ExecutorConfig {
     pub comm_cost: CostModel,
     /// Replication voting mode.
     pub voting: VotingMode,
-    /// Checkpoint coordination protocol.
-    pub protocol: CoordinationProtocol,
     /// Failure injector seed.
     pub seed: u64,
     /// Attempt budget before giving up.
@@ -90,8 +87,8 @@ pub struct ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// A configuration with sensible defaults: all-to-all voting, bookmark
-    /// coordination, zero-cost communication, seed 0, 10 000 attempts.
+    /// A configuration with sensible defaults: all-to-all voting,
+    /// zero-cost communication, seed 0, 10 000 attempts.
     pub fn new(n_virtual: u64, degree: f64) -> Self {
         ExecutorConfig {
             n_virtual,
@@ -102,7 +99,6 @@ impl ExecutorConfig {
             restart_cost: 0.0,
             comm_cost: CostModel::zero(),
             voting: VotingMode::AllToAll,
-            protocol: CoordinationProtocol::Bookmark,
             seed: 0,
             max_attempts: 10_000,
             no_progress_limit: 64,
@@ -160,12 +156,6 @@ impl ExecutorConfig {
     /// Sets the replication voting mode.
     pub fn voting(mut self, voting: VotingMode) -> Self {
         self.voting = voting;
-        self
-    }
-
-    /// Sets the checkpoint coordination protocol.
-    pub fn protocol(mut self, protocol: CoordinationProtocol) -> Self {
-        self.protocol = protocol;
         self
     }
 

@@ -30,7 +30,6 @@ use std::sync::Arc;
 
 use redcr_ckpt::codec::{Decode, Encode};
 use redcr_ckpt::coordinator::CheckpointCoordinator;
-use redcr_ckpt::exclusion::ExclusionSet;
 use redcr_ckpt::restart;
 use redcr_ckpt::snapshot::ProcessImage;
 use redcr_ckpt::storage::{MemoryStorage, StableStorage, StorageCostModel};
@@ -172,8 +171,7 @@ impl<'a, S: Encode + Send> Job<'a, S> {
         Ok(Job {
             cfg,
             coordinator: CheckpointCoordinator::new(Arc::clone(storage))
-                .cost_model(StorageCostModel::fixed(cfg.checkpoint_cost, cfg.restart_cost))
-                .protocol(cfg.protocol),
+                .cost_model(StorageCostModel::fixed(cfg.checkpoint_cost, cfg.restart_cost)),
             injector: FailureInjector::new(groups, cfg.node_mtbf, cfg.seed),
             spheres,
             driver: sinks.driver(),
@@ -521,8 +519,7 @@ fn donor_images<S: Encode>(
                 what: format!("no live donor replica for virtual rank {v}"),
             }));
         };
-        let bytes =
-            ProcessImage::write(v as u32, boundary, &state, &ExclusionSet::new(), false, &channel);
+        let bytes = ProcessImage::write(v as u32, boundary, &state, &channel);
         if suspects.iter().any(|p| groups.members(v).contains(p)) {
             transfer_bytes += bytes.len() as u64;
         }

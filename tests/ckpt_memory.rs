@@ -5,7 +5,6 @@
 //! One test in this binary, so nothing else allocates while it counts.
 
 use redcr::apps::jacobi::JacobiState;
-use redcr::ckpt::exclusion::ExclusionSet;
 use redcr::ckpt::snapshot::{ChannelMessage, ProcessImage};
 
 #[path = "common/counting_alloc.rs"]
@@ -28,10 +27,8 @@ fn a_stored_image_is_one_allocation_of_its_stored_length() {
     // The per-rank state of `jacobi_ckpt_faulty_w1`: 65 536 points.
     let state = JacobiState { iteration: 3, u: (0..65_536).map(f64::from).collect() };
     let channel = vec![ChannelMessage { src: 1, tag: 7, payload: vec![9; 16] }];
-    let none = ExclusionSet::new();
 
-    let (written, large) =
-        large_requests(|| ProcessImage::write(5, 2.5, &state, &none, false, &channel));
+    let (written, large) = large_requests(|| ProcessImage::write(5, 2.5, &state, &channel));
     assert!(written.len() > MMAP_THRESHOLD);
     assert_eq!(large, 1, "the writer made {large} requests above {MMAP_THRESHOLD} B");
     assert_eq!(last_large_request(), written.len() as u64, "sized to the stored length");

@@ -8,7 +8,6 @@ use proptest::prelude::*;
 use redcr::apps::cg::{CgConfig, CgSolver};
 use redcr::apps::ep::{EpConfig, EpKernel, EpState};
 use redcr::apps::jacobi::JacobiState;
-use redcr::ckpt::exclusion::ExclusionSet;
 use redcr::ckpt::snapshot::{ChannelMessage, ProcessImage};
 use redcr::ckpt::CountingComm;
 use redcr::ckpt::{from_bytes, to_bytes};
@@ -234,7 +233,7 @@ proptest! {
         prop_assert_eq!(back, state);
 
         // The other two kernels' states, and a whole stored image with
-        // channel state and compression on.
+        // channel state.
         let jacobi = JacobiState { iteration: iter, u: xs.clone() };
         prop_assert_eq!(from_bytes::<JacobiState>(&to_bytes(&jacobi).unwrap()).unwrap(), jacobi);
         let ep = EpState { batch: iter, inside: rho.to_bits(), total: u64::MAX - iter };
@@ -243,10 +242,9 @@ proptest! {
             ChannelMessage { src: 3, tag: iter, payload: bytes },
             ChannelMessage { src: 0, tag: u64::MAX, payload: Vec::new() },
         ];
-        let stored = ProcessImage::write(7, rho, &state, &ExclusionSet::new(), true, &channel);
+        let stored = ProcessImage::write(7, rho, &state, &channel);
         let back = ProcessImage::from_stored_bytes(&stored).unwrap();
         prop_assert_eq!((back.rank, back.virtual_time.to_bits()), (7, rho.to_bits()));
-        prop_assert!(back.compressed);
         prop_assert_eq!(back.restore::<redcr::apps::cg::CgState>().unwrap(), state);
         prop_assert_eq!(&back.channel_state, &channel);
         prop_assert_eq!(back.to_stored_bytes().unwrap(), stored);

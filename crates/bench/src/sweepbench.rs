@@ -26,14 +26,14 @@
 use std::path::PathBuf;
 
 use redcr_json::Writer;
-use redcr_model::optimizer::{crossover, optimal_redundancy, throughput_break_even, RGrid};
+use redcr_model::optimizer::{optimal_redundancy, RGrid};
 use redcr_sweep::cache::ResultCache;
 use redcr_sweep::engine::{run_sweep, SweepError, SweepReport};
 use redcr_sweep::pareto::{self, GroupFrontier, ParetoPoint};
 use redcr_sweep::spec::{Backend, ScenarioSpec, SpecPolicy, Workload};
 
 use crate::calib::{self, F13_ALPHA, F13_CHECKPOINT_MINS, F13_RESTART_MINS, T4_SEEDS};
-use crate::fig13_14::{process_grid, CURVE_DEGREES};
+use crate::fig13_14::{find_landmarks, process_grid, Landmarks, CURVE_DEGREES};
 use crate::output::TextTable;
 use crate::paper::constants;
 
@@ -105,11 +105,17 @@ pub fn scaling_workload() -> Workload {
 /// Per-node MTBF of the weak-scaling figures (5 years, hours).
 pub const SCALING_MTBF_HOURS: f64 = 5.0 * 365.0 * 24.0;
 
-/// Per-preset grid sizing: experiment-surface MTBFs and degrees, seeds
-/// per simulator point, and the two weak-scaling sub-grids as
-/// `(max_n, points)`.
+/// The experiment-surface MTBFs of `preset`, hours.
+fn mtbf_grid(preset: SweepPreset) -> &'static [f64] {
+    match preset {
+        SweepPreset::Fig9_14 => &constants::MTBF_HOURS,
+        SweepPreset::Smoke => &[6.0, 12.0],
+    }
+}
+
+/// Per-preset grid sizing: experiment-surface degrees, seeds per simulator
+/// point, and the two weak-scaling sub-grids as `(max_n, points)`.
 struct GridParams {
-    mtbf_grid: &'static [f64],
     degree_grid: Vec<f64>,
     seeds: u32,
     scaling: [(u64, usize); 2],
@@ -118,15 +124,13 @@ struct GridParams {
 /// Builds the submitted scenario batch of `preset` (duplicates included —
 /// dedup is the engine's job).
 pub fn grid(preset: SweepPreset) -> Vec<ScenarioSpec> {
-    let GridParams { mtbf_grid, degree_grid, seeds, scaling } = match preset {
+    let GridParams { degree_grid, seeds, scaling } = match preset {
         SweepPreset::Fig9_14 => GridParams {
-            mtbf_grid: &constants::MTBF_HOURS,
             degree_grid: RGrid::quarter_steps().degrees().to_vec(),
             seeds: T4_SEEDS as u32,
             scaling: [(30_000, 20), (200_000, 24)],
         },
         SweepPreset::Smoke => GridParams {
-            mtbf_grid: &[6.0, 12.0],
             degree_grid: vec![1.0, 2.0, 3.0],
             seeds: 8,
             scaling: [(4_000, 4), (10_000, 5)],
@@ -136,7 +140,7 @@ pub fn grid(preset: SweepPreset) -> Vec<ScenarioSpec> {
     let mut specs = Vec::new();
     // Experiment surface: both backends over MTBF × degree.
     let workload = experiment_workload();
-    for &mtbf in mtbf_grid {
+    for &mtbf in mtbf_grid(preset) {
         for &degree in &degree_grid {
             for backend in [Backend::Model, Backend::Simulator] {
                 specs.push(ScenarioSpec {
@@ -173,31 +177,10 @@ pub fn grid(preset: SweepPreset) -> Vec<ScenarioSpec> {
     specs
 }
 
-/// The optimizer landmarks recorded alongside the grid: scaling
-/// crossovers/break-even plus the model's optimal degree at each
-/// experiment MTBF.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepLandmarks {
-    /// First N where 2x completes no later than 1x.
-    pub cross_1x_2x: Option<u64>,
-    /// First N where 3x completes no later than 1x.
-    pub cross_1x_3x: Option<u64>,
-    /// First N where one 1x job takes at least twice a 2x job.
-    pub throughput_2x: Option<u64>,
-    /// First N where 3x beats 2x.
-    pub triple_best_beyond: Option<u64>,
-    /// `(mtbf_hours, optimal degree)` over the experiment grid.
-    pub optimal_degree_by_mtbf: Vec<(f64, f64)>,
-}
-
-/// Computes the landmarks for `preset`'s MTBF grid.
-pub fn landmarks(preset: SweepPreset) -> SweepLandmarks {
-    let cfg = calib::scaling_config();
-    let mtbf_grid: &[f64] = match preset {
-        SweepPreset::Fig9_14 => &constants::MTBF_HOURS,
-        SweepPreset::Smoke => &[6.0, 12.0],
-    };
-    let optimal_degree_by_mtbf = mtbf_grid
+/// The model's optimal degree at each of `preset`'s experiment MTBFs, as
+/// `(mtbf_hours, degree)`; `NaN` where every degree diverges.
+pub fn optimal_degree_by_mtbf(preset: SweepPreset) -> Vec<(f64, f64)> {
+    mtbf_grid(preset)
         .iter()
         .map(|&mtbf| {
             let degree =
@@ -206,25 +189,21 @@ pub fn landmarks(preset: SweepPreset) -> SweepLandmarks {
                     .unwrap_or(f64::NAN);
             (mtbf, degree)
         })
-        .collect();
-    SweepLandmarks {
-        cross_1x_2x: crossover(&cfg, 1.0, 2.0, 100, 10_000_000).ok(),
-        cross_1x_3x: crossover(&cfg, 1.0, 3.0, 100, 10_000_000).ok(),
-        throughput_2x: throughput_break_even(&cfg, 2.0, 2.0, 100, 2_000_000).ok(),
-        triple_best_beyond: crossover(&cfg, 2.0, 3.0, 100, 10_000_000).ok(),
-        optimal_degree_by_mtbf,
-    }
+        .collect()
 }
 
 /// Renders the full output document (canonical key order, one scenario
-/// per line). Cache hit/miss accounting is deliberately *not* part of the
-/// document: warm and cold runs must produce byte-identical files.
+/// per line): the Figures 13–14 landmarks `marks` and `optimal_degrees`
+/// (see [`optimal_degree_by_mtbf`]) beside the grid. Cache hit/miss
+/// accounting is deliberately *not* part of the document: warm and cold
+/// runs must produce byte-identical files.
 pub fn render_doc(
     preset: SweepPreset,
     report: &SweepReport,
     front: &[ParetoPoint],
     groups: &[GroupFrontier],
-    marks: &SweepLandmarks,
+    marks: &Landmarks,
+    optimal_degrees: &[(f64, f64)],
 ) -> String {
     let mut out = String::new();
     let mut w = Writer::document(&mut out, "redcr-sweep-grid/1");
@@ -234,7 +213,7 @@ pub fn render_doc(
     w.field("throughput_2x", marks.throughput_2x);
     w.field("triple_best_beyond", marks.triple_best_beyond);
     w.key("optimal_degree_by_mtbf").inline().begin_array();
-    for (mtbf, degree) in &marks.optimal_degree_by_mtbf {
+    for (mtbf, degree) in optimal_degrees {
         w.begin_array().value(mtbf).value(degree).end_array();
     }
     w.end_array().end_object();
@@ -332,8 +311,8 @@ pub fn run(
     let report = run_sweep(&grid(preset), threads, &mut cache)?;
     let front = pareto::frontier(&report.entries);
     let groups = pareto::grouped_frontiers(&report.entries);
-    let marks = landmarks(preset);
-    let doc = render_doc(preset, &report, &front, &groups, &marks);
+    let optimal_degrees = optimal_degree_by_mtbf(preset);
+    let doc = render_doc(preset, &report, &front, &groups, &find_landmarks(), &optimal_degrees);
     Ok((report, doc))
 }
 

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use redcr_fault::{ExpSampler, FailureSchedule, NodePlacement, ReplicaGroups};
+use redcr_fault::{ExpSampler, ReplicaGroups};
 
 /// Supplies, per attempt, the (relative) time at which the job fails.
 ///
@@ -79,8 +79,8 @@ fn band(x: f64) -> (f64, f64) {
 /// whose smallest draw is largest. Only the draws within a relative 2⁻³⁰ of
 /// that candidate get their exact time, which makes the failure time and the
 /// killer sphere bit-identical to sampling every time and applying
-/// [`FailureSchedule::job_failure`], at one `ln` per attempt instead of
-/// one per process.
+/// [`FailureSchedule::job_failure`](redcr_fault::FailureSchedule::job_failure),
+/// at one `ln` per attempt instead of one per process.
 #[derive(Debug, Clone)]
 pub struct SphereSource {
     groups: Arc<ReplicaGroups>,
@@ -181,82 +181,16 @@ impl FailureSource for SphereSource {
         failure
     }
 
+    /// The masked-death rule: of the processes dead by `exposure`, those
+    /// that did not kill the job — everything up to the last failure except
+    /// the killer sphere's own members.
     fn masked_before(&self, exposure: f64) -> u64 {
-        masked_count(self.last, &self.groups, exposure, |t| self.dead_by(t))
-    }
-}
-
-/// The masked-death rule: of the processes `dead_by` an exposure, those
-/// that did not kill the job — everything up to the `last` failure except
-/// the killer sphere's own members.
-fn masked_count(
-    last: Option<(f64, usize)>,
-    groups: &ReplicaGroups,
-    exposure: f64,
-    dead_by: impl Fn(f64) -> usize,
-) -> u64 {
-    let Some((failure, killer)) = last else { return 0 };
-    if exposure >= failure {
-        dead_by(failure).saturating_sub(groups.members(killer).len()) as u64
-    } else {
-        dead_by(exposure) as u64
-    }
-}
-
-/// Node-granularity failures: per-*node* exponential sampling with every
-/// process on a dead node dying together (the paper's socket-as-failure-
-/// unit view, with its 14-processes-per-node pinning). The ablation
-/// counterpart of [`SphereSource`].
-#[derive(Debug, Clone)]
-pub struct NodeSphereSource {
-    groups: ReplicaGroups,
-    placement: NodePlacement,
-    sampler: ExpSampler,
-    /// The most recent attempt's per-process schedule.
-    schedule: FailureSchedule,
-    /// Most recent failure: `(failure_time, killer_sphere)`.
-    last: Option<(f64, usize)>,
-}
-
-impl NodeSphereSource {
-    /// Creates a source with `procs_per_node` processes packed per node and
-    /// per-node MTBF `node_mtbf`. Replica anti-affinity is enforced (a
-    /// sphere with two replicas on one node would die atomically).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_mtbf` is not positive or replicas share a node.
-    pub fn new(groups: ReplicaGroups, procs_per_node: usize, node_mtbf: f64, seed: u64) -> Self {
-        let placement = NodePlacement::anti_affine(&groups, procs_per_node);
-        NodeSphereSource {
-            groups,
-            placement,
-            sampler: ExpSampler::new(node_mtbf, seed),
-            schedule: FailureSchedule { death_times: Vec::new() },
-            last: None,
+        let Some((failure, killer)) = self.last else { return 0 };
+        if exposure >= failure {
+            self.dead_by(failure).saturating_sub(self.groups.members(killer).len()) as u64
+        } else {
+            self.dead_by(exposure) as u64
         }
-    }
-
-    /// The node placement in effect.
-    pub fn placement(&self) -> &NodePlacement {
-        &self.placement
-    }
-}
-
-impl FailureSource for NodeSphereSource {
-    fn next_failure(&mut self, _attempt: u64) -> f64 {
-        self.schedule = self.placement.sample(&mut self.sampler);
-        let (failure, killer) = self.schedule.job_failure(&self.groups);
-        // A failure-free attempt has no killer sphere and nothing dies.
-        self.last = failure.is_finite().then_some((failure, killer));
-        failure
-    }
-
-    fn masked_before(&self, exposure: f64) -> u64 {
-        let deaths = &self.schedule.death_times;
-        masked_count(self.last, &self.groups, exposure, |t| {
-            deaths.iter().filter(|&&d| d <= t).count()
-        })
     }
 }
 
@@ -282,6 +216,8 @@ impl FailureSource for ScheduledSource {
 
 #[cfg(test)]
 mod tests {
+    use redcr_fault::FailureSchedule;
+
     use super::*;
 
     #[test]
@@ -299,27 +235,6 @@ mod tests {
         let sum: f64 = (0..n).map(|i| s.next_failure(i)).sum();
         let mean = sum / n as f64;
         assert!((mean - 10.0).abs() < 0.3, "mean {mean}");
-    }
-
-    #[test]
-    fn node_source_respects_anti_affinity_and_granularity() {
-        let mk = |replicas: usize, seed: u64| {
-            let groups = ReplicaGroups::uniform(28, replicas);
-            NodeSphereSource::new(groups, 14, 100.0, seed)
-        };
-        // 1x: 28 procs on 2 nodes; 2x: 56 procs on 4 nodes.
-        let mut s1 = mk(1, 3);
-        let mut s2 = mk(2, 3);
-        let n = 500;
-        let m1: f64 = (0..n).map(|i| s1.next_failure(i)).sum::<f64>() / n as f64;
-        let m2: f64 = (0..n).map(|i| s2.next_failure(i)).sum::<f64>() / n as f64;
-        // 1x dies at the first of 2 node failures: mean ~ 100/2 = 50.
-        assert!((m1 - 50.0).abs() < 8.0, "m1 = {m1}");
-        // Dual redundancy on anti-affine nodes: the job dies at the first
-        // fully-dead node *pair*, the min of two Exp-max variables with
-        // mean ≈ 94 at θ = 100 — nearly double the 1x lifetime.
-        assert!(m2 > 1.6 * m1, "m2 = {m2}");
-        assert!((m2 - 94.0).abs() < 15.0, "m2 = {m2}");
     }
 
     #[test]

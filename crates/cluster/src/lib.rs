@@ -18,8 +18,10 @@
 //! * [`simulate`] — the timeline walker producing a [`stats::JobStats`]
 //!   breakdown (work / checkpoint / recompute / restart), the same four
 //!   buckets as the paper's Table 2.
-//! * [`sweep`] — seeded Monte-Carlo aggregation (mean/σ over many runs),
-//!   parallelized across OS threads.
+//! * [`sweep`] — seeded Monte-Carlo aggregation (mean/σ over many runs)
+//!   and [`sweep::work_queue`], the one function that spreads indexed jobs
+//!   over host threads: Monte-Carlo trials here, cold scenarios in
+//!   `redcr-sweep`'s engine.
 //! * [`combined`] — bridges `redcr-model::combined::CombinedConfig` to a
 //!   simulation: redundant time from Eq. 1, sphere structure from the
 //!   partial-redundancy partition, Daly's interval from Eq. 15; a
@@ -58,9 +60,7 @@ pub mod simulate;
 pub mod stats;
 pub mod sweep;
 
-pub use failure_source::{
-    FailureSource, NodeSphereSource, PoissonSource, ScheduledSource, SphereSource,
-};
+pub use failure_source::{FailureSource, PoissonSource, ScheduledSource, SphereSource};
 pub use job::{FailureExposure, JobConfig};
 pub use simulate::{simulate_job, SimError};
 pub use stats::JobStats;

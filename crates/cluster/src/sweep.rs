@@ -1,8 +1,67 @@
-//! Seeded Monte-Carlo aggregation over many simulated runs, parallelized
-//! across OS threads.
+//! Seeded Monte-Carlo aggregation over many simulated runs, and the one
+//! work queue that spreads indexed jobs over host threads.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::simulate::SimError;
 use crate::stats::JobStats;
+
+/// Runs jobs `0..n` on up to `threads` host threads and returns their
+/// results in index order.
+///
+/// `worker(k, claims)` is called once per worker `k` and runs its jobs
+/// through [`Claims::each`]; whatever it does around that call (a profiler
+/// shard, say) is per worker. Workers claim indices from one atomic
+/// counter, and each result goes into its own index's slot, so the output
+/// does not depend on which worker ran which job. With one worker, or at
+/// most one job, worker 0 runs inline on the caller; with no job, `worker`
+/// is not called.
+///
+/// # Panics
+///
+/// Panics if a job panics, or if the workers return with an index
+/// unclaimed (a `worker` that does not call [`Claims::each`]).
+pub fn work_queue<T, F>(n: usize, threads: usize, worker: F) -> Vec<T>
+where
+    T: Send + Sync,
+    F: Fn(usize, Claims<'_, T>) + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let claims = || Claims { next: &next, slots: &slots };
+    let workers = threads.min(n);
+    if workers > 1 {
+        std::thread::scope(|scope| {
+            for k in 0..workers {
+                let (worker, claims) = (&worker, claims());
+                scope.spawn(move || worker(k, claims));
+            }
+        });
+    } else if n > 0 {
+        worker(0, claims());
+    }
+    slots.into_iter().map(|slot| slot.into_inner().expect("every index claimed")).collect()
+}
+
+/// A worker's handle on a [`work_queue`]: the indices not yet claimed.
+pub struct Claims<'a, T> {
+    next: &'a AtomicUsize,
+    slots: &'a [OnceLock<T>],
+}
+
+impl<T> Claims<'_, T> {
+    /// Claims indices until none is left, storing `job(i)` in slot `i`.
+    pub fn each(self, mut job: impl FnMut(usize) -> T) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::SeqCst);
+            let Some(slot) = self.slots.get(i) else { break };
+            if slot.set(job(i)).is_err() {
+                unreachable!("index {i} claimed twice");
+            }
+        }
+    }
+}
 
 /// Fractional (expected-value) means of the per-run event counts.
 ///
@@ -63,36 +122,23 @@ impl Aggregate {
 }
 
 /// Runs `runs` seeded simulations (`f(seed)` for seeds `0..runs`) on up to
-/// `threads` OS threads and aggregates the outcomes. Divergent runs
-/// ([`SimError::TooManyAttempts`]) are counted but excluded from the means;
-/// any other error aborts the sweep.
+/// `threads` host threads through [`work_queue`] and aggregates the
+/// outcomes in seed order, so the result is bit-identical at any thread
+/// count. Divergent runs ([`SimError::TooManyAttempts`]) are counted but
+/// excluded from the means; any other error aborts the sweep.
 ///
 /// # Errors
 ///
-/// Propagates the first non-divergence error encountered.
+/// Propagates the non-divergence error of the lowest failing seed.
 pub fn monte_carlo<F>(runs: usize, threads: usize, f: F) -> Result<Aggregate, SimError>
 where
     F: Fn(u64) -> Result<JobStats, SimError> + Sync,
 {
-    let threads = threads.max(1);
-    let mut slots: Vec<Option<Result<JobStats, SimError>>> = Vec::new();
-    slots.resize_with(runs, || None);
-    let f = &f;
-
-    std::thread::scope(|scope| {
-        for (chunk_idx, chunk) in slots.chunks_mut(runs.div_ceil(threads).max(1)).enumerate() {
-            let base = chunk_idx * runs.div_ceil(threads).max(1);
-            scope.spawn(move || {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = Some(f((base + i) as u64));
-                }
-            });
-        }
-    });
+    let outcomes = work_queue(runs, threads, |_, claims| claims.each(|seed| f(seed as u64)));
 
     let mut completed_stats = Vec::with_capacity(runs);
-    for slot in slots {
-        match slot.expect("all slots filled") {
+    for outcome in outcomes {
+        match outcome {
             Ok(stats) => completed_stats.push(stats),
             Err(SimError::TooManyAttempts { .. }) => {}
             Err(e) => return Err(e),
@@ -202,9 +248,16 @@ mod tests {
 
     #[test]
     fn deterministic_given_seeds() {
-        let a = monte_carlo(16, 4, run_one).unwrap();
-        let b = monte_carlo(16, 2, run_one).unwrap();
-        assert_eq!(a.mean_total_time, b.mean_total_time, "thread count must not matter");
+        let caller = std::thread::current().id();
+        let inline = monte_carlo(16, 1, |seed| {
+            assert_eq!(std::thread::current().id(), caller, "one worker runs on the caller");
+            run_one(seed)
+        })
+        .unwrap();
+        for threads in [2, 3, 4, 17, 64] {
+            let agg = monte_carlo(16, threads, run_one).unwrap();
+            assert_eq!(agg, inline, "thread count {threads} must not matter");
+        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! The paper's primary contribution, as a library: given an application, a
 //! cluster, and a resource/time goal, **choose the redundancy degree `r`
-//! and checkpoint interval `δ`** that minimize the expected cost
-//! ([`planner`]), and **execute** the application under exactly that
-//! configuration — transparent replication, coordinated checkpointing,
-//! Poisson fault injection, and restart from the last checkpoint — on the
-//! virtual-time runtime ([`executor`]).
+//! and checkpoint interval `δ`** that minimize the expected cost (the
+//! model's `redcr_model::optimizer`), and **execute** the application under
+//! exactly that configuration — transparent replication, coordinated
+//! checkpointing, Poisson fault injection, and restart from the last
+//! checkpoint — on the virtual-time runtime ([`executor`]).
 //!
 //! The executor reproduces the paper's experimental procedure (Section 5)
 //! as a state machine; each step is one of its transitions (see
@@ -29,25 +29,27 @@
 //!    interval (Daly's `δ_opt` by default) — on the ranks, inside
 //!    `rank_segment`'s step loop.
 //!
-//! # Example: plan, then run
+//! # Example: choose `r` and `δ`
 //!
 //! ```
-//! use redcr_core::planner::Planner;
+//! use redcr_model::combined::CombinedConfig;
+//! use redcr_model::optimizer::{optimal_by_cost, CostWeights, RGrid};
 //! use redcr_model::units;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let plan = Planner::new()
+//! let cfg = CombinedConfig::builder()
 //!     .virtual_processes(10_000)
 //!     .base_time_hours(128.0)
 //!     .node_mtbf_hours(units::hours_from_years(5.0))
 //!     .comm_fraction(0.2)
 //!     .checkpoint_cost_hours(units::hours_from_mins(5.0))
 //!     .restart_cost_hours(units::hours_from_mins(10.0))
-//!     .recommend()?;
-//! assert!(plan.degree >= 1.0 && plan.degree <= 3.0);
+//!     .build()?;
+//! let best = optimal_by_cost(&cfg, &RGrid::quarter_steps(), &CostWeights::time_only())?;
+//! assert!(best.degree >= 1.0 && best.degree <= 3.0);
 //! println!(
 //!     "run at {}x, checkpoint every {:.2} h, expect {:.1} h total",
-//!     plan.degree, plan.checkpoint_interval, plan.predicted.total_time
+//!     best.degree, best.outcome.checkpoint_interval, best.outcome.total_time
 //! );
 //! # Ok(())
 //! # }
@@ -59,13 +61,11 @@
 pub mod apps;
 pub mod config;
 pub mod executor;
-pub mod planner;
 pub mod report;
 pub mod validation;
 
 pub use config::ExecutorConfig;
 pub use executor::{ResilientApp, ResilientExecutor};
-pub use planner::{Plan, Planner};
 pub use report::ExecutionReport;
 pub use validation::{ModelValidation, ValidationError};
 

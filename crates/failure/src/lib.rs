@@ -34,13 +34,11 @@
 #![warn(missing_docs)]
 
 pub mod injector;
-pub mod nodes;
 pub mod poisson;
 pub mod schedule;
 pub mod trace;
 
 pub use injector::{AttemptPlan, Death, FailureInjector};
-pub use nodes::NodePlacement;
 pub use poisson::ExpSampler;
 pub use schedule::{FailureSchedule, ReplicaGroups};
 pub use trace::{FailureEvent, FailureTrace};

@@ -305,6 +305,8 @@ mod tests {
         let cfg = scaling_config();
         let best = optimal_redundancy(&cfg, &RGrid::quarter_steps()).unwrap();
         assert_eq!(best.sweep.len(), 9);
+        // The reported outcome is the model's prediction at the winner.
+        assert_eq!(best.outcome, cfg.with_degree(best.degree).evaluate().unwrap());
     }
 
     #[test]

@@ -174,7 +174,9 @@ impl ResultCache {
     }
 
     /// Inserts `batch` and appends the new lines to the backing file in
-    /// the given (deterministic) order.
+    /// the given (deterministic) order. A file that does not end in a
+    /// newline — a torn last line — gets one first, so the torn fragment
+    /// stays one malformed line instead of swallowing the first new one.
     ///
     /// # Errors
     ///
@@ -193,8 +195,17 @@ impl ResultCache {
                     std::fs::create_dir_all(dir)?;
                 }
             }
-            use std::io::Write as _;
-            let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+            use std::io::{Read as _, Seek as _, Write as _};
+            let mut file =
+                std::fs::OpenOptions::new().create(true).read(true).append(true).open(path)?;
+            if !text.is_empty() && file.metadata()?.len() > 0 {
+                let mut last = [0u8];
+                file.seek(io::SeekFrom::End(-1))?;
+                file.read_exact(&mut last)?;
+                if last != *b"\n" {
+                    text.insert(0, '\n');
+                }
+            }
             file.write_all(text.as_bytes())?;
         }
         Ok(())
@@ -298,6 +309,29 @@ mod tests {
         let cache = ResultCache::open(&path).expect("open");
         let _ = std::fs::remove_dir_all(&dir);
         cache
+    }
+
+    /// A crash that tears the last line leaves no newline after it. The
+    /// next append must start a line of its own, or its first result is
+    /// glued onto the fragment and lost with it.
+    #[test]
+    fn an_append_after_a_torn_line_is_served() {
+        let dir =
+            std::env::temp_dir().join(format!("redcr_sweep_cache_append_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.jsonl");
+        let line = render_line(&spec(), &result());
+        std::fs::write(&path, &line[..line.len() / 2]).unwrap();
+
+        let mut cache = ResultCache::open(&path).expect("open");
+        assert_eq!((cache.len(), cache.malformed_lines()), (0, 1));
+        cache.append_batch(&[(spec(), result())]).expect("append");
+
+        let reopened = ResultCache::open(&path).expect("reopen");
+        assert_eq!(reopened.get(spec().hash()), Some(&result()));
+        assert_eq!(reopened.malformed_lines(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,20 +4,17 @@
 //! The engine is the serving core of the capacity planner. A submitted
 //! batch is deduplicated by canonical hash, warm scenarios are answered
 //! straight from the [`ResultCache`], and the cold remainder is drained by
-//! a work queue across worker threads. Determinism contract: the report —
-//! and the bytes appended to the cache — depend only on the submitted
-//! specs and prior cache contents, never on thread count or scheduling
-//! (every simulator scenario draws its Monte-Carlo seeds as `0..seeds`,
-//! and results land in per-scenario slots).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+//! `redcr_cluster::sweep::work_queue` across worker threads. Determinism
+//! contract: the report — and the bytes appended to the cache — depend
+//! only on the submitted specs and prior cache contents, never on thread
+//! count or scheduling (every simulator scenario draws its Monte-Carlo
+//! seeds as `0..seeds`, and results land in per-scenario slots).
 
 use redcr_prof::{ProfScope, Profiler, SpanKey};
 
 use redcr_cluster::combined::PreparedJob;
 use redcr_cluster::job::FailureExposure;
-use redcr_cluster::sweep::monte_carlo;
+use redcr_cluster::sweep::{monte_carlo, work_queue};
 use redcr_cluster::SimError;
 use redcr_model::ModelError;
 
@@ -152,9 +149,9 @@ pub fn evaluate(spec: &ScenarioSpec) -> Result<ScenarioResult, SweepError> {
                 }));
             }
             // Parallelism lives at the scenario level (the engine's work
-            // queue); each scenario runs its seeds serially so the seed
-            // assignment 0..seeds is trivially deterministic. The job and
-            // its spheres are derived once, not per seed.
+            // queue); each scenario runs its seeds serially, inline on the
+            // worker that claimed it. The job and its spheres are derived
+            // once, not per seed.
             let prepared = PreparedJob::derive(&cfg, FailureExposure::AllTime)?;
             let agg = monte_carlo(spec.seeds as usize, 1, |seed| prepared.simulate(seed))?;
             if agg.completed == 0 {
@@ -202,8 +199,8 @@ pub fn run_sweep(
     run_sweep_profiled(submitted, threads, cache, None)
 }
 
-/// [`run_sweep`] with an optional wall-clock [`Profiler`]: each worker
-/// thread keeps a `ProfScope::Worker(w)` shard, wraps every cold
+/// [`run_sweep`] with an optional wall-clock [`Profiler`]: each worker of
+/// the queue keeps a `ProfScope::Worker(w)` shard, wraps every cold
 /// evaluation in a `sweep.scenario` span and drains the shard into the
 /// profiler at worker exit. `None` costs one branch per cold scenario; the
 /// report, cache bytes and entry order are identical either way (the
@@ -220,7 +217,6 @@ pub fn run_sweep_profiled(
     profiler: Option<&Profiler>,
 ) -> Result<SweepReport, SweepError> {
     let batch: DedupedBatch = dedup(submitted);
-    let threads = threads.max(1);
 
     // Partition warm/cold without evaluating anything.
     let mut warm: Vec<Option<ScenarioResult>> = Vec::with_capacity(batch.unique.len());
@@ -240,51 +236,25 @@ pub fn run_sweep_profiled(
         }
     }
 
-    // Drain the cold queue across workers; slot results by queue index so
-    // the outcome is independent of which worker ran what.
-    let mut cold_results: Vec<Option<Result<ScenarioResult, SweepError>>> =
-        (0..cold_indices.len()).map(|_| None).collect();
-    if !cold_indices.is_empty() {
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<ScenarioResult, SweepError>)>();
-        let unique = &batch.unique;
-        let cold = &cold_indices;
-        std::thread::scope(|scope| {
-            for w in 0..threads.min(cold.len()) {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || {
-                    let shard = profiler.map(|p| p.shard(ProfScope::Worker(w as u32)));
-                    loop {
-                        let qi = next.fetch_add(1, Ordering::SeqCst);
-                        if qi >= cold.len() {
-                            break;
-                        }
-                        let span = shard.as_ref().map(|s| s.span(SpanKey::SweepScenario));
-                        let outcome = evaluate(&unique[cold[qi]]);
-                        drop(span);
-                        if tx.send((qi, outcome)).is_err() {
-                            break;
-                        }
-                    }
-                    if let (Some(p), Some(shard)) = (profiler, shard) {
-                        p.absorb(shard.drain());
-                    }
-                });
-            }
-            drop(tx);
-            for (qi, outcome) in rx {
-                cold_results[qi] = Some(outcome);
-            }
+    // Drain the cold queue across workers; results are slotted by queue
+    // index, so the outcome is independent of which worker ran what.
+    let cold_results = work_queue(cold_indices.len(), threads, |w, claims| {
+        let shard = profiler.map(|p| p.shard(ProfScope::Worker(w as u32)));
+        claims.each(|qi| {
+            let _span = shard.as_ref().map(|s| s.span(SpanKey::SweepScenario));
+            evaluate(&batch.unique[cold_indices[qi]])
         });
-    }
+        if let (Some(p), Some(shard)) = (profiler, shard) {
+            p.absorb(shard.drain());
+        }
+    });
 
     // Surface errors deterministically: first failing scenario by
     // submission order, regardless of completion order.
     let mut appended: Vec<(ScenarioSpec, ScenarioResult)> = Vec::with_capacity(cold_indices.len());
     let mut resolved: Vec<Option<ScenarioResult>> = warm;
-    for (qi, &ui) in cold_indices.iter().enumerate() {
-        let outcome = cold_results[qi].take().expect("cold slot filled")?;
+    for (&ui, outcome) in cold_indices.iter().zip(cold_results) {
+        let outcome = outcome?;
         appended.push((batch.unique[ui], outcome));
         resolved[ui] = Some(outcome);
     }

@@ -16,8 +16,10 @@
 //! * [`ckpt`] — coordinated checkpoint/restart protocols and storage.
 //! * [`fault`] — Poisson failure injection.
 //! * [`apps`] — CG / Jacobi / EP kernels.
-//! * [`cluster`] — discrete-event job simulator at exascale node counts.
-//! * [`core`] — the combined planner + resilient executor.
+//! * [`cluster`] — discrete-event job simulator at exascale node counts,
+//!   and the one work queue Monte-Carlo trials and sweeps run on.
+//! * [`core`] — the resilient executor, which runs a job at the `r` and `δ`
+//!   that [`model`]'s optimizer picks.
 //! * [`trace`] — virtual-time flight recorder, JSONL/Perfetto export and
 //!   analyzer.
 //! * [`metrics`] — virtual-time metrics registry (counters, gauges, log2

@@ -202,10 +202,10 @@ impl CgSolver {
 /// one allgather, decoded straight from the broadcast bytes into one
 /// allocation.
 fn allgather_f64s<C: Communicator>(comm: &C, block: &[f64], n: usize) -> Result<Vec<f64>> {
-    let parts = comm.allgather(datatype::f64s_to_bytes(block))?;
+    let parts = comm.allgather(datatype::encode(block))?;
     let mut full = Vec::with_capacity(n);
     for part in &parts {
-        datatype::extend_f64s(&mut full, part)?;
+        datatype::decode_into(&mut full, part)?;
     }
     Ok(full)
 }

@@ -71,7 +71,7 @@ mod world;
 pub use corruption::CorruptionModel;
 pub use heartbeat::{DetectorParams, FailureDetector, HealPolicy};
 pub use replica_comm::ReplicaComm;
-pub use stats::ReplicationStats;
+pub use stats::StatsSnapshot;
 pub use vmap::VirtualMap;
 pub use voting::{hash_payload, VoteCost, VoteOutcome, VotingMode};
 pub use world::{ReplicatedReport, ReplicatedWorld, ReplicatedWorldBuilder};

@@ -13,7 +13,7 @@ use redcr_mpi::{
 };
 
 use crate::corruption::{CorruptionInjector, CorruptionModel};
-use crate::stats::ReplicationStats;
+use crate::stats::StatsSnapshot;
 use crate::vmap::VirtualMap;
 use crate::voting::{hash_payload, vote_hashed, vote_present, VoteCost, VotingMode};
 
@@ -43,29 +43,20 @@ pub struct ReplicaComm<'a> {
     mode: VotingMode,
     vote_cost: VoteCost,
     corruption: Option<CorruptionInjector>,
-    stats: ReplicationStats,
+    stats: Cell<StatsSnapshot>,
     wildcard_seq: Cell<u64>,
     coll_seq: Cell<u64>,
 }
 
 impl<'a> ReplicaComm<'a> {
-    /// Wraps a physical world communicator. `base.size()` must equal the
-    /// map's physical size.
+    /// Wraps a physical world communicator; `vote_cost` models the
+    /// processing of redundant copies on the receive path. `base.size()`
+    /// must equal the map's physical size.
     ///
     /// # Panics
     ///
     /// Panics if the base communicator size does not match the map.
-    pub fn new(base: &'a Comm, vmap: Arc<VirtualMap>, mode: VotingMode) -> Self {
-        Self::with_vote_cost(base, vmap, mode, VoteCost::default())
-    }
-
-    /// Like [`ReplicaComm::new`] with an explicit redundant-copy processing
-    /// cost model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the base communicator size does not match the map.
-    pub fn with_vote_cost(
+    pub fn new(
         base: &'a Comm,
         vmap: Arc<VirtualMap>,
         mode: VotingMode,
@@ -85,7 +76,7 @@ impl<'a> ReplicaComm<'a> {
             mode,
             vote_cost,
             corruption: None,
-            stats: ReplicationStats::new(),
+            stats: Cell::default(),
             wildcard_seq: Cell::new(0),
             coll_seq: Cell::new(0),
         }
@@ -144,9 +135,16 @@ impl<'a> ReplicaComm<'a> {
         self.mode
     }
 
-    /// Replication statistics collected by this replica.
-    pub fn stats(&self) -> &ReplicationStats {
-        &self.stats
+    /// Replication statistics collected by this replica so far.
+    pub fn stats(&self) -> StatsSnapshot {
+        self.stats.get()
+    }
+
+    /// Applies one `record_*` update to this replica's statistics.
+    fn count(&self, record: impl FnOnce(&mut StatsSnapshot)) {
+        let mut stats = self.stats.get();
+        record(&mut stats);
+        self.stats.set(stats);
     }
 
     /// The underlying physical communicator (for diagnostics).
@@ -157,7 +155,7 @@ impl<'a> ReplicaComm<'a> {
     /// Records one vote outcome in the statistics and, when tracing or
     /// metrics are on, as a flight-recorder event / counter increment.
     fn record_vote(&self, copies: usize, unanimous: bool, corrected: bool) {
-        self.stats.record_vote(unanimous, corrected);
+        self.count(|s| s.record_vote(unanimous, corrected));
         let (obs, now) = (self.base.obs(), self.base.now());
         obs.event(
             now,
@@ -218,7 +216,7 @@ impl<'a> ReplicaComm<'a> {
             }
             match self.base.recv_ns(RankSelector::Rank(*phys), TagSelector::Tag(tag), ns) {
                 Ok((bytes, _)) => raw[j] = Some(bytes),
-                Err(MpiError::DeadPeer { .. }) => self.stats.record_missing_copy(),
+                Err(MpiError::DeadPeer { .. }) => self.count(StatsSnapshot::record_missing_copy),
                 Err(e) => return Err(e),
             }
         }
@@ -227,7 +225,7 @@ impl<'a> ReplicaComm<'a> {
             self.base.abort_job();
             return Err(MpiError::SphereDead { virtual_rank: src_v, at: self.base.now() });
         }
-        self.stats.record_virtual_recv(present);
+        self.count(|s| s.record_virtual_recv(present));
         // Processing the redundant copies (extra buffer handling plus the
         // byte-wise comparison) happens serially on the receive path.
         let payload_len = raw.iter().flatten().map(Bytes::len).max().unwrap_or(0);
@@ -321,7 +319,7 @@ impl<'a> ReplicaComm<'a> {
                 what: "wildcard receives are only supported for user messages",
             });
         }
-        self.stats.record_wildcard_protocol();
+        self.count(StatsSnapshot::record_wildcard_protocol);
         let my_replicas = self.vmap.replicas_of(self.my_virtual).to_vec();
         let wseq = self.wildcard_seq.get();
         self.wildcard_seq.set(wseq + 1);
@@ -341,7 +339,7 @@ impl<'a> ReplicaComm<'a> {
                 Namespace::Protocol,
             ) {
                 Ok((bytes, _)) => {
-                    let vals = datatype::decode_u64s(&bytes)?;
+                    let vals = datatype::decode::<u64>(&bytes)?;
                     if vals.len() != 3 {
                         return Err(MpiError::DecodeError { what: "wildcard envelope" });
                     }
@@ -382,7 +380,7 @@ impl<'a> ReplicaComm<'a> {
         // and never deadlocks waiting on a forward that will not come.
         // Encode once and fan the same shared buffer out to every replica
         // (a `Bytes` clone is a refcount bump, not a copy).
-        let envelope = datatype::u64s_to_bytes(&[
+        let envelope = datatype::encode(&[
             src_v.as_u32() as u64,
             resolved_tag.value(),
             pre_matched.as_ref().map_or(0, |(k, _)| *k as u64),
@@ -473,13 +471,13 @@ impl Communicator for ReplicaComm<'_> {
 
     fn send_ns(&self, dest: Rank, tag: Tag, data: Bytes, ns: Namespace) -> Result<()> {
         let receivers = self.check_virtual(dest)?;
-        self.stats.record_virtual_send();
+        self.count(StatsSnapshot::record_virtual_send);
         let r_send = self.vmap.replica_count(self.my_virtual);
         // In Msg-PlusHash mode a sphere of several senders pairs each
         // receiver replica with one full-copy sender; the others send it
         // the hash.
         let hash = (self.mode == VotingMode::MsgPlusHash && r_send > 1)
-            .then(|| datatype::u64s_to_bytes(&[hash_payload(&data)]));
+            .then(|| datatype::encode(&[hash_payload(&data)]));
         // Live degradation: copies destined to a fail-stopped replica are
         // skipped (the runtime reports them as DeadPeer). The corruption
         // injector is still consulted for skipped copies so its counter
@@ -496,10 +494,10 @@ impl Communicator for ReplicaComm<'_> {
             let len = copy.len();
             match self.base.send_ns(*phys, tag, copy, ns) {
                 Ok(()) => {
-                    self.stats.record_physical_send(len, is_hash);
+                    self.count(|s| s.record_physical_send(len, is_hash));
                     delivered += 1;
                 }
-                Err(MpiError::DeadPeer { .. }) => self.stats.record_dead_peer_send(),
+                Err(MpiError::DeadPeer { .. }) => self.count(StatsSnapshot::record_dead_peer_send),
                 Err(e) => return Err(e),
             }
         }

@@ -1,183 +1,8 @@
 //! Replication-layer statistics: message amplification and voting events.
 
-use std::cell::Cell;
-
-/// Counters maintained by one replica's [`ReplicaComm`](crate::ReplicaComm).
-///
-/// Rank-thread-local (like the communicator itself); aggregate across ranks
-/// via [`ReplicationStats::merge`].
-#[derive(Debug, Default, Clone)]
-pub struct ReplicationStats {
-    virtual_sends: Cell<u64>,
-    physical_sends: Cell<u64>,
-    virtual_recvs: Cell<u64>,
-    physical_recvs: Cell<u64>,
-    payload_bytes_sent: Cell<u64>,
-    hash_messages_sent: Cell<u64>,
-    votes: Cell<u64>,
-    mismatches_detected: Cell<u64>,
-    corrections: Cell<u64>,
-    wildcard_protocols: Cell<u64>,
-    dead_peer_sends: Cell<u64>,
-    missing_copies: Cell<u64>,
-}
-
-impl ReplicationStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn record_virtual_send(&self) {
-        self.virtual_sends.set(self.virtual_sends.get() + 1);
-    }
-
-    pub(crate) fn record_physical_send(&self, bytes: usize, is_hash: bool) {
-        self.physical_sends.set(self.physical_sends.get() + 1);
-        self.payload_bytes_sent.set(self.payload_bytes_sent.get() + bytes as u64);
-        if is_hash {
-            self.hash_messages_sent.set(self.hash_messages_sent.get() + 1);
-        }
-    }
-
-    pub(crate) fn record_virtual_recv(&self, physical: usize) {
-        self.virtual_recvs.set(self.virtual_recvs.get() + 1);
-        self.physical_recvs.set(self.physical_recvs.get() + physical as u64);
-    }
-
-    pub(crate) fn record_vote(&self, unanimous: bool, corrected: bool) {
-        self.votes.set(self.votes.get() + 1);
-        if !unanimous {
-            self.mismatches_detected.set(self.mismatches_detected.get() + 1);
-            if corrected {
-                self.corrections.set(self.corrections.get() + 1);
-            }
-        }
-    }
-
-    pub(crate) fn record_wildcard_protocol(&self) {
-        self.wildcard_protocols.set(self.wildcard_protocols.get() + 1);
-    }
-
-    pub(crate) fn record_dead_peer_send(&self) {
-        self.dead_peer_sends.set(self.dead_peer_sends.get() + 1);
-    }
-
-    pub(crate) fn record_missing_copy(&self) {
-        self.missing_copies.set(self.missing_copies.get() + 1);
-    }
-
-    /// Number of application-level (virtual) sends.
-    pub fn virtual_sends(&self) -> u64 {
-        self.virtual_sends.get()
-    }
-
-    /// Number of physical messages injected on behalf of virtual sends.
-    pub fn physical_sends(&self) -> u64 {
-        self.physical_sends.get()
-    }
-
-    /// Number of application-level receives completed.
-    pub fn virtual_recvs(&self) -> u64 {
-        self.virtual_recvs.get()
-    }
-
-    /// Number of physical messages consumed by receives.
-    pub fn physical_recvs(&self) -> u64 {
-        self.physical_recvs.get()
-    }
-
-    /// Payload bytes injected (full payloads and hashes alike).
-    pub fn payload_bytes_sent(&self) -> u64 {
-        self.payload_bytes_sent.get()
-    }
-
-    /// Number of hash-only messages sent (Msg-PlusHash mode).
-    pub fn hash_messages_sent(&self) -> u64 {
-        self.hash_messages_sent.get()
-    }
-
-    /// Number of votes performed.
-    pub fn votes(&self) -> u64 {
-        self.votes.get()
-    }
-
-    /// Number of votes where at least one copy disagreed.
-    pub fn mismatches_detected(&self) -> u64 {
-        self.mismatches_detected.get()
-    }
-
-    /// Number of mismatches where a majority voted the corruption out.
-    pub fn corrections(&self) -> u64 {
-        self.corrections.get()
-    }
-
-    /// Number of wildcard (`ANY_SOURCE`) envelope protocols executed.
-    pub fn wildcard_protocols(&self) -> u64 {
-        self.wildcard_protocols.get()
-    }
-
-    /// Number of physical copies *not* sent because the receiving replica
-    /// was already dead (live degradation on the send path).
-    pub fn dead_peer_sends(&self) -> u64 {
-        self.dead_peer_sends.get()
-    }
-
-    /// Number of redundant copies a receive went without because the
-    /// sending replica was dead (live degradation on the receive path).
-    pub fn missing_copies(&self) -> u64 {
-        self.missing_copies.get()
-    }
-
-    /// Message amplification: physical sends per virtual send.
-    pub fn send_amplification(&self) -> f64 {
-        let v = self.virtual_sends.get();
-        if v == 0 {
-            0.0
-        } else {
-            self.physical_sends.get() as f64 / v as f64
-        }
-    }
-
-    /// A snapshot with every counter summed with `other`'s.
-    pub fn merge(&self, other: &ReplicationStats) -> ReplicationStats {
-        let out = ReplicationStats::new();
-        out.virtual_sends.set(self.virtual_sends.get() + other.virtual_sends.get());
-        out.physical_sends.set(self.physical_sends.get() + other.physical_sends.get());
-        out.virtual_recvs.set(self.virtual_recvs.get() + other.virtual_recvs.get());
-        out.physical_recvs.set(self.physical_recvs.get() + other.physical_recvs.get());
-        out.payload_bytes_sent.set(self.payload_bytes_sent.get() + other.payload_bytes_sent.get());
-        out.hash_messages_sent.set(self.hash_messages_sent.get() + other.hash_messages_sent.get());
-        out.votes.set(self.votes.get() + other.votes.get());
-        out.mismatches_detected
-            .set(self.mismatches_detected.get() + other.mismatches_detected.get());
-        out.corrections.set(self.corrections.get() + other.corrections.get());
-        out.wildcard_protocols.set(self.wildcard_protocols.get() + other.wildcard_protocols.get());
-        out.dead_peer_sends.set(self.dead_peer_sends.get() + other.dead_peer_sends.get());
-        out.missing_copies.set(self.missing_copies.get() + other.missing_copies.get());
-        out
-    }
-
-    /// A plain-old-data snapshot for sending across threads.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            virtual_sends: self.virtual_sends.get(),
-            physical_sends: self.physical_sends.get(),
-            virtual_recvs: self.virtual_recvs.get(),
-            physical_recvs: self.physical_recvs.get(),
-            payload_bytes_sent: self.payload_bytes_sent.get(),
-            hash_messages_sent: self.hash_messages_sent.get(),
-            votes: self.votes.get(),
-            mismatches_detected: self.mismatches_detected.get(),
-            corrections: self.corrections.get(),
-            wildcard_protocols: self.wildcard_protocols.get(),
-            dead_peer_sends: self.dead_peer_sends.get(),
-            missing_copies: self.missing_copies.get(),
-        }
-    }
-}
-
-/// Plain-data snapshot of [`ReplicationStats`] (Send + Sync).
+/// Counters maintained by one replica's [`ReplicaComm`](crate::ReplicaComm),
+/// plain data (Send + Sync): the communicator keeps one in a `Cell` and
+/// hands it out by value; [`add`](Self::add) aggregates across ranks.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Application-level sends.
@@ -188,7 +13,7 @@ pub struct StatsSnapshot {
     pub virtual_recvs: u64,
     /// Physical messages consumed.
     pub physical_recvs: u64,
-    /// Bytes injected.
+    /// Bytes injected (full payloads and hashes alike).
     pub payload_bytes_sent: u64,
     /// Hash-only messages (Msg-PlusHash).
     pub hash_messages_sent: u64,
@@ -198,7 +23,7 @@ pub struct StatsSnapshot {
     pub mismatches_detected: u64,
     /// Mismatches corrected by majority.
     pub corrections: u64,
-    /// Wildcard protocols executed.
+    /// Wildcard (`ANY_SOURCE`) envelope protocols executed.
     pub wildcard_protocols: u64,
     /// Physical copies skipped because the receiver replica was dead.
     pub dead_peer_sends: u64,
@@ -207,6 +32,39 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    pub(crate) fn record_virtual_send(&mut self) {
+        self.virtual_sends += 1;
+    }
+
+    pub(crate) fn record_physical_send(&mut self, bytes: usize, is_hash: bool) {
+        self.physical_sends += 1;
+        self.payload_bytes_sent += bytes as u64;
+        self.hash_messages_sent += u64::from(is_hash);
+    }
+
+    pub(crate) fn record_virtual_recv(&mut self, physical: usize) {
+        self.virtual_recvs += 1;
+        self.physical_recvs += physical as u64;
+    }
+
+    pub(crate) fn record_vote(&mut self, unanimous: bool, corrected: bool) {
+        self.votes += 1;
+        self.mismatches_detected += u64::from(!unanimous);
+        self.corrections += u64::from(!unanimous && corrected);
+    }
+
+    pub(crate) fn record_wildcard_protocol(&mut self) {
+        self.wildcard_protocols += 1;
+    }
+
+    pub(crate) fn record_dead_peer_send(&mut self) {
+        self.dead_peer_sends += 1;
+    }
+
+    pub(crate) fn record_missing_copy(&mut self) {
+        self.missing_copies += 1;
+    }
+
     /// Element-wise sum.
     pub fn add(&self, other: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
@@ -241,44 +99,66 @@ mod tests {
 
     #[test]
     fn amplification_counts() {
-        let s = ReplicationStats::new();
+        let mut s = StatsSnapshot::default();
         s.record_virtual_send();
         s.record_physical_send(10, false);
         s.record_physical_send(10, false);
         s.record_physical_send(8, true);
         assert_eq!(s.send_amplification(), 3.0);
-        assert_eq!(s.payload_bytes_sent(), 28);
-        assert_eq!(s.hash_messages_sent(), 1);
+        assert_eq!(s.payload_bytes_sent, 28);
+        assert_eq!(s.hash_messages_sent, 1);
     }
 
     #[test]
     fn vote_counters() {
-        let s = ReplicationStats::new();
+        let mut s = StatsSnapshot::default();
         s.record_vote(true, false);
+        s.record_vote(true, true);
         s.record_vote(false, true);
         s.record_vote(false, false);
-        assert_eq!(s.votes(), 3);
-        assert_eq!(s.mismatches_detected(), 2);
-        assert_eq!(s.corrections(), 1);
+        assert_eq!(s.votes, 4);
+        assert_eq!(s.mismatches_detected, 2);
+        assert_eq!(s.corrections, 1);
     }
 
     #[test]
-    fn merge_and_snapshot_agree() {
-        let a = ReplicationStats::new();
-        a.record_virtual_send();
-        a.record_physical_send(4, false);
-        let b = ReplicationStats::new();
-        b.record_virtual_recv(2);
-        let merged = a.merge(&b);
-        let sum = a.snapshot().add(&b.snapshot());
-        assert_eq!(merged.snapshot(), sum);
-        assert_eq!(sum.virtual_sends, 1);
-        assert_eq!(sum.physical_recvs, 2);
+    fn add_sums_every_field() {
+        // Distinct values per field, so a field summed into the wrong slot
+        // or left out shows.
+        let a = StatsSnapshot {
+            virtual_sends: 1,
+            physical_sends: 2,
+            virtual_recvs: 3,
+            physical_recvs: 4,
+            payload_bytes_sent: 5,
+            hash_messages_sent: 6,
+            votes: 7,
+            mismatches_detected: 8,
+            corrections: 9,
+            wildcard_protocols: 10,
+            dead_peer_sends: 11,
+            missing_copies: 12,
+        };
+        let sum = StatsSnapshot {
+            virtual_sends: 2,
+            physical_sends: 4,
+            virtual_recvs: 6,
+            physical_recvs: 8,
+            payload_bytes_sent: 10,
+            hash_messages_sent: 12,
+            votes: 14,
+            mismatches_detected: 16,
+            corrections: 18,
+            wildcard_protocols: 20,
+            dead_peer_sends: 22,
+            missing_copies: 24,
+        };
+        assert_eq!(a.add(&a), sum);
+        assert_eq!(a.add(&StatsSnapshot::default()), a);
     }
 
     #[test]
     fn zero_division_guard() {
-        assert_eq!(ReplicationStats::new().send_amplification(), 0.0);
         assert_eq!(StatsSnapshot::default().send_amplification(), 0.0);
     }
 }

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use redcr_model::partition::{AssignmentStrategy, RedundancyPartition};
-use redcr_mpi::{Comm, CostModel, MpiError, Result, Sinks, World};
+use redcr_mpi::{Comm, CostModel, Result, Sinks, World, WorldBuilder};
 
 use crate::corruption::CorruptionModel;
 use crate::replica_comm::ReplicaComm;
@@ -31,33 +31,25 @@ impl ReplicatedWorld {
     ) -> std::result::Result<ReplicatedWorldBuilder, redcr_model::ModelError> {
         let partition = RedundancyPartition::new(n_virtual, degree)?;
         Ok(ReplicatedWorldBuilder {
+            world: World::builder(partition.total_physical() as usize),
             partition,
             mode: VotingMode::default(),
             vote_cost: VoteCost::default(),
             corruption: None,
-            cost: CostModel::default(),
-            abort_horizon: f64::INFINITY,
-            start_time: 0.0,
-            death_times: None,
-            sinks: Sinks::default(),
-            workers: None,
         })
     }
 }
 
-/// Builder for a replicated run.
+/// Builder for a replicated run: the replication settings, and the
+/// physical world's [`WorldBuilder`], sized by `(n_virtual, degree)`, that
+/// the world-level setters forward to.
 #[derive(Debug, Clone)]
 pub struct ReplicatedWorldBuilder {
     partition: RedundancyPartition,
     mode: VotingMode,
     vote_cost: VoteCost,
     corruption: Option<CorruptionModel>,
-    cost: CostModel,
-    abort_horizon: f64,
-    start_time: f64,
-    death_times: Option<Vec<f64>>,
-    sinks: Sinks,
-    workers: Option<usize>,
+    world: WorldBuilder,
 }
 
 impl ReplicatedWorldBuilder {
@@ -77,47 +69,44 @@ impl ReplicatedWorldBuilder {
             self.partition.degree(),
             strategy,
         )?;
+        // Placement moves replicas, never their number.
+        debug_assert_eq!(self.partition.total_physical() as usize, self.world.size());
         Ok(self)
     }
 
     /// Sets the voting mode (default [`VotingMode::AllToAll`], as in the
     /// paper's experiments).
-    pub fn voting_mode(mut self, mode: VotingMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the communication cost model.
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
+    pub fn voting_mode(self, mode: VotingMode) -> Self {
+        Self { mode, ..self }
     }
 
     /// Sets the redundant-copy processing (voting) cost model. Use
     /// [`VoteCost::zero`] for purely functional runs.
-    pub fn vote_cost(mut self, vote_cost: VoteCost) -> Self {
-        self.vote_cost = vote_cost;
-        self
+    pub fn vote_cost(self, vote_cost: VoteCost) -> Self {
+        Self { vote_cost, ..self }
     }
 
     /// Enables deterministic silent-data-corruption injection on outgoing
     /// physical copies (RedMPI's SDC-detection scenario).
-    pub fn corruption(mut self, model: CorruptionModel) -> Self {
-        self.corruption = Some(model);
-        self
+    pub fn corruption(self, model: CorruptionModel) -> Self {
+        Self { corruption: Some(model), ..self }
+    }
+
+    /// Sets the communication cost model (see
+    /// [`WorldBuilder::cost_model`]).
+    pub fn cost_model(self, cost: CostModel) -> Self {
+        Self { world: self.world.cost_model(cost), ..self }
     }
 
     /// Sets the fail-stop abort horizon in virtual seconds (see
-    /// [`redcr_mpi::WorldBuilder::abort_horizon`]).
-    pub fn abort_horizon(mut self, t: f64) -> Self {
-        self.abort_horizon = t;
-        self
+    /// [`WorldBuilder::abort_horizon`]).
+    pub fn abort_horizon(self, t: f64) -> Self {
+        Self { world: self.world.abort_horizon(t), ..self }
     }
 
     /// Starts all clocks at `t` virtual seconds (checkpoint resume).
-    pub fn start_time(mut self, t: f64) -> Self {
-        self.start_time = t;
-        self
+    pub fn start_time(self, t: f64) -> Self {
+        Self { world: self.world.start_time(t), ..self }
     }
 
     /// Sets **per-physical-rank fail-stop times** (absolute virtual
@@ -125,33 +114,28 @@ impl ReplicatedWorldBuilder {
     /// the virtual map's layout). A dead replica degrades its sphere live:
     /// surviving replicas keep the run going, voting over fewer copies,
     /// until the *last* replica of some sphere dies — only then does the
-    /// job abort. See [`redcr_mpi::WorldBuilder::death_times`].
-    pub fn death_times(mut self, times: Vec<f64>) -> Self {
-        self.death_times = Some(times);
-        self
+    /// job abort. See [`WorldBuilder::death_times`].
+    pub fn death_times(self, times: Vec<f64>) -> Self {
+        Self { world: self.world.death_times(times), ..self }
     }
 
-    /// Sets the telemetry sinks (see [`redcr_mpi::WorldBuilder::obs`]).
-    /// The replication layer adds its own records on top of the base
-    /// runtime's: per-message vote outcomes and latency, wildcard-receive
-    /// leader failovers, and a wall-clock span over each receive-path
-    /// vote.
-    pub fn obs(mut self, sinks: Sinks) -> Self {
-        self.sinks = sinks;
-        self
+    /// Sets the telemetry sinks (see [`WorldBuilder::obs`]). The
+    /// replication layer adds vote outcomes and latency, wildcard-receive
+    /// leader failovers and a wall-clock span over each vote.
+    pub fn obs(self, sinks: Sinks) -> Self {
+        Self { world: self.world.obs(sinks), ..self }
     }
 
     /// Pins the scheduler worker count of the underlying physical world
-    /// (see [`redcr_mpi::WorldBuilder::workers`]). A host-side throughput
-    /// knob only: results are bit-identical at any worker count.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
+    /// (see [`WorldBuilder::workers`]). A host-side throughput knob only:
+    /// results are bit-identical at any worker count.
+    pub fn workers(self, workers: usize) -> Self {
+        Self { world: self.world.workers(workers), ..self }
     }
 
     /// Number of physical ranks this configuration will spawn.
     pub fn n_physical(&self) -> usize {
-        self.partition.total_physical() as usize
+        self.world.size()
     }
 
     /// Runs `f` on every physical replica. The closure sees the *virtual*
@@ -167,35 +151,19 @@ impl ReplicatedWorldBuilder {
         T: Send,
         F: Fn(&ReplicaComm) -> Result<T> + Send + Sync,
     {
-        let vmap = Arc::new(VirtualMap::new(self.partition.clone()));
+        let vmap = Arc::new(VirtualMap::new(self.partition));
         let n_physical = vmap.n_physical();
-        let mode = self.mode;
-        let vote_cost = self.vote_cost;
-        let corruption = self.corruption;
-        let vmap_outer = Arc::clone(&vmap);
-        let f = &f;
-        let mut world = World::builder(n_physical)
-            .cost_model(self.cost)
-            .abort_horizon(self.abort_horizon)
-            .start_time(self.start_time)
-            .obs(self.sinks);
-        if let Some(times) = self.death_times {
-            world = world.death_times(times);
-        }
-        if let Some(workers) = self.workers {
-            world = world.workers(workers);
-        }
         // Home all replicas of a virtual rank on one scheduler worker:
         // every virtual message fans out to each of them.
         let owner = |p| vmap.owner_of(redcr_mpi::Rank::new(p)).0.index() as u32;
-        world = world.placement_keys((0..n_physical as u32).map(owner).collect());
-        let report = world.run(move |base: &Comm| {
-            let mut comm = ReplicaComm::with_vote_cost(base, Arc::clone(&vmap), mode, vote_cost);
-            if let Some(model) = corruption {
+        let world = self.world.placement_keys((0..n_physical as u32).map(owner).collect());
+        let report = world.run(|base: &Comm| {
+            let mut comm = ReplicaComm::new(base, Arc::clone(&vmap), self.mode, self.vote_cost);
+            if let Some(model) = self.corruption {
                 comm = comm.with_corruption(model);
             }
             let out = f(&comm)?;
-            Ok((out, comm.stats().snapshot()))
+            Ok((out, comm.stats()))
         })?;
 
         let mut results = Vec::with_capacity(n_physical);
@@ -210,7 +178,7 @@ impl ReplicatedWorldBuilder {
             }
         }
         Ok(ReplicatedReport {
-            vmap: vmap_outer,
+            vmap,
             results,
             stats,
             max_virtual_time: report.max_virtual_time,
@@ -294,6 +262,3 @@ impl<T> ReplicatedReport<T> {
         Ok(out)
     }
 }
-
-// Keep MpiError in the public surface for doc links.
-const _: Option<MpiError> = None;

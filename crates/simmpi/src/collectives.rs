@@ -10,6 +10,7 @@
 
 use bytes::Bytes;
 
+use crate::datatype::Word;
 use crate::error::{MpiError, Result};
 
 /// Commutative, associative reduction operators.
@@ -26,90 +27,35 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
-    /// Combines two `f64` operands.
-    pub fn combine_f64(self, a: f64, b: f64) -> f64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Prod => a * b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        }
-    }
-
-    /// Combines two `u64` operands (saturating for sum/product).
-    pub fn combine_u64(self, a: u64, b: u64) -> u64 {
-        match self {
-            ReduceOp::Sum => a.saturating_add(b),
-            ReduceOp::Prod => a.saturating_mul(b),
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        }
-    }
-
     /// Element-wise in-place combination `acc[i] = op(acc[i], x[i])`.
     ///
     /// # Errors
     ///
     /// Returns [`MpiError::CollectiveMismatch`] when lengths differ.
-    pub fn fold_f64(self, acc: &mut [f64], x: &[f64]) -> Result<()> {
+    pub fn fold<T: Word>(self, acc: &mut [T], x: &[T]) -> Result<()> {
         if acc.len() != x.len() {
             return Err(MpiError::CollectiveMismatch { what: "reduce operand lengths differ" });
         }
-        for (a, b) in acc.iter_mut().zip(x) {
-            *a = self.combine_f64(*a, *b);
+        for (a, &b) in acc.iter_mut().zip(x) {
+            *a = T::combine(self, *a, b);
         }
         Ok(())
     }
 
-    /// Element-wise in-place combination for `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpiError::CollectiveMismatch`] when lengths differ.
-    pub fn fold_u64(self, acc: &mut [u64], x: &[u64]) -> Result<()> {
-        if acc.len() != x.len() {
-            return Err(MpiError::CollectiveMismatch { what: "reduce operand lengths differ" });
-        }
-        for (a, b) in acc.iter_mut().zip(x) {
-            *a = self.combine_u64(*a, *b);
-        }
-        Ok(())
-    }
-
-    /// [`fold_f64`](Self::fold_f64) with the operand still in its
-    /// little-endian wire encoding: combines element-by-element straight
-    /// out of the receive buffer, skipping the intermediate decoded
-    /// vector the reduction trees would otherwise allocate every round.
-    /// Identical combine order, so results are bit-for-bit the same.
+    /// [`fold`](Self::fold) straight out of a receive buffer, the operand
+    /// still in its wire encoding: the reduction tree decodes no vector per
+    /// round, and the combine order is the same.
     ///
     /// # Errors
     ///
     /// Returns [`MpiError::CollectiveMismatch`] when the encoded operand
     /// length differs from `acc`.
-    pub fn fold_f64_bytes(self, acc: &mut [f64], bytes: &[u8]) -> Result<()> {
+    pub fn fold_bytes<T: Word>(self, acc: &mut [T], bytes: &[u8]) -> Result<()> {
         if bytes.len() != acc.len() * 8 {
             return Err(MpiError::CollectiveMismatch { what: "reduce operand lengths differ" });
         }
-        for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(8)) {
-            // detlint::allow(R4, reason = "infallible: chunks_exact(8) yields exactly 8-byte slices")
-            *a = self.combine_f64(*a, f64::from_le_bytes(c.try_into().expect("chunk of 8")));
-        }
-        Ok(())
-    }
-
-    /// [`fold_u64`](Self::fold_u64) straight from the wire encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpiError::CollectiveMismatch`] when the encoded operand
-    /// length differs from `acc`.
-    pub fn fold_u64_bytes(self, acc: &mut [u64], bytes: &[u8]) -> Result<()> {
-        if bytes.len() != acc.len() * 8 {
-            return Err(MpiError::CollectiveMismatch { what: "reduce operand lengths differ" });
-        }
-        for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(8)) {
-            // detlint::allow(R4, reason = "infallible: chunks_exact(8) yields exactly 8-byte slices")
-            *a = self.combine_u64(*a, u64::from_le_bytes(c.try_into().expect("chunk of 8")));
+        for (a, &w) in acc.iter_mut().zip(bytes.as_chunks::<8>().0) {
+            *a = T::combine(self, *a, T::from_le(w));
         }
         Ok(())
     }
@@ -227,24 +173,29 @@ mod tests {
 
     #[test]
     fn combine_f64_ops() {
-        assert_eq!(ReduceOp::Sum.combine_f64(2.0, 3.0), 5.0);
-        assert_eq!(ReduceOp::Prod.combine_f64(2.0, 3.0), 6.0);
-        assert_eq!(ReduceOp::Min.combine_f64(2.0, 3.0), 2.0);
-        assert_eq!(ReduceOp::Max.combine_f64(2.0, 3.0), 3.0);
+        assert_eq!(f64::combine(ReduceOp::Sum, 2.0, 3.0), 5.0);
+        assert_eq!(f64::combine(ReduceOp::Prod, 2.0, 3.0), 6.0);
+        assert_eq!(f64::combine(ReduceOp::Min, 2.0, 3.0), 2.0);
+        assert_eq!(f64::combine(ReduceOp::Max, 2.0, 3.0), 3.0);
     }
 
     #[test]
     fn combine_u64_saturates() {
-        assert_eq!(ReduceOp::Sum.combine_u64(u64::MAX, 1), u64::MAX);
-        assert_eq!(ReduceOp::Prod.combine_u64(u64::MAX, 2), u64::MAX);
+        assert_eq!(u64::combine(ReduceOp::Sum, u64::MAX, 1), u64::MAX);
+        assert_eq!(u64::combine(ReduceOp::Prod, u64::MAX, 2), u64::MAX);
     }
 
     #[test]
     fn fold_checks_lengths() {
         let mut acc = vec![1.0, 2.0];
-        assert!(ReduceOp::Sum.fold_f64(&mut acc, &[1.0]).is_err());
-        ReduceOp::Sum.fold_f64(&mut acc, &[10.0, 20.0]).unwrap();
+        assert!(ReduceOp::Sum.fold(&mut acc, &[1.0]).is_err());
+        ReduceOp::Sum.fold(&mut acc, &[10.0, 20.0]).unwrap();
         assert_eq!(acc, vec![11.0, 22.0]);
+        assert!(ReduceOp::Sum.fold_bytes(&mut acc, &[0u8; 12]).is_err());
+        assert!(ReduceOp::Sum.fold_bytes(&mut acc, &[0u8; 8]).is_err());
+        let mut counts = vec![u64::MAX - 1, 5];
+        ReduceOp::Sum.fold_bytes(&mut counts, &crate::datatype::encode(&[3u64, 4])).unwrap();
+        assert_eq!(counts, vec![u64::MAX, 9]);
     }
 
     #[test]

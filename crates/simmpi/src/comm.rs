@@ -125,8 +125,8 @@ impl Comm {
     /// error if the run aborted.
     pub fn split(&self, color: u64, key: u64) -> Result<SubComm> {
         self.world_only()?;
-        let my = crate::datatype::encode_u64s(&[color, key, self.world_rank.as_u32() as u64]);
-        let all = self.allgather(Bytes::from(my))?;
+        let my = crate::datatype::encode(&[color, key, self.world_rank.as_u32() as u64]);
+        let all = self.allgather(my)?;
         let mut members: Vec<(u64, u32)> = Vec::new();
         for part in &all {
             let (&[c, k, r], []) = part.as_chunks::<8>() else {

@@ -11,7 +11,7 @@
 use bytes::Bytes;
 
 use crate::collectives::{frame_parts, Gathered, ReduceOp};
-use crate::datatype;
+use crate::datatype::{self, Word};
 use crate::error::Result;
 use crate::message::Status;
 use crate::rank::{Rank, RankSelector};
@@ -293,7 +293,7 @@ pub trait Communicator {
     ///
     /// See [`send_ns`](Self::send_ns).
     fn send_f64s(&self, dest: Rank, tag: Tag, values: &[f64]) -> Result<()> {
-        self.send_bytes(dest, tag, datatype::f64s_to_bytes(values))
+        self.send_bytes(dest, tag, datatype::encode(values))
     }
 
     /// Receives a slice of `f64` values.
@@ -303,7 +303,7 @@ pub trait Communicator {
     /// Decoding fails if the payload length is not a multiple of 8.
     fn recv_f64s(&self, src: RankSelector, tag: TagSelector) -> Result<(Vec<f64>, Status)> {
         let (bytes, status) = self.recv(src, tag)?;
-        Ok((datatype::decode_f64s(&bytes)?, status))
+        Ok((datatype::decode(&bytes)?, status))
     }
 
     /// Sends a slice of `u64` values.
@@ -312,7 +312,7 @@ pub trait Communicator {
     ///
     /// See [`send_ns`](Self::send_ns).
     fn send_u64s(&self, dest: Rank, tag: Tag, values: &[u64]) -> Result<()> {
-        self.send_bytes(dest, tag, datatype::u64s_to_bytes(values))
+        self.send_bytes(dest, tag, datatype::encode(values))
     }
 
     /// Receives a slice of `u64` values.
@@ -322,7 +322,7 @@ pub trait Communicator {
     /// Decoding fails if the payload length is not a multiple of 8.
     fn recv_u64s(&self, src: RankSelector, tag: TagSelector) -> Result<(Vec<u64>, Status)> {
         let (bytes, status) = self.recv(src, tag)?;
-        Ok((datatype::decode_u64s(&bytes)?, status))
+        Ok((datatype::decode(&bytes)?, status))
     }
 
     // ------------------------------------------------------------------
@@ -416,35 +416,7 @@ pub trait Communicator {
     where
         Self: Sized,
     {
-        let n = self.size();
-        let seq = self.next_collective_seq();
-        let tag = coll_tag(seq, 0);
-        let me = self.rank().index();
-        let relative = (me + n - root.index()) % n;
-        let mut acc = values.to_vec();
-
-        let mut mask = 1usize;
-        while mask < n {
-            if relative & mask == 0 {
-                let source = relative | mask;
-                if source < n {
-                    let src = Rank::new(((source + root.index()) % n) as u32);
-                    let (bytes, _) = self.recv_ns(
-                        RankSelector::Rank(src),
-                        TagSelector::Tag(tag),
-                        Namespace::Collective,
-                    )?;
-                    op.fold_f64_bytes(&mut acc, &bytes)?;
-                }
-            } else {
-                let dest_rel = relative & !mask;
-                let dst = Rank::new(((dest_rel + root.index()) % n) as u32);
-                self.send_ns(dst, tag, datatype::f64s_to_bytes(&acc), Namespace::Collective)?;
-                return Ok(None);
-            }
-            mask <<= 1;
-        }
-        Ok(Some(acc))
+        reduce(self, root, values, op)
     }
 
     /// All-reduce: reduce to rank 0 then broadcast (every rank returns the
@@ -457,17 +429,11 @@ pub trait Communicator {
     where
         Self: Sized,
     {
-        let root = Rank::new(0);
-        let reduced = self.reduce_f64(root, values, op)?;
-        let payload = match reduced {
-            Some(v) => datatype::f64s_to_bytes(&v),
-            None => Bytes::new(),
-        };
-        let out = self.bcast(root, payload)?;
-        datatype::decode_f64s(&out)
+        allreduce(self, values, op)
     }
 
-    /// All-reduce for `u64` vectors (used by coordination protocols).
+    /// [`allreduce_f64`](Self::allreduce_f64) for `u64` vectors (the
+    /// checkpoint's bookmark exchange); sum and product saturate.
     ///
     /// # Errors
     ///
@@ -476,37 +442,7 @@ pub trait Communicator {
     where
         Self: Sized,
     {
-        let n = self.size();
-        let seq = self.next_collective_seq();
-        let tag = coll_tag(seq, 0);
-        let me = self.rank().index();
-        let mut acc = values.to_vec();
-        // Reduce to rank 0 (binomial, root fixed at 0).
-        let mut mask = 1usize;
-        let mut is_root_holder = true;
-        while mask < n {
-            if me & mask == 0 {
-                let source = me | mask;
-                if source < n {
-                    let (bytes, _) = self.recv_ns(
-                        RankSelector::Rank(Rank::new(source as u32)),
-                        TagSelector::Tag(tag),
-                        Namespace::Collective,
-                    )?;
-                    op.fold_u64_bytes(&mut acc, &bytes)?;
-                }
-            } else {
-                let dst = Rank::new((me & !mask) as u32);
-                self.send_ns(dst, tag, datatype::u64s_to_bytes(&acc), Namespace::Collective)?;
-                is_root_holder = false;
-                break;
-            }
-            mask <<= 1;
-        }
-        let payload =
-            if is_root_holder && me == 0 { datatype::u64s_to_bytes(&acc) } else { Bytes::new() };
-        let out = self.bcast(Rank::new(0), payload)?;
-        datatype::decode_u64s(&out)
+        allreduce(self, values, op)
     }
 
     /// Gathers every rank's `data` to `root` (linear). Returns
@@ -671,22 +607,67 @@ pub trait Communicator {
                 TagSelector::Tag(tag),
                 Namespace::Collective,
             )?;
-            let prefix = datatype::decode_f64s(&bytes)?;
             // acc = op(prefix, mine) — fixed order for determinism.
-            let mut combined = prefix;
-            op.fold_f64(&mut combined, &acc)?;
-            acc = combined;
+            let mut prefix = datatype::decode(&bytes)?;
+            op.fold(&mut prefix, &acc)?;
+            acc = prefix;
         }
         if me + 1 < n {
             self.send_ns(
                 Rank::new((me + 1) as u32),
                 tag,
-                datatype::f64s_to_bytes(&acc),
+                datatype::encode(&acc),
                 Namespace::Collective,
             )?;
         }
         Ok(acc)
     }
+}
+
+/// The one reduction tree: a binomial reduce to `root` in fixed combine
+/// order, the rank `relative | mask` folded into `relative` at each round.
+/// Returns `Some(result)` on the root, `None` elsewhere.
+fn reduce<C: Communicator, T: Word>(
+    comm: &C,
+    root: Rank,
+    values: &[T],
+    op: ReduceOp,
+) -> Result<Option<Vec<T>>> {
+    let n = comm.size();
+    let tag = coll_tag(comm.next_collective_seq(), 0);
+    let relative = (comm.rank().index() + n - root.index()) % n;
+    let rank_of = |rel: usize| Rank::new(((rel + root.index()) % n) as u32);
+    let mut acc = values.to_vec();
+
+    let mut mask = 1usize;
+    while mask < n {
+        if relative & mask == 0 {
+            if relative | mask < n {
+                let (bytes, _) = comm.recv_ns(
+                    RankSelector::Rank(rank_of(relative | mask)),
+                    TagSelector::Tag(tag),
+                    Namespace::Collective,
+                )?;
+                op.fold_bytes(&mut acc, &bytes)?;
+            }
+        } else {
+            let dst = rank_of(relative & !mask);
+            comm.send_ns(dst, tag, datatype::encode(&acc), Namespace::Collective)?;
+            return Ok(None);
+        }
+        mask <<= 1;
+    }
+    Ok(Some(acc))
+}
+
+/// [`reduce`] to rank 0, then a broadcast of the result.
+fn allreduce<C: Communicator, T: Word>(comm: &C, values: &[T], op: ReduceOp) -> Result<Vec<T>> {
+    let root = Rank::new(0);
+    let payload = match reduce(comm, root, values, op)? {
+        Some(v) => datatype::encode(&v),
+        None => Bytes::new(),
+    };
+    datatype::decode(&comm.bcast(root, payload)?)
 }
 
 /// Builds the collective wire tag for sequence `seq`, round `round`.

@@ -9,7 +9,56 @@
 
 use bytes::Bytes;
 
+use crate::collectives::ReduceOp;
 use crate::error::{MpiError, Result};
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// An element the typed sends and the reduction collectives carry: `f64`
+/// or `u64`. On the wire it is 8 little-endian bytes; the trait is sealed,
+/// so those two are the only ones.
+pub trait Word: sealed::Sealed + Copy {
+    /// The 8-byte little-endian wire form.
+    fn to_le(self) -> [u8; 8];
+
+    /// Inverse of [`to_le`](Self::to_le).
+    fn from_le(bytes: [u8; 8]) -> Self;
+
+    /// `op(a, b)`, the one combine rule of every reduction: IEEE
+    /// arithmetic for `f64`, saturating sum and product for `u64`.
+    fn combine(op: ReduceOp, a: Self, b: Self) -> Self;
+}
+
+/// Implements [`Word`] for `$t`, whose sum and product are `$sum`/`$prod`.
+macro_rules! word {
+    ($t:ty, $sum:expr, $prod:expr) => {
+        impl sealed::Sealed for $t {}
+
+        impl Word for $t {
+            fn to_le(self) -> [u8; 8] {
+                self.to_le_bytes()
+            }
+
+            fn from_le(bytes: [u8; 8]) -> Self {
+                <$t>::from_le_bytes(bytes)
+            }
+
+            fn combine(op: ReduceOp, a: Self, b: Self) -> Self {
+                match op {
+                    ReduceOp::Sum => $sum(a, b),
+                    ReduceOp::Prod => $prod(a, b),
+                    ReduceOp::Min => a.min(b),
+                    ReduceOp::Max => a.max(b),
+                }
+            }
+        }
+    };
+}
+
+word!(f64, |a, b| a + b, |a, b| a * b);
+word!(u64, u64::saturating_add, u64::saturating_mul);
 
 /// Slices of up to this many 8-byte words encode through a stack buffer
 /// straight into an inline [`Bytes`] — no heap allocation. Matches
@@ -17,99 +66,49 @@ use crate::error::{MpiError, Result};
 /// (dot products, norms, counters) all fit.
 const INLINE_WORDS: usize = bytes::INLINE_CAP / 8;
 
-/// Encodes a slice of `f64` directly as a message payload. Small slices
+/// Encodes a slice of words as a message payload. Small slices
 /// (≤ `INLINE_WORDS`) take an allocation-free inline path.
-pub fn f64s_to_bytes(values: &[f64]) -> Bytes {
+pub fn encode<T: Word>(values: &[T]) -> Bytes {
     if values.len() <= INLINE_WORDS {
         let mut buf = [0u8; INLINE_WORDS * 8];
         for (chunk, v) in buf.chunks_exact_mut(8).zip(values) {
-            chunk.copy_from_slice(&v.to_le_bytes());
+            chunk.copy_from_slice(&v.to_le());
         }
         Bytes::copy_from_slice(&buf[..values.len() * 8])
     } else {
-        Bytes::from(encode_f64s(values))
-    }
-}
-
-/// Encodes a slice of `u64` directly as a message payload. Small slices
-/// (≤ `INLINE_WORDS`) take an allocation-free inline path.
-pub fn u64s_to_bytes(values: &[u64]) -> Bytes {
-    if values.len() <= INLINE_WORDS {
-        let mut buf = [0u8; INLINE_WORDS * 8];
-        for (chunk, v) in buf.chunks_exact_mut(8).zip(values) {
-            chunk.copy_from_slice(&v.to_le_bytes());
+        let mut out = Vec::with_capacity(values.len() * 8);
+        for v in values {
+            out.extend_from_slice(&v.to_le());
         }
-        Bytes::copy_from_slice(&buf[..values.len() * 8])
-    } else {
-        Bytes::from(encode_u64s(values))
+        Bytes::from(out)
     }
 }
 
-/// Encodes a slice of `f64` as little-endian bytes.
-pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes little-endian bytes as `f64` values.
+/// Decodes little-endian bytes as words.
 ///
 /// # Errors
 ///
 /// Returns [`MpiError::DecodeError`] if the length is not a multiple of 8.
-pub fn decode_f64s(bytes: &[u8]) -> Result<Vec<f64>> {
+pub fn decode<T: Word>(bytes: &[u8]) -> Result<Vec<T>> {
     let mut out = Vec::with_capacity(bytes.len() / 8);
-    extend_f64s(&mut out, bytes)?;
-    Ok(out)
+    decode_into(&mut out, bytes).map(|()| out)
 }
 
-/// [`decode_f64s`] appending to `out` instead of returning a new vector:
-/// the decode-into counterpart of
-/// [`ReduceOp::fold_f64_bytes`](crate::collectives::ReduceOp::fold_f64_bytes),
-/// for assembling one vector from the parts of an allgather.
+/// [`decode`] appending to `out` instead of returning a new vector: the
+/// decode-into counterpart of
+/// [`ReduceOp::fold_bytes`](crate::collectives::ReduceOp::fold_bytes), for
+/// assembling one vector from the parts of an allgather.
 ///
 /// # Errors
 ///
 /// Returns [`MpiError::DecodeError`] if the length is not a multiple of 8;
 /// `out` is then unchanged.
-pub fn extend_f64s(out: &mut Vec<f64>, bytes: &[u8]) -> Result<()> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(MpiError::DecodeError { what: "f64 slice" });
-    }
-    out.extend(
-        bytes
-            .chunks_exact(8)
-            // detlint::allow(R4, reason = "infallible: chunks_exact(8) yields exactly 8-byte slices")
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8"))),
-    );
+pub fn decode_into<T: Word>(out: &mut Vec<T>, bytes: &[u8]) -> Result<()> {
+    let (words, []) = bytes.as_chunks::<8>() else {
+        return Err(MpiError::DecodeError { what: "8-byte word slice" });
+    };
+    out.extend(words.iter().map(|&w| T::from_le(w)));
     Ok(())
-}
-
-/// Encodes a slice of `u64` as little-endian bytes.
-pub fn encode_u64s(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes little-endian bytes as `u64` values.
-///
-/// # Errors
-///
-/// Returns [`MpiError::DecodeError`] if the length is not a multiple of 8.
-pub fn decode_u64s(bytes: &[u8]) -> Result<Vec<u64>> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(MpiError::DecodeError { what: "u64 slice" });
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        // detlint::allow(R4, reason = "infallible: chunks_exact(8) yields exactly 8-byte slices")
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect())
 }
 
 /// Decodes a single `u64`.
@@ -127,16 +126,21 @@ pub fn decode_u64(bytes: &[u8]) -> Result<u64> {
 mod tests {
     use super::*;
 
+    /// The reference encoding: every word's bytes, in order.
+    fn reference<T: Word>(values: &[T]) -> Vec<u8> {
+        values.iter().flat_map(|v| v.to_le()).collect()
+    }
+
     #[test]
     fn f64_round_trip() {
         let xs = vec![0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, std::f64::consts::PI];
-        assert_eq!(decode_f64s(&encode_f64s(&xs)).unwrap(), xs);
+        assert_eq!(decode::<f64>(&encode(&xs)).unwrap(), xs);
     }
 
     #[test]
     fn u64_round_trip() {
         let xs = vec![0, 1, u64::MAX, 42];
-        assert_eq!(decode_u64s(&encode_u64s(&xs)).unwrap(), xs);
+        assert_eq!(decode::<u64>(&encode(&xs)).unwrap(), xs);
     }
 
     #[test]
@@ -146,46 +150,46 @@ mod tests {
 
     #[test]
     fn misaligned_length_rejected() {
-        assert!(decode_f64s(&[0u8; 7]).is_err());
-        assert!(decode_u64s(&[0u8; 9]).is_err());
+        assert!(decode::<f64>(&[0u8; 7]).is_err());
+        assert!(decode::<u64>(&[0u8; 9]).is_err());
         assert!(decode_u64(&[0u8; 16]).is_err());
     }
 
     #[test]
     fn extend_appends_and_leaves_out_alone_on_error() {
         let mut out = vec![1.0];
-        extend_f64s(&mut out, &encode_f64s(&[2.0, 3.0])).unwrap();
+        decode_into(&mut out, &encode(&[2.0, 3.0])).unwrap();
         assert_eq!(out, vec![1.0, 2.0, 3.0]);
-        assert!(extend_f64s(&mut out, &[0u8; 12]).is_err());
+        assert!(decode_into(&mut out, &[0u8; 12]).is_err());
         assert_eq!(out, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn empty_slices_ok() {
-        assert!(decode_f64s(&[]).unwrap().is_empty());
-        assert!(encode_f64s(&[]).is_empty());
+        assert!(decode::<f64>(&[]).unwrap().is_empty());
+        assert!(encode::<f64>(&[]).is_empty());
     }
 
     #[test]
     fn to_bytes_matches_encode() {
         // Inline-path (small) and heap-path (large) payloads must be
-        // byte-identical to the Vec encoders: voting compares raw bytes.
+        // byte-identical to the word-by-word encoding: voting compares raw
+        // bytes.
         let small = [1.5f64, -2.25, 3.0];
-        assert_eq!(&f64s_to_bytes(&small)[..], encode_f64s(&small).as_slice());
+        assert_eq!(&encode(&small)[..], reference(&small).as_slice());
         let large: Vec<f64> = (0..64).map(f64::from).collect();
-        assert_eq!(&f64s_to_bytes(&large)[..], encode_f64s(&large).as_slice());
+        assert_eq!(&encode(&large)[..], reference(&large).as_slice());
         let us = [7u64, u64::MAX];
-        assert_eq!(&u64s_to_bytes(&us)[..], encode_u64s(&us).as_slice());
+        assert_eq!(&encode(&us)[..], reference(&us).as_slice());
         let ul: Vec<u64> = (0..64).collect();
-        assert_eq!(&u64s_to_bytes(&ul)[..], encode_u64s(&ul).as_slice());
+        assert_eq!(&encode(&ul)[..], reference(&ul).as_slice());
     }
 
     #[test]
     fn nan_payloads_preserve_bits() {
         // Voting compares raw bytes; NaN payloads must round-trip bitwise.
         let nan = f64::from_bits(0x7ff8_dead_beef_0001);
-        let enc = encode_f64s(&[nan]);
-        let dec = decode_f64s(&enc).unwrap();
+        let dec = decode::<f64>(&encode(&[nan])).unwrap();
         assert_eq!(dec[0].to_bits(), nan.to_bits());
     }
 }

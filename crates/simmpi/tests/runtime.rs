@@ -1,9 +1,14 @@
 //! Integration tests for the message-passing runtime: functional semantics,
 //! collectives, virtual-time accounting, sub-communicators and aborts.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use redcr_mpi::collectives::{Gathered, ReduceOp};
-use redcr_mpi::{Communicator, CostModel, MpiError, Rank, RankSelector, Tag, TagSelector, World};
+use redcr_mpi::trace::Collector;
+use redcr_mpi::{
+    Communicator, CostModel, MpiError, Rank, RankSelector, Sinks, Tag, TagSelector, World,
+};
 
 fn tag(v: u64) -> Tag {
     Tag::new(v)
@@ -692,4 +697,59 @@ fn split_and_dup_of_a_derived_communicator_are_refused_before_any_traffic() {
         .unwrap();
     assert_eq!(report.messages_sent, derived_traffic);
     report.into_results().unwrap();
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Per-rank FNV of every collective result's bits, in call order.
+const STREAM_RESULTS: [u64; 5] = [
+    0x8a83_2fb8_d6ee_520d,
+    0xd8fe_4894_7bba_fe37,
+    0xf1dc_009b_d84b_195a,
+    0x6bc8_9b5b_8663_08bc,
+    0xd7a1_c358_47cb_b32b,
+];
+const STREAM_TIME_BITS: u64 = 0x3f07_6018_ef65_281e;
+const STREAM_EVENTS: usize = 69;
+const STREAM_TRACE_FNV: u64 = 0x5d0d_7609_ebf5_970b;
+
+/// Every reduction collective's message stream, pinned bit for bit: a
+/// reduce to a non-zero root, an `f64` and two `u64` all-reduces (one
+/// saturating through the tree) and a scan, under a cost model that
+/// charges latency and bandwidth, with the flight recorder on.
+#[test]
+fn reduction_streams_match_their_capture_bit_for_bit() {
+    let collector = Arc::new(Collector::new());
+    let sinks = Sinks { trace: Some(Arc::clone(&collector)), ..Sinks::default() };
+    let report = World::builder(5)
+        .cost_model(CostModel::infiniband_qdr())
+        .obs(sinks)
+        .run(|comm| {
+            let me = comm.rank().index();
+            let x = me as f64;
+            let operand = [x * 0.1 + 0.3, -x, 1.0 / (x + 1.0)];
+            let reduced = comm.reduce_f64(Rank::new(3), &operand, ReduceOp::Sum)?;
+            assert_eq!(reduced.is_some(), me == 3);
+            let max = comm.allreduce_f64(&[x.sin(), -x.cos()], ReduceOp::Max)?;
+            let big = if me == 2 { u64::MAX - 1 } else { me as u64 };
+            let sum = comm.allreduce_u64(&[big, 7 * me as u64], ReduceOp::Sum)?;
+            assert_eq!(sum, [u64::MAX, 70]);
+            let min = comm.allreduce_u64(&[40 - me as u64, me as u64 + 3], ReduceOp::Min)?;
+            assert_eq!(min, [36, 3]);
+            let scan = comm.scan_f64(&[x * 0.7 + 0.1, 1.0 / (x + 2.0)], ReduceOp::Sum)?;
+            let floats = reduced.unwrap_or_default().into_iter().chain(max).chain(scan);
+            let words = floats.map(f64::to_bits).chain(sum).chain(min);
+            Ok(fnv1a(&words.flat_map(u64::to_le_bytes).collect::<Vec<_>>()))
+        })
+        .unwrap();
+    assert_eq!(report.max_virtual_time.to_bits(), STREAM_TIME_BITS);
+    assert_eq!(report.into_results().unwrap(), STREAM_RESULTS);
+    let trace = collector.take();
+    assert_eq!(trace.len(), STREAM_EVENTS);
+    assert_eq!(fnv1a(trace.to_jsonl().as_bytes()), STREAM_TRACE_FNV);
 }

@@ -26,8 +26,8 @@ const CHUNK_EVENTS: usize = 1024;
 /// driver emits a handful per segment, between two batches of rank chunks.
 const DRIVER_CHUNK_EVENTS: usize = 16;
 
-/// A per-rank event sink. Like the replication layer's `ReplicationStats`,
-/// a `Recorder` lives on one rank's thread (it is `Send` but not `Sync`)
+/// A per-rank event sink. Like the replication layer's statistics, a
+/// `Recorder` lives on one rank's thread (it is `Send` but not `Sync`)
 /// and costs one in-place write per event — no locking on the hot path. At
 /// rank teardown its chunks are handed to the world's [`Collector`].
 #[derive(Debug)]

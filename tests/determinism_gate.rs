@@ -24,60 +24,31 @@
 
 use std::sync::Arc;
 
-use redcr_apps::cg::{CgConfig, CgState};
+use redcr_apps::cg::CgState;
 use redcr_apps::jacobi::{JacobiConfig, JacobiState};
 use redcr_ckpt::restart::latest_complete;
 use redcr_ckpt::storage::{MemoryStorage, SnapshotKey, StableStorage};
-use redcr_core::apps::{CgApp, JacobiApp};
+use redcr_core::apps::JacobiApp;
 use redcr_core::{ExecutionReport, ExecutorConfig, ResilientExecutor};
 use redcr_sweep::spec::fnv1a;
 use redcr_trace::{EventKind, Trace};
 
 mod common;
+#[path = "common/gate.rs"]
+mod gate;
 
-fn gate_run() -> redcr_core::ExecutionReport<CgState> {
-    let cfg = ExecutorConfig::new(8, 2.0)
-        .node_mtbf(150.0)
-        .checkpoint_interval(10.0)
-        .checkpoint_cost(0.5)
-        .restart_cost(2.0)
-        .seed(7)
-        .tracing(true);
-    let app = CgApp::new(CgConfig::small(256), 40).with_step_pad(1.0);
-    ResilientExecutor::new(cfg).run(&app).expect("gate run")
+fn gate_run() -> ExecutionReport<CgState> {
+    gate::run(gate::config().tracing(true))
 }
-
-// Captured on the pre-swap mailbox (flat Mutex<VecDeque>, notify_all),
-// 30/30 identical repetitions.
-const PRE_SWAP_TOTAL_BITS: u64 = 0x4044c01fa3bce69a; // 41.500965564 s
-const PRE_SWAP_DEGRADED_BITS: u64 = 0x405276e3bd7a12a0; // 73.857650155 s
-const PRE_SWAP_TRACE_LINES: usize = 20263;
-const PRE_SWAP_TRACE_FNV: u64 = 0xade83d686de079ae;
 
 #[test]
 fn report_totals_match_pre_swap_capture_bit_for_bit() {
-    let report = gate_run();
-    assert_eq!(report.total_virtual_time.to_bits(), PRE_SWAP_TOTAL_BITS);
-    assert_eq!(report.degraded_sphere_seconds.to_bits(), PRE_SWAP_DEGRADED_BITS);
-    assert_eq!(report.attempts, 1);
-    assert_eq!(report.failures, 0);
-    assert_eq!(report.masked_failures, 3);
-    assert_eq!(report.checkpoints_committed, 3);
-    assert_eq!(report.physical_messages, 7911);
-    assert_eq!(report.physical_bytes, 2_353_184);
+    gate::assert_totals(&gate_run(), "gate");
 }
 
 #[test]
 fn trace_jsonl_matches_pre_swap_capture_and_round_trips() {
-    let report = gate_run();
-    let trace = report.trace.as_ref().expect("tracing was on");
-    let jsonl = trace.to_jsonl();
-    assert_eq!(jsonl.lines().count(), PRE_SWAP_TRACE_LINES);
-    assert_eq!(
-        fnv1a(jsonl.as_bytes()),
-        PRE_SWAP_TRACE_FNV,
-        "trace JSONL bytes differ from the pre-swap capture"
-    );
+    let jsonl = gate::assert_trace(&gate_run(), "gate");
     // redcr-trace round-trip: parsing the pinned bytes and re-rendering
     // them must reproduce the same bytes, so the hash pins the *trace*,
     // not an accident of the serializer.

@@ -16,57 +16,28 @@
 
 use redcr_apps::cg::{CgConfig, CgState};
 use redcr_core::apps::CgApp;
-use redcr_core::{ExecutorConfig, ResilientExecutor};
+use redcr_core::{ExecutionReport, ExecutorConfig, ResilientExecutor};
 use redcr_mpi::prof::{CounterKey, SpanKey};
-use redcr_sweep::spec::fnv1a;
 use redcr_trace::{Analysis, CriticalPath};
 
+#[path = "common/gate.rs"]
+mod gate;
+
 /// The determinism-gate scenario with the given sinks switched ON.
-fn gate_run(tracing: bool, metrics: bool, profiling: bool) -> redcr_core::ExecutionReport<CgState> {
-    let cfg = ExecutorConfig::new(8, 2.0)
-        .node_mtbf(150.0)
-        .checkpoint_interval(10.0)
-        .checkpoint_cost(0.5)
-        .restart_cost(2.0)
-        .seed(7)
-        .tracing(tracing)
-        .metrics(metrics)
-        .profiling(profiling);
-    let app = CgApp::new(CgConfig::small(256), 40).with_step_pad(1.0);
-    ResilientExecutor::new(cfg).run(&app).expect("gate run")
+fn gate_run(tracing: bool, metrics: bool, profiling: bool) -> ExecutionReport<CgState> {
+    gate::run(gate::config().tracing(tracing).metrics(metrics).profiling(profiling))
 }
 
-fn profiled_gate_run() -> redcr_core::ExecutionReport<CgState> {
+fn profiled_gate_run() -> ExecutionReport<CgState> {
     gate_run(true, false, true)
 }
-
-// Identical constants to tests/determinism_gate.rs — captured on the
-// pre-swap mailbox, long before the profiler existed.
-const PRE_SWAP_TOTAL_BITS: u64 = 0x4044c01fa3bce69a;
-const PRE_SWAP_DEGRADED_BITS: u64 = 0x405276e3bd7a12a0;
-const PRE_SWAP_TRACE_LINES: usize = 20263;
-const PRE_SWAP_TRACE_FNV: u64 = 0xade83d686de079ae;
 
 #[test]
 fn profiler_on_keeps_every_pinned_virtual_quantity_bit_for_bit() {
     let report = profiled_gate_run();
-    assert_eq!(report.total_virtual_time.to_bits(), PRE_SWAP_TOTAL_BITS);
-    assert_eq!(report.degraded_sphere_seconds.to_bits(), PRE_SWAP_DEGRADED_BITS);
-    assert_eq!(report.attempts, 1);
-    assert_eq!(report.failures, 0);
-    assert_eq!(report.masked_failures, 3);
-    assert_eq!(report.checkpoints_committed, 3);
-    assert_eq!(report.physical_messages, 7911);
-    assert_eq!(report.physical_bytes, 2_353_184);
-
-    let trace = report.trace.as_ref().expect("tracing was on");
-    let jsonl = trace.to_jsonl();
-    assert_eq!(jsonl.lines().count(), PRE_SWAP_TRACE_LINES);
-    assert_eq!(
-        fnv1a(jsonl.as_bytes()),
-        PRE_SWAP_TRACE_FNV,
-        "profiler-on run changed the trace bytes — the wall-clock plane leaked into virtual time"
-    );
+    // A moved bit here means the wall-clock plane leaked into virtual time.
+    gate::assert_totals(&report, "profiler on");
+    gate::assert_trace(&report, "profiler on");
 
     // And the profiler actually measured something: it must not pass the
     // bit-identity gate by virtue of being disconnected.
@@ -97,15 +68,9 @@ fn all_sinks_on_reproduce_the_pinned_run_and_all_off_record_nothing() {
     let off = gate_run(false, false, false);
     assert!(off.trace.is_none() && off.metrics.is_none() && off.profile.is_none());
     let on = gate_run(true, true, true);
-    for report in [&off, &on] {
-        assert_eq!(report.total_virtual_time.to_bits(), PRE_SWAP_TOTAL_BITS);
-        assert_eq!(report.degraded_sphere_seconds.to_bits(), PRE_SWAP_DEGRADED_BITS);
-        assert_eq!(report.physical_messages, 7911);
-        assert_eq!(report.physical_bytes, 2_353_184);
-    }
-
-    let jsonl = on.trace.as_ref().expect("tracing was on").to_jsonl();
-    assert_eq!(fnv1a(jsonl.as_bytes()), PRE_SWAP_TRACE_FNV);
+    gate::assert_totals(&off, "all sinks off");
+    gate::assert_totals(&on, "all sinks on");
+    gate::assert_trace(&on, "all sinks on");
 
     // Every metrics total of this scenario, captured with the three
     // per-layer hooks this handle replaced (`MetricKey::ALL` order).

@@ -29,61 +29,22 @@ use redcr::mpi::collectives::ReduceOp;
 use redcr::mpi::trace::Collector;
 use redcr::mpi::{Communicator, Sinks, Tag, World};
 use redcr::red::{ReplicaComm, ReplicatedWorld, VirtualMap, VoteCost, VotingMode};
-use redcr_apps::cg::{CgConfig, CgState};
+use redcr_apps::cg::CgConfig;
 use redcr_core::apps::CgApp;
 use redcr_core::{ExecutorConfig, ResilientExecutor};
 use redcr_model::partition::RedundancyPartition;
 use redcr_sweep::spec::fnv1a;
 
-/// The determinism-gate scenario with the scheduler pinned to `workers`.
-fn gate_run_at(workers: usize) -> redcr_core::ExecutionReport<CgState> {
-    let cfg = ExecutorConfig::new(8, 2.0)
-        .node_mtbf(150.0)
-        .checkpoint_interval(10.0)
-        .checkpoint_cost(0.5)
-        .restart_cost(2.0)
-        .seed(7)
-        .tracing(true)
-        .workers(workers);
-    let app = CgApp::new(CgConfig::small(256), 40).with_step_pad(1.0);
-    ResilientExecutor::new(cfg).run(&app).expect("gate run")
-}
-
-// Identical constants to tests/determinism_gate.rs — captured on the
-// pre-swap thread-per-rank executor, before the scheduler existed.
-const PRE_SWAP_TOTAL_BITS: u64 = 0x4044c01fa3bce69a;
-const PRE_SWAP_DEGRADED_BITS: u64 = 0x405276e3bd7a12a0;
-const PRE_SWAP_TRACE_LINES: usize = 20263;
-const PRE_SWAP_TRACE_FNV: u64 = 0xade83d686de079ae;
-
-fn assert_pinned(report: &redcr_core::ExecutionReport<CgState>, workers: usize) {
-    assert_eq!(report.total_virtual_time.to_bits(), PRE_SWAP_TOTAL_BITS, "workers={workers}");
-    assert_eq!(
-        report.degraded_sphere_seconds.to_bits(),
-        PRE_SWAP_DEGRADED_BITS,
-        "workers={workers}"
-    );
-    assert_eq!(report.attempts, 1, "workers={workers}");
-    assert_eq!(report.failures, 0, "workers={workers}");
-    assert_eq!(report.masked_failures, 3, "workers={workers}");
-    assert_eq!(report.checkpoints_committed, 3, "workers={workers}");
-    assert_eq!(report.physical_messages, 7911, "workers={workers}");
-    assert_eq!(report.physical_bytes, 2_353_184, "workers={workers}");
-    let trace = report.trace.as_ref().expect("tracing was on");
-    let jsonl = trace.to_jsonl();
-    assert_eq!(jsonl.lines().count(), PRE_SWAP_TRACE_LINES, "workers={workers}");
-    assert_eq!(
-        fnv1a(jsonl.as_bytes()),
-        PRE_SWAP_TRACE_FNV,
-        "workers={workers}: pool width leaked into the trace bytes"
-    );
-}
+#[path = "common/gate.rs"]
+mod gate;
 
 #[test]
 fn gate_is_bit_identical_at_every_pool_width() {
     for workers in [1usize, 2, 3, 8, 16] {
-        let report = gate_run_at(workers);
-        assert_pinned(&report, workers);
+        let report = gate::run(gate::config().tracing(true).workers(workers));
+        let what = format!("workers={workers}: pool width leaked");
+        gate::assert_totals(&report, &what);
+        gate::assert_trace(&report, &what);
     }
 }
 
@@ -163,12 +124,7 @@ fn virtual_rank_placement_hint_changes_no_bit() {
             .workers(workers)
             .run(|base| {
                 let mode = VotingMode::default();
-                ring_rounds(&ReplicaComm::with_vote_cost(
-                    base,
-                    vmap.clone(),
-                    mode,
-                    VoteCost::default(),
-                ))
+                ring_rounds(&ReplicaComm::new(base, vmap.clone(), mode, VoteCost::default()))
             })
             .expect("unhinted run");
         let fnv = fnv1a(trace.take().to_jsonl().as_bytes());

@@ -1,5 +1,30 @@
 //! Failure sources feeding the timeline simulator.
+//!
+//! # How [`SphereSource`] samples an attempt
+//!
+//! An attempt draws one uniform `x = 1 − u` per process, in process order,
+//! and compares draws instead of times: the map to a death time,
+//! `−θ·ln x`, reverses order, so the sphere that dies first is the one
+//! whose least draw is largest, the *candidate*. Only draws within a
+//! relative 2⁻³⁰ of the candidate (the band) get their exact time, which
+//! makes the failure time, the killer sphere and every masked count
+//! bit-identical to timing every process and applying
+//! [`FailureSchedule`](redcr_fault::FailureSchedule)'s rules, at one `ln`
+//! per attempt instead of one per process.
+//!
+//! The draw loop folds each draw into its sphere as it is drawn: into its
+//! replicated sphere's least draw, or into the top two draws over singleton
+//! spheres. A singleton's draw *is* its sphere's least draw, so none exceeds
+//! the candidate, and one below the band dies surely later than the failure:
+//! it can neither kill the job nor be dead by then. So when the second
+//! singleton lies below the band, the job rule runs on the top singleton and
+//! the replicated spheres whose least draw is in the band, and a masked count
+//! reads only the replicated members and the top singleton: an attempt costs
+//! its draws plus its replicated members. When the second singleton lies in
+//! the band too, the general rule runs instead, over every sphere and every
+//! draw.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use redcr_fault::{ExpSampler, ReplicaGroups};
@@ -69,30 +94,74 @@ fn band(x: f64) -> (f64, f64) {
     (x * (1.0 - BAND), x * (1.0 + BAND))
 }
 
+/// Tags a singleton sphere in [`Spheres::slot`]; the low bits hold the
+/// sphere's index.
+const SINGLETON: u32 = 1 << 31;
+
+/// The sphere structure as an attempt reads it, built once per job and
+/// shared by every reseeded copy of its source.
+#[derive(Debug)]
+struct Spheres {
+    groups: ReplicaGroups,
+    /// Per process: `SINGLETON | v` for the one member of sphere `v`, else
+    /// the index of its sphere in `replicated`.
+    slot: Vec<u32>,
+    /// The spheres of two or more members, in sphere order: the sphere and
+    /// the range of its members in `members`.
+    replicated: Vec<(usize, Range<usize>)>,
+    /// The members of the replicated spheres, sphere after sphere.
+    members: Vec<usize>,
+}
+
+impl Spheres {
+    fn new(groups: ReplicaGroups) -> Self {
+        assert!(groups.n_virtual() < SINGLETON as usize, "too many spheres");
+        let mut slot = vec![0; groups.n_physical()];
+        let (mut replicated, mut members) = (Vec::new(), Vec::new());
+        for (v, sphere) in groups.iter().enumerate() {
+            if let &[p] = sphere {
+                slot[p] = SINGLETON | v as u32;
+            } else {
+                for &p in sphere {
+                    slot[p] = replicated.len() as u32;
+                }
+                let start = members.len();
+                members.extend_from_slice(sphere);
+                replicated.push((v, start..members.len()));
+            }
+        }
+        Spheres { groups, slot, replicated, members }
+    }
+}
+
+/// An attempt's job failure, kept for masked-death accounting.
+#[derive(Debug, Clone, Copy)]
+struct Failure {
+    time: f64,
+    killer: usize,
+    /// The largest singleton draw (0 if there is none), the only singleton
+    /// that can be dead by `time`; `None` after the general rule, when
+    /// every draw is counted.
+    top_singleton: Option<f64>,
+}
+
 /// Per-physical-process sampling with replica-sphere semantics: the job
 /// fails when the first whole sphere is dead (partial redundancy, via
 /// `redcr-fault`). Fresh samples per attempt (spares replace failed nodes).
-///
-/// An attempt draws one uniform `x = 1 − u` per process, in process order,
-/// and compares draws instead of times: the map to a death time,
-/// `−θ·ln x`, reverses order, so the sphere that dies first is the one
-/// whose smallest draw is largest. Only the draws within a relative 2⁻³⁰ of
-/// that candidate get their exact time, which makes the failure time and the
-/// killer sphere bit-identical to sampling every time and applying
-/// [`FailureSchedule::job_failure`](redcr_fault::FailureSchedule::job_failure),
-/// at one `ln` per attempt instead of one per process.
+/// The [module docs](self) describe how an attempt is sampled.
 #[derive(Debug, Clone)]
 pub struct SphereSource {
-    groups: Arc<ReplicaGroups>,
+    spheres: Arc<Spheres>,
     sampler: ExpSampler,
     /// Fast path: when no process is replicated, the job failure time is
     /// the minimum of `N` i.i.d. exponentials — a single `Exp(θ/N)` draw.
     min_sampler: Option<ExpSampler>,
     /// The most recent attempt's draw per physical process (reused).
     draws: Vec<f64>,
-    /// Most recent failure: `(failure_time, killer_sphere)`, kept for
-    /// masked-death accounting.
-    last: Option<(f64, usize)>,
+    /// The most recent attempt's least draw per replicated sphere (reused).
+    least: Vec<f64>,
+    /// The most recent attempt's failure.
+    last: Option<Failure>,
 }
 
 impl SphereSource {
@@ -103,61 +172,114 @@ impl SphereSource {
     ///
     /// Panics if `node_mtbf` is not positive.
     pub fn new(groups: ReplicaGroups, node_mtbf: f64, seed: u64) -> Self {
-        Self::seeded(Arc::new(groups), node_mtbf, seed)
+        Self::seeded(Arc::new(Spheres::new(groups)), node_mtbf, seed)
     }
 
     /// The same source under another seed, sharing the sphere structure:
     /// exactly `SphereSource::new(groups.clone(), node_mtbf, seed)`, without
-    /// rebuilding the groups for every Monte-Carlo trial.
+    /// rebuilding the spheres for every Monte-Carlo trial.
     pub(crate) fn reseeded(&self, seed: u64) -> Self {
-        Self::seeded(Arc::clone(&self.groups), self.sampler.mean(), seed)
+        Self::seeded(Arc::clone(&self.spheres), self.sampler.mean(), seed)
     }
 
-    fn seeded(groups: Arc<ReplicaGroups>, node_mtbf: f64, seed: u64) -> Self {
-        let n = groups.n_physical();
-        let min_sampler = (n == groups.n_virtual() && node_mtbf.is_finite())
+    fn seeded(spheres: Arc<Spheres>, node_mtbf: f64, seed: u64) -> Self {
+        let n = spheres.groups.n_physical();
+        let min_sampler = (n == spheres.groups.n_virtual() && node_mtbf.is_finite())
             .then(|| ExpSampler::new(node_mtbf / n as f64, seed ^ 0x5eed));
         let sampler = ExpSampler::new(node_mtbf, seed);
-        SphereSource { groups, sampler, min_sampler, draws: Vec::new(), last: None }
+        SphereSource {
+            spheres,
+            sampler,
+            min_sampler,
+            draws: Vec::new(),
+            least: Vec::new(),
+            last: None,
+        }
     }
 
-    /// The sphere structure.
-    pub fn groups(&self) -> &ReplicaGroups {
-        &self.groups
-    }
-
-    /// The job rule on the last attempt's draws: `(failure_time,
-    /// killer_sphere)`, exactly as on their times.
-    fn job_failure(&self) -> (f64, usize) {
+    /// One attempt on the draws `next` yields, one per process in process
+    /// order: the job failure time, kept with its killer in `last`.
+    fn attempt(&mut self, mut next: impl FnMut() -> f64) -> f64 {
+        let spheres = &*self.spheres;
+        self.draws.resize(spheres.slot.len(), 0.0);
+        self.least.clear();
+        self.least.resize(spheres.replicated.len(), f64::INFINITY);
+        // Draws are positive, so 0 stands for "no singleton yet".
+        let (mut top, mut second, mut top_sphere) = (0.0, 0.0, usize::MAX);
+        for (draw, &slot) in self.draws.iter_mut().zip(&spheres.slot) {
+            let x = next();
+            *draw = x;
+            if slot & SINGLETON == 0 {
+                let least = &mut self.least[slot as usize];
+                *least = least.min(x);
+            } else if x > top {
+                (second, top, top_sphere) = (top, x, (slot ^ SINGLETON) as usize);
+            } else if x > second {
+                second = x;
+            }
+        }
+        let candidate = self.least.iter().fold(top, |c, &least| c.max(least));
+        let (lo, hi) = band(candidate);
         let (draws, sampler) = (&self.draws, &self.sampler);
-        // A larger draw is an earlier death, so the job rule on `−x` finds
-        // the candidate: the largest over spheres of a sphere's least draw.
-        let (neg_candidate, _, _) =
-            self.groups.first_sphere_death(|p| Some(-draws[p])).expect("every sphere has a member");
-        // The same rule on exact times inside the band; outside it a draw
-        // is surely earlier (−∞) or surely later (+∞) than the candidate.
-        let (lo, hi) = band(-neg_candidate);
-        let (failure, killer, _) = self
-            .groups
-            .first_sphere_death(|p| {
-                let x = draws[p];
-                Some(if x > hi {
-                    f64::NEG_INFINITY
-                } else if x < lo {
-                    f64::INFINITY
-                } else {
-                    sampler.time(x)
+        // A sphere's time under the band: its members' latest, where a draw
+        // above the band is surely earlier than any inside it.
+        let sphere_time = |members: &[usize]| {
+            members
+                .iter()
+                .map(|&p| draws[p])
+                .filter(|&x| x <= hi)
+                .fold(f64::NEG_INFINITY, |t, x| t.max(sampler.time(x)))
+        };
+        let failure = if second < lo {
+            // The first to die of the top singleton and the replicated
+            // spheres in the band; ties go to the lower sphere.
+            let mut first = (top >= lo).then(|| (sampler.time(top), top_sphere));
+            for ((v, members), &least) in spheres.replicated.iter().zip(&self.least) {
+                if least >= lo {
+                    let next = (sphere_time(&spheres.members[members.clone()]), *v);
+                    if first.is_none_or(|first| next < first) {
+                        first = Some(next);
+                    }
+                }
+            }
+            let (time, killer) = first.expect("the candidate's sphere lies in the band");
+            Failure { time, killer, top_singleton: Some(top) }
+        } else {
+            // The general rule: every sphere, a sphere whose least draw is
+            // below the band surely later than the candidate's.
+            let (time, killer, _) = spheres
+                .groups
+                .first_sphere_death(|p| {
+                    let x = draws[p];
+                    Some(if x > hi {
+                        f64::NEG_INFINITY
+                    } else if x < lo {
+                        f64::INFINITY
+                    } else {
+                        sampler.time(x)
+                    })
                 })
-            })
-            .expect("the candidate sphere dies at a finite time");
-        (failure, killer)
+                .expect("the candidate sphere dies at a finite time");
+            Failure { time, killer, top_singleton: None }
+        };
+        self.last = Some(failure);
+        failure.time
     }
 
-    /// Processes of the last attempt dead by exposure `t`: the draws at or
-    /// above `exp(−t/θ)`, with the exact time compared inside the band.
-    fn dead_by(&self, t: f64) -> usize {
+    /// Processes of the last attempt dead by exposure `t ≤ failure.time`:
+    /// the draws at or above `exp(−t/θ)`, with the exact time compared
+    /// inside the band.
+    fn dead_by(&self, failure: Failure, t: f64) -> usize {
         let (lo, hi) = band((-t / self.sampler.mean()).exp());
-        self.draws.iter().filter(|&&x| x > hi || (x >= lo && self.sampler.time(x) <= t)).count()
+        let dead = |x: f64| x > hi || (x >= lo && self.sampler.time(x) <= t);
+        match failure.top_singleton {
+            // A draw of 0 (no singleton) has an infinite time: never dead.
+            Some(top) => {
+                let members = &self.spheres.members;
+                members.iter().filter(|&&p| dead(self.draws[p])).count() + usize::from(dead(top))
+            }
+            None => self.draws.iter().filter(|&&x| dead(x)).count(),
+        }
     }
 }
 
@@ -173,11 +295,10 @@ impl FailureSource for SphereSource {
             self.last = None;
             return f64::INFINITY;
         }
-        let n = self.groups.n_physical();
-        self.draws.clear();
-        self.draws.extend((0..n).map(|_| self.sampler.draw()));
-        let (failure, killer) = self.job_failure();
-        self.last = Some((failure, killer));
+        // The generator lives in a local for the draw loop.
+        let mut sampler = self.sampler.clone();
+        let failure = self.attempt(|| sampler.draw());
+        self.sampler = sampler;
         failure
     }
 
@@ -185,11 +306,12 @@ impl FailureSource for SphereSource {
     /// that did not kill the job — everything up to the last failure except
     /// the killer sphere's own members.
     fn masked_before(&self, exposure: f64) -> u64 {
-        let Some((failure, killer)) = self.last else { return 0 };
-        if exposure >= failure {
-            self.dead_by(failure).saturating_sub(self.groups.members(killer).len()) as u64
+        let Some(failure) = self.last else { return 0 };
+        if exposure >= failure.time {
+            let killers = self.spheres.groups.members(failure.killer).len();
+            self.dead_by(failure, failure.time).saturating_sub(killers) as u64
         } else {
-            self.dead_by(exposure) as u64
+            self.dead_by(failure, exposure) as u64
         }
     }
 }
@@ -288,22 +410,42 @@ mod tests {
         }
     }
 
+    /// The ids `0..n` in an order seeded by `seed`.
+    fn permutation(n: usize, seed: u64) -> Vec<usize> {
+        let mut keys = ExpSampler::new(1.0, seed ^ 0x9e37);
+        let mut ids: Vec<(f64, usize)> = (0..n).map(|p| (keys.draw(), p)).collect();
+        ids.sort_by(|a, b| a.0.total_cmp(&b.0));
+        ids.into_iter().map(|(_, p)| p).collect()
+    }
+
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
         #[test]
         fn sphere_source_matches_the_per_process_oracle(
             counts in proptest::collection::vec(1usize..4, 1..49),
             log_mtbf in -3.0f64..3.0,
             seed in proptest::any::<u64>(),
-            shape in 0u8..6,
+            shape in 0u8..8,
         ) {
             // Shape 0 is a failure-free system, shape 1 the all-singleton
-            // fast path; the rest keep the drawn replica counts.
+            // fast path, shape 2 replicates every sphere, and shapes 3 and
+            // 4 deal the physical ids out in a seeded order, so primaries
+            // need not come first nor members be contiguous. The rest keep
+            // the drawn replica counts in `from_counts`' layout.
             let work = 10.0;
             let mtbf = if shape == 0 { f64::INFINITY } else { work * 10f64.powf(log_mtbf) };
-            let counts = if shape == 1 { vec![1; counts.len()] } else { counts };
-            let groups = ReplicaGroups::from_counts(&counts);
+            let counts: Vec<usize> = match shape {
+                1 => vec![1; counts.len()],
+                2 => counts.iter().map(|&c| c.max(2)).collect(),
+                _ => counts,
+            };
+            let groups = if matches!(shape, 3 | 4) {
+                let mut ids = permutation(counts.iter().sum(), seed).into_iter();
+                ReplicaGroups::new(counts.iter().map(|&c| ids.by_ref().take(c).collect()).collect())
+            } else {
+                ReplicaGroups::from_counts(&counts)
+            };
             let n = groups.n_physical();
             let mut source = SphereSource::new(groups.clone(), mtbf, seed);
             let mut oracle = Oracle {
@@ -344,23 +486,73 @@ mod tests {
         }
     }
 
+    /// Runs one attempt of a source on `groups` on hand-set draws and checks
+    /// its failure, killer, dead and masked counts against `FailureSchedule`
+    /// on the draws' times. Returns the killer and whether the general rule
+    /// ran.
+    fn check_hand_set(groups: ReplicaGroups, draws: &[f64]) -> (usize, bool) {
+        let mut source = SphereSource::new(groups.clone(), 3.0, 0);
+        let mut next = draws.iter().copied();
+        let failure = source.attempt(|| next.next().expect("one draw per process"));
+        let last = source.last.expect("the attempt failed");
+        let times = draws.iter().map(|&x| source.sampler.time(x)).collect();
+        let oracle = FailureSchedule { death_times: times };
+        let (expected, expected_killer) = oracle.job_failure(&groups);
+        assert_eq!((failure.to_bits(), last.killer), (expected.to_bits(), expected_killer));
+        for t in [0.0, 0.1, failure * (1.0 - 1e-12), failure] {
+            assert_eq!(source.dead_by(last, t), oracle.dead_by(t).len(), "t = {t}");
+        }
+        // Past the failure, the dead at the failure minus the killer sphere.
+        let masked = oracle.dead_by(failure).len() - groups.members(last.killer).len();
+        assert_eq!(source.masked_before(failure + 1.0), masked as u64);
+        (last.killer, last.top_singleton.is_none())
+    }
+
     #[test]
     fn equal_draws_tie_like_equal_times() {
         // Spheres {0, 2, 3} and {1, 4} both die with a draw of 0.25, so
         // their times tie and the job rule gives the failure to the lower
         // sphere. Process 4's draw sits inside the band, just above 0.25.
         let groups = ReplicaGroups::from_counts(&[3, 2]);
-        let mut source = SphereSource::new(groups.clone(), 3.0, 0);
-        source.draws = vec![0.25, 0.25, 0.9, 0.5, 0.25 * (1.0 + 1e-12)];
-        let times: Vec<f64> = source.draws.iter().map(|&x| source.sampler.time(x)).collect();
-        let oracle = FailureSchedule { death_times: times };
-        let (failure, killer) = source.job_failure();
-        let (expected, expected_killer) = oracle.job_failure(&groups);
-        assert_eq!((failure.to_bits(), killer), (expected.to_bits(), expected_killer));
-        assert_eq!(killer, 0);
-        for t in [0.0, 0.1, failure * (1.0 - 1e-12), failure, 10.0] {
-            assert_eq!(source.dead_by(t), oracle.dead_by(t).len(), "t = {t}");
-        }
+        let draws = [0.25, 0.25, 0.9, 0.5, 0.25 * (1.0 + 1e-12)];
+        assert_eq!(check_hand_set(groups, &draws), (0, false));
+    }
+
+    #[test]
+    fn tied_singletons_take_the_general_rule() {
+        // Singletons {1} and {2} tie at the candidate 0.6; the lower wins.
+        // Sphere {0, 3} dies later, with its least draw 0.3.
+        let groups = ReplicaGroups::from_counts(&[2, 1, 1]);
+        assert_eq!(check_hand_set(groups, &[0.3, 0.6, 0.6, 0.8]), (1, true));
+    }
+
+    #[test]
+    fn a_singleton_ties_with_a_replicated_sphere() {
+        // The singleton and the replicated sphere {·, ·} both die with a
+        // draw of 0.4; the lower sphere wins, whichever kind it is.
+        let replicated_first = ReplicaGroups::from_counts(&[2, 1]);
+        assert_eq!(check_hand_set(replicated_first, &[0.4, 0.4, 0.7]), (0, false));
+        let singleton_first = ReplicaGroups::from_counts(&[1, 2]);
+        assert_eq!(check_hand_set(singleton_first, &[0.4, 0.7, 0.4]), (0, false));
+    }
+
+    #[test]
+    fn a_second_singleton_in_the_band_takes_the_general_rule() {
+        // Two singletons within 1e-12 of each other, inside the band but
+        // not tied: the larger draw dies first, whichever sphere it is in.
+        let close = 0.6 * (1.0 - 1e-12);
+        let groups = ReplicaGroups::from_counts(&[1, 1, 2]);
+        assert_eq!(check_hand_set(groups.clone(), &[0.6, close, 0.2, 0.9]), (0, true));
+        assert_eq!(check_hand_set(groups.clone(), &[close, 0.6, 0.2, 0.9]), (1, true));
+        // Small draws one ULP apart whose times round to the same value:
+        // the smaller draw, in the lower sphere, ties the top singleton, so
+        // it kills the job and is dead by the failure too.
+        let time = |x: f64| ExpSampler::new(3.0, 0).time(x);
+        let x = (0..)
+            .map(|k| 1e-5 * (1.0 + f64::from(k) * 1e-3))
+            .find(|&x| time(x) == time(x.next_down()))
+            .expect("adjacent small draws share a time");
+        assert_eq!(check_hand_set(groups, &[x.next_down(), x, 1e-7, 0.9]), (0, true));
     }
 
     #[test]

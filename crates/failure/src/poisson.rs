@@ -57,17 +57,6 @@ impl ExpSampler {
     pub fn time(&self, x: f64) -> f64 {
         -self.mean * x.ln()
     }
-
-    /// Draws the arrival times of a Poisson process within `[0, horizon)`.
-    pub fn arrivals_until(&mut self, horizon: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        let mut t = self.sample();
-        while t < horizon {
-            out.push(t);
-            t += self.sample();
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -111,19 +100,6 @@ mod tests {
             assert!(x > 0.0 && x <= 1.0);
             assert_eq!(a.sample().to_bits(), b.time(x).to_bits());
         }
-    }
-
-    #[test]
-    fn arrival_count_matches_rate() {
-        // Mean 1, horizon 1000: expect ~1000 arrivals, sd ~32.
-        let mut s = ExpSampler::new(1.0, 3);
-        let arrivals = s.arrivals_until(1000.0);
-        assert!((arrivals.len() as f64 - 1000.0).abs() < 150.0, "{}", arrivals.len());
-        // Sorted and within horizon.
-        for w in arrivals.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-        assert!(arrivals.iter().all(|t| *t < 1000.0));
     }
 
     #[test]

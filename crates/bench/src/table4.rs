@@ -13,6 +13,7 @@ use redcr_cluster::combined::PreparedJob;
 use redcr_cluster::job::{FailureExposure, JobConfig};
 use redcr_cluster::sweep::monte_carlo;
 use redcr_fault::ReplicaGroups;
+use redcr_model::checkpointing::daly_interval;
 use redcr_model::redundancy::SystemModel;
 use redcr_model::units;
 
@@ -61,14 +62,12 @@ pub fn simulate_cell(t5: &Table5, mtbf_hours: f64, degree_idx: usize, seeds: usi
     // Work amount: the measured failure-free time at this degree, hours.
     let work_hours = t5.observed_minutes[degree_idx] / 60.0;
     // Daly interval from the analytic system MTBF at this degree.
-    let system =
-        SystemModel::with_approximation(cfg.n_virtual, degree, cfg.node_mtbf, cfg.approximation)
-            .expect("valid system");
+    let system = SystemModel::new(cfg.n_virtual, degree, cfg.node_mtbf).expect("valid system");
     let sys = system.evaluate(work_hours).expect("valid horizon");
     let interval = if sys.failure_rate == 0.0 {
         work_hours
     } else {
-        cfg.interval_policy.interval(cfg.checkpoint_cost, sys.mtbf).expect("valid interval")
+        daly_interval(cfg.checkpoint_cost, sys.mtbf).expect("valid interval")
     };
     let partition = cfg.partition().expect("valid partition");
     let counts: Vec<usize> =

@@ -15,8 +15,8 @@
 //! There are no field names, type tags, padding or version: the format is
 //! not self-describing, and decoding requires the type that was encoded —
 //! which is exactly the checkpoint/restore contract. The stored length is
-//! what the storage cost model charges as the paper's `c` and `R`, so the
-//! layout is pinned by golden bytes (`tests/ckpt_codec.rs`).
+//! in every checkpoint's trace event and prices a heal's state transfer,
+//! so the layout is pinned by golden bytes (`tests/ckpt_codec.rs`).
 //!
 //! ```
 //! #[derive(PartialEq, Debug)]

@@ -123,7 +123,7 @@ impl CheckpointCoordinator {
         let bytes = ProcessImage::write(rank, cut, state, &channel);
         drop(encode_span);
         let stored_bytes = bytes.len();
-        let cost = self.cost.write_cost(stored_bytes);
+        let cost = self.cost.write_seconds;
         let commit_span = obs.span(redcr_mpi::prof::SpanKey::CheckpointCommit);
         comm.compute(cost)?;
         self.storage.store(SnapshotKey::new(seq, rank), &bytes)?;
@@ -156,7 +156,7 @@ impl CheckpointCoordinator {
         T: Decode,
     {
         let bytes = self.storage.load(SnapshotKey::new(seq, comm.rank().as_u32()))?;
-        let cost = self.cost.read_cost(bytes.len());
+        let cost = self.cost.read_seconds;
         comm.compute(cost)?;
         let image = ProcessImage::from_stored_bytes(&bytes)?;
         let state = image.restore()?;

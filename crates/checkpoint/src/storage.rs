@@ -4,10 +4,8 @@
 //! recovery data persists through failures" (paper Section 2). Two backends
 //! are provided — an in-memory store for simulations and tests, and a
 //! directory-backed store — both behind the object-safe [`StableStorage`]
-//! trait. A [`StorageCostModel`] converts image sizes into the *virtual
-//! time* cost of a checkpoint (`c`) and of reading it back at restart
-//! (contributing to `R`), which is how storage bandwidth enters the paper's
-//! model.
+//! trait. A [`StorageCostModel`] holds the *virtual time* cost of writing
+//! one image (`c`) and of reading it back at restart (part of `R`).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -51,62 +49,27 @@ impl fmt::Display for SnapshotKey {
     }
 }
 
-/// Cost model converting bytes moved to virtual seconds.
+/// The virtual-time cost of moving one process image: a fixed cost per
+/// image written and per image read, whatever its size — how the paper's
+/// measured `c = 120 s` and `R = 500 s` enter a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageCostModel {
-    /// Fixed per-image write cost (coordination, metadata, sync), seconds.
-    pub write_base_seconds: f64,
-    /// Write cost per byte, seconds (1 / aggregate write bandwidth share).
-    pub write_seconds_per_byte: f64,
-    /// Fixed per-image read cost, seconds.
-    pub read_base_seconds: f64,
-    /// Read cost per byte, seconds.
-    pub read_seconds_per_byte: f64,
+    /// Seconds charged for writing one image.
+    pub write_seconds: f64,
+    /// Seconds charged for reading one image back.
+    pub read_seconds: f64,
 }
 
 impl StorageCostModel {
-    /// A parallel-file-system-like model: 1 s base cost, ~1 GB/s effective
-    /// per-process write bandwidth, reads twice as fast.
-    pub fn parallel_fs() -> Self {
-        StorageCostModel {
-            write_base_seconds: 1.0,
-            write_seconds_per_byte: 1e-9,
-            read_base_seconds: 1.0,
-            read_seconds_per_byte: 0.5e-9,
-        }
-    }
-
     /// Free storage (functional tests).
     pub fn zero() -> Self {
-        StorageCostModel {
-            write_base_seconds: 0.0,
-            write_seconds_per_byte: 0.0,
-            read_base_seconds: 0.0,
-            read_seconds_per_byte: 0.0,
-        }
+        Self::fixed(0.0, 0.0)
     }
 
-    /// A fixed-cost model: every checkpoint write costs exactly
-    /// `write_seconds` and every read `read_seconds`, independent of size —
-    /// convenient for matching the paper's measured `c = 120 s`,
-    /// `R = 500 s`.
+    /// Every image write costs `write_seconds` and every read
+    /// `read_seconds`.
     pub fn fixed(write_seconds: f64, read_seconds: f64) -> Self {
-        StorageCostModel {
-            write_base_seconds: write_seconds,
-            write_seconds_per_byte: 0.0,
-            read_base_seconds: read_seconds,
-            read_seconds_per_byte: 0.0,
-        }
-    }
-
-    /// Virtual-time cost of writing `len` bytes.
-    pub fn write_cost(&self, len: usize) -> f64 {
-        self.write_base_seconds + len as f64 * self.write_seconds_per_byte
-    }
-
-    /// Virtual-time cost of reading `len` bytes.
-    pub fn read_cost(&self, len: usize) -> f64 {
-        self.read_base_seconds + len as f64 * self.read_seconds_per_byte
+        StorageCostModel { write_seconds, read_seconds }
     }
 }
 
@@ -352,20 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_linear() {
-        let m = StorageCostModel::parallel_fs();
-        assert!((m.write_cost(1_000_000_000) - 2.0).abs() < 1e-9);
-        assert!((m.read_cost(1_000_000_000) - 1.5).abs() < 1e-9);
-        let z = StorageCostModel::zero();
-        assert_eq!(z.write_cost(1 << 30), 0.0);
-        assert_eq!(z.read_cost(1 << 30), 0.0);
-    }
-
-    #[test]
     fn cost_model_fixed_matches_paper_constants() {
         let m = StorageCostModel::fixed(120.0, 500.0);
-        assert_eq!(m.write_cost(0), 120.0);
-        assert_eq!(m.write_cost(1 << 30), 120.0);
-        assert_eq!(m.read_cost(1 << 30), 500.0);
+        assert_eq!((m.write_seconds, m.read_seconds), (120.0, 500.0));
+        let z = StorageCostModel::zero();
+        assert_eq!((z.write_seconds, z.read_seconds), (0.0, 0.0));
     }
 }

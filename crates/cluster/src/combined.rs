@@ -3,6 +3,7 @@
 //! [`CombinedConfig::evaluate`](redcr_model::combined::CombinedConfig::evaluate).
 
 use redcr_fault::ReplicaGroups;
+use redcr_model::checkpointing::daly_interval;
 use redcr_model::combined::CombinedConfig;
 use redcr_model::redundancy::{redundant_time, SystemModel};
 
@@ -26,18 +27,13 @@ pub fn derive_job(
 ) -> Result<(JobConfig, ReplicaGroups), SimError> {
     cfg.validate()?;
     let t_red = redundant_time(cfg.base_time, cfg.alpha, cfg.degree)?;
-    let system = SystemModel::with_approximation(
-        cfg.n_virtual,
-        cfg.degree,
-        cfg.node_mtbf,
-        cfg.approximation,
-    )?;
+    let system = SystemModel::new(cfg.n_virtual, cfg.degree, cfg.node_mtbf)?;
     let sys = system.evaluate(t_red)?;
     let delta = if sys.failure_rate == 0.0 {
         // Failure-free limit: one giant segment.
         t_red
     } else {
-        cfg.interval_policy.interval(cfg.checkpoint_cost, sys.mtbf)?
+        daly_interval(cfg.checkpoint_cost, sys.mtbf)?
     };
     let partition = cfg.partition()?;
     let counts: Vec<usize> =

@@ -52,31 +52,6 @@ pub trait FailureSource {
     }
 }
 
-/// Memoryless system-level failures at a fixed rate (system MTBF `Θ`):
-/// the aggregated view the analytic model uses (Eq. 10).
-#[derive(Debug, Clone)]
-pub struct PoissonSource {
-    sampler: ExpSampler,
-}
-
-impl PoissonSource {
-    /// Failures with mean inter-arrival `system_mtbf` (same unit as the job
-    /// durations), deterministically seeded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `system_mtbf` is not positive.
-    pub fn new(system_mtbf: f64, seed: u64) -> Self {
-        PoissonSource { sampler: ExpSampler::new(system_mtbf, seed) }
-    }
-}
-
-impl FailureSource for PoissonSource {
-    fn next_failure(&mut self, _attempt: u64) -> f64 {
-        self.sampler.sample()
-    }
-}
-
 /// Relative half-width of the band around a threshold draw inside which
 /// [`SphereSource`] takes the exact logarithm, 2⁻³⁰.
 ///
@@ -173,6 +148,14 @@ impl SphereSource {
     /// Panics if `node_mtbf` is not positive.
     pub fn new(groups: ReplicaGroups, node_mtbf: f64, seed: u64) -> Self {
         Self::seeded(Arc::new(Spheres::new(groups)), node_mtbf, seed)
+    }
+
+    /// Memoryless failures at a fixed rate, the aggregated view the
+    /// analytic model takes (Eq. 10): one singleton sphere failing with
+    /// mean `mtbf`.
+    #[cfg(test)]
+    pub(crate) fn poisson(mtbf: f64, seed: u64) -> Self {
+        Self::new(ReplicaGroups::uniform(1, 1), mtbf, seed)
     }
 
     /// The same source under another seed, sharing the sphere structure:
@@ -352,7 +335,7 @@ mod tests {
 
     #[test]
     fn poisson_source_mean() {
-        let mut s = PoissonSource::new(10.0, 3);
+        let mut s = SphereSource::poisson(10.0, 3);
         let n = 50_000;
         let sum: f64 = (0..n).map(|i| s.next_failure(i)).sum();
         let mean = sum / n as f64;

@@ -12,9 +12,9 @@
 //!   restart cost, and whether failures strike during overhead phases
 //!   (the paper's model says yes; its cluster experiments say no — both
 //!   are supported).
-//! * [`failure_source`] — where failures come from: a memoryless system
-//!   failure rate, a full per-process + replica-sphere sampler (via
-//!   `redcr-fault`), or a scripted schedule for tests.
+//! * [`failure_source`] — where failures come from: a per-process +
+//!   replica-sphere sampler (via `redcr-fault`), or a scripted schedule
+//!   for tests.
 //! * [`simulate`] — the timeline walker producing a [`stats::JobStats`]
 //!   breakdown (work / checkpoint / recompute / restart), the same four
 //!   buckets as the paper's Table 2.
@@ -31,11 +31,12 @@
 //!
 //! ```
 //! use redcr_cluster::job::{FailureExposure, JobConfig};
-//! use redcr_cluster::failure_source::PoissonSource;
+//! use redcr_cluster::failure_source::SphereSource;
 //! use redcr_cluster::simulate::simulate_job;
+//! use redcr_fault::ReplicaGroups;
 //!
-//! // 100 h of work, 6 min checkpoints every 2 h, 10 min restarts,
-//! // system MTBF 50 h.
+//! // 100 h of work, 6 min checkpoints every 2 h, 10 min restarts, one
+//! // unreplicated process with MTBF 50 h.
 //! let cfg = JobConfig {
 //!     work: 100.0,
 //!     checkpoint_cost: 0.1,
@@ -44,7 +45,7 @@
 //!     exposure: FailureExposure::AllTime,
 //!     max_attempts: 100_000,
 //! };
-//! let mut source = PoissonSource::new(50.0, 42);
+//! let mut source = SphereSource::new(ReplicaGroups::uniform(1, 1), 50.0, 42);
 //! let stats = simulate_job(&cfg, &mut source).expect("completes");
 //! assert!(stats.total_time > 100.0);
 //! assert!(stats.work_time >= 100.0 - 1e-9);
@@ -60,7 +61,7 @@ pub mod simulate;
 pub mod stats;
 pub mod sweep;
 
-pub use failure_source::{FailureSource, PoissonSource, ScheduledSource, SphereSource};
+pub use failure_source::{FailureSource, ScheduledSource, SphereSource};
 pub use job::{FailureExposure, JobConfig};
 pub use simulate::{simulate_job, SimError};
 pub use stats::JobStats;

@@ -167,7 +167,7 @@ fn account_work(stats: &mut JobStats, position: f64, amount: f64, high_water: &m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failure_source::{PoissonSource, ScheduledSource};
+    use crate::failure_source::{ScheduledSource, SphereSource};
 
     fn cfg(work: f64, c: f64, delta: f64, restart: f64) -> JobConfig {
         JobConfig {
@@ -253,7 +253,7 @@ mod tests {
         let mut c = cfg(100.0, 0.5, 3.0, 10.0);
         c.max_attempts = 50;
         // Dies at the very start of every attempt.
-        let mut src = PoissonSource::new(0.01, 1);
+        let mut src = SphereSource::poisson(0.01, 1);
         let err = simulate_job(&c, &mut src).unwrap_err();
         assert!(matches!(err, SimError::TooManyAttempts { .. }));
     }
@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn statistics_sane_under_random_failures() {
         let c = cfg(100.0, 0.2, 2.0, 0.5);
-        let mut src = PoissonSource::new(20.0, 7);
+        let mut src = SphereSource::poisson(20.0, 7);
         let stats = simulate_job(&c, &mut src).unwrap();
         assert!(stats.is_consistent(), "{stats:?}");
         assert!((stats.work_time - 100.0).abs() < 1e-6);
@@ -273,7 +273,7 @@ mod tests {
     fn shorter_interval_reduces_recompute_but_adds_checkpoints() {
         let run = |delta: f64| {
             let c = cfg(200.0, 0.1, delta, 0.5);
-            let mut src = PoissonSource::new(10.0, 42);
+            let mut src = SphereSource::poisson(10.0, 42);
             simulate_job(&c, &mut src).unwrap()
         };
         let tight = run(1.0);

@@ -217,7 +217,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failure_source::PoissonSource;
+    use crate::failure_source::SphereSource;
     use crate::job::{FailureExposure, JobConfig};
     use crate::simulate::simulate_job;
 
@@ -230,7 +230,7 @@ mod tests {
             exposure: FailureExposure::AllTime,
             max_attempts: 1_000_000,
         };
-        let mut src = PoissonSource::new(25.0, seed);
+        let mut src = SphereSource::poisson(25.0, seed);
         simulate_job(&cfg, &mut src)
     }
 
@@ -281,8 +281,6 @@ mod tests {
         // harsh MTBF at dual redundancy nearly every run masks something.
         use redcr_fault::ReplicaGroups;
 
-        use crate::failure_source::SphereSource;
-
         let cfg = JobConfig {
             work: 50.0,
             checkpoint_cost: 0.2,
@@ -319,7 +317,7 @@ mod tests {
             max_attempts: 1_000_000,
         };
         let agg = monte_carlo(256, 8, |seed| {
-            let mut src = PoissonSource::new(1000.0, seed);
+            let mut src = SphereSource::poisson(1000.0, seed);
             simulate_job(&cfg, &mut src)
         })
         .unwrap();

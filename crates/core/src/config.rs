@@ -1,11 +1,13 @@
 //! Executor configuration.
 
 use redcr_mpi::CostModel;
-use redcr_red::{HealPolicy, VotingMode};
+use redcr_red::HealPolicy;
 
 /// Full configuration of a resilient execution. All durations are
 /// **virtual seconds** (the executor lives at runtime granularity; the
-/// hour-based planner output converts via `* 3600`).
+/// hour-based planner output converts via `* 3600`). Replicas vote
+/// all-to-all ([`VotingMode::AllToAll`](redcr_red::VotingMode::AllToAll)),
+/// as in the paper's experiments.
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
     /// Number of application (virtual) processes.
@@ -22,8 +24,6 @@ pub struct ExecutorConfig {
     pub restart_cost: f64,
     /// Communication cost model of the runtime.
     pub comm_cost: CostModel,
-    /// Replication voting mode.
-    pub voting: VotingMode,
     /// Failure injector seed.
     pub seed: u64,
     /// Attempt budget before giving up.
@@ -87,8 +87,8 @@ pub struct ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// A configuration with sensible defaults: all-to-all voting,
-    /// zero-cost communication, seed 0, 10 000 attempts.
+    /// A configuration with sensible defaults: zero-cost communication,
+    /// seed 0, 10 000 attempts.
     pub fn new(n_virtual: u64, degree: f64) -> Self {
         ExecutorConfig {
             n_virtual,
@@ -98,7 +98,6 @@ impl ExecutorConfig {
             checkpoint_cost: 0.0,
             restart_cost: 0.0,
             comm_cost: CostModel::zero(),
-            voting: VotingMode::AllToAll,
             seed: 0,
             max_attempts: 10_000,
             no_progress_limit: 64,
@@ -150,12 +149,6 @@ impl ExecutorConfig {
     /// Sets the runtime communication cost model.
     pub fn comm_cost(mut self, cost: CostModel) -> Self {
         self.comm_cost = cost;
-        self
-    }
-
-    /// Sets the replication voting mode.
-    pub fn voting(mut self, voting: VotingMode) -> Self {
-        self.voting = voting;
         self
     }
 

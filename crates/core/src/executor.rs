@@ -259,7 +259,6 @@ impl<'a, S: Encode + Send> Job<'a, S> {
         let cfg = self.cfg;
         let deaths = attempt.plan.absolute_death_times();
         let mut builder = ReplicatedWorld::builder(cfg.n_virtual, cfg.degree)?
-            .voting_mode(cfg.voting)
             .cost_model(cfg.comm_cost)
             .death_times(deaths.to_vec())
             .start_time(attempt.segment_start)

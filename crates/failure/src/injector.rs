@@ -207,16 +207,6 @@ impl FailureInjector {
         &self.groups
     }
 
-    /// Per-process MTBF, seconds.
-    pub fn mtbf(&self) -> f64 {
-        self.sampler.mean()
-    }
-
-    /// Number of attempts planned so far.
-    pub fn attempts(&self) -> u64 {
-        self.attempts
-    }
-
     /// The accumulated failure-event trace.
     pub fn trace(&self) -> &FailureTrace {
         &self.trace
@@ -280,7 +270,6 @@ mod tests {
         assert_eq!(b.attempt, 1);
         assert!(b.start_time > a.job_failure_time);
         assert_ne!(a.schedule, b.schedule, "fresh samples per attempt");
-        assert_eq!(inj.attempts(), 2);
     }
 
     #[test]

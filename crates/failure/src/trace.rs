@@ -56,16 +56,6 @@ impl FailureTrace {
     pub fn truncate_attempt(&mut self, attempt: u64, end_time: f64) {
         self.events.retain(|e| e.attempt != attempt || e.time <= end_time);
     }
-
-    /// The observed failure rate over `[0, horizon]` (events per second).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is not positive.
-    pub fn observed_rate(&self, horizon: f64) -> f64 {
-        assert!(horizon > 0.0);
-        self.events.iter().filter(|e| e.time <= horizon).count() as f64 / horizon
-    }
 }
 
 impl Extend<FailureEvent> for FailureTrace {
@@ -106,13 +96,5 @@ mod tests {
         assert_eq!(t.job_failures(), 0);
         // Other attempts untouched.
         assert_eq!(t.events()[0].attempt, 0);
-    }
-
-    #[test]
-    fn observed_rate_windows() {
-        let mut t = FailureTrace::new();
-        t.extend([ev(1.0, false), ev(2.0, false), ev(50.0, false)]);
-        assert!((t.observed_rate(10.0) - 0.2).abs() < 1e-12);
-        assert!((t.observed_rate(100.0) - 0.03).abs() < 1e-12);
     }
 }

@@ -123,44 +123,9 @@ pub fn young_interval(c: f64, theta: f64) -> Result<f64> {
     Ok((2.0 * c * theta).sqrt())
 }
 
-/// Policy for choosing the checkpoint interval `δ`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum IntervalPolicy {
-    /// Daly's higher-order interval (Eq. 15) — the paper's choice.
-    #[default]
-    Daly,
-    /// Young's first-order interval `√(2cΘ)`.
-    Young,
-    /// A fixed, user-supplied interval (same time unit as the other inputs).
-    Fixed(f64),
-    /// Numerically minimize Eq. 14 over `δ` (golden-section search).
-    Optimal,
-}
-
-impl IntervalPolicy {
-    /// Resolves the policy to a concrete interval for checkpoint cost `c`
-    /// and system MTBF `theta`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates domain errors from the underlying formulas; for
-    /// [`IntervalPolicy::Fixed`] an error is returned if the value is not
-    /// positive.
-    pub fn interval(&self, c: f64, theta: f64) -> Result<f64> {
-        match *self {
-            IntervalPolicy::Daly => daly_interval(c, theta),
-            IntervalPolicy::Young => young_interval(c, theta),
-            IntervalPolicy::Fixed(delta) => {
-                ensure_positive("delta", delta)?;
-                Ok(delta)
-            }
-            IntervalPolicy::Optimal => optimal_interval_numeric(c, theta),
-        }
-    }
-}
-
 /// Numerically minimizes `T_total(δ)` (Eq. 14, with Eq. 12–13 substituted)
-/// via golden-section search over `δ ∈ [c/100, 100·Θ]`.
+/// via golden-section search over `δ ∈ [c/100, 100·Θ]`: the reference
+/// [`daly_interval`] is checked against.
 ///
 /// # Errors
 ///
@@ -332,23 +297,6 @@ mod tests {
         let daly = daly_interval(c, theta).unwrap();
         let num = optimal_interval_numeric(c, theta).unwrap();
         assert!((num - daly).abs() / daly < 0.15, "numeric {num} vs daly {daly}");
-    }
-
-    #[test]
-    fn interval_policy_dispatch() {
-        let c = 0.1;
-        let theta = 50.0;
-        assert_eq!(
-            IntervalPolicy::Daly.interval(c, theta).unwrap(),
-            daly_interval(c, theta).unwrap()
-        );
-        assert_eq!(
-            IntervalPolicy::Young.interval(c, theta).unwrap(),
-            young_interval(c, theta).unwrap()
-        );
-        assert_eq!(IntervalPolicy::Fixed(2.5).interval(c, theta).unwrap(), 2.5);
-        assert!(IntervalPolicy::Fixed(0.0).interval(c, theta).is_err());
-        assert!(IntervalPolicy::Optimal.interval(c, theta).unwrap() > 0.0);
     }
 
     #[test]

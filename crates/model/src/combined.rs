@@ -7,18 +7,17 @@
 //! expected wallclock time at redundancy degree `r` with checkpoint interval
 //! `δ`?
 
-pub use crate::checkpointing::IntervalPolicy;
-
-use crate::checkpointing::{lost_work, restart_rework, total_time};
+use crate::checkpointing::{daly_interval, lost_work, restart_rework, total_time};
 use crate::error::{ensure_in_range, ensure_positive};
 use crate::partition::{RedundancyPartition, MAX_DEGREE, MIN_DEGREE};
 use crate::redundancy::{redundant_time, SystemModel};
-use crate::reliability::Approximation;
 use crate::{ModelError, Result};
 
 /// Full configuration of a combined C/R + redundancy run.
 ///
 /// All durations are in **hours**. Construct via [`CombinedConfig::builder`].
+/// As in the paper, the checkpoint interval is Daly's (Eq. 15) and a node's
+/// failure probability is the linear form (Eq. 3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CombinedConfig {
     /// `N`: number of virtual (application-visible) processes.
@@ -35,10 +34,6 @@ pub struct CombinedConfig {
     pub checkpoint_cost: f64,
     /// `R`: restart overhead (read images, respawn, coordinate), hours.
     pub restart_cost: f64,
-    /// Checkpoint-interval policy (Daly by default).
-    pub interval_policy: IntervalPolicy,
-    /// Failure-probability form (paper default: linear, Eq. 3).
-    pub approximation: Approximation,
 }
 
 impl CombinedConfig {
@@ -100,12 +95,7 @@ impl CombinedConfig {
     pub fn evaluate(&self) -> Result<CombinedOutcome> {
         self.validate()?;
         let t_red = redundant_time(self.base_time, self.alpha, self.degree)?;
-        let system = SystemModel::with_approximation(
-            self.n_virtual,
-            self.degree,
-            self.node_mtbf,
-            self.approximation,
-        )?;
+        let system = SystemModel::new(self.n_virtual, self.degree, self.node_mtbf)?;
         let sys = system.evaluate(t_red)?;
         let partition = system.partition().clone();
 
@@ -134,7 +124,7 @@ impl CombinedConfig {
             });
         }
 
-        let delta = self.interval_policy.interval(self.checkpoint_cost, sys.mtbf)?;
+        let delta = daly_interval(self.checkpoint_cost, sys.mtbf)?;
         let t_lw = lost_work(delta, self.checkpoint_cost, sys.mtbf)?;
         let t_rr = restart_rework(self.restart_cost, t_lw, sys.mtbf)?;
         let t_total = total_time(t_red, self.checkpoint_cost, delta, sys.failure_rate, t_rr)?;
@@ -170,12 +160,7 @@ impl CombinedConfig {
     pub fn evaluate_simplified(&self, form: SimplifiedForm) -> Result<f64> {
         self.validate()?;
         let t_red = redundant_time(self.base_time, self.alpha, self.degree)?;
-        let system = SystemModel::with_approximation(
-            self.n_virtual,
-            self.degree,
-            self.node_mtbf,
-            self.approximation,
-        )?;
+        let system = SystemModel::new(self.n_virtual, self.degree, self.node_mtbf)?;
         let sys = system.evaluate(t_red)?;
         if sys.failure_rate == 0.0 {
             return Ok(t_red);
@@ -194,7 +179,7 @@ impl CombinedConfig {
                 // t_Red·λ failures costs a restart R plus the expected lost
                 // work t_lw:
                 //   T = t_Red·(1 + c/δ_opt + λ_sys·(R + t_lw))
-                let delta = self.interval_policy.interval(self.checkpoint_cost, sys.mtbf)?;
+                let delta = daly_interval(self.checkpoint_cost, sys.mtbf)?;
                 let t_lw = lost_work(delta, self.checkpoint_cost, sys.mtbf)?;
                 Ok(t_red
                     * (1.0
@@ -250,13 +235,6 @@ pub struct CombinedOutcome {
     pub node_hours: f64,
 }
 
-impl CombinedOutcome {
-    /// Fraction of the total time spent on useful work (`t / T_total`).
-    pub fn work_efficiency(&self) -> f64 {
-        self.config.base_time / self.total_time
-    }
-}
-
 /// Builder for [`CombinedConfig`] (all durations in hours).
 #[derive(Debug, Clone, Default)]
 pub struct CombinedConfigBuilder {
@@ -267,8 +245,6 @@ pub struct CombinedConfigBuilder {
     alpha: Option<f64>,
     checkpoint_cost: Option<f64>,
     restart_cost: Option<f64>,
-    interval_policy: Option<IntervalPolicy>,
-    approximation: Option<Approximation>,
 }
 
 impl CombinedConfigBuilder {
@@ -314,18 +290,6 @@ impl CombinedConfigBuilder {
         self
     }
 
-    /// Sets the checkpoint-interval policy (default [`IntervalPolicy::Daly`]).
-    pub fn interval_policy(&mut self, p: IntervalPolicy) -> &mut Self {
-        self.interval_policy = Some(p);
-        self
-    }
-
-    /// Sets the failure-probability form (default [`Approximation::Linear`]).
-    pub fn approximation(&mut self, a: Approximation) -> &mut Self {
-        self.approximation = Some(a);
-        self
-    }
-
     /// Builds and validates the configuration.
     ///
     /// # Errors
@@ -348,8 +312,6 @@ impl CombinedConfigBuilder {
             alpha: self.alpha.unwrap_or(0.0),
             checkpoint_cost: required("checkpoint_cost", self.checkpoint_cost)?,
             restart_cost: required("restart_cost", self.restart_cost)?,
-            interval_policy: self.interval_policy.unwrap_or_default(),
-            approximation: self.approximation.unwrap_or_default(),
         };
         cfg.validate()?;
         Ok(cfg)
@@ -385,7 +347,6 @@ mod tests {
     fn builder_defaults() {
         let cfg = paper_experiment_config();
         assert_eq!(cfg.degree, 1.0);
-        assert_eq!(cfg.interval_policy, IntervalPolicy::Daly);
     }
 
     #[test]
@@ -446,7 +407,7 @@ mod tests {
         assert!((o.expected_failures - o.total_time * o.system_failure_rate).abs() < 1e-9);
         assert_eq!(o.total_physical, 256);
         assert!((o.node_hours - 256.0 * o.total_time).abs() < 1e-9);
-        assert!(o.work_efficiency() <= 1.0);
+        assert!(o.total_time >= o.config.base_time);
         assert!(o.checkpoint_interval > 0.0);
     }
 

@@ -24,9 +24,8 @@
 //!   checkpoint interval), plus Young's first-order interval.
 //! * [`combined`] — Section 4.3: the full combined model and the simplified
 //!   variant the paper uses in Section 6(5) for Figures 11–12.
-//! * [`optimizer`] — optimal `r`/`δ` search, weighted time-vs-resource cost
-//!   functions, and crossover finders (Figures 13–14).
-//! * [`birthday`] — the birthday-problem approximation of Section 4.3.
+//! * [`optimizer`] — optimal `r` search (at Daly's `δ`), weighted
+//!   time-vs-resource cost functions, and crossover finders (Figures 13–14).
 //!
 //! # Conventions
 //!
@@ -41,7 +40,7 @@
 //! with a 5-year per-node MTBF:
 //!
 //! ```
-//! use redcr_model::combined::{CombinedConfig, IntervalPolicy};
+//! use redcr_model::combined::CombinedConfig;
 //! use redcr_model::optimizer::{self, RGrid};
 //!
 //! # fn main() -> Result<(), redcr_model::ModelError> {
@@ -52,7 +51,6 @@
 //!     .comm_fraction(0.2)
 //!     .checkpoint_cost_hours(600.0 / 3600.0)
 //!     .restart_cost_hours(500.0 / 3600.0)
-//!     .interval_policy(IntervalPolicy::Daly)
 //!     .build()?;
 //! let best = optimizer::optimal_redundancy(&cfg, &optimizer::RGrid::quarter_steps())?;
 //! assert!(best.degree >= 2.0); // at this scale dual redundancy wins
@@ -63,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod birthday;
 pub mod checkpointing;
 pub mod combined;
 pub mod optimizer;

@@ -1,6 +1,6 @@
-//! Optimal configuration search: best redundancy degree, best checkpoint
-//! interval, weighted time-vs-resource cost functions, and the crossover
-//! finders behind Figures 13–14.
+//! Optimal configuration search: best redundancy degree (each at Daly's
+//! checkpoint interval), weighted time-vs-resource cost functions, and the
+//! crossover finders behind Figures 13–14.
 //!
 //! The paper's central practical claim is that redundancy is a *tuning knob*:
 //! HPC users can trade additional nodes for shorter wallclock time. The
@@ -48,11 +48,6 @@ impl RGrid {
         Self(vec![1.0, 1.5, 2.0, 2.5, 3.0])
     }
 
-    /// Integral degrees only: `{1, 2, 3}`.
-    pub fn integral() -> Self {
-        Self(vec![1.0, 2.0, 3.0])
-    }
-
     /// The degrees in the grid.
     pub fn degrees(&self) -> &[f64] {
         &self.0
@@ -89,8 +84,7 @@ pub fn optimal_redundancy(cfg: &CombinedConfig, grid: &RGrid) -> Result<BestDegr
 /// `time_weight · T_total + resource_weight · N_total · T_total`
 /// (wallclock hours and node-hours respectively). A user who only cares
 /// about finishing fast uses [`CostWeights::time_only`]; a capacity-computing
-/// site that pays per node-hour uses [`CostWeights::resources_only`] or a
-/// blend.
+/// site that pays per node-hour uses [`CostWeights::resources_only`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Weight of the wallclock term, per hour.
@@ -108,16 +102,6 @@ impl CostWeights {
     /// Pure node-hour minimization.
     pub fn resources_only() -> Self {
         Self { time_weight: 0.0, resource_weight: 1.0 }
-    }
-
-    /// A blend: `w ∈ [0, 1]` of the time term, `1−w` of the resource term.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `w ∉ [0, 1]`.
-    pub fn blend(w: f64) -> Result<Self> {
-        crate::error::ensure_in_range("w", w, 0.0, 1.0)?;
-        Ok(Self { time_weight: w, resource_weight: 1.0 - w })
     }
 
     /// The scalar cost of an outcome under these weights.
@@ -177,36 +161,11 @@ pub fn time_at(cfg: &CombinedConfig, n: u64, r: f64) -> Option<f64> {
 ///
 /// Returns [`ModelError::NoSolution`] if `r_b` never wins in the range.
 pub fn crossover(cfg: &CombinedConfig, r_a: f64, r_b: f64, lo: u64, hi: u64) -> Result<u64> {
-    if lo == 0 || hi < lo {
-        return Err(ModelError::InvalidParameter {
-            name: "lo/hi",
-            value: lo as f64,
-            reason: "need 1 <= lo <= hi",
-        });
-    }
-    let b_wins = |n: u64| -> bool {
+    first_in_range(lo, hi, "redundancy crossover in range", |n| {
         let ta = time_at(cfg, n, r_a).unwrap_or(f64::INFINITY);
         let tb = time_at(cfg, n, r_b).unwrap_or(f64::INFINITY);
         tb.is_finite() && tb <= ta
-    };
-    if !b_wins(hi) {
-        return Err(ModelError::NoSolution { what: "redundancy crossover in range" });
-    }
-    if b_wins(lo) {
-        return Ok(lo);
-    }
-    // Monotone threshold by assumption (failure impact grows with n);
-    // binary search for the first n where b wins.
-    let (mut lo, mut hi) = (lo, hi);
-    while lo + 1 < hi {
-        let mid = lo + (hi - lo) / 2;
-        if b_wins(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Ok(hi)
+    })
 }
 
 /// Finds the smallest process count at which running the job at degree
@@ -217,7 +176,8 @@ pub fn crossover(cfg: &CombinedConfig, r_a: f64, r_b: f64, lo: u64, hi: u64) -> 
 /// # Errors
 ///
 /// Returns [`ModelError::NoSolution`] if the speedup never reaches `factor`
-/// in `[lo, hi]`.
+/// in `[lo, hi]`, and [`ModelError::InvalidParameter`] for `factor <= 0`
+/// or a range that is not `1 <= lo <= hi`.
 pub fn throughput_break_even(
     cfg: &CombinedConfig,
     r: f64,
@@ -226,27 +186,45 @@ pub fn throughput_break_even(
     hi: u64,
 ) -> Result<u64> {
     crate::error::ensure_positive("factor", factor)?;
-    let wins = |n: u64| -> bool {
+    first_in_range(lo, hi, "throughput break-even in range", |n| {
         let t1 = time_at(cfg, n, 1.0).unwrap_or(f64::INFINITY);
         let tr = time_at(cfg, n, r).unwrap_or(f64::INFINITY);
-        if !tr.is_finite() {
-            return false;
-        }
-        if !t1.is_finite() {
-            return true; // 1x cannot finish at all
-        }
-        t1 >= factor * tr
-    };
-    if !wins(hi) {
-        return Err(ModelError::NoSolution { what: "throughput break-even in range" });
+        // A 1x job that cannot finish at all is beaten by any that can.
+        tr.is_finite() && (!t1.is_finite() || t1 >= factor * tr)
+    })
+}
+
+/// The first `n` in `[lo, hi]` where `holds` is true, assuming it is a
+/// monotone threshold in `n` (failure impact grows with scale): `holds` is
+/// probed only inside the range.
+///
+/// # Errors
+///
+/// Returns [`ModelError::InvalidParameter`] unless `1 <= lo <= hi`, and
+/// [`ModelError::NoSolution`] naming `what` if `holds(hi)` is false.
+fn first_in_range(
+    lo: u64,
+    hi: u64,
+    what: &'static str,
+    holds: impl Fn(u64) -> bool,
+) -> Result<u64> {
+    if lo == 0 || hi < lo {
+        return Err(ModelError::InvalidParameter {
+            name: "lo/hi",
+            value: lo as f64,
+            reason: "need 1 <= lo <= hi",
+        });
     }
-    if wins(lo) {
+    if !holds(hi) {
+        return Err(ModelError::NoSolution { what });
+    }
+    if holds(lo) {
         return Ok(lo);
     }
     let (mut lo, mut hi) = (lo, hi);
     while lo + 1 < hi {
         let mid = lo + (hi - lo) / 2;
-        if wins(mid) {
+        if holds(mid) {
             hi = mid;
         } else {
             lo = mid;
@@ -258,7 +236,6 @@ pub fn throughput_break_even(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::combined::IntervalPolicy;
     use crate::units;
 
     /// Weak-scaling configuration in the spirit of Figures 13–14: a 128-hour
@@ -271,7 +248,6 @@ mod tests {
             .comm_fraction(0.2)
             .checkpoint_cost_hours(units::hours_from_mins(10.0))
             .restart_cost_hours(units::hours_from_mins(30.0))
-            .interval_policy(IntervalPolicy::Daly)
             .build()
             .unwrap()
     }
@@ -320,12 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn blend_validates() {
-        assert!(CostWeights::blend(0.5).is_ok());
-        assert!(CostWeights::blend(1.5).is_err());
-    }
-
-    #[test]
     fn crossover_is_found_and_ordered() {
         let cfg = scaling_config();
         let x12 = crossover(&cfg, 1.0, 2.0, 100, 1_000_000).unwrap();
@@ -367,7 +337,6 @@ mod tests {
             .comm_fraction(0.2)
             .checkpoint_cost_hours(0.1)
             .restart_cost_hours(0.1)
-            .interval_policy(IntervalPolicy::Daly)
             .build()
             .unwrap()
     }
@@ -381,8 +350,8 @@ mod tests {
         let err = optimal_redundancy(&cfg, &RGrid::quarter_steps()).unwrap_err();
         assert!(matches!(err, ModelError::NoSolution { .. }), "{err:?}");
         // The weighted variant takes the same path.
-        let err =
-            optimal_by_cost(&cfg, &RGrid::integral(), &CostWeights::resources_only()).unwrap_err();
+        let err = optimal_by_cost(&cfg, &RGrid::half_steps(), &CostWeights::resources_only())
+            .unwrap_err();
         assert!(matches!(err, ModelError::NoSolution { .. }), "{err:?}");
     }
 
@@ -437,26 +406,15 @@ mod tests {
     }
 
     #[test]
-    fn blend_endpoints_match_the_pure_weightings() {
-        // blend(1) is time-only, blend(0) is resources-only — both as
-        // weights and through the optimizer.
-        assert_eq!(CostWeights::blend(1.0).unwrap(), CostWeights::time_only());
-        assert_eq!(CostWeights::blend(0.0).unwrap(), CostWeights::resources_only());
-        let cfg = scaling_config().with_virtual_processes(50_000);
-        let grid = RGrid::half_steps();
-        let t = optimal_by_cost(&cfg, &grid, &CostWeights::blend(1.0).unwrap()).unwrap();
-        assert_eq!(
-            t.degree,
-            optimal_by_cost(&cfg, &grid, &CostWeights::time_only()).unwrap().degree
-        );
-        let r = optimal_by_cost(&cfg, &grid, &CostWeights::blend(0.0).unwrap()).unwrap();
-        assert_eq!(
-            r.degree,
-            optimal_by_cost(&cfg, &grid, &CostWeights::resources_only()).unwrap().degree
-        );
-        // Boundary validation: exactly 0 and 1 are legal, just outside is not.
-        assert!(CostWeights::blend(-f64::EPSILON).is_err());
-        assert!(CostWeights::blend(1.0 + f64::EPSILON).is_err());
+    fn both_threshold_finders_reject_empty_and_zero_ranges() {
+        let cfg = scaling_config();
+        let invalid = |r: Result<u64>| matches!(r, Err(ModelError::InvalidParameter { .. }));
+        // Both ends lie past the threshold, so a search that ignored the
+        // inverted range would answer with a count outside it.
+        assert!(invalid(crossover(&cfg, 1.0, 2.0, 2_000_000, 1_000_000)));
+        assert!(invalid(crossover(&cfg, 1.0, 2.0, 0, 1_000_000)));
+        assert!(invalid(throughput_break_even(&cfg, 2.0, 2.0, 2_000_000, 1_000_000)));
+        assert!(invalid(throughput_break_even(&cfg, 2.0, 2.0, 0, 2_000_000)));
     }
 
     #[test]

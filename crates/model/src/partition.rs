@@ -23,25 +23,6 @@ pub const MIN_DEGREE: f64 = 1.0;
 /// `[1, 3]`; we allow a little headroom for extension studies.
 pub const MAX_DEGREE: f64 = 16.0;
 
-/// How virtual ranks are assigned to the `⌈r⌉`-replica set.
-///
-/// The paper's experiments replicate "every other process (i.e., every even
-/// process)" for `r = 1.5`, which corresponds to [`Interleaved`]. [`Blocked`]
-/// assigns the first `N⌈r⌉` ranks instead and is provided for ablation
-/// studies of replica placement.
-///
-/// [`Interleaved`]: AssignmentStrategy::Interleaved
-/// [`Blocked`]: AssignmentStrategy::Blocked
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AssignmentStrategy {
-    /// Spread the extra replicas evenly across the rank space (paper default:
-    /// for `r = 1.5` every even rank gets the extra replica).
-    #[default]
-    Interleaved,
-    /// Give the extra replicas to the lowest-numbered ranks.
-    Blocked,
-}
-
 /// The partition of `N` virtual processes induced by a (possibly fractional)
 /// redundancy degree `r` (Eqs. 5–8).
 #[derive(Debug, Clone, PartialEq)]
@@ -52,33 +33,17 @@ pub struct RedundancyPartition {
     ceil_replicas: u64,
     n_floor_set: u64,
     n_ceil_set: u64,
-    strategy: AssignmentStrategy,
 }
 
 impl RedundancyPartition {
     /// Builds the partition for `n_virtual` virtual processes at redundancy
-    /// degree `degree`, using the default ([`AssignmentStrategy::Interleaved`])
-    /// replica placement.
+    /// degree `degree`.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidParameter`] if `n_virtual == 0` or
     /// `degree` lies outside `[MIN_DEGREE, MAX_DEGREE]`.
     pub fn new(n_virtual: u64, degree: f64) -> Result<Self> {
-        Self::with_strategy(n_virtual, degree, AssignmentStrategy::default())
-    }
-
-    /// Like [`RedundancyPartition::new`] but with an explicit placement
-    /// strategy.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RedundancyPartition::new`].
-    pub fn with_strategy(
-        n_virtual: u64,
-        degree: f64,
-        strategy: AssignmentStrategy,
-    ) -> Result<Self> {
         if n_virtual == 0 {
             return Err(ModelError::InvalidParameter {
                 name: "n_virtual",
@@ -97,15 +62,7 @@ impl RedundancyPartition {
         let n_floor_set = n_floor_set.min(n_virtual);
         let n_ceil_set = n_virtual - n_floor_set; // Eq. 7
 
-        Ok(Self {
-            n_virtual,
-            degree,
-            floor_replicas,
-            ceil_replicas,
-            n_floor_set,
-            n_ceil_set,
-            strategy,
-        })
+        Ok(Self { n_virtual, degree, floor_replicas, ceil_replicas, n_floor_set, n_ceil_set })
     }
 
     /// Number of virtual processes `N`.
@@ -138,11 +95,6 @@ impl RedundancyPartition {
         self.n_ceil_set
     }
 
-    /// The replica placement strategy.
-    pub fn strategy(&self) -> AssignmentStrategy {
-        self.strategy
-    }
-
     /// `N_total` (Eq. 8): total number of physical processes required.
     ///
     /// Because of the floor in Eq. 6, `N·r ≤ N_total < N·r + 1`: the paper
@@ -163,6 +115,13 @@ impl RedundancyPartition {
 
     /// Number of physical replicas assigned to virtual rank `vrank`.
     ///
+    /// The `N⌈r⌉` extra-replica slots are spread evenly over the rank space
+    /// (Bresenham/Beatty rounding): rank `v` is in the `⌈r⌉` set iff
+    /// `(v·N⌈r⌉) mod N < N⌈r⌉`, which selects exactly `N⌈r⌉` ranks starting
+    /// at rank 0. For `r = 1.5` and even `N` this marks exactly the even
+    /// ranks, the paper's "every other process (i.e., every even process)
+    /// has a replica" (Section 6).
+    ///
     /// # Panics
     ///
     /// Panics if `vrank >= n_virtual()`.
@@ -174,29 +133,11 @@ impl RedundancyPartition {
         if self.n_ceil_set == 0 {
             return self.floor_replicas;
         }
-        match self.strategy {
-            AssignmentStrategy::Blocked => {
-                if vrank < self.n_ceil_set {
-                    self.ceil_replicas
-                } else {
-                    self.floor_replicas
-                }
-            }
-            AssignmentStrategy::Interleaved => {
-                // Distribute the n_ceil_set extra-replica slots evenly over
-                // the rank space (Bresenham/Beatty rounding): rank v is in
-                // the ceil set iff (v·k) mod N < k, which selects exactly k
-                // ranks starting at rank 0. For r = 1.5 and even N this marks
-                // exactly the even ranks, matching the paper's "every even
-                // process has a replica".
-                let k = self.n_ceil_set as u128;
-                let n = self.n_virtual as u128;
-                if (vrank as u128 * k) % n < k {
-                    self.ceil_replicas
-                } else {
-                    self.floor_replicas
-                }
-            }
+        let (k, n) = (self.n_ceil_set as u128, self.n_virtual as u128);
+        if (vrank as u128 * k) % n < k {
+            self.ceil_replicas
+        } else {
+            self.floor_replicas
         }
     }
 
@@ -237,13 +178,6 @@ mod tests {
         let p = RedundancyPartition::new(8, 1.5).unwrap();
         let counts: Vec<u64> = (0..8).map(|v| p.replicas_of(v)).collect();
         assert_eq!(counts, vec![2, 1, 2, 1, 2, 1, 2, 1]);
-    }
-
-    #[test]
-    fn blocked_assigns_prefix() {
-        let p = RedundancyPartition::with_strategy(8, 1.5, AssignmentStrategy::Blocked).unwrap();
-        let counts: Vec<u64> = (0..8).map(|v| p.replicas_of(v)).collect();
-        assert_eq!(counts, vec![2, 2, 2, 2, 1, 1, 1, 1]);
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub struct SystemModel {
     partition: RedundancyPartition,
     /// Per-node MTBF `θ` (same unit as the times passed to methods).
     node_mtbf: f64,
-    approx: Approximation,
 }
 
 /// System-level reliability figures derived from Eqs. 9–10.
@@ -53,22 +52,8 @@ impl SystemModel {
     /// Returns an error if the partition parameters are invalid (see
     /// [`RedundancyPartition::new`]) or `node_mtbf <= 0`.
     pub fn new(n_virtual: u64, degree: f64, node_mtbf: f64) -> Result<Self> {
-        Self::with_approximation(n_virtual, degree, node_mtbf, Approximation::default())
-    }
-
-    /// Like [`SystemModel::new`] with an explicit failure-probability form.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SystemModel::new`].
-    pub fn with_approximation(
-        n_virtual: u64,
-        degree: f64,
-        node_mtbf: f64,
-        approx: Approximation,
-    ) -> Result<Self> {
         ensure_positive("node_mtbf", node_mtbf)?;
-        Ok(Self { partition: RedundancyPartition::new(n_virtual, degree)?, node_mtbf, approx })
+        Ok(Self { partition: RedundancyPartition::new(n_virtual, degree)?, node_mtbf })
     }
 
     /// The underlying partial-redundancy partition.
@@ -93,7 +78,7 @@ impl SystemModel {
     /// Returns an error if `t_red < 0`.
     pub fn system_reliability(&self, t_red: f64) -> Result<f64> {
         ensure_non_negative("t_red", t_red)?;
-        let pf = node_failure_probability(t_red, self.node_mtbf, self.approx)?;
+        let pf = node_failure_probability(t_red, self.node_mtbf, Approximation::Linear)?;
         let p = &self.partition;
         // Work in log space: N can be ~10^6 and the factors are close to 1.
         let mut log_r = 0.0f64;
@@ -131,7 +116,7 @@ impl SystemModel {
         // when R_sys ≈ 1 (exascale-small failure probabilities). The rate
         // is genuinely infinite only when a sphere's failure within the
         // horizon is *certain* (pf^k = 1 under the linear approximation).
-        let pf = node_failure_probability(t_red, self.node_mtbf, self.approx)?;
+        let pf = node_failure_probability(t_red, self.node_mtbf, Approximation::Linear)?;
         let p = &self.partition;
         let mut neg_log = 0.0f64;
         for (count, replicas) in

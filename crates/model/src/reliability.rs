@@ -3,19 +3,19 @@
 //! Node failures are assumed to arrive as a Poisson process (paper
 //! assumption 3), so a node's survival probability over time `t` is
 //! `R(t) = e^{−t/θ}` with MTBF `θ`. For large `θ` the paper linearizes the
-//! failure probability to `t/θ` (Eq. 3); both forms are provided here and an
-//! ablation bench quantifies where they diverge.
+//! failure probability to `t/θ` (Eq. 3). The system model uses the linear
+//! form; the exact one stays as the reference its ablation compares against.
 
 use crate::error::{ensure_non_negative, ensure_positive};
 use crate::Result;
 
 /// Which functional form to use for single-node failure probability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Approximation {
     /// The paper's first-order form `Pr(fail) = t/θ` (Eq. 3), clamped to 1.
     ///
-    /// This is the form used throughout the paper's Section 4 derivations.
-    #[default]
+    /// This is the form used throughout the paper's Section 4 derivations,
+    /// and the one [`SystemModel`](crate::redundancy::SystemModel) uses.
     Linear,
     /// The exact exponential `Pr(fail) = 1 − e^{−t/θ}` (Eq. 2).
     Exact,
@@ -64,24 +64,6 @@ pub fn sphere_reliability(t: f64, theta: f64, k: u64, approx: Approximation) -> 
     }
     let pf = node_failure_probability(t, theta, approx)?;
     Ok(1.0 - pf.powi(k as i32))
-}
-
-/// Converts a reliability `R(t)` observed over horizon `t` into the implied
-/// constant failure rate `λ = −ln(R)/t` (the inverse of `R = e^{−λt}`).
-///
-/// Returns `f64::INFINITY` when `reliability == 0` and `0.0` when
-/// `reliability == 1`.
-///
-/// # Errors
-///
-/// Returns an error if `t <= 0` or `reliability` is outside `[0, 1]`.
-pub fn implied_failure_rate(reliability: f64, t: f64) -> Result<f64> {
-    ensure_positive("t", t)?;
-    crate::error::ensure_in_range("reliability", reliability, 0.0, 1.0)?;
-    if reliability == 0.0 {
-        return Ok(f64::INFINITY);
-    }
-    Ok(-reliability.ln() / t)
 }
 
 #[cfg(test)]
@@ -138,23 +120,6 @@ mod tests {
             assert_eq!(node_reliability(0.0, 5.0, approx).unwrap(), 1.0);
             assert_eq!(sphere_reliability(0.0, 5.0, 2, approx).unwrap(), 1.0);
         }
-    }
-
-    #[test]
-    fn implied_rate_inverts_exponential() {
-        let theta: f64 = 7.5;
-        let t = 3.0;
-        let r = (-t / theta).exp();
-        let lambda = implied_failure_rate(r, t).unwrap();
-        assert!((lambda - 1.0 / theta).abs() < EPS);
-    }
-
-    #[test]
-    fn implied_rate_edge_cases() {
-        assert_eq!(implied_failure_rate(1.0, 2.0).unwrap(), 0.0);
-        assert_eq!(implied_failure_rate(0.0, 2.0).unwrap(), f64::INFINITY);
-        assert!(implied_failure_rate(1.5, 2.0).is_err());
-        assert!(implied_failure_rate(0.5, 0.0).is_err());
     }
 
     #[test]

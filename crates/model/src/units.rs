@@ -15,9 +15,6 @@
 /// Hours per year used throughout the paper-style configurations (365 days).
 pub const HOURS_PER_YEAR: f64 = 365.0 * 24.0;
 
-/// Hours per day.
-pub const HOURS_PER_DAY: f64 = 24.0;
-
 /// Converts seconds to hours.
 #[inline]
 pub fn hours_from_secs(secs: f64) -> f64 {
@@ -30,28 +27,10 @@ pub fn hours_from_mins(mins: f64) -> f64 {
     mins / 60.0
 }
 
-/// Converts days to hours.
-#[inline]
-pub fn hours_from_days(days: f64) -> f64 {
-    days * HOURS_PER_DAY
-}
-
 /// Converts years (365 days) to hours.
 #[inline]
 pub fn hours_from_years(years: f64) -> f64 {
     years * HOURS_PER_YEAR
-}
-
-/// Converts hours to seconds.
-#[inline]
-pub fn secs_from_hours(hours: f64) -> f64 {
-    hours * 3600.0
-}
-
-/// Converts hours to minutes.
-#[inline]
-pub fn mins_from_hours(hours: f64) -> f64 {
-    hours * 60.0
 }
 
 #[cfg(test)]
@@ -60,8 +39,8 @@ mod tests {
 
     #[test]
     fn round_trips() {
-        assert!((secs_from_hours(hours_from_secs(1234.5)) - 1234.5).abs() < 1e-9);
-        assert!((mins_from_hours(hours_from_mins(77.0)) - 77.0).abs() < 1e-9);
+        assert!((hours_from_secs(1234.5 * 3600.0) - 1234.5).abs() < 1e-9);
+        assert!((hours_from_mins(77.0 * 60.0) - 77.0).abs() < 1e-9);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use redcr_model::checkpointing::{daly_interval, lost_work, restart_rework, young_interval};
 use redcr_model::combined::CombinedConfig;
-use redcr_model::partition::{AssignmentStrategy, RedundancyPartition};
+use redcr_model::partition::RedundancyPartition;
 use redcr_model::redundancy::{redundant_time, SystemModel};
 use redcr_model::reliability::{node_reliability, sphere_reliability, Approximation};
 
@@ -26,19 +26,10 @@ proptest! {
     }
 
     /// Per-rank replica counts only take the two partition values and sum to
-    /// the partition total, for both placement strategies.
+    /// the partition total.
     #[test]
-    fn partition_assignment_consistent(
-        n in 1u64..2_000,
-        r in 1.0f64..3.0,
-        blocked in any::<bool>(),
-    ) {
-        let strategy = if blocked {
-            AssignmentStrategy::Blocked
-        } else {
-            AssignmentStrategy::Interleaved
-        };
-        let p = RedundancyPartition::with_strategy(n, r, strategy).unwrap();
+    fn partition_assignment_consistent(n in 1u64..2_000, r in 1.0f64..3.0) {
+        let p = RedundancyPartition::new(n, r).unwrap();
         let mut sum = 0;
         let mut ceil_count = 0;
         for v in 0..n {
@@ -167,7 +158,7 @@ proptest! {
             .unwrap();
         if let Ok(o) = cfg.evaluate() {
             prop_assert!(o.total_time >= o.redundant_time - 1e-6);
-            let eff = o.work_efficiency();
+            let eff = o.config.base_time / o.total_time;
             prop_assert!(eff > 0.0 && eff <= 1.0 + 1e-9);
             prop_assert!(o.expected_failures >= 0.0);
         }

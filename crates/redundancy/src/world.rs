@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use redcr_model::partition::{AssignmentStrategy, RedundancyPartition};
+use redcr_model::partition::RedundancyPartition;
 use redcr_mpi::{Comm, CostModel, Result, Sinks, World, WorldBuilder};
 
 use crate::corruption::CorruptionModel;
@@ -53,27 +53,6 @@ pub struct ReplicatedWorldBuilder {
 }
 
 impl ReplicatedWorldBuilder {
-    /// Uses an explicit replica placement strategy (default: the paper's
-    /// interleaved placement).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the partition cannot be rebuilt (should not
-    /// happen for parameters that already validated).
-    pub fn strategy(
-        mut self,
-        strategy: AssignmentStrategy,
-    ) -> std::result::Result<Self, redcr_model::ModelError> {
-        self.partition = RedundancyPartition::with_strategy(
-            self.partition.n_virtual(),
-            self.partition.degree(),
-            strategy,
-        )?;
-        // Placement moves replicas, never their number.
-        debug_assert_eq!(self.partition.total_physical() as usize, self.world.size());
-        Ok(self)
-    }
-
     /// Sets the voting mode (default [`VotingMode::AllToAll`], as in the
     /// paper's experiments).
     pub fn voting_mode(self, mode: VotingMode) -> Self {
@@ -96,12 +75,6 @@ impl ReplicatedWorldBuilder {
     /// [`WorldBuilder::cost_model`]).
     pub fn cost_model(self, cost: CostModel) -> Self {
         Self { world: self.world.cost_model(cost), ..self }
-    }
-
-    /// Sets the fail-stop abort horizon in virtual seconds (see
-    /// [`WorldBuilder::abort_horizon`]).
-    pub fn abort_horizon(self, t: f64) -> Self {
-        Self { world: self.world.abort_horizon(t), ..self }
     }
 
     /// Starts all clocks at `t` virtual seconds (checkpoint resume).

@@ -299,26 +299,6 @@ fn degree_one_is_passthrough() {
 }
 
 #[test]
-fn abort_horizon_propagates_through_replication() {
-    let report = ReplicatedWorld::builder(2, 2.0)
-        .unwrap()
-        .cost_model(CostModel::zero())
-        .abort_horizon(1.0)
-        .run(|comm| -> redcr_mpi::Result<()> {
-            loop {
-                comm.compute(0.3)?;
-                comm.barrier()?;
-            }
-        })
-        .unwrap();
-    assert!(report.aborted);
-    for r in &report.results {
-        assert!(r.is_err());
-    }
-    assert!(report.max_virtual_time < 2.0);
-}
-
-#[test]
 fn triple_redundancy_corrects_injected_sdc() {
     // One faulty replica (index 1) corrupts ~30% of its outgoing copies.
     // With three copies per message the receivers vote the corruption out:

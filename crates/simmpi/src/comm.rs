@@ -211,7 +211,8 @@ impl Comm {
     ///
     /// # Errors
     ///
-    /// Returns [`MpiError::Aborted`] if the clock crosses the abort horizon.
+    /// Returns [`MpiError::Dead`] if the clock reaches this rank's death
+    /// time.
     pub fn charge_comm(&self, seconds: f64) -> Result<()> {
         self.check_abort()?;
         self.clock.advance_comm(seconds);
@@ -237,9 +238,8 @@ impl Comm {
     }
 
     fn check_abort(&self) -> Result<()> {
-        let now = self.clock.now();
         let death = self.shared.death_time(self.world_rank);
-        if now >= death {
+        if self.clock.now() >= death {
             // This rank's own fail-stop: flag it (waking receivers blocked on
             // it) and stop executing. Deliberately *not* a world abort — peers
             // keep running and observe the death per-operation.
@@ -249,16 +249,12 @@ impl Comm {
             }
             return Err(MpiError::Dead { rank: self.world_rank, at: death });
         }
-        if now >= self.shared.abort_horizon {
-            self.shared.trigger_abort();
-            return Err(MpiError::Aborted { rank: self.rank(), at: now });
-        }
         // Deliberately NOT polled here: the world-abort flag. It is raised at
         // a *physical* instant (whichever rank escalates first), so a running
         // rank observing it would stop after a host-timing-dependent number
         // of operations and make message counts run-to-run noisy. Running
         // ranks stop only through deterministic virtual-time exits — own
-        // death, DeadPeer/SphereDead escalation, the horizon — and *parked*
+        // death, DeadPeer/SphereDead escalation — and *parked*
         // ranks return Aborted once the abort is final (no rank can ever
         // push again). See `mailbox::Quiesce`.
         Ok(())

@@ -48,8 +48,8 @@ pub trait Communicator {
     ///
     /// # Errors
     ///
-    /// Returns [`MpiError::Aborted`](crate::MpiError::Aborted) if the clock
-    /// crosses the abort horizon.
+    /// Returns [`MpiError::Dead`](crate::MpiError::Dead) if the clock
+    /// reaches this rank's death time.
     fn compute(&self, seconds: f64) -> Result<()>;
 
     /// Sends `data` to `dest` with `tag` in namespace `ns`.

@@ -10,9 +10,8 @@ pub type Result<T> = std::result::Result<T, MpiError>;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum MpiError {
-    /// The run crossed its abort horizon (fail-stop injection): the rank
-    /// observed a virtual time at or past the horizon, or was woken from a
-    /// blocking call because another rank aborted.
+    /// The run aborted: the rank was woken from a blocking call because
+    /// another rank failed or escalated a death it could not mask.
     Aborted {
         /// The rank that observed the abort.
         rank: Rank,

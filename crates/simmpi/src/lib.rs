@@ -42,13 +42,13 @@
 //!
 //! ## Aborts
 //!
-//! A run can be given an **abort horizon** (virtual time at which the job is
-//! considered killed by the failure injector). Every runtime call checks the
-//! local clock against the horizon and returns [`MpiError::Aborted`] once
-//! crossed; ranks blocked in receives are woken and aborted too. The
-//! resilient executor in `redcr-core` uses this to emulate fail-stop
-//! whole-job failure followed by restart from the last checkpoint, the same
-//! procedure as the paper's fault injector.
+//! Failures are per rank: [`WorldBuilder::death_times`] gives each rank a
+//! virtual fail-stop time. A rank's runtime call at or past it returns
+//! [`MpiError::Dead`], and its peers see [`MpiError::DeadPeer`]. When a
+//! layer escalates a death it cannot mask ([`Comm::abort_job`]), ranks
+//! blocked in receives return [`MpiError::Aborted`] once no rank can send
+//! again. The resilient executor in `redcr-core` ends an attempt this way
+//! and restarts from the last checkpoint.
 //!
 //! # Example
 //!

@@ -248,7 +248,7 @@ struct Waiter {
 ///
 /// * **running ranks never observe the flag** — they stop only through
 ///   deterministic, virtual-time-driven exits (own death, `DeadPeer` /
-///   `SphereDead` escalation, the abort horizon, or normal completion);
+///   `SphereDead` escalation, or normal completion);
 /// * **parked ranks** return [`Outcome::Aborted`] only once the abort is
 ///   final, tracked by this counter: `live` counts ranks that can still
 ///   deposit an envelope — every rank not yet finished and not currently

@@ -39,7 +39,6 @@ impl World {
         WorldBuilder {
             n,
             cost: CostModel::default(),
-            abort_horizon: f64::INFINITY,
             start_time: 0.0,
             death_times: None,
             sinks: Sinks::default(),
@@ -54,7 +53,6 @@ impl World {
 pub struct WorldBuilder {
     n: usize,
     cost: CostModel,
-    abort_horizon: f64,
     start_time: f64,
     death_times: Option<Vec<f64>>,
     sinks: Sinks,
@@ -70,15 +68,6 @@ impl WorldBuilder {
         self
     }
 
-    /// Sets the abort horizon: once any rank's virtual clock reaches this
-    /// time (seconds), the whole run aborts with
-    /// [`MpiError::Aborted`](crate::MpiError::Aborted). Used by the failure
-    /// injector to emulate whole-job fail-stop.
-    pub fn abort_horizon(mut self, t: f64) -> Self {
-        self.abort_horizon = t;
-        self
-    }
-
     /// Starts every rank's virtual clock at `t` seconds instead of zero
     /// (used when resuming a job from a checkpoint taken at virtual time
     /// `t`).
@@ -88,9 +77,8 @@ impl WorldBuilder {
     }
 
     /// Sets **per-rank fail-stop times** (absolute virtual seconds,
-    /// `f64::INFINITY` = never dies). Unlike
-    /// [`abort_horizon`](Self::abort_horizon), a rank's death does not stop
-    /// the world: the dying rank's closure returns
+    /// `f64::INFINITY` = never dies). A rank's death does not stop the
+    /// world: the dying rank's closure returns
     /// [`MpiError::Dead`](crate::MpiError::Dead) the first time its clock
     /// reaches its death time, while the remaining ranks keep running.
     /// Survivors observe the death per-operation: sends to a dead peer and
@@ -170,7 +158,7 @@ impl WorldBuilder {
             }
             None => vec![f64::INFINITY; self.n],
         };
-        let shared = Arc::new(Shared::new(self.n, self.cost, self.abort_horizon, death_times));
+        let shared = Arc::new(Shared::new(self.n, self.cost, death_times));
         let start_time = self.start_time;
         let sinks = &self.sinks;
         let f = &f;
@@ -297,7 +285,8 @@ pub struct RunReport<T> {
     pub timings: Vec<RankTiming>,
     /// Simulated wallclock: the maximum finish time over all ranks, seconds.
     pub max_virtual_time: f64,
-    /// Whether the run crossed the abort horizon (or a rank failed).
+    /// Whether the run aborted: a rank failed with an error other than its
+    /// own death, or a layer escalated through [`Comm::abort_job`].
     pub aborted: bool,
     /// Ranks that fail-stopped at their sampled death time during the run
     /// (ascending rank order). Empty unless
@@ -334,7 +323,6 @@ pub(crate) struct Shared {
     pub(crate) n: usize,
     pub(crate) cost: CostModel,
     pub(crate) mailboxes: Arc<Vec<Mailbox>>,
-    pub(crate) abort_horizon: f64,
     /// `death_times[r]`: absolute virtual time at which rank `r`
     /// fail-stops (INFINITY = never).
     pub(crate) death_times: Vec<f64>,
@@ -353,7 +341,7 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn new(n: usize, cost: CostModel, abort_horizon: f64, death_times: Vec<f64>) -> Self {
+    fn new(n: usize, cost: CostModel, death_times: Vec<f64>) -> Self {
         let quiesce = Arc::new(Quiesce::new(n));
         let mailboxes = Arc::new(
             (0..n).map(|_| Mailbox::with_quiesce(Arc::clone(&quiesce))).collect::<Vec<_>>(),
@@ -363,7 +351,6 @@ impl Shared {
             n,
             cost,
             mailboxes,
-            abort_horizon,
             death_times,
             dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
             aborted: AtomicBool::new(false),
@@ -460,24 +447,6 @@ mod tests {
         for r in report.into_results().unwrap() {
             assert_eq!(r, 101.0);
         }
-    }
-
-    #[test]
-    fn abort_horizon_stops_compute() {
-        let report = World::builder(1)
-            .cost_model(CostModel::zero())
-            .abort_horizon(5.0)
-            .run(|comm| {
-                for _ in 0..10 {
-                    comm.compute(1.0)?;
-                }
-                Ok(())
-            })
-            .unwrap();
-        assert!(report.aborted);
-        assert!(report.results[0].is_err());
-        // The rank stopped within one compute step of the horizon.
-        assert!(report.max_virtual_time <= 6.0);
     }
 
     #[test]

@@ -388,29 +388,6 @@ fn comm_fraction_tracks_alpha() {
 }
 
 #[test]
-fn abort_horizon_interrupts_blocked_receiver() {
-    let report = World::builder(2)
-        .cost_model(CostModel::zero())
-        .abort_horizon(5.0)
-        .run(|comm| {
-            if comm.rank().index() == 0 {
-                // Never sends; crosses the horizon by computing.
-                comm.compute(10.0)?;
-                Ok(())
-            } else {
-                // Blocks forever waiting for a message that never comes;
-                // must be woken by the abort.
-                comm.recv(Rank::new(0).into(), tag(1).into())?;
-                Ok(())
-            }
-        })
-        .unwrap();
-    assert!(report.aborted);
-    assert!(matches!(report.results[0], Err(MpiError::Aborted { .. })));
-    assert!(matches!(report.results[1], Err(MpiError::Aborted { .. })));
-}
-
-#[test]
 fn app_error_aborts_peers() {
     let report = World::builder(2)
         .cost_model(CostModel::zero())

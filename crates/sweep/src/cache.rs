@@ -374,15 +374,19 @@ mod tests {
         }
     }
 
-    /// The bytes the parent commit rendered for these inputs.
+    /// The first line of the committed Figures 9–14 cache: its spec hashes
+    /// to the key stored there and renders into that line, byte for byte.
     #[test]
     fn rendering_matches_the_golden_bytes() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/sweep_cache_fig9_14.jsonl");
+        let text = std::fs::read_to_string(path).unwrap();
+        let line = text.lines().next().unwrap();
         let spec = ScenarioSpec {
-            backend: Backend::Simulator,
+            backend: Backend::Model,
             n_virtual: 128,
-            degree: 2.25,
-            policy: SpecPolicy::Fixed(0.75),
-            node_mtbf_hours: 12.0,
+            degree: 1.0,
+            policy: SpecPolicy::Daly,
+            node_mtbf_hours: 6.0,
             workload: Workload {
                 base_time_hours: 46.0 / 60.0,
                 alpha: 0.2,
@@ -391,6 +395,10 @@ mod tests {
             },
             seeds: 32,
         };
+        let key = line.strip_prefix("{\"hash\":\"").unwrap().get(..16).unwrap();
+        assert_eq!(spec.hash_hex(), key);
+        let (_, committed) = parse_line(line).unwrap();
+        assert_eq!(render_line(&spec, &committed), line);
         let result = ScenarioResult {
             total_time_hours: Some(130.25),
             node_hours: Some(1.0e21),
@@ -408,7 +416,7 @@ mod tests {
         assert_eq!(
             render_line(&spec, &result),
             format!(
-                "{{\"hash\":\"34cad0374cbd87f2\",\"spec\":{},\"result\":{golden_result}}}",
+                "{{\"hash\":\"{key}\",\"spec\":{},\"result\":{golden_result}}}",
                 spec.render_json()
             )
         );

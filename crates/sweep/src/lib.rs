@@ -1,8 +1,7 @@
 //! # redcr-sweep — the scenario-sweep capacity planner
 //!
 //! The paper's practical payoff (Figures 9–14) is a *sweep*: evaluate a
-//! grid of (redundancy degree, checkpoint policy, node count, MTBF,
-//! workload) points and read off the trade-off between wallclock and
+//! grid of (redundancy degree, node count, MTBF, workload) points and read off the trade-off between wallclock and
 //! resources. This crate turns that one-off experiment into a serving
 //! layer — a batch engine that answers thousands of what-if queries
 //! against a persistent result cache, with the closed-form model and the

@@ -14,7 +14,7 @@
 //! leak into it.
 
 use redcr_json::Writer;
-use redcr_model::combined::{CombinedConfig, IntervalPolicy};
+use redcr_model::combined::CombinedConfig;
 use redcr_model::Result as ModelResult;
 
 /// Version byte prefixed to the canonical encoding. Bump it whenever the
@@ -48,72 +48,30 @@ impl Backend {
             Backend::Simulator => "simulator",
         }
     }
-
-    /// Parses [`Backend::name`] back.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "model" => Some(Backend::Model),
-            "simulator" => Some(Backend::Simulator),
-            _ => None,
-        }
-    }
 }
 
-/// Checkpoint-interval policy of a scenario (mirror of
-/// [`IntervalPolicy`] with a stable encoding).
+/// Checkpoint-interval policy of a scenario. The model and the simulator
+/// both use Daly's interval (Eq. 15), the paper's choice; the one variant
+/// keeps its place in the canonical encoding and the rendered JSON, so
+/// committed cache keys stay valid.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SpecPolicy {
-    /// Daly's higher-order interval (the paper's choice).
+    /// Daly's higher-order interval.
     Daly,
-    /// Young's first-order interval.
-    Young,
-    /// A fixed interval in hours.
-    Fixed(f64),
-    /// Numerical minimization of Eq. 14.
-    Optimal,
 }
 
 impl SpecPolicy {
+    /// The policy's tag and parameter in the canonical encoding.
     fn tag(self) -> (u8, f64) {
         match self {
             SpecPolicy::Daly => (0, 0.0),
-            SpecPolicy::Young => (1, 0.0),
-            SpecPolicy::Fixed(h) => (2, h),
-            SpecPolicy::Optimal => (3, 0.0),
         }
     }
 
-    /// The model-crate policy this stands for.
-    pub fn to_interval_policy(self) -> IntervalPolicy {
+    /// Canonical string form (used in JSON).
+    pub fn render(self) -> &'static str {
         match self {
-            SpecPolicy::Daly => IntervalPolicy::Daly,
-            SpecPolicy::Young => IntervalPolicy::Young,
-            SpecPolicy::Fixed(h) => IntervalPolicy::Fixed(h),
-            SpecPolicy::Optimal => IntervalPolicy::Optimal,
-        }
-    }
-
-    /// Canonical string form (used in JSON): `daly`, `young`, `optimal`,
-    /// or `fixed:<hours>`.
-    pub fn render(self) -> String {
-        match self {
-            SpecPolicy::Daly => "daly".into(),
-            SpecPolicy::Young => "young".into(),
-            SpecPolicy::Optimal => "optimal".into(),
-            SpecPolicy::Fixed(h) => format!("fixed:{h}"),
-        }
-    }
-
-    /// Parses [`SpecPolicy::render`] back.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "daly" => Some(SpecPolicy::Daly),
-            "young" => Some(SpecPolicy::Young),
-            "optimal" => Some(SpecPolicy::Optimal),
-            _ => {
-                let h = s.strip_prefix("fixed:")?;
-                h.parse().ok().map(SpecPolicy::Fixed)
-            }
+            SpecPolicy::Daly => "daly",
         }
     }
 }
@@ -232,7 +190,6 @@ impl ScenarioSpec {
             .comm_fraction(self.workload.alpha)
             .checkpoint_cost_hours(self.workload.checkpoint_cost_hours)
             .restart_cost_hours(self.workload.restart_cost_hours)
-            .interval_policy(self.policy.to_interval_policy())
             .build()
     }
 
@@ -305,8 +262,6 @@ mod tests {
             ScenarioSpec { backend: Backend::Model, ..s },
             ScenarioSpec { n_virtual: 129, ..s },
             ScenarioSpec { degree: 2.5, ..s },
-            ScenarioSpec { policy: SpecPolicy::Young, ..s },
-            ScenarioSpec { policy: SpecPolicy::Fixed(1.0), ..s },
             ScenarioSpec { node_mtbf_hours: 13.0, ..s },
             ScenarioSpec { workload: Workload { base_time_hours: 1.0, ..s.workload }, ..s },
             ScenarioSpec { workload: Workload { alpha: 0.3, ..s.workload }, ..s },
@@ -338,27 +293,13 @@ mod tests {
     }
 
     #[test]
-    fn fixed_policies_with_different_intervals_differ() {
-        let a = ScenarioSpec { policy: SpecPolicy::Fixed(1.0), ..base_spec() };
-        let b = ScenarioSpec { policy: SpecPolicy::Fixed(2.0), ..base_spec() };
-        assert_ne!(a.hash(), b.hash());
-    }
-
-    #[test]
     fn policy_round_trips() {
-        for p in [
-            SpecPolicy::Daly,
-            SpecPolicy::Young,
-            SpecPolicy::Optimal,
-            SpecPolicy::Fixed(1.5),
-            SpecPolicy::Fixed(0.012345678901234567),
-        ] {
-            assert_eq!(SpecPolicy::parse(&p.render()), Some(p));
+        for backend in [Backend::Model, Backend::Simulator] {
+            let json =
+                redcr_json::parse(&ScenarioSpec { backend, ..base_spec() }.render_json()).unwrap();
+            assert_eq!(json.req::<&str>("policy"), Ok(SpecPolicy::Daly.render()));
+            assert_eq!(json.req::<&str>("backend"), Ok(backend.name()));
         }
-        assert_eq!(SpecPolicy::parse("nonsense"), None);
-        assert_eq!(Backend::parse("model"), Some(Backend::Model));
-        assert_eq!(Backend::parse("simulator"), Some(Backend::Simulator));
-        assert_eq!(Backend::parse("x"), None);
     }
 
     #[test]
@@ -370,14 +311,20 @@ mod tests {
         assert_eq!(cfg.alpha, 0.2);
     }
 
-    /// The bytes the parent commit rendered for this spec.
+    /// The bytes the first line of the committed Figures 9–14 cache
+    /// holds for this spec.
     #[test]
     fn render_json_matches_the_golden_bytes() {
-        let s = ScenarioSpec { degree: 2.25, policy: SpecPolicy::Fixed(0.75), ..base_spec() };
+        let s = ScenarioSpec {
+            backend: Backend::Model,
+            degree: 1.0,
+            node_mtbf_hours: 6.0,
+            ..base_spec()
+        };
         assert_eq!(
             s.render_json(),
-            "{\"backend\":\"simulator\",\"n_virtual\":128,\"degree\":2.25,\
-             \"policy\":\"fixed:0.75\",\"mtbf_hours\":12,\
+            "{\"backend\":\"model\",\"n_virtual\":128,\"degree\":1,\
+             \"policy\":\"daly\",\"mtbf_hours\":6,\
              \"base_time_hours\":0.7666666666666667,\"alpha\":0.2,\
              \"checkpoint_cost_hours\":0.03333333333333333,\
              \"restart_cost_hours\":0.1388888888888889,\"seeds\":32}"

@@ -42,21 +42,26 @@ fn trace_line() -> String {
     Trace::from_events(vec![Event { time: 0.1, rank: None, kind }]).to_jsonl()
 }
 
-fn cache_line() -> String {
-    let spec = ScenarioSpec {
-        backend: Backend::Simulator,
+/// The spec of the first line of the committed Figures 9–14 cache.
+fn committed_spec() -> ScenarioSpec {
+    ScenarioSpec {
+        backend: Backend::Model,
         n_virtual: 128,
-        degree: 2.0,
-        policy: SpecPolicy::Fixed(0.75),
-        node_mtbf_hours: 12.0,
+        degree: 1.0,
+        policy: SpecPolicy::Daly,
+        node_mtbf_hours: 6.0,
         workload: Workload {
-            base_time_hours: 0.75,
+            base_time_hours: 46.0 / 60.0,
             alpha: 0.2,
-            checkpoint_cost_hours: 0.03,
-            restart_cost_hours: 0.14,
+            checkpoint_cost_hours: 120.0 / 3600.0,
+            restart_cost_hours: 500.0 / 3600.0,
         },
         seeds: 32,
-    };
+    }
+}
+
+fn cache_line() -> String {
+    let spec = committed_spec();
     let result = ScenarioResult {
         total_time_hours: None,
         node_hours: Some(260_500.0),
@@ -194,6 +199,8 @@ fn the_committed_sweep_cache_loads_line_for_line() {
     let text = std::fs::read_to_string(&path).unwrap();
     let cache = ResultCache::open(&path).unwrap();
     assert_eq!(cache.malformed_lines(), 0);
+    let first = text.lines().next().unwrap();
+    assert!(first.starts_with(&format!("{{\"hash\":\"{}\",", committed_spec().hash_hex())));
     let mut hashes = Vec::new();
     for line in text.lines() {
         let (hash, result) = parse_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));

@@ -61,14 +61,17 @@ impl CsrMatrix {
     }
 
     /// Dense `y = A·x` for the row range `[row_lo, row_hi)` only (the
-    /// row-block matvec a rank performs). `x` must be the full vector.
+    /// row-block matvec a rank performs). `x` must be the full vector, in
+    /// its wire encoding: one little-endian `f64` per 8-byte word, read in
+    /// place from the allgather's broadcast frame (see
+    /// `redcr_mpi::datatype::words`).
     ///
     /// Returns the local block `y[row_lo..row_hi]` and the flop count.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != n` or the range is invalid.
-    pub fn matvec_block(&self, x: &[f64], row_lo: usize, row_hi: usize) -> (Vec<f64>, u64) {
+    pub fn matvec_block(&self, x: &[[u8; 8]], row_lo: usize, row_hi: usize) -> (Vec<f64>, u64) {
         assert_eq!(x.len(), self.n);
         assert!(row_lo <= row_hi && row_hi <= self.n);
         let mut y = Vec::with_capacity(row_hi - row_lo);
@@ -77,7 +80,7 @@ impl CsrMatrix {
             let (cols, vals) = self.row(i);
             let mut acc = 0.0;
             for (c, v) in cols.iter().zip(vals) {
-                acc += v * x[*c];
+                acc += v * f64::from_le_bytes(x[*c]);
             }
             flops += 2 * cols.len() as u64;
             y.push(acc);
@@ -197,7 +200,7 @@ mod tests {
             3,
             &[vec![(0, 2.0), (2, 1.0)], vec![(1, 3.0)], vec![(0, 1.0), (2, 4.0)]],
         );
-        let x = vec![1.0, 2.0, 3.0];
+        let x = [1.0f64, 2.0, 3.0].map(f64::to_le_bytes);
         let (y, flops) = m.matvec_block(&x, 0, 3);
         assert_eq!(y, vec![2.0 + 3.0, 6.0, 1.0 + 12.0]);
         assert_eq!(flops, 10);
@@ -227,7 +230,7 @@ mod tests {
     fn single_row_matrix() {
         let m = CsrMatrix::random_spd(1, 3, 0);
         assert_eq!(m.n(), 1);
-        let (y, _) = m.matvec_block(&[2.0], 0, 1);
+        let (y, _) = m.matvec_block(&[2.0f64.to_le_bytes()], 0, 1);
         assert_eq!(y.len(), 1);
     }
 }

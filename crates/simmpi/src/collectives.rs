@@ -61,14 +61,19 @@ impl ReduceOp {
     }
 }
 
-/// Frames a list of byte chunks into one length-prefixed buffer
-/// (used by allgather: gather to root, broadcast the framed buffer).
+/// Frames a list of byte chunks into one buffer, header first:
+/// `[count][len_0 … len_{n−1}][part_0 … part_{n−1}]`, every count and
+/// length a little-endian `u64` (used by allgather: gather to root,
+/// broadcast the framed buffer). The parts end up back to back, so a
+/// reader can take them as one slice: see [`Gathered::concat`].
 pub fn frame_parts(parts: &[Bytes]) -> Bytes {
     let total: usize = parts.iter().map(|p| 8 + p.len()).sum();
     let mut out = Vec::with_capacity(8 + total);
     out.extend_from_slice(&(parts.len() as u64).to_le_bytes());
     for p in parts {
         out.extend_from_slice(&(p.len() as u64).to_le_bytes());
+    }
+    for p in parts {
         out.extend_from_slice(p);
     }
     Bytes::from(out)
@@ -85,26 +90,28 @@ pub struct Gathered {
 }
 
 impl Gathered {
-    /// Inverse of [`frame_parts`]: walks the frame once and checks it. The
-    /// header's part count sizes nothing; a count the body cannot hold
-    /// fails when the body runs out.
+    /// Inverse of [`frame_parts`]: checks the frame once. The header's
+    /// part count sizes nothing; a count whose lengths run past the buffer
+    /// fails before any length is read.
     ///
     /// # Errors
     ///
     /// Returns [`MpiError::DecodeError`] on malformed framing.
     pub fn unframe(buf: Bytes) -> Result<Self> {
         let err = || MpiError::DecodeError { what: "framed parts" };
-        let (count, mut rest) = buf.split_first_chunk::<8>().ok_or_else(err)?;
-        let count = u64::from_le_bytes(*count);
-        for _ in 0..count {
-            (_, rest) = split_part(rest).ok_or_else(err)?;
+        let (count, rest) = buf.split_first_chunk::<8>().ok_or_else(err)?;
+        let count = usize::try_from(u64::from_le_bytes(*count)).map_err(|_| err())?;
+        let header = count.checked_mul(8).ok_or_else(err)?;
+        let (lens, body) = rest.split_at_checked(header).ok_or_else(err)?;
+        let mut total = 0usize;
+        for len in lens.as_chunks::<8>().0 {
+            let len = usize::try_from(u64::from_le_bytes(*len)).map_err(|_| err())?;
+            total = total.checked_add(len).ok_or_else(err)?;
         }
-        if !rest.is_empty() {
+        if total != body.len() {
             return Err(err());
         }
-        // Every part took at least its 8-byte length out of `buf`, so the
-        // count fits.
-        Ok(Gathered { buf, count: count as usize })
+        Ok(Gathered { buf, count })
     }
 
     /// Number of parts (the communicator's size, for an allgather).
@@ -119,7 +126,14 @@ impl Gathered {
 
     /// The parts, in rank order.
     pub fn iter(&self) -> Parts<'_> {
-        Parts { rest: &self.buf[8..], left: self.count }
+        let (lens, body) = self.buf[8..].split_at(8 * self.count);
+        Parts { lens: lens.as_chunks::<8>().0, body }
+    }
+
+    /// Every part, in rank order, back to back as one slice: for an
+    /// allgather of vector blocks, the whole vector in its wire encoding.
+    pub fn concat(&self) -> &[u8] {
+        &self.buf[8 + 8 * self.count..]
     }
 }
 
@@ -135,37 +149,29 @@ impl<'a> IntoIterator for &'a Gathered {
 /// Iterator over the parts of a [`Gathered`].
 #[derive(Debug, Clone)]
 pub struct Parts<'a> {
-    rest: &'a [u8],
-    left: usize,
+    lens: &'a [[u8; 8]],
+    body: &'a [u8],
 }
 
 impl<'a> Iterator for Parts<'a> {
     type Item = &'a [u8];
 
     fn next(&mut self) -> Option<&'a [u8]> {
-        if self.left == 0 {
-            return None;
-        }
-        // `Gathered::unframe` checked every length, so this never fails.
-        let (part, rest) = split_part(self.rest)?;
-        self.rest = rest;
-        self.left -= 1;
+        let (len, lens) = self.lens.split_first()?;
+        // `Gathered::unframe` checked that the lengths sum to the body, so
+        // this never fails.
+        let len = usize::try_from(u64::from_le_bytes(*len)).ok()?;
+        let (part, body) = self.body.split_at_checked(len)?;
+        (self.lens, self.body) = (lens, body);
         Some(part)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
+        (self.lens.len(), Some(self.lens.len()))
     }
 }
 
 impl ExactSizeIterator for Parts<'_> {}
-
-/// Splits one length-prefixed part off the front of `frame`: `(part,
-/// rest)`, or `None` if the prefix or the part runs past the end.
-fn split_part(frame: &[u8]) -> Option<(&[u8], &[u8])> {
-    let (len, rest) = frame.split_first_chunk::<8>()?;
-    rest.split_at_checked(usize::try_from(u64::from_le_bytes(*len)).ok()?)
-}
 
 #[cfg(test)]
 mod tests {
@@ -208,6 +214,27 @@ mod tests {
     }
 
     #[test]
+    fn frame_is_header_first() {
+        let parts = [Bytes::from_static(b"ab"), Bytes::new(), Bytes::from_static(b"cde")];
+        let frame = frame_parts(&parts);
+        let header = [3u64, 2, 0, 3].map(u64::to_le_bytes).concat();
+        assert_eq!(&frame[..32], header.as_slice());
+        assert_eq!(&frame[32..], b"abcde");
+        // The same total length as one 8-byte prefix per part.
+        assert_eq!(frame.len(), 8 + parts.iter().map(|p| 8 + p.len()).sum::<usize>());
+    }
+
+    #[test]
+    fn concat_is_the_parts_back_to_back() {
+        let parts = [Bytes::from_static(b"ab"), Bytes::new(), Bytes::from_static(b"cde")];
+        let back = Gathered::unframe(frame_parts(&parts)).unwrap();
+        assert_eq!(back.concat(), parts.concat().as_slice());
+        assert!(back.iter().eq(parts.iter().map(|p| &p[..])));
+        assert!(back.into_iter().eq(parts.iter().map(|p| &p[..])));
+        assert!(Gathered::unframe(frame_parts(&[])).unwrap().concat().is_empty());
+    }
+
+    #[test]
     fn frame_empty_list() {
         let back = Gathered::unframe(frame_parts(&[])).unwrap();
         assert!(back.is_empty());
@@ -216,6 +243,11 @@ mod tests {
 
     fn rejected(buf: Vec<u8>) -> bool {
         matches!(Gathered::unframe(Bytes::from(buf)), Err(MpiError::DecodeError { .. }))
+    }
+
+    /// A frame from its header words and body.
+    fn frame_of(header: &[u64], body: &[u8]) -> Vec<u8> {
+        [header.iter().flat_map(|w| w.to_le_bytes()).collect(), body.to_vec()].concat()
     }
 
     #[test]
@@ -233,10 +265,33 @@ mod tests {
         assert!(rejected(buf));
         // A length no slice can have.
         assert!(rejected([1u64.to_le_bytes(), u64::MAX.to_le_bytes()].concat()));
-        // Huge counts over an 8-byte body: one empty part, then the body
-        // runs out. Nothing is reserved for the parts the header claims.
+        // Huge counts over an 8-byte body: the header of lengths runs past
+        // the buffer. Nothing is reserved for the parts the header claims.
         for count in [1u64 << 20, u64::MAX] {
             assert!(rejected([count.to_le_bytes(), 0u64.to_le_bytes()].concat()), "count {count}");
         }
+    }
+
+    #[test]
+    fn unframe_rejects_a_header_past_the_buffer() {
+        // Two parts claimed, one length present; the body is not read as
+        // the second length.
+        assert!(rejected(frame_of(&[2, 0], &[0; 7])));
+        // A count whose header length overflows, or would reserve far more
+        // than any host has: nothing is sized from it.
+        for count in [1u64 << 60, u64::MAX / 8 + 1, u64::MAX] {
+            assert!(rejected(frame_of(&[count, 1], b"x")), "count {count}");
+        }
+    }
+
+    #[test]
+    fn unframe_rejects_lengths_that_miss_the_body() {
+        // Sum below the body, sum above it, and the exact fit it must be.
+        assert!(rejected(frame_of(&[2, 1, 1], b"abc")));
+        assert!(rejected(frame_of(&[2, 2, 2], b"abc")));
+        assert!(!rejected(frame_of(&[2, 1, 2], b"abc")));
+        // Lengths whose sum overflows `usize` (each one alone fits).
+        assert!(rejected(frame_of(&[2, u64::MAX, 1], b"")));
+        assert!(rejected(frame_of(&[3, 1 << 63, 1 << 63, 0], b"")));
     }
 }

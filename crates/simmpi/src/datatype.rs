@@ -90,25 +90,21 @@ pub fn encode<T: Word>(values: &[T]) -> Bytes {
 ///
 /// Returns [`MpiError::DecodeError`] if the length is not a multiple of 8.
 pub fn decode<T: Word>(bytes: &[u8]) -> Result<Vec<T>> {
-    let mut out = Vec::with_capacity(bytes.len() / 8);
-    decode_into(&mut out, bytes).map(|()| out)
+    Ok(words(bytes)?.iter().map(|&w| T::from_le(w)).collect())
 }
 
-/// [`decode`] appending to `out` instead of returning a new vector: the
-/// decode-into counterpart of
-/// [`ReduceOp::fold_bytes`](crate::collectives::ReduceOp::fold_bytes), for
-/// assembling one vector from the parts of an allgather.
+/// The 8-byte words of `bytes`, read in place and still in their wire
+/// encoding: what [`decode`] decodes, without the vector. CG runs its
+/// matvec straight over the words of an allgather this way.
 ///
 /// # Errors
 ///
-/// Returns [`MpiError::DecodeError`] if the length is not a multiple of 8;
-/// `out` is then unchanged.
-pub fn decode_into<T: Word>(out: &mut Vec<T>, bytes: &[u8]) -> Result<()> {
-    let (words, []) = bytes.as_chunks::<8>() else {
-        return Err(MpiError::DecodeError { what: "8-byte word slice" });
-    };
-    out.extend(words.iter().map(|&w| T::from_le(w)));
-    Ok(())
+/// Returns [`MpiError::DecodeError`] if the length is not a multiple of 8.
+pub fn words(bytes: &[u8]) -> Result<&[[u8; 8]]> {
+    match bytes.as_chunks::<8>() {
+        (words, []) => Ok(words),
+        _ => Err(MpiError::DecodeError { what: "8-byte word slice" }),
+    }
 }
 
 /// Decodes a single `u64`.
@@ -156,12 +152,15 @@ mod tests {
     }
 
     #[test]
-    fn extend_appends_and_leaves_out_alone_on_error() {
-        let mut out = vec![1.0];
-        decode_into(&mut out, &encode(&[2.0, 3.0])).unwrap();
-        assert_eq!(out, vec![1.0, 2.0, 3.0]);
-        assert!(decode_into(&mut out, &[0u8; 12]).is_err());
-        assert_eq!(out, vec![1.0, 2.0, 3.0]);
+    fn decode_and_words_take_whole_words_only() {
+        let bytes = encode(&[2.0, 3.0]);
+        assert_eq!(decode::<f64>(&bytes).unwrap(), vec![2.0, 3.0]);
+        assert!(decode::<f64>(&[0u8; 12]).is_err());
+        let ws = words(&bytes).unwrap();
+        assert_eq!(ws, [2.0f64.to_le_bytes(), 3.0f64.to_le_bytes()]);
+        assert!(std::ptr::eq(ws.as_ptr().cast::<u8>(), bytes.as_ptr()));
+        assert!(words(&[0u8; 12]).is_err());
+        assert!(words(&[]).unwrap().is_empty());
     }
 
     #[test]

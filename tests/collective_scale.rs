@@ -2,14 +2,16 @@
 //!
 //! A 128-rank CG solve at r = 2 (256 physical ranks) spends its messages
 //! in the per-step allgather: every rank receives the whole framed search
-//! direction and assembles it. How that frame is unpacked is host-side
-//! work only. This gate pins what it must leave alone — message count,
-//! wire bytes, total virtual time, the final states and the flight
-//! recorder's JSONL — so a change to the unpacking that moved any of them
-//! fails here. CI runs it at one worker, at the host's width and at three.
+//! direction and runs its matvec over it in place. How that frame is laid
+//! out and read is host-side work only. This gate pins what it must leave
+//! alone — message count, wire bytes, total virtual time, the final states
+//! and the flight recorder's JSONL — so a change to the unpacking that
+//! moved any of them fails here. CI runs it at one worker, at the host's
+//! width and at three.
 //!
 //! The constants were captured while `allgather` still returned one
-//! `Bytes` per part, and hold unchanged with the borrowed-view return.
+//! `Bytes` per part, and hold unchanged with the borrowed-view return and
+//! with the header-first frame that CG reads without a copy.
 
 use redcr_apps::cg::{CgConfig, CgState};
 use redcr_core::apps::CgApp;

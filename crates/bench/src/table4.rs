@@ -55,7 +55,7 @@ impl Table4 {
 }
 
 /// Simulates one cell: `t_Red` from the measured curve, failures from the
-/// per-process sphere sampler.
+/// sphere-failure law sampler.
 pub fn simulate_cell(t5: &Table5, mtbf_hours: f64, degree_idx: usize, seeds: usize) -> Cell {
     let degree = DEGREES[degree_idx];
     let cfg = experiment_config(mtbf_hours).with_degree(degree);
@@ -142,9 +142,11 @@ mod tests {
 
     #[test]
     fn redundancy_wins_and_triple_gains_as_mtbf_falls() {
-        // Smaller seed count for test speed; the shape is robust.
+        // The committed table's seed count: at 12 seeds the 6 h − 30 h gap
+        // difference below spreads around its mean of about 0.17 widely
+        // enough to fall under 0.05 for some seed blocks.
         let t5 = table5::generate();
-        let t4 = generate(&t5, 12);
+        let t4 = generate(&t5, calib::T4_SEEDS);
         // Minima always at r >= 2 ("a redundancy level of 2 [or more] is
         // the best choice in all cases").
         for i in 0..t4.rows.len() {

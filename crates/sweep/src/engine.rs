@@ -431,9 +431,10 @@ mod tests {
 
     #[test]
     fn surface_results_are_pinned() {
-        // Captured before the simulator compared draws instead of times:
-        // the FNV-1a of every rendered result, in submission order.
-        const SURFACE_FNV: u64 = 16_847_061_759_451_550_398;
+        // Captured when the simulator began drawing each attempt from the
+        // sphere-failure law: the FNV-1a of every rendered result, in
+        // submission order.
+        const SURFACE_FNV: u64 = 4_712_010_513_384_316_177;
         let report = run_sweep(&surface(32), 2, &mut ResultCache::in_memory()).unwrap();
         assert_eq!(report.entries.len(), 90);
         let rendered: String = report.entries.iter().map(|e| e.result.render_json()).collect();

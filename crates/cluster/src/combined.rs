@@ -52,7 +52,7 @@ pub fn derive_job(
 
 /// A job and its sphere layout, built once and simulated under any number
 /// of seeds: a Monte-Carlo loop over one scenario derives nothing per trial
-/// and shares the groups between trials.
+/// and counts the sphere sizes once.
 #[derive(Debug, Clone)]
 pub struct PreparedJob {
     job: JobConfig,

@@ -12,9 +12,9 @@
 //!   restart cost, and whether failures strike during overhead phases
 //!   (the paper's model says yes; its cluster experiments say no — both
 //!   are supported).
-//! * [`failure_source`] — where failures come from: a per-process +
-//!   replica-sphere sampler (via `redcr-fault`), or a scripted schedule
-//!   for tests.
+//! * [`failure_source`] — where failures come from: each attempt drawn
+//!   from the replica-sphere failure law that per-process exponential
+//!   failures induce, or a scripted schedule for tests.
 //! * [`simulate`] — the timeline walker producing a [`stats::JobStats`]
 //!   breakdown (work / checkpoint / recompute / restart), the same four
 //!   buckets as the paper's Table 2.

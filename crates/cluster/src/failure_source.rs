@@ -19,27 +19,29 @@
 //!   proportion to `n_k` times one `k`-sphere's hazard at `t`.
 //! - **The masked deaths.** At the failure every other sphere still has a
 //!   live member, so its dead count is Bin(k, y) conditioned on being below
-//!   `k`, independently. A class's total is multinomial over `0..k` dead,
-//!   drawn as `k − 1` binomials. A completed attempt reports the same law at
-//!   the `y` of its exposure `x`, conditioned on the job surviving `x`.
+//!   `k`, independently. The simulator only ever reports masked deaths as a
+//!   mean, so [`masked_before`] returns that count's conditional expectation
+//!   [`masked_mean`]`(k, y)` summed over the spheres (Rao–Blackwell): the
+//!   mean is unbiased with a smaller variance, and nothing is drawn. A
+//!   completed attempt reports the same at the `y` of its exposure `x`,
+//!   conditioned on the job surviving `x`.
 //!
-//! The failure time, the killer's size and each masked count are exact in
-//! law; the module's `law` tests check them against
-//! [`FailureSchedule`](redcr_fault::FailureSchedule) timing every process.
-//! They are not one per-process schedule's, bit for bit or jointly: each
-//! [`masked_before`] query draws afresh, and a completed attempt's count
-//! ignores how long after `x` the job would have died. The simulator asks
-//! once per attempt and uses no more of the failure time than whether it
-//! fell before `x`, so nothing it reports depends on the joint law. The
-//! unreplicated job's failure times are bit for bit those of
-//! `ExpSampler::new(θ/N, seed ^ 0x5eed)`, which the r = 1 results pinned in
-//! `results/` depend on.
+//! The failure time and the killer's size are exact in law, and each masked
+//! value is the exact expected count given them; the module's `law` tests
+//! check both against [`FailureSchedule`](redcr_fault::FailureSchedule)
+//! timing every process. They are not one per-process schedule's, bit for
+//! bit or jointly: a completed attempt's masked mean ignores how long after
+//! `x` the job would have died, and the simulator uses no more of the
+//! failure time than whether it fell before `x`, so nothing it reports
+//! depends on the joint law. The unreplicated job's failure times are bit
+//! for bit those of `ExpSampler::new(θ/N, seed ^ 0x5eed)`, which the r = 1
+//! results pinned in `results/` depend on.
 //!
 //! [`masked_before`]: FailureSource::masked_before
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use redcr_fault::{binomial, ReplicaGroups};
+use redcr_fault::ReplicaGroups;
 
 /// Supplies, per attempt, the (relative) time at which the job fails.
 ///
@@ -53,18 +55,15 @@ pub trait FailureSource {
     /// is failure-free.
     fn next_failure(&mut self, attempt: u64) -> f64;
 
-    /// Individual process deaths of the most recent [`next_failure`]
-    /// attempt that occurred by exposure time `exposure` **without** killing
-    /// the job — deaths masked by surviving replicas. Sources without
-    /// process granularity report 0.
-    ///
-    /// Ask once per attempt: a source may draw the count when asked, so a
-    /// second query on the same attempt is a fresh draw, not a consistent
-    /// view of the first.
+    /// The expected number of individual process deaths of the most recent
+    /// [`next_failure`] attempt that occurred by exposure time `exposure`
+    /// **without** killing the job — deaths masked by surviving replicas —
+    /// given that attempt's failure time. Sources without process
+    /// granularity report 0.
     ///
     /// [`next_failure`]: FailureSource::next_failure
-    fn masked_before(&mut self, _exposure: f64) -> u64 {
-        0
+    fn masked_before(&self, _exposure: f64) -> f64 {
+        0.0
     }
 }
 
@@ -126,31 +125,6 @@ impl SphereSource {
         SphereSource { classes, node_mtbf, rng, last: None }
     }
 
-    /// Dead processes at `y` over every sphere but one of class `killer`,
-    /// each sphere conditioned on keeping a live member: per class, the
-    /// numbers of spheres with `j < k` dead are multinomial, drawn from
-    /// `j = k − 1` down as binomials over the spheres left.
-    fn dead(&mut self, y: f64, killer: Option<usize>) -> u64 {
-        // The odds of a member alive against dead; infinite at y = 0.
-        let odds = (1.0 - y) / y;
-        let mut dead = 0;
-        for (class, &(k, n)) in self.classes.iter().enumerate() {
-            let mut left = n - u64::from(killer == Some(class));
-            for j in (1..k).rev() {
-                // P(j dead | at most j) = 1 / (1 + Σ_{i<j} C(k, i)/C(k, j)·odds^{j−i}).
-                let (mut term, mut rest) = (1.0, 0.0);
-                for i in (0..j).rev() {
-                    term *= f64::from(i + 1) / f64::from(k - i) * odds;
-                    rest += term;
-                }
-                let count = binomial(&mut self.rng, left, 1.0 / (1.0 + rest));
-                dead += u64::from(j) * count;
-                left -= count;
-            }
-        }
-        dead
-    }
-
     /// The size of the sphere that killed the last attempt.
     #[cfg(test)]
     fn killer_size(&self) -> usize {
@@ -174,7 +148,14 @@ impl FailureSource for SphereSource {
                 // The first of n exponentials, θ/n·h as `ExpSampler` rounds it.
                 self.node_mtbf / n as f64 * hazard
             } else {
-                let y = (-(-hazard / n as f64).exp_m1()).powf(1.0 / f64::from(k));
+                // y^k, then y as its k-th root: `sqrt` is correctly rounded,
+                // and `cbrt` is closer than `powf` with 1/3 rounded.
+                let x = -(-hazard / n as f64).exp_m1();
+                let y = match k {
+                    2 => x.sqrt(),
+                    3 => x.cbrt(),
+                    _ => x.powf(1.0 / f64::from(k)),
+                };
                 -self.node_mtbf * (-y).ln_1p()
             };
             if time < first.time {
@@ -187,12 +168,38 @@ impl FailureSource for SphereSource {
 
     /// The masked-death rule: of the processes dead by `exposure`, those
     /// that did not kill the job — everything up to the last failure except
-    /// the killer sphere's own members.
-    fn masked_before(&mut self, exposure: f64) -> u64 {
-        let Some(failure) = self.last else { return 0 };
+    /// the killer sphere's own members — in expectation: Σ over the classes
+    /// of (n_k − [killer ∈ k])·[`masked_mean`]`(k, y)`.
+    fn masked_before(&self, exposure: f64) -> f64 {
+        let Some(failure) = self.last else { return 0.0 };
+        // The classes ascend, so the last is replicated or none is.
+        if self.classes.last().is_none_or(|&(k, _)| k < 2) {
+            return 0.0;
+        }
         let killer = (exposure >= failure.time).then_some(failure.killer);
-        self.dead(-(-exposure.min(failure.time) / self.node_mtbf).exp_m1(), killer)
+        let y = -(-exposure.min(failure.time) / self.node_mtbf).exp_m1();
+        let spheres = |class, n| (n - u64::from(killer == Some(class))) as f64;
+        self.classes
+            .iter()
+            .enumerate()
+            .map(|(class, &(k, n))| spheres(class, n) * masked_mean(k, y))
+            .sum()
     }
+}
+
+/// E[Bin(k, y) | < k]: the expected dead members of a `k`-sphere that still
+/// has a live one, when each member is dead with probability `y`.
+///
+/// Computed as k·y·Σ_{i<k−1} yⁱ / Σ_{i<k} yⁱ, which is exact at both ends (0
+/// at y = 0, k − 1 at y = 1) where k·y·(1 − y^{k−1})/(1 − y^k) is 0/0.
+pub fn masked_mean(k: u32, y: f64) -> f64 {
+    // Σ_{i<k−1} yⁱ, and y^{k−1} after it.
+    let (mut head, mut power) = (0.0, 1.0);
+    for _ in 1..k {
+        head += power;
+        power *= y;
+    }
+    f64::from(k) * y * head / (head + power)
 }
 
 /// A scripted list of per-attempt failure times (tests); attempts beyond
@@ -248,14 +255,14 @@ mod tests {
         for attempt in 0..50 {
             let failure = s.next_failure(attempt);
             assert!(failure.is_finite());
-            assert_eq!(s.masked_before(0.0), 0, "no deaths at exposure 0");
-            saw_masked |= s.masked_before(failure) > 0;
+            assert_eq!(s.masked_before(0.0), 0.0, "no deaths at exposure 0");
+            saw_masked |= s.masked_before(failure) > 0.0;
         }
         assert!(saw_masked, "masked deaths must occur under mtbf 5 at 2x");
         // The unreplicated fast path has nothing to mask.
         let mut plain = SphereSource::new(ReplicaGroups::uniform(8, 1), 5.0, 4);
         let failure = plain.next_failure(0);
-        assert_eq!(plain.masked_before(failure), 0);
+        assert_eq!(plain.masked_before(failure), 0.0);
     }
 
     #[test]
@@ -267,7 +274,7 @@ mod tests {
             let mut b = SphereSource::new(groups.clone(), 4.0, seed);
             for attempt in 0..20 {
                 assert_eq!(a.next_failure(attempt).to_bits(), b.next_failure(attempt).to_bits());
-                assert_eq!(a.masked_before(2.0), b.masked_before(2.0));
+                assert_eq!(a.masked_before(2.0).to_bits(), b.masked_before(2.0).to_bits());
             }
         }
     }
@@ -291,18 +298,22 @@ mod tests {
     ///
     /// - The failure time, by a Kolmogorov–Smirnov test against
     ///   S(t) = Π_k (1 − y^k)^{n_k} from `redcr_model::reliability`.
-    /// - The killer's sphere size and the masked counts (at the failure, and
-    ///   at the median of T given survival to it) by two-sample χ² tests
-    ///   against the per-process `FailureSchedule`, at N ≤ 128 only.
+    /// - The killer's sphere size by a two-sample χ² test against the
+    ///   per-process `FailureSchedule`, at N ≤ 128 only.
+    /// - The mean masked value (at the failure, and at the median of T given
+    ///   survival to it) by a two-sided Welch z test against the mean count
+    ///   of the same `FailureSchedule` reference, at N ≤ 128 only.
     /// - At N = 4096, the killer's size by a χ² test against the analytic
     ///   law: P(size k | failure at y) = w_k / Σ w, w_k = n_k·k·y^{k−1}/(1 − y^k),
     ///   averaged over the quantiles of T.
     ///
-    /// Each check alarms falsely with probability at most 10⁻³. There are
+    /// Each check alarms falsely with probability at most 10⁻³ (the Welch z
+    /// by the central limit theorem, at 10⁵ and 2·10⁴ attempts). There are
     /// 18 KS checks, 9 killer checks (the shapes with two sphere sizes) and
-    /// 20 masked-count checks (the replicated shapes at N ≤ 128), so a
+    /// 20 masked-mean checks (the replicated shapes at N ≤ 128), so a
     /// correct sampler fails some check at a random seed with probability at
-    /// most 1 − (1 − 10⁻³)⁴⁷ ≈ 4.6 %.
+    /// most 1 − (1 − 10⁻³)⁴⁷ ≈ 4.6 %. Apart from these, `masked_mean` is
+    /// checked exactly against the conditional binomial's pmf.
     mod law {
         use redcr_model::partition::RedundancyPartition;
         use redcr_model::reliability::{sphere_reliability, Approximation};
@@ -320,6 +331,8 @@ mod tests {
         const KS_LAMBDA: f64 = 1.949_466;
         /// The standard normal's 1 − 10⁻³ quantile.
         const Z: f64 = 3.090_232;
+        /// The standard normal's 1 − 10⁻³/2 quantile: a two-sided z at 10⁻³.
+        const Z_TWO_SIDED: f64 = 3.290_527;
 
         /// The 1 − 10⁻³ quantile of χ²(df), by Wilson–Hilferty (slightly
         /// conservative at df = 1: 11.2 against 10.8).
@@ -386,22 +399,22 @@ mod tests {
             law
         }
 
-        /// What a sampler yields over many attempts: the failure times and
-        /// histograms of the killer's size and of the masked counts.
+        /// What a sampler yields over many attempts: the failure times, a
+        /// histogram of the killer's size and the masked values.
         #[derive(Default)]
         struct Sample {
             times: Vec<f64>,
             killers: Vec<u64>,
-            at_failure: Vec<u64>,
+            at_failure: Vec<f64>,
             /// At the exposure, over the attempts that survive it.
-            at_exposure: Vec<u64>,
+            at_exposure: Vec<f64>,
         }
 
         impl Sample {
-            fn record(&mut self, time: f64, killer: usize, at_failure: u64) {
+            fn record(&mut self, time: f64, killer: usize, at_failure: f64) {
                 self.times.push(time);
                 bump(&mut self.killers, killer);
-                bump(&mut self.at_failure, at_failure as usize);
+                self.at_failure.push(at_failure);
             }
         }
 
@@ -420,7 +433,7 @@ mod tests {
                 let killer = source.killer_size();
                 sample.record(time, killer, source.masked_before(time));
                 if time > exposure {
-                    bump(&mut sample.at_exposure, source.masked_before(exposure) as usize);
+                    sample.at_exposure.push(source.masked_before(exposure));
                 }
             }
             sample
@@ -435,9 +448,9 @@ mod tests {
                 let schedule = FailureSchedule::sample(groups.n_physical(), &mut sampler);
                 let (time, killer) = schedule.job_failure(groups);
                 let killer = groups.members(killer).len();
-                sample.record(time, killer, (schedule.dead_by(time).len() - killer) as u64);
+                sample.record(time, killer, (schedule.dead_by(time).len() - killer) as f64);
                 if time > exposure {
-                    bump(&mut sample.at_exposure, schedule.dead_by(exposure).len());
+                    sample.at_exposure.push(schedule.dead_by(exposure).len() as f64);
                 }
             }
             sample
@@ -478,6 +491,18 @@ mod tests {
             (stat, bins.len() - 1)
         }
 
+        /// |Welch z| of the means of `a` and `b`: their difference over the
+        /// standard error of that difference.
+        fn welch_z(a: &[f64], b: &[f64]) -> f64 {
+            let mean_and_var = |xs: &[f64]| {
+                let n = xs.len() as f64;
+                let mean = xs.iter().sum::<f64>() / n;
+                (mean, xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0) / n)
+            };
+            let ((ma, va), (mb, vb)) = (mean_and_var(a), mean_and_var(b));
+            (ma - mb).abs() / (va + vb).sqrt()
+        }
+
         /// Checks every shape at `n` virtual processes; at `n ≤ 128` against
         /// the reference too. Prints one line of statistics per shape.
         fn check_shapes(n: u64) {
@@ -500,20 +525,20 @@ mod tests {
                 print!("{shape}:");
                 check(&shape, "KS", ks(&mut sample.times, &classes), KS_LAMBDA);
                 if classes.len() == 1 && classes[0].0 == 1 {
-                    assert_eq!(sample.at_failure, [ATTEMPTS], "{shape}: nothing is masked");
-                    assert_eq!(sample.at_exposure.iter().skip(1).sum::<u64>(), 0, "{shape}");
+                    let masked = sample.at_failure.iter().chain(&sample.at_exposure);
+                    assert!(masked.into_iter().all(|&m| m == 0.0), "{shape}: nothing is masked");
                 } else if n <= 128 {
                     let reference = sample_reference(&groups, !seed, exposure);
-                    let histograms = [
-                        ("killer", &sample.killers, &reference.killers),
+                    let (stat, df) = chi2_two_sample(&sample.killers, &reference.killers);
+                    if df > 0 {
+                        check(&shape, "killer", stat, chi2_critical(df));
+                    }
+                    let means = [
                         ("masked at failure", &sample.at_failure, &reference.at_failure),
                         ("masked at exposure", &sample.at_exposure, &reference.at_exposure),
                     ];
-                    for (what, a, b) in histograms {
-                        let (stat, df) = chi2_two_sample(a, b);
-                        if df > 0 {
-                            check(&shape, what, stat, chi2_critical(df));
-                        }
+                    for (what, a, b) in means {
+                        check(&shape, what, welch_z(a, b), Z_TWO_SIDED);
                     }
                 } else if classes.len() > 1 {
                     let law = killer_law(&classes);
@@ -531,6 +556,36 @@ mod tests {
                 println!();
             }
             assert!(alarms.is_empty(), "{alarms:#?}");
+        }
+
+        /// The conditional binomial's mean, from its pmf:
+        /// Σ_{j<k} j·C(k, j)·yʲ(1 − y)^{k−j} over Σ_{j<k} C(k, j)·yʲ(1 − y)^{k−j}.
+        fn conditional_mean_by_pmf(k: u32, y: f64) -> f64 {
+            let (mut choose, mut weighted, mut total) = (1.0, 0.0, 0.0);
+            for j in 0..k {
+                let p = choose * y.powi(j as i32) * (1.0 - y).powi((k - j) as i32);
+                weighted += f64::from(j) * p;
+                total += p;
+                choose *= f64::from(k - j) / f64::from(j + 1);
+            }
+            weighted / total
+        }
+
+        #[test]
+        fn masked_mean_is_the_conditional_binomial_mean() {
+            for k in [2, 3, 4] {
+                for y in [0.0, 1e-12, 1e-3, 0.3, 0.9, 1.0] {
+                    // At y = 1 the pmf sum is 0/0; its limit is k − 1, all
+                    // but the one live member.
+                    let exact =
+                        if y == 1.0 { f64::from(k - 1) } else { conditional_mean_by_pmf(k, y) };
+                    let mean = masked_mean(k, y);
+                    assert!(
+                        (mean - exact).abs() <= 1e-13 * exact,
+                        "k = {k}, y = {y}: {mean} against {exact}"
+                    );
+                }
+            }
         }
 
         #[test]

@@ -16,10 +16,11 @@ pub struct JobStats {
     pub restart_time: f64,
     /// Number of failures endured.
     pub failures: u64,
-    /// Individual process deaths masked by redundancy (a replica died but
-    /// its sphere survived, so the job did not restart). Sources without
-    /// process granularity report 0.
-    pub masked_failures: u64,
+    /// Expected masked deaths given this run's failure times: individual
+    /// process deaths absorbed by redundancy (a replica died but its sphere
+    /// survived, so the job did not restart). Sources without process
+    /// granularity report 0.
+    pub masked_failures: f64,
     /// Number of checkpoints committed.
     pub checkpoints: u64,
     /// Number of attempts (1 = failure-free).
@@ -71,7 +72,7 @@ mod tests {
             recompute_time: 10.0,
             restart_time: 35.0,
             failures: 5,
-            masked_failures: 2,
+            masked_failures: 2.0,
             checkpoints: 10,
             attempts: 6,
         };

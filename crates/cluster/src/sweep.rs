@@ -68,13 +68,13 @@ impl<T> Claims<'_, T> {
 /// [`JobStats`] stores counts as `u64`, so the element-wise mean in
 /// [`Aggregate::mean`] has to round — which reported rare events (true
 /// mean < 0.5) as exactly 0 across a whole sweep. These are the unrounded
-/// means; use them whenever the magnitude matters.
+/// means; use them whenever the magnitude matters. The masked deaths are
+/// an `f64` in [`JobStats`] already, so their mean is exact in
+/// [`Aggregate::mean`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CountMeans {
     /// Mean failures endured per completed run.
     pub failures: f64,
-    /// Mean masked (redundancy-absorbed) process deaths per completed run.
-    pub masked_failures: f64,
     /// Mean checkpoints committed per completed run.
     pub checkpoints: f64,
     /// Mean attempts per completed run (1 = failure-free).
@@ -96,8 +96,8 @@ pub struct Aggregate {
     /// fields are **rounded** to the nearest integer; read
     /// [`Aggregate::mean_counts`] for the exact fractional means.
     pub mean: JobStats,
-    /// Unrounded means of the count fields (failures, masked failures,
-    /// checkpoints, attempts).
+    /// Unrounded means of the `u64` count fields (failures, checkpoints,
+    /// attempts).
     pub mean_counts: CountMeans,
 }
 
@@ -181,18 +181,17 @@ where
         mean.checkpoint_time /= n;
         mean.recompute_time /= n;
         mean.restart_time /= n;
+        mean.masked_failures /= n;
         // The fractional means are the real aggregate; the `u64` fields of
         // `mean` can only hold a rounded copy (a rare event with true mean
         // 0.2 used to vanish to 0 here — keep both, rounded for the
         // integer-typed struct, exact in `mean_counts`).
         mean_counts = CountMeans {
             failures: mean.failures as f64 / n,
-            masked_failures: mean.masked_failures as f64 / n,
             checkpoints: mean.checkpoints as f64 / n,
             attempts: mean.attempts as f64 / n,
         };
         mean.failures = mean_counts.failures.round() as u64;
-        mean.masked_failures = mean_counts.masked_failures.round() as u64;
         mean.checkpoints = mean_counts.checkpoints.round() as u64;
         mean.attempts = mean_counts.attempts.round() as u64;
         mean_total = mean.total_time;
@@ -296,7 +295,7 @@ mod tests {
         .unwrap();
         assert_eq!(agg.completed, 32);
         assert!(
-            agg.mean.masked_failures > 0,
+            agg.mean.masked_failures > 0.0,
             "2x redundancy at mtbf 6 must mask deaths on average: {:?}",
             agg.mean
         );

@@ -33,13 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod binomial;
 pub mod injector;
 pub mod poisson;
 pub mod schedule;
 pub mod trace;
 
-pub use binomial::binomial;
 pub use injector::{AttemptPlan, Death, FailureInjector};
 pub use poisson::ExpSampler;
 pub use schedule::{FailureSchedule, ReplicaGroups};

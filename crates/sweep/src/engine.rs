@@ -163,7 +163,7 @@ pub fn evaluate(spec: &ScenarioSpec) -> Result<ScenarioResult, SweepError> {
                 node_hours: Some(total_physical as f64 * agg.mean_total_time),
                 completion_rate: agg.completion_rate(),
                 mean_failures: agg.mean_counts.failures,
-                mean_masked_failures: agg.mean_counts.masked_failures,
+                mean_masked_failures: agg.mean.masked_failures,
                 mean_checkpoints: agg.mean_counts.checkpoints,
                 mean_attempts: agg.mean_counts.attempts,
             })
@@ -431,14 +431,34 @@ mod tests {
 
     #[test]
     fn surface_results_are_pinned() {
-        // Captured when the simulator began drawing each attempt from the
-        // sphere-failure law: the FNV-1a of every rendered result, in
+        // Captured when the simulator began reporting masked deaths by
+        // their conditional mean: the FNV-1a of every rendered result, in
         // submission order.
-        const SURFACE_FNV: u64 = 4_712_010_513_384_316_177;
+        const SURFACE_FNV: u64 = 89_090_050_744_788_940;
         let report = run_sweep(&surface(32), 2, &mut ResultCache::in_memory()).unwrap();
         assert_eq!(report.entries.len(), 90);
         let rendered: String = report.entries.iter().map(|e| e.result.render_json()).collect();
         assert_eq!(crate::spec::fnv1a(rendered.as_bytes()), SURFACE_FNV);
+    }
+
+    #[test]
+    fn unreplicated_simulator_results_match_the_committed_sweep() {
+        // The r = 1 stream is `ExpSampler`'s bit for bit (the simulator's
+        // module docs), so these five cells stay put when replicated ones
+        // move, which the whole-surface FNV above cannot tell apart.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/sweep_fig9_14.json");
+        let committed = std::fs::read_to_string(path).unwrap();
+        for node_mtbf_hours in [6.0, 12.0, 18.0, 24.0, 30.0] {
+            let spec = ScenarioSpec { node_mtbf_hours, ..sim_spec(1.0, 32) };
+            let line = format!(
+                "{{\"hash\":\"{}\",\"multiplicity\":1,\"spec\":{},\"result\":{}}}",
+                spec.hash_hex(),
+                spec.render_json(),
+                evaluate(&spec).unwrap().render_json()
+            );
+            let found = committed.lines().any(|l| l.trim().trim_end_matches(',') == line);
+            assert!(found, "no committed line reads {line}");
+        }
     }
 
     #[test]

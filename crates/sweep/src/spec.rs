@@ -20,7 +20,7 @@ use redcr_model::Result as ModelResult;
 /// Version byte prefixed to the canonical encoding. Bump it whenever the
 /// meaning of a scenario changes (new field, changed simulator semantics)
 /// so every stale cache entry misses instead of serving wrong answers.
-pub const SPEC_ENCODING_VERSION: u8 = 2;
+pub const SPEC_ENCODING_VERSION: u8 = 3;
 
 /// Which evaluation engine answers the scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

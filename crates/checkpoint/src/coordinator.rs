@@ -110,8 +110,7 @@ impl CheckpointCoordinator {
         S: Encode,
     {
         let obs = comm.obs();
-        let begin = comm.now();
-        obs.event(begin, redcr_mpi::trace::EventKind::CheckpointBegin { seq });
+        obs.event(comm.now(), redcr_mpi::trace::EventKind::CheckpointBegin { seq });
         let channel = bookmark::quiesce(comm)?;
         let channel_messages = channel.len();
         // Wall-clock span over the real serialization work (encoding and
@@ -132,14 +131,12 @@ impl CheckpointCoordinator {
         comm.barrier()?;
         drop(commit_span);
         // Recorded only after the commit barrier: a rank that dies
-        // mid-checkpoint never emits a commit event.
-        let now = comm.now();
+        // mid-checkpoint never emits a commit event. The metrics fold times
+        // the commit from this rank's begin above.
         obs.event(
-            now,
+            comm.now(),
             redcr_mpi::trace::EventKind::CheckpointCommit { seq, bytes: stored_bytes as u64, cost },
         );
-        obs.inc(redcr_mpi::metrics::CounterKey::CheckpointCommits, now);
-        obs.observe(redcr_mpi::metrics::HistKey::CommitLatency, now - begin);
         Ok(CheckpointReceipt { stored_bytes, cost_seconds: cost, channel_messages })
     }
 
@@ -160,9 +157,10 @@ impl CheckpointCoordinator {
         comm.compute(cost)?;
         let image = ProcessImage::from_stored_bytes(&bytes)?;
         let state = image.restore()?;
-        let (obs, now) = (comm.obs(), comm.now());
-        obs.event(now, redcr_mpi::trace::EventKind::Restore { seq, cut: image.virtual_time });
-        obs.inc(redcr_mpi::metrics::CounterKey::Restores, now);
+        comm.obs().event(
+            comm.now(),
+            redcr_mpi::trace::EventKind::Restore { seq, cut: image.virtual_time },
+        );
         Ok(Restored {
             state,
             channel: image.channel_state,

@@ -333,7 +333,6 @@ impl<'a, S: Encode + Send> Job<'a, S> {
             let suspected_at = attempt.detector.suspicion_time(plan.absolute_death_times()[p]);
             sinks.event(suspected_at, rank, EventKind::HeartbeatMiss { sphere });
             sinks.event(boundary, rank, EventKind::RespawnBegin { sphere });
-            sinks.inc(CounterKey::Suspicions, suspected_at);
         }
         if plan.kill_in_transfer(&suspects, commit, self.injector.trace_mut()) {
             // The respawn never commits; the attempt fails like any sphere
@@ -358,8 +357,6 @@ impl<'a, S: Encode + Send> Job<'a, S> {
                 EventKind::RespawnCommit { sphere, rel: rel_commit, latency },
             );
             sinks.event(commit, rank, EventKind::RejoinVote { sphere, copies });
-            sinks.inc(CounterKey::Respawns, commit);
-            sinks.observe(HistKey::HealLatency, latency);
             attempt.ledger.commit(sphere, rel_commit, latency);
         }
         // The timeline changed: when (and whether) the job now fails, and
@@ -406,22 +403,23 @@ impl<'a, S: Encode + Send> Job<'a, S> {
         let deaths: Vec<(u32, f64)> =
             plan.deaths().iter().map(|d| (d.process as u32, d.rel)).collect();
         let account = ledger.close(&self.spheres, &deaths, completed, rel_end, rel_failure, killer);
+        // No event carries the ledger's masked deaths or degraded
+        // intervals, so these two metrics are stated here; the bracket
+        // above already counted the attempt and any restart.
         for &span in &account.degraded_spans {
             self.sinks.observe(HistKey::DegradedInterval, span);
         }
+        self.sinks.add(CounterKey::MaskedFailures, account.masked, end);
         let report = &mut self.report;
         report.masked_failures += account.masked;
         report.degraded_sphere_seconds += account.degraded_seconds;
         report.recovered_voting_seconds += account.recovered_seconds;
         report.respawns += account.respawns;
         report.heal_latency_seconds += account.heal_latency_seconds;
-        self.sinks.inc(CounterKey::Attempts, end);
-        self.sinks.add(CounterKey::MaskedFailures, account.masked, end);
 
         match ended {
             Ended::Failed { .. } => {
                 report.failures += 1;
-                self.sinks.inc(CounterKey::Restarts, end);
                 self.resume_time = end;
                 Next::Restart
             }

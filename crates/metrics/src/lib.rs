@@ -1,15 +1,21 @@
 //! # redcr-metrics — a virtual-time metrics plane for the redcr stack
 //!
-//! Monotonic counters, gauges and log2-bucketed histograms, collected the
-//! same way the flight recorder and the replication statistics are: each
-//! rank thread owns a lock-free [`RankMetrics`] shard (plain `Cell`s on the
-//! hot path — no atomics, no locks, nothing that grows per increment),
-//! minted by and drained into a shared [`MetricsRegistry`] exactly once at
-//! rank teardown. Layers above
-//! the runtime reach the shard through the rank's telemetry handle
-//! (`Communicator::obs()`, shared with the recorder and the profiler), so
-//! when metrics are off the entire plane costs one `Option` check per
-//! site.
+//! Monotonic counters, gauges and log2-bucketed histograms, folded from the
+//! flight recorder's events. Each rank thread owns a lock-free
+//! [`RankMetrics`] shard (plain `Cell`s on the hot path — no atomics, no
+//! locks, nothing that grows per event), minted by and drained into a
+//! shared [`MetricsRegistry`] exactly once at rank teardown. A layer states
+//! what happened once, as an event on the rank's telemetry handle
+//! (`Communicator::obs()`, shared with the recorder and the profiler); the
+//! handle passes it to [`RankMetrics::fold`], the one `match` that maps an
+//! event kind to the metrics it stands for. The executor driver's events
+//! fold the same way into the registry's rank-less shard
+//! ([`MetricsRegistry::fold`]). Four values that no event carries — a
+//! message's and a vote's latency, the masked deaths and degraded
+//! intervals of the executor's heal ledger — are recorded directly with
+//! [`RankMetrics::observe`], [`MetricsRegistry::add`] and
+//! [`MetricsRegistry::observe`]. When metrics are off the plane costs one
+//! `Option` check per event.
 //!
 //! Counter increments carry their **virtual-time** stamp, and the scrape
 //! grid's spacing is fixed when the registry is built, so an increment is
@@ -35,158 +41,94 @@ pub use histogram::Histogram;
 pub use registry::{MetricsRegistry, MetricsReport, MetricsSnapshot, ScrapePoint};
 pub use shard::{GridCell, RankDrain, RankMetrics};
 
-/// Monotonic counters tracked per rank and in the registry totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CounterKey {
-    /// Physical point-to-point messages sent.
-    Sends,
-    /// Physical point-to-point messages received.
-    Recvs,
-    /// Physical payload bytes sent.
-    BytesSent,
-    /// Physical payload bytes received.
-    BytesReceived,
-    /// Rank fail-stops observed (each rank records its own death once).
-    Deaths,
-    /// Receive-path votes over redundant copies.
-    Votes,
-    /// Wildcard-receive leader failovers.
-    Failovers,
-    /// Coordinated checkpoints committed (post-barrier, per rank).
-    CheckpointCommits,
-    /// Checkpoint restores performed.
-    Restores,
-    /// Execution attempts started.
-    Attempts,
-    /// Restarts (failed attempts).
-    Restarts,
-    /// Process deaths masked by redundancy.
-    MaskedFailures,
-    /// Replicas respawned and rejoined by the self-healing layer.
-    Respawns,
-    /// Heartbeat suspicion deadlines that elapsed (dead replicas detected).
-    Suspicions,
-}
-
-impl CounterKey {
-    /// Number of counter keys.
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Every counter key, in declaration (= index) order.
-    pub const ALL: [CounterKey; 14] = [
-        CounterKey::Sends,
-        CounterKey::Recvs,
-        CounterKey::BytesSent,
-        CounterKey::BytesReceived,
-        CounterKey::Deaths,
-        CounterKey::Votes,
-        CounterKey::Failovers,
-        CounterKey::CheckpointCommits,
-        CounterKey::Restores,
-        CounterKey::Attempts,
-        CounterKey::Restarts,
-        CounterKey::MaskedFailures,
-        CounterKey::Respawns,
-        CounterKey::Suspicions,
-    ];
-
-    /// Stable snake_case name (used in exports and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            CounterKey::Sends => "sends_total",
-            CounterKey::Recvs => "recvs_total",
-            CounterKey::BytesSent => "bytes_sent_total",
-            CounterKey::BytesReceived => "bytes_received_total",
-            CounterKey::Deaths => "deaths_total",
-            CounterKey::Votes => "votes_total",
-            CounterKey::Failovers => "failovers_total",
-            CounterKey::CheckpointCommits => "checkpoint_commits_total",
-            CounterKey::Restores => "restores_total",
-            CounterKey::Attempts => "attempts_total",
-            CounterKey::Restarts => "restarts_total",
-            CounterKey::MaskedFailures => "masked_failures_total",
-            CounterKey::Respawns => "respawns_total",
-            CounterKey::Suspicions => "suspicions_total",
+/// Declares a key enum: its variants in index order, with `ALL`, `COUNT`
+/// and a stable snake_case `name` (used in exports and reports) for each.
+macro_rules! keys {
+    ($(#[$doc:meta])* $key:ident { $($(#[$vdoc:meta])* $variant:ident => $name:literal,)+ }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $key {
+            $($(#[$vdoc])* $variant,)+
         }
-    }
 
-    pub(crate) fn index(self) -> usize {
-        self as usize
-    }
-}
+        impl $key {
+            /// Every key, in declaration (= index) order.
+            pub const ALL: [$key; [$($name),+].len()] = [$($key::$variant),+];
+            /// Number of keys.
+            pub const COUNT: usize = Self::ALL.len();
 
-/// Last-value gauges (merged by latest virtual-time stamp).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GaugeKey {
-    /// The rank's virtual clock at teardown, seconds.
-    VirtualTime,
-}
+            /// Stable snake_case name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($key::$variant => $name,)+
+                }
+            }
 
-impl GaugeKey {
-    /// Number of gauge keys.
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Every gauge key, in declaration (= index) order.
-    pub const ALL: [GaugeKey; 1] = [GaugeKey::VirtualTime];
-
-    /// Stable snake_case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            GaugeKey::VirtualTime => "virtual_time_seconds",
+            pub(crate) fn index(self) -> usize {
+                self as usize
+            }
         }
-    }
+    };
+}
 
-    pub(crate) fn index(self) -> usize {
-        self as usize
+keys! {
+    /// Monotonic counters tracked per rank and in the registry totals.
+    CounterKey {
+        /// Physical point-to-point messages sent.
+        Sends => "sends_total",
+        /// Physical point-to-point messages received.
+        Recvs => "recvs_total",
+        /// Physical payload bytes sent.
+        BytesSent => "bytes_sent_total",
+        /// Physical payload bytes received.
+        BytesReceived => "bytes_received_total",
+        /// Rank fail-stops observed (each rank records its own death once).
+        Deaths => "deaths_total",
+        /// Receive-path votes over redundant copies.
+        Votes => "votes_total",
+        /// Wildcard-receive leader failovers.
+        Failovers => "failovers_total",
+        /// Coordinated checkpoints committed (post-barrier, per rank).
+        CheckpointCommits => "checkpoint_commits_total",
+        /// Checkpoint restores performed.
+        Restores => "restores_total",
+        /// Execution attempts started.
+        Attempts => "attempts_total",
+        /// Restarts (failed attempts).
+        Restarts => "restarts_total",
+        /// Process deaths masked by redundancy.
+        MaskedFailures => "masked_failures_total",
+        /// Replicas respawned and rejoined by the self-healing layer.
+        Respawns => "respawns_total",
+        /// Heartbeat suspicion deadlines that elapsed (dead replicas detected).
+        Suspicions => "suspicions_total",
     }
 }
 
-/// Log2-bucketed histograms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HistKey {
-    /// Virtual seconds from message injection to receive completion.
-    MessageLatency,
-    /// Payload size of sent messages, bytes.
-    PayloadSize,
-    /// Virtual seconds one receive-path vote took (gather + compare).
-    VoteLatency,
-    /// Virtual seconds from checkpoint begin to post-barrier commit.
-    CommitLatency,
-    /// Length of one sphere's degraded interval, virtual seconds.
-    DegradedInterval,
-    /// Heal latency: virtual seconds from a replica's death to its
-    /// respawned incarnation's rejoin commit.
-    HealLatency,
+keys! {
+    /// Last-value gauges (merged by latest virtual-time stamp).
+    GaugeKey {
+        /// The rank's virtual clock at teardown, seconds.
+        VirtualTime => "virtual_time_seconds",
+    }
 }
 
-impl HistKey {
-    /// Number of histogram keys.
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Every histogram key, in declaration (= index) order.
-    pub const ALL: [HistKey; 6] = [
-        HistKey::MessageLatency,
-        HistKey::PayloadSize,
-        HistKey::VoteLatency,
-        HistKey::CommitLatency,
-        HistKey::DegradedInterval,
-        HistKey::HealLatency,
-    ];
-
-    /// Stable snake_case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            HistKey::MessageLatency => "message_latency_seconds",
-            HistKey::PayloadSize => "payload_size_bytes",
-            HistKey::VoteLatency => "vote_latency_seconds",
-            HistKey::CommitLatency => "commit_latency_seconds",
-            HistKey::DegradedInterval => "degraded_interval_seconds",
-            HistKey::HealLatency => "heal_latency_seconds",
-        }
-    }
-
-    pub(crate) fn index(self) -> usize {
-        self as usize
+keys! {
+    /// Log2-bucketed histograms.
+    HistKey {
+        /// Virtual seconds from message injection to receive completion.
+        MessageLatency => "message_latency_seconds",
+        /// Payload size of sent messages, bytes.
+        PayloadSize => "payload_size_bytes",
+        /// Virtual seconds one receive-path vote took (gather + compare).
+        VoteLatency => "vote_latency_seconds",
+        /// Virtual seconds from checkpoint begin to post-barrier commit.
+        CommitLatency => "commit_latency_seconds",
+        /// Length of one sphere's degraded interval, virtual seconds.
+        DegradedInterval => "degraded_interval_seconds",
+        /// Heal latency: virtual seconds from a replica's death to its
+        /// respawned incarnation's rejoin commit.
+        HealLatency => "heal_latency_seconds",
     }
 }
 

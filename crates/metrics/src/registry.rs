@@ -3,20 +3,25 @@
 
 use std::collections::BTreeMap;
 
-use redcr_sched::sync::Mutex;
+use redcr_sched::sync::{Mutex, MutexGuard};
+use redcr_trace::EventKind;
 
 use crate::histogram::Histogram;
 use crate::shard::{cell_of, is_grid, RankDrain};
 use crate::{CounterKey, GaugeKey, HistKey, RankMetrics};
 
 /// The world-shared metrics sink. Rank shards are absorbed at teardown (one
-/// lock per rank per run); layers without a rank thread (the executor)
-/// record directly. Cheap to share: `Arc<MetricsRegistry>` mirrors how the
-/// trace `Collector` travels.
+/// lock per rank per run); the layer without a rank thread (the executor
+/// driver) folds its events into a rank-less shard held here, which joins
+/// the totals whenever they are read. Cheap to share:
+/// `Arc<MetricsRegistry>` mirrors how the trace `Collector` travels.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     /// Scrape-grid spacing, virtual seconds; every shard folds onto it.
     interval: f64,
+    /// The rank-less records: in the totals and the series, in no rank's
+    /// per-rank counters.
+    rankless: Mutex<RankMetrics>,
     inner: Mutex<Inner>,
 }
 
@@ -40,6 +45,8 @@ impl MetricsRegistry {
     pub fn new(interval: f64) -> Self {
         MetricsRegistry {
             interval,
+            // The rank of this shard is never read.
+            rankless: Mutex::new(RankMetrics::new(u32::MAX, interval)),
             inner: Mutex::new(Inner {
                 counters: [0; CounterKey::COUNT],
                 gauges: [(f64::NAN, f64::NEG_INFINITY); GaugeKey::COUNT],
@@ -60,47 +67,40 @@ impl MetricsRegistry {
     /// add, gauges keep the later-stamped value.
     pub fn absorb(&self, drain: RankDrain) {
         let mut inner = self.inner.lock();
-        add_into(&mut inner.counters, &drain.counters);
+        inner.merge(&drain);
         add_into(inner.per_rank.entry(drain.rank).or_default(), &drain.counters);
-        for (k, sums) in &drain.cells {
-            add_into(inner.cells.entry(*k).or_default(), sums);
-        }
-        inner.end = inner.end.max(drain.end);
-        for (i, &(value, time)) in drain.gauges.iter().enumerate() {
-            if time > inner.gauges[i].1 {
-                inner.gauges[i] = (value, time);
-            }
-        }
-        for (i, h) in drain.hists.iter().enumerate() {
-            inner.hists[i].merge(h);
-        }
     }
 
-    /// Increments `key` by one at virtual time `time` (rank-less; used by
-    /// layers that are not a rank thread, like the executor).
-    pub fn inc(&self, key: CounterKey, time: f64) {
-        self.add(key, 1, time);
+    /// Folds one rank-less event, stamped `time`, the way a rank's shard
+    /// folds its own ([`RankMetrics::fold`]).
+    pub fn fold(&self, time: f64, kind: &EventKind) {
+        self.rankless.lock().fold(time, kind);
     }
 
-    /// Increments `key` by `delta` at virtual time `time` (rank-less).
+    /// Increments `key` by `delta` at virtual time `time`, rank-less: for a
+    /// count no event carries (the deaths redundancy masked, which the
+    /// executor's heal ledger works out).
     pub fn add(&self, key: CounterKey, delta: u64, time: f64) {
-        if delta == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.counters[key.index()] += delta;
-        inner.cells.entry(cell_of(time, self.interval)).or_default()[key.index()] += delta;
-        inner.end = inner.end.max(time);
+        self.rankless.lock().add(key, delta, time);
     }
 
-    /// Records one rank-less histogram observation.
+    /// Records one rank-less observation of a value no event carries (a
+    /// degraded interval, from the same ledger).
     pub fn observe(&self, key: HistKey, value: f64) {
-        self.inner.lock().hists[key.index()].observe(value);
+        self.rankless.lock().observe(key, value);
+    }
+
+    /// The merged records, with the rank-less shard moved in first.
+    fn settled(&self) -> MutexGuard<'_, Inner> {
+        let rankless = self.rankless.lock().drain();
+        let mut inner = self.inner.lock();
+        inner.merge(&rankless);
+        inner
     }
 
     /// A copy of the current totals.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
+        let inner = self.settled();
         MetricsSnapshot {
             counters: inner.counters,
             gauges: inner.gauges,
@@ -119,7 +119,7 @@ impl MetricsRegistry {
     /// coarsened to that bound (the totals are unaffected).
     pub fn scrape(&self) -> Vec<ScrapePoint> {
         const MAX_POINTS: f64 = 1_000_000.0;
-        let inner = self.inner.lock();
+        let inner = self.settled();
         let (interval, end) = (self.interval, inner.end);
         let (spacing, coarsened) = if !is_grid(interval) {
             // One point at the end of the run.
@@ -159,6 +159,26 @@ impl MetricsRegistry {
             per_rank,
             scrape_interval: self.interval,
             series: self.scrape(),
+        }
+    }
+}
+
+impl Inner {
+    /// Adds a drain's counters, grid cells and histograms in; its gauges
+    /// replace earlier-stamped ones.
+    fn merge(&mut self, drain: &RankDrain) {
+        add_into(&mut self.counters, &drain.counters);
+        for (k, sums) in &drain.cells {
+            add_into(self.cells.entry(*k).or_default(), sums);
+        }
+        self.end = self.end.max(drain.end);
+        for (i, &(value, time)) in drain.gauges.iter().enumerate() {
+            if time > self.gauges[i].1 {
+                self.gauges[i] = (value, time);
+            }
+        }
+        for (i, h) in drain.hists.iter().enumerate() {
+            self.hists[i].merge(h);
         }
     }
 }
@@ -245,17 +265,17 @@ mod tests {
     fn absorb_merges_counters_per_rank_and_histograms() {
         let reg = MetricsRegistry::new(1.0);
         let a = reg.shard(0);
-        a.inc(CounterKey::Sends, 1.0);
+        a.add(CounterKey::Sends, 1, 1.0);
         a.observe(HistKey::PayloadSize, 8.0);
-        a.set_gauge(GaugeKey::VirtualTime, 5.0, 5.0);
+        a.fold(5.0, &EventKind::RankFinish { busy: 5.0, comm: 0.0 });
         let b = reg.shard(1);
-        b.inc(CounterKey::Sends, 2.0);
-        b.inc(CounterKey::Recvs, 2.5);
+        b.add(CounterKey::Sends, 1, 2.0);
+        b.add(CounterKey::Recvs, 1, 2.5);
         b.observe(HistKey::PayloadSize, 16.0);
-        b.set_gauge(GaugeKey::VirtualTime, 7.0, 7.0);
+        b.fold(7.0, &EventKind::RankFinish { busy: 7.0, comm: 0.0 });
         reg.absorb(a.drain());
         reg.absorb(b.drain());
-        reg.inc(CounterKey::Attempts, 7.0);
+        reg.add(CounterKey::Attempts, 1, 7.0);
 
         let snap = reg.snapshot();
         assert_eq!(snap.counter(CounterKey::Sends), 2);
@@ -288,11 +308,11 @@ mod tests {
         let reg = MetricsRegistry::new(1.0);
         let m = reg.shard(0);
         for i in 0..10 {
-            m.inc(CounterKey::Sends, i as f64 * 0.7);
+            m.add(CounterKey::Sends, 1, i as f64 * 0.7);
             m.add(CounterKey::BytesSent, 100, i as f64 * 0.7);
         }
         reg.absorb(m.drain());
-        reg.inc(CounterKey::Attempts, 6.5);
+        reg.add(CounterKey::Attempts, 1, 6.5);
 
         let series = reg.scrape();
         assert!(series.len() >= 7, "6.3s of samples on a 1s grid: {}", series.len());
@@ -322,11 +342,11 @@ mod tests {
     fn a_grid_past_a_million_points_is_coarsened_onto_the_totals() {
         let reg = MetricsRegistry::new(1.0);
         let m = reg.shard(0);
-        m.inc(CounterKey::Sends, 0.0);
+        m.add(CounterKey::Sends, 1, 0.0);
         m.add(CounterKey::BytesSent, 7, 2.5);
         m.add(CounterKey::BytesSent, 9, 4_999_999.5);
         reg.absorb(m.drain());
-        reg.inc(CounterKey::Attempts, 5.0e6);
+        reg.add(CounterKey::Attempts, 1, 5.0e6);
 
         let series = reg.scrape();
         assert!(series.len() <= 1_000_001, "{} points", series.len());

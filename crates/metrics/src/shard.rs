@@ -1,7 +1,9 @@
-//! Per-rank thread-local metric shards, and the scrape grid they fold
-//! counter increments into.
+//! Per-rank thread-local metric shards, the one `match` that folds an
+//! event into one, and the scrape grid their counters land on.
 
 use std::cell::{Cell, RefCell};
+
+use redcr_trace::EventKind;
 
 use crate::histogram::Histogram;
 use crate::{CounterKey, GaugeKey, HistKey};
@@ -41,9 +43,11 @@ pub(crate) fn cell_of(time: f64, interval: f64) -> u64 {
 
 /// A rank thread's private metric shard: `Send` (created on the rank's own
 /// thread) but not `Sync`, exactly like the flight recorder's `Recorder`.
-/// Every operation is a `Cell` update plus, for counters, an add into the
-/// current grid cell — no locks or atomics on the hot path, and nothing
-/// that grows with the number of increments.
+/// Counters and gauges move only through [`fold`](Self::fold), so each is
+/// derived from an event; [`observe`](Self::observe) is the one door for
+/// a value no event carries. Every operation is a `Cell` update plus, for
+/// counters, an add into the current grid cell — no locks or atomics on
+/// the hot path, and nothing that grows with the number of increments.
 #[derive(Debug)]
 pub struct RankMetrics {
     rank: u32,
@@ -58,6 +62,9 @@ pub struct RankMetrics {
     cells: RefCell<Vec<GridCell>>,
     /// Latest stamp seen (at least zero).
     end: Cell<f64>,
+    /// Stamp of the latest `CheckpointBegin`, for the commit latency; NaN
+    /// before the first, so a commit without a begin is quarantined.
+    begun: Cell<f64>,
 }
 
 impl RankMetrics {
@@ -74,22 +81,52 @@ impl RankMetrics {
             interval,
             cells: RefCell::new(Vec::new()),
             end: Cell::new(0.0),
+            begun: Cell::new(f64::NAN),
         }
     }
 
-    /// The owning rank.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    /// Increments `key` by one at virtual time `time`.
-    pub fn inc(&self, key: CounterKey, time: f64) {
-        self.add(key, 1, time);
+    /// Folds event `kind`, stamped `time`, into the shard: the one place
+    /// that says which metrics an event stands for. Every counter, the
+    /// gauge, and the payload-size, commit- and heal-latency histograms
+    /// come from here; kinds that carry no metric fold to nothing.
+    pub fn fold(&self, time: f64, kind: &EventKind) {
+        use CounterKey as C;
+        match *kind {
+            EventKind::Send { bytes, .. } => {
+                self.add(C::Sends, 1, time);
+                self.add(C::BytesSent, bytes, time);
+                self.observe(HistKey::PayloadSize, bytes as f64);
+            }
+            EventKind::Recv { bytes, .. } => {
+                self.add(C::Recvs, 1, time);
+                self.add(C::BytesReceived, bytes, time);
+            }
+            EventKind::Death => self.add(C::Deaths, 1, time),
+            EventKind::Vote { .. } => self.add(C::Votes, 1, time),
+            EventKind::Failover { .. } => self.add(C::Failovers, 1, time),
+            EventKind::CheckpointBegin { .. } => self.begun.set(time),
+            EventKind::CheckpointCommit { .. } => {
+                self.add(C::CheckpointCommits, 1, time);
+                self.observe(HistKey::CommitLatency, time - self.begun.get());
+            }
+            EventKind::Restore { .. } => self.add(C::Restores, 1, time),
+            EventKind::RankFinish { .. } => {
+                self.gauges[GaugeKey::VirtualTime.index()].set((time, time));
+            }
+            EventKind::HeartbeatMiss { .. } => self.add(C::Suspicions, 1, time),
+            EventKind::RespawnCommit { latency, .. } => self.observe(HistKey::HealLatency, latency),
+            EventKind::RejoinVote { .. } => self.add(C::Respawns, 1, time),
+            EventKind::AttemptEnd { completed, .. } => {
+                self.add(C::Attempts, 1, time);
+                self.add(C::Restarts, u64::from(!completed), time);
+            }
+            _ => {}
+        }
     }
 
     /// Increments `key` by `delta` at virtual time `time`. A zero delta is
     /// a no-op (it must not open a grid cell or move the latest stamp).
-    pub fn add(&self, key: CounterKey, delta: u64, time: f64) {
+    pub(crate) fn add(&self, key: CounterKey, delta: u64, time: f64) {
         if delta == 0 {
             return;
         }
@@ -111,19 +148,11 @@ impl RankMetrics {
         self.end.set(self.end.get().max(time));
     }
 
-    /// Sets gauge `key` to `value` at virtual time `time`.
-    pub fn set_gauge(&self, key: GaugeKey, value: f64, time: f64) {
-        self.gauges[key.index()].set((value, time));
-    }
-
-    /// Records one histogram observation.
+    /// Records one histogram observation of a value no event carries (a
+    /// message's or a vote's latency); everything else is
+    /// [`fold`](Self::fold)ed.
     pub fn observe(&self, key: HistKey, value: f64) {
         self.hists.borrow_mut()[key.index()].observe(value);
-    }
-
-    /// Current value of counter `key`.
-    pub fn counter(&self, key: CounterKey) -> u64 {
-        self.counters[key.index()].get()
     }
 
     /// Moves everything out of the shard (for
@@ -169,12 +198,10 @@ mod tests {
     #[test]
     fn counters_accumulate_and_stamp_samples() {
         let m = RankMetrics::new(3, 1.0);
-        m.inc(CounterKey::Sends, 1.0);
+        m.add(CounterKey::Sends, 1, 1.0);
         m.add(CounterKey::BytesSent, 64, 1.0);
         m.add(CounterKey::BytesSent, 0, 2.0); // no-op
-        m.inc(CounterKey::Sends, 2.0);
-        assert_eq!(m.counter(CounterKey::Sends), 2);
-        assert_eq!(m.counter(CounterKey::BytesSent), 64);
+        m.add(CounterKey::Sends, 1, 2.0);
         let d = m.drain();
         assert_eq!(d.rank, 3);
         let mut at_1 = [0; CounterKey::COUNT];
@@ -185,6 +212,7 @@ mod tests {
         assert_eq!(d.cells, [(1, at_1), (2, at_2)], "zero deltas open no cell");
         assert_eq!(d.end, 2.0);
         assert_eq!(d.counters[CounterKey::Sends.index()], 2);
+        assert_eq!(d.counters[CounterKey::BytesSent.index()], 64);
         // Drained: a second drain is empty.
         let d2 = m.drain();
         assert_eq!(d2.counters[CounterKey::Sends.index()], 0);
@@ -192,10 +220,81 @@ mod tests {
         assert_eq!(d2.end, 0.0);
     }
 
+    /// Each event kind bumps exactly the metrics it stands for, at its own
+    /// stamp; the commit latency runs from the latest begin.
+    #[test]
+    fn an_event_folds_into_the_metrics_it_stands_for() {
+        use CounterKey as C;
+        let m = RankMetrics::new(0, 1.0);
+        let events = [
+            (0.5, EventKind::Send { to: 1, bytes: 64 }),
+            (0.5, EventKind::Recv { from: 1, bytes: 32 }),
+            (1.0, EventKind::CheckpointBegin { seq: 0 }),
+            (1.25, EventKind::CheckpointBegin { seq: 1 }),
+            (1.5, EventKind::Vote { copies: 2, unanimous: true, corrected: false }),
+            (1.5, EventKind::Failover { sphere: 0 }),
+            (2.0, EventKind::CheckpointCommit { seq: 1, bytes: 8, cost: 0.5 }),
+            (2.5, EventKind::Restore { seq: 1, cut: 2.0 }),
+            (2.5, EventKind::Death),
+            (3.0, EventKind::HeartbeatMiss { sphere: 0 }),
+            (3.5, EventKind::RespawnBegin { sphere: 0 }),
+            (4.0, EventKind::RespawnCommit { sphere: 0, rel: 4.0, latency: 1.5 }),
+            (4.0, EventKind::RejoinVote { sphere: 0, copies: 2 }),
+            (4.5, EventKind::AttemptStart { attempt: 1 }),
+            (
+                5.0,
+                EventKind::AttemptEnd {
+                    attempt: 1,
+                    completed: false,
+                    rel_end: 0.5,
+                    rel_failure: 0.5,
+                    killer: Some(0),
+                },
+            ),
+            (
+                6.0,
+                EventKind::AttemptEnd {
+                    attempt: 2,
+                    completed: true,
+                    rel_end: 1.0,
+                    rel_failure: f64::INFINITY,
+                    killer: None,
+                },
+            ),
+            (6.0, EventKind::RankFinish { busy: 4.0, comm: 2.0 }),
+        ];
+        for (time, kind) in &events {
+            m.fold(*time, kind);
+        }
+        let d = m.drain();
+        let count = |k: C| d.counters[k.index()];
+        assert_eq!((count(C::Sends), count(C::BytesSent)), (1, 64));
+        assert_eq!((count(C::Recvs), count(C::BytesReceived)), (1, 32));
+        for k in [C::Votes, C::Failovers, C::CheckpointCommits, C::Restores, C::Deaths] {
+            assert_eq!(count(k), 1, "{k:?}");
+        }
+        assert_eq!((count(C::Suspicions), count(C::Respawns)), (1, 1));
+        assert_eq!((count(C::Attempts), count(C::Restarts)), (2, 1));
+        assert_eq!(count(C::MaskedFailures), 0, "no event carries a masked death");
+        let hist = |k: HistKey| (d.hists[k.index()].count(), d.hists[k.index()].sum());
+        assert_eq!(hist(HistKey::PayloadSize), (1, 64.0));
+        assert_eq!(hist(HistKey::CommitLatency), (1, 0.75), "from the latest begin");
+        assert_eq!(hist(HistKey::HealLatency), (1, 1.5));
+        assert_eq!(hist(HistKey::MessageLatency).0 + hist(HistKey::VoteLatency).0, 0);
+        assert_eq!(d.gauges[GaugeKey::VirtualTime.index()], (6.0, 6.0));
+        assert_eq!(d.end, 6.0);
+        // A commit with no begin on its shard is quarantined, not timed
+        // from zero.
+        let fresh = RankMetrics::new(0, 1.0);
+        fresh.fold(1.0, &EventKind::CheckpointCommit { seq: 2, bytes: 8, cost: 0.5 });
+        let commit = &fresh.drain().hists[HistKey::CommitLatency.index()];
+        assert_eq!((commit.count(), commit.quarantined()), (0, 1));
+    }
+
     #[test]
     fn gauges_and_histograms_travel_in_the_drain() {
         let m = RankMetrics::new(0, 1.0);
-        m.set_gauge(GaugeKey::VirtualTime, 12.5, 12.5);
+        m.fold(12.5, &EventKind::RankFinish { busy: 12.5, comm: 0.0 });
         m.observe(HistKey::PayloadSize, 64.0);
         m.observe(HistKey::PayloadSize, f64::NAN);
         let d = m.drain();
@@ -213,7 +312,7 @@ mod tests {
         let m = RankMetrics::new(0, 0.5);
         for i in 0..1_000_000u32 {
             // 1 000 distinct stamps, all inside cell 3 = (1.0, 1.5].
-            m.inc(CounterKey::Sends, 1.0 + f64::from(i % 1000 + 1) * 0.0005);
+            m.add(CounterKey::Sends, 1, 1.0 + f64::from(i % 1000 + 1) * 0.0005);
         }
         let d = m.drain();
         assert_eq!(d.cells.len(), 1);

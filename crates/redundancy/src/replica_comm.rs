@@ -153,15 +153,13 @@ impl<'a> ReplicaComm<'a> {
     }
 
     /// Records one vote outcome in the statistics and, when tracing or
-    /// metrics are on, as a flight-recorder event / counter increment.
+    /// metrics are on, as one event.
     fn record_vote(&self, copies: usize, unanimous: bool, corrected: bool) {
         self.count(|s| s.record_vote(unanimous, corrected));
-        let (obs, now) = (self.base.obs(), self.base.now());
-        obs.event(
-            now,
+        self.base.obs().event(
+            self.base.now(),
             redcr_mpi::trace::EventKind::Vote { copies: copies as u32, unanimous, corrected },
         );
-        obs.inc(redcr_mpi::metrics::CounterKey::Votes, now);
     }
 
     /// Whether sender replica `j` (of `r_send`) sends the full payload to
@@ -292,6 +290,8 @@ impl<'a> ReplicaComm<'a> {
                 }
             }
         };
+        // The gather start is not in the `Vote` event (it would move every
+        // trace FNV), so the vote states its latency itself.
         self.base
             .obs()
             .observe(redcr_mpi::metrics::HistKey::VoteLatency, self.base.now() - vote_t0);
@@ -358,12 +358,10 @@ impl<'a> ReplicaComm<'a> {
                 if self.my_replica > 0 {
                     // Leadership moved to this replica — every lower-indexed
                     // replica of the sphere died.
-                    let (obs, now) = (self.base.obs(), self.base.now());
-                    obs.event(
-                        now,
+                    self.base.obs().event(
+                        self.base.now(),
                         redcr_mpi::trace::EventKind::Failover { sphere: self.my_virtual.as_u32() },
                     );
-                    obs.inc(redcr_mpi::metrics::CounterKey::Failovers, now);
                 }
                 let (bytes, status) = self.base.recv_ns(RankSelector::Any, tag, ns)?;
                 let (src_v, k) = self.vmap.owner_of(status.source);

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use redcr_metrics::{CounterKey, HistKey};
+use redcr_metrics::HistKey;
 use redcr_trace::EventKind;
 
 use crate::communicator::Communicator;
@@ -245,7 +245,6 @@ impl Comm {
             // keep running and observe the death per-operation.
             if self.shared.mark_dead(self.world_rank) {
                 self.obs.event(death, EventKind::Death);
-                self.obs.inc(CounterKey::Deaths, death);
             }
             return Err(MpiError::Dead { rank: self.world_rank, at: death });
         }
@@ -376,9 +375,6 @@ impl Communicator for Comm {
             &self.obs,
         );
         self.obs.event(now, EventKind::Send { to: dest.as_u32(), bytes });
-        self.obs.inc(CounterKey::Sends, now);
-        self.obs.add(CounterKey::BytesSent, bytes, now);
-        self.obs.observe(HistKey::PayloadSize, bytes as f64);
         Ok(())
     }
 
@@ -401,8 +397,9 @@ impl Communicator for Comm {
         self.check_abort()?;
         let (now, bytes) = (self.clock.now(), env.len() as u64);
         self.obs.event(now, EventKind::Recv { from: env.src.as_u32(), bytes });
-        self.obs.inc(CounterKey::Recvs, now);
-        self.obs.add(CounterKey::BytesReceived, bytes, now);
+        // The envelope's send time is not in the event (it would move every
+        // trace FNV), so the latency is the one metric a receive states
+        // itself.
         self.obs.observe(HistKey::MessageLatency, now - env.send_time);
         let status = self.status(env.src, env.wire_tag, env.len());
         Ok((env.payload, status))

@@ -113,7 +113,7 @@ pub use comm::{Comm, SubComm};
 pub use communicator::Communicator;
 pub use error::{MpiError, Result};
 pub use message::Status;
-pub use obs::{Obs, Sinks};
+pub use obs::{Drained, Obs, Sinks};
 pub use rank::{Rank, RankSelector};
 /// The one non-blocking request handle and what testing one yields.
 pub use request::{Request, TestOutcome};

@@ -10,26 +10,30 @@
 //! folds onto the registry's grid), the profile shard counts every span
 //! and reads the host clock for about one in sixteen. Layers reach the
 //! handle through [`Communicator::obs`](crate::Communicator::obs) and state
-//! what happened once — `obs.event(t, kind)`, `obs.inc(key, t)`,
-//! `obs.span(key)` — and a sink that is off costs one predictable branch.
-//! Nothing here advances a virtual clock, so a run computes the same bits
-//! with any sink on or off.
+//! what happened once: `obs.event(t, kind)` hands the one event to the
+//! recorder and to the metrics shard, which folds it into the counters,
+//! gauge and histograms it stands for, and `obs.span(key)` times host
+//! work. A sink that is off costs one predictable branch. The one other
+//! metrics door, [`Obs::observe`], is for the two latencies no event
+//! carries. Nothing here advances a virtual clock, so a run computes the
+//! same bits with any sink on or off.
 //!
 //! # Absorb order
 //!
 //! A rank's handle is drained exactly once, at rank teardown
-//! ([`Sinks::drain`]). Metrics and profile shards merge into their sinks
-//! right there, inside the task: both merges are order-independent. Trace
-//! events are *returned* instead — the chunks themselves, which the
-//! collector adopts, so an event is never copied — and the world absorbs
-//! them after the batch in rank order ([`Sinks::absorb_events`]): task
-//! teardown order depends on host scheduling, the collected trace must
-//! not. Driver-level records ([`Sinks::event`], [`Sinks::inc`]) go to the
-//! shared sinks directly, so they bracket each segment's rank events.
+//! ([`Sinks::drain`]). The profile shard merges into its sink right there,
+//! inside the task: that merge is order-independent. Trace events and the
+//! metrics shard's records are *returned* instead — the event chunks
+//! themselves, which the collector adopts, so an event is never copied —
+//! and the world absorbs them after the batch in rank order
+//! ([`Sinks::absorb`]): task teardown order depends on host scheduling,
+//! and neither the collected trace nor a histogram's floating-point sum
+//! may. Driver-level records ([`Sinks::event`]) go to the shared sinks
+//! directly, so they bracket each segment's rank events.
 
 use std::sync::Arc;
 
-use redcr_metrics::{CounterKey as MetricKey, GaugeKey, HistKey, MetricsRegistry, RankMetrics};
+use redcr_metrics::{CounterKey as MetricKey, HistKey, MetricsRegistry, RankDrain, RankMetrics};
 use redcr_prof::{
     CounterKey as ProfCounter, ProfScope, Profiler, RankProf, SpanGuard, SpanKey, TrackKey,
 };
@@ -57,8 +61,8 @@ impl Sinks {
     }
 
     /// Mints the executor driver's handle: a profile shard for its spans.
-    /// The driver's events and counters are rank-less and go through
-    /// [`event`](Self::event) / [`inc`](Self::inc) instead.
+    /// The driver's events are rank-less and go through
+    /// [`event`](Self::event) instead.
     pub fn driver(&self) -> Obs {
         Obs { recorder: None, metrics: None, prof: self.prof_shard(ProfScope::Driver) }
     }
@@ -67,54 +71,66 @@ impl Sinks {
         self.profiler.as_ref().map(|profiler| Box::new(profiler.shard(scope)))
     }
 
-    /// Records one driver-level trace event directly, attributed to `rank`
-    /// (or to no rank).
+    /// Records one driver-level event directly, attributed to `rank` (or
+    /// to no rank), and folds it into the registry's rank-less metrics.
     pub fn event(&self, time: f64, rank: Option<u32>, kind: EventKind) {
+        if let Some(registry) = &self.metrics {
+            registry.fold(time, &kind);
+        }
         if let Some(collector) = &self.trace {
             collector.record(time, rank, kind);
         }
     }
 
-    /// Increments a rank-less counter by one at virtual time `time`.
-    pub fn inc(&self, key: MetricKey, time: f64) {
-        self.add(key, 1, time);
-    }
-
-    /// Increments a rank-less counter by `delta` at virtual time `time`.
+    /// Increments a rank-less counter by `delta` at virtual time `time`:
+    /// only for a count no event carries (the executor's masked deaths).
     pub fn add(&self, key: MetricKey, delta: u64, time: f64) {
         if let Some(registry) = &self.metrics {
             registry.add(key, delta, time);
         }
     }
 
-    /// Records one rank-less histogram observation.
+    /// Records one rank-less histogram observation of a value no event
+    /// carries (the executor's degraded intervals).
     pub fn observe(&self, key: HistKey, value: f64) {
         if let Some(registry) = &self.metrics {
             registry.observe(key, value);
         }
     }
 
-    /// Drains `obs` at teardown: merges its metrics and profile shards
-    /// into the sinks and returns its trace events — the chunks they were
-    /// recorded into, not a copy — for the caller to
-    /// [`absorb_events`](Self::absorb_events) in a deterministic order
-    /// (see the module docs). Empty when tracing is off.
-    pub fn drain(&self, obs: &Obs) -> Trace {
-        if let (Some(registry), Some(shard)) = (&self.metrics, &obs.metrics) {
-            registry.absorb(shard.drain());
-        }
+    /// Drains `obs` at teardown: merges its profile shard into the
+    /// profiler and returns its trace events — the chunks they were
+    /// recorded into, not a copy — and its metrics, for the caller to
+    /// [`absorb`](Self::absorb) in a deterministic order (see the module
+    /// docs).
+    pub fn drain(&self, obs: &Obs) -> Drained {
         if let (Some(profiler), Some(shard)) = (&self.profiler, &obs.prof) {
             profiler.absorb(shard.drain());
         }
-        obs.recorder.as_ref().map(Recorder::drain).unwrap_or_default()
-    }
-
-    /// Hands one rank's drained trace events to the collector.
-    pub fn absorb_events(&self, events: Trace) {
-        if let Some(collector) = &self.trace {
-            collector.absorb(events);
+        Drained {
+            events: obs.recorder.as_ref().map(Recorder::drain).unwrap_or_default(),
+            metrics: obs.metrics.as_ref().map(|shard| Box::new(shard.drain())),
         }
     }
+
+    /// Hands one rank's drained events to the collector and its metrics
+    /// to the registry.
+    pub fn absorb(&self, drained: Drained) {
+        if let (Some(registry), Some(metrics)) = (&self.metrics, drained.metrics) {
+            registry.absorb(*metrics);
+        }
+        if let Some(collector) = &self.trace {
+            collector.absorb(drained.events);
+        }
+    }
+}
+
+/// What a rank's handle held at teardown: its trace events (empty when
+/// tracing is off) and its metrics (none when metrics are off).
+#[derive(Debug)]
+pub struct Drained {
+    events: Trace,
+    metrics: Option<Box<RankDrain>>,
 }
 
 /// One rank's telemetry handle: `Send` but not `Sync`, owned by the rank's
@@ -134,41 +150,26 @@ impl Obs {
         Obs { recorder: None, metrics: None, prof: None }
     }
 
-    /// Records trace event `kind` at virtual time `time`.
+    /// Records event `kind` at virtual time `time`: the recorder stores
+    /// it, the metrics shard folds it. Neither is there when its sink is
+    /// off, so a metrics-only handle stores no event.
     #[inline]
     pub fn event(&self, time: f64, kind: EventKind) {
+        if let Some(metrics) = &self.metrics {
+            metrics.fold(time, &kind);
+        }
         if let Some(recorder) = &self.recorder {
             recorder.record(time, kind);
         }
     }
 
-    /// Increments metrics counter `key` by one at virtual time `time`.
-    #[inline]
-    pub fn inc(&self, key: MetricKey, time: f64) {
-        self.add(key, 1, time);
-    }
-
-    /// Increments metrics counter `key` by `delta` at virtual time `time`.
-    #[inline]
-    pub fn add(&self, key: MetricKey, delta: u64, time: f64) {
-        if let Some(metrics) = &self.metrics {
-            metrics.add(key, delta, time);
-        }
-    }
-
-    /// Records one histogram observation.
+    /// Records one histogram observation of a value no event carries: a
+    /// message's latency (the `Recv` event has no send time) or a vote's
+    /// (the `Vote` event has no gather start).
     #[inline]
     pub fn observe(&self, key: HistKey, value: f64) {
         if let Some(metrics) = &self.metrics {
             metrics.observe(key, value);
-        }
-    }
-
-    /// Sets gauge `key` to `value` at virtual time `time`.
-    #[inline]
-    pub fn gauge(&self, key: GaugeKey, value: f64, time: f64) {
-        if let Some(metrics) = &self.metrics {
-            metrics.set_gauge(key, value, time);
         }
     }
 
@@ -210,21 +211,34 @@ mod tests {
     use super::*;
 
     fn exercise(obs: &Obs) {
-        obs.event(1.0, EventKind::Death);
-        obs.inc(MetricKey::Sends, 1.0);
-        obs.observe(HistKey::PayloadSize, 8.0);
-        obs.gauge(GaugeKey::VirtualTime, 2.0, 2.0);
+        obs.event(1.0, EventKind::Send { to: 1, bytes: 8 });
+        obs.observe(HistKey::MessageLatency, 0.5);
+        obs.event(2.0, EventKind::RankFinish { busy: 1.5, comm: 0.5 });
         drop(obs.span(SpanKey::Vote));
         obs.count_tracked(ProfCounter::Parks, TrackKey::Parks);
         obs.sample(TrackKey::QueueDepth, 3.0);
     }
 
+    fn attempt_end(completed: bool) -> EventKind {
+        EventKind::AttemptEnd {
+            attempt: 0,
+            completed,
+            rel_end: 3.0,
+            rel_failure: f64::INFINITY,
+            killer: None,
+        }
+    }
+
     #[test]
     fn a_handle_feeds_exactly_the_sinks_that_are_on_and_drains_once() {
+        use redcr_metrics::GaugeKey;
+
         let off = Sinks::default();
         exercise(&off.rank(0));
         exercise(&Obs::off());
-        assert!(off.drain(&off.rank(0)).is_empty());
+        off.event(3.0, None, attempt_end(false));
+        let drained = off.drain(&off.rank(0));
+        assert!(drained.events.is_empty() && drained.metrics.is_none());
 
         let sinks = Sinks {
             trace: Some(Arc::new(Collector::new())),
@@ -234,23 +248,43 @@ mod tests {
         let (rank, driver) = (sinks.rank(5), sinks.driver());
         exercise(&rank);
         exercise(&driver);
-        assert!(sinks.drain(&driver).is_empty(), "the driver buffers no events");
-        let events = sinks.drain(&rank);
-        assert_eq!(events.events().map(|e| e.rank).collect::<Vec<_>>(), [Some(5)]);
-        assert!(sinks.drain(&rank).is_empty(), "a second drain contributes nothing");
-        sinks.absorb_events(events);
-        sinks.event(3.0, None, EventKind::AttemptStart { attempt: 1 });
-        sinks.inc(MetricKey::Attempts, 3.0);
+        assert!(sinks.drain(&driver).events.is_empty(), "the driver buffers no events");
+        let drained = sinks.drain(&rank);
+        let ranks: Vec<_> = drained.events.events().map(|e| e.rank).collect();
+        assert_eq!(ranks, [Some(5), Some(5)]);
+        assert!(sinks.drain(&rank).events.is_empty(), "a second drain contributes nothing");
+        sinks.absorb(drained);
+        sinks.event(3.0, None, attempt_end(false));
 
-        assert_eq!(sinks.trace.unwrap().len(), 2);
+        assert_eq!(sinks.trace.unwrap().len(), 3);
         let totals = sinks.metrics.unwrap().snapshot();
         assert_eq!(totals.counter(MetricKey::Sends), 1, "the driver handle has no metrics shard");
-        assert_eq!(totals.counter(MetricKey::Attempts), 1);
+        assert_eq!(totals.counter(MetricKey::BytesSent), 8);
+        assert_eq!(totals.histogram(HistKey::PayloadSize).count(), 1);
+        assert_eq!(totals.histogram(HistKey::MessageLatency).count(), 1);
+        assert_eq!(totals.counter(MetricKey::Attempts), 1, "the driver's event folds rank-less");
+        assert_eq!(totals.counter(MetricKey::Restarts), 1);
         assert_eq!(totals.gauge(GaugeKey::VirtualTime), Some(2.0));
         let profile = sinks.profiler.unwrap().report();
         let scopes: Vec<_> = profile.scopes().iter().map(|s| s.label().to_owned()).collect();
         assert_eq!(scopes, ["driver", "rank5"]);
         assert_eq!(profile.total_span(SpanKey::Vote).count, 2);
         assert_eq!(profile.total_counter(ProfCounter::Parks), 2);
+
+        // Metrics alone: the events fold into the counters and are never
+        // stored.
+        let registry = Arc::new(MetricsRegistry::new(1.0));
+        let sinks = Sinks { metrics: Some(Arc::clone(&registry)), ..Sinks::default() };
+        let rank = sinks.rank(2);
+        exercise(&rank);
+        let drained = sinks.drain(&rank);
+        assert!(drained.events.is_empty(), "a metrics-only handle stores no event");
+        sinks.absorb(drained);
+        sinks.event(3.0, None, attempt_end(true));
+        let totals = registry.snapshot();
+        assert_eq!(totals.counter(MetricKey::Sends), 1);
+        assert_eq!(totals.counter(MetricKey::Attempts), 1);
+        assert_eq!(totals.counter(MetricKey::Restarts), 0);
+        assert_eq!(registry.report().per_rank_counter(MetricKey::Sends), [(2, 1)]);
     }
 }

@@ -12,7 +12,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use redcr_metrics::GaugeKey;
 use redcr_trace::EventKind;
 
 use crate::comm::Comm;
@@ -97,15 +96,15 @@ impl WorldBuilder {
 
     /// Sets the telemetry sinks (default: all off). Every rank gets an
     /// [`Obs`](crate::Obs) handle, reachable through
-    /// [`Communicator::obs`], with a rank-local
-    /// shard per enabled sink: the runtime records sends, receives and
-    /// deaths, the mailbox times its waits and pushes, and interposition
-    /// layers add their own. Shards merge into the sinks at rank teardown
-    /// — trace events in rank order, closed by one
-    /// [`EventKind::RankFinish`] carrying the rank's busy/comm split;
-    /// metrics after stamping the rank's final virtual time into the
-    /// [`GaugeKey::VirtualTime`] gauge. Telemetry never advances a virtual
-    /// clock, so enabling any of it does not change what the run computes.
+    /// [`Communicator::obs`], with a rank-local shard per enabled sink: the
+    /// runtime records sends, receives and deaths, the mailbox times its
+    /// waits and pushes, and interposition layers add their own. Shards
+    /// merge into the sinks at rank teardown — trace events in rank order,
+    /// closed by one [`EventKind::RankFinish`] carrying the rank's
+    /// busy/comm split, whose stamp the metrics shard folds into the
+    /// [`VirtualTime`](redcr_metrics::GaugeKey::VirtualTime) gauge.
+    /// Telemetry never advances a virtual clock, so enabling any of it does
+    /// not change what the run computes.
     pub fn obs(mut self, sinks: Sinks) -> Self {
         self.sinks = sinks;
         self
@@ -162,7 +161,7 @@ impl WorldBuilder {
         let start_time = self.start_time;
         let sinks = &self.sinks;
         let f = &f;
-        type Slot<T> = (Result<T>, RankTiming, redcr_trace::Trace);
+        type Slot<T> = (Result<T>, RankTiming, crate::Drained);
 
         let pool = redcr_sched::PoolConfig::resolve(self.workers, self.n);
         let shared_for_tasks = &shared;
@@ -210,12 +209,11 @@ impl WorldBuilder {
                     timing.finish,
                     EventKind::RankFinish { busy: timing.busy, comm: timing.comm },
                 );
-                obs.gauge(GaugeKey::VirtualTime, timing.finish, timing.finish);
-                // The drain hands this rank's events back rather than
-                // absorbing them here: task teardown order is scheduling
-                // dependent, so absorbing after the batch (below, in rank
-                // order) is what keeps the collected trace deterministic
-                // run-to-run.
+                // The drain hands this rank's events and metrics back
+                // rather than absorbing them here: task teardown order is
+                // scheduling dependent, so absorbing after the batch
+                // (below, in rank order) is what keeps the collected trace
+                // and the histogram sums deterministic run-to-run.
                 (result, timing, sinks.drain(obs))
             }
         });
@@ -224,8 +222,8 @@ impl WorldBuilder {
         let mut timings = Vec::with_capacity(self.n);
         for outcome in batch.results {
             match outcome {
-                Ok((r, t, events)) => {
-                    sinks.absorb_events(events);
+                Ok((r, t, drained)) => {
+                    sinks.absorb(drained);
                     results.push(r);
                     timings.push(t);
                 }

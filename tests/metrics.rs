@@ -8,6 +8,8 @@
 //! * the virtual-time scraper's counter series must be monotone
 //!   non-decreasing with its final sample equal to the drained totals,
 //!   and bit for bit the series pinned in `SERIES_GOLDENS`;
+//! * the metrics of a traced storm and heal run must be their events
+//!   folded (`common/fold.rs`), but for the four values no event carries;
 //! * a traced storm run must export valid Perfetto JSON (one track per
 //!   physical rank, at least one matched send/recv flow pair);
 //! * the validation sidecar's per-rank α must match the trace analyzer's
@@ -19,6 +21,9 @@ use redcr::core::{ExecutorConfig, ModelValidation, ResilientExecutor};
 use redcr::metrics::{CounterKey, HistKey};
 use redcr::sweep::spec::fnv1a;
 use redcr::trace::{perfetto, Analysis};
+
+#[path = "common/fold.rs"]
+mod fold;
 
 fn cg_app(n: usize, iterations: u64, pad: f64) -> CgApp {
     CgApp::new(CgConfig::small(n), iterations).with_step_pad(pad)
@@ -180,6 +185,21 @@ fn heal_counters_agree_with_report_and_toggle_is_bit_identical() {
     let h = t.histogram(HistKey::HealLatency);
     assert_eq!(h.count(), on.respawns);
     assert!((h.sum() - on.heal_latency_seconds).abs() < 1e-9);
+}
+
+/// The storm restarts and restores, the heal run suspects and respawns:
+/// the kinds the gate scenario never emits fold like the rest.
+#[test]
+fn failure_and_heal_metrics_are_folds_over_the_trace() {
+    let storm = storm_config().tracing(true).metrics(true);
+    let report = ResilientExecutor::new(storm).run(&cg_app(32, 30, 1.0)).unwrap();
+    assert!(report.failures > 0 && report.masked_failures > 0);
+    fold::assert_metrics_fold_the_trace("storm", &report);
+
+    let heal = heal_config().tracing(true).metrics(true);
+    let report = ResilientExecutor::new(heal).run(&cg_app(32, 20, 1.0)).unwrap();
+    assert!(report.respawns > 0);
+    fold::assert_metrics_fold_the_trace("heal", &report);
 }
 
 #[test]

@@ -101,13 +101,7 @@ impl<'a, C: Communicator> CountingComm<'a, C> {
 
     /// Position of the oldest stashed message matching `src`/`tag`.
     fn stash_position(&self, src: RankSelector, tag: TagSelector) -> Option<usize> {
-        self.stash.borrow().iter().position(|m| {
-            src.matches(Rank::new(m.src))
-                && match tag {
-                    TagSelector::Tag(t) => t.value() == m.tag,
-                    TagSelector::Any => true,
-                }
-        })
+        self.stash.borrow().iter().position(|m| src.matches(Rank::new(m.src)) && tag.matches(m.tag))
     }
 
     /// The status a stashed message is received or probed with.

@@ -92,11 +92,6 @@ impl<'a> ReplicaComm<'a> {
         self
     }
 
-    /// Number of corruptions this replica has injected (diagnostics).
-    pub fn corruptions_injected(&self) -> u64 {
-        self.corruption.as_ref().map_or(0, CorruptionInjector::injected)
-    }
-
     /// Applies the SDC injector to one outgoing physical copy.
     fn maybe_corrupt(&self, data: Bytes) -> Bytes {
         let Some(injector) = &self.corruption else { return data };
@@ -113,16 +108,6 @@ impl<'a> ReplicaComm<'a> {
     /// This process's virtual rank (same as [`Communicator::rank`]).
     pub fn virtual_rank(&self) -> Rank {
         self.my_virtual
-    }
-
-    /// This process's replica index within its sphere (0 = primary).
-    pub fn replica_index(&self) -> usize {
-        self.my_replica
-    }
-
-    /// This process's physical world rank.
-    pub fn physical_rank(&self) -> Rank {
-        self.base.rank()
     }
 
     /// The virtual↔physical map.

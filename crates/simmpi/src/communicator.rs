@@ -146,23 +146,6 @@ pub trait Communicator {
         self.recv_ns(src, tag, Namespace::User)
     }
 
-    /// Combined send and receive (both complete before returning).
-    ///
-    /// # Errors
-    ///
-    /// See [`send_ns`](Self::send_ns) and [`recv_ns`](Self::recv_ns).
-    fn sendrecv(
-        &self,
-        dest: Rank,
-        send_tag: Tag,
-        data: &[u8],
-        src: RankSelector,
-        recv_tag: TagSelector,
-    ) -> Result<(Bytes, Status)> {
-        self.send(dest, send_tag, data)?;
-        self.recv(src, recv_tag)
-    }
-
     /// Blocking probe: waits until a matching user-namespace message is
     /// available and returns its status without consuming it.
     ///

@@ -17,9 +17,10 @@
 //! provided on top — so a layer that interposes (the replication layer,
 //! the checkpoint service's message counter) implements the ten and
 //! inherits the rest. [`Comm`] is the one concrete communicator: the world
-//! every rank closure receives and, through [`Comm::split`] /
-//! [`Comm::dup`], the communicators derived from it. [`Request`] is the one
-//! handle type for pending non-blocking operations, on every layer.
+//! every rank closure receives. Nothing derives others from it; tag
+//! namespaces and the replication layer's rank map isolate traffic inside
+//! the one world. [`Request`] is the one handle type for pending
+//! non-blocking operations, on every layer.
 //!
 //! ## Virtual time
 //!
@@ -106,9 +107,8 @@ pub use redcr_metrics as metrics;
 /// it off is bit-identical to one without it compiled in at all.
 pub use redcr_prof as prof;
 
-/// The concrete communicator. `SubComm` is the same type under the name
-/// that says "derived by `split` / `dup`".
-pub use comm::{Comm, SubComm};
+/// The concrete communicator: the world.
+pub use comm::Comm;
 /// The MPI-like call surface every communicator layer implements.
 pub use communicator::Communicator;
 pub use error::{MpiError, Result};

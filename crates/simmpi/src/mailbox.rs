@@ -137,41 +137,27 @@ type ChannelMap = HashMap<(Rank, WireTag), VecDeque<(u64, Envelope)>, BuildHashe
 /// What a receive is looking for, structurally — replaces the opaque
 /// predicate closures of the flat mailbox so matching can be indexed.
 #[derive(Clone, Copy)]
-pub struct MatchSpec<'a> {
-    /// Communicator id the receive is posted on.
-    pub comm_id: u16,
+pub struct MatchSpec {
     /// Namespace the receive is posted in.
     pub ns: Namespace,
-    /// Source selector (world ranks).
+    /// Source selector.
     pub src: RankSelector,
     /// Tag selector.
     pub tag: TagSelector,
-    /// Membership filter for `ANY_SOURCE` on derived communicators: the
-    /// group's world-rank → group-rank table, in which a source outside
-    /// the group has no entry and never matches. Irrelevant (and skipped)
-    /// for specific-source receives, whose source is pre-validated.
-    pub member: Option<&'a [Option<u32>]>,
 }
 
-impl MatchSpec<'_> {
+impl MatchSpec {
     /// Whether envelopes in the channel `(src, wire)` match this spec.
     fn matches_channel(&self, src: Rank, wire: WireTag) -> bool {
-        if wire.comm_id() != self.comm_id || wire.namespace() != self.ns as u64 {
-            return false;
-        }
-        let tag_ok = match self.tag {
-            TagSelector::Tag(t) => wire.value() == t.value(),
-            TagSelector::Any => true,
-        };
-        tag_ok && self.src.matches(src) && self.member.is_none_or(|m| m[src.index()].is_some())
+        wire.namespace() == self.ns as u64
+            && self.tag.matches(wire.value())
+            && self.src.matches(src)
     }
 
     /// The unique channel key when both source and tag are specific.
     fn exact_key(&self) -> Option<(Rank, WireTag)> {
         match (self.src, self.tag) {
-            (RankSelector::Rank(src), TagSelector::Tag(tag)) => {
-                Some((src, tag.wire(self.comm_id, self.ns)))
-            }
+            (RankSelector::Rank(src), TagSelector::Tag(tag)) => Some((src, tag.wire(self.ns))),
             _ => None,
         }
     }
@@ -195,7 +181,7 @@ impl Interest {
     /// The interest of a wait on `specs`. A set of several registers the
     /// coarsest interest there is — any push, any death — and leaves the
     /// sorting-out to the re-check.
-    fn from_specs(specs: &[MatchSpec<'_>]) -> Self {
+    fn from_specs(specs: &[MatchSpec]) -> Self {
         let [spec] = specs else {
             return Interest { src: None, wire: None, any_death: true };
         };
@@ -203,13 +189,9 @@ impl Interest {
             RankSelector::Rank(r) => Some(r),
             RankSelector::Any => None,
         };
+        // A wildcard-source receive keeps the coarse interest: any push.
         let wire = match (spec.src, spec.tag) {
-            // Only pin the wire tag when the source is also specific; a
-            // wildcard-source receive may be satisfied by several comm
-            // ids' tags and coarse matching keeps the push check exact
-            // enough (same tag value check below would be wrong across
-            // communicators — keep it simple and wake on any push).
-            (RankSelector::Rank(_), TagSelector::Tag(t)) => Some(t.wire(spec.comm_id, spec.ns)),
+            (RankSelector::Rank(_), TagSelector::Tag(t)) => Some(t.wire(spec.ns)),
             _ => None,
         };
         Interest { src, wire, any_death: false }
@@ -428,7 +410,7 @@ impl Inner {
     /// The key of the channel holding the globally-oldest envelope
     /// matching `spec`, considering only channel fronts (sufficient: all
     /// envelopes in one channel are match-equivalent).
-    fn best_channel(&self, spec: &MatchSpec<'_>) -> Option<(Rank, WireTag)> {
+    fn best_channel(&self, spec: &MatchSpec) -> Option<(Rank, WireTag)> {
         if let Some(key) = spec.exact_key() {
             return self.channels.contains_key(&key).then_some(key);
         }
@@ -446,12 +428,12 @@ impl Inner {
         best.map(|(_, key)| key)
     }
 
-    fn take_match(&mut self, spec: &MatchSpec<'_>) -> Option<Envelope> {
+    fn take_match(&mut self, spec: &MatchSpec) -> Option<Envelope> {
         let key = self.best_channel(spec)?;
         self.pop_channel(&key)
     }
 
-    fn peek_match(&self, spec: &MatchSpec<'_>) -> Option<PeekInfo> {
+    fn peek_match(&self, spec: &MatchSpec) -> Option<PeekInfo> {
         let key = self.best_channel(spec)?;
         // detlint::allow(R4, reason = "invariant: best_channel only returns keys of stored (hence non-empty) channels")
         let (_, env) = self.channels[&key].front().expect("channels never store empty queues");
@@ -567,7 +549,7 @@ impl Mailbox {
     /// `redcr-sched` task (see the module docs).
     fn wait_match<T>(
         &self,
-        specs: &[MatchSpec<'_>],
+        specs: &[MatchSpec],
         is_aborted: impl Fn() -> bool,
         dead_src: impl Fn() -> Option<Rank>,
         obs: &Obs,
@@ -652,7 +634,7 @@ impl Mailbox {
     /// through the scheduler and nothing else (see the module docs).
     pub fn recv_match(
         &self,
-        spec: &MatchSpec<'_>,
+        spec: &MatchSpec,
         is_aborted: impl Fn() -> bool,
         dead_src: impl Fn() -> Option<Rank>,
         obs: &Obs,
@@ -668,7 +650,7 @@ impl Mailbox {
 
     /// Non-blocking variant of [`recv_match`](Self::recv_match): removes
     /// and returns the oldest match, or `None` if nothing matches now.
-    pub fn try_recv_match(&self, spec: &MatchSpec<'_>) -> Option<Envelope> {
+    pub fn try_recv_match(&self, spec: &MatchSpec) -> Option<Envelope> {
         self.inner.lock().take_match(spec)
     }
 
@@ -681,7 +663,7 @@ impl Mailbox {
     /// scheduler-task precondition.
     pub fn peek_any(
         &self,
-        specs: &[MatchSpec<'_>],
+        specs: &[MatchSpec],
         is_aborted: impl Fn() -> bool,
         dead_src: impl Fn() -> Option<Rank>,
         obs: &Obs,
@@ -693,7 +675,7 @@ impl Mailbox {
 
     /// Non-blocking probe: metadata of the oldest matching envelope, if
     /// any, without cloning it.
-    pub fn try_peek_match(&self, spec: &MatchSpec<'_>) -> Option<PeekInfo> {
+    pub fn try_peek_match(&self, spec: &MatchSpec) -> Option<PeekInfo> {
         self.inner.lock().peek_match(spec)
     }
 
@@ -758,25 +740,25 @@ mod tests {
     fn env(src: u32, tag: u64, data: &'static [u8]) -> Envelope {
         Envelope {
             src: Rank::new(src),
-            wire_tag: Tag::new(tag).wire(0, Namespace::User),
+            wire_tag: Tag::new(tag).wire(Namespace::User),
             payload: Bytes::from_static(data),
             send_time: 0.0,
         }
     }
 
-    fn spec(src: RankSelector, tag: TagSelector) -> MatchSpec<'static> {
-        MatchSpec { comm_id: 0, ns: Namespace::User, src, tag, member: None }
+    fn spec(src: RankSelector, tag: TagSelector) -> MatchSpec {
+        MatchSpec { ns: Namespace::User, src, tag }
     }
 
-    fn from_rank(src: u32) -> MatchSpec<'static> {
+    fn from_rank(src: u32) -> MatchSpec {
         spec(RankSelector::Rank(Rank::new(src)), TagSelector::Any)
     }
 
-    fn exact(src: u32, tag: u64) -> MatchSpec<'static> {
+    fn exact(src: u32, tag: u64) -> MatchSpec {
         spec(RankSelector::Rank(Rank::new(src)), TagSelector::Tag(Tag::new(tag)))
     }
 
-    fn any() -> MatchSpec<'static> {
+    fn any() -> MatchSpec {
         spec(RankSelector::Any, TagSelector::Any)
     }
 
@@ -840,6 +822,34 @@ mod tests {
             mb.try_recv_match(&spec(RankSelector::Any, TagSelector::Tag(Tag::new(1)))).unwrap();
         assert_eq!(&got.payload[..], b"wanted");
         assert_eq!(mb.len(), 1, "non-matching message stays queued");
+    }
+
+    #[test]
+    fn user_receives_never_take_collective_or_protocol_traffic() {
+        let zero = Rank::new(0);
+        let in_ns = |ns| Envelope { wire_tag: Tag::new(5).wire(ns), ..env(0, 0, b"other") };
+        let by_tag = spec(RankSelector::Any, TagSelector::Tag(Tag::new(5)));
+        let user = [any(), from_rank(0), by_tag, exact(0, 5)];
+        let mb = Mailbox::new();
+        for ns in [Namespace::Collective, Namespace::Protocol] {
+            let wire = Tag::new(5).wire(ns);
+            for s in &user {
+                assert!(!s.matches_channel(zero, wire), "{ns:?} seen by a user receive");
+            }
+            assert!(MatchSpec { ns, ..by_tag }.matches_channel(zero, wire));
+            push(&mb, in_ns(ns));
+        }
+        for s in &user {
+            assert!(mb.try_peek_match(s).is_none());
+            assert!(mb.try_recv_match(s).is_none());
+        }
+        push(&mb, env(0, 5, b"user"));
+        for s in &user {
+            assert!(s.matches_channel(zero, Tag::new(5).wire(Namespace::User)));
+            assert_eq!(mb.try_peek_match(s).unwrap().len, 4);
+        }
+        assert_eq!(&mb.try_recv_match(&any()).unwrap().payload[..], b"user");
+        assert_eq!(mb.len(), 2, "the other namespaces' envelopes stay queued");
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod tests {
     fn envelope_len() {
         let e = Envelope {
             src: Rank::new(1),
-            wire_tag: Tag::new(3).wire(0, Namespace::User),
+            wire_tag: Tag::new(3).wire(Namespace::User),
             payload: Bytes::from_static(b"abc"),
             send_time: 0.0,
         };

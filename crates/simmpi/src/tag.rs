@@ -2,14 +2,18 @@
 //!
 //! The wire tag is a `u64` partitioned into namespaces so that user
 //! messages, collective traffic, replication-protocol traffic and
-//! checkpoint-protocol traffic can never be confused, and so that distinct
-//! communicators (from `split`/`dup`) are isolated:
+//! checkpoint-protocol traffic can never be confused:
 //!
 //! ```text
-//! bits 63..48   communicator id (16 bits)
+//! bits 63..48   zero
 //! bits 47..46   namespace: 0 = user, 1 = collective, 2 = protocol
 //! bits 45..0    tag value (user tag or sequence number)
 //! ```
+//!
+//! There is one communicator, the world, so the wire tag carries no
+//! communicator id (ROADMAP aim 2: the same behaviour from the least
+//! code). The namespaces and the replication layer's virtual↔physical map
+//! isolate traffic inside it, as RedMPI does inside one `MPI_COMM_WORLD`.
 
 use std::fmt;
 
@@ -19,7 +23,6 @@ pub const TAG_VALUE_BITS: u32 = 46;
 pub const MAX_USER_TAG: u64 = (1 << TAG_VALUE_BITS) - 1;
 
 const NAMESPACE_SHIFT: u32 = TAG_VALUE_BITS;
-const COMM_SHIFT: u32 = 48;
 
 /// Internal tag namespaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,9 +65,9 @@ impl Tag {
         }
     }
 
-    /// Builds a namespaced wire tag for communicator `comm_id`.
-    pub(crate) fn wire(self, comm_id: u16, ns: Namespace) -> WireTag {
-        WireTag(((comm_id as u64) << COMM_SHIFT) | ((ns as u64) << NAMESPACE_SHIFT) | self.0)
+    /// Builds the wire tag of this tag in namespace `ns`.
+    pub(crate) fn wire(self, ns: Namespace) -> WireTag {
+        WireTag(((ns as u64) << NAMESPACE_SHIFT) | self.0)
     }
 
     /// The raw in-namespace tag value.
@@ -91,8 +94,7 @@ impl From<u32> for Tag {
     }
 }
 
-/// A fully-resolved tag as it appears on the wire (communicator id +
-/// namespace + value).
+/// A fully-resolved tag as it appears on the wire (namespace + value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WireTag(pub(crate) u64);
 
@@ -111,11 +113,6 @@ impl WireTag {
     pub fn namespace(self) -> u64 {
         (self.0 >> NAMESPACE_SHIFT) & 0b11
     }
-
-    /// The communicator id bits.
-    pub fn comm_id(self) -> u16 {
-        (self.0 >> COMM_SHIFT) as u16
-    }
 }
 
 /// Tag selector for receive operations: a specific tag or the wildcard
@@ -124,25 +121,21 @@ impl WireTag {
 pub enum TagSelector {
     /// Match messages with this tag only.
     Tag(Tag),
-    /// Match any user tag (`MPI_ANY_TAG`). Only matches user-namespace
-    /// messages — protocol and collective traffic is never visible to
-    /// wildcard receives.
+    /// Match any tag (`MPI_ANY_TAG`) in the receive's namespace. A user
+    /// receive is posted in the user namespace, so collective and protocol
+    /// traffic is never visible to it.
     Any,
 }
 
 impl TagSelector {
-    /// Whether this selector matches wire tag `wt` within communicator
-    /// `comm_id`. User-namespace messages only: protocol and collective
-    /// traffic is never visible to user-level selectors.
-    pub fn matches(self, wt: WireTag, comm_id: u16) -> bool {
-        if wt.comm_id() != comm_id {
-            return false;
-        }
+    /// Whether this selector admits a message with tag value `value`: a
+    /// specific tag compares the value, `Any` admits every value. The
+    /// namespace is the matcher's to check (the mailbox compares it per
+    /// receive; a checkpoint stash holds user messages only).
+    pub fn matches(self, value: u64) -> bool {
         match self {
-            TagSelector::Tag(t) => {
-                wt.namespace() == Namespace::User as u64 && wt.value() == t.value()
-            }
-            TagSelector::Any => wt.namespace() == Namespace::User as u64,
+            TagSelector::Tag(t) => t.value() == value,
+            TagSelector::Any => true,
         }
     }
 }
@@ -166,10 +159,9 @@ mod tests {
     #[test]
     fn wire_layout_round_trips() {
         let t = Tag::new(12345);
-        let wt = t.wire(7, Namespace::Collective);
+        let wt = t.wire(Namespace::Collective);
         assert_eq!(wt.value(), 12345);
         assert_eq!(wt.namespace(), Namespace::Collective as u64);
-        assert_eq!(wt.comm_id(), 7);
         assert_eq!(wt.user_tag(), t);
     }
 
@@ -186,21 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn selector_respects_namespace_and_comm() {
-        let user = Tag::new(5).wire(1, Namespace::User);
-        let coll = Tag::new(5).wire(1, Namespace::Collective);
-        let other_comm = Tag::new(5).wire(2, Namespace::User);
-        assert!(TagSelector::Tag(Tag::new(5)).matches(user, 1));
-        assert!(!TagSelector::Tag(Tag::new(5)).matches(coll, 1));
-        assert!(!TagSelector::Tag(Tag::new(5)).matches(other_comm, 1));
-        assert!(TagSelector::Any.matches(user, 1));
-        assert!(!TagSelector::Any.matches(coll, 1));
-    }
-
-    #[test]
     fn namespaces_are_disjoint_for_same_value() {
-        let a = Tag::new(9).wire(0, Namespace::User);
-        let b = Tag::new(9).wire(0, Namespace::Protocol);
+        let a = Tag::new(9).wire(Namespace::User);
+        let b = Tag::new(9).wire(Namespace::Protocol);
         assert_ne!(a, b);
     }
 }

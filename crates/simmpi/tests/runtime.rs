@@ -405,64 +405,6 @@ fn app_error_aborts_peers() {
 }
 
 #[test]
-fn split_isolates_groups_and_renumbers() {
-    let report = World::builder(6)
-        .cost_model(CostModel::zero())
-        .run(|comm| {
-            let color = (comm.rank().index() % 2) as u64; // evens, odds
-            let sub = comm.split(color, comm.rank().index() as u64)?;
-            assert_eq!(sub.size(), 3);
-            // Sum of world ranks within the subgroup.
-            let sum = sub.allreduce_u64(&[comm.rank().index() as u64], ReduceOp::Sum)?;
-            Ok((sub.rank().index(), sum[0]))
-        })
-        .unwrap();
-    let results = report.into_results().unwrap();
-    for (world, (sub_rank, sum)) in results.iter().enumerate() {
-        assert_eq!(*sub_rank, world / 2);
-        let expect = if world % 2 == 0 { 2 + 4 } else { 1 + 3 + 5 };
-        assert_eq!(*sum, expect, "world rank {world}");
-    }
-}
-
-#[test]
-fn split_key_reorders_ranks() {
-    let report = World::builder(4)
-        .cost_model(CostModel::zero())
-        .run(|comm| {
-            // Same color, key reversing the order.
-            let key = (comm.size() - comm.rank().index()) as u64;
-            let sub = comm.split(0, key)?;
-            Ok(sub.rank().index())
-        })
-        .unwrap();
-    assert_eq!(report.into_results().unwrap(), vec![3, 2, 1, 0]);
-}
-
-#[test]
-fn dup_isolates_tag_space() {
-    let report = World::builder(2)
-        .cost_model(CostModel::zero())
-        .run(|comm| {
-            let dup = comm.dup()?;
-            if comm.rank().index() == 0 {
-                // Same tag on both communicators; receivers must not cross.
-                comm.send(Rank::new(1), tag(9), b"world")?;
-                dup.send(Rank::new(1), tag(9), b"dup")?;
-                Ok((Vec::new(), Vec::new()))
-            } else {
-                let (from_dup, _) = dup.recv(Rank::new(0).into(), tag(9).into())?;
-                let (from_world, _) = comm.recv(Rank::new(0).into(), tag(9).into())?;
-                Ok((from_world.to_vec(), from_dup.to_vec()))
-            }
-        })
-        .unwrap();
-    let results = report.into_results().unwrap();
-    assert_eq!(results[1].0, b"world".to_vec());
-    assert_eq!(results[1].1, b"dup".to_vec());
-}
-
-#[test]
 fn message_statistics_counted() {
     let report = World::builder(2)
         .cost_model(CostModel::zero())
@@ -632,48 +574,6 @@ fn waitany_returns_the_ready_request() {
                 .unwrap_or_else(|_| panic!("{workers} workers, {yields} yields: hung or failed"));
         }
     }
-}
-
-#[test]
-fn split_and_dup_of_a_derived_communicator_are_refused_before_any_traffic() {
-    let report = World::builder(4)
-        .cost_model(CostModel::zero())
-        .run(|comm| {
-            assert_eq!(comm.members(), (0..4).map(Rank::new).collect::<Vec<_>>());
-            let halves = comm.split((comm.rank().index() / 2) as u64, 0)?;
-            let whole = comm.dup()?;
-            comm.barrier()?; // every derivation's traffic is behind us
-            Ok((comm.members(), halves.members(), whole.members()))
-        })
-        .unwrap();
-    let derived_traffic = report.messages_sent;
-    let lists = report.into_results().unwrap();
-    for (world, (all, half, whole)) in lists.iter().enumerate() {
-        assert_eq!(all, whole);
-        let base = (world / 2 * 2) as u32;
-        assert_eq!(half, &[Rank::new(base), Rank::new(base + 1)]);
-    }
-
-    // The same run, with every refused call added: not one message more.
-    let report = World::builder(4)
-        .cost_model(CostModel::zero())
-        .run(|comm| {
-            let halves = comm.split((comm.rank().index() / 2) as u64, 0)?;
-            let whole = comm.dup()?;
-            comm.barrier()?;
-            for derived in [&halves, &whole] {
-                for refused in [derived.split(0, 0), derived.dup()] {
-                    assert!(
-                        matches!(refused, Err(MpiError::CollectiveMismatch { .. })),
-                        "got {refused:?}"
-                    );
-                }
-            }
-            Ok(())
-        })
-        .unwrap();
-    assert_eq!(report.messages_sent, derived_traffic);
-    report.into_results().unwrap();
 }
 
 /// FNV-1a, 64-bit.

@@ -1,4 +1,4 @@
-//! Output helpers: results directory, aligned tables, CSV.
+//! Output helpers: results directory, aligned tables.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -89,27 +89,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders as CSV (RFC 4180: cells containing a comma, double quote,
-    /// or line break are quoted, with embedded quotes doubled).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        for row in std::iter::once(&self.header).chain(&self.rows) {
-            let cells: Vec<String> = row.iter().map(|c| csv_escape(c)).collect();
-            let _ = writeln!(out, "{}", cells.join(","));
-        }
-        out
-    }
-}
-
-/// Quotes `cell` per RFC 4180 when it contains a delimiter, quote, or
-/// line break; returns it unchanged otherwise.
-fn csv_escape(cell: &str) -> String {
-    if cell.contains(['"', ',', '\n', '\r']) {
-        format!("\"{}\"", cell.replace('"', "\"\""))
-    } else {
-        cell.to_string()
-    }
 }
 
 /// Formats minutes with one decimal, or `"div"` for divergent entries.
@@ -125,40 +104,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_aligns_and_csvs() {
+    fn table_aligns() {
         let mut t = TextTable::new().header(["a", "bbbb"]);
         t.row(["1", "2"]);
         t.row(["333", "4"]);
         let s = t.render();
         assert!(s.contains("a  bbbb"), "{s}");
         assert!(s.lines().count() >= 4);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().next().unwrap(), "a,bbbb");
-        assert_eq!(csv.lines().count(), 3);
-    }
-
-    #[test]
-    fn csv_escapes_delimiters_quotes_and_newlines() {
-        let mut t = TextTable::new().header(["label", "note"]);
-        t.row(["MTBF 6, 12 h", "plain"]);
-        t.row(["say \"daly\"", "line1\nline2"]);
-        let csv = t.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), "label,note");
-        // A comma inside a cell must not create a third column.
-        assert_eq!(lines.next().unwrap(), "\"MTBF 6, 12 h\",plain");
-        // Embedded quotes double; the embedded newline stays inside the
-        // quoted cell, so the record spans two physical lines.
-        assert_eq!(lines.next().unwrap(), "\"say \"\"daly\"\"\",\"line1");
-        assert_eq!(lines.next().unwrap(), "line2\"");
-        assert!(lines.next().is_none());
-    }
-
-    #[test]
-    fn csv_leaves_plain_cells_unquoted() {
-        let mut t = TextTable::new().header(["a", "b"]);
-        t.row(["1.5", "ok"]);
-        assert_eq!(t.to_csv(), "a,b\n1.5,ok\n");
     }
 
     #[test]

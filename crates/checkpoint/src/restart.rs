@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::storage::{SnapshotKey, StableStorage};
+use crate::storage::StableStorage;
 use crate::Result;
 
 /// Finds the highest checkpoint sequence number for which all `n_ranks`
@@ -31,20 +31,10 @@ pub fn latest_complete(storage: &dyn StableStorage, n_ranks: u32) -> Result<Opti
     Ok(per_seq.into_iter().filter(|&(_, count)| count >= n_ranks).map(|(seq, _)| seq).next_back())
 }
 
-/// Loads every rank's raw image bytes for checkpoint `seq`.
-///
-/// # Errors
-///
-/// Returns [`CkptError::NotFound`](crate::CkptError::NotFound) if any rank
-/// image is missing.
-pub fn load_all(storage: &dyn StableStorage, seq: u64, n_ranks: u32) -> Result<Vec<Vec<u8>>> {
-    (0..n_ranks).map(|rank| storage.load(SnapshotKey::new(seq, rank))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemoryStorage;
+    use crate::storage::{MemoryStorage, SnapshotKey};
 
     #[test]
     fn empty_storage_has_no_checkpoint() {
@@ -134,15 +124,5 @@ mod tests {
             answers.push(latest_complete(&s, 3).unwrap());
         }
         assert!(answers.iter().all(|a| *a == Some(3)), "order-dependent result: {answers:?}");
-    }
-
-    #[test]
-    fn load_all_returns_rank_order() {
-        let s = MemoryStorage::new();
-        s.store(SnapshotKey::new(1, 0), b"zero").unwrap();
-        s.store(SnapshotKey::new(1, 1), b"one").unwrap();
-        let all = load_all(&s, 1, 2).unwrap();
-        assert_eq!(all, vec![b"zero".to_vec(), b"one".to_vec()]);
-        assert!(load_all(&s, 1, 3).is_err());
     }
 }

@@ -139,11 +139,6 @@ impl MemoryStorage {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Total bytes currently stored.
-    pub fn total_bytes(&self) -> usize {
-        self.images.lock().values().map(Vec::len).sum()
-    }
 }
 
 impl StableStorage for MemoryStorage {
@@ -211,7 +206,9 @@ impl StableStorage for DiskStorage {
         // is why the executor stamps them with the agreed cut
         // (`CheckpointCoordinator::checkpoint_at`), not each replica's clock.
         static WRITER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        // detlint::allow(R6, reason = "pure uniqueness counter: the value only names a temp file and orders nothing cross-thread; fetch_add is atomic at every ordering")
+        // Relaxed suffices for a pure uniqueness counter: the value only
+        // names a temp file and orders nothing cross-thread; fetch_add is
+        // atomic at every ordering.
         let writer = WRITER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let final_path = self.dir.join(key.file_name());
         let tmp_path = self.dir.join(format!("{}.{writer}.tmp", key.file_name()));
@@ -294,7 +291,7 @@ mod tests {
     fn memory_storage_contract() {
         let s = MemoryStorage::new();
         exercise(&s);
-        assert_eq!(s.total_bytes(), 0);
+        assert!(s.list().unwrap().is_empty());
     }
 
     #[test]

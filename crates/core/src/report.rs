@@ -79,11 +79,6 @@ pub struct ExecutionReport<S> {
 }
 
 impl<S> ExecutionReport<S> {
-    /// Simulated wallclock in virtual hours.
-    pub fn total_hours(&self) -> f64 {
-        self.total_virtual_time / 3600.0
-    }
-
     /// A one-screen human-readable summary: the [`Display`](fmt::Display)
     /// block plus, when the metrics plane ran, a compact metrics section
     /// (votes, checkpoint commit latency, message latency with
@@ -203,7 +198,6 @@ mod tests {
         assert!(s.contains('3'));
         assert!(s.contains("respawns"));
         assert!(s.contains("1.250"));
-        assert!((report.total_hours() - 12.5 / 3600.0).abs() < 1e-15);
         // Without metrics, summarize() is exactly the Display block.
         assert_eq!(report.summarize(), s);
     }

@@ -1,4 +1,4 @@
-//! Whole-workspace call graph and the interprocedural rules R7–R10.
+//! Whole-workspace call graph and the interprocedural rules R7–R9.
 //!
 //! Built on the [`crate::parser`] AST: every call site is resolved against
 //! an index of all parsed functions (alias-expanded path calls, method
@@ -23,14 +23,11 @@
 //! * **R9 stack-budget** — per-coroutine-root max-stack bound (frame
 //!   estimates summed along the deepest call chain) against the
 //!   `[stack_budget]` budget in `detlint.toml`, plus recursion-cycle
-//!   reports (a cycle makes the bound unbounded);
-//! * **R10 non-cooperative-spin** — a `loop`/`while` in coroutine-reachable
-//!   code none of whose body calls can reach a yield, park, or recv
-//!   (`for` loops are bounded by their iterator and exempt).
+//!   reports (a cycle makes the bound unbounded).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::parser::{Callee, FnDef, LoopKind, Workspace};
+use crate::parser::{Callee, FnDef, Workspace};
 use crate::report::{CallEdge, CallGraph, RootBound, Violation};
 use crate::rules::finding;
 
@@ -41,7 +38,7 @@ use crate::rules::finding;
 const SPAWNER_SEGMENTS: &[&str] = &["run_batch", "run"];
 
 /// OS-blocking fully-qualified path prefixes (matched after alias
-/// expansion, on `::` boundaries like the R1–R3 tables).
+/// expansion, on `::` boundaries).
 const BLOCKING_PATHS: &[&str] = &[
     "std::thread::sleep",
     "std::thread::park",
@@ -130,7 +127,7 @@ const STD_METHOD_NAMES: &[&str] = &[
 /// Result of the interprocedural pass.
 #[derive(Debug, Default)]
 pub struct Analysis {
-    /// R7–R10 findings (unsuppressed; suppressions apply later).
+    /// R7–R9 findings (unsuppressed; suppressions apply later).
     pub violations: Vec<Violation>,
     /// The artifact: nodes/edges/roots with stack bounds.
     pub artifact: CallGraph,
@@ -142,8 +139,8 @@ enum Target {
     /// (receiver/owner/path match — at most a couple of candidates).
     Workspace(Vec<usize>),
     /// Trait-dispatch site widened to every same-named impl (CHA
-    /// over-approximation). Effects (`can_park`, coroutine membership,
-    /// R10 cooperativity) propagate through these edges, but the R9 depth
+    /// over-approximation). Effects (`can_park`, coroutine membership)
+    /// propagate through these edges, but the R9 depth
     /// chain does not recurse *through* them: delegation wrappers
     /// (`self.inner.recv_ns(…)`) would union with their sibling impls and
     /// manufacture recursion cycles that poison every stack bound. A
@@ -371,38 +368,6 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
         }
     }
 
-    // ----- R10: loops that cannot yield -------------------------------
-    for (i, f) in fns.iter().enumerate() {
-        if !coroutine[i] {
-            continue;
-        }
-        for (li, lp) in f.loops.iter().enumerate() {
-            if lp.kind == LoopKind::For {
-                continue;
-            }
-            let cooperative = f.calls.iter().enumerate().any(|(ci, call)| {
-                call.loops.contains(&li)
-                    && match &targets[i][ci] {
-                        Target::Workspace(cands) | Target::Dispatch(cands) => {
-                            cands.iter().any(|&c| can_park[c])
-                        }
-                        // An unknown callee may yield: stay quiet rather
-                        // than flood callback-driven loops.
-                        Target::Dynamic(_) => true,
-                        _ => false,
-                    }
-            });
-            if !cooperative {
-                let kw = if lp.kind == LoopKind::Loop { "loop" } else { "while" };
-                let message = format!(
-                    "`{kw}` in coroutine-reachable `{}` can iterate without reaching a yield, park, or recv",
-                    f.name
-                );
-                out.violations.push(finding("R10", &f.file, lp.line, false, message));
-            }
-        }
-    }
-
     // ----- artifact ---------------------------------------------------
     out.artifact.functions = n;
     let mut seen = BTreeSet::new();
@@ -468,8 +433,8 @@ fn encloses(f: usize, caller: usize, fns: &[FnDef]) -> bool {
     std::iter::successors(Some(caller), |&i| fns[i].parent).any(|i| i == f)
 }
 
-/// Resolves the call sites of `fns[caller]`. Alias expansion mirrors the
-/// R1–R3 resolver.
+/// Resolves the call sites of `fns[caller]`, expanding the leading
+/// segment of a path through the file's alias map.
 ///
 /// Precision policy (the soundness caveats documented in DESIGN §4f):
 /// `self.m()` / `Self::m()` resolve through the caller's impl type;
@@ -556,7 +521,7 @@ fn resolve(
                     segs[0] = owner.to_string();
                 }
             }
-            // Expand the leading alias like the banned-path resolver.
+            // Expand the leading alias.
             let full: Vec<String> = match aliases.get(&segs[0]) {
                 Some(exp) => {
                     let mut v: Vec<String> = exp.split("::").map(str::to_string).collect();

@@ -9,20 +9,15 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Which rule set applies to a file, derived from its crate.
+/// Whether detlint's rules apply to a file, derived from its crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Domain {
-    /// Rank-thread hot path (`simmpi`, `redundancy`): all virtual-time
-    /// rules plus the no-panic rule R4.
-    Hot,
-    /// Virtual-time domain: determinism rules R1–R3 and the atomics
-    /// advisory R6; participates in the lock-order graph R5.
-    Virtual,
-    /// The one domain allowed to read wall clocks (`bench`): exempt from
-    /// R1–R4/R6 (it measures the host, not the simulation).
-    Wallclock,
-    /// Repo tooling (the linter itself): exempt from file rules.
-    Tooling,
+    /// Library code: parsed into the lock graph (R5) and the call graph
+    /// (R7–R9). Every crate not named in `detlint.toml` is checked.
+    Checked,
+    /// A crate that measures the host or is the linter itself (`bench`,
+    /// `prof`, `lint`): not parsed, so no rule sees it.
+    Exempt,
     /// Test / example / fixture code: exempt (the determinism contract
     /// binds the library, not the harness poking it).
     Test,
@@ -32,10 +27,8 @@ impl Domain {
     /// Parses the domain name used in `detlint.toml`.
     pub fn parse(s: &str) -> Option<Domain> {
         match s {
-            "hot" => Some(Domain::Hot),
-            "virtual" => Some(Domain::Virtual),
-            "wallclock" => Some(Domain::Wallclock),
-            "tooling" => Some(Domain::Tooling),
+            "checked" => Some(Domain::Checked),
+            "exempt" => Some(Domain::Exempt),
             "test" => Some(Domain::Test),
             _ => None,
         }
@@ -44,10 +37,8 @@ impl Domain {
     /// Name as written in config / reports.
     pub fn name(self) -> &'static str {
         match self {
-            Domain::Hot => "hot",
-            Domain::Virtual => "virtual",
-            Domain::Wallclock => "wallclock",
-            Domain::Tooling => "tooling",
+            Domain::Checked => "checked",
+            Domain::Exempt => "exempt",
             Domain::Test => "test",
         }
     }
@@ -143,7 +134,7 @@ impl Config {
     /// Any path containing a `tests`, `benches`, `examples`, or `fixtures`
     /// component is test-domain regardless of crate; `crates/<name>/src`
     /// resolves through the config; the top-level `src/` is the `root`
-    /// entry (virtual-time by default — the conservative choice).
+    /// entry. Unlisted crates are checked — the conservative choice.
     pub fn domain_for(&self, rel: &Path) -> Domain {
         let comps: Vec<&str> = rel.iter().filter_map(|c| c.to_str()).collect();
         if comps.iter().any(|c| matches!(*c, "tests" | "benches" | "examples" | "fixtures")) {
@@ -154,7 +145,7 @@ impl Config {
             ["src", ..] => "root",
             _ => return Domain::Test,
         };
-        self.crate_domains.get(crate_key).copied().unwrap_or(Domain::Virtual)
+        self.crate_domains.get(crate_key).copied().unwrap_or(Domain::Checked)
     }
 }
 
@@ -193,9 +184,9 @@ mod tests {
     const SAMPLE: &str = r#"
 # comment
 [domains]
-simmpi = "hot"
-bench = "wallclock"
-root = "virtual"
+simmpi = "checked"
+bench = "exempt"
+root = "test"
 
 [scan]
 exclude = ["vendor", "target"]
@@ -207,8 +198,8 @@ budget_kb = 96
     #[test]
     fn parses_sample() {
         let cfg = Config::parse(SAMPLE).unwrap();
-        assert_eq!(cfg.crate_domains["simmpi"], Domain::Hot);
-        assert_eq!(cfg.crate_domains["bench"], Domain::Wallclock);
+        assert_eq!(cfg.crate_domains["simmpi"], Domain::Checked);
+        assert_eq!(cfg.crate_domains["bench"], Domain::Exempt);
         assert_eq!(cfg.exclude, vec!["vendor", "target"]);
         assert_eq!(cfg.stack_budget_kb, 96);
     }
@@ -222,21 +213,20 @@ budget_kb = 96
     #[test]
     fn domain_resolution() {
         let cfg = Config::parse(SAMPLE).unwrap();
-        assert_eq!(cfg.domain_for(&PathBuf::from("crates/simmpi/src/comm.rs")), Domain::Hot);
+        assert_eq!(cfg.domain_for(&PathBuf::from("crates/simmpi/src/comm.rs")), Domain::Checked);
         assert_eq!(cfg.domain_for(&PathBuf::from("crates/simmpi/tests/runtime.rs")), Domain::Test);
-        assert_eq!(
-            cfg.domain_for(&PathBuf::from("crates/bench/src/runtime.rs")),
-            Domain::Wallclock
-        );
-        // Unlisted crates default to the conservative virtual-time domain.
-        assert_eq!(cfg.domain_for(&PathBuf::from("crates/newcrate/src/lib.rs")), Domain::Virtual);
-        assert_eq!(cfg.domain_for(&PathBuf::from("src/lib.rs")), Domain::Virtual);
+        assert_eq!(cfg.domain_for(&PathBuf::from("crates/bench/src/runtime.rs")), Domain::Exempt);
+        // Unlisted crates are checked; `root` names the top-level src/.
+        assert_eq!(cfg.domain_for(&PathBuf::from("crates/newcrate/src/lib.rs")), Domain::Checked);
+        assert_eq!(cfg.domain_for(&PathBuf::from("src/lib.rs")), Domain::Test);
         assert_eq!(cfg.domain_for(&PathBuf::from("tests/full_stack.rs")), Domain::Test);
     }
 
     #[test]
     fn rejects_unknown_domain() {
         assert!(Config::parse("[domains]\nx = \"warp\"\n").is_err());
+        // `hot`, `virtual`, `wallclock` and `tooling` are not domains.
+        assert!(Config::parse("[domains]\nx = \"hot\"\n").is_err());
         assert!(Config::parse("[mystery]\nx = 1\n").is_err());
     }
 }

@@ -7,7 +7,7 @@
 //! Everything else is reduced to identifiers, literals, and single-char
 //! punctuation; that is all the rule matchers need.
 //!
-//! Suppression comments (`// detlint::allow(R2, reason = "…")`) are
+//! Suppression comments (`// detlint::allow(R8, reason = "…")`) are
 //! recognized here, because only the lexer knows what is a comment.
 
 /// One lexical token.
@@ -39,7 +39,7 @@ pub struct Suppression {
     /// Line the comment appears on. The suppression applies to findings on
     /// this line (trailing style) and on the next line (preceding style).
     pub line: u32,
-    /// Rule id, e.g. `R2`.
+    /// Rule id, e.g. `R8`.
     pub rule: String,
     /// The mandatory written justification. A suppression without a reason
     /// is malformed and suppresses nothing.
@@ -369,23 +369,23 @@ mod tests {
     #[test]
     fn suppression_parsed_with_reason() {
         let lexed =
-            lex("// detlint::allow(R2, reason = \"order-independent: min over unique seq\")\nx");
+            lex("// detlint::allow(R8, reason = \"order-independent: min over unique seq\")\nx");
         assert_eq!(lexed.suppressions.len(), 1);
         let s = &lexed.suppressions[0];
-        assert_eq!(s.rule, "R2");
+        assert_eq!(s.rule, "R8");
         assert_eq!(s.reason.as_deref(), Some("order-independent: min over unique seq"));
     }
 
     #[test]
     fn suppression_without_reason_is_flagged_malformed() {
-        let lexed = lex("// detlint::allow(R4)\n");
+        let lexed = lex("// detlint::allow(R7)\n");
         assert_eq!(lexed.suppressions.len(), 1);
         assert!(lexed.suppressions[0].reason.is_none());
     }
 
     #[test]
     fn suppression_inside_string_is_ignored() {
-        let lexed = lex("let s = \"// detlint::allow(R1, reason = \\\"nope\\\")\";");
+        let lexed = lex("let s = \"// detlint::allow(R8, reason = \\\"nope\\\")\";");
         assert!(lexed.suppressions.is_empty());
     }
 

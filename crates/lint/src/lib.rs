@@ -1,43 +1,40 @@
-//! `redcr-lint` (`detlint`): a dependency-free determinism & concurrency
-//! static-analysis pass enforcing the workspace's virtual-time contract.
+//! `redcr-lint` (`detlint`): a dependency-free concurrency static-analysis
+//! pass enforcing the parts of the workspace's virtual-time contract that
+//! need a whole-workspace view.
 //!
 //! Everything this reproduction claims — bit-identical `ExecutionReport`s,
 //! the trace-FNV determinism gate, measured-vs-model validation — rests on
-//! one invariant: no wall-clock time, no unordered iteration, and no
-//! unseeded randomness may leak into the virtual-time domain. The
-//! determinism gate catches a drift *after* it ships; `detlint` catches
-//! the hazard *patterns* statically, before any test runs.
+//! ranks that never deadlock, never stall a worker thread and never
+//! overflow a coroutine stack. The token-level half of the contract (wall
+//! clock, hash iteration order, unseeded entropy, panics on rank paths) is
+//! clippy's: `clippy.toml` and the hot crates' `#![deny(...)]`. `detlint`
+//! checks what clippy cannot, because it needs the lock graph or the call
+//! graph of the whole workspace.
 //!
 //! # Rules
 //!
-//! | id | domain        | pattern |
-//! |----|---------------|---------|
-//! | R1 | hot + virtual | `std::time::Instant` / `SystemTime` (wall clock) |
-//! | R2 | hot + virtual | `std::collections::HashMap` / `HashSet` (RandomState iteration order) |
-//! | R3 | hot + virtual | `rand::thread_rng` / `rand::random` / `RandomState` / `from_entropy` (unseeded entropy) |
-//! | R4 | hot only      | `.unwrap()` / `.expect()` / `panic!`-family in rank-thread paths |
-//! | R5 | hot + virtual | lock-order cycles in the inter-crate lock graph |
-//! | R6 | hot + virtual | `Ordering::Relaxed` atomics (advisory) |
-//! | R7 | hot + virtual | park/yield transitively reachable while a lock guard is live |
-//! | R8 | hot + virtual | OS-blocking calls reachable from a coroutine root |
-//! | R9 | hot + virtual | per-coroutine-root stack bound over `[stack_budget]` / recursion |
-//! | R10| hot + virtual | `loop`/`while` in coroutine code with no yield/park/recv on any path |
+//! | id | pattern |
+//! |----|---------|
+//! | R5 | lock-order cycles in the inter-crate lock graph |
+//! | R7 | park/yield transitively reachable while a lock guard is live |
+//! | R8 | OS-blocking calls reachable from a coroutine root |
+//! | R9 | per-coroutine-root stack bound over `[stack_budget]` / recursion |
 //!
 //! One pipeline lowers each file once — lexer → test mask → imports — and
-//! feeds every rule from that lowering: R1–R4 and R6 scan its tokens;
-//! hot + virtual files are then parsed into a lightweight AST
-//! (`parser`) whose lock acquisitions fold into the R5 lock graph
-//! (`lockorder`) and whose call sites resolve into a whole-workspace call
-//! graph rooted at the coroutine entry points, where R7–R10 run
-//! (`callgraph`). Suppressions apply last, to every finding alike. The
-//! call graph and the per-root stack bounds are exported as a JSONL
-//! artifact.
+//! parses every checked file into a lightweight AST (`parser`) whose lock
+//! acquisitions fold into the R5 lock graph (`lockorder`) and whose call
+//! sites resolve into a whole-workspace call graph rooted at the coroutine
+//! entry points, where R7–R9 run (`callgraph`). Suppressions apply last,
+//! to every finding alike. The call graph and the per-root stack bounds
+//! are exported as a JSONL artifact.
 //!
-//! Domains are assigned per crate in `detlint.toml`. Suppress a finding
-//! with `// detlint::allow(<rule>, reason = "…")` on the same or the
-//! preceding line; the reason is mandatory — an allow without one
+//! `detlint.toml` names the exempt crates (the host-measuring `bench` and
+//! `prof`, and the linter); every other crate is checked. Suppress a
+//! finding with `// detlint::allow(<rule>, reason = "…")` on the same or
+//! the preceding line; the reason is mandatory — an allow without one
 //! suppresses nothing and is reported as malformed. Allows naming a rule
-//! id outside the registry ([`rules::RULES`]) fail the run outright.
+//! id outside the registry ([`rules::RULES`]), retired ids included, fail
+//! the run outright.
 
 mod callgraph;
 mod config;
@@ -77,9 +74,9 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
 
 /// Lints one in-memory source file under `domain` — the fixture-test and
 /// seeded-violation entry point — through the same pipeline as
-/// [`lint_workspace`], with the default config. The interprocedural
-/// passes (R5, R7–R10) see just this file, so fixtures exercising them
-/// must be self-contained (stub their own `park_current` etc.).
+/// [`lint_workspace`], with the default config. The passes see just this
+/// file, so fixtures must be self-contained (stub their own
+/// `park_current` etc.).
 pub fn lint_source(rel_name: &str, domain: Domain, src: &str) -> Report {
     lint_files(&Config::default(), vec![(rel_name.to_string(), domain, src.to_string())])
 }
@@ -90,19 +87,18 @@ fn lint_files(cfg: &Config, files: Vec<(String, Domain, String)>) -> Report {
     let mut ws = parser::Workspace::default();
     // (rel, suppressions, report_health): suppressions apply everywhere
     // they lex, but their *health* (stale/malformed/unknown) is only
-    // reported where rules fire — in tooling/test files every
-    // allow-shaped comment (including the linter's own docs describing
-    // the syntax) would read as stale.
+    // reported where rules fire — in exempt/test files every allow-shaped
+    // comment (including the linter's own docs describing the syntax)
+    // would read as stale.
     let mut file_sups = Vec::new();
     for (rel, domain, src) in files {
         let low = rules::lower(&src);
-        report.violations.extend(rules::check_file(&rel, domain, &low));
-        if matches!(domain, Domain::Hot | Domain::Virtual) {
+        let checked = domain == Domain::Checked;
+        if checked {
             parser::parse_file(&mut ws, &rel, crate_of(&rel), &low);
         }
         if !low.lexed.suppressions.is_empty() {
-            let report_health = !matches!(domain, Domain::Tooling | Domain::Test);
-            file_sups.push((rel, low.lexed.suppressions, report_health));
+            file_sups.push((rel, low.lexed.suppressions, checked));
         }
         report.files_scanned += 1;
     }
@@ -116,8 +112,7 @@ fn lint_files(cfg: &Config, files: Vec<(String, Domain, String)>) -> Report {
     report.violations.extend(analysis.violations);
     report.callgraph = analysis.artifact;
 
-    // Suppressions apply once, at the end, so interprocedural findings
-    // (R5, R7–R10) are covered exactly like per-file ones.
+    // Suppressions apply once, at the end, over every pass's findings.
     for (rel, sups, report_health) in &file_sups {
         let out = rules::apply_suppressions(rel, sups, &mut report.violations);
         if *report_health {

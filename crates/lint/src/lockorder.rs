@@ -207,10 +207,10 @@ mod tests {
     fn scoped_guard_is_not_held_across_a_park() {
         let park = "fn park_current() {}\n";
         let scoped = "fn f(&self) { { let a = self.x.lock(); } park_current(); }";
-        let report = crate::lint_source("t.rs", Domain::Hot, &format!("{park}{scoped}"));
+        let report = crate::lint_source("t.rs", Domain::Checked, &format!("{park}{scoped}"));
         assert!(report.is_clean(), "{report:?}");
         let unscoped = "fn f(&self) { let a = self.x.lock(); park_current(); }";
-        let report = crate::lint_source("t.rs", Domain::Hot, &format!("{park}{unscoped}"));
+        let report = crate::lint_source("t.rs", Domain::Checked, &format!("{park}{unscoped}"));
         assert!(report.unsuppressed().any(|v| v.rule == "R7"), "{report:?}");
     }
 

@@ -1,6 +1,6 @@
 //! Recursive-descent item/expression parser: turns the token stream into
 //! a lightweight per-function AST for the lock-order fold R5 and the
-//! interprocedural rules R7–R10.
+//! interprocedural rules R7–R9.
 //!
 //! For every `fn` item (and every closure literal, which becomes a
 //! synthetic `outer::{closure@LINE}` function) the parser records:
@@ -14,8 +14,6 @@
 //!   model serves both: a guard bound by `let g = x.lock()` (or `g = …`)
 //!   lives until `drop(g)` or its scope's closing brace; a temporary
 //!   guard binds nothing;
-//! * the enclosing **loops** (`loop` / `while` / `for`) of each call, for
-//!   the non-cooperative-spin rule R10;
 //! * a **frame-size estimate** for the stack-budget rule R9: a fixed base
 //!   per frame plus a slot per local/parameter plus the byte size of
 //!   by-value arrays (`[T; N]` types and `[expr; N]` literals).
@@ -63,8 +61,6 @@ pub struct FnDef {
     pub frame_bytes: u64,
     /// Call sites in body order.
     pub calls: Vec<CallSite>,
-    /// Loops in body order.
-    pub loops: Vec<LoopInfo>,
     /// Lock acquisitions in body order.
     pub locks: Vec<LockSite>,
     /// Global index of the enclosing function, for closures.
@@ -89,9 +85,6 @@ pub struct CallSite {
     pub line: u32,
     /// Lock classes (`crate::field`) held when the call happens.
     pub guards: Vec<String>,
-    /// Indices into [`FnDef::loops`] of every enclosing loop, outermost
-    /// first.
-    pub loops: Vec<usize>,
 }
 
 /// One `.lock(` acquisition, temporaries included: the R5 fold's input.
@@ -126,27 +119,6 @@ pub enum Callee {
     BoundClosure(usize),
 }
 
-/// One `loop` / `while` / `for` in a body.
-#[derive(Debug)]
-pub struct LoopInfo {
-    /// Loop flavor; `for` loops are exempt from R10 (bounded by their
-    /// iterator).
-    pub kind: LoopKind,
-    /// 1-based line of the loop keyword.
-    pub line: u32,
-}
-
-/// Loop flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoopKind {
-    /// `loop { … }`
-    Loop,
-    /// `while cond { … }` / `while let … { … }`
-    While,
-    /// `for pat in iter { … }`
-    For,
-}
-
 /// Words that look like idents before `(` but never name a callee.
 const KEYWORDS: &[&str] = &[
     "if", "else", "while", "for", "loop", "match", "return", "in", "as", "move", "fn", "let",
@@ -159,8 +131,8 @@ fn is_keyword(s: &str) -> bool {
     KEYWORDS.contains(&s)
 }
 
-/// Parses one lowered file into `ws`. Only Hot/Virtual files should be fed
-/// here; test-masked tokens are skipped entirely.
+/// Parses one lowered file into `ws`. Only checked files are fed here;
+/// test-masked tokens are skipped entirely.
 pub fn parse_file(ws: &mut Workspace, file: &str, crate_name: &str, low: &Lowered) {
     let (toks, skip) = (&low.lexed.tokens, &low.skip);
     ws.file_aliases.insert(file.to_string(), low.aliases.clone());
@@ -191,7 +163,6 @@ pub fn parse_file(ws: &mut Workspace, file: &str, crate_name: &str, low: &Lowere
                     line: toks[i].line,
                     frame_bytes: FRAME_BASE_BYTES + sig.param_bytes,
                     calls: Vec::new(),
-                    loops: Vec::new(),
                     locks: Vec::new(),
                     parent: None,
                     passed_to: None,
@@ -489,11 +460,9 @@ struct BodyCtx<'a> {
 }
 
 /// Walks a body region `[start, end)`, populating the function at
-/// `ctx.fn_idx` with calls, loops, guards, and frame bytes.
+/// `ctx.fn_idx` with calls, guards, and frame bytes.
 fn parse_body(ctx: &mut BodyCtx<'_>, toks: &[Token], start: usize, end: usize) {
     let mut guards: Vec<Guard> = Vec::new();
-    // (loop index in FnDef.loops, brace depth at keyword, opened flag).
-    let mut loop_stack: Vec<(usize, u32, bool)> = Vec::new();
     // Innermost-last call-paren stack: (paren index, Some(callee last
     // segment) for call parens).
     let mut paren_stack: Vec<Option<String>> = Vec::new();
@@ -504,19 +473,11 @@ fn parse_body(ctx: &mut BodyCtx<'_>, toks: &[Token], start: usize, end: usize) {
         match &toks[i].tok {
             Tok::Punct('{') => {
                 depth += 1;
-                if let Some(entry) = loop_stack.last_mut() {
-                    if !entry.2 && depth == entry.1 + 1 {
-                        entry.2 = true;
-                    }
-                }
                 i += 1;
             }
             Tok::Punct('}') => {
                 depth = depth.saturating_sub(1);
                 guards.retain(|g| g.depth <= depth);
-                // A loop whose keyword sat at depth d has its body at
-                // d+1: returning to depth d closes it.
-                loop_stack.retain(|(_, d, opened)| !*opened || *d < depth);
                 i += 1;
             }
             Tok::Punct('(') => {
@@ -529,7 +490,7 @@ fn parse_body(ctx: &mut BodyCtx<'_>, toks: &[Token], start: usize, end: usize) {
             }
             Tok::Punct('|') => {
                 if closure_starts_here(toks, i, start) {
-                    i = parse_closure(ctx, toks, i, end, &guards, &loop_stack, &paren_stack);
+                    i = parse_closure(ctx, toks, i, end, &guards, &paren_stack);
                 } else {
                     i += 1;
                 }
@@ -548,24 +509,11 @@ fn parse_body(ctx: &mut BodyCtx<'_>, toks: &[Token], start: usize, end: usize) {
                     None => i += 1,
                 }
             }
-            Tok::Ident(kw) if kw == "loop" || kw == "while" || kw == "for" => {
-                let kind = match kw.as_str() {
-                    "loop" => LoopKind::Loop,
-                    "while" => LoopKind::While,
-                    _ => LoopKind::For,
-                };
-                let li = ctx.ws.functions[ctx.fn_idx].loops.len();
-                ctx.ws.functions[ctx.fn_idx].loops.push(LoopInfo { kind, line: toks[i].line });
-                loop_stack.push((li, depth, false));
-                i += 1;
-            }
             Tok::Ident(kw) if kw == "let" => {
                 i = handle_let(ctx, toks, i, end);
             }
             Tok::Ident(_) | Tok::Punct('.') => {
-                if let Some(next) =
-                    try_call(ctx, toks, i, &mut guards, &loop_stack, &mut paren_stack, depth)
-                {
+                if let Some(next) = try_call(ctx, toks, i, &mut guards, &mut paren_stack, depth) {
                     i = next;
                 } else {
                     i += 1;
@@ -657,7 +605,6 @@ fn parse_closure(
     bar: usize,
     end: usize,
     guards: &[Guard],
-    loop_stack: &[(usize, u32, bool)],
     paren_stack: &[Option<String>],
 ) -> usize {
     let line = toks[bar].line;
@@ -732,7 +679,6 @@ fn parse_closure(
         line,
         frame_bytes: FRAME_BASE_BYTES + params.len() as u64 * LOCAL_SLOT_BYTES,
         calls: Vec::new(),
-        loops: Vec::new(),
         locks: Vec::new(),
         parent: Some(parent_idx),
         passed_to,
@@ -740,8 +686,8 @@ fn parse_closure(
         has_body: true,
     });
     // The definer gets a call-shaped edge to the closure, with the guard
-    // and loop context of the definition site.
-    push_call(ctx, Callee::Closure(closure_idx), line, guards, loop_stack);
+    // context of the definition site.
+    push_call(ctx, Callee::Closure(closure_idx), line, guards);
 
     // `let name = [move] |…|` binds the closure to a local.
     let mut b = bar;
@@ -785,7 +731,6 @@ fn try_call(
     toks: &[Token],
     i: usize,
     guards: &mut Vec<Guard>,
-    loop_stack: &[(usize, u32, bool)],
     paren_stack: &mut Vec<Option<String>>,
     depth: u32,
 ) -> Option<usize> {
@@ -803,13 +748,7 @@ fn try_call(
         }
         let receiver = receiver_name(toks, i);
         let name = name.to_string();
-        push_call(
-            ctx,
-            Callee::Method { name: name.clone(), receiver },
-            toks[i + 1].line,
-            guards,
-            loop_stack,
-        );
+        push_call(ctx, Callee::Method { name: name.clone(), receiver }, toks[i + 1].line, guards);
         paren_stack.push(Some(name));
         return Some(i + 3);
     }
@@ -873,24 +812,13 @@ fn try_call(
     } else {
         Callee::Path(segs.clone())
     };
-    push_call(ctx, callee, line, guards, loop_stack);
+    push_call(ctx, callee, line, guards);
     paren_stack.push(Some(segs.last().cloned().unwrap_or_default()));
     Some(j + 1)
 }
 
-fn push_call(
-    ctx: &mut BodyCtx<'_>,
-    callee: Callee,
-    line: u32,
-    guards: &[Guard],
-    loop_stack: &[(usize, u32, bool)],
-) {
-    let site = CallSite {
-        callee,
-        line,
-        guards: classes(guards),
-        loops: loop_stack.iter().filter(|(_, _, opened)| *opened).map(|(li, _, _)| *li).collect(),
-    };
+fn push_call(ctx: &mut BodyCtx<'_>, callee: Callee, line: u32, guards: &[Guard]) {
+    let site = CallSite { callee, line, guards: classes(guards) };
     ctx.ws.functions[ctx.fn_idx].calls.push(site);
 }
 

@@ -8,7 +8,7 @@ use redcr_json::Writer;
 /// One finding.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Rule id (`R1`…`R10`).
+    /// Rule id (`R5`, `R7`, `R8` or `R9`).
     pub rule: &'static str,
     /// Workspace-relative file path (slash-separated).
     pub file: String,
@@ -17,7 +17,7 @@ pub struct Violation {
     /// Advisory findings still require a fix or a reasoned suppression,
     /// but are labelled so readers know they encode a judgement call.
     pub advisory: bool,
-    /// What was found, e.g. "`std::time::Instant` referenced".
+    /// What was found, e.g. "OS-blocking call `std::fs::write` …".
     pub message: String,
     /// Why the pattern is hazardous in this domain.
     pub rationale: &'static str,
@@ -322,7 +322,7 @@ mod tests {
     fn jsonl_escapes_and_summarizes() {
         let mut r = Report { files_scanned: 1, ..Report::default() };
         r.violations.push(Violation {
-            rule: "R1",
+            rule: "R8",
             file: "a\"b.rs".into(),
             line: 3,
             advisory: false,
@@ -342,12 +342,12 @@ mod tests {
     fn jsonl_matches_the_golden_bytes() {
         let mut r = Report { files_scanned: 3, suppressions_used: 1, ..Report::default() };
         r.violations.push(Violation {
-            rule: "R1",
+            rule: "R8",
             file: "crates/a\"b\\c.rs".into(),
             line: 3,
             advisory: false,
-            message: "`Instant`\treferenced\r\n\u{1}é".into(),
-            rationale: "wall clock",
+            message: "`std::fs`\treached\r\n\u{1}é".into(),
+            rationale: "blocking",
             suppressed: None,
         });
         r.violations.push(Violation {
@@ -395,7 +395,7 @@ mod tests {
         assert_eq!(
             r.to_jsonl(),
             concat!(
-                r#"{"kind":"violation","rule":"R1","file":"crates/a\"b\\c.rs","line":3,"advisory":false,"suppressed":false,"reason":null,"message":"`Instant`\treferenced\r\n\u0001é","rationale":"wall clock"}"#,
+                r#"{"kind":"violation","rule":"R8","file":"crates/a\"b\\c.rs","line":3,"advisory":false,"suppressed":false,"reason":null,"message":"`std::fs`\treached\r\n\u0001é","rationale":"blocking"}"#,
                 "\n",
                 r#"{"kind":"violation","rule":"R9","file":"f.rs","line":7,"advisory":true,"suppressed":true,"reason":"depth \"bounded\"","message":"m","rationale":"r"}"#,
                 "\n",
@@ -403,7 +403,7 @@ mod tests {
                 "\n",
                 r#"{"kind":"bad_suppression","rule":"R99","file":"h.rs","line":2,"missing_reason":false,"unknown_rule":true}"#,
                 "\n",
-                r#"{"kind":"summary","files":3,"findings":2,"suppressed":1,"unsuppressed":1,"rules":["R1"],"bad_suppressions":1,"lock_classes":2,"lock_edges":1,"coroutine_roots":1,"max_stack_bound_bytes":4096,"clean":false}"#,
+                r#"{"kind":"summary","files":3,"findings":2,"suppressed":1,"unsuppressed":1,"rules":["R8"],"bad_suppressions":1,"lock_classes":2,"lock_edges":1,"coroutine_roots":1,"max_stack_bound_bytes":4096,"clean":false}"#,
                 "\n",
             )
         );
@@ -424,7 +424,7 @@ mod tests {
     fn suppressed_findings_are_clean() {
         let mut r = Report::default();
         r.violations.push(Violation {
-            rule: "R4",
+            rule: "R7",
             file: "f.rs".into(),
             line: 1,
             advisory: false,

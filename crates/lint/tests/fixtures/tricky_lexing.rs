@@ -1,24 +1,25 @@
-// Tricky-lexing fixture: every banned pattern below lives inside string
-// literals, raw strings, byte strings, char context, or (nested) comments
-// — none may fire. The single REAL violation at the bottom proves the
-// lexer resynchronized correctly after all of it.
+// Tricky-lexing fixture: every R8 pattern below (a `run_batch` root that
+// reaches `std::fs` or `std::thread::sleep`) lives inside string literals,
+// raw strings, byte strings, char context, or (nested) comments — none may
+// fire. The single REAL violation at the bottom proves the lexer
+// resynchronized correctly after all of it.
 
 /* Outer comment.
-   /* Nested comment mentioning Instant::now() and HashMap::new(). */
-   Still the outer comment: x.unwrap() and panic!("boom").
+   /* Nested: pool.run_batch(|| { std::fs::write("a", b"b"); }); */
+   Still the outer comment: pool.run_batch(|| std::thread::sleep(d));
 */
 
 pub fn decoys() -> usize {
-    let plain = "std::time::Instant::now() and thread_rng() in a string";
-    let escaped = "say \"HashMap\" with .unwrap() escaped \\";
-    let raw = r#"raw: SystemTime::now(); panic!("x"); Ordering::Relaxed"#;
-    let hashed = r##"r# inside: rand::random() and .expect("no") "# still raw"##;
-    let bytes = b"byte string: HashSet::new() .unwrap()";
+    let plain = "pool.run_batch(|| { std::fs::remove_file(\"x\"); })";
+    let escaped = "say \"run_batch(|| std::fs::read(p))\" escaped \\";
+    let raw = r#"raw: pool.run_batch(|| { std::thread::sleep(d); }); "x""#;
+    let hashed = r##"r# inside: run_batch(|| std::net::TcpStream::connect(a)) "# still raw"##;
+    let bytes = b"byte string: run_batch(|| { std::fs::write(p, b) })";
     let byte_char = b'"';
     let quote_char = '"';
     let lifetime: &'static str = "lifetime tick is not a char literal";
-    // Line comment decoy: let t = Instant::now(); HashMap::default();
-    let instant_like = plain.len(); // identifier merely *containing* names
+    // Line comment decoy: pool.run_batch(|| { std::fs::write(p, b); });
+    let run_batch_like = plain.len(); // identifier merely *containing* names
     plain.len()
         + escaped.len()
         + raw.len()
@@ -26,9 +27,11 @@ pub fn decoys() -> usize {
         + bytes.len()
         + usize::from(byte_char == quote_char as u8)
         + lifetime.len()
-        + instant_like
+        + run_batch_like
 }
 
-pub fn real_violation(v: Option<u64>) -> u64 {
-    v.unwrap()
+pub fn real_violation(pool: &Pool) {
+    pool.run_batch(|| {
+        let _ = std::fs::write("x", b"y");
+    });
 }

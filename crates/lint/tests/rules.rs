@@ -23,79 +23,8 @@ fn only_rule<'a>(report: &'a Report, rule: &str) -> Vec<&'a Violation> {
 }
 
 #[test]
-fn r1_wall_clock_fires() {
-    let report = lint("r1_positive.rs", Domain::Virtual, include_str!("fixtures/r1_positive.rs"));
-    let v = only_rule(&report, "R1");
-    // Import line, Instant::now via the import alias, and the fully
-    // qualified SystemTime chain.
-    assert!(v.len() >= 3, "{v:#?}");
-    assert!(v.iter().any(|x| x.line == 2), "use-site line: {v:#?}");
-    assert!(v.iter().any(|x| x.line == 5), "Instant::now line: {v:#?}");
-    assert!(v.iter().any(|x| x.line == 6), "SystemTime::now line: {v:#?}");
-}
-
-#[test]
-fn r1_textual_mentions_do_not_fire() {
-    let report = lint("r1_negative.rs", Domain::Virtual, include_str!("fixtures/r1_negative.rs"));
-    assert!(report.is_clean(), "{report:#?}");
-}
-
-#[test]
-fn r2_hash_containers_fire() {
-    let report = lint("r2_positive.rs", Domain::Virtual, include_str!("fixtures/r2_positive.rs"));
-    let v = only_rule(&report, "R2");
-    // Two imports plus the HashMap::new and (renamed) Seen::new call sites.
-    assert!(v.len() >= 4, "{v:#?}");
-    assert!(
-        v.iter().any(|x| x.line == 7),
-        "the `HashSet as Seen` rename must resolve at its use site: {v:#?}"
-    );
-}
-
-#[test]
-fn r2_ordered_containers_do_not_fire() {
-    let report = lint("r2_negative.rs", Domain::Virtual, include_str!("fixtures/r2_negative.rs"));
-    assert!(report.is_clean(), "{report:#?}");
-}
-
-#[test]
-fn r3_unseeded_entropy_fires() {
-    let report = lint("r3_positive.rs", Domain::Virtual, include_str!("fixtures/r3_positive.rs"));
-    let v = only_rule(&report, "R3");
-    assert!(v.iter().any(|x| x.line == 5), "thread_rng: {v:#?}");
-    assert!(v.iter().any(|x| x.line == 6), "rand::random: {v:#?}");
-    assert!(v.iter().any(|x| x.line == 7), "RandomState::new: {v:#?}");
-}
-
-#[test]
-fn r3_seeded_rng_does_not_fire() {
-    let report = lint("r3_negative.rs", Domain::Virtual, include_str!("fixtures/r3_negative.rs"));
-    assert!(report.is_clean(), "{report:#?}");
-}
-
-#[test]
-fn r4_panics_fire_in_hot_domain() {
-    let src = include_str!("fixtures/r4_positive.rs");
-    let report = lint("r4_positive.rs", Domain::Hot, src);
-    let v = only_rule(&report, "R4");
-    assert!(v.iter().any(|x| x.line == 4), "panic!: {v:#?}");
-    assert!(v.iter().any(|x| x.line == 6), "unwrap: {v:#?}");
-    assert!(v.iter().any(|x| x.line == 7), "expect: {v:#?}");
-
-    // R4 is hot-only: the same source is legal in a virtual crate.
-    let virt = lint("r4_positive.rs", Domain::Virtual, src);
-    assert!(virt.is_clean(), "R4 must not fire outside hot domains: {virt:#?}");
-}
-
-#[test]
-fn r4_fallible_handling_and_test_code_do_not_fire() {
-    let report = lint("r4_negative.rs", Domain::Hot, include_str!("fixtures/r4_negative.rs"));
-    assert!(report.is_clean(), "unwrap_or / #[cfg(test)] must not fire: {report:#?}");
-}
-
-#[test]
 fn r5_opposite_lock_orders_fire() {
-    let report = lint("r5_positive.rs", Domain::Virtual, include_str!("fixtures/r5_positive.rs"));
+    let report = lint("r5_positive.rs", Domain::Checked, include_str!("fixtures/r5_positive.rs"));
     let v = only_rule(&report, "R5");
     assert_eq!(v.len(), 1, "{v:#?}");
     assert!(v[0].message.contains("alpha"), "{}", v[0].message);
@@ -106,45 +35,34 @@ fn r5_opposite_lock_orders_fire() {
 
 #[test]
 fn r5_consistent_lock_order_does_not_fire() {
-    let report = lint("r5_negative.rs", Domain::Virtual, include_str!("fixtures/r5_negative.rs"));
+    let report = lint("r5_negative.rs", Domain::Checked, include_str!("fixtures/r5_negative.rs"));
     assert!(report.is_clean(), "{report:#?}");
     // The pass still saw the nesting — it is the *cycle* that is absent.
     assert_eq!(report.lock_edges.len(), 1, "{:?}", report.lock_edges);
 }
 
 #[test]
-fn r6_relaxed_is_advisory() {
-    let report = lint("r6_positive.rs", Domain::Virtual, include_str!("fixtures/r6_positive.rs"));
-    let v = only_rule(&report, "R6");
-    assert!(v.iter().any(|x| x.line == 5), "{v:#?}");
-    assert!(v.iter().all(|x| x.advisory), "R6 must be advisory: {v:#?}");
-}
-
-#[test]
-fn r6_seqcst_does_not_fire() {
-    let report = lint("r6_negative.rs", Domain::Virtual, include_str!("fixtures/r6_negative.rs"));
-    assert!(report.is_clean(), "{report:#?}");
-}
-
-#[test]
 fn tricky_lexing_only_the_real_violation_fires() {
-    let report = lint("tricky_lexing.rs", Domain::Hot, include_str!("fixtures/tricky_lexing.rs"));
+    let report =
+        lint("tricky_lexing.rs", Domain::Checked, include_str!("fixtures/tricky_lexing.rs"));
     let v: Vec<_> = report.unsuppressed().collect();
     assert_eq!(v.len(), 1, "decoys in strings/comments fired: {v:#?}");
-    assert_eq!(v[0].rule, "R4");
-    assert_eq!(v[0].line, 33, "the real unwrap is on line 33: {v:#?}");
+    assert_eq!(v[0].rule, "R8");
+    assert_eq!(v[0].line, 35, "the real write is on line 35: {v:#?}");
+    // Only the real `run_batch` closure became a coroutine root.
+    assert_eq!(report.callgraph.roots.len(), 1, "{:#?}", report.callgraph.roots);
 }
 
 #[test]
 fn suppression_semantics() {
-    let report = lint("suppressions.rs", Domain::Hot, include_str!("fixtures/suppressions.rs"));
+    let report = lint("suppressions.rs", Domain::Checked, include_str!("fixtures/suppressions.rs"));
     // Trailing and preceding-line allows suppress their violations, with
     // the reason preserved on the finding.
     let suppressed: Vec<_> = report.violations.iter().filter(|v| v.suppressed.is_some()).collect();
     assert_eq!(suppressed.len(), 2, "{report:#?}");
-    assert!(suppressed.iter().all(|v| v.rule == "R4"));
+    assert!(suppressed.iter().all(|v| v.rule == "R8"));
     assert!(suppressed.iter().all(|v| v.suppressed.as_deref().unwrap().starts_with("fixture:")));
-    // The reason-less allow suppresses nothing: its unwrap stays live.
+    // The reason-less allow suppresses nothing: its write stays live.
     let live: Vec<_> = report.unsuppressed().collect();
     assert_eq!(live.len(), 1, "{live:#?}");
     assert_eq!(live[0].line, 15);
@@ -156,7 +74,7 @@ fn suppression_semantics() {
 
 #[test]
 fn r7_park_under_lock_fires() {
-    let report = lint("r7_positive.rs", Domain::Hot, include_str!("fixtures/r7_positive.rs"));
+    let report = lint("r7_positive.rs", Domain::Checked, include_str!("fixtures/r7_positive.rs"));
     let v = only_rule(&report, "R7");
     assert_eq!(v.len(), 2, "{v:#?}");
     // The resolved park-capable call is a deny; the unknown callee
@@ -172,13 +90,13 @@ fn r7_park_under_lock_fires() {
 
 #[test]
 fn r7_guard_released_before_park_does_not_fire() {
-    let report = lint("r7_negative.rs", Domain::Hot, include_str!("fixtures/r7_negative.rs"));
+    let report = lint("r7_negative.rs", Domain::Checked, include_str!("fixtures/r7_negative.rs"));
     assert!(report.is_clean(), "{report:#?}");
 }
 
 #[test]
 fn r8_blocking_in_coroutine_fires() {
-    let report = lint("r8_positive.rs", Domain::Hot, include_str!("fixtures/r8_positive.rs"));
+    let report = lint("r8_positive.rs", Domain::Checked, include_str!("fixtures/r8_positive.rs"));
     let v = only_rule(&report, "R8");
     assert_eq!(v.len(), 2, "{v:#?}");
     assert!(v.iter().any(|x| x.message.contains("std::fs::write")), "{v:#?}");
@@ -190,14 +108,14 @@ fn r8_blocking_in_coroutine_fires() {
 
 #[test]
 fn r8_blocking_outside_coroutine_does_not_fire() {
-    let report = lint("r8_negative.rs", Domain::Hot, include_str!("fixtures/r8_negative.rs"));
+    let report = lint("r8_negative.rs", Domain::Checked, include_str!("fixtures/r8_negative.rs"));
     assert!(report.is_clean(), "{report:#?}");
     assert_eq!(report.callgraph.roots.len(), 1, "{:#?}", report.callgraph.roots);
 }
 
 #[test]
 fn r9_over_budget_root_and_recursion_fire() {
-    let report = lint("r9_positive.rs", Domain::Hot, include_str!("fixtures/r9_positive.rs"));
+    let report = lint("r9_positive.rs", Domain::Checked, include_str!("fixtures/r9_positive.rs"));
     let v = only_rule(&report, "R9");
     // One over-budget deny on the root, one recursion advisory — the
     // cycle is reported once, not once per unrolling.
@@ -218,7 +136,7 @@ fn r9_over_budget_root_and_recursion_fire() {
 
 #[test]
 fn r9_shallow_root_does_not_fire() {
-    let report = lint("r9_negative.rs", Domain::Hot, include_str!("fixtures/r9_negative.rs"));
+    let report = lint("r9_negative.rs", Domain::Checked, include_str!("fixtures/r9_negative.rs"));
     assert!(report.is_clean(), "{report:#?}");
     let root = &report.callgraph.roots[0];
     assert!(root.bound_bytes > 1024, "the 1 KiB scratch buffer must be counted: {root:#?}");
@@ -229,7 +147,7 @@ fn r9_shallow_root_does_not_fire() {
 #[test]
 fn r9_a_foreign_receiver_is_not_recursion() {
     let src = include_str!("fixtures/r9_foreign_receiver.rs");
-    let report = lint("r9_foreign_receiver.rs", Domain::Virtual, src);
+    let report = lint("r9_foreign_receiver.rs", Domain::Checked, src);
     let v = only_rule(&report, "R9");
     // `other.events().eq(..)` in `Trace::eq` and `prof.span(..)` in a
     // closure of `Obs::span` are not cycles; `self.down(..)` still is.
@@ -241,22 +159,22 @@ fn r9_a_foreign_receiver_is_not_recursion() {
 /// both report the same findings, lock graph and call graph.
 #[test]
 fn lint_source_and_lint_workspace_agree() {
-    let src = "use std::time::Instant;\n\
-               fn park_current() {}\n\
+    let src = "fn park_current() {}\n\
                pub struct Pair { alpha: Mutex<u64>, beta: Mutex<u64> }\n\
                impl Pair {\n\
                fn forward(&self) { let a = self.alpha.lock(); let b = self.beta.lock(); }\n\
                fn backward(&self) { let b = self.beta.lock(); let a = self.alpha.lock(); }\n\
                fn stall(&self) { let a = self.alpha.lock(); park_current(); }\n\
-               }\n";
+               }\n\
+               fn spawn(pool: &Pool) { pool.run_batch(|| { std::fs::write(\"x\", b\"y\").ok(); }); }\n";
     let root = std::env::temp_dir().join(format!("detlint-agree-{}", std::process::id()));
     std::fs::create_dir_all(root.join("crates/x/src")).unwrap();
-    std::fs::write(root.join("detlint.toml"), "[domains]\nx = \"virtual\"\n").unwrap();
+    std::fs::write(root.join("detlint.toml"), "[domains]\nx = \"checked\"\n").unwrap();
     std::fs::write(root.join("crates/x/src/lib.rs"), src).unwrap();
     let tree = redcr_lint::lint_workspace(&root);
     std::fs::remove_dir_all(&root).unwrap();
     let tree = tree.unwrap();
-    let one = lint_source("crates/x/src/lib.rs", Domain::Virtual, src);
+    let one = lint_source("crates/x/src/lib.rs", Domain::Checked, src);
 
     let shown = |r: &Report| -> Vec<String> {
         r.violations
@@ -264,25 +182,10 @@ fn lint_source_and_lint_workspace_agree() {
             .map(|v| format!("{}:{}: {} {}", v.file, v.line, v.rule, v.message))
             .collect()
     };
-    assert_eq!(rules_of(&one), ["R1", "R5", "R7"], "{one:#?}");
+    assert_eq!(rules_of(&one), ["R5", "R7", "R8"], "{one:#?}");
     assert_eq!(shown(&tree), shown(&one));
     assert_eq!(tree.lock_classes, one.lock_classes);
     assert_eq!(tree.lock_edges, one.lock_edges);
     assert_eq!(tree.callgraph.to_jsonl(), one.callgraph.to_jsonl());
     assert_eq!(tree.to_jsonl(), one.to_jsonl());
-}
-
-#[test]
-fn r10_noncooperative_spin_fires() {
-    let report = lint("r10_positive.rs", Domain::Hot, include_str!("fixtures/r10_positive.rs"));
-    let v = only_rule(&report, "R10");
-    assert_eq!(v.len(), 2, "one per loop flavor: {v:#?}");
-    assert!(v.iter().any(|x| x.message.contains("`loop`")), "{v:#?}");
-    assert!(v.iter().any(|x| x.message.contains("`while`")), "{v:#?}");
-}
-
-#[test]
-fn r10_cooperative_and_for_loops_do_not_fire() {
-    let report = lint("r10_negative.rs", Domain::Hot, include_str!("fixtures/r10_negative.rs"));
-    assert!(report.is_clean(), "{report:#?}");
 }

@@ -32,7 +32,8 @@
 //! ## Determinism contract
 //!
 //! This crate is the *only* non-bench crate allowed to read the host
-//! clock; it lives in the `wallclock` detlint domain. Rank code reaches
+//! clock: it opts out of clippy's wall-clock ban below, and
+//! `detlint.toml` names it exempt. Rank code reaches
 //! its shard through the runtime's one telemetry handle (`redcr_mpi::Obs`),
 //! which costs one `Option` check per site when profiling is off, and no
 //! wall-clock reading here ever feeds back into a virtual clock —

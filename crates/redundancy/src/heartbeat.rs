@@ -221,12 +221,6 @@ impl FailureDetector {
     pub fn epoch(&self, sphere: usize) -> u64 {
         self.epochs.get(sphere).copied().unwrap_or(0)
     }
-
-    /// The absolute time at which `rank` will be suspected if it emits no
-    /// further beat (its current freshness plus the timeout).
-    pub fn suspicion_deadline(&self, rank: u32) -> f64 {
-        self.last_seen.get(rank as usize).map_or(f64::INFINITY, |&l| l + self.params.timeout)
-    }
 }
 
 #[cfg(test)]

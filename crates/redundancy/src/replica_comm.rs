@@ -221,14 +221,22 @@ impl<'a> ReplicaComm<'a> {
             VotingMode::AllToAll => {
                 let outcome = vote_present(raw);
                 self.record_vote(present, outcome.unanimous, outcome.majority);
-                // detlint::allow(R4, reason = "infallible: vote_present returns the index of a present copy by construction")
-                raw[outcome.winner].take().expect("winner is present")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "infallible: vote_present returns the index of a present copy by construction"
+                )]
+                let winner = raw[outcome.winner].take().expect("winner is present");
+                winner
             }
             VotingMode::MsgPlusHash => {
                 if r_send == 1 {
                     self.record_vote(1, true, false);
-                    // detlint::allow(R4, reason = "invariant: with r_send == 1 delivery required the sole sender copy to be present")
-                    raw[0].take().expect("present")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: with r_send == 1 delivery required the sole sender copy to be present"
+                    )]
+                    let sole = raw[0].take().expect("present");
+                    sole
                 } else {
                     // The pairing rule is fixed at sphere creation (senders
                     // cannot renegotiate it without communicating), so the

@@ -111,7 +111,10 @@ pub fn vote_full(copies: &[Bytes]) -> VoteOutcome {
             }
         }
     }
-    // detlint::allow(R4, reason = "documented contract: callers never vote over an empty copy list")
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: callers never vote over an empty copy list"
+    )]
     let winner = (0..n).max_by_key(|&i| (counts[i], std::cmp::Reverse(i))).expect("non-empty");
     let dissenters: Vec<usize> = (0..n).filter(|&i| copies[i] != copies[winner]).collect();
     VoteOutcome { winner, dissenters, majority: counts[winner] * 2 > n }
@@ -143,9 +146,15 @@ pub struct QuickVote {
 ///
 /// Panics if no copy is present.
 pub fn vote_present(raw: &[Option<Bytes>]) -> QuickVote {
-    // detlint::allow(R4, reason = "documented contract (see # Panics): the receive path only votes when at least one copy arrived")
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract (see # Panics): the receive path only votes when at least one copy arrived"
+    )]
     let first = raw.iter().position(Option::is_some).expect("cannot vote among zero copies");
-    // detlint::allow(R4, reason = "infallible: first is the index of a Some found on the previous line")
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible: first is the index of a Some found on the previous line"
+    )]
     let reference = raw[first].as_ref().expect("present");
     let mut n = 0usize;
     let mut unanimous = true;

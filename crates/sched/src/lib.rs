@@ -37,11 +37,21 @@
 //! ## Determinism
 //!
 //! The scheduler introduces no entropy of its own (fixed placement and
-//! steal rotation, FIFO deques, no clocks, no RNG — the crate is a detlint
-//! `hot` domain). Simulation results stay bit-identical across worker
-//! counts and placements because the layers above order all observable
-//! effects by virtual time; the workspace gate tests assert that at 1, 2,
-//! 3, 8 and 16 workers, with and without the placement hint.
+//! steal rotation, FIFO deques, no clocks, no RNG — clippy's
+//! `disallowed-types` bans them). Simulation results stay bit-identical
+//! across worker counts and placements because the layers above order
+//! all observable effects by virtual time; the workspace gate tests
+//! assert that at 1, 2, 3, 8 and 16 workers, with and without the
+//! placement hint.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod ctx;
 mod pool;

@@ -231,7 +231,10 @@ struct WorkerStats {
 
 /// Owner-only increment of a [`WorkerStats`] cell.
 fn bump(cell: &AtomicU64) {
-    // detlint::allow(R6, reason = "statistic with a single writer: only the owning worker thread stores to its cell, so load+store loses no update and needs neither an RMW nor a fence; totals are read after the workers are joined")
+    // Relaxed suffices: a statistic with a single writer. Only the owning
+    // worker thread stores to its cell, so load+store loses no update and
+    // needs neither an RMW nor a fence; totals are read after the workers
+    // are joined.
     cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
@@ -247,7 +250,9 @@ struct RunQueue {
 
 impl RunQueue {
     fn publish(&self, q: &VecDeque<usize>) {
-        // detlint::allow(R6, reason = "hint only: the deque mutex publishes the data; a stale length costs one more poll, and the pre-sleep recheck in idle_wait takes the locks instead")
+        // Relaxed suffices: the length is a hint. The deque mutex publishes
+        // the data; a stale length costs one more poll, and the pre-sleep
+        // recheck in idle_wait takes the locks instead.
         self.len.store(q.len(), Ordering::Relaxed);
     }
 
@@ -266,7 +271,7 @@ impl RunQueue {
     }
 
     fn looks_empty(&self) -> bool {
-        // detlint::allow(R6, reason = "hint only, see publish")
+        // Relaxed suffices: a hint only, see publish.
         self.len.load(Ordering::Relaxed) == 0
     }
 
@@ -320,7 +325,9 @@ impl PoolShared {
     /// module docs; this is the only producer of `QUEUED` and `NOTIFIED`.
     fn wake_coro(&self, idx: usize) {
         let t = &self.tasks[idx];
-        // detlint::allow(R10, reason = "bounded CAS retry: each iteration re-reads a 4-state machine whose only concurrent writers make forward progress; it cannot spin more than a handful of times")
+        // A bounded CAS retry, not a spin: each iteration re-reads a
+        // 4-state machine whose only concurrent writers make forward
+        // progress, so it cannot go round more than a handful of times.
         loop {
             match t.state.load(SeqCst) {
                 PARKED => {
@@ -406,7 +413,10 @@ impl PoolShared {
         match self.backend {
             Backend::Threads => {
                 let mut g = t.permit.lock();
-                // detlint::allow(R10, reason = "threads-backend park: the condvar wait inside IS the park — under REDCR_EXEC=threads each rank owns an OS thread and blocking it is the intended suspension; the coro backend takes the context-switch arm instead")
+                // The threads-backend park: the condvar wait IS the park.
+                // Under REDCR_EXEC=threads each rank owns an OS thread and
+                // blocking it is the intended suspension; the coro backend
+                // takes the context-switch arm instead.
                 while !*g {
                     g = t.unpark.wait(g);
                 }
@@ -539,7 +549,10 @@ pub fn current_waker() -> Option<Waker> {
 /// could end such a park; callers get their waker first and never reach
 /// this.
 pub fn park_current() {
-    // detlint::allow(R4, reason = "caller bug, not a runtime condition: a park is preceded by current_waker(), which is None off-pool, so no correct caller gets here — and a silent return would turn its wait loop into a busy spin")
+    #[expect(
+        clippy::expect_used,
+        reason = "caller bug, not a runtime condition: a park is preceded by current_waker(), which is None off-pool, so no correct caller gets here — and a silent return would turn its wait loop into a busy spin"
+    )]
     with_task(|pool, idx, _| pool.park(idx)).expect("park_current called off a scheduler task");
 }
 

@@ -378,7 +378,9 @@ pub trait Communicator {
         }
         // Send phase: forward to children below our bit.
         mask >>= 1;
-        // detlint::allow(R10, reason = "bounded binomial-tree fanout: mask halves every iteration (log2 n rounds) and sends are buffered mailbox pushes that never wait")
+        // Bounded binomial-tree fanout: mask halves every iteration
+        // (log2 n rounds) and sends are buffered mailbox pushes that never
+        // wait.
         while mask > 0 {
             if relative + mask < n {
                 let dst = Rank::new(((relative + mask + root.index()) % n) as u32);
@@ -565,8 +567,12 @@ pub trait Communicator {
                 *slot = Some(bytes);
             }
         }
-        // detlint::allow(R4, reason = "invariant: the loop above filled every peer slot and `me` was filled before it")
-        Ok(out.into_iter().map(|o| o.expect("all slots filled")).collect())
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: the loop above filled every peer slot and `me` was filled before it"
+        )]
+        let all = out.into_iter().map(|o| o.expect("all slots filled")).collect();
+        Ok(all)
     }
 
     /// Inclusive prefix reduction (linear chain): rank `i` returns

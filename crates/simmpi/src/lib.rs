@@ -73,6 +73,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod collectives;
 pub mod datatype;

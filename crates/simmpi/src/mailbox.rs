@@ -57,9 +57,9 @@
 //! This is verified, not aspirational: `detlint`'s R5 lock-order fold
 //! (run by `tests/detlint_clean.rs` and the CI `detlint` job) builds the
 //! inter-crate lock graph from every acquisition site in the workspace,
-//! each seeing the guards live in its scope. The graph's eight classes —
+//! each seeing the guards live in its scope. The graph's nine classes —
 //! `simmpi::inner` (this file), `checkpoint::images` (`MemoryStorage`),
-//! `metrics::inner` (`MetricsRegistry`), `trace::events`
+//! `metrics::{inner, rankless}` (`MetricsRegistry`), `trace::events`
 //! ([`Recorder`](redcr_trace::Recorder)), and the `redcr-sched`
 //! `deque`, `idle`, `permit` and `slot` locks — carry **zero nested
 //! acquisitions**, so it is trivially acyclic. In particular the scheduler wake a push
@@ -71,14 +71,18 @@
 //!
 //! # Iteration order
 //!
-//! `Inner::channels` is a `HashMap` (FxHash, carrying detlint R2
-//! allows): the wildcard path never depends on map iteration order
-//! because it minimizes over globally-unique arrival sequence numbers,
-//! and `clear()` discards all entries. Any new use of this map must
+//! `Inner::channels` is a `HashMap` (FxHash, carrying the workspace's
+//! two `#[expect(clippy::disallowed_types)]` waivers): the wildcard path
+//! never depends on map iteration order because it minimizes over
+//! globally-unique arrival sequence numbers, and `clear()` discards all
+//! entries. Any new use of this map must
 //! preserve that order-independence — or switch the index to `BTreeMap`
 //! and eat the lookup cost.
 
-// detlint::allow(R2, reason = "keyed O(1) channel index; the only iteration (best_channel, clear) is order-independent — see the lock-order & iteration notes below")
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed O(1) channel index; the only iteration (best_channel, clear) is order-independent — see the lock-order & iteration notes below"
+)]
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -131,7 +135,10 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-// detlint::allow(R2, reason = "wildcard scans take the min over globally-unique arrival seqs and clear() discards everything, so no observable state depends on map iteration order")
+#[expect(
+    clippy::disallowed_types,
+    reason = "wildcard scans take the min over globally-unique arrival seqs and clear() discards everything, so no observable state depends on map iteration order"
+)]
 type ChannelMap = HashMap<(Rank, WireTag), VecDeque<(u64, Envelope)>, BuildHasherDefault<FxHasher>>;
 
 /// What a receive is looking for, structurally — replaces the opaque
@@ -395,7 +402,10 @@ impl Inner {
         let std::collections::hash_map::Entry::Occupied(mut e) = self.channels.entry(*key) else {
             return None;
         };
-        // detlint::allow(R4, reason = "invariant: no empty queue is ever stored (pop_channel removes emptied queues); an empty front here is mailbox corruption, unreachable from any input")
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: no empty queue is ever stored (pop_channel removes emptied queues); an empty front here is mailbox corruption, unreachable from any input"
+        )]
         let (_, env) = e.get_mut().pop_front().expect("channels never store empty queues");
         if e.get().is_empty() {
             let q = e.remove();
@@ -419,7 +429,10 @@ impl Inner {
             if !spec.matches_channel(key.0, key.1) {
                 continue;
             }
-            // detlint::allow(R4, reason = "invariant: no empty queue is ever stored, so every channel has a front")
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: no empty queue is ever stored, so every channel has a front"
+            )]
             let front = q.front().expect("channels never store empty queues").0;
             if best.is_none_or(|(s, _)| front < s) {
                 best = Some((front, key));
@@ -435,7 +448,10 @@ impl Inner {
 
     fn peek_match(&self, spec: &MatchSpec) -> Option<PeekInfo> {
         let key = self.best_channel(spec)?;
-        // detlint::allow(R4, reason = "invariant: best_channel only returns keys of stored (hence non-empty) channels")
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: best_channel only returns keys of stored (hence non-empty) channels"
+        )]
         let (_, env) = self.channels[&key].front().expect("channels never store empty queues");
         Some(PeekInfo::of(env))
     }
@@ -585,8 +601,11 @@ impl Mailbox {
             // The owned waker is minted only here, once the wait is known
             // to park, and moved into the waiter: a receive that matches
             // at once never touches the pool's reference count.
+            #[expect(
+                clippy::panic,
+                reason = "caller bug, not a runtime condition: every rank of a world run is a scheduler task, so only a bare Mailbox driven from a plain thread gets here — and it could never be woken; failing at once beats the hang it would otherwise be"
+            )]
             let Some(waker) = redcr_sched::current_waker() else {
-                // detlint::allow(R4, reason = "caller bug, not a runtime condition: every rank of a world run is a scheduler task, so only a bare Mailbox driven from a plain thread gets here — and it could never be woken; failing at once beats the hang it would otherwise be")
                 panic!(
                     "blocking mailbox wait from a thread that is not a scheduler task: \
                      nothing matches and nothing could wake it; call recv_match/peek_match \
@@ -719,7 +738,10 @@ impl Mailbox {
         let mut inner = self.inner.lock();
         let keys: Vec<_> = inner.channels.keys().copied().collect();
         for key in keys {
-            // detlint::allow(R4, reason = "infallible: key was collected from this map one statement earlier under the same lock")
+            #[expect(
+                clippy::expect_used,
+                reason = "infallible: key was collected from this map one statement earlier under the same lock"
+            )]
             let mut q = inner.channels.remove(&key).expect("key just listed");
             q.clear();
             if inner.pool.len() < POOL_CAP {

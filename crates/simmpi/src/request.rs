@@ -61,11 +61,6 @@ impl Request {
     pub fn is_send(&self) -> bool {
         matches!(self, Request::Send)
     }
-
-    /// Whether this is a receive request.
-    pub fn is_recv(&self) -> bool {
-        matches!(self, Request::Recv { .. })
-    }
 }
 
 #[cfg(test)]
@@ -77,8 +72,7 @@ mod tests {
     fn kind_predicates() {
         let s = Request::Send;
         assert!(s.is_send());
-        assert!(!s.is_recv());
         let r = Request::Recv { src: RankSelector::Rank(Rank::new(0)), tag: TagSelector::Any };
-        assert!(r.is_recv());
+        assert!(!r.is_send());
     }
 }

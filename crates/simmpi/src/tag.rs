@@ -51,8 +51,11 @@ impl Tag {
     ///
     /// Panics if `value > MAX_USER_TAG`. Use [`Tag::try_new`] to handle the
     /// error instead.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented constructor contract: fails at tag-construction in setup code, never mid-protocol; Tag::try_new is the fallible path"
+    )]
     pub const fn new(value: u64) -> Self {
-        // detlint::allow(R4, reason = "documented constructor contract: fails at tag-construction in setup code, never mid-protocol; Tag::try_new is the fallible path")
         Self::try_new(value).expect("tag exceeds MAX_USER_TAG")
     }
 

@@ -46,11 +46,6 @@ impl CostModel {
     pub fn availability(&self, send_time: f64, len: usize) -> f64 {
         send_time + self.latency + len as f64 * self.byte_time
     }
-
-    /// Pure network transfer time for `len` bytes (latency + serialization).
-    pub fn transfer_time(&self, len: usize) -> f64 {
-        self.latency + len as f64 * self.byte_time
-    }
 }
 
 impl Default for CostModel {
@@ -178,7 +173,6 @@ mod tests {
     fn cost_model_availability() {
         let m = CostModel { latency: 1.0, byte_time: 0.5, msg_overhead: 0.1 };
         assert_eq!(m.availability(10.0, 4), 10.0 + 1.0 + 2.0);
-        assert_eq!(m.transfer_time(2), 2.0);
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //! Runs the full `redcr-lint` pass in-process (no subprocess, no
 //! `cargo run`) over the repository root and fails the build if any
 //! unsuppressed violation, malformed suppression (missing `reason`), or
-//! stale suppression exists. A second test seeds a synthetic violation
-//! through [`redcr_lint::lint_source`] to prove the analyzer actually
-//! fires — a lint pass that silently matched nothing would otherwise
-//! look identical to a clean tree.
+//! stale suppression exists. Seeded programs run through
+//! [`redcr_lint::lint_source`] prove the analyzer actually fires — a lint
+//! pass that silently matched nothing would otherwise look identical to a
+//! clean tree.
+//!
+//! The token-level rules (wall clock, hash iteration order, unseeded
+//! entropy, panics on rank paths) are clippy's. A tier-1 run never invokes
+//! clippy, so [`clippy_owns_the_token_rules`] reads the configuration that
+//! carries them and fails if it is lost.
 
 use proptest::prelude::*;
 
@@ -58,94 +63,60 @@ fn workspace_is_detlint_clean() {
     }
 }
 
-#[test]
-fn seeded_wallclock_violation_is_caught() {
-    // A virtual-time crate sneaking in a wall-clock read must trip R1
-    // with the right rule id and line number.
-    let src = "use std::time::Instant;\n\
-               \n\
-               pub fn now_ms() -> u128 {\n\
-                   let t = Instant::now();\n\
-                   t.elapsed().as_millis()\n\
-               }\n";
-    let report = lint_source("crates/simmpi/src/seeded.rs", Domain::Hot, src);
-    let r1: Vec<_> = report.unsuppressed().filter(|v| v.rule == "R1").collect();
-    assert!(!r1.is_empty(), "seeded Instant usage not caught: {report:?}");
-    assert!(
-        r1.iter().any(|v| v.line == 1),
-        "the `use std::time::Instant` import on line 1 should be flagged: {r1:?}"
-    );
-    assert!(
-        r1.iter().any(|v| v.line == 4),
-        "the `Instant::now()` call on line 4 should be flagged: {r1:?}"
-    );
-    assert!(!report.is_clean(), "report with unsuppressed violations must not be clean");
-}
+/// A coroutine root that reaches an OS-blocking call: an R8 finding in
+/// any checked crate.
+const BLOCKING_ROOT: &str =
+    "fn spawn(pool: &Pool) { pool.run_batch(|| { std::fs::write(\"x\", b\"y\").ok(); }); }\n";
 
 #[test]
 fn prof_is_wallclock_but_everything_else_stays_strict() {
-    // The profiler crate is the sanctioned home of `Instant` reads; the
-    // shipped detlint.toml must map it to the wallclock domain — and that
-    // exemption must not widen. A wall-clock read in any virtual-time
-    // crate still fires R1 under the *loaded* config, not a hardcoded
-    // domain, so a botched detlint.toml edit fails this test.
+    // The wall-clock crates (the profiler and the bench harness) and the
+    // linter are the only ones detlint skips; the shipped detlint.toml
+    // must say so — and that exemption must not widen. A seeded R8 in
+    // any other crate still fires under the *loaded* config, not a
+    // hardcoded domain, so a botched detlint.toml edit fails this test.
     let cfg = Config::load(&repo_root().join("detlint.toml")).expect("detlint.toml parses");
-    assert_eq!(cfg.domain_for(std::path::Path::new("crates/prof/src/shard.rs")), Domain::Wallclock);
-    assert_eq!(
-        cfg.domain_for(std::path::Path::new("crates/bench/src/runtime.rs")),
-        Domain::Wallclock
-    );
-    for strict in
-        ["simmpi", "sched", "redundancy", "checkpoint", "core", "trace", "metrics", "sweep"]
-    {
+    for exempt in ["prof", "bench", "lint"] {
+        let rel = format!("crates/{exempt}/src/lib.rs");
+        assert_eq!(cfg.domain_for(std::path::Path::new(&rel)), Domain::Exempt, "{rel}");
+    }
+    for strict in [
+        "simmpi",
+        "sched",
+        "redundancy",
+        "checkpoint",
+        "core",
+        "trace",
+        "metrics",
+        "sweep",
+        "json",
+        "failure",
+        "cluster",
+        "apps",
+        "model",
+    ] {
         let rel = format!("crates/{strict}/src/lib.rs");
         let domain = cfg.domain_for(std::path::Path::new(&rel));
-        assert_ne!(domain, Domain::Wallclock, "{strict} must not be wallclock");
-        let report = lint_source(&rel, domain, "fn t() { let _ = std::time::Instant::now(); }\n");
+        assert_eq!(domain, Domain::Checked, "{strict} must be checked");
+        let report = lint_source(&rel, domain, BLOCKING_ROOT);
         assert!(
-            report.unsuppressed().any(|v| v.rule == "R1"),
-            "Instant read in {rel} ({}) did not fire R1",
+            report.unsuppressed().any(|v| v.rule == "R8"),
+            "blocking call in {rel} ({}) did not fire R8",
             domain.name()
         );
     }
+    assert_eq!(cfg.domain_for(std::path::Path::new("src/lib.rs")), Domain::Checked);
 }
 
 #[test]
 fn sched_is_hot_and_every_rule_fires_inside_it() {
-    // The M:N scheduler crate joins simmpi/redundancy in the `hot`
-    // domain: it runs on the rank hot path (every mailbox park crosses
-    // it), so the full rule set must demonstrably fire on its paths —
-    // a domain mapping that silently fell back to `virtual` would let
-    // hot-only rules (R4) rot.
+    // The M:N scheduler runs on the rank hot path (every mailbox park
+    // crosses it), so every detlint rule must demonstrably fire on its
+    // paths under the loaded config.
     let cfg = Config::load(&repo_root().join("detlint.toml")).expect("detlint.toml parses");
     let path = "crates/sched/src/seeded.rs";
     let domain = cfg.domain_for(std::path::Path::new(path));
-    assert_eq!(domain, Domain::Hot, "crates/sched must map to the hot domain");
-
-    // R1: wall-clock reads.
-    let r = lint_source(
-        path,
-        domain,
-        "fn t() -> u128 { std::time::Instant::now().elapsed().as_millis() }\n",
-    );
-    assert!(r.unsuppressed().any(|v| v.rule == "R1"), "R1 silent in sched: {r:?}");
-
-    // R2: randomized-iteration-order containers.
-    let r = lint_source(
-        path,
-        domain,
-        "use std::collections::HashMap;\nfn t(m: &HashMap<u32, u32>) -> u32 { m.values().sum() }\n",
-    );
-    assert!(r.unsuppressed().any(|v| v.rule == "R2"), "R2 silent in sched: {r:?}");
-
-    // R3: unseeded entropy (a randomized steal order would desync runs).
-    let r =
-        lint_source(path, domain, "fn victim(w: usize) -> usize { rand::random::<usize>() % w }\n");
-    assert!(r.unsuppressed().any(|v| v.rule == "R3"), "R3 silent in sched: {r:?}");
-
-    // R4 (hot-only): panics and unwraps on the rank path.
-    let r = lint_source(path, domain, "fn pop(q: &mut Vec<usize>) -> usize { q.pop().unwrap() }\n");
-    assert!(r.unsuppressed().any(|v| v.rule == "R4"), "R4 silent in sched: {r:?}");
+    assert_eq!(domain, Domain::Checked, "crates/sched must be checked");
 
     // R5: a lock-order cycle between two scheduler-shaped lock classes.
     let r = lint_source(
@@ -156,27 +127,40 @@ fn sched_is_hot_and_every_rule_fires_inside_it() {
     );
     assert!(r.unsuppressed().any(|v| v.rule == "R5"), "R5 silent in sched: {r:?}");
     assert!(
-        r.lock_classes.iter().any(|c| c.contains("queue")),
-        "lock classes should name the fixture's queue: {:?}",
+        r.lock_classes.iter().any(|c| c == "sched::queue"),
+        "lock classes should name the fixture's queue in its crate: {:?}",
         r.lock_classes
     );
 
-    // R6: Relaxed atomics (the wake protocol's ordering is load-bearing).
+    // R7: a park under a live run-queue guard.
     let r = lint_source(
         path,
         domain,
-        "use std::sync::atomic::{AtomicU8, Ordering};\n\
-         fn peek(s: &AtomicU8) -> u8 { s.load(Ordering::Relaxed) }\n",
+        "fn park_current() {}\n\
+         fn idle(&self) { let q = self.queue.lock(); park_current(); }\n",
     );
-    assert!(r.unsuppressed().any(|v| v.rule == "R6"), "R6 silent in sched: {r:?}");
+    assert!(r.unsuppressed().any(|v| v.rule == "R7"), "R7 silent in sched: {r:?}");
+
+    // R8: an OS-blocking call on a coroutine path.
+    let r = lint_source(path, domain, BLOCKING_ROOT);
+    assert!(r.unsuppressed().any(|v| v.rule == "R8"), "R8 silent in sched: {r:?}");
+
+    // R9: a coroutine root over the stack budget.
+    let r = lint_source(
+        path,
+        domain,
+        "fn deep() { let b: [u8; 300_000] = [0u8; 300_000]; let _ = b[0]; }\n\
+         fn spawn(pool: &Pool) { pool.run_batch(|| { deep(); }); }\n",
+    );
+    assert!(r.unsuppressed().any(|v| v.rule == "R9"), "R9 silent in sched: {r:?}");
 }
 
 #[test]
 fn seeded_violation_in_wallclock_domain_is_fine() {
-    // The same source is legal in the bench (wallclock) domain.
-    let src = "use std::time::Instant;\npub fn t() -> Instant { Instant::now() }\n";
-    let report = lint_source("crates/bench/src/seeded.rs", Domain::Wallclock, src);
-    assert!(report.is_clean(), "wallclock domain must allow Instant: {report:?}");
+    // The same source is legal in the exempt bench (wall-clock) crate.
+    let report = lint_source("crates/bench/src/seeded.rs", Domain::Exempt, BLOCKING_ROOT);
+    assert!(report.violations.is_empty(), "exempt crates are not parsed: {report:?}");
+    assert!(report.callgraph.roots.is_empty(), "{report:?}");
 }
 
 #[test]
@@ -189,7 +173,7 @@ fn interprocedural_rules_fire_through_lint_source() {
     // R7: a resolved park behind one call, under a live guard.
     let r = lint_source(
         path,
-        Domain::Hot,
+        Domain::Checked,
         "fn park_current() {}\n\
          fn wait() { park_current(); }\n\
          struct S { q: Mutex<u32> }\n\
@@ -200,7 +184,7 @@ fn interprocedural_rules_fire_through_lint_source() {
     // R8: blocking I/O two calls below a coroutine root.
     let r = lint_source(
         path,
-        Domain::Hot,
+        Domain::Checked,
         "fn persist() { std::fs::write(\"x\", b\"y\").ok(); }\n\
          fn snapshot() { persist(); }\n\
          fn spawn(pool: &Pool) { pool.run_batch(|| { snapshot(); }); }\n",
@@ -210,19 +194,11 @@ fn interprocedural_rules_fire_through_lint_source() {
     // R9: a root whose chain exceeds the default 128 KiB budget.
     let r = lint_source(
         path,
-        Domain::Hot,
+        Domain::Checked,
         "fn deep() { let b: [u8; 300_000] = [0u8; 300_000]; let _ = b[0]; }\n\
          fn spawn(pool: &Pool) { pool.run_batch(|| { deep(); }); }\n",
     );
     assert!(r.unsuppressed().any(|v| v.rule == "R9" && !v.advisory), "R9 silent: {r:?}");
-
-    // R10: a spin loop on the coroutine path.
-    let r = lint_source(
-        path,
-        Domain::Hot,
-        "fn spawn(pool: &Pool) { pool.run_batch(|| { let mut n = 0u64; loop { n += 1; } }); }\n",
-    );
-    assert!(r.unsuppressed().any(|v| v.rule == "R10"), "R10 silent: {r:?}");
 }
 
 #[test]
@@ -268,24 +244,88 @@ fn workspace_callgraph_artifact_is_sound() {
 #[test]
 fn unknown_rule_in_allow_fails_the_run() {
     // Satellite guard for the rule registry: an allow naming a rule id
-    // that does not exist (typo, or a retired rule) must fail the run
-    // rather than rot silently.
-    let src = "// detlint::allow(R99, reason = \"typo'd rule id\")\n\
-               fn fine() {}\n";
-    let report = lint_source("crates/sched/src/seeded.rs", Domain::Hot, src);
-    assert!(!report.is_clean(), "unknown rule id must fail: {report:?}");
-    assert!(
-        report.bad_suppressions.iter().any(|b| b.unknown_rule),
-        "unknown-rule flag not set: {:#?}",
-        report.bad_suppressions
-    );
+    // that does not exist (a typo, or a rule retired to clippy or
+    // dropped) must fail the run rather than rot silently.
+    for id in ["R99", "R2", "R4", "R6", "R10"] {
+        let src =
+            format!("// detlint::allow({id}, reason = \"not a detlint rule\")\nfn fine() {{}}\n");
+        let report = lint_source("crates/sched/src/seeded.rs", Domain::Checked, &src);
+        assert!(!report.is_clean(), "unknown rule id {id} must fail: {report:?}");
+        assert!(
+            report.bad_suppressions.iter().any(|b| b.unknown_rule && b.rule == id),
+            "unknown-rule flag not set for {id}: {:#?}",
+            report.bad_suppressions
+        );
+    }
+}
+
+/// The non-comment lines of `text` (comments start with `marker`).
+fn code_lines(text: &str, marker: &str) -> String {
+    text.lines().filter(|l| !l.trim_start().starts_with(marker)).collect::<Vec<_>>().join("\n")
+}
+
+/// The text of the `key = [ … ]` array in `clippy.toml`.
+fn toml_array<'a>(toml: &'a str, key: &str) -> &'a str {
+    let start =
+        toml.find(&format!("{key} = [")).unwrap_or_else(|| panic!("no {key} in clippy.toml"));
+    let body = &toml[start..];
+    &body[..body.find("\n]").unwrap_or_else(|| panic!("{key} array is not closed"))]
+}
+
+#[test]
+fn clippy_owns_the_token_rules() {
+    // clippy.toml carries R1–R3: the wall clock, hash iteration order
+    // and unseeded entropy.
+    let toml = std::fs::read_to_string(repo_root().join("clippy.toml")).expect("clippy.toml");
+    let toml = code_lines(&toml, "#");
+    let types = toml_array(&toml, "disallowed-types");
+    for ty in [
+        "std::time::Instant",
+        "std::time::SystemTime",
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::collections::hash_map::RandomState",
+    ] {
+        assert!(types.contains(&format!("path = \"{ty}\"")), "{ty} not in disallowed-types");
+    }
+    let methods = toml_array(&toml, "disallowed-methods");
+    for method in ["std::time::Instant::now", "std::time::SystemTime::now"] {
+        assert!(
+            methods.contains(&format!("path = \"{method}\"")),
+            "{method} not in disallowed-methods"
+        );
+    }
+    for key in ["allow-unwrap-in-tests", "allow-expect-in-tests", "allow-panic-in-tests"] {
+        assert!(
+            toml.lines().any(|l| l.split_whitespace().collect::<String>() == format!("{key}=true")),
+            "{key} = true missing from clippy.toml"
+        );
+    }
+    // R4: the hot crates deny panics outside tests.
+    for krate in ["simmpi", "sched", "redundancy"] {
+        let lib = std::fs::read_to_string(repo_root().join(format!("crates/{krate}/src/lib.rs")))
+            .expect("hot crate root");
+        let lib = code_lines(&lib, "//");
+        let start = lib.find("#![deny(").unwrap_or_else(|| panic!("no #![deny] in {krate}"));
+        let end = start + lib[start..].find(")]").expect("closed #![deny]");
+        let denied: Vec<&str> = lib[start + "#![deny(".len()..end]
+            .split(',')
+            .map(str::trim)
+            .filter(|l| !l.is_empty())
+            .collect();
+        for lint in ["unwrap_used", "expect_used", "panic", "unreachable", "todo", "unimplemented"]
+        {
+            let lint = format!("clippy::{lint}");
+            assert!(denied.contains(&lint.as_str()), "{krate} does not deny {lint}: {denied:?}");
+        }
+    }
 }
 
 /// Fragments that steer random text into the `detlint.toml` subset.
 #[rustfmt::skip]
 const TOML_SOUP: [&str; 24] = [
     "[", "]", "[domains]", "[scan]", "[stack_budget]", "=", "\"", ",", "#", "\n", " ", "\t",
-    "exclude", "budget_kb", "sched", "\"hot\"", "\"virtual\"", "[\"a\", \"b\"]", "128",
+    "exclude", "budget_kb", "sched", "\"checked\"", "\"exempt\"", "[\"a\", \"b\"]", "128",
     "99999999999999999999999", "-1", "é", "\r\n", "\u{0}",
 ];
 

@@ -202,9 +202,7 @@ impl Task {
 /// `redcr-prof` worker shards when profiling is on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Parked tasks marked runnable by a wake.
-    pub task_wakes: u64,
-    /// Of those, wakes issued from a worker other than the task's home.
+    /// Wakes of a parked task issued from a worker other than its home.
     pub remote_wakes: u64,
     /// Tasks a worker stole from another worker's deque.
     pub steals: u64,
@@ -221,7 +219,6 @@ pub struct BatchStats {
 #[repr(align(128))]
 #[derive(Default)]
 struct WorkerStats {
-    task_wakes: AtomicU64,
     remote_wakes: AtomicU64,
     steals: AtomicU64,
     loans: AtomicU64,
@@ -295,9 +292,6 @@ pub(crate) struct PoolShared {
     idlers: AtomicUsize,
     /// Tasks not yet `DONE`; workers exit when this reaches zero.
     live: AtomicUsize,
-    /// Wakes issued by threads that are not workers of this pool (every
-    /// wake, under the threads backend).
-    off_pool_wakes: AtomicU64,
 }
 
 impl PoolShared {
@@ -312,7 +306,6 @@ impl PoolShared {
             idle_cv: Condvar::new(),
             idlers: AtomicUsize::new(0),
             live: AtomicUsize::new(live),
-            off_pool_wakes: AtomicU64::new(0),
         }
     }
 
@@ -351,16 +344,8 @@ impl PoolShared {
     }
 
     fn count_wake(&self, home: usize) {
-        match self.my_worker() {
-            Some(k) => {
-                bump(&self.stats[k].task_wakes);
-                if k != home {
-                    bump(&self.stats[k].remote_wakes);
-                }
-            }
-            None => {
-                self.off_pool_wakes.fetch_add(1, SeqCst);
-            }
+        if let Some(k) = self.my_worker().filter(|&k| k != home) {
+            bump(&self.stats[k].remote_wakes);
         }
     }
 
@@ -394,10 +379,8 @@ impl PoolShared {
     }
 
     fn batch_stats(&self) -> BatchStats {
-        let mut out =
-            BatchStats { task_wakes: self.off_pool_wakes.load(SeqCst), ..BatchStats::default() };
+        let mut out = BatchStats::default();
         for w in &self.stats {
-            out.task_wakes += w.task_wakes.load(SeqCst);
             out.remote_wakes += w.remote_wakes.load(SeqCst);
             out.steals += w.steals.load(SeqCst);
             out.loans += w.loans.load(SeqCst);
@@ -513,7 +496,6 @@ impl Waker {
                 let t = &self.shared.tasks[self.idx];
                 *t.permit.lock() = true;
                 t.unpark.notify_one();
-                self.shared.off_pool_wakes.fetch_add(1, SeqCst);
             }
             Backend::Coro => self.shared.wake_coro(self.idx),
         }
@@ -1039,10 +1021,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_stats_sum_the_worker_cells_and_off_pool_wakes() {
+    fn batch_stats_sum_the_worker_cells() {
         // Odd tasks 1, 3, 5 wake their even partners from inside the pool;
-        // task 6 is woken by a plain thread, which also keeps its waker so
-        // the pool's cells can be read once the batch is over.
+        // task 6 is woken by a plain thread, which no worker's cell counts;
+        // that thread also keeps its waker so the pool's cells can be read
+        // once the batch is over.
         let slots: Vec<Slot> = (0..8).map(|_| Mutex::new(None)).collect();
         let (out, outside) = std::thread::scope(|s| {
             let outside = s.spawn(|| {
@@ -1064,9 +1047,6 @@ mod tests {
         let sum = |cell: fn(&WorkerStats) -> &AtomicU64| {
             pool.stats.iter().map(|w| cell(w).load(SeqCst)).sum::<u64>()
         };
-        assert_eq!(pool.off_pool_wakes.load(SeqCst), 1);
-        assert_eq!(out.stats.task_wakes, 4, "stats: {:?}", out.stats);
-        assert_eq!(out.stats.task_wakes, sum(|w| &w.task_wakes) + 1);
         assert_eq!(out.stats.remote_wakes, sum(|w| &w.remote_wakes));
         assert_eq!(out.stats.steals, sum(|w| &w.steals));
         assert_eq!(out.stats.loans, sum(|w| &w.loans));

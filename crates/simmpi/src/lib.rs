@@ -35,11 +35,15 @@
 //!
 //! ## Determinism
 //!
-//! Sends are eager and buffered (they never block), receives match
-//! per-(source, tag) in FIFO order, and collectives use fixed deterministic
-//! trees — so a deterministic application produces bitwise-identical results
-//! and virtual times on every run. Wildcard receives match in arrival order,
-//! which is scheduler-dependent, exactly as in real MPI.
+//! Sends are eager and buffered (they never block). Each mailbox is one
+//! queue in arrival order, and a receive takes the oldest envelope its
+//! source and tag selectors match, so receives are FIFO per (source, tag);
+//! collectives use fixed deterministic trees. A deterministic application
+//! therefore produces bitwise-identical results and virtual times on every
+//! run. Wildcard receives match in arrival order, which is
+//! scheduler-dependent, exactly as in real MPI. A find scans about one
+//! buffered envelope on average; the 1 024-rank CG averages about 17,
+//! from its `allgather` root (see [`mailbox`]).
 //!
 //! ## Aborts
 //!

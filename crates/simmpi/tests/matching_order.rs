@@ -1,17 +1,21 @@
 //! Regression suite for MPI matching-order semantics.
 //!
-//! Pins the rule the channel-indexed mailbox must preserve bit-for-bit:
+//! Pins the rule the mailbox must preserve bit-for-bit:
 //! `ANY_SOURCE`/`ANY_TAG` receives select the **globally oldest arrival**
 //! among matching messages, while specific-source/specific-tag receives
 //! are FIFO within their (source, tag) channel and never disturb the
-//! global order seen by wildcards.
+//! global order seen by wildcards. The mailbox is one arrival-ordered
+//! queue whose finds take the first match, so the rule holds by
+//! construction; this suite is its match-order oracle at world level
+//! (the unit test `deep_mixed_mailbox_matches_a_reference` is the deep
+//! one).
 //!
 //! Arrival order into a mailbox is physical push order, which for threads
 //! is wall-clock dependent — so every test below forces a deterministic
 //! arrival order through happens-before token chains: a sender only
 //! releases the next sender once its own message is already buffered at
-//! the receiver. This file was written against the flat pre-swap mailbox
-//! and runs unchanged against the channel-indexed one.
+//! the receiver. Nothing here depends on how the mailbox stores its
+//! envelopes: the file has run unchanged against every mailbox design.
 
 use bytes::Bytes;
 use redcr_mpi::{Communicator, Rank, RankSelector, Tag, TagSelector, World};

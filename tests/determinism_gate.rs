@@ -1,12 +1,13 @@
 //! Determinism gate for the simmpi delivery-path overhaul.
 //!
-//! The channel-indexed mailbox (per-(source, wire-tag) FIFO queues with a
-//! global arrival sequence number, targeted wakeups) must not change any
-//! virtual-time result. This test pins, bit-for-bit, the `ExecutionReport`
-//! totals and the JSONL flight-recorder trace of a CG run **with live
-//! failures at r=2** as they were produced by the flat `Mutex<VecDeque>`
-//! mailbox *before* the swap. The constants below were captured on that
-//! baseline (30/30 identical runs) and must keep holding afterwards.
+//! No delivery-path change may move a virtual-time result. This test
+//! pins, bit-for-bit, the `ExecutionReport` totals and the JSONL
+//! flight-recorder trace of a CG run **with live failures at r=2** as
+//! they were produced by the flat `Mutex<VecDeque>` mailbox *before* it
+//! was swapped for a per-(source, wire-tag) channel index. The constants
+//! below were captured on that baseline (30/30 identical runs), held
+//! through the index, and hold again now that the mailbox is one
+//! arrival-ordered queue with targeted wakeups.
 //!
 //! Scenario notes: the run injects three node deaths, all masked by the
 //! r=2 replicas (live failover, degraded spheres, three committed

@@ -11,7 +11,9 @@
 //! The token-level rules (wall clock, hash iteration order, unseeded
 //! entropy, panics on rank paths) are clippy's. A tier-1 run never invokes
 //! clippy, so [`clippy_owns_the_token_rules`] reads the configuration that
-//! carries them and fails if it is lost.
+//! carries them and fails if it is lost, and
+//! [`disallowed_types_is_waived_only_by_the_wall_clock_crates`] fails if
+//! the hash-order rule gains a waiver in simulation code.
 
 use proptest::prelude::*;
 
@@ -319,6 +321,46 @@ fn clippy_owns_the_token_rules() {
             assert!(denied.contains(&lint.as_str()), "{krate} does not deny {lint}: {denied:?}");
         }
     }
+}
+
+/// Every `.rs` file under `dir`, skipping build output and hidden
+/// directories.
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source directory") {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if path.is_dir() {
+            if name != "target" && !name.starts_with('.') {
+                rust_files(&path, out);
+            }
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn disallowed_types_is_waived_only_by_the_wall_clock_crates() {
+    // R2 has no exception in simulation code: only the two crates whose
+    // job is to read the host clock (R1) may allow the lint, and they do
+    // it at their crate root. The lint's name is assembled so that this
+    // file does not name it.
+    let lint = ["clippy", "disallowed_types"].join("::");
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut waiving: Vec<String> = files
+        .iter()
+        .filter(|path| {
+            let text = std::fs::read_to_string(path).expect("readable source file");
+            code_lines(&text, "//").contains(&lint)
+        })
+        .map(|path| path.strip_prefix(&root).expect("under the root").display().to_string())
+        .collect();
+    waiving.sort();
+    assert_eq!(waiving, ["crates/bench/src/bin/perf/main.rs", "crates/prof/src/lib.rs"]);
 }
 
 /// Fragments that steer random text into the `detlint.toml` subset.

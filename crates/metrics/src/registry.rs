@@ -7,7 +7,7 @@ use redcr_sched::sync::{Mutex, MutexGuard};
 use redcr_trace::EventKind;
 
 use crate::histogram::Histogram;
-use crate::shard::{cell_of, is_grid, RankDrain};
+use crate::shard::{add_into, cell_of, is_grid, RankDrain};
 use crate::{CounterKey, GaugeKey, HistKey, RankMetrics};
 
 /// The world-shared metrics sink. Rank shards are absorbed at teardown (one
@@ -180,13 +180,6 @@ impl Inner {
         for (i, h) in drain.hists.iter().enumerate() {
             self.hists[i].merge(h);
         }
-    }
-}
-
-/// Adds `sums` into `acc`, counter by counter.
-fn add_into(acc: &mut [u64; CounterKey::COUNT], sums: &[u64; CounterKey::COUNT]) {
-    for (a, s) in acc.iter_mut().zip(sums) {
-        *a += s;
     }
 }
 

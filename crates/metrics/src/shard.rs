@@ -41,6 +41,34 @@ pub(crate) fn cell_of(time: f64, interval: f64) -> u64 {
     (near.saturating_sub(1)..=near + 1).find(|&k| time <= k as f64 * interval).unwrap_or(near + 1)
 }
 
+/// The stamps [`cell_of`] puts in cell `k`, as `(lo, hi, k)` for the
+/// half-open `(lo, hi]`, computed with the products it compares. Where it
+/// stops comparing (near 2^52, or when a product overflows) there are
+/// none: [`NO_CELL`], which no stamp is in.
+fn cell_bounds(k: u64, interval: f64) -> (f64, f64, u64) {
+    if k == 0 {
+        return (f64::NEG_INFINITY, 0.0, 0);
+    }
+    if !is_grid(interval) {
+        return (0.0, f64::INFINITY, 1);
+    }
+    let hi = k as f64 * interval;
+    if k >= (1 << 52) - 1 || !hi.is_finite() {
+        return NO_CELL;
+    }
+    ((k - 1) as f64 * interval, hi, k)
+}
+
+/// The bounds of no cell: no stamp is above `lo` and at most `hi`.
+const NO_CELL: (f64, f64, u64) = (f64::INFINITY, f64::NEG_INFINITY, 0);
+
+/// Adds `sums` into `acc`, counter by counter.
+pub(crate) fn add_into(acc: &mut [u64; CounterKey::COUNT], sums: &[u64; CounterKey::COUNT]) {
+    for (a, s) in acc.iter_mut().zip(sums) {
+        *a += s;
+    }
+}
+
 /// A rank thread's private metric shard: `Send` (created on the rank's own
 /// thread) but not `Sync`, exactly like the flight recorder's `Recorder`.
 /// Counters and gauges move only through [`fold`](Self::fold), so each is
@@ -51,14 +79,17 @@ pub(crate) fn cell_of(time: f64, interval: f64) -> u64 {
 #[derive(Debug)]
 pub struct RankMetrics {
     rank: u32,
-    counters: [Cell<u64>; CounterKey::COUNT],
     /// `(value, time)` per gauge; unset = `(NAN, NEG_INFINITY)`.
     gauges: [Cell<(f64, f64)>; GaugeKey::COUNT],
     hists: RefCell<[Histogram; HistKey::COUNT]>,
     /// Scrape-grid spacing, virtual seconds.
     interval: f64,
+    /// The cell the latest stamp resolved to, as [`cell_bounds`] gives it:
+    /// a stamp inside its bounds needs no division.
+    last_cell: Cell<(f64, f64, u64)>,
     /// Increments by grid cell, in arrival order: a bump joins the last
-    /// cell if it is stamped there, otherwise it opens a new one.
+    /// cell if it is stamped there, otherwise it opens a new one. The
+    /// counter totals are their sum.
     cells: RefCell<Vec<GridCell>>,
     /// Latest stamp seen (at least zero).
     end: Cell<f64>,
@@ -75,10 +106,10 @@ impl RankMetrics {
     pub(crate) fn new(rank: u32, interval: f64) -> Self {
         RankMetrics {
             rank,
-            counters: std::array::from_fn(|_| Cell::new(0)),
             gauges: std::array::from_fn(|_| Cell::new((f64::NAN, f64::NEG_INFINITY))),
             hists: RefCell::new(std::array::from_fn(|_| Histogram::new())),
             interval,
+            last_cell: Cell::new(NO_CELL),
             cells: RefCell::new(Vec::new()),
             end: Cell::new(0.0),
             begun: Cell::new(f64::NAN),
@@ -93,13 +124,11 @@ impl RankMetrics {
         use CounterKey as C;
         match *kind {
             EventKind::Send { bytes, .. } => {
-                self.add(C::Sends, 1, time);
-                self.add(C::BytesSent, bytes, time);
+                self.bump(time, &[(C::Sends, 1), (C::BytesSent, bytes)]);
                 self.observe(HistKey::PayloadSize, bytes as f64);
             }
             EventKind::Recv { bytes, .. } => {
-                self.add(C::Recvs, 1, time);
-                self.add(C::BytesReceived, bytes, time);
+                self.bump(time, &[(C::Recvs, 1), (C::BytesReceived, bytes)]);
             }
             EventKind::Death => self.add(C::Deaths, 1, time),
             EventKind::Vote { .. } => self.add(C::Votes, 1, time),
@@ -117,8 +146,7 @@ impl RankMetrics {
             EventKind::RespawnCommit { latency, .. } => self.observe(HistKey::HealLatency, latency),
             EventKind::RejoinVote { .. } => self.add(C::Respawns, 1, time),
             EventKind::AttemptEnd { completed, .. } => {
-                self.add(C::Attempts, 1, time);
-                self.add(C::Restarts, u64::from(!completed), time);
+                self.bump(time, &[(C::Attempts, 1), (C::Restarts, u64::from(!completed))]);
             }
             _ => {}
         }
@@ -127,25 +155,42 @@ impl RankMetrics {
     /// Increments `key` by `delta` at virtual time `time`. A zero delta is
     /// a no-op (it must not open a grid cell or move the latest stamp).
     pub(crate) fn add(&self, key: CounterKey, delta: u64, time: f64) {
-        if delta == 0 {
+        self.bump(time, &[(key, delta)]);
+    }
+
+    /// Adds every `(key, delta)` into the grid cell of `time`, resolved
+    /// once; increments of zero are no-ops, as in [`add`](Self::add).
+    #[inline]
+    fn bump(&self, time: f64, deltas: &[(CounterKey, u64)]) {
+        if deltas.iter().all(|&(_, delta)| delta == 0) {
             return;
         }
-        let c = &self.counters[key.index()];
-        c.set(c.get() + delta);
         // Stamps need not arrive in order (a death carries its sampled
         // time, which can precede the rank's clock), so the list may
         // revisit a cell; the registry merges by `k`.
-        let k = cell_of(time, self.interval);
+        let k = self.cell(time);
         let mut cells = self.cells.borrow_mut();
-        match cells.last_mut() {
-            Some((last, sums)) if *last == k => sums[key.index()] += delta,
-            _ => {
-                let mut sums = [0; CounterKey::COUNT];
-                sums[key.index()] = delta;
-                cells.push((k, sums));
-            }
+        if cells.last().is_none_or(|&(last, _)| last != k) {
+            cells.push((k, [0; CounterKey::COUNT]));
+        }
+        let (_, sums) = cells.last_mut().expect("the cell was just opened");
+        for &(key, delta) in deltas {
+            sums[key.index()] += delta;
         }
         self.end.set(self.end.get().max(time));
+    }
+
+    /// [`cell_of`] `time`, without its division when `time` lands in the
+    /// same cell as the stamp before.
+    #[inline]
+    fn cell(&self, time: f64) -> u64 {
+        let (lo, hi, k) = self.last_cell.get();
+        if lo < time && time <= hi {
+            return k;
+        }
+        let k = cell_of(time, self.interval);
+        self.last_cell.set(cell_bounds(k, self.interval));
+        k
     }
 
     /// Records one histogram observation of a value no event carries (a
@@ -159,15 +204,20 @@ impl RankMetrics {
     /// [`MetricsRegistry::absorb`](crate::MetricsRegistry::absorb)),
     /// leaving it empty — a second drain contributes nothing.
     pub fn drain(&self) -> RankDrain {
+        let cells = std::mem::take(&mut *self.cells.borrow_mut());
+        let mut counters = [0; CounterKey::COUNT];
+        for (_, sums) in &cells {
+            add_into(&mut counters, sums);
+        }
         RankDrain {
             rank: self.rank,
-            counters: std::array::from_fn(|i| self.counters[i].replace(0)),
+            counters,
             gauges: std::array::from_fn(|i| self.gauges[i].replace((f64::NAN, f64::NEG_INFINITY))),
             hists: std::mem::replace(
                 &mut *self.hists.borrow_mut(),
                 std::array::from_fn(|_| Histogram::new()),
             ),
-            cells: std::mem::take(&mut *self.cells.borrow_mut()),
+            cells,
             end: self.end.replace(0.0),
         }
     }
@@ -331,6 +381,72 @@ mod tests {
             (1..=50).collect::<Vec<_>>()
         );
         assert_eq!(d.counters[CounterKey::BytesSent.index()], 400_000);
+    }
+
+    /// The cell cache changes no stamp's cell: in order, out of order (a
+    /// death stamped before the rank's clock), on and beside the grid
+    /// points, past 2^52 cells and off the grid, each stamp lands in
+    /// `cell_of`'s cell, and the drain is the one a shard resolving every
+    /// stamp with `cell_of` would give.
+    #[test]
+    fn the_cached_cell_is_cell_of_for_every_stamp() {
+        let mut state = 46u64;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let beside = |t: f64| [t, f64::from_bits(t.to_bits() + 1), f64::from_bits(t.to_bits() - 1)];
+        for interval in [1.0, 0.37, 1e-3, 3.0e7, 0.0, f64::NAN, f64::INFINITY] {
+            let step = if is_grid(interval) { interval } else { 1.0 };
+            let mut stamps = vec![0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            for k in 1u64..3000 {
+                let edge = k as f64 * step;
+                stamps.extend(beside(edge));
+                // Clock steps inside the cell, then a death a few cells
+                // back.
+                for _ in 0..next() % 4 {
+                    stamps.push(edge + step * (next() % 1000) as f64 * 1e-3);
+                }
+                if next() % 8 == 0 {
+                    stamps.push(edge - step * (next() % 5) as f64);
+                }
+            }
+            for k in [(1u64 << 52) - 2, (1 << 52) - 1, 1 << 52, 1 << 53] {
+                stamps.extend(beside(k as f64 * step));
+            }
+            stamps.extend([1e300, f64::MIN_POSITIVE, f64::MAX]);
+
+            let m = RankMetrics::new(0, interval);
+            let (mut want, mut end): (Vec<GridCell>, f64) = (Vec::new(), 0.0);
+            for (i, &t) in stamps.iter().enumerate() {
+                let k = cell_of(t, interval);
+                assert_eq!(m.cell(t), k, "{t:e} on a grid of {interval}");
+                let (key, delta) = (CounterKey::ALL[i % CounterKey::COUNT], i as u64 % 3);
+                m.add(key, delta, t);
+                if delta == 0 {
+                    continue;
+                }
+                match want.last_mut() {
+                    Some((last, sums)) if *last == k => sums[key.index()] += delta,
+                    _ => {
+                        let mut sums = [0; CounterKey::COUNT];
+                        sums[key.index()] = delta;
+                        want.push((k, sums));
+                    }
+                }
+                end = end.max(t);
+            }
+            let d = m.drain();
+            assert_eq!(d.cells, want, "on a grid of {interval}");
+            let mut counters = [0; CounterKey::COUNT];
+            want.iter().for_each(|(_, sums)| add_into(&mut counters, sums));
+            assert_eq!(d.counters, counters);
+            assert_eq!(d.end.to_bits(), end.to_bits());
+        }
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! [`MetricsRegistry`] and the wall-clock [`Profiler`], each optional.
 //! Builders and the executor driver hold one. Every rank task mints one
 //! [`Obs`] from it: rank-local shards (plain `Cell`/`Vec` updates, no locks
-//! or atomics) for exactly the sinks that are on — the recorder writes one
-//! event per call into a fixed-size chunk, the metrics shard grows only
-//! with the scrape-grid cells it touches (the registry mints it, so it
-//! folds onto the registry's grid), the profile shard counts every span
+//! or atomics) for exactly the sinks that are on — the recorder encodes
+//! one event per call, in 11–13 bytes for the common kinds, into a
+//! fixed-capacity byte chunk; the metrics shard grows only with the
+//! scrape-grid cells it touches (the registry mints it, so it folds onto
+//! the registry's grid) and resolves an event's cell with no division
+//! while the stamps stay in one cell; the profile shard counts every span
 //! and reads the host clock for about one in sixteen. Layers reach the
 //! handle through [`Communicator::obs`](crate::Communicator::obs) and state
 //! what happened once: `obs.event(t, kind)` hands the one event to the

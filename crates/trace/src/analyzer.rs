@@ -286,10 +286,10 @@ impl Analysis {
                         &spheres,
                     ));
                 }
-                kind => {
+                _ => {
                     if let Some((number, _, events)) = open.as_mut() {
                         if matches!(
-                            kind,
+                            event.kind,
                             EventKind::HeartbeatMiss { .. }
                                 | EventKind::RespawnBegin { .. }
                                 | EventKind::RespawnCommit { .. }
@@ -307,11 +307,11 @@ impl Analysis {
                                     attempt: *number,
                                 });
                             }
-                            if matches!(kind, EventKind::RankFinish { .. }) {
+                            if matches!(event.kind, EventKind::RankFinish { .. }) {
                                 finished.push(rank);
                             }
                         }
-                        events.push(event.clone());
+                        events.push(event);
                     }
                 }
             }

@@ -60,7 +60,7 @@ impl Trace {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.len() * 64);
         for e in self.events() {
-            write_event(&mut Writer::compact(&mut out), e);
+            write_event(&mut Writer::compact(&mut out), &e);
             out.push('\n');
         }
         out
@@ -75,21 +75,19 @@ impl Trace {
     /// on any syntax or schema violation — an integer member that does not
     /// fit its field and a float literal that overflows included.
     pub fn from_jsonl(s: &str) -> Result<Trace, TraceError> {
-        let mut events = Vec::new();
-        for (i, line) in s.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let event = event_from_line(line)
-                .map_err(|e| TraceError::Parse { line: i + 1, what: e.to_string() })?;
-            events.push(event);
-        }
-        Ok(Trace::from_events(events))
+        s.lines()
+            .enumerate()
+            .map(|(i, line)| (i, line.trim()))
+            .filter(|(_, line)| !line.is_empty())
+            .map(|(i, line)| {
+                event_from_line(line)
+                    .map_err(|e| TraceError::Parse { line: i + 1, what: e.to_string() })
+            })
+            .collect()
     }
 }
 
-fn write_event(w: &mut Writer<'_>, e: &Event) {
+pub(crate) fn write_event(w: &mut Writer<'_>, e: &Event) {
     w.begin_object().field("t", e.time).field("rank", e.rank).field("ev", e.kind_name());
     match &e.kind {
         EventKind::Send { to, bytes } => w.field("to", to).field("bytes", bytes),

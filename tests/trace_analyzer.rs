@@ -53,7 +53,7 @@ fn analyzer_totals_match_execution_report_exactly() {
     );
 
     // Send events are recorded at the same site as the physical counters.
-    let sends: Vec<&redcr::trace::Event> =
+    let sends: Vec<redcr::trace::Event> =
         trace.events().filter(|e| matches!(e.kind, EventKind::Send { .. })).collect();
     assert_eq!(sends.len() as u64, report.physical_messages);
     let bytes: u64 = sends

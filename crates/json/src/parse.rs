@@ -241,7 +241,8 @@ impl Parser<'_> {
         }
     }
 
-    // detlint::allow(R9, reason = "recursion depth is bounded by MAX_DEPTH = 128 container levels; past it the parser returns Error::TooDeep")
+    // Recursive: the depth is bounded by MAX_DEPTH = 128 container levels;
+    // past it the parser returns Error::TooDeep.
     fn value(&mut self, depth: usize) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {

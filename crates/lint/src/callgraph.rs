@@ -1,34 +1,25 @@
-//! Whole-workspace call graph and the interprocedural rules R7–R9.
+//! Whole-workspace call graph and the one rule that needs it, R8.
 //!
 //! Built on the [`crate::parser`] AST: every call site is resolved against
 //! an index of all parsed functions (alias-expanded path calls, method
 //! calls by name across every impl — an over-approximation; calls through
-//! function values stay unresolved — an under-approximation surfaced as
-//! R7 advisories). The graph is rooted at the coroutine entry points:
-//! closure literals passed to `run_batch` (the rank bodies) or to a `run`
-//! method (the simmpi/redundancy world rank closures, which execute on
-//! coroutine stacks), with every closure also linked from its definer so
+//! function values stay unresolved — an under-approximation). The graph
+//! is rooted at the coroutine entry points: closure literals passed to
+//! `run_batch` (the rank bodies) or to a `run` method (the
+//! simmpi/redundancy world rank closures, which execute on coroutine
+//! stacks), with every closure also linked from its definer so
 //! `wait_match` waker closures and heal/segment loops are reachable.
 //!
-//! Rules:
-//!
-//! * **R7 park-under-lock** — a call that can transitively reach
-//!   `redcr_sched::park_current` / `yield_now` / `Mailbox::wait_match`
-//!   while a tracked lock guard is live (unknown callees under a guard
-//!   are advisories);
-//! * **R8 blocking-call-in-coroutine** — an OS-blocking call
-//!   (`std::thread::sleep` / `std::thread::yield_now`, `Condvar::wait*`,
-//!   blocking `std::fs` / `std::net` / `std::io::stdin` I/O) reachable
-//!   from a coroutine root;
-//! * **R9 stack-budget** — per-coroutine-root max-stack bound (frame
-//!   estimates summed along the deepest call chain) against the
-//!   `[stack_budget]` budget in `detlint.toml`, plus recursion-cycle
-//!   reports (a cycle makes the bound unbounded).
+//! **R8 blocking-call-in-coroutine**: an OS-blocking call
+//! (`std::thread::sleep` / `std::thread::yield_now`, `Condvar::wait*`,
+//! blocking `std::fs` / `std::net` / `std::io::stdin` I/O) reachable from
+//! a coroutine root. Lock discipline and stack depth are not static
+//! rules: `redcr_sched` checks both on itself in debug builds.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::parser::{Callee, FnDef, Workspace};
-use crate::report::{CallEdge, CallGraph, RootBound, Violation};
+use crate::report::{CallEdge, CallGraph, CoroutineRoot, Violation};
 use crate::rules::finding;
 
 /// Calls with one of these final path segments take the rank closure that
@@ -127,47 +118,38 @@ const STD_METHOD_NAMES: &[&str] = &[
 /// Result of the interprocedural pass.
 #[derive(Debug, Default)]
 pub struct Analysis {
-    /// R7–R9 findings (unsuppressed; suppressions apply later).
+    /// R8 findings (unsuppressed; suppressions apply later).
     pub violations: Vec<Violation>,
-    /// The artifact: nodes/edges/roots with stack bounds.
+    /// The artifact: nodes, edges and coroutine roots.
     pub artifact: CallGraph,
 }
 
 /// A resolved call target.
 enum Target {
-    /// Indices of candidate workspace functions, precisely resolved
-    /// (receiver/owner/path match — at most a couple of candidates).
+    /// Indices of candidate workspace functions: a precise resolution
+    /// (receiver/owner/path match — at most a couple of candidates), or a
+    /// trait-dispatch site widened to every same-named impl (CHA
+    /// over-approximation).
     Workspace(Vec<usize>),
-    /// Trait-dispatch site widened to every same-named impl (CHA
-    /// over-approximation). Effects (`can_park`, coroutine membership)
-    /// propagate through these edges, but the R9 depth
-    /// chain does not recurse *through* them: delegation wrappers
-    /// (`self.inner.recv_ns(…)`) would union with their sibling impls and
-    /// manufacture recursion cycles that poison every stack bound. A
-    /// dispatch site instead contributes one level of its candidates'
-    /// precise-chain bounds.
-    Dispatch(Vec<usize>),
     /// An external call classified as OS-blocking, with the displayed path.
     Blocking(String),
-    /// An unknown callee behind a function value.
-    Dynamic(String),
-    /// An external leaf (std helpers, constructors, …): no effect.
+    /// An external leaf (std helpers, constructors, …) or an unknown
+    /// callee behind a function value: no edge.
     External,
 }
 
 impl Target {
-    /// Workspace candidates regardless of precision, for effect
-    /// propagation.
+    /// Workspace candidates, for reachability.
     fn candidates(&self) -> &[usize] {
         match self {
-            Target::Workspace(c) | Target::Dispatch(c) => c,
+            Target::Workspace(c) => c,
             _ => &[],
         }
     }
 }
 
 /// Runs the whole pass over the parsed workspace.
-pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
+pub fn analyze(ws: &Workspace) -> Analysis {
     let fns = &ws.functions;
     let n = fns.len();
 
@@ -201,35 +183,6 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
         })
         .collect();
 
-    // ----- seeds & fixpoints ------------------------------------------
-    // can_park: reaches a park/yield/wait_match primitive.
-    // Seeded by name so fixture files can stub their own primitives; the
-    // workspace defines these only in `sched` (park/yield) and `simmpi`
-    // (the mailbox recv path).
-    let mut can_park = vec![false; n];
-    for (i, f) in fns.iter().enumerate() {
-        let last = f.name.rsplit("::").next().unwrap_or(&f.name);
-        if matches!(last, "park_current" | "yield_now" | "wait_match") {
-            can_park[i] = true;
-        }
-    }
-    loop {
-        let mut changed = false;
-        for i in 0..n {
-            if can_park[i] {
-                continue;
-            }
-            let reaches = targets[i].iter().any(|t| t.candidates().iter().any(|&c| can_park[c]));
-            if reaches {
-                can_park[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
     // Coroutine roots: closures passed to a spawner.
     let roots: Vec<usize> = fns
         .iter()
@@ -259,39 +212,6 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
 
     let mut out = Analysis::default();
 
-    // ----- R7: park/yield under a live lock guard ---------------------
-    for (i, f) in fns.iter().enumerate() {
-        for (ci, call) in f.calls.iter().enumerate() {
-            if call.guards.is_empty() {
-                continue;
-            }
-            // A closure *defined* under a guard is not called there; its
-            // own call sites are checked with their own guard context.
-            if matches!(call.callee, Callee::Closure(_)) {
-                continue;
-            }
-            let held = call.guards.join(", ");
-            match &targets[i][ci] {
-                Target::Workspace(cands) | Target::Dispatch(cands) => {
-                    if let Some(&parker) = cands.iter().find(|&&c| can_park[c]) {
-                        let message = format!(
-                            "call of `{}` can reach a park/yield while holding `{held}`",
-                            fns[parker].name
-                        );
-                        out.violations.push(finding("R7", &f.file, call.line, false, message));
-                    }
-                }
-                Target::Dynamic(name) => {
-                    let message = format!(
-                        "call through function value `{name}` while holding `{held}` — callee unknown, may park"
-                    );
-                    out.violations.push(finding("R7", &f.file, call.line, true, message));
-                }
-                _ => {}
-            }
-        }
-    }
-
     // ----- R8: OS-blocking calls in coroutine-reachable code ----------
     for (i, f) in fns.iter().enumerate() {
         if !coroutine[i] {
@@ -301,74 +221,20 @@ pub fn analyze(ws: &Workspace, budget_kb: u64) -> Analysis {
             if let Target::Blocking(path) = &targets[i][ci] {
                 let message =
                     format!("OS-blocking call `{path}` is reachable from a coroutine root");
-                out.violations.push(finding("R8", &f.file, call.line, false, message));
+                out.violations.push(finding("R8", &f.file, call.line, message));
             }
-        }
-    }
-
-    // ----- R9: stack bounds + recursion cycles ------------------------
-    // Longest-chain DFS with cycle detection over workspace edges.
-    let mut bound = vec![0u64; n]; // frame + deepest callee chain
-    let mut chain: Vec<Option<usize>> = vec![None; n]; // deepest callee
-    let mut state = vec![0u8; n]; // 0 unvisited, 1 on stack, 2 done
-    let mut recursive = vec![false; n]; // on or reaching a cycle
-    let mut cycles: Vec<Vec<usize>> = Vec::new();
-    for start in 0..n {
-        if state[start] == 0 {
-            dfs_bound(
-                start,
-                fns,
-                &targets,
-                &mut bound,
-                &mut chain,
-                &mut state,
-                &mut recursive,
-                &mut cycles,
-                &mut Vec::new(),
-            );
-        }
-    }
-    for cycle in &cycles {
-        let Some(&head) = cycle.iter().min_by_key(|&&i| &fns[i].name) else { continue };
-        let names: Vec<&str> = cycle.iter().map(|&i| fns[i].name.as_str()).collect();
-        let message = format!(
-            "recursion cycle `{} -> {}` makes the stack bound unbounded",
-            names.join(" -> "),
-            fns[head].name
-        );
-        out.violations.push(finding("R9", &fns[head].file, fns[head].line, true, message));
-    }
-
-    let budget_bytes = budget_kb.saturating_mul(1024);
-    for &r in &roots {
-        let mut path = Vec::new();
-        let mut cur = Some(r);
-        while let Some(i) = cur {
-            path.push(fns[i].name.clone());
-            if path.len() > n {
-                break; // cycle safety
-            }
-            cur = chain[i];
-        }
-        out.artifact.roots.push(RootBound {
-            root: fns[r].name.clone(),
-            file: fns[r].file.clone(),
-            line: fns[r].line,
-            bound_bytes: bound[r],
-            frames: path.len() as u32,
-            recursive: recursive[r],
-            path,
-        });
-        if !recursive[r] && bound[r] > budget_bytes {
-            let message = format!(
-                "coroutine root `{}` needs an estimated {} bytes of stack, over the {budget_kb} KiB budget",
-                fns[r].name, bound[r]
-            );
-            out.violations.push(finding("R9", &fns[r].file, fns[r].line, false, message));
         }
     }
 
     // ----- artifact ---------------------------------------------------
+    out.artifact.roots = roots
+        .iter()
+        .map(|&r| CoroutineRoot {
+            root: fns[r].name.clone(),
+            file: fns[r].file.clone(),
+            line: fns[r].line,
+        })
+        .collect();
     out.artifact.functions = n;
     let mut seen = BTreeSet::new();
     for (i, f) in fns.iter().enumerate() {
@@ -411,8 +277,7 @@ fn receiver_matches(recv_norm: &str, type_norm: &str) -> bool {
 
 /// Trait-dispatch widening: a candidate set consisting only of bodyless
 /// trait-method declarations is a dynamic-dispatch site — widen it to
-/// every same-named function so effects (`can_park`, blocking reach)
-/// propagate through the trait boundary.
+/// every same-named function so reachability crosses the trait boundary.
 fn widen_bodyless(
     cands: Vec<usize>,
     name: &str,
@@ -421,7 +286,7 @@ fn widen_bodyless(
 ) -> Target {
     if !cands.is_empty() && cands.iter().all(|&c| !fns[c].has_body) {
         if let Some(all) = by_name.get(name) {
-            return Target::Dispatch(all.clone());
+            return Target::Workspace(all.clone());
         }
     }
     Target::Workspace(cands)
@@ -444,8 +309,7 @@ fn encloses(f: usize, caller: usize, fns: &[FnDef]) -> bool {
 /// function enclosing it: `prof.span(key)` inside `Obs::span` is another
 /// type's `span`, and only `self.m()` is recursion. Everything else is
 /// External — under-approximate on purpose, because matching `.push()`
-/// against every impl floods the graph with phantom edges (and phantom R9
-/// cycles).
+/// against every impl floods the graph with phantom edges.
 fn resolve(
     callee: &Callee,
     caller_idx: usize,
@@ -457,7 +321,7 @@ fn resolve(
     let caller = &fns[caller_idx];
     match callee {
         Callee::Closure(idx) | Callee::BoundClosure(idx) => Target::Workspace(vec![*idx]),
-        Callee::Dynamic(name) => Target::Dynamic(name.clone()),
+        Callee::Dynamic => Target::External,
         Callee::Method { name, receiver } => {
             if CONDVAR_METHODS.contains(&name.as_str())
                 && receiver.as_deref().is_some_and(|r| r.contains("cond") || r.contains("cv"))
@@ -508,7 +372,7 @@ fn resolve(
                 // unrecognized receiver (`self.inner.recv_ns(…)`) — a
                 // dispatch site over every impl.
                 Some(idxs) if idxs.iter().any(|&c| !fns[c].has_body) => {
-                    Target::Dispatch(idxs.clone())
+                    Target::Workspace(idxs.clone())
                 }
                 _ => Target::External,
             }
@@ -599,81 +463,4 @@ fn resolve(
             Target::Workspace(filtered)
         }
     }
-}
-
-/// Longest-chain DFS with cycle detection. `bound[i]` = `frame_bytes[i]`
-/// plus the deepest callee bound; `chain[i]` records that callee for the
-/// artifact's path. Cycles poison every function on or above them
-/// (`recursive`), and each distinct back-edge cycle is recorded once.
-#[allow(clippy::too_many_arguments)]
-fn dfs_bound(
-    i: usize,
-    fns: &[FnDef],
-    targets: &[Vec<Target>],
-    bound: &mut [u64],
-    chain: &mut [Option<usize>],
-    state: &mut [u8],
-    recursive: &mut [bool],
-    cycles: &mut Vec<Vec<usize>>,
-    path: &mut Vec<usize>,
-) {
-    state[i] = 1;
-    path.push(i);
-    let mut best = 0u64;
-    let mut best_callee = None;
-    for t in &targets[i] {
-        let dispatch = match t {
-            Target::Workspace(_) => false,
-            Target::Dispatch(_) => true,
-            _ => continue,
-        };
-        for &c in t.candidates() {
-            match state[c] {
-                // A dispatch candidate's own chain is computed with a
-                // fresh path: CHA-widened edges must not manufacture
-                // cycles across delegation wrappers.
-                0 if dispatch => dfs_bound(
-                    c,
-                    fns,
-                    targets,
-                    bound,
-                    chain,
-                    state,
-                    recursive,
-                    cycles,
-                    &mut Vec::new(),
-                ),
-                0 => dfs_bound(c, fns, targets, bound, chain, state, recursive, cycles, path),
-                1 => {
-                    if dispatch {
-                        continue; // phantom: skip, contribute nothing
-                    }
-                    // Back edge: record the cycle c → … → i → c.
-                    if let Some(pos) = path.iter().position(|&p| p == c) {
-                        let cyc: Vec<usize> = path[pos..].to_vec();
-                        if !cycles
-                            .iter()
-                            .any(|k| k.len() == cyc.len() && k.iter().all(|x| cyc.contains(x)))
-                        {
-                            cycles.push(cyc);
-                        }
-                    }
-                    recursive[i] = true;
-                    continue;
-                }
-                _ => {}
-            }
-            if recursive[c] && !dispatch {
-                recursive[i] = true;
-            }
-            if bound[c] > best {
-                best = bound[c];
-                best_callee = Some(c);
-            }
-        }
-    }
-    bound[i] = fns[i].frame_bytes.saturating_add(best);
-    chain[i] = best_callee;
-    path.pop();
-    state[i] = 2;
 }

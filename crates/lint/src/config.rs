@@ -2,9 +2,9 @@
 //! exclusions, parsed with a minimal hand-rolled TOML-subset reader (the
 //! linter is dependency-free by design).
 //!
-//! Supported syntax: `[section]` headers, `key = "string"`,
-//! `key = ["a", "b"]`, and `key = <integer>` — with `#` comments. That is
-//! the whole subset the config needs; anything else is a parse error.
+//! Supported syntax: `[section]` headers, `key = "string"` and
+//! `key = ["a", "b"]`, with `#` comments. That is the whole subset the
+//! config needs; anything else is a parse error.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -12,8 +12,8 @@ use std::path::Path;
 /// Whether detlint's rules apply to a file, derived from its crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Domain {
-    /// Library code: parsed into the lock graph (R5) and the call graph
-    /// (R7–R9). Every crate not named in `detlint.toml` is checked.
+    /// Library code: parsed into the call graph, where R8 runs. Every
+    /// crate not named in `detlint.toml` is checked.
     Checked,
     /// A crate that measures the host or is the linter itself (`bench`,
     /// `prof`, `lint`): not parsed, so no rule sees it.
@@ -51,9 +51,6 @@ pub struct Config {
     pub crate_domains: BTreeMap<String, Domain>,
     /// Directory names excluded from the scan entirely.
     pub exclude: Vec<String>,
-    /// R9 budget in KiB: the per-coroutine-root static stack bound the
-    /// workspace certifies. Tied to the runtime default `REDCR_STACK_KB`.
-    pub stack_budget_kb: u64,
 }
 
 impl Default for Config {
@@ -61,7 +58,6 @@ impl Default for Config {
         Config {
             crate_domains: BTreeMap::new(),
             exclude: vec!["vendor".into(), "target".into(), ".git".into()],
-            stack_budget_kb: 128,
         }
     }
 }
@@ -104,11 +100,6 @@ impl Config {
                 "scan" if key == "exclude" => {
                     cfg.exclude = parse_string_array(value).ok_or_else(|| {
                         format!("line {}: expected an array of strings", lineno + 1)
-                    })?;
-                }
-                "stack_budget" if key == "budget_kb" => {
-                    cfg.stack_budget_kb = value.parse::<u64>().map_err(|_| {
-                        format!("line {}: expected an integer KiB budget", lineno + 1)
                     })?;
                 }
                 other => {
@@ -190,9 +181,6 @@ root = "test"
 
 [scan]
 exclude = ["vendor", "target"]
-
-[stack_budget]
-budget_kb = 96
 "#;
 
     #[test]
@@ -201,13 +189,6 @@ budget_kb = 96
         assert_eq!(cfg.crate_domains["simmpi"], Domain::Checked);
         assert_eq!(cfg.crate_domains["bench"], Domain::Exempt);
         assert_eq!(cfg.exclude, vec!["vendor", "target"]);
-        assert_eq!(cfg.stack_budget_kb, 96);
-    }
-
-    #[test]
-    fn stack_budget_defaults_and_rejects_non_integer() {
-        assert_eq!(Config::parse("").unwrap().stack_budget_kb, 128);
-        assert!(Config::parse("[stack_budget]\nbudget_kb = \"lots\"\n").is_err());
     }
 
     #[test]
@@ -228,5 +209,7 @@ budget_kb = 96
         // `hot`, `virtual`, `wallclock` and `tooling` are not domains.
         assert!(Config::parse("[domains]\nx = \"hot\"\n").is_err());
         assert!(Config::parse("[mystery]\nx = 1\n").is_err());
+        // The retired stack budget is an unknown section like any other.
+        assert!(Config::parse("[stack_budget]\nbudget_kb = 128\n").is_err());
     }
 }

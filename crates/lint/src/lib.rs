@@ -1,32 +1,29 @@
-//! `redcr-lint` (`detlint`): a dependency-free concurrency static-analysis
-//! pass enforcing the parts of the workspace's virtual-time contract that
-//! need a whole-workspace view.
+//! `redcr-lint` (`detlint`): a dependency-free static-analysis pass for
+//! the one part of the workspace's virtual-time contract that needs a
+//! whole-workspace call graph.
 //!
 //! Everything this reproduction claims — bit-identical `ExecutionReport`s,
 //! the trace-FNV determinism gate, measured-vs-model validation — rests on
 //! ranks that never deadlock, never stall a worker thread and never
 //! overflow a coroutine stack. The token-level half of the contract (wall
 //! clock, hash iteration order, unseeded entropy, panics on rank paths) is
-//! clippy's: `clippy.toml` and the hot crates' `#![deny(...)]`. `detlint`
-//! checks what clippy cannot, because it needs the lock graph or the call
-//! graph of the whole workspace.
+//! clippy's: `clippy.toml` and the hot crates' `#![deny(...)]`. Lock
+//! discipline and stack depth are measured, not estimated: `redcr_sched`
+//! asserts in debug builds that no lock nests and no task parks holding
+//! one, and it reports each batch's deepest stack. `detlint` checks what
+//! no test run can see, a call that did not happen.
 //!
 //! # Rules
 //!
 //! | id | pattern |
 //! |----|---------|
-//! | R5 | lock-order cycles in the inter-crate lock graph |
-//! | R7 | park/yield transitively reachable while a lock guard is live |
 //! | R8 | OS-blocking calls reachable from a coroutine root |
-//! | R9 | per-coroutine-root stack bound over `[stack_budget]` / recursion |
 //!
 //! One pipeline lowers each file once — lexer → test mask → imports — and
-//! parses every checked file into a lightweight AST (`parser`) whose lock
-//! acquisitions fold into the R5 lock graph (`lockorder`) and whose call
+//! parses every checked file into a lightweight AST (`parser`) whose call
 //! sites resolve into a whole-workspace call graph rooted at the coroutine
-//! entry points, where R7–R9 run (`callgraph`). Suppressions apply last,
-//! to every finding alike. The call graph and the per-root stack bounds
-//! are exported as a JSONL artifact.
+//! entry points, where R8 runs (`callgraph`). Suppressions apply last.
+//! The call graph is exported as a JSONL artifact.
 //!
 //! `detlint.toml` names the exempt crates (the host-measuring `bench` and
 //! `prof`, and the linter); every other crate is checked. Suppress a
@@ -39,13 +36,12 @@
 mod callgraph;
 mod config;
 mod lexer;
-mod lockorder;
 mod parser;
 mod report;
 mod rules;
 
 pub use config::{Config, Domain};
-pub use report::{BadSuppression, CallEdge, CallGraph, LockEdge, Report, RootBound, Violation};
+pub use report::{BadSuppression, CallEdge, CallGraph, CoroutineRoot, Report, Violation};
 pub use rules::{RuleInfo, RULES};
 
 use std::path::{Path, PathBuf};
@@ -69,20 +65,19 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
             .map_err(|e| format!("{}: {e}", rel.display()))?;
         files.push((rel_display(rel), cfg.domain_for(rel), src));
     }
-    Ok(lint_files(&cfg, files))
+    Ok(lint_files(files))
 }
 
 /// Lints one in-memory source file under `domain` — the fixture-test and
 /// seeded-violation entry point — through the same pipeline as
-/// [`lint_workspace`], with the default config. The passes see just this
-/// file, so fixtures must be self-contained (stub their own
-/// `park_current` etc.).
+/// [`lint_workspace`]. The passes see just this file, so fixtures must be
+/// self-contained.
 pub fn lint_source(rel_name: &str, domain: Domain, src: &str) -> Report {
-    lint_files(&Config::default(), vec![(rel_name.to_string(), domain, src.to_string())])
+    lint_files(vec![(rel_name.to_string(), domain, src.to_string())])
 }
 
 /// The pipeline: `files` are (workspace-relative path, domain, source).
-fn lint_files(cfg: &Config, files: Vec<(String, Domain, String)>) -> Report {
+fn lint_files(files: Vec<(String, Domain, String)>) -> Report {
     let mut report = Report::default();
     let mut ws = parser::Workspace::default();
     // (rel, suppressions, report_health): suppressions apply everywhere
@@ -103,12 +98,7 @@ fn lint_files(cfg: &Config, files: Vec<(String, Domain, String)>) -> Report {
         report.files_scanned += 1;
     }
 
-    let (classes, edges, cycle_violations) = lockorder::analyze(&ws);
-    report.lock_classes = classes;
-    report.lock_edges = edges;
-    report.violations.extend(cycle_violations);
-
-    let analysis = callgraph::analyze(&ws, cfg.stack_budget_kb);
+    let analysis = callgraph::analyze(&ws);
     report.violations.extend(analysis.violations);
     report.callgraph = analysis.artifact;
 

@@ -1,41 +1,22 @@
 //! Recursive-descent item/expression parser: turns the token stream into
-//! a lightweight per-function AST for the lock-order fold R5 and the
-//! interprocedural rules R7–R9.
+//! a lightweight per-function AST for the call graph, where R8 runs.
 //!
 //! For every `fn` item (and every closure literal, which becomes a
-//! synthetic `outer::{closure@LINE}` function) the parser records:
-//!
-//! * every **call site** — path calls (`a::b::f(…)`), method calls
-//!   (`x.f(…)`), and calls through local bindings / parameters
-//!   (`f(…)` where `f` is a local — an *unknown callee*);
-//! * every **lock acquisition** (`.lock(`, temporaries included) with the
-//!   guards live at it — the R5 lock graph is a fold over these records —
-//!   and the **lock guards live** at each call site, for R7. One guard
-//!   model serves both: a guard bound by `let g = x.lock()` (or `g = …`)
-//!   lives until `drop(g)` or its scope's closing brace; a temporary
-//!   guard binds nothing;
-//! * a **frame-size estimate** for the stack-budget rule R9: a fixed base
-//!   per frame plus a slot per local/parameter plus the byte size of
-//!   by-value arrays (`[T; N]` types and `[expr; N]` literals).
+//! synthetic `outer::{closure@LINE}` function) the parser records every
+//! **call site** — path calls (`a::b::f(…)`), method calls (`x.f(…)`),
+//! and calls through local bindings / parameters (`f(…)` where `f` is a
+//! local — an *unknown callee*).
 //!
 //! Soundness caveats (documented in DESIGN §4f): macros are not expanded
 //! (calls *inside* macro arguments are still seen; calls *generated* by a
 //! macro body are not); trait-method calls resolve by method name across
 //! every impl (over-approximation); calls through function values are
-//! unknown callees (under-approximation, surfaced as advisories by R7);
-//! frame sizes are estimates, not ABI truth.
+//! unknown callees (under-approximation).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{Tok, Token};
 use crate::rules::{group_start, ident_at, match_delim, punct_at, Lowered};
-
-/// Fixed per-frame overhead estimate: return address, saved registers,
-/// alignment and spill slack.
-pub const FRAME_BASE_BYTES: u64 = 128;
-/// Estimated bytes per scalar local or by-value parameter (most are a
-/// word or two; 16 covers fat pointers and small aggregates).
-pub const LOCAL_SLOT_BYTES: u64 = 16;
 
 /// All parsed functions across the workspace plus per-file import maps.
 #[derive(Debug, Default)]
@@ -57,12 +38,8 @@ pub struct FnDef {
     pub crate_name: String,
     /// 1-based line of the `fn` keyword / closure's `|`.
     pub line: u32,
-    /// R9 frame estimate in bytes.
-    pub frame_bytes: u64,
     /// Call sites in body order.
     pub calls: Vec<CallSite>,
-    /// Lock acquisitions in body order.
-    pub locks: Vec<LockSite>,
     /// Global index of the enclosing function, for closures.
     pub parent: Option<usize>,
     /// Last path/method segment of the call this closure literal is an
@@ -83,20 +60,6 @@ pub struct CallSite {
     pub callee: Callee,
     /// 1-based line of the callee token.
     pub line: u32,
-    /// Lock classes (`crate::field`) held when the call happens.
-    pub guards: Vec<String>,
-}
-
-/// One `.lock(` acquisition, temporaries included: the R5 fold's input.
-#[derive(Debug)]
-pub struct LockSite {
-    /// Lock class: `crate::receiver`, or `crate::<expr>` without one.
-    pub class: String,
-    /// 1-based line of the `lock` token.
-    pub line: u32,
-    /// Classes of the guards live in this body when the lock is taken (a
-    /// closure's definition-site guards are its `Callee::Closure` site's).
-    pub held: Vec<String>,
 }
 
 /// Call-site classification.
@@ -107,12 +70,11 @@ pub enum Callee {
     /// `recv.f(…)` — method name plus the receiver's last identifier.
     Method { name: String, receiver: Option<String> },
     /// `f(…)` where `f` is a local binding or parameter: unknown callee.
-    Dynamic(String),
+    Dynamic,
     /// A closure literal defined here (global function index). Modeled as
     /// a call edge: most closures run within their definer's dynamic
     /// extent (iterator adapters, wakers); spawner arguments are instead
-    /// promoted to coroutine roots by the call-graph pass. Not an actual
-    /// invocation — R7 ignores the definition site's guards.
+    /// promoted to coroutine roots by the call-graph pass.
     Closure(usize),
     /// `f(…)` where `f` is a local bound to a closure literal: a real
     /// invocation of that closure (global function index).
@@ -161,9 +123,7 @@ pub fn parse_file(ws: &mut Workspace, file: &str, crate_name: &str, low: &Lowere
                     file: file.to_string(),
                     crate_name: crate_name.to_string(),
                     line: toks[i].line,
-                    frame_bytes: FRAME_BASE_BYTES + sig.param_bytes,
                     calls: Vec::new(),
-                    locks: Vec::new(),
                     parent: None,
                     passed_to: None,
                     is_closure: false,
@@ -266,7 +226,6 @@ fn skip_angles(toks: &[Token], open: usize) -> usize {
 struct FnSig {
     name: String,
     params: Vec<String>,
-    param_bytes: u64,
     /// `(open, close)` of the body braces, `None` for bodyless decls.
     body: Option<(usize, usize)>,
     /// Index to resume scanning from (just past the body's `{`, so nested
@@ -288,38 +247,27 @@ fn parse_fn_signature(toks: &[Token], at: usize) -> Option<FnSig> {
         return None;
     }
     let params_close = match_delim(toks, j);
-    let (params, param_bytes) = parse_params(toks, j + 1, params_close);
+    let params = parse_params(toks, j + 1, params_close);
     // Scan to the body `{` or a terminating `;` (trait decl).
     let mut k = params_close + 1;
     while k < toks.len() {
         match &toks[k].tok {
             Tok::Punct('{') => {
                 let close = match_delim(toks, k);
-                return Some(FnSig {
-                    name,
-                    params,
-                    param_bytes,
-                    body: Some((k, close)),
-                    sig_end: k + 1,
-                });
+                return Some(FnSig { name, params, body: Some((k, close)), sig_end: k + 1 });
             }
-            Tok::Punct(';') => {
-                return Some(FnSig { name, params, param_bytes, body: None, sig_end: k + 1 })
-            }
+            Tok::Punct(';') => return Some(FnSig { name, params, body: None, sig_end: k + 1 }),
             _ => k += 1,
         }
     }
     None
 }
 
-/// Parameter names (idents directly before a `:` at paren depth 1) and a
-/// byte estimate: one slot per parameter plus by-value array types.
-fn parse_params(toks: &[Token], start: usize, end: usize) -> (Vec<String>, u64) {
+/// Parameter names: idents directly before a `:` at paren depth 1.
+fn parse_params(toks: &[Token], start: usize, end: usize) -> Vec<String> {
     let mut names = Vec::new();
-    let mut bytes = 0u64;
     let mut depth = 1usize;
-    let mut j = start;
-    while j < end {
+    for j in start..end {
         match &toks[j].tok {
             Tok::Punct('(') | Tok::Punct('[') => depth += 1,
             Tok::Punct(')') | Tok::Punct(']') => depth = depth.saturating_sub(1),
@@ -331,118 +279,11 @@ fn parse_params(toks: &[Token], start: usize, end: usize) -> (Vec<String>, u64) 
                     && !is_keyword(s) =>
             {
                 names.push(s.clone());
-                bytes += LOCAL_SLOT_BYTES;
             }
             _ => {}
         }
-        if punct_at(toks, j, '[') {
-            if let Some((sz, after)) = array_type_bytes(toks, j, end) {
-                bytes += sz;
-                j = after;
-                continue;
-            }
-        }
-        j += 1;
     }
-    (names, bytes)
-}
-
-/// If `open` starts a `[T; N]` / `[expr; N]` group with a numeric length,
-/// returns its byte estimate and the index past the `]`.
-fn array_type_bytes(toks: &[Token], open: usize, limit: usize) -> Option<(u64, usize)> {
-    let mut depth = 0usize;
-    let mut semi: Option<usize> = None;
-    let mut close = open;
-    let mut j = open;
-    while j < limit.min(toks.len()) {
-        match toks[j].tok {
-            Tok::Punct('[') => depth += 1,
-            Tok::Punct(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    close = j;
-                    break;
-                }
-            }
-            Tok::Punct(';') if depth == 1 => semi = Some(j),
-            _ => {}
-        }
-        j += 1;
-    }
-    let semi = semi?;
-    if close <= semi {
-        return None;
-    }
-    // Length: a single numeric literal (or a named const — unknown, skip).
-    let len = match &toks.get(semi + 1).map(|t| &t.tok) {
-        Some(Tok::Lit(text)) if semi + 2 == close => parse_numeric(text)?,
-        _ => return None,
-    };
-    // Element size from the first token after `[`: a primitive ident or a
-    // literal with a suffix; anything else estimates a word.
-    let elem = match &toks[open + 1].tok {
-        Tok::Ident(s) => prim_size(s).unwrap_or(8),
-        Tok::Lit(text) => lit_suffix_size(text),
-        _ => 8,
-    };
-    Some((len.saturating_mul(elem), close + 1))
-}
-
-fn parse_numeric(text: &str) -> Option<u64> {
-    let digits: String = text
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '_')
-        .filter(|c| *c != '_')
-        .collect();
-    if digits.is_empty() {
-        return None;
-    }
-    digits.parse().ok()
-}
-
-fn prim_size(name: &str) -> Option<u64> {
-    match name {
-        "u8" | "i8" | "bool" => Some(1),
-        "u16" | "i16" => Some(2),
-        "u32" | "i32" | "f32" | "char" => Some(4),
-        "u64" | "i64" | "f64" | "usize" | "isize" => Some(8),
-        "u128" | "i128" => Some(16),
-        _ => None,
-    }
-}
-
-fn lit_suffix_size(text: &str) -> u64 {
-    for (suffix, size) in [
-        ("u8", 1),
-        ("i8", 1),
-        ("u16", 2),
-        ("i16", 2),
-        ("u32", 4),
-        ("i32", 4),
-        ("f32", 4),
-        ("u64", 8),
-        ("i64", 8),
-        ("f64", 8),
-        ("usize", 8),
-        ("isize", 8),
-    ] {
-        if text.ends_with(suffix) {
-            return size;
-        }
-    }
-    8
-}
-
-/// One live lock guard during the body walk.
-struct Guard {
-    binding: String,
-    class: String,
-    depth: u32,
-}
-
-/// The classes of the live `guards`.
-fn classes(guards: &[Guard]) -> Vec<String> {
-    guards.iter().map(|g| g.class.clone()).collect()
+    names
 }
 
 struct BodyCtx<'a> {
@@ -460,26 +301,15 @@ struct BodyCtx<'a> {
 }
 
 /// Walks a body region `[start, end)`, populating the function at
-/// `ctx.fn_idx` with calls, guards, and frame bytes.
+/// `ctx.fn_idx` with its calls.
 fn parse_body(ctx: &mut BodyCtx<'_>, toks: &[Token], start: usize, end: usize) {
-    let mut guards: Vec<Guard> = Vec::new();
-    // Innermost-last call-paren stack: (paren index, Some(callee last
-    // segment) for call parens).
+    // Innermost-last call-paren stack: Some(callee last segment) for call
+    // parens.
     let mut paren_stack: Vec<Option<String>> = Vec::new();
-    let mut depth = 0u32;
 
     let mut i = start;
     while i < end {
         match &toks[i].tok {
-            Tok::Punct('{') => {
-                depth += 1;
-                i += 1;
-            }
-            Tok::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                guards.retain(|g| g.depth <= depth);
-                i += 1;
-            }
             Tok::Punct('(') => {
                 paren_stack.push(None);
                 i += 1;
@@ -490,7 +320,7 @@ fn parse_body(ctx: &mut BodyCtx<'_>, toks: &[Token], start: usize, end: usize) {
             }
             Tok::Punct('|') => {
                 if closure_starts_here(toks, i, start) {
-                    i = parse_closure(ctx, toks, i, end, &guards, &paren_stack);
+                    i = parse_closure(ctx, toks, i, end, &paren_stack);
                 } else {
                     i += 1;
                 }
@@ -513,7 +343,7 @@ fn parse_body(ctx: &mut BodyCtx<'_>, toks: &[Token], start: usize, end: usize) {
                 i = handle_let(ctx, toks, i, end);
             }
             Tok::Ident(_) | Tok::Punct('.') => {
-                if let Some(next) = try_call(ctx, toks, i, &mut guards, &mut paren_stack, depth) {
+                if let Some(next) = try_call(ctx, toks, i, &mut paren_stack) {
                     i = next;
                 } else {
                     i += 1;
@@ -524,12 +354,11 @@ fn parse_body(ctx: &mut BodyCtx<'_>, toks: &[Token], start: usize, end: usize) {
     }
 }
 
-/// Collects `let` pattern idents into scope (frame slots) and detects
-/// array type annotations. Returns the index to continue from (just past
-/// the pattern — the RHS is walked by the main loop).
+/// Collects `let` pattern idents into scope and skips a type annotation,
+/// which names no callee. Returns the index to continue from (the RHS is
+/// walked by the main loop).
 fn handle_let(ctx: &mut BodyCtx<'_>, toks: &[Token], at: usize, end: usize) -> usize {
     let mut j = at + 1;
-    let mut slots = 0u64;
     while j < end {
         match &toks[j].tok {
             Tok::Ident(s) if !is_keyword(s) => {
@@ -538,45 +367,28 @@ fn handle_let(ctx: &mut BodyCtx<'_>, toks: &[Token], at: usize, end: usize) -> u
                 // bindings.
                 if s.chars().next().is_some_and(|c| c.is_lowercase() || c == '_') {
                     ctx.locals.insert(s.clone());
-                    slots += 1;
                 }
                 j += 1;
             }
-            Tok::Ident(_) => j += 1, // `mut`, `ref`, …
-            Tok::Punct('(') | Tok::Punct(',') => j += 1,
-            Tok::Punct(')') => j += 1,
+            Tok::Ident(_) | Tok::Punct('(' | ',' | ')') => j += 1, // `mut`, `ref`, …
             Tok::Punct(':') if !punct_at(toks, j + 1, ':') => {
-                // Type annotation: scan it for array sizes, stop at `=`/`;`.
-                let mut k = j + 1;
-                let mut extra = 0u64;
-                let mut adepth = 0i32;
-                while k < end {
-                    match &toks[k].tok {
-                        Tok::Punct('=') if adepth <= 0 && !punct_at(toks, k + 1, '=') => break,
-                        Tok::Punct(';') if adepth <= 0 => break,
-                        Tok::Punct('<') => adepth += 1,
-                        Tok::Punct('>') if !punct_at(toks, k.wrapping_sub(1), '-') => {
-                            adepth -= 1;
-                        }
-                        Tok::Punct('[') => {
-                            if let Some((sz, after)) = array_type_bytes(toks, k, end) {
-                                extra += sz;
-                                k = after;
-                                continue;
-                            }
-                        }
+                let mut depth = 0i32;
+                while j < end {
+                    match &toks[j].tok {
+                        Tok::Punct('=') if depth <= 0 && !punct_at(toks, j + 1, '=') => break,
+                        Tok::Punct(';') if depth <= 0 => break,
+                        Tok::Punct('<' | '[') => depth += 1,
+                        Tok::Punct(']') => depth -= 1,
+                        Tok::Punct('>') if !punct_at(toks, j - 1, '-') => depth -= 1,
                         _ => {}
                     }
-                    k += 1;
+                    j += 1;
                 }
-                ctx.ws.functions[ctx.fn_idx].frame_bytes += extra;
-                j = k;
                 break;
             }
             _ => break,
         }
     }
-    ctx.ws.functions[ctx.fn_idx].frame_bytes += slots.saturating_mul(LOCAL_SLOT_BYTES);
     j
 }
 
@@ -604,7 +416,6 @@ fn parse_closure(
     toks: &[Token],
     bar: usize,
     end: usize,
-    guards: &[Guard],
     paren_stack: &[Option<String>],
 ) -> usize {
     let line = toks[bar].line;
@@ -677,17 +488,14 @@ fn parse_closure(
         file: ctx.file.to_string(),
         crate_name: ctx.crate_name.to_string(),
         line,
-        frame_bytes: FRAME_BASE_BYTES + params.len() as u64 * LOCAL_SLOT_BYTES,
         calls: Vec::new(),
-        locks: Vec::new(),
         parent: Some(parent_idx),
         passed_to,
         is_closure: true,
         has_body: true,
     });
-    // The definer gets a call-shaped edge to the closure, with the guard
-    // context of the definition site.
-    push_call(ctx, Callee::Closure(closure_idx), line, guards);
+    // The definer gets a call-shaped edge to the closure.
+    push_call(ctx, Callee::Closure(closure_idx), line);
 
     // `let name = [move] |…|` binds the closure to a local.
     let mut b = bar;
@@ -724,31 +532,23 @@ fn parse_closure(
     resume
 }
 
-/// Tries to recognize a call (or a `.lock()` guard acquisition) at `i`.
-/// Returns the index to continue from if something was consumed.
+/// Tries to recognize a call at `i`. Returns the index to continue from
+/// if something was consumed.
 fn try_call(
     ctx: &mut BodyCtx<'_>,
     toks: &[Token],
     i: usize,
-    guards: &mut Vec<Guard>,
     paren_stack: &mut Vec<Option<String>>,
-    depth: u32,
 ) -> Option<usize> {
-    // Method call / guard acquisition: `.name(`.
+    // Method call: `.name(`.
     if punct_at(toks, i, '.') {
         let name = ident_at(toks, i + 1)?;
         if !punct_at(toks, i + 2, '(') {
             return None;
         }
-        if name == "lock" {
-            // `.lock()` is a lock event, not a call.
-            handle_lock(ctx, toks, i, guards, depth);
-            paren_stack.push(None);
-            return Some(i + 3);
-        }
         let receiver = receiver_name(toks, i);
         let name = name.to_string();
-        push_call(ctx, Callee::Method { name: name.clone(), receiver }, toks[i + 1].line, guards);
+        push_call(ctx, Callee::Method { name: name.clone(), receiver }, toks[i + 1].line);
         paren_stack.push(Some(name));
         return Some(i + 3);
     }
@@ -797,74 +597,20 @@ fn try_call(
         return None;
     }
     let line = toks[i].line;
-    // `drop(g)` releases a guard.
-    if segs.len() == 1 && segs[0] == "drop" {
-        if let Some(g) = ident_at(toks, j + 1) {
-            if punct_at(toks, j + 2, ')') {
-                guards.retain(|h| h.binding != g);
-            }
-        }
-    }
     let callee = if segs.len() == 1 && ctx.closure_bindings.contains_key(&segs[0]) {
         Callee::BoundClosure(ctx.closure_bindings[&segs[0]])
     } else if segs.len() == 1 && ctx.locals.contains(&segs[0]) {
-        Callee::Dynamic(segs[0].clone())
+        Callee::Dynamic
     } else {
         Callee::Path(segs.clone())
     };
-    push_call(ctx, callee, line, guards);
+    push_call(ctx, callee, line);
     paren_stack.push(Some(segs.last().cloned().unwrap_or_default()));
     Some(j + 1)
 }
 
-fn push_call(ctx: &mut BodyCtx<'_>, callee: Callee, line: u32, guards: &[Guard]) {
-    let site = CallSite { callee, line, guards: classes(guards) };
-    ctx.ws.functions[ctx.fn_idx].calls.push(site);
-}
-
-/// Handles `<recv>.lock(` at the `.`: records the acquisition with the
-/// guards live at it, then registers a guard if the result is bound
-/// (`let g = x.lock()…;` or `g = x.lock()…;`).
-fn handle_lock(
-    ctx: &mut BodyCtx<'_>,
-    toks: &[Token],
-    dot: usize,
-    guards: &mut Vec<Guard>,
-    depth: u32,
-) {
-    let receiver = receiver_name(toks, dot).unwrap_or_else(|| "<expr>".to_string());
-    let class = format!("{}::{receiver}", ctx.crate_name);
-    let site = LockSite { class: class.clone(), line: toks[dot + 1].line, held: classes(guards) };
-    ctx.ws.functions[ctx.fn_idx].locks.push(site);
-    // Walk past `lock(…)` and any `.unwrap()` / `.expect(…)` adapters; a
-    // guard chained into anything else is a temporary.
-    let mut j = match_delim(toks, dot + 2) + 1;
-    while punct_at(toks, j, '.') {
-        match ident_at(toks, j + 1) {
-            Some("unwrap" | "expect") if punct_at(toks, j + 2, '(') => {
-                j = match_delim(toks, j + 2) + 1;
-            }
-            _ => return,
-        }
-    }
-    if let Some(binding) = binding_name(toks, dot) {
-        guards.retain(|g| g.binding != binding);
-        guards.push(Guard { binding, class, depth });
-    }
-}
-
-/// Start of the receiver chain ending just before `dot`: walks back over
-/// identifiers, `.` and index/call groups (`self.boxes[i].get()`).
-fn chain_start(toks: &[Token], dot: usize) -> usize {
-    let mut j = dot;
-    while j > 0 {
-        match &toks[j - 1].tok {
-            Tok::Punct(')' | ']') => j = group_start(toks, j - 1),
-            Tok::Ident(_) | Tok::Punct('.') => j -= 1,
-            _ => break,
-        }
-    }
-    j
+fn push_call(ctx: &mut BodyCtx<'_>, callee: Callee, line: u32) {
+    ctx.ws.functions[ctx.fn_idx].calls.push(CallSite { callee, line });
 }
 
 /// Last identifier of the receiver chain before the `.` at `dot`,
@@ -881,15 +627,4 @@ fn receiver_name(toks: &[Token], dot: usize) -> Option<String> {
         }
     }
     None
-}
-
-/// The local a chain ending at `dot` is assigned to: the identifier before
-/// the `=` in front of the chain.
-fn binding_name(toks: &[Token], dot: usize) -> Option<String> {
-    let eq = chain_start(toks, dot).checked_sub(1)?;
-    if !punct_at(toks, eq, '=') {
-        return None;
-    }
-    // `==`, `!=`, `+=`, … end in `=` too, after punctuation.
-    ident_at(toks, eq.checked_sub(1)?).map(str::to_string)
 }

@@ -8,15 +8,12 @@ use redcr_json::Writer;
 /// One finding.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Rule id (`R5`, `R7`, `R8` or `R9`).
+    /// Rule id (`R8`).
     pub rule: &'static str,
     /// Workspace-relative file path (slash-separated).
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Advisory findings still require a fix or a reasoned suppression,
-    /// but are labelled so readers know they encode a judgement call.
-    pub advisory: bool,
     /// What was found, e.g. "OS-blocking call `std::fs::write` …".
     pub message: String,
     /// Why the pattern is hazardous in this domain.
@@ -43,22 +40,6 @@ pub struct BadSuppression {
     pub unknown_rule: bool,
 }
 
-/// One observed nested lock acquisition: `held` was locked when `acquired`
-/// was taken.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LockEdge {
-    /// Lock class already held (`crate::field`).
-    pub held: String,
-    /// Lock class acquired under it.
-    pub acquired: String,
-    /// Representative site.
-    pub file: String,
-    /// Line of the inner acquisition.
-    pub line: u32,
-    /// Enclosing function name.
-    pub func: String,
-}
-
 /// Full lint report for a workspace run.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -70,12 +51,8 @@ pub struct Report {
     pub bad_suppressions: Vec<BadSuppression>,
     /// Count of suppressions that matched a finding (with reason).
     pub suppressions_used: usize,
-    /// All distinct lock classes seen by the R5 pass.
-    pub lock_classes: Vec<String>,
-    /// Nested-acquisition edges observed (the inter-crate lock graph).
-    pub lock_edges: Vec<LockEdge>,
-    /// The interprocedural pass's call graph and per-root stack bounds,
-    /// emitted as a sibling JSONL artifact by the CLI.
+    /// The interprocedural pass's call graph, emitted as a sibling JSONL
+    /// artifact by the CLI.
     pub callgraph: CallGraph,
 }
 
@@ -92,47 +69,31 @@ pub struct CallEdge {
     pub line: u32,
 }
 
-/// The R9 stack bound for one coroutine root.
+/// One coroutine root: a closure the scheduler runs on its own stack.
 #[derive(Debug, Clone)]
-pub struct RootBound {
+pub struct CoroutineRoot {
     /// Root name (a closure label like `World::run::{closure@197}`).
     pub root: String,
     /// File defining the root.
     pub file: String,
     /// Line of the closure literal.
     pub line: u32,
-    /// Estimated worst-case stack bytes along the deepest call chain
-    /// (meaningless when `recursive`).
-    pub bound_bytes: u64,
-    /// Frames on that deepest chain.
-    pub frames: u32,
-    /// True when the root can reach a recursion cycle: the static bound
-    /// does not exist and only the runtime canary guards the stack.
-    pub recursive: bool,
-    /// The deepest chain, root first.
-    pub path: Vec<String>,
 }
 
 /// Call-graph artifact: what the interprocedural pass saw. Rendered as
-/// its own JSONL file (`detlint-callgraph.jsonl`) so CI can archive the
-/// stack bounds next to the findings report.
+/// its own JSONL file (`detlint-callgraph.jsonl`) so CI can archive it
+/// next to the findings report.
 #[derive(Debug, Clone, Default)]
 pub struct CallGraph {
     /// Functions (free, methods, and closure literals) parsed.
     pub functions: usize,
     /// Resolved workspace-internal call edges, deduplicated.
     pub edges: Vec<CallEdge>,
-    /// One entry per coroutine root with its R9 stack bound.
-    pub roots: Vec<RootBound>,
+    /// One entry per coroutine root.
+    pub roots: Vec<CoroutineRoot>,
 }
 
 impl CallGraph {
-    /// Worst root bound in bytes (0 when there are no roots); recursive
-    /// roots are excluded — they have no static bound.
-    pub fn max_bound_bytes(&self) -> u64 {
-        self.roots.iter().filter(|r| !r.recursive).map(|r| r.bound_bytes).max().unwrap_or(0)
-    }
-
     /// JSONL rendering: one object per edge, one per root, then a summary.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -145,17 +106,11 @@ impl CallGraph {
         for r in &self.roots {
             line(&mut out, "root", |w| {
                 w.field("root", &r.root).field("file", &r.file).field("line", r.line);
-                w.field("bound_bytes", r.bound_bytes).field("frames", r.frames);
-                w.field("recursive", r.recursive).key("path").begin_array();
-                for p in &r.path {
-                    w.value(p);
-                }
-                w.end_array();
             });
         }
         line(&mut out, "summary", |w| {
             w.field("functions", self.functions).field("edges", self.edges.len());
-            w.field("roots", self.roots.len()).field("max_bound_bytes", self.max_bound_bytes());
+            w.field("roots", self.roots.len());
         });
         out
     }
@@ -190,11 +145,10 @@ impl Report {
     pub fn render_human(&self) -> String {
         let mut out = String::new();
         for v in self.unsuppressed() {
-            let sev = if v.advisory { "advisory" } else { "deny" };
             let _ = writeln!(
                 out,
-                "{}:{}: {} [{}] {}\n    rationale: {}",
-                v.file, v.line, v.rule, sev, v.message, v.rationale
+                "{}:{}: {} {}\n    rationale: {}",
+                v.file, v.line, v.rule, v.message, v.rationale
             );
         }
         for b in &self.bad_suppressions {
@@ -235,24 +189,10 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "lock graph: {} classes, {} nested acquisitions",
-            self.lock_classes.len(),
-            self.lock_edges.len()
-        );
-        for e in &self.lock_edges {
-            let _ = writeln!(
-                out,
-                "  {} -> {} ({}:{} in {})",
-                e.held, e.acquired, e.file, e.line, e.func
-            );
-        }
-        let _ = writeln!(
-            out,
-            "call graph: {} functions, {} edges, {} coroutine roots (max stack bound {} bytes)",
+            "call graph: {} functions, {} edges, {} coroutine roots",
             self.callgraph.functions,
             self.callgraph.edges.len(),
             self.callgraph.roots.len(),
-            self.callgraph.max_bound_bytes(),
         );
         let unsup = self.unsuppressed().count();
         let _ = writeln!(
@@ -268,21 +208,15 @@ impl Report {
     }
 
     /// JSONL rendering: one object per finding (suppressed included),
-    /// then one object per lock edge, then a summary object.
+    /// then one per bad suppression, then a summary object.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for v in &self.violations {
             line(&mut out, "violation", |w| {
                 w.field("rule", v.rule).field("file", &v.file).field("line", v.line);
-                w.field("advisory", v.advisory).field("suppressed", v.suppressed.is_some());
+                w.field("suppressed", v.suppressed.is_some());
                 w.field("reason", &v.suppressed).field("message", &v.message);
                 w.field("rationale", v.rationale);
-            });
-        }
-        for e in &self.lock_edges {
-            line(&mut out, "lock_edge", |w| {
-                w.field("held", &e.held).field("acquired", &e.acquired);
-                w.field("file", &e.file).field("line", e.line).field("fn", &e.func);
             });
         }
         for b in &self.bad_suppressions {
@@ -304,10 +238,7 @@ impl Report {
                 w.value(rule);
             }
             w.end_array().field("bad_suppressions", self.bad_suppressions.len());
-            w.field("lock_classes", self.lock_classes.len());
-            w.field("lock_edges", self.lock_edges.len());
             w.field("coroutine_roots", self.callgraph.roots.len());
-            w.field("max_stack_bound_bytes", self.callgraph.max_bound_bytes());
             w.field("clean", self.is_clean());
         });
         out
@@ -325,7 +256,6 @@ mod tests {
             rule: "R8",
             file: "a\"b.rs".into(),
             line: 3,
-            advisory: false,
             message: "x".into(),
             rationale: "y",
             suppressed: None,
@@ -336,8 +266,7 @@ mod tests {
         assert!(!r.is_clean());
     }
 
-    /// Every line kind of both artifacts, byte for byte as the parent
-    /// commit's `format!` strings rendered them.
+    /// Every line kind of both artifacts, byte for byte.
     #[test]
     fn jsonl_matches_the_golden_bytes() {
         let mut r = Report { files_scanned: 3, suppressions_used: 1, ..Report::default() };
@@ -345,27 +274,17 @@ mod tests {
             rule: "R8",
             file: "crates/a\"b\\c.rs".into(),
             line: 3,
-            advisory: false,
             message: "`std::fs`\treached\r\n\u{1}é".into(),
             rationale: "blocking",
             suppressed: None,
         });
         r.violations.push(Violation {
-            rule: "R9",
+            rule: "R8",
             file: "f.rs".into(),
             line: 7,
-            advisory: true,
             message: "m".into(),
             rationale: "r",
-            suppressed: Some("depth \"bounded\"".into()),
-        });
-        r.lock_classes = vec!["a::x".into(), "b::y".into()];
-        r.lock_edges.push(LockEdge {
-            held: "a::x".into(),
-            acquired: "b::y".into(),
-            file: "g.rs".into(),
-            line: 11,
-            func: "f".into(),
+            suppressed: Some("write \"charged\"".into()),
         });
         r.bad_suppressions.push(BadSuppression {
             file: "h.rs".into(),
@@ -382,28 +301,22 @@ mod tests {
                 file: "x.rs".into(),
                 line: 4,
             }],
-            roots: vec![RootBound {
+            roots: vec![CoroutineRoot {
                 root: "World::run::{closure@197}".into(),
                 file: "w.rs".into(),
                 line: 197,
-                bound_bytes: 4096,
-                frames: 3,
-                recursive: false,
-                path: vec!["World::run::{closure@197}".into(), "A::f".into(), "g".into()],
             }],
         };
         assert_eq!(
             r.to_jsonl(),
             concat!(
-                r#"{"kind":"violation","rule":"R8","file":"crates/a\"b\\c.rs","line":3,"advisory":false,"suppressed":false,"reason":null,"message":"`std::fs`\treached\r\n\u0001é","rationale":"blocking"}"#,
+                r#"{"kind":"violation","rule":"R8","file":"crates/a\"b\\c.rs","line":3,"suppressed":false,"reason":null,"message":"`std::fs`\treached\r\n\u0001é","rationale":"blocking"}"#,
                 "\n",
-                r#"{"kind":"violation","rule":"R9","file":"f.rs","line":7,"advisory":true,"suppressed":true,"reason":"depth \"bounded\"","message":"m","rationale":"r"}"#,
-                "\n",
-                r#"{"kind":"lock_edge","held":"a::x","acquired":"b::y","file":"g.rs","line":11,"fn":"f"}"#,
+                r#"{"kind":"violation","rule":"R8","file":"f.rs","line":7,"suppressed":true,"reason":"write \"charged\"","message":"m","rationale":"r"}"#,
                 "\n",
                 r#"{"kind":"bad_suppression","rule":"R99","file":"h.rs","line":2,"missing_reason":false,"unknown_rule":true}"#,
                 "\n",
-                r#"{"kind":"summary","files":3,"findings":2,"suppressed":1,"unsuppressed":1,"rules":["R8"],"bad_suppressions":1,"lock_classes":2,"lock_edges":1,"coroutine_roots":1,"max_stack_bound_bytes":4096,"clean":false}"#,
+                r#"{"kind":"summary","files":3,"findings":2,"suppressed":1,"unsuppressed":1,"rules":["R8"],"bad_suppressions":1,"coroutine_roots":1,"clean":false}"#,
                 "\n",
             )
         );
@@ -412,9 +325,9 @@ mod tests {
             concat!(
                 r#"{"kind":"call_edge","caller":"A::f","callee":"g","file":"x.rs","line":4}"#,
                 "\n",
-                r#"{"kind":"root","root":"World::run::{closure@197}","file":"w.rs","line":197,"bound_bytes":4096,"frames":3,"recursive":false,"path":["World::run::{closure@197}","A::f","g"]}"#,
+                r#"{"kind":"root","root":"World::run::{closure@197}","file":"w.rs","line":197}"#,
                 "\n",
-                r#"{"kind":"summary","functions":5,"edges":1,"roots":1,"max_bound_bytes":4096}"#,
+                r#"{"kind":"summary","functions":5,"edges":1,"roots":1}"#,
                 "\n",
             )
         );
@@ -424,10 +337,9 @@ mod tests {
     fn suppressed_findings_are_clean() {
         let mut r = Report::default();
         r.violations.push(Violation {
-            rule: "R7",
+            rule: "R8",
             file: "f.rs".into(),
             line: 1,
-            advisory: false,
             message: "m".into(),
             rationale: "r",
             suppressed: Some("invariant".into()),

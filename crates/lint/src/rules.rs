@@ -1,6 +1,6 @@
 //! Lowering, the rule registry and suppressions. [`lower`] lexes,
 //! test-masks and use-resolves a file exactly once, and the parser reads
-//! that lowering for R5 and R7–R9. Also here: the two delimiter helpers
+//! that lowering for the call graph. Also here: the two delimiter helpers
 //! every pass shares, and suppression application.
 
 use std::collections::BTreeMap;
@@ -20,26 +20,13 @@ pub struct RuleInfo {
 }
 
 /// The registry. R1–R4 are clippy's (clippy.toml and the hot crates'
-/// `#![deny]`), and R6 and R10 are not rules: an allow naming any of them
-/// fails as unknown.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "R5",
-        rationale: "inconsistent lock acquisition order across threads can deadlock the rank fleet",
-    },
-    RuleInfo {
-        id: "R7",
-        rationale: "parking a coroutine while holding a lock keeps the lock held across the suspension; every other rank touching it then blocks an OS worker thread and the M:N pool can deadlock",
-    },
-    RuleInfo {
-        id: "R8",
-        rationale: "an OS-blocking call on a coroutine stack stalls the whole worker thread, serializing every rank multiplexed onto it and leaking wall-clock timing into the virtual-time domain",
-    },
-    RuleInfo {
-        id: "R9",
-        rationale: "coroutine stacks are fixed-size heap slabs guarded by a canary, not OS guard pages; an overflow corrupts adjacent memory before the canary check can catch it, so stack depth must be bounded statically",
-    },
-];
+/// `#![deny]`); lock order and park-under-lock (R5, R7) and stack depth
+/// (R9) are checked by `redcr_sched` itself in debug builds; R6 and R10
+/// are not rules. An allow naming any of them fails as unknown.
+pub const RULES: &[RuleInfo] = &[RuleInfo {
+    id: "R8",
+    rationale: "an OS-blocking call on a coroutine stack stalls the whole worker thread, serializing every rank multiplexed onto it and leaking wall-clock timing into the virtual-time domain",
+}];
 
 /// Whether `id` names a registered rule.
 pub fn rule_known(id: &str) -> bool {
@@ -48,15 +35,9 @@ pub fn rule_known(id: &str) -> bool {
 
 /// A raw (unsuppressed) finding of `rule`, carrying the registry's
 /// rationale.
-pub fn finding(
-    rule: &'static str,
-    file: &str,
-    line: u32,
-    advisory: bool,
-    message: String,
-) -> Violation {
+pub fn finding(rule: &'static str, file: &str, line: u32, message: String) -> Violation {
     let rationale = RULES.iter().find(|r| r.id == rule).map_or("", |r| r.rationale);
-    Violation { rule, file: file.to_string(), line, advisory, message, rationale, suppressed: None }
+    Violation { rule, file: file.to_string(), line, message, rationale, suppressed: None }
 }
 
 /// One file, lowered once for every pass.
@@ -417,10 +398,10 @@ mod tests {
 
     #[test]
     fn unknown_rule_in_allow_is_flagged_and_suppresses_nothing() {
-        // `R99` was never a rule and `R4` is retired to clippy; R8 fires
-        // but both allows name the wrong id, so the finding stays live AND
-        // both ids are reported.
-        for id in ["R99", "R4"] {
+        // `R99` was never a rule, `R4` is retired to clippy and `R7` to the
+        // runtime's own lock check; R8 fires but every allow names the
+        // wrong id, so the finding stays live AND each id is reported.
+        for id in ["R99", "R4", "R7"] {
             let report =
                 run(&format!("// detlint::allow({id}, reason = \"wrong id\")\n{BLOCKING_ROOT}"));
             assert_eq!(report.violations.len(), 1);
@@ -434,8 +415,8 @@ mod tests {
     #[test]
     fn registry_covers_all_shipped_rules() {
         let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
-        assert_eq!(ids, ["R5", "R7", "R8", "R9"]);
-        for retired in ["R1", "R2", "R3", "R4", "R6", "R10"] {
+        assert_eq!(ids, ["R8"]);
+        for retired in ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R9", "R10"] {
             assert!(!rule_known(retired), "{retired} is retired");
         }
         // Every finding has a rationale.

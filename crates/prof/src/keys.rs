@@ -135,11 +135,14 @@ pub enum CounterKey {
     /// Dispatches of a rank task on a worker other than its home (a
     /// stolen task runs once on loan, then returns home).
     Loans,
+    /// The deepest coroutine stack a worker's tasks used, in bytes
+    /// (measured in debug builds only): a peak, merged by maximum.
+    StackHighWater,
 }
 
 impl CounterKey {
     /// Number of counter keys.
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 14;
 
     /// Every key, in index order.
     pub const ALL: [CounterKey; Self::COUNT] = [
@@ -156,6 +159,7 @@ impl CounterKey {
         CounterKey::WorkerParks,
         CounterKey::RemoteWakes,
         CounterKey::Loans,
+        CounterKey::StackHighWater,
     ];
 
     /// Dense array index of this key.
@@ -180,6 +184,17 @@ impl CounterKey {
             CounterKey::WorkerParks => "worker_parks",
             CounterKey::RemoteWakes => "remote_wakes",
             CounterKey::Loans => "loans",
+            CounterKey::StackHighWater => "stack_high_water",
+        }
+    }
+
+    /// Merges two values of this counter: a count by sum, a peak
+    /// (`StackHighWater`) by maximum.
+    #[inline]
+    pub fn merge(self, a: u64, b: u64) -> u64 {
+        match self {
+            CounterKey::StackHighWater => a.max(b),
+            _ => a + b,
         }
     }
 }

@@ -115,4 +115,21 @@ mod tests {
         assert_eq!(report.total_counter(CounterKey::Parks), 3);
         assert_eq!(report.total_counter(CounterKey::Wakes), 1);
     }
+
+    #[test]
+    fn a_peak_merges_by_maximum() {
+        let p = Profiler::new();
+        for (scope, v) in [(0, 300), (0, 100), (1, 250)] {
+            let s = p.shard(ProfScope::Worker(scope));
+            s.add(CounterKey::StackHighWater, v);
+            s.add(CounterKey::Steals, v);
+            p.absorb(s.drain());
+        }
+        let report = p.report();
+        let peaks: Vec<u64> =
+            report.scopes().iter().map(|s| s.counter(CounterKey::StackHighWater)).collect();
+        assert_eq!(peaks, [300, 250]);
+        assert_eq!(report.total_counter(CounterKey::StackHighWater), 300);
+        assert_eq!(report.total_counter(CounterKey::Steals), 650);
+    }
 }

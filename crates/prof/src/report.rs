@@ -141,9 +141,10 @@ impl ProfReport {
         self.scopes.iter().map(ScopeProf::clock_reads).sum()
     }
 
-    /// Aggregate value of one counter across every scope.
+    /// Aggregate value of one counter across every scope: the sum, or for
+    /// a peak the maximum ([`CounterKey::merge`]).
     pub fn total_counter(&self, key: CounterKey) -> u64 {
-        self.scopes.iter().map(|s| s.counter(key)).sum()
+        self.scopes.iter().map(|s| s.counter(key)).fold(0, |a, b| key.merge(a, b))
     }
 
     /// One-line human summary of the parking behaviour — the headline

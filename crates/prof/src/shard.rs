@@ -211,7 +211,8 @@ impl RankProf {
         self.add(key, 1);
     }
 
-    /// Increments a counter by `n`.
+    /// Increments a counter by `n`. A peak is recorded with one `add` per
+    /// shard; drains merge it by maximum ([`CounterKey::merge`]).
     #[inline]
     pub fn add(&self, key: CounterKey, n: u64) {
         let cell = &self.counters[key.index()];
@@ -312,8 +313,10 @@ impl ProfDrain {
         for (slot, s) in self.spans.iter_mut().zip(other.spans) {
             slot.merge(s);
         }
-        for (slot, c) in self.counters.iter_mut().zip(other.counters) {
-            *slot += c;
+        for (key, (slot, c)) in
+            CounterKey::ALL.into_iter().zip(self.counters.iter_mut().zip(other.counters))
+        {
+            *slot = key.merge(*slot, c);
         }
         for (buf, mut extra) in self.tracks.iter_mut().zip(other.tracks) {
             buf.append(&mut extra);

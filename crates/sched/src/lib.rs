@@ -30,7 +30,7 @@
 //! | `ExecutorConfig::workers` / `WorldBuilder::workers` | explicit worker count (wins) |
 //! | `REDCR_WORKERS` | worker count when no explicit one is set |
 //! | `REDCR_EXEC=threads` | thread-per-task fallback backend |
-//! | `REDCR_STACK_KB` | coroutine stack size (default 128; detlint R9 bounds root chains well under that) |
+//! | `REDCR_STACK_KB` | coroutine stack size in KiB (default 128, at least 64; debug builds measure the use, `BatchStats::stack_high_water`) |
 //!
 //! Unset, the pool sizes itself to `available_parallelism()`.
 //!
@@ -62,3 +62,4 @@ pub use pool::{
     current_waker, park_current, run_batch, yield_now, Backend, BatchResult, BatchStats,
     PoolConfig, Waker,
 };
+pub use stack::DEFAULT_STACK_BYTES;

@@ -53,7 +53,7 @@ use std::sync::Arc;
 use redcr_prof::{CounterKey, ProfScope, Profiler, RankProf, SpanKey, TrackKey};
 
 use crate::stack::{Stack, DEFAULT_STACK_BYTES};
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{assert_unlocked, Condvar, Mutex};
 
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 use crate::ctx;
@@ -212,6 +212,11 @@ pub struct BatchStats {
     pub local_hits: u64,
     /// Times a worker went to sleep on the idle condvar.
     pub worker_parks: u64,
+    /// The deepest coroutine stack any task of the batch used, in bytes: a
+    /// maximum, not a sum. Measured in builds with `debug_assertions`
+    /// only (see `stack.rs`); 0 in release builds and under
+    /// [`Backend::Threads`].
+    pub stack_high_water: u64,
 }
 
 /// One worker's share of [`BatchStats`], on its own cache lines (128 B
@@ -224,6 +229,7 @@ struct WorkerStats {
     loans: AtomicU64,
     local_hits: AtomicU64,
     worker_parks: AtomicU64,
+    stack_high_water: AtomicU64,
 }
 
 /// Owner-only increment of a [`WorkerStats`] cell.
@@ -386,6 +392,7 @@ impl PoolShared {
             out.loans += w.loans.load(SeqCst);
             out.local_hits += w.local_hits.load(SeqCst);
             out.worker_parks += w.worker_parks.load(SeqCst);
+            out.stack_high_water = out.stack_high_water.max(w.stack_high_water.load(SeqCst));
         }
         out
     }
@@ -486,11 +493,13 @@ impl std::fmt::Debug for Waker {
 }
 
 impl Waker {
-    /// Marks the task runnable. Never blocks; never takes a lock that is
-    /// held while calling into user code, so callers may invoke it while
-    /// holding their own leaf locks dropped or held — though dropping
-    /// first preserves the workspace's leaf-lock discipline.
+    /// Marks the task runnable. Never blocks, but may take the run-queue
+    /// and idle locks (or, under [`Backend::Threads`], the task's permit),
+    /// so the caller must hold no lock of its own: in debug builds a wake
+    /// under a [`crate::sync::Mutex`] guard panics here, before the task's
+    /// state changes, and not on whichever path would have nested.
     pub fn wake(&self) {
+        assert_unlocked("Waker::wake");
         match self.shared.backend {
             Backend::Threads => {
                 let t = &self.shared.tasks[self.idx];
@@ -529,8 +538,11 @@ pub fn current_waker() -> Option<Waker> {
 /// Panics when the calling thread is not running a pool task. Only a task
 /// has a waker ([`current_waker`] returns `None` elsewhere), so nothing
 /// could end such a park; callers get their waker first and never reach
-/// this.
+/// this. In debug builds, also panics when the caller holds a
+/// [`crate::sync::Mutex`] guard: a parked holder keeps every other rank
+/// that needs the lock off its worker.
 pub fn park_current() {
+    assert_unlocked("park_current");
     #[expect(
         clippy::expect_used,
         reason = "caller bug, not a runtime condition: a park is preceded by current_waker(), which is None off-pool, so no correct caller gets here — and a silent return would turn its wait loop into a busy spin"
@@ -540,8 +552,11 @@ pub fn park_current() {
 
 /// Cooperatively reschedules the current task behind other runnable work.
 /// Cheap no-op when nothing else is runnable on this worker; falls back to
-/// `std::thread::yield_now()` off-pool or under the threads backend.
+/// `std::thread::yield_now()` off-pool or under the threads backend. In
+/// debug builds, panics when the caller holds a [`crate::sync::Mutex`]
+/// guard, as [`park_current`] does.
 pub fn yield_now() {
+    assert_unlocked("yield_now");
     let on_worker = with_task(|pool, idx, worker| {
         if pool.has_work(worker?) {
             switch_to_worker(&pool.tasks[idx], YK_YIELD);
@@ -734,6 +749,7 @@ fn worker_loop(shared: &Arc<PoolShared>, k: usize, profiler: Option<&Profiler>) 
             (CounterKey::Loans, &stats.loans),
             (CounterKey::RemoteWakes, &stats.remote_wakes),
             (CounterKey::WorkerParks, &stats.worker_parks),
+            (CounterKey::StackHighWater, &stats.stack_high_water),
         ] {
             s.add(key, cell.load(SeqCst));
         }
@@ -826,6 +842,15 @@ fn run_task(shared: &PoolShared, idx: usize, k: usize) {
     }
     match t.yield_kind.get() {
         YK_DONE => {
+            #[cfg(debug_assertions)]
+            if let Some(stack) = &t.stack {
+                let cell = &shared.stats[k].stack_high_water;
+                // Relaxed suffices: owner-written, read after the join (see bump).
+                cell.store(
+                    cell.load(Ordering::Relaxed).max(stack.high_water() as u64),
+                    Ordering::Relaxed,
+                );
+            }
             t.state.store(DONE, SeqCst);
             if shared.live.fetch_sub(1, SeqCst) == 1 {
                 shared.wake_idlers();
@@ -1052,6 +1077,8 @@ mod tests {
         assert_eq!(out.stats.loans, sum(|w| &w.loans));
         assert_eq!(out.stats.local_hits, sum(|w| &w.local_hits));
         assert_eq!(out.stats.worker_parks, sum(|w| &w.worker_parks));
+        let deepest = pool.stats.iter().map(|w| w.stack_high_water.load(SeqCst)).max();
+        assert_eq!(Some(out.stats.stack_high_water), deepest);
     }
 
     fn my_worker() -> usize {
@@ -1171,7 +1198,11 @@ mod tests {
                         }
                     }
                     turn.store(round + 1, SeqCst);
-                    if let Some(w) = slots[1 - me].lock().take() {
+                    // Bound first: an `if let` scrutinee's guard would
+                    // live through the block, and `wake` takes the
+                    // run-queue lock.
+                    let partner = slots[1 - me].lock().take();
+                    if let Some(w) = partner {
                         w.wake();
                     }
                 }
@@ -1212,5 +1243,59 @@ mod tests {
     #[should_panic(expected = "off a scheduler task")]
     fn park_off_pool_fails_loudly() {
         park_current();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_park_yield_or_wake_under_a_guard_panics_and_names_the_class() {
+        struct Ledger;
+        let ledger = Mutex::new(Ledger);
+        let self_wake = || current_waker().expect("on a pool task").wake();
+        for backend in [Backend::Coro, Backend::Threads] {
+            for (op, name) in [
+                (park_current as fn(), "park_current"),
+                (yield_now, "yield_now"),
+                (self_wake, "Waker::wake"),
+            ] {
+                let out = run_batch(&cfg(1, backend), 1, None, None, |_| {
+                    let _held = ledger.lock();
+                    op();
+                });
+                let payload = out.results.into_iter().next().unwrap().expect_err("must panic");
+                let text = payload.downcast::<String>().map(|s| *s).unwrap_or_default();
+                assert!(text.contains(&format!("{name} while holding a `")), "{text}");
+                assert!(text.contains("::Ledger` lock"), "{backend:?}: {text}");
+            }
+        }
+        // The unwind gave the lock back.
+        drop(ledger.lock());
+    }
+
+    /// Recurses `depth` frames, each holding a 256-byte buffer that the
+    /// optimizer must keep.
+    fn descend(depth: u32) -> u64 {
+        let buf = std::hint::black_box([depth as u8; 256]);
+        if depth == 0 {
+            return u64::from(buf[0]);
+        }
+        descend(depth - 1) + u64::from(buf[255])
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_deeper_task_reads_a_higher_stack_high_water() {
+        let high_water = |backend, depth| {
+            run_batch(&cfg(1, backend), 1, None, None, |_| descend(depth)).stats.stack_high_water
+        };
+        let depths = [2u32, 16, 64];
+        let readings = depths.map(|d| high_water(Backend::Coro, d));
+        assert!(readings[0] > 0, "{readings:?}");
+        for (pair, d) in readings.windows(2).zip(depths.windows(2)) {
+            // Every extra frame holds at least its 256-byte buffer.
+            assert!(pair[1] >= pair[0] + u64::from(d[1] - d[0]) * 256, "{readings:?}");
+        }
+        assert!(readings[2] < DEFAULT_STACK_BYTES as u64, "{readings:?}");
+        // Thread stacks are the OS's, and nobody paints them.
+        assert_eq!(high_water(Backend::Threads, 64), 0);
     }
 }

@@ -57,20 +57,15 @@
 //! a receiver drops `inner` before it parks, so it never sleeps holding
 //! anything.
 //!
-//! This is verified, not aspirational: `detlint`'s R5 lock-order fold
-//! (run by `tests/detlint_clean.rs` and the CI `detlint` job) builds the
-//! inter-crate lock graph from every acquisition site in the workspace,
-//! each seeing the guards live in its scope. The graph's nine classes —
-//! `simmpi::inner` (this file), `checkpoint::images` (`MemoryStorage`),
-//! `metrics::{inner, rankless}` (`MetricsRegistry`), `trace::events`
-//! ([`Recorder`](redcr_trace::Recorder)), and the `redcr-sched`
-//! `deque`, `idle`, `permit` and `slot` locks — carry **zero nested
-//! acquisitions**, so it is trivially acyclic. In particular the scheduler wake a push
-//! triggers happens strictly *after* `inner` is dropped (the waker is
-//! moved out under the lock, invoked outside it), so `inner` never nests
-//! with a run-queue lock. Code that needs to hold `inner` together with
-//! any other lock must pick an order, document it here, and will then
-//! show up as an edge in detlint's graph where a cycle fails the build.
+//! This is checked, not aspirational: in debug builds `sync::Mutex::lock`
+//! panics if its thread already holds any workspace lock, and
+//! `park_current`, `yield_now` and `Waker::wake` panic if it holds one,
+//! so every test run asserts zero nested acquisitions on the paths it
+//! takes. In particular the scheduler wake a push triggers happens
+//! strictly *after* `inner` is dropped (the waker is moved out under the
+//! lock, invoked outside it), so `inner` never nests with a run-queue
+//! lock. Code that needs to hold `inner` together with any other lock
+//! would first have to give up the leaf-lock rule in `redcr_sched::sync`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -448,7 +443,11 @@ impl Mailbox {
         let mut parked = false;
         let mut inner = self.inner.lock();
         loop {
-            // detlint::allow(R7, reason = "grab is a caller-supplied matcher over the queue snapshot; the wait_match contract requires it to be a pure predicate (every call site passes a closure that only inspects `inner`), so it cannot park")
+            // `grab` runs under the mailbox lock. It is a caller-supplied
+            // matcher over the queue; the `wait_match` contract requires a
+            // pure predicate (every call site passes a closure that only
+            // inspects `inner`), so it neither parks nor locks — which
+            // debug builds assert (`redcr_sched::sync`).
             if let Some(v) = grab(&mut inner) {
                 inner.waiter = None;
                 obs.count(if parked { CounterKey::ParkResolved } else { CounterKey::SpinResolved });
@@ -461,12 +460,15 @@ impl Mailbox {
             // *final* abort (no rank can ever push again — see
             // [`Quiesce`]) resolves to `Aborted`. Standalone mailboxes
             // keep the immediate behavior.
-            // detlint::allow(R7, reason = "is_aborted is a caller-supplied flag read (an AtomicBool load at every call site); the wait_match contract requires it side-effect-free, so it cannot park")
+            // `is_aborted` is a caller-supplied flag read (an `AtomicBool`
+            // load at every call site); the contract requires it
+            // side-effect-free, so it cannot park under the lock.
             if is_aborted() && self.quiesce.as_deref().is_none_or(Quiesce::is_final) {
                 inner.waiter = None;
                 return Outcome::Aborted;
             }
-            // detlint::allow(R7, reason = "dead_src is a caller-supplied liveness probe (reads shared death records, never parks) per the wait_match contract")
+            // `dead_src` is a caller-supplied liveness probe: it reads
+            // shared death records and, per the contract, never parks.
             if let Some(peer) = dead_src() {
                 inner.waiter = None;
                 return Outcome::SourceDead(peer);

@@ -113,48 +113,15 @@ fn prof_is_wallclock_but_everything_else_stays_strict() {
 #[test]
 fn sched_is_hot_and_every_rule_fires_inside_it() {
     // The M:N scheduler runs on the rank hot path (every mailbox park
-    // crosses it), so every detlint rule must demonstrably fire on its
-    // paths under the loaded config.
+    // crosses it), so every detlint rule — R8, an OS-blocking call on a
+    // coroutine path — must demonstrably fire on its paths under the
+    // loaded config.
     let cfg = Config::load(&repo_root().join("detlint.toml")).expect("detlint.toml parses");
     let path = "crates/sched/src/seeded.rs";
     let domain = cfg.domain_for(std::path::Path::new(path));
     assert_eq!(domain, Domain::Checked, "crates/sched must be checked");
-
-    // R5: a lock-order cycle between two scheduler-shaped lock classes.
-    let r = lint_source(
-        path,
-        domain,
-        "fn push(&self) { let q = self.queue.lock(); let i = self.injector.lock(); }\n\
-         fn drain(&self) { let i = self.injector.lock(); let q = self.queue.lock(); }\n",
-    );
-    assert!(r.unsuppressed().any(|v| v.rule == "R5"), "R5 silent in sched: {r:?}");
-    assert!(
-        r.lock_classes.iter().any(|c| c == "sched::queue"),
-        "lock classes should name the fixture's queue in its crate: {:?}",
-        r.lock_classes
-    );
-
-    // R7: a park under a live run-queue guard.
-    let r = lint_source(
-        path,
-        domain,
-        "fn park_current() {}\n\
-         fn idle(&self) { let q = self.queue.lock(); park_current(); }\n",
-    );
-    assert!(r.unsuppressed().any(|v| v.rule == "R7"), "R7 silent in sched: {r:?}");
-
-    // R8: an OS-blocking call on a coroutine path.
     let r = lint_source(path, domain, BLOCKING_ROOT);
     assert!(r.unsuppressed().any(|v| v.rule == "R8"), "R8 silent in sched: {r:?}");
-
-    // R9: a coroutine root over the stack budget.
-    let r = lint_source(
-        path,
-        domain,
-        "fn deep() { let b: [u8; 300_000] = [0u8; 300_000]; let _ = b[0]; }\n\
-         fn spawn(pool: &Pool) { pool.run_batch(|| { deep(); }); }\n",
-    );
-    assert!(r.unsuppressed().any(|v| v.rule == "R9"), "R9 silent in sched: {r:?}");
 }
 
 #[test]
@@ -167,52 +134,28 @@ fn seeded_violation_in_wallclock_domain_is_fine() {
 
 #[test]
 fn interprocedural_rules_fire_through_lint_source() {
-    // Minimal seeded programs proving each interprocedural rule actually
+    // A minimal seeded program proving the interprocedural rule actually
     // analyzes: a lint pass whose parser or resolver regressed to seeing
-    // nothing would pass the clean-workspace gate by accident.
-    let path = "crates/sched/src/seeded.rs";
-
-    // R7: a resolved park behind one call, under a live guard.
+    // nothing would pass the clean-workspace gate by accident. Blocking
+    // I/O two calls below a coroutine root fires R8 at the write.
     let r = lint_source(
-        path,
-        Domain::Checked,
-        "fn park_current() {}\n\
-         fn wait() { park_current(); }\n\
-         struct S { q: Mutex<u32> }\n\
-         impl S { fn bad(&self) { let g = self.q.lock(); wait(); drop(g); } }\n",
-    );
-    assert!(r.unsuppressed().any(|v| v.rule == "R7"), "R7 silent: {r:?}");
-
-    // R8: blocking I/O two calls below a coroutine root.
-    let r = lint_source(
-        path,
+        "crates/sched/src/seeded.rs",
         Domain::Checked,
         "fn persist() { std::fs::write(\"x\", b\"y\").ok(); }\n\
          fn snapshot() { persist(); }\n\
          fn spawn(pool: &Pool) { pool.run_batch(|| { snapshot(); }); }\n",
     );
-    assert!(r.unsuppressed().any(|v| v.rule == "R8"), "R8 silent: {r:?}");
-
-    // R9: a root whose chain exceeds the default 128 KiB budget.
-    let r = lint_source(
-        path,
-        Domain::Checked,
-        "fn deep() { let b: [u8; 300_000] = [0u8; 300_000]; let _ = b[0]; }\n\
-         fn spawn(pool: &Pool) { pool.run_batch(|| { deep(); }); }\n",
-    );
-    assert!(r.unsuppressed().any(|v| v.rule == "R9" && !v.advisory), "R9 silent: {r:?}");
+    let found: Vec<_> = r.unsuppressed().map(|v| (v.rule, v.line)).collect();
+    assert_eq!(found, [("R8", 1)], "{r:?}");
 }
 
 #[test]
 fn workspace_callgraph_artifact_is_sound() {
     // The interprocedural pass must produce a non-trivial artifact for
     // the real workspace: the coroutine roots are the world/executor rank
-    // closures, every root gets a finite stack bound, and that bound
-    // stays under the configured budget (this is the static justification
-    // for the 128 KiB REDCR_STACK_KB default).
-    let root = repo_root();
-    let cfg = Config::load(&root.join("detlint.toml")).expect("detlint.toml parses");
-    let report = lint_workspace(&root).expect("lint pass runs");
+    // closures. (How deep their stacks go is measured, not estimated:
+    // `tests/profiler_gate.rs` reads the scheduler's stack high-water.)
+    let report = lint_workspace(&repo_root()).expect("lint pass runs");
     let cg = &report.callgraph;
     assert!(cg.functions > 500, "suspiciously small parse: {} functions", cg.functions);
     assert!(cg.edges.len() > 500, "suspiciously sparse resolution: {} edges", cg.edges.len());
@@ -221,18 +164,6 @@ fn workspace_callgraph_artifact_is_sound() {
         "the world rank closures and the executor segment closure must be roots: {:#?}",
         cg.roots
     );
-    for r in &cg.roots {
-        assert!(!r.recursive, "coroutine root {} is recursion-poisoned", r.root);
-        assert!(r.bound_bytes > 0 && r.frames > 0, "degenerate bound for {}: {r:#?}", r.root);
-        assert!(
-            r.bound_bytes <= cfg.stack_budget_kb * 1024,
-            "root {} bound {} exceeds the {} KiB budget the runtime default is built on",
-            r.root,
-            r.bound_bytes,
-            cfg.stack_budget_kb
-        );
-    }
-    assert!(cg.max_bound_bytes() > 0);
     // The JSONL artifact serializes with one summary line.
     let jsonl = cg.to_jsonl();
     assert!(jsonl.lines().any(|l| l.contains("\"kind\":\"summary\"")), "no summary line");
@@ -245,10 +176,10 @@ fn workspace_callgraph_artifact_is_sound() {
 
 #[test]
 fn unknown_rule_in_allow_fails_the_run() {
-    // Satellite guard for the rule registry: an allow naming a rule id
-    // that does not exist (a typo, or a rule retired to clippy or
-    // dropped) must fail the run rather than rot silently.
-    for id in ["R99", "R2", "R4", "R6", "R10"] {
+    // Guard for the rule registry: an allow naming a rule id that does
+    // not exist (a typo, or a rule retired to clippy, to the runtime's own
+    // checks, or dropped) must fail the run rather than rot silently.
+    for id in ["R99", "R2", "R4", "R5", "R6", "R7", "R9", "R10"] {
         let src =
             format!("// detlint::allow({id}, reason = \"not a detlint rule\")\nfn fine() {{}}\n");
         let report = lint_source("crates/sched/src/seeded.rs", Domain::Checked, &src);

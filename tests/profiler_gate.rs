@@ -54,6 +54,20 @@ fn profiler_on_keeps_every_pinned_virtual_quantity_bit_for_bit() {
     assert!(prof.scope("rank0").is_some(), "rank shards not absorbed");
 }
 
+/// Coroutine stacks are measured, not estimated: in debug builds the
+/// scheduler paints every stack and mirrors the deepest byte any task
+/// wrote into its worker shards as a peak.
+#[cfg(debug_assertions)]
+#[test]
+fn the_gate_scenario_uses_under_half_the_default_stack() {
+    let report = profiled_gate_run();
+    let prof = report.profile.as_ref().expect("profiling was on");
+    let high_water = prof.total_counter(CounterKey::StackHighWater);
+    let half = redcr_sched::DEFAULT_STACK_BYTES as u64 / 2;
+    assert!(high_water > 0, "the stack probe measured nothing");
+    assert!(high_water < half, "stack high-water {high_water} B reaches half the default");
+}
+
 #[test]
 fn profiler_off_report_carries_no_profile() {
     // The default config must not even allocate the profiling plane.

@@ -24,6 +24,10 @@ pub fn results_dir() -> PathBuf {
 /// # Panics
 ///
 /// Panics on I/O errors — experiment binaries want loud failures.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the experiment driver thread writes its outputs after the runs, on no coroutine"
+)]
 pub fn write_result(name: &str, content: &str) -> PathBuf {
     let dir = results_dir();
     std::fs::create_dir_all(&dir).expect("create results dir");

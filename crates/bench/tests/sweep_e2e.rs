@@ -2,6 +2,11 @@
 //! warm determinism (100% cache hits, byte-identical document), dedup
 //! collapse, and Pareto-frontier validity on the real grid.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tests make and remove their own cache directories"
+)]
+
 use redcr_bench::sweepbench::{self, SweepPreset};
 use redcr_sweep::pareto;
 

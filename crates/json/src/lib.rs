@@ -2,7 +2,7 @@
 //!
 //! Everything the reproduction hands a reader leaves the tree as JSON: the
 //! flight-recorder JSONL, the Perfetto export, the sweep cache and grid
-//! document, the profiler and model-validation sidecars, detlint's report.
+//! document, the profiler and model-validation sidecars.
 //! All of it is written by [`Writer`] and read back by [`parse`], so the
 //! escape rule, the number rule and the grammar are each stated once.
 //!

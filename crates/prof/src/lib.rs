@@ -32,9 +32,9 @@
 //! ## Determinism contract
 //!
 //! This crate is the *only* non-bench crate allowed to read the host
-//! clock: it opts out of clippy's wall-clock ban below, and
-//! `detlint.toml` names it exempt. Rank code reaches
-//! its shard through the runtime's one telemetry handle (`redcr_mpi::Obs`),
+//! clock: it opts out of clippy's wall-clock ban below (and, since it sits
+//! below `redcr-sched`, of the ban on std locks). Rank code reaches its
+//! shard through the runtime's one telemetry handle (`redcr_mpi::Obs`),
 //! which costs one `Option` check per site when profiling is off, and no
 //! wall-clock reading here ever feeds back into a virtual clock —
 //! profiler-off runs are bit-identical, profiler-on runs perturb nothing

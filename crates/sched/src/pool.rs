@@ -466,6 +466,25 @@ fn context() -> Option<Context> {
     CONTEXT.with(Cell::get)
 }
 
+/// Panics if the caller is a coroutine task — a context with both a
+/// worker and a task — where `what`, an OS-thread block, would stall the
+/// worker and every task queued on it. A threads-backend task (no worker)
+/// and an idle worker (no task) own their thread. A no-op in release
+/// builds.
+pub(crate) fn assert_not_on_coroutine(what: &str) {
+    #[cfg(debug_assertions)]
+    {
+        let on_coroutine = context().is_some_and(|c| c.worker.is_some() && c.task.is_some());
+        assert!(
+            !on_coroutine,
+            "redcr-sched: {what} on a coroutine task blocks its worker thread; \
+             park on a `Waker` instead"
+        );
+    }
+    #[cfg(not(debug_assertions))]
+    let _ = what;
+}
+
 /// Runs `f` on the pool, index and worker of the task executing on this
 /// thread; `None` when no pool task is.
 fn with_task<R>(f: impl FnOnce(&PoolShared, usize, Option<usize>) -> R) -> Option<R> {
@@ -564,6 +583,10 @@ pub fn yield_now() {
         Some(())
     });
     if on_worker.flatten().is_none() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "not on a coroutine: off-pool or a threads-backend task, which owns its OS thread"
+        )]
         std::thread::yield_now();
     }
 }
@@ -1054,7 +1077,7 @@ mod tests {
         let slots: Vec<Slot> = (0..8).map(|_| Mutex::new(None)).collect();
         let (out, outside) = std::thread::scope(|s| {
             let outside = s.spawn(|| {
-                let w = take_waker(&slots[6], std::thread::yield_now);
+                let w = take_waker(&slots[6], yield_now);
                 w.wake();
                 w
             });
@@ -1269,6 +1292,41 @@ mod tests {
         }
         // The unwind gave the lock back.
         drop(ledger.lock());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_condvar_wait_on_a_coroutine_panics_but_a_thread_task_may_wait() {
+        let (m, cv) = (Mutex::new(()), Condvar::new());
+        let done = AtomicBool::new(false);
+        for backend in [Backend::Coro, Backend::Threads] {
+            done.store(false, SeqCst);
+            let out = std::thread::scope(|s| {
+                // Notifies until the batch is over, so a wait that does
+                // start also ends: without the check the coroutine would
+                // fail the assertion below, not hang its only worker.
+                s.spawn(|| {
+                    while !done.load(SeqCst) {
+                        cv.notify_all();
+                        yield_now();
+                    }
+                });
+                let out = run_batch(&cfg(1, backend), 1, None, None, |_| drop(cv.wait(m.lock())));
+                done.store(true, SeqCst);
+                out
+            });
+            let result = out.results.into_iter().next().unwrap();
+            match backend {
+                Backend::Coro => {
+                    let payload = result.expect_err("a coroutine's wait must panic");
+                    let text = payload.downcast::<String>().map(|s| *s).unwrap_or_default();
+                    assert!(text.contains("Condvar::wait on a coroutine task"), "{text}");
+                }
+                Backend::Threads => assert!(result.is_ok(), "a thread task owns its thread"),
+            }
+        }
+        // The unwind gave the lock back.
+        drop(m.lock());
     }
 
     /// Recurses `depth` frames, each holding a 256-byte buffer that the

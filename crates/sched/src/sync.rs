@@ -1,8 +1,9 @@
 //! The workspace's two blocking primitives: a [`Mutex`] and a [`Condvar`]
 //! that do not poison, and that check how they are used.
 //!
-//! Every lock in `sched`, `simmpi`, `trace`, `metrics` and `checkpoint`
-//! goes through this module, so whoever wants to interpose on acquire,
+//! Every lock in the workspace goes through this module — `clippy.toml`
+//! bans the std lock calls everywhere but in `redcr-prof`, which sits
+//! below this crate — so whoever wants to interpose on acquire,
 //! release, wait and notify (a seeded schedule chooser, a sanitizer
 //! annotation) has one file to change. A rank closure that panics while
 //! holding a lock is reported as that rank's `Err`, and the other ranks
@@ -21,17 +22,21 @@
 //! set panics and names both classes, before it could block on either;
 //! and `park_current` / `yield_now` panic if the cell is set. The
 //! thread-local cell is enough because a task moves to another worker
-//! thread only by parking or yielding. Release builds keep none of this:
-//! the guard is the `std` guard and nothing else.
+//! thread only by parking or yielding. [`Condvar::wait`] also panics when
+//! its caller is a coroutine task: the wait would block the worker thread
+//! and every task queued on it. A threads-backend task and an idle worker
+//! own their thread and may wait. Release builds keep none of this: the
+//! guard is the `std` guard and nothing else.
 //!
 //! Calls into `std` are spelled with their full path: the wrappers share
 //! their names and method names with what they wrap, and the path says
-//! which one is meant — to the reader and to detlint's call graph, which
-//! resolves `Type::method` by name.
+//! which one is meant.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
+
+use crate::pool::assert_not_on_coroutine;
 
 #[cfg(debug_assertions)]
 thread_local! {
@@ -139,6 +144,7 @@ impl<T> Mutex<T> {
     /// module (see the module docs).
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let held = Held::take(std::any::type_name::<T>());
+        #[expect(clippy::disallowed_methods, reason = "the one std lock call: this is the wrapper")]
         let inner = std::sync::Mutex::lock(&self.0).unwrap_or_else(PoisonError::into_inner);
         MutexGuard { inner, _held: held }
     }
@@ -169,8 +175,20 @@ impl Condvar {
     /// lock held again. Wakeups may be spurious: call it in a loop that
     /// re-checks the awaited condition. The thread counts as holding the
     /// lock throughout: it runs nothing else while it sleeps.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when the caller is a coroutine task: the wait
+    /// would block its worker thread and every task queued there. A task
+    /// parks on its [`crate::Waker`] instead; a threads-backend task and
+    /// an idle worker own their thread and may wait.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        assert_not_on_coroutine("Condvar::wait");
         let MutexGuard { inner, _held } = guard;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one std wait call: this is the wrapper, and the line above refuses a coroutine caller"
+        )]
         let inner =
             std::sync::Condvar::wait(&self.0, inner).unwrap_or_else(PoisonError::into_inner);
         MutexGuard { inner, _held }

@@ -442,6 +442,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "reads the committed sweep output")]
     fn unreplicated_simulator_results_match_the_committed_sweep() {
         // The r = 1 stream is `ExpSampler`'s bit for bit (the simulator's
         // module docs), so these five cells stay put when replicated ones

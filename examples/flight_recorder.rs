@@ -10,6 +10,11 @@
 //! Writes `target/flight_recorder.jsonl`; exits non-zero if the trace is
 //! empty, fails to parse, or disagrees with the report.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "writes the exported file from main, on no coroutine"
+)]
+
 use redcr::apps::cg::CgConfig;
 use redcr::core::apps::CgApp;
 use redcr::core::{ExecutorConfig, ResilientExecutor};

@@ -12,6 +12,11 @@
 //! Writes `target/perfetto_trace.json`; exits non-zero if the export fails
 //! structural validation (wrong track count, unbalanced flows, bad JSON).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "writes the exported file from main, on no coroutine"
+)]
+
 use redcr::apps::cg::CgConfig;
 use redcr::core::apps::CgApp;
 use redcr::core::{ExecutorConfig, ResilientExecutor};

@@ -3,9 +3,14 @@
 //! and the model/simulator agreement that constitutes the paper's central
 //! validation claim.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tests make, list and remove their own DiskStorage directories"
+)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use redcr::apps::cg::CgConfig;
 use redcr::apps::jacobi::JacobiConfig;
@@ -21,6 +26,7 @@ use redcr::model::combined::CombinedConfig;
 use redcr::model::units;
 use redcr::mpi::{Communicator, CostModel, MpiError, Tag};
 use redcr::red::{ReplicatedWorld, VoteCost};
+use redcr_sched::sync::Mutex;
 
 /// A process-unique, test-unique scratch directory that cleans itself up
 /// even when the test panics.
@@ -195,7 +201,7 @@ struct EveryWrite {
 
 impl StableStorage for EveryWrite {
     fn store(&self, key: SnapshotKey, data: &[u8]) -> redcr::ckpt::Result<()> {
-        self.writes.lock().unwrap().entry(key).or_default().push(data.to_vec());
+        self.writes.lock().entry(key).or_default().push(data.to_vec());
         self.inner.store(key, data)
     }
 
@@ -228,7 +234,7 @@ fn replicas_of_one_sphere_store_byte_identical_images() {
     let report = ResilientExecutor::with_storage(cfg, storage.clone()).run(&app).unwrap();
     assert!(report.checkpoints_committed >= 2, "{report}");
 
-    let writes = storage.writes.lock().unwrap();
+    let writes = storage.writes.lock();
     assert_eq!(writes.len() as u64, 4 * report.checkpoints_committed);
     for (key, images) in writes.iter() {
         assert_eq!(images.len(), 2, "{key}: one write per replica");

@@ -6,6 +6,11 @@
 //! the compatibility half: everything there parses, and the committed
 //! sweep cache loads line for line.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tests read the committed results/ files and write their own scratch caches"
+)]
+
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;

@@ -12,6 +12,17 @@
 //! contiguous blocks of an affinity key the caller may pass — and stays
 //! there; an idle worker only ever borrows a sibling's task for one run.
 //!
+//! ## The stall rule
+//!
+//! A batch *stalls* when every unfinished task is parked and no wake is
+//! committed; only the pool can see that, so the pool decides it. It then
+//! wakes every parked task once, and [`park_current`] returns
+//! `Err(`[`Stalled`]`)` for each of those parks and, at once, for every
+//! park after. The contract is that a batch's tasks are woken only by
+//! tasks of the same batch. A world run's aborted ranks and a deadlocked
+//! program's ranks leave their receives this way instead of hanging, and
+//! so does a task whose only waker panicked.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -60,6 +71,6 @@ pub mod sync;
 
 pub use pool::{
     current_waker, park_current, run_batch, yield_now, Backend, BatchResult, BatchStats,
-    PoolConfig, Waker,
+    PoolConfig, Stalled, Waker,
 };
 pub use stack::DEFAULT_STACK_BYTES;

@@ -43,11 +43,52 @@
 //! order. The only `Relaxed` sites are the per-worker counters (written
 //! by their owner alone, read after the workers are joined) and the
 //! queue-length hints, which publish no data and gate no sleep.
+//!
+//! # The stall rule
+//!
+//! A batch *stalls* when every unfinished task is parked and no wake is
+//! committed: nothing runs, nothing is queued, and nothing ever will be.
+//! The contract that makes this decidable here: **a batch's tasks are
+//! woken only by tasks of the same batch** (a plain thread holding a
+//! [`Waker`] is outside it). `World::run` in `redcr-mpi` is the only
+//! caller of [`run_batch`], and its ranks wake each other only from their
+//! mailboxes. On a stall the pool sets the sticky `stalled` flag and wakes
+//! every task once; [`park_current`] then returns `Err(Stalled)` for the
+//! park the stall ended and, at once, for every later park. Above the
+//! pool, an aborted world's stranded receivers and a deadlocked
+//! program's ranks both leave through this one exit.
+//!
+//! *Coroutines.* The last worker to go idle decides, in `idle_wait`: it
+//! has counted itself in `idlers`, read the idle epoch, found every run
+//! queue empty under the queue locks, and then finds, under the idle
+//! lock, the epoch unchanged and `idlers` equal to the worker count. A
+//! worker counted idle pushes and pops nothing, so at that instant no
+//! task is running or held popped. A push that landed after the queue
+//! scan came from a task waking another (`wake_coro`) or a worker
+//! requeueing to a sibling's deque; either saw `idlers > 0` and bumped
+//! the epoch before its worker could go idle, so the unchanged epoch
+//! rules it out. A worker that requeued onto its own deque pops that
+//! deque dry before it idles, so nothing of its own is left behind. A
+//! committed wake is always in flight on a running task (the CAS to
+//! `QUEUED` precedes the push within one `wake_coro`), and none is
+//! running. So every task not `DONE` is `PARKED`, and `live > 0` makes
+//! that a stall.
+//!
+//! *Threads.* `awake` counts the tasks that are neither finished nor
+//! asleep on their permit without a grant. A park that finds no grant
+//! marks its permit `Awaited` and leaves the count; a finished task
+//! leaves it; a wake that grants an `Awaited` permit brings the sleeper
+//! back in *before* the grant is visible, under the task's own permit
+//! lock (an atomic, so no pool lock nests inside it). A waker is itself
+//! a running task and holds one unit, so the count reaches zero only
+//! when nothing runs and no grant is outstanding: the task whose
+//! decrement takes it there declares the stall, if any task is still
+//! live. The broadcast runs with no lock held.
 
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering, Ordering::SeqCst};
 use std::sync::Arc;
 
 use redcr_prof::{CounterKey, ProfScope, Profiler, RankProf, SpanKey, TrackKey};
@@ -147,6 +188,24 @@ const YK_DONE: u8 = 2;
 
 type TaskBody = Box<dyn FnOnce() + Send>;
 
+/// A threads-backend task's park permit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Permit {
+    /// No wake is pending and the task is not asleep on the permit.
+    Absent,
+    /// A wake is pending: the next park consumes it and returns at once.
+    Granted,
+    /// The task sleeps on the permit with no wake committed; it is out of
+    /// the pool's `awake` count until a wake grants the permit.
+    Awaited,
+}
+
+/// Why [`park_current`] returned without a wake: the batch stalled.
+/// Every unfinished task was parked and no wake was committed, so nothing
+/// could ever have woken this one (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stalled;
+
 /// One rank task. Fields split into two synchronization regimes: `state`
 /// (and the thread-backend permit) are the cross-thread handshake; every
 /// other field is touched only by the single worker currently running the
@@ -168,7 +227,7 @@ pub(crate) struct Task {
     stack: Option<Stack>,
     body: UnsafeCell<Option<TaskBody>>,
     /// Thread-backend park permit (wake-before-park safe).
-    permit: Mutex<bool>,
+    permit: Mutex<Permit>,
     unpark: Condvar,
 }
 
@@ -189,7 +248,7 @@ impl Task {
             ret_sp: Cell::new(0),
             stack,
             body: UnsafeCell::new(Some(body)),
-            permit: Mutex::new(false),
+            permit: Mutex::new(Permit::Absent),
             unpark: Condvar::new(),
         }
     }
@@ -298,6 +357,11 @@ pub(crate) struct PoolShared {
     idlers: AtomicUsize,
     /// Tasks not yet `DONE`; workers exit when this reaches zero.
     live: AtomicUsize,
+    /// Threads backend only: tasks neither finished nor asleep on an
+    /// `Awaited` permit (see the stall rule in the module docs).
+    awake: AtomicUsize,
+    /// Sticky: the batch stalled, and every park fails from now on.
+    stalled: AtomicBool,
 }
 
 impl PoolShared {
@@ -312,12 +376,54 @@ impl PoolShared {
             idle_cv: Condvar::new(),
             idlers: AtomicUsize::new(0),
             live: AtomicUsize::new(live),
+            awake: AtomicUsize::new(live),
+            stalled: AtomicBool::new(false),
         }
     }
 
     /// The calling thread's worker index in *this* pool, if it has one.
     fn my_worker(&self) -> Option<usize> {
         context().filter(|c| std::ptr::eq(c.pool, self)).and_then(|c| c.worker)
+    }
+
+    /// Marks task `idx` runnable, or grants its permit.
+    fn wake(&self, idx: usize) {
+        match self.backend {
+            Backend::Threads => {
+                let t = &self.tasks[idx];
+                let mut permit = t.permit.lock();
+                if *permit == Permit::Awaited {
+                    // Back in the count before the grant is visible: the
+                    // sleeper may run and finish the moment it is.
+                    self.awake.fetch_add(1, SeqCst);
+                }
+                *permit = Permit::Granted;
+                drop(permit);
+                t.unpark.notify_one();
+            }
+            Backend::Coro => self.wake_coro(idx),
+        }
+    }
+
+    /// Declares the batch stalled (see the module docs) and wakes every
+    /// task once, so each parked one returns `Err(Stalled)`. Takes the
+    /// run-queue, idle and permit locks one at a time: the caller holds
+    /// none.
+    fn stall(&self) {
+        if !self.stalled.swap(true, SeqCst) {
+            for idx in 0..self.tasks.len() {
+                self.wake(idx);
+            }
+        }
+    }
+
+    /// A finished threads-backend task leaves the `awake` count; the last
+    /// one to leave it with tasks still live finds the batch stalled.
+    fn finish_thread_task(&self) {
+        self.live.fetch_sub(1, SeqCst);
+        if self.awake.fetch_sub(1, SeqCst) == 1 && self.live.load(SeqCst) != 0 {
+            self.stall();
+        }
     }
 
     /// Marks a coro task runnable. See the state-machine diagram in the
@@ -397,22 +503,40 @@ impl PoolShared {
         out
     }
 
-    /// Blocks task `idx` (the caller) until its next wake.
-    fn park(&self, idx: usize) {
+    /// Blocks task `idx` (the caller) until its next wake; `Err` once
+    /// the batch has stalled.
+    fn park(&self, idx: usize) -> Result<(), Stalled> {
+        if self.stalled.load(SeqCst) {
+            return Err(Stalled);
+        }
         let t = &self.tasks[idx];
         match self.backend {
             Backend::Threads => {
                 let mut g = t.permit.lock();
-                // The threads-backend park: the condvar wait IS the park.
-                // Under REDCR_EXEC=threads each rank owns an OS thread and
-                // blocking it is the intended suspension; the coro backend
-                // takes the context-switch arm instead.
-                while !*g {
-                    g = t.unpark.wait(g);
+                if *g != Permit::Granted {
+                    *g = Permit::Awaited;
+                    if self.awake.fetch_sub(1, SeqCst) == 1 {
+                        // Nothing else runs and no grant is outstanding.
+                        drop(g);
+                        self.stall();
+                        g = t.permit.lock();
+                    }
+                    // The threads-backend park: the condvar wait IS the
+                    // park. Under REDCR_EXEC=threads each rank owns an OS
+                    // thread and blocking it is the intended suspension;
+                    // the coro backend takes the context-switch arm.
+                    while *g == Permit::Awaited {
+                        g = t.unpark.wait(g);
+                    }
                 }
-                *g = false;
+                *g = Permit::Absent;
             }
             Backend::Coro => switch_to_worker(t, YK_PARK),
+        }
+        if self.stalled.load(SeqCst) {
+            Err(Stalled)
+        } else {
+            Ok(())
         }
     }
 }
@@ -498,7 +622,9 @@ fn with_task<R>(f: impl FnOnce(&PoolShared, usize, Option<usize>) -> R) -> Optio
 
 /// Handle that marks one task of one batch runnable. Cloneable and
 /// `Send + Sync`; waking a finished task or a finished batch is a no-op,
-/// so stale wakers parked in mailbox waiter slots are harmless.
+/// so stale wakers parked in mailbox waiter slots are harmless. Only a
+/// task of the same batch may wake a parked task: the stall rule (module
+/// docs) counts on it.
 #[derive(Clone)]
 pub struct Waker {
     shared: Arc<PoolShared>,
@@ -519,14 +645,7 @@ impl Waker {
     /// state changes, and not on whichever path would have nested.
     pub fn wake(&self) {
         assert_unlocked("Waker::wake");
-        match self.shared.backend {
-            Backend::Threads => {
-                let t = &self.shared.tasks[self.idx];
-                *t.permit.lock() = true;
-                t.unpark.notify_one();
-            }
-            Backend::Coro => self.shared.wake_coro(self.idx),
-        }
+        self.shared.wake(self.idx);
     }
 }
 
@@ -552,6 +671,13 @@ pub fn current_waker() -> Option<Waker> {
 /// the coroutine and runs other tasks (or, under [`Backend::Threads`],
 /// sleeps on the task's permit).
 ///
+/// # Errors
+///
+/// [`Stalled`] when the batch stalled — every unfinished task parked with
+/// no wake committed — while this task was parked, and at once for any
+/// park after that: nothing is left that could wake it (see the module
+/// docs).
+///
 /// # Panics
 ///
 /// Panics when the calling thread is not running a pool task. Only a task
@@ -560,13 +686,15 @@ pub fn current_waker() -> Option<Waker> {
 /// this. In debug builds, also panics when the caller holds a
 /// [`crate::sync::Mutex`] guard: a parked holder keeps every other rank
 /// that needs the lock off its worker.
-pub fn park_current() {
+pub fn park_current() -> Result<(), Stalled> {
     assert_unlocked("park_current");
     #[expect(
         clippy::expect_used,
         reason = "caller bug, not a runtime condition: a park is preceded by current_waker(), which is None off-pool, so no correct caller gets here — and a silent return would turn its wait loop into a busy spin"
     )]
-    with_task(|pool, idx, _| pool.park(idx)).expect("park_current called off a scheduler task");
+    let parked =
+        with_task(|pool, idx, _| pool.park(idx)).expect("park_current called off a scheduler task");
+    parked
 }
 
 /// Cooperatively reschedules the current task behind other runnable work.
@@ -703,7 +831,7 @@ fn run_threads(shared: &Arc<PoolShared>) {
                 if let Some(b) = body {
                     b();
                 }
-                shared.live.fetch_sub(1, SeqCst);
+                shared.finish_thread_task();
                 CONTEXT.with(|c| c.set(prev));
             });
         }
@@ -831,17 +959,23 @@ fn steal(shared: &PoolShared, k: usize) -> Option<usize> {
 /// an enqueue landing between our queue re-scan and the `wait` flips the
 /// epoch and the wait never starts. The re-scan takes the queue locks
 /// (the length hints carry no ordering), so it cannot miss a push that
-/// read `idlers == 0`.
+/// read `idlers == 0`. The last worker to go idle finds the batch
+/// stalled instead of sleeping (the stall rule in the module docs).
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 fn idle_wait(shared: &PoolShared, k: usize, shard: Option<&RankProf>) {
     shared.idlers.fetch_add(1, SeqCst);
     let epoch = *shared.idle.lock();
     if !shared.any_queued() && shared.live.load(SeqCst) != 0 {
-        bump(&shared.stats[k].worker_parks);
-        let _idle = shard.map(|s| s.span(SpanKey::WorkerIdle));
         let mut g = shared.idle.lock();
-        while *g == epoch && shared.live.load(SeqCst) != 0 {
-            g = shared.idle_cv.wait(g);
+        if *g == epoch && shared.idlers.load(SeqCst) == shared.queues.len() {
+            drop(g);
+            shared.stall();
+        } else {
+            bump(&shared.stats[k].worker_parks);
+            let _idle = shard.map(|s| s.span(SpanKey::WorkerIdle));
+            while *g == epoch && shared.live.load(SeqCst) != 0 {
+                g = shared.idle_cv.wait(g);
+            }
         }
     }
     shared.idlers.fetch_sub(1, SeqCst);
@@ -990,7 +1124,7 @@ mod tests {
         let out = run_batch(&cfg(workers, backend), n, None, None, |i| {
             if i % 2 == 0 {
                 *slots[i].lock() = Some(current_waker().expect("on a pool task"));
-                park_current();
+                park_current().expect("woken by its partner");
             } else {
                 take_waker(&slots[i - 1], yield_now).wake();
             }
@@ -1023,7 +1157,7 @@ mod tests {
         let out = run_batch(&cfg(1, Backend::Coro), 1, None, None, |_| {
             let w = current_waker().expect("on a pool task");
             w.wake();
-            park_current(); // absorbed by the pending notification
+            park_current().expect("absorbed by the pending notification");
             42
         });
         assert_eq!(unwrap_all(out), vec![42]);
@@ -1040,6 +1174,27 @@ mod tests {
             if i != 2 {
                 assert!(r.is_ok());
             }
+        }
+    }
+
+    #[test]
+    fn a_panic_beside_a_parked_partner_releases_it_as_stalled() {
+        // Task 1 parks until task 0 wakes it, and task 0 panics first. The
+        // batch must return the panic, with task 1 released as stalled;
+        // its second park, after the stall, is refused without blocking.
+        for (backend, workers) in [(Backend::Coro, 1), (Backend::Coro, 2), (Backend::Threads, 2)] {
+            let slot: Slot = Mutex::new(None);
+            let out = run_batch(&cfg(workers, backend), 2, None, None, |i| {
+                if i == 0 {
+                    let _partner = take_waker(&slot, yield_now);
+                    panic!("task zero fails before it wakes task one");
+                }
+                *slot.lock() = current_waker();
+                (park_current(), park_current())
+            });
+            assert!(out.results[0].is_err(), "{backend:?} at {workers}");
+            let released = out.results[1].as_ref().ok();
+            assert_eq!(released, Some(&(Err(Stalled), Err(Stalled))), "{backend:?} at {workers}");
         }
     }
 
@@ -1073,20 +1228,27 @@ mod tests {
         // Odd tasks 1, 3, 5 wake their even partners from inside the pool;
         // task 6 is woken by a plain thread, which no worker's cell counts;
         // that thread also keeps its waker so the pool's cells can be read
-        // once the batch is over.
+        // once the batch is over. Task 7 stays runnable until that wake
+        // has landed, so the batch cannot stall meanwhile.
         let slots: Vec<Slot> = (0..8).map(|_| Mutex::new(None)).collect();
+        let woken_outside = AtomicBool::new(false);
         let (out, outside) = std::thread::scope(|s| {
             let outside = s.spawn(|| {
                 let w = take_waker(&slots[6], yield_now);
                 w.wake();
+                woken_outside.store(true, SeqCst);
                 w
             });
             let out = run_batch(&cfg(2, Backend::Coro), 8, None, None, |i| {
                 if i % 2 == 0 {
                     *slots[i].lock() = Some(current_waker().expect("on a pool task"));
-                    park_current();
+                    park_current().expect("woken");
                 } else if i < 7 {
                     take_waker(&slots[i - 1], yield_now).wake();
+                } else {
+                    while !woken_outside.load(SeqCst) {
+                        yield_now();
+                    }
                 }
             });
             (out, outside.join().expect("waker thread"))
@@ -1128,7 +1290,7 @@ mod tests {
             both_running.wait();
             if i == 0 {
                 *slot.lock() = current_waker();
-                park_current();
+                park_current().expect("woken by task one");
                 resumed.store(true, SeqCst);
                 my_worker()
             } else {
@@ -1161,13 +1323,13 @@ mod tests {
                 take_waker(&slots[2], std::hint::spin_loop).wake();
                 *slots[1].lock() = current_waker();
                 loaned_parked.store(true, SeqCst);
-                park_current();
+                park_current().expect("woken by task zero");
                 back_home.store(true, SeqCst);
                 vec![first, my_worker()]
             }
             _ => {
                 *slots[2].lock() = current_waker();
-                park_current();
+                park_current().expect("woken by task one");
                 hold_worker_until(&back_home);
                 vec![my_worker()]
             }
@@ -1217,7 +1379,7 @@ mod tests {
                     while turn.load(SeqCst) != round {
                         *slots[me].lock() = current_waker();
                         if turn.load(SeqCst) != round {
-                            park_current();
+                            park_current().expect("the partner hands the turn back");
                         }
                     }
                     turn.store(round + 1, SeqCst);
@@ -1265,7 +1427,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "off a scheduler task")]
     fn park_off_pool_fails_loudly() {
-        park_current();
+        let _ = park_current();
     }
 
     #[cfg(debug_assertions)]
@@ -1276,7 +1438,12 @@ mod tests {
         let self_wake = || current_waker().expect("on a pool task").wake();
         for backend in [Backend::Coro, Backend::Threads] {
             for (op, name) in [
-                (park_current as fn(), "park_current"),
+                (
+                    (|| {
+                        let _ = park_current();
+                    }) as fn(),
+                    "park_current",
+                ),
                 (yield_now, "yield_now"),
                 (self_wake, "Waker::wake"),
             ] {

@@ -143,9 +143,9 @@ impl Comm {
         // rank observing it would stop after a host-timing-dependent number
         // of operations and make message counts run-to-run noisy. Running
         // ranks stop only through deterministic virtual-time exits — own
-        // death, DeadPeer/SphereDead escalation — and *parked*
-        // ranks return Aborted once the abort is final (no rank can ever
-        // push again). See `mailbox::Quiesce`.
+        // death, DeadPeer/SphereDead escalation — and *parked* ranks return
+        // Aborted once the scheduler finds the batch stalled (no rank can
+        // ever push again). See the `mailbox` module docs.
         Ok(())
     }
 
@@ -171,6 +171,7 @@ impl Comm {
             Outcome::Matched(v) => Ok(v),
             Outcome::Aborted => Err(MpiError::Aborted { rank: self.rank(), at }),
             Outcome::SourceDead(peer) => Err(MpiError::DeadPeer { peer, at }),
+            Outcome::Deadlock => Err(MpiError::Deadlock { rank: self.rank(), at }),
         }
     }
 

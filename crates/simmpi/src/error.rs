@@ -48,6 +48,15 @@ pub enum MpiError {
         /// Virtual time when the sphere death was observed, seconds.
         at: f64,
     },
+    /// The program deadlocked: this rank was blocked in a receive or probe
+    /// when every rank was blocked or finished, with no message on its
+    /// way and no abort raised. Not a fail-stop outcome.
+    Deadlock {
+        /// The rank that observed the deadlock.
+        rank: Rank,
+        /// The rank's virtual time when it blocked, seconds.
+        at: f64,
+    },
     /// A rank index was outside the communicator.
     InvalidRank {
         /// The offending rank index.
@@ -55,22 +64,11 @@ pub enum MpiError {
         /// Size of the communicator.
         size: usize,
     },
-    /// A tag outside the user-allowed range was supplied.
-    InvalidTag {
-        /// The offending tag value.
-        tag: u64,
-    },
     /// A payload failed typed decoding (length not a multiple of the item
     /// size, or trailing bytes).
     DecodeError {
         /// What was being decoded.
         what: &'static str,
-    },
-    /// The application closure of another rank panicked or the runtime
-    /// state was poisoned.
-    RankPanicked {
-        /// The rank whose closure panicked.
-        rank: usize,
     },
     /// A collective was invoked with inconsistent arguments across ranks
     /// (e.g. mismatched reduce lengths).
@@ -105,12 +103,17 @@ impl fmt::Display for MpiError {
                      (observed at virtual time {at:.6}s)"
                 )
             }
+            MpiError::Deadlock { rank, at } => {
+                write!(
+                    f,
+                    "deadlock: rank {rank} blocked at virtual time {at:.6}s \
+                     with every rank blocked or finished"
+                )
+            }
             MpiError::InvalidRank { rank, size } => {
                 write!(f, "rank {rank} out of range for communicator of size {size}")
             }
-            MpiError::InvalidTag { tag } => write!(f, "tag {tag} outside the user tag range"),
             MpiError::DecodeError { what } => write!(f, "failed to decode payload as {what}"),
-            MpiError::RankPanicked { rank } => write!(f, "rank {rank} panicked"),
             MpiError::CollectiveMismatch { what } => {
                 write!(f, "collective argument mismatch: {what}")
             }
@@ -148,6 +151,9 @@ mod tests {
         assert!(e.to_string().contains('4'));
         let e = MpiError::Aborted { rank: Rank::new(2), at: 1.5 };
         assert!(e.to_string().contains("aborted"));
+        let e = MpiError::Deadlock { rank: Rank::new(3), at: 0.5 };
+        assert!(e.to_string().contains("deadlock") && e.to_string().contains('3'));
+        assert!(!e.is_fail_stop());
     }
 
     #[test]

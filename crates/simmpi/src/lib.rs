@@ -52,8 +52,11 @@
 //! [`MpiError::Dead`], and its peers see [`MpiError::DeadPeer`]. When a
 //! layer escalates a death it cannot mask ([`Comm::abort_job`]), ranks
 //! blocked in receives return [`MpiError::Aborted`] once no rank can send
-//! again. The resilient executor in `redcr-core` ends an attempt this way
-//! and restarts from the last checkpoint.
+//! again: the scheduler finds every unfinished rank parked with no wake
+//! committed (its stall rule). The resilient executor in `redcr-core`
+//! ends an attempt this way and restarts from the last checkpoint. The
+//! same stall without an abort is a deadlocked program, and its blocked
+//! ranks return [`MpiError::Deadlock`] instead of hanging.
 //!
 //! # Example
 //!

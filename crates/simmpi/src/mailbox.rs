@@ -38,15 +38,21 @@
 //! notification actually sent, so tests can assert the
 //! no-spurious-wakeup property.
 //!
-//! # Abort finality
+//! # When nothing can arrive any more
 //!
-//! World runs attach a `Quiesce` to every mailbox: a blocked wait then
-//! resolves to [`Outcome::Aborted`] only once the abort is **final** —
-//! every rank has either finished or parked with no committed wake
-//! outstanding, so the mailbox state can never change again. This is
-//! what makes physical message counts bit-identical run-to-run on both
-//! execution backends even when a run ends in an abort; see the
-//! `Quiesce` docs for the token protocol.
+//! A parked wait has one exit besides a matching push or its sender's
+//! death: the scheduler's stall rule. When every unfinished rank task is
+//! parked with no wake committed, the world can never push again, and
+//! [`redcr_sched::park_current`] returns `Err(Stalled)` (see the
+//! `redcr-sched` module docs). The wait then ends as [`Outcome::Aborted`]
+//! if the world-abort flag is set, and as [`Outcome::Deadlock`] if it is
+//! not. The flag alone never ends a wait: it is raised at a *physical*
+//! instant, and running ranks may still deposit a matching send. An
+//! aborted run therefore resolves only once the mailboxes are frozen,
+//! which is what makes physical message counts bit-identical run-to-run
+//! on both execution backends even when a run ends in an abort. A rank
+//! that polls (a `test` loop over `yield_now`) is never parked, so while
+//! one polls nothing stalls.
 //!
 //! # Lock order
 //!
@@ -68,8 +74,6 @@
 //! would first have to give up the leaf-lock rule in `redcr_sched::sync`.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
 
 use redcr_prof::{CounterKey, SpanKey, TrackKey};
 use redcr_sched::sync::Mutex;
@@ -156,101 +160,6 @@ struct Waiter {
     waker: redcr_sched::Waker,
 }
 
-/// Live-rank accounting that makes a world abort observable only once it
-/// is **final**, so the abort edge never cuts a run at a physically-timed
-/// point.
-///
-/// The world-abort flag is raised at a *physical* instant (whichever rank
-/// escalates first). If running ranks polled it, each would stop after a
-/// host-timing-dependent number of operations and physical message counts
-/// would vary run-to-run — the exact `REDCR_EXEC=threads` noise this type
-/// exists to remove. Instead:
-///
-/// * **running ranks never observe the flag** — they stop only through
-///   deterministic, virtual-time-driven exits (own death, `DeadPeer` /
-///   `SphereDead` escalation, or normal completion);
-/// * **parked ranks** return [`Outcome::Aborted`] only once the abort is
-///   final, tracked by this counter: `live` counts ranks that can still
-///   deposit an envelope — every rank not yet finished and not currently
-///   asleep, plus parked ranks whose wake has been committed (whoever
-///   ends the registration transfers the token back, under the mailbox
-///   lock, *before* issuing the wake). A receiver gives its token up
-///   strictly after registering its waiter and strictly before
-///   sleeping. The first decrement to zero
-///   with the abort flag set therefore proves a frozen system — nobody
-///   is executing and no committed wake is outstanding, so no further
-///   push can ever occur — and flips the sticky `finality` flag, then
-///   wakes every mailbox once so all parked ranks drain out `Aborted`
-///   against a bit-deterministic final mailbox state.
-///
-/// Standalone mailboxes (unit tests) carry no `Quiesce` and keep the
-/// immediate abort-on-flag behavior.
-///
-/// Liveness contract: with the flag raised but not yet final, every
-/// still-running rank must either terminate on its own or reach a
-/// blocking mailbox wait (true for the simulation closures, whose only
-/// unbounded waits are receives); each then retires, and the last one
-/// finalizes the abort and releases everyone.
-#[derive(Debug)]
-pub(crate) struct Quiesce {
-    /// Ranks that can still deposit an envelope (see type-level doc).
-    live: AtomicUsize,
-    /// Sticky: set by the decrement that took `live` to zero while the
-    /// world was aborted. From then on the mailboxes are frozen and
-    /// blocked waits resolve to [`Outcome::Aborted`].
-    finality: AtomicBool,
-    /// The world's mailboxes, for the one-shot finality broadcast. Weak:
-    /// each `Mailbox` holds an `Arc<Quiesce>`, so a strong pointer here
-    /// would leak the cycle.
-    mailboxes: OnceLock<Weak<Vec<Mailbox>>>,
-}
-
-impl Quiesce {
-    /// Accounting for a world of `n` ranks, all initially live.
-    pub(crate) fn new(n: usize) -> Self {
-        Quiesce {
-            live: AtomicUsize::new(n),
-            finality: AtomicBool::new(false),
-            mailboxes: OnceLock::new(),
-        }
-    }
-
-    /// Registers the mailboxes to broadcast to when the abort finalizes.
-    pub(crate) fn attach(&self, mailboxes: &Arc<Vec<Mailbox>>) {
-        let _ = self.mailboxes.set(Arc::downgrade(mailboxes));
-    }
-
-    /// Counts one rank live again (token transfer on a committed wake, or
-    /// a self-resume after a wake that carried no token).
-    fn resume(&self) {
-        self.live.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Gives up one rank's live token: called just before a rank sleeps
-    /// and once when it finishes. `aborted` is the world-abort flag at
-    /// retire time; the first retire that empties the counter with it set
-    /// finalizes the abort and wakes every mailbox exactly once.
-    ///
-    /// The finality broadcast runs with **no mailbox lock held** (callers
-    /// drop `inner` before retiring), preserving the leaf-lock property.
-    pub(crate) fn retire(&self, aborted: bool) {
-        let prev = self.live.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "live-rank counter underflow");
-        if prev == 1 && aborted && !self.finality.swap(true, Ordering::SeqCst) {
-            if let Some(mailboxes) = self.mailboxes.get().and_then(Weak::upgrade) {
-                for mb in mailboxes.iter() {
-                    mb.wake_all();
-                }
-            }
-        }
-    }
-
-    /// Whether the abort has been finalized (no live rank remained).
-    fn is_final(&self) -> bool {
-        self.finality.load(Ordering::SeqCst)
-    }
-}
-
 /// Probe metadata: everything a probe reports, without cloning payload
 /// bytes out of the mailbox.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -286,6 +195,9 @@ pub enum Outcome<T> {
     /// The awaited sender fail-stopped without a matching message buffered:
     /// nothing matching can ever arrive. Carries the dead sender's rank.
     SourceDead(Rank),
+    /// Every rank is parked or finished, no wake is committed, and the
+    /// world did not abort: the program deadlocked.
+    Deadlock,
 }
 
 /// Outcome of a blocking matched receive.
@@ -329,9 +241,6 @@ impl Inner {
 #[derive(Default)]
 pub struct Mailbox {
     inner: Mutex<Inner>,
-    /// Live-rank accounting shared by the whole world (None for
-    /// standalone mailboxes, which keep immediate abort-on-flag waits).
-    quiesce: Option<Arc<Quiesce>>,
 }
 
 impl std::fmt::Debug for Mailbox {
@@ -346,17 +255,10 @@ impl Mailbox {
         Self::default()
     }
 
-    /// Creates an empty mailbox participating in the world's live-rank
-    /// accounting (see [`Quiesce`]).
-    pub(crate) fn with_quiesce(quiesce: Arc<Quiesce>) -> Self {
-        Mailbox { quiesce: Some(quiesce), ..Self::default() }
-    }
-
     /// Commits a wake of the parked receiver, if there is one and
     /// `unblocks` says the event at hand can end its wait: counts the
-    /// notification, transfers the live token back (the wake commits the
-    /// rank to resume, so it counts as live again from this instant) and
-    /// ends the registration. Returns the waker for the caller to invoke
+    /// notification and ends the registration. Returns the waker for the
+    /// caller to invoke
     /// once `inner` is released — the scheduler wake must not nest inside
     /// the leaf lock. One wake makes the task runnable and it re-checks the
     /// mailbox when it runs, so later pushes find no waiter and skip the
@@ -364,38 +266,12 @@ impl Mailbox {
     /// also keeps the pool's reference count at one increment and one
     /// decrement per park.
     fn claim_waiter(
-        &self,
         inner: &mut Inner,
         unblocks: impl FnOnce(&Interest) -> bool,
     ) -> Option<redcr_sched::Waker> {
         let waiter = inner.waiter.take_if(|w| unblocks(&w.interest))?;
         inner.wakeups += 1;
-        if let Some(q) = &self.quiesce {
-            q.resume();
-        }
         Some(waiter.waker)
-    }
-
-    /// Gives up this rank's live token just before it sleeps. Must be
-    /// called with `inner` released *after* the waiter was registered:
-    /// any wake from that point on transfers the token back, and a
-    /// finality broadcast triggered here must take the mailbox locks
-    /// itself.
-    fn retire(&self, is_aborted: &impl Fn() -> bool) {
-        if let Some(q) = &self.quiesce {
-            q.retire(is_aborted());
-        }
-    }
-
-    /// Re-acquires liveness after a park. A task whose registration the
-    /// notifier already ended was counted live by whoever committed the
-    /// wake; a registration still in place means the park ended without a
-    /// committed wake (a scheduler notify left over from an earlier wait),
-    /// so the rank ends it and re-counts itself.
-    fn settle(&self, inner: &mut Inner) {
-        if let (Some(q), Some(_)) = (&self.quiesce, inner.waiter.take()) {
-            q.resume();
-        }
     }
 
     /// Deposits an envelope, waking the parked receiver only when the
@@ -410,7 +286,7 @@ impl Mailbox {
         let (src, wire) = (env.src, env.wire_tag);
         inner.queue.push_back(env);
         let depth = inner.queue.len();
-        let waker = self.claim_waiter(&mut inner, |interest| interest.wants(src, wire));
+        let waker = Self::claim_waiter(&mut inner, |interest| interest.wants(src, wire));
         drop(inner);
         obs.count(CounterKey::Sends);
         if let Some(w) = waker {
@@ -425,7 +301,9 @@ impl Mailbox {
     /// waker, then parks the task (the worker runs other ranks; the
     /// matching push requeues us). `grab` extracts the result once a
     /// match exists; `specs` — everything `grab` may match — only shapes
-    /// the parked interest.
+    /// the parked interest. A park the scheduler refuses because the
+    /// batch stalled ends the wait as `Aborted` or `Deadlock` (module
+    /// docs).
     ///
     /// # Panics
     ///
@@ -453,20 +331,6 @@ impl Mailbox {
                 obs.count(if parked { CounterKey::ParkResolved } else { CounterKey::SpinResolved });
                 return Outcome::Matched(v);
             }
-            // With live-rank accounting attached (world runs), the abort
-            // flag alone never ends a wait: running ranks may still
-            // deposit a matching send, and bailing out on the raw flag
-            // would cut the run at a physically-timed point. Only a
-            // *final* abort (no rank can ever push again — see
-            // [`Quiesce`]) resolves to `Aborted`. Standalone mailboxes
-            // keep the immediate behavior.
-            // `is_aborted` is a caller-supplied flag read (an `AtomicBool`
-            // load at every call site); the contract requires it
-            // side-effect-free, so it cannot park under the lock.
-            if is_aborted() && self.quiesce.as_deref().is_none_or(Quiesce::is_final) {
-                inner.waiter = None;
-                return Outcome::Aborted;
-            }
             // `dead_src` is a caller-supplied liveness probe: it reads
             // shared death records and, per the contract, never parks.
             if let Some(peer) = dead_src() {
@@ -490,31 +354,35 @@ impl Mailbox {
             // Hand the worker to whoever should be sending. The waker
             // registration and the RUNNING → NOTIFIED state machine in
             // redcr-sched close the race between dropping `inner` and
-            // the task freezing. The live token is given up strictly
-            // after the waiter is registered (wakes from here on transfer
-            // it back) and strictly before the task freezes.
+            // the task freezing.
             inner.waiter = Some(Waiter { interest: Interest::from_specs(specs), waker });
             parked = true;
             drop(inner);
-            self.retire(&is_aborted);
             obs.count_tracked(CounterKey::Parks, TrackKey::Parks);
-            {
+            let woken = {
                 let _park = obs.span(SpanKey::MailboxPark);
-                redcr_sched::park_current();
-            }
+                redcr_sched::park_current()
+            };
             obs.count(CounterKey::Wakes);
             inner = self.inner.lock();
-            self.settle(&mut inner);
+            if woken.is_err() {
+                // Stalled: no rank can push again. `is_aborted` is a
+                // caller-supplied flag read (an `AtomicBool` load at every
+                // call site), side-effect-free per the contract.
+                inner.waiter = None;
+                return if is_aborted() { Outcome::Aborted } else { Outcome::Deadlock };
+            }
         }
     }
 
     /// Removes and returns the oldest envelope matching `spec`, blocking
-    /// until one arrives. `is_aborted` is polled on every wake-up; when it
-    /// returns true the wait ends with [`Outcome::Aborted`]. `dead_src`
-    /// is polled likewise: when it reports the awaited (specific) sender
-    /// as dead and nothing matching is buffered, the wait ends with
-    /// [`Outcome::SourceDead`] — a dead rank has already deposited
-    /// everything it will ever send, so no match can arrive later.
+    /// until one arrives. `dead_src` is polled on every wake-up: when it
+    /// reports the awaited (specific) sender as dead and nothing matching
+    /// is buffered, the wait ends with [`Outcome::SourceDead`] — a dead
+    /// rank has already deposited everything it will ever send, so no
+    /// match can arrive later. When the scheduler finds the batch stalled,
+    /// the wait ends with [`Outcome::Aborted`] if `is_aborted` returns
+    /// true and [`Outcome::Deadlock`] otherwise.
     ///
     /// `obs` is the receiver's handle: with profiling on it times the
     /// whole wait and each park, and classifies the wait as resolved
@@ -552,7 +420,7 @@ impl Mailbox {
     /// `specs` and returns that spec's index with the envelope's metadata,
     /// without removing it (and without cloning payload bytes). When
     /// several specs have a match buffered the lowest index wins. Unblocks
-    /// like [`recv_match`](Self::recv_match) when the world aborts or
+    /// like [`recv_match`](Self::recv_match) when the batch stalls or
     /// `dead_src` names a sender some spec awaits, and has the same
     /// scheduler-task precondition.
     pub fn peek_any(
@@ -573,20 +441,12 @@ impl Mailbox {
         self.inner.lock().peek_match(spec)
     }
 
-    /// Wakes the parked receiver unconditionally (world abort).
-    pub fn wake_all(&self) {
-        self.wake_if(|_| true);
-    }
-
     /// Wakes the parked receiver only if the death of `rank` can unblock
     /// it, i.e. it waits on that specific source. Wildcard waiters never
     /// resolve to `SourceDead` and are left parked.
     pub fn wake_for_death(&self, rank: Rank) {
-        self.wake_if(|interest| interest.wants_death(rank));
-    }
-
-    fn wake_if(&self, unblocks: impl FnOnce(&Interest) -> bool) {
-        let waker = self.claim_waiter(&mut self.inner.lock(), unblocks);
+        let waker =
+            Self::claim_waiter(&mut self.inner.lock(), |interest| interest.wants_death(rank));
         if let Some(w) = waker {
             w.wake();
         }
@@ -598,7 +458,7 @@ impl Mailbox {
         self.inner.lock().wakeups
     }
 
-    /// Number of buffered envelopes (diagnostics / quiesce checks).
+    /// Number of buffered envelopes.
     pub fn len(&self) -> usize {
         self.inner.lock().queue.len()
     }
@@ -791,16 +651,28 @@ mod tests {
 
     #[test]
     fn blocking_recv_wakes_on_abort() {
+        // The aborting task only raises the flag and finishes: the stall
+        // that leaves the receiver the last task, parked with nothing to
+        // wake it, releases it.
         two_tasks(
             |mb, aborted| {
                 let out =
                     mb.recv_match(&any(), || aborted.load(Ordering::SeqCst), || None, &Obs::off());
                 assert!(matches!(out, Outcome::Aborted), "unexpected outcome {out:?}");
             },
-            |mb, aborted| {
-                aborted.store(true, Ordering::SeqCst);
-                mb.wake_all();
+            |_, aborted| aborted.store(true, Ordering::SeqCst),
+        );
+    }
+
+    #[test]
+    fn blocking_recv_with_no_sender_left_is_a_deadlock() {
+        two_tasks(
+            |mb, _| {
+                let out = mb.recv_match(&any(), || false, || None, &Obs::off());
+                assert!(matches!(out, Outcome::Deadlock), "unexpected outcome {out:?}");
+                assert!(mb.inner.lock().waiter.is_none(), "the stalled wait unregisters");
             },
+            |_, _| {},
         );
     }
 

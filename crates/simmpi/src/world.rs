@@ -17,7 +17,7 @@ use redcr_trace::EventKind;
 use crate::comm::Comm;
 use crate::communicator::Communicator;
 use crate::error::Result;
-use crate::mailbox::{Mailbox, Quiesce};
+use crate::mailbox::Mailbox;
 use crate::obs::Sinks;
 use crate::time::CostModel;
 
@@ -175,13 +175,10 @@ impl WorldBuilder {
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm))) {
                         Ok(r) => r,
                         Err(payload) => {
-                            // A panicking rank must not leave peers parked
-                            // forever: under the M:N pool there is no join
-                            // loop to bail out of — the batch only ends when
-                            // every task completes, so unblock them first,
-                            // then let the pool capture the payload.
+                            // Peers parked on this rank leave once the batch
+                            // stalls, and see the abort; the pool captures
+                            // the payload.
                             comm.shared().trigger_abort();
-                            comm.shared().rank_finished();
                             std::panic::resume_unwind(payload);
                         }
                     };
@@ -189,17 +186,18 @@ impl WorldBuilder {
                     // An injected per-rank death is survivable by
                     // design: peers detect it through the dead flag
                     // (set when the rank crossed its death time), so
-                    // the world keeps running.
-                    Err(crate::MpiError::Dead { .. }) => {}
-                    // Any other failing rank (abort or app error) must
-                    // not leave peers blocked in receives forever.
+                    // the world keeps running. Nor is a deadlock an
+                    // abort: the stall that released this rank released
+                    // every blocked rank, and raising the flag now would
+                    // rename their `Deadlock` to `Aborted` depending on
+                    // which of them ran first.
+                    Err(crate::MpiError::Dead { .. } | crate::MpiError::Deadlock { .. }) => {}
+                    // Any other failing rank (abort or app error) fails
+                    // the run: peers parked in receives leave as
+                    // `Aborted` once the batch stalls.
                     Err(_) => comm.shared().trigger_abort(),
                     Ok(_) => {}
                 }
-                // The closure is done: this rank can never push again.
-                // Retire its live token (after the trigger above, so an
-                // abort in flight is visible to the finality check).
-                comm.shared().rank_finished();
                 let timing = RankTiming {
                     finish: comm.clock().now(),
                     busy: comm.clock().busy_time(),
@@ -284,7 +282,8 @@ pub struct RunReport<T> {
     /// Simulated wallclock: the maximum finish time over all ranks, seconds.
     pub max_virtual_time: f64,
     /// Whether the run aborted: a rank failed with an error other than its
-    /// own death, or a layer escalated through [`Comm::abort_job`].
+    /// own death or a deadlock, or a layer escalated through
+    /// [`Comm::abort_job`].
     pub aborted: bool,
     /// Ranks that fail-stopped at their sampled death time during the run
     /// (ascending rank order). Empty unless
@@ -320,7 +319,7 @@ impl<T> RunReport<T> {
 pub(crate) struct Shared {
     pub(crate) n: usize,
     pub(crate) cost: CostModel,
-    pub(crate) mailboxes: Arc<Vec<Mailbox>>,
+    pub(crate) mailboxes: Vec<Mailbox>,
     /// `death_times[r]`: absolute virtual time at which rank `r`
     /// fail-stops (INFINITY = never).
     pub(crate) death_times: Vec<f64>,
@@ -328,31 +327,23 @@ pub(crate) struct Shared {
     /// own death, i.e. all messages `r` will ever send are already in
     /// mailboxes. Receivers use this flag to stop waiting on `r`.
     dead: Vec<AtomicBool>,
+    /// Read by a receive only once the batch has stalled (see the
+    /// `mailbox` module docs), so the abort edge never cuts a run at a
+    /// physically-timed point.
     aborted: AtomicBool,
-    /// Live-rank accounting: parked receivers observe an abort only once
-    /// it is *final* (no rank can ever push again), so the abort edge
-    /// never cuts a run at a physically-timed point. See
-    /// [`Quiesce`](crate::mailbox::Quiesce).
-    quiesce: Arc<Quiesce>,
     pub(crate) msgs_sent: AtomicU64,
     pub(crate) bytes_sent: AtomicU64,
 }
 
 impl Shared {
     fn new(n: usize, cost: CostModel, death_times: Vec<f64>) -> Self {
-        let quiesce = Arc::new(Quiesce::new(n));
-        let mailboxes = Arc::new(
-            (0..n).map(|_| Mailbox::with_quiesce(Arc::clone(&quiesce))).collect::<Vec<_>>(),
-        );
-        quiesce.attach(&mailboxes);
         Shared {
             n,
             cost,
-            mailboxes,
+            mailboxes: (0..n).map(|_| Mailbox::new()).collect(),
             death_times,
             dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
             aborted: AtomicBool::new(false),
-            quiesce,
             msgs_sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
         }
@@ -362,20 +353,10 @@ impl Shared {
         self.aborted.load(Ordering::SeqCst)
     }
 
-    /// Gives up a finished rank's live token — called exactly once per
-    /// rank task, after its closure can no longer deposit envelopes
-    /// (panics included). The last retirement under a raised abort flag
-    /// finalizes the abort and releases every parked receiver.
-    pub(crate) fn rank_finished(&self) {
-        self.quiesce.retire(self.is_aborted());
-    }
-
-    /// Marks the world aborted and wakes every blocked receiver.
+    /// Marks the world aborted. Nothing is woken: the ranks the abort
+    /// strands leave their receives once the batch stalls.
     pub(crate) fn trigger_abort(&self) {
         self.aborted.store(true, Ordering::SeqCst);
-        for mb in self.mailboxes.iter() {
-            mb.wake_all();
-        }
     }
 
     /// The sampled death time of `rank`.

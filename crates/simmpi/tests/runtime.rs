@@ -1,5 +1,5 @@
 //! Integration tests for the message-passing runtime: functional semantics,
-//! collectives, virtual-time accounting, sub-communicators and aborts.
+//! collectives, virtual-time accounting, aborts and deadlocks.
 
 use std::sync::Arc;
 
@@ -402,6 +402,30 @@ fn app_error_aborts_peers() {
         .unwrap();
     assert!(report.aborted);
     assert!(report.results[1].is_err());
+}
+
+#[test]
+fn mutual_receive_with_no_sender_is_a_typed_deadlock() {
+    // Each rank waits for the other, and nothing is ever sent: the
+    // scheduler finds every rank parked and both waits end in the error.
+    let report = World::builder(2)
+        .cost_model(CostModel::zero())
+        .run(|comm| {
+            comm.compute(1.5)?;
+            let peer = Rank::new(1 - comm.rank().as_u32());
+            comm.recv(peer.into(), tag(1).into()).map(drop)
+        })
+        .unwrap();
+    assert!(!report.aborted, "a deadlock is not an abort");
+    for (r, result) in report.results.iter().enumerate() {
+        match result {
+            Err(e @ MpiError::Deadlock { rank, at }) => {
+                assert_eq!((rank.index(), *at), (r, 1.5));
+                assert!(!e.is_fail_stop());
+            }
+            other => panic!("rank {r}: expected Deadlock, got {other:?}"),
+        }
+    }
 }
 
 #[test]

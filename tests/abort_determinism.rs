@@ -6,11 +6,13 @@
 //! `SphereDead` first), and running ranks polled it in `check_abort`, so
 //! each stopped after a host-timing-dependent number of sends — physical
 //! message counts on `cg_resilient` varied run-to-run under
-//! `REDCR_EXEC=threads`. The fix (see `mailbox::Quiesce` in `redcr-mpi`)
-//! removes the poll from running ranks entirely and lets parked ranks
-//! observe the abort only once it is *final* (no rank can ever push
-//! again), making the final mailbox state — and therefore every physical
-//! counter — a pure function of virtual time.
+//! `REDCR_EXEC=threads`. The fix removes the poll from running ranks
+//! entirely and lets parked ranks observe the abort only once it is
+//! *final*: the scheduler finds the batch stalled (every unfinished rank
+//! parked, no wake committed, so no rank can ever push again; the stall
+//! rule in `redcr-sched`, read by `redcr_mpi::mailbox`). That makes the
+//! final mailbox state — and therefore every physical counter — a pure
+//! function of virtual time.
 //!
 //! This test pins exactly the `cg_resilient` example scenario (restarts
 //! included) and requires bit-identical reports across repeated runs on

@@ -17,8 +17,10 @@
 //! physically-timed abort flag, so the abort edge cut each attempt at a
 //! host-timing-dependent point), and those traces were not byte-stable
 //! even before the mailbox swap. That race has since been fixed by abort
-//! finality (`mailbox::Quiesce`; `tests/abort_determinism.rs` pins the
-//! restart path bit-exactly on both backends), but this gate keeps the
+//! finality (a parked receive sees the abort only once the scheduler
+//! finds the batch stalled, see `redcr_mpi::mailbox`;
+//! `tests/abort_determinism.rs` pins the restart path bit-exactly on both
+//! backends), but this gate keeps the
 //! abort-free scenario so its constants stay comparable with the
 //! original flat-mailbox baseline. What it proves is that the delivery
 //! path is semantics-preserving where the old path was deterministic.

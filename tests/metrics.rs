@@ -62,8 +62,9 @@ fn metrics_toggle_leaves_report_totals_bit_identical() {
     // The physical traffic counters used to get a restart-scaled slack
     // here: the abort edge was physically timed (running ranks polled the
     // abort flag in wall-clock time), so each surviving rank completed a
-    // few more or fewer sends before stopping. Abort finality (see
-    // `mailbox::Quiesce` in `redcr-mpi`) made the abort edge a pure
+    // few more or fewer sends before stopping. Abort finality (a parked
+    // receive sees the abort only once the scheduler finds the batch
+    // stalled, see `redcr_mpi::mailbox`) made the abort edge a pure
     // function of virtual time, so these are exact now too.
     assert_eq!(on.physical_messages, off.physical_messages);
     assert_eq!(on.physical_bytes, off.physical_bytes);

@@ -4,9 +4,8 @@
 use redcr_mpi::{CostModel, Result, World};
 
 use crate::cg::{CgConfig, CgSolver};
-use crate::compute::ComputeModel;
 
-/// Result of an `α` calibration run.
+/// Result of an `α` measurement ([`measure_cg_alpha`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaMeasurement {
     /// Mean observed communication fraction across ranks.
@@ -40,51 +39,10 @@ pub fn measure_cg_alpha(
     })
 }
 
-/// Searches (by bisection on the per-flop cost) for a [`ComputeModel`] that
-/// makes the CG workload exhibit approximately `target_alpha` under `cost`.
-/// Returns the calibrated model and the achieved measurement.
-///
-/// # Errors
-///
-/// Propagates runtime errors from the probe runs.
-pub fn calibrate_cg_alpha(
-    ranks: usize,
-    base: &CgConfig,
-    cost: CostModel,
-    iterations: u64,
-    target_alpha: f64,
-) -> Result<(ComputeModel, AlphaMeasurement)> {
-    // alpha decreases as computation gets more expensive; bisection over
-    // log(secs_per_flop).
-    let mut lo = 1e-12f64; // fast cpu -> high alpha
-    let mut hi = 1e-3f64; // slow cpu -> low alpha
-    let mut best = (
-        ComputeModel { secs_per_flop: lo },
-        AlphaMeasurement { alpha: f64::NAN, virtual_time: 0.0 },
-    );
-    for _ in 0..24 {
-        let mid = (lo.ln() + hi.ln()) / 2.0;
-        let model = ComputeModel { secs_per_flop: mid.exp() };
-        let mut cfg = base.clone();
-        cfg.compute = model;
-        let m = measure_cg_alpha(ranks, &cfg, cost, iterations)?;
-        best = (model, m);
-        if m.alpha > target_alpha {
-            // Too much communication: make compute more expensive.
-            lo = model.secs_per_flop;
-        } else {
-            hi = model.secs_per_flop;
-        }
-        if (m.alpha - target_alpha).abs() < 0.002 {
-            break;
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compute::ComputeModel;
 
     #[test]
     fn alpha_decreases_with_compute_cost() {
@@ -97,13 +55,5 @@ mod tests {
         assert!(fast.alpha > slow.alpha, "fast {} slow {}", fast.alpha, slow.alpha);
         assert!(slow.alpha < 0.2, "slow alpha {}", slow.alpha);
         assert!(fast.alpha > 0.9, "fast alpha {}", fast.alpha);
-    }
-
-    #[test]
-    fn calibration_hits_target() {
-        let cfg = CgConfig::small(96);
-        let (model, m) = calibrate_cg_alpha(4, &cfg, CostModel::infiniband_qdr(), 5, 0.2).unwrap();
-        assert!(model.secs_per_flop > 0.0);
-        assert!((m.alpha - 0.2).abs() < 0.05, "calibrated alpha {}", m.alpha);
     }
 }

@@ -17,7 +17,6 @@ use redcr_bench::table4::Table4;
 use redcr_bench::table5::Table5;
 use redcr_bench::{calib, fig11, fig12, fig13_14, fig2, fig4_6, paper, table1, table2_3};
 use redcr_bench::{table4, table5, validation, window};
-use redcr_model::combined::SimplifiedForm;
 
 /// The two expensive inputs several artifacts share.
 #[derive(Default)]
@@ -118,7 +117,7 @@ const ARTIFACTS: &[(&str, Make)] = &[
         }
         write("fig10.csv", &csv);
     }),
-    ("fig11", |_| write("fig11.txt", &fig11::render(&fig11::generate(SimplifiedForm::Consistent)))),
+    ("fig11", |_| write("fig11.txt", &fig11::render(&fig11::generate()))),
     ("fig12", |s| {
         let fig = fig12::generate_from(s.t4(), &paper::constants::MTBF_HOURS);
         write("fig12.txt", &fig12::render(&fig));

@@ -1,8 +1,6 @@
 //! Figure 11 — the *simplified* experimental model (Section 6(5)) evaluated
 //! at the Table 4 parameters: one curve per MTBF, time vs degree.
 
-use redcr_model::combined::SimplifiedForm;
-
 use crate::calib::experiment_config;
 use crate::output::TextTable;
 use crate::paper::{constants, DEGREES};
@@ -12,14 +10,11 @@ use crate::paper::{constants, DEGREES};
 pub struct Fig11 {
     /// `(mtbf_hours, minutes per degree)`.
     pub rows: Vec<(f64, Vec<f64>)>,
-    /// Which simplified form was used.
-    pub form: SimplifiedForm,
 }
 
-/// Generates the figure with the chosen simplified form (the paper's
-/// verbatim formula or the dimensionally consistent reading; see
-/// [`SimplifiedForm`]).
-pub fn generate(form: SimplifiedForm) -> Fig11 {
+/// Generates the figure from the simplified model's dimensionally
+/// consistent form (see `CombinedConfig::evaluate_simplified`).
+pub fn generate() -> Fig11 {
     let rows = constants::MTBF_HOURS
         .iter()
         .map(|&mtbf| {
@@ -28,7 +23,7 @@ pub fn generate(form: SimplifiedForm) -> Fig11 {
                 .iter()
                 .map(|&d| {
                     cfg.with_degree(d)
-                        .evaluate_simplified(form)
+                        .evaluate_simplified()
                         .map(|hours| hours * 60.0)
                         .unwrap_or(f64::INFINITY)
                 })
@@ -36,7 +31,7 @@ pub fn generate(form: SimplifiedForm) -> Fig11 {
             (mtbf, minutes)
         })
         .collect();
-    Fig11 { rows, form }
+    Fig11 { rows }
 }
 
 /// Renders the matrix.
@@ -58,9 +53,8 @@ pub fn render(fig: &Fig11) -> String {
     }
     format!(
         "Figure 11. Modeled application performance [minutes]\n\
-         (simplified model, {:?} form; t = 46 min, N = 128, α = 0.2,\n\
+         (simplified model, Consistent form; t = 46 min, N = 128, α = 0.2,\n\
          c = 120 s, R = 500 s)\n\n{}",
-        fig.form,
         t.render()
     )
 }
@@ -71,7 +65,7 @@ mod tests {
 
     #[test]
     fn curves_fall_with_mtbf_and_shape_matches() {
-        let fig = generate(SimplifiedForm::Consistent);
+        let fig = generate();
         assert_eq!(fig.rows.len(), 5);
         // Higher MTBF -> faster at every degree.
         for (d, degree) in DEGREES.iter().enumerate() {
@@ -96,11 +90,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn verbatim_form_also_evaluates() {
-        let fig = generate(SimplifiedForm::Verbatim);
-        assert!(fig.rows.iter().all(|(_, row)| row.iter().all(|v| v.is_finite())));
     }
 }

@@ -2,8 +2,6 @@
 //! versus modeled (simplified model) performance, with a Q-Q-style fit
 //! summary.
 
-use redcr_model::combined::SimplifiedForm;
-
 use crate::fig11;
 use crate::output::TextTable;
 use crate::paper::DEGREES;
@@ -70,7 +68,7 @@ impl Fig12 {
 /// the simplified model, for the selected MTBFs (the paper overlays a
 /// subset for legibility).
 pub fn generate_from(t4: &Table4, mtbfs: &[f64]) -> Fig12 {
-    let model = fig11::generate(SimplifiedForm::Consistent);
+    let model = fig11::generate();
     let rows = mtbfs
         .iter()
         .map(|&mtbf| {

@@ -33,26 +33,14 @@ impl ReplicaGroups {
     }
 
     /// Uniform redundancy: `n_virtual` spheres of exactly `replicas`
-    /// members, laid out like the replication layer (primaries first, then
-    /// shadows in order).
+    /// members, laid out like the replication layer: the
+    /// [`from_counts`](Self::from_counts) layout with every count equal.
     ///
     /// # Panics
     ///
     /// Panics if `n_virtual == 0` or `replicas == 0`.
     pub fn uniform(n_virtual: usize, replicas: usize) -> Self {
-        assert!(n_virtual > 0 && replicas > 0);
-        let mut groups = vec![Vec::with_capacity(replicas); n_virtual];
-        for (v, g) in groups.iter_mut().enumerate() {
-            g.push(v);
-        }
-        let mut next = n_virtual;
-        for _ in 1..replicas {
-            for g in groups.iter_mut() {
-                g.push(next);
-                next += 1;
-            }
-        }
-        ReplicaGroups { groups, n_physical: n_virtual * replicas }
+        Self::from_counts(&vec![replicas; n_virtual])
     }
 
     /// Builds groups from per-virtual replica counts (partial redundancy),
@@ -181,6 +169,12 @@ mod tests {
         assert_eq!(g.n_physical(), 6);
         assert_eq!(g.members(0), &[0, 3]);
         assert_eq!(g.members(2), &[2, 5]);
+        // At three replicas too: a sphere's shadows sit next to each
+        // other, after every primary, as the replication layer has them.
+        for n in [1, 3, 8] {
+            assert_eq!(ReplicaGroups::uniform(n, 3), ReplicaGroups::from_counts(&vec![3; n]));
+        }
+        assert_eq!(ReplicaGroups::uniform(3, 3).members(0), &[0, 3, 4]);
     }
 
     #[test]

@@ -153,11 +153,17 @@ impl CombinedConfig {
     ///
     /// In the experiments failures are *not* injected while a checkpoint or
     /// restart is in progress, so the feedback term of Eq. 14 disappears.
+    /// The formula as printed, `T = t_Red + t_Red·√(2cΘ) + t_Red·λ_sys·R`,
+    /// has a middle term of dimension time², so this evaluates its
+    /// dimensionally consistent reading: the checkpoint term is (number of
+    /// checkpoints)·c = (t_Red/δ_opt)·c and each of the t_Red·λ failures
+    /// costs a restart R plus the expected lost work t_lw:
+    /// `T = t_Red·(1 + c/δ_opt + λ_sys·(R + t_lw))`.
     ///
     /// # Errors
     ///
     /// Returns a domain error for invalid parameters.
-    pub fn evaluate_simplified(&self, form: SimplifiedForm) -> Result<f64> {
+    pub fn evaluate_simplified(&self) -> Result<f64> {
         self.validate()?;
         let t_red = redundant_time(self.base_time, self.alpha, self.degree)?;
         let system = SystemModel::new(self.n_virtual, self.degree, self.node_mtbf)?;
@@ -165,43 +171,11 @@ impl CombinedConfig {
         if sys.failure_rate == 0.0 {
             return Ok(t_red);
         }
-        match form {
-            SimplifiedForm::Verbatim => {
-                // As printed in the paper:
-                //   T = t_Red + t_Red·√(2cΘ) + t_Red·λ_sys·R
-                Ok(t_red
-                    + t_red * (2.0 * self.checkpoint_cost * sys.mtbf).sqrt()
-                    + t_red * sys.failure_rate * self.restart_cost)
-            }
-            SimplifiedForm::Consistent => {
-                // Dimensionally consistent reading: the checkpoint term is
-                // (number of checkpoints)·c = (t_Red/δ_opt)·c and each of the
-                // t_Red·λ failures costs a restart R plus the expected lost
-                // work t_lw:
-                //   T = t_Red·(1 + c/δ_opt + λ_sys·(R + t_lw))
-                let delta = daly_interval(self.checkpoint_cost, sys.mtbf)?;
-                let t_lw = lost_work(delta, self.checkpoint_cost, sys.mtbf)?;
-                Ok(t_red
-                    * (1.0
-                        + self.checkpoint_cost / delta
-                        + sys.failure_rate * (self.restart_cost + t_lw)))
-            }
-        }
+        let delta = daly_interval(self.checkpoint_cost, sys.mtbf)?;
+        let t_lw = lost_work(delta, self.checkpoint_cost, sys.mtbf)?;
+        Ok(t_red
+            * (1.0 + self.checkpoint_cost / delta + sys.failure_rate * (self.restart_cost + t_lw)))
     }
-}
-
-/// Which rendering of the paper's simplified experimental model to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimplifiedForm {
-    /// The formula exactly as printed in Section 6(5):
-    /// `T = t_Red + t_Red·√(2cΘ) + t_Red·λ_sys·R`. Note the middle term is
-    /// dimensionally a time·time; retained verbatim for comparison.
-    Verbatim,
-    /// The dimensionally consistent reading (checkpoint count × cost +
-    /// failures × (restart + lost work)); this is the form our Figure 11/12
-    /// reproduction plots.
-    #[default]
-    Consistent,
 }
 
 /// Everything the combined model predicts for one configuration.
@@ -421,20 +395,13 @@ mod tests {
     #[test]
     fn simplified_consistent_is_finite_and_ordered() {
         let cfg = paper_experiment_config();
-        let s2 = cfg.with_degree(2.0).evaluate_simplified(SimplifiedForm::Consistent).unwrap();
-        let s3 = cfg.with_degree(3.0).evaluate_simplified(SimplifiedForm::Consistent).unwrap();
+        let s2 = cfg.with_degree(2.0).evaluate_simplified().unwrap();
+        let s3 = cfg.with_degree(3.0).evaluate_simplified().unwrap();
         assert!(s2.is_finite() && s3.is_finite());
         assert!(s2 > 0.0 && s3 > 0.0);
         // At 12 h MTBF the paper observes the optimum near 2.5x; 2x should
         // at least not be worse than 3x by a large factor.
         assert!(s2 < 2.0 * s3);
-    }
-
-    #[test]
-    fn simplified_verbatim_computes() {
-        let cfg = paper_experiment_config().with_degree(2.0);
-        let v = cfg.evaluate_simplified(SimplifiedForm::Verbatim).unwrap();
-        assert!(v.is_finite() && v > 0.0);
     }
 
     #[test]

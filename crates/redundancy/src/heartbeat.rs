@@ -14,9 +14,8 @@
 //!   suspicion time is a *closed form* over `(origin, death)` — a pure
 //!   function every rank evaluates identically, which is what keeps the
 //!   heal decision collective without any extra communication.
-//! * [`FailureDetector`] — the **event-driven** state machine the unit
-//!   tests drive beat-by-beat: observe heartbeats, check deadlines, rejoin
-//!   respawned replicas, and bump per-sphere liveness epochs. Feeding it
+//! * [`FailureDetector`] — the **event-driven** state machine the tests
+//!   drive beat-by-beat: observe heartbeats, check deadlines. Feeding it
 //!   the modeled beat grid reproduces the closed form exactly.
 //!
 //! Determinism contract: everything here is arithmetic over virtual-time
@@ -110,59 +109,31 @@ impl DetectorParams {
 }
 
 /// The event-driven failure-detector state machine: per-replica heartbeat
-/// freshness, per-replica suspicion flags, and per-sphere liveness epochs.
-///
-/// The epoch of a sphere counts its membership changes: it starts at 0 and
-/// is bumped once for every suspicion and once for every rejoin, so a
-/// sphere that loses and regains a replica ends two epochs later. Votes
-/// taken in different epochs involve different live-copy sets, which is
-/// what "per-sphere liveness epochs" buys the healing layer: a vote result
-/// is only comparable within one epoch.
+/// freshness and suspicion flags. The executor never steps one; it is the
+/// oracle the closed form is checked against.
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
     params: DetectorParams,
-    /// Sphere index of each physical rank (dense, rank-indexed).
-    sphere_of: Vec<usize>,
     /// Last sign of life per physical rank (join time or latest beat).
     last_seen: Vec<f64>,
     /// Whether the rank is currently suspected.
     suspected: Vec<bool>,
-    /// Liveness epoch per sphere.
-    epochs: Vec<u64>,
 }
 
 impl FailureDetector {
-    /// A detector over `spheres` (physical-rank membership per sphere, as
-    /// the executor's topology lists them) with every rank joining — and
-    /// thus last seen — at `origin`.
-    pub fn new(params: DetectorParams, spheres: &[Vec<u32>], origin: f64) -> Self {
-        let n_ranks =
-            spheres.iter().flat_map(|m| m.iter()).map(|&r| r as usize + 1).fold(0usize, usize::max);
-        let mut sphere_of = vec![0usize; n_ranks];
-        for (s, members) in spheres.iter().enumerate() {
-            for &r in members {
-                if let Some(slot) = sphere_of.get_mut(r as usize) {
-                    *slot = s;
-                }
-            }
-        }
+    /// A detector over physical ranks `0..n_ranks`, every one joining —
+    /// and thus last seen — at `origin`.
+    pub fn new(params: DetectorParams, n_ranks: usize, origin: f64) -> Self {
         FailureDetector {
             params,
-            sphere_of,
             last_seen: vec![origin; n_ranks],
             suspected: vec![false; n_ranks],
-            epochs: vec![0u64; spheres.len()],
         }
-    }
-
-    /// The detector parameters.
-    pub fn params(&self) -> DetectorParams {
-        self.params
     }
 
     /// Records a heartbeat from `rank` at virtual time `t`. Beats never
     /// move freshness backwards, and a suspected rank's stale beats are
-    /// ignored — only an explicit [`rejoin`](Self::rejoin) revives it.
+    /// ignored: a suspicion is final.
     pub fn observe_heartbeat(&mut self, rank: u32, t: f64) {
         let r = rank as usize;
         if self.suspected.get(r).copied().unwrap_or(true) {
@@ -180,7 +151,6 @@ impl FailureDetector {
     /// suspected once `now >= last_seen + timeout`; a beat arriving
     /// **exactly at** the deadline and observed before the check therefore
     /// keeps the rank alive (freshness moves to the deadline itself).
-    /// Each new suspicion bumps its sphere's liveness epoch.
     pub fn check(&mut self, now: f64) -> Vec<u32> {
         let mut newly = Vec::new();
         for r in 0..self.last_seen.len() {
@@ -188,38 +158,9 @@ impl FailureDetector {
                 continue;
             }
             self.suspected[r] = true;
-            if let Some(e) = self.epochs.get_mut(self.sphere_of[r]) {
-                *e += 1;
-            }
             newly.push(r as u32);
         }
         newly
-    }
-
-    /// Re-admits a respawned replica at virtual time `t`: clears its
-    /// suspicion, resets its freshness to `t`, and bumps its sphere's
-    /// liveness epoch (the live-copy set changed again).
-    pub fn rejoin(&mut self, rank: u32, t: f64) {
-        let r = rank as usize;
-        let was_suspected = self.suspected.get(r).copied().unwrap_or(false);
-        if !was_suspected {
-            return;
-        }
-        self.suspected[r] = false;
-        self.last_seen[r] = t;
-        if let Some(e) = self.epochs.get_mut(self.sphere_of[r]) {
-            *e += 1;
-        }
-    }
-
-    /// Whether `rank` is currently suspected.
-    pub fn is_suspected(&self, rank: u32) -> bool {
-        self.suspected.get(rank as usize).copied().unwrap_or(false)
-    }
-
-    /// The current liveness epoch of `sphere` (0 = never degraded).
-    pub fn epoch(&self, sphere: usize) -> u64 {
-        self.epochs.get(sphere).copied().unwrap_or(0)
     }
 }
 

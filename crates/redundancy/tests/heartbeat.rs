@@ -1,11 +1,7 @@
-//! Failure-detector state machine: suspicion deadlines, epochs and the
+//! Failure-detector state machine: suspicion deadlines and the
 //! closed-form heartbeat schedule the self-healing executor relies on.
 
 use redcr_red::{DetectorParams, FailureDetector, HealPolicy};
-
-fn spheres() -> Vec<Vec<u32>> {
-    vec![vec![0, 1, 2], vec![3, 4, 5]]
-}
 
 #[test]
 fn heartbeat_exactly_at_deadline_keeps_replica_alive() {
@@ -14,7 +10,7 @@ fn heartbeat_exactly_at_deadline_keeps_replica_alive() {
     // is observed first — the detector is driven in (observe, check) order
     // per virtual tick, so an on-time beat always wins.
     let params = DetectorParams::new(1.0, 2.0);
-    let mut d = FailureDetector::new(params, &spheres(), 0.0);
+    let mut d = FailureDetector::new(params, 6, 0.0);
     for k in 1..=10u32 {
         let t = f64::from(k);
         for r in 0..6 {
@@ -29,24 +25,21 @@ fn heartbeat_exactly_at_deadline_keeps_replica_alive() {
 }
 
 #[test]
-fn double_kill_inside_one_period_bumps_epoch_once_per_replica() {
+fn double_kill_inside_one_period_suspects_each_replica_once() {
     let params = DetectorParams::new(1.0, 1.0);
-    let mut d = FailureDetector::new(params, &spheres(), 0.0);
-    // Replicas 0 and 1 (same sphere) both go silent before the first beat:
-    // one check sweeps both into suspicion, and the sphere's liveness epoch
-    // advances once per suspected member.
+    let mut d = FailureDetector::new(params, 6, 0.0);
+    // Replicas 0 and 1 both go silent before the first beat: one check
+    // sweeps both into suspicion, in rank order.
     for r in [2, 3, 4, 5] {
         d.observe_heartbeat(r, 1.0);
     }
-    let mut suspects = d.check(1.0);
-    suspects.sort_unstable();
-    assert_eq!(suspects, vec![0, 1]);
-    assert!(d.is_suspected(0) && d.is_suspected(1));
-    assert_eq!(d.epoch(0), 2, "two deaths in sphere 0 = two epoch bumps");
-    assert_eq!(d.epoch(1), 0, "sphere 1 untouched");
-    // A second check at the same instant is idempotent: no re-suspicion.
+    assert_eq!(d.check(1.0), vec![0, 1]);
+    // A second check at the same instant is idempotent: no re-suspicion,
+    // and a late beat does not revive a suspected replica.
     assert!(d.check(1.0).is_empty());
-    assert_eq!(d.epoch(0), 2);
+    d.observe_heartbeat(0, 1.5);
+    assert!(d.check(1.5).is_empty());
+    assert_eq!(d.check(2.0), vec![2, 3, 4, 5]);
 }
 
 #[test]
@@ -56,7 +49,7 @@ fn slow_but_alive_replica_is_never_falsely_suspected() {
     // alive. Drive one replica at exactly period cadence and everyone else
     // twice as fast; nobody must be suspected.
     let params = DetectorParams::new(2.0, 2.0);
-    let mut d = FailureDetector::new(params, &spheres(), 0.0);
+    let mut d = FailureDetector::new(params, 6, 0.0);
     let mut t = 0.0;
     for _ in 0..50 {
         t += 1.0;
@@ -69,28 +62,6 @@ fn slow_but_alive_replica_is_never_falsely_suspected() {
         }
         assert!(d.check(t).is_empty(), "t={t}: live replica suspected");
     }
-}
-
-#[test]
-fn rejoin_clears_suspicion_and_advances_epoch() {
-    let params = DetectorParams::new(1.0, 1.0);
-    let mut d = FailureDetector::new(params, &spheres(), 0.0);
-    assert_eq!(d.check(1.0).len(), 6);
-    assert_eq!(d.epoch(0), 3);
-    d.rejoin(1, 5.0);
-    assert!(!d.is_suspected(1));
-    assert!(d.is_suspected(0) && d.is_suspected(2));
-    assert_eq!(d.epoch(0), 4, "rejoin is its own liveness transition");
-    // The rejoined replica is fresh from t = 5: it survives until 6…
-    assert!(!d.check(5.9).contains(&1));
-    // …and is re-suspected at its new deadline, bumping the epoch again.
-    assert!(d.check(6.0).contains(&1));
-    assert_eq!(d.epoch(0), 5);
-    // Rejoining a replica that was never suspected is a no-op.
-    let before = d.epoch(1);
-    d.rejoin(4, 7.0);
-    d.rejoin(4, 7.5);
-    assert_eq!(d.epoch(1), before + 1, "second rejoin of a live replica is ignored");
 }
 
 #[test]
@@ -108,7 +79,7 @@ fn closed_form_schedule_matches_stepped_detector() {
             // the replica beats at every multiple of `period` strictly
             // before `death`, and the detector first suspects it at the
             // first check instant >= its deadline.
-            let mut d = FailureDetector::new(params, &[vec![0]], 0.0);
+            let mut d = FailureDetector::new(params, 1, 0.0);
             let mut k = 1u32;
             while f64::from(k) * period < death {
                 d.observe_heartbeat(0, f64::from(k) * period);

@@ -29,8 +29,8 @@
 //! use redcr_sched::{run_batch, Backend, PoolConfig};
 //!
 //! let cfg = PoolConfig { workers: 2, stack_bytes: 128 * 1024, backend: Backend::Coro };
-//! let batch = run_batch(&cfg, 8, None, None, |task| task * task); // no affinity keys, no profiler
-//! let squares: Vec<usize> = batch.results.into_iter().map(|r| r.unwrap()).collect();
+//! let results = run_batch(&cfg, 8, None, None, |task| task * task); // no affinity keys, no profiler
+//! let squares: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 //!
@@ -41,7 +41,7 @@
 //! | `ExecutorConfig::workers` / `WorldBuilder::workers` | explicit worker count (wins) |
 //! | `REDCR_WORKERS` | worker count when no explicit one is set |
 //! | `REDCR_EXEC=threads` | thread-per-task fallback backend |
-//! | `REDCR_STACK_KB` | coroutine stack size in KiB (default 128, at least 64; debug builds measure the use, `BatchStats::stack_high_water`) |
+//! | `REDCR_STACK_KB` | coroutine stack size in KiB (default 128, at least 64; debug builds measure the use, the profiler's `stack_high_water`) |
 //!
 //! Unset, the pool sizes itself to `available_parallelism()`.
 //!
@@ -70,7 +70,6 @@ mod stack;
 pub mod sync;
 
 pub use pool::{
-    current_waker, park_current, run_batch, yield_now, Backend, BatchResult, BatchStats,
-    PoolConfig, Stalled, Waker,
+    current_waker, park_current, run_batch, yield_now, Backend, PoolConfig, Stalled, Waker,
 };
 pub use stack::DEFAULT_STACK_BYTES;

@@ -257,29 +257,10 @@ impl Task {
 // ---------------------------------------------------------------------------
 // Pool
 
-/// Counters for one finished batch; mirrors of these also flow into
-/// `redcr-prof` worker shards when profiling is on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Wakes of a parked task issued from a worker other than its home.
-    pub remote_wakes: u64,
-    /// Tasks a worker stole from another worker's deque.
-    pub steals: u64,
-    /// Dispatches of a task on a worker other than its home.
-    pub loans: u64,
-    /// Tasks a worker popped from its own deque.
-    pub local_hits: u64,
-    /// Times a worker went to sleep on the idle condvar.
-    pub worker_parks: u64,
-    /// The deepest coroutine stack any task of the batch used, in bytes: a
-    /// maximum, not a sum. Measured in builds with `debug_assertions`
-    /// only (see `stack.rs`); 0 in release builds and under
-    /// [`Backend::Threads`].
-    pub stack_high_water: u64,
-}
-
-/// One worker's share of [`BatchStats`], on its own cache lines (128 B
-/// covers the adjacent-line prefetcher) and written by that worker only.
+/// One worker's scheduler counters, on its own cache lines (128 B covers
+/// the adjacent-line prefetcher) and written by that worker only. With a
+/// profiler they reach it as the worker's shard counters of the same
+/// names once the batch ends.
 #[repr(align(128))]
 #[derive(Default)]
 struct WorkerStats {
@@ -488,19 +469,6 @@ impl PoolShared {
     fn wake_idlers(&self) {
         *self.idle.lock() += 1;
         self.idle_cv.notify_all();
-    }
-
-    fn batch_stats(&self) -> BatchStats {
-        let mut out = BatchStats::default();
-        for w in &self.stats {
-            out.remote_wakes += w.remote_wakes.load(SeqCst);
-            out.steals += w.steals.load(SeqCst);
-            out.loans += w.loans.load(SeqCst);
-            out.local_hits += w.local_hits.load(SeqCst);
-            out.worker_parks += w.worker_parks.load(SeqCst);
-            out.stack_high_water = out.stack_high_water.max(w.stack_high_water.load(SeqCst));
-        }
-        out
     }
 
     /// Blocks task `idx` (the caller) until its next wake; `Err` once
@@ -722,15 +690,6 @@ pub fn yield_now() {
 // ---------------------------------------------------------------------------
 // Batch execution
 
-/// Everything a finished batch reports.
-pub struct BatchResult<T> {
-    /// Per-task outcome, indexed by task id; `Err` carries the panic
-    /// payload of a task whose body panicked.
-    pub results: Vec<std::thread::Result<T>>,
-    /// Scheduler counters for the whole batch.
-    pub stats: BatchStats,
-}
-
 /// Home worker of each task: the tasks, ordered by affinity key (ties in
 /// index order), cut into `workers` contiguous near-equal blocks. `keys`
 /// is a hint — wrong-length or absent, the task index is the key, which
@@ -748,7 +707,8 @@ fn home_workers(n: usize, workers: usize, keys: Option<&[u32]>) -> Vec<usize> {
 }
 
 /// Runs `f(0..n)` to completion as `n` tasks on the configured pool and
-/// returns every task's outcome plus scheduler counters.
+/// returns every task's outcome, indexed by task id: `Err` carries the
+/// panic payload of a task whose body panicked.
 ///
 /// `keys[i]` is task `i`'s affinity key: tasks with equal or neighbouring
 /// keys exchange the most messages and are homed on the same worker (see
@@ -764,7 +724,7 @@ pub fn run_batch<T, F>(
     keys: Option<&[u32]>,
     profiler: Option<&Profiler>,
     f: F,
-) -> BatchResult<T>
+) -> Vec<std::thread::Result<T>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -805,18 +765,17 @@ where
         Backend::Threads => run_threads(&shared),
     }
 
-    let stats = shared.batch_stats();
-    let results =
-        results
-            .into_iter()
-            .map(|m| match m.into_inner() {
-                Some(r) => r,
-                // Unreachable: a batch only ends once every body ran.
-                None => Err(Box::new("redcr-sched: task produced no result")
-                    as Box<dyn std::any::Any + Send>),
-            })
-            .collect();
-    BatchResult { results, stats }
+    results
+        .into_iter()
+        .map(|m| match m.into_inner() {
+            Some(r) => r,
+            // Unreachable: a batch only ends once every body ran.
+            None => {
+                Err(Box::new("redcr-sched: task produced no result")
+                    as Box<dyn std::any::Any + Send>)
+            }
+        })
+        .collect()
 }
 
 fn run_threads(shared: &Arc<PoolShared>) {
@@ -1079,14 +1038,26 @@ pub(crate) extern "C" fn redcr_task_entry(task: *const Task) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use redcr_prof::ProfReport;
 
     fn cfg(workers: usize, backend: Backend) -> PoolConfig {
         PoolConfig { workers, stack_bytes: 128 * 1024, backend }
     }
 
-    fn unwrap_all<T>(r: BatchResult<T>) -> Vec<T> {
-        r.results.into_iter().map(|x| x.unwrap()).collect()
+    fn unwrap_all<T>(r: Vec<std::thread::Result<T>>) -> Vec<T> {
+        r.into_iter().map(|x| x.unwrap()).collect()
+    }
+
+    /// Runs a batch with a profiler on: its outcomes and its profile, in
+    /// which every worker's counters arrive as its shard's.
+    fn profiled<T: Send>(
+        c: &PoolConfig,
+        n: usize,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<std::thread::Result<T>>, ProfReport) {
+        let profiler = Profiler::new();
+        let out = run_batch(c, n, None, Some(&profiler), f);
+        (out, profiler.report())
     }
 
     type Slot = Mutex<Option<Waker>>;
@@ -1112,7 +1083,7 @@ mod tests {
     #[test]
     fn zero_tasks_is_a_noop() {
         let out = run_batch(&cfg(2, Backend::Coro), 0, None, None, |i| i);
-        assert!(out.results.is_empty());
+        assert!(out.is_empty());
     }
 
     fn park_wake_pairs(backend: Backend, workers: usize) {
@@ -1169,8 +1140,8 @@ mod tests {
             assert!(i != 2, "task two fails");
             i
         });
-        assert!(out.results[2].is_err());
-        for (i, r) in out.results.iter().enumerate() {
+        assert!(out[2].is_err());
+        for (i, r) in out.iter().enumerate() {
             if i != 2 {
                 assert!(r.is_ok());
             }
@@ -1192,15 +1163,15 @@ mod tests {
                 *slot.lock() = current_waker();
                 (park_current(), park_current())
             });
-            assert!(out.results[0].is_err(), "{backend:?} at {workers}");
-            let released = out.results[1].as_ref().ok();
+            assert!(out[0].is_err(), "{backend:?} at {workers}");
+            let released = out[1].as_ref().ok();
             assert_eq!(released, Some(&(Err(Stalled), Err(Stalled))), "{backend:?} at {workers}");
         }
     }
 
     #[test]
     fn oversubscribed_yield_storm_completes_and_steals() {
-        let out = run_batch(&cfg(4, Backend::Coro), 64, None, None, |i| {
+        let (out, profile) = profiled(&cfg(4, Backend::Coro), 64, |i| {
             let mut acc = i as u64;
             for _ in 0..50 {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -1208,9 +1179,9 @@ mod tests {
             }
             acc
         });
-        assert_eq!(out.results.len(), 64);
-        assert!(out.results.iter().all(|r| r.is_ok()));
-        assert!(out.stats.local_hits > 0);
+        assert_eq!(out.len(), 64);
+        assert!(out.iter().all(|r| r.is_ok()));
+        assert!(profile.total_counter(CounterKey::LocalHits) > 0);
     }
 
     #[test]
@@ -1225,21 +1196,24 @@ mod tests {
 
     #[test]
     fn batch_stats_sum_the_worker_cells() {
-        // Odd tasks 1, 3, 5 wake their even partners from inside the pool;
-        // task 6 is woken by a plain thread, which no worker's cell counts;
-        // that thread also keeps its waker so the pool's cells can be read
-        // once the batch is over. Task 7 stays runnable until that wake
-        // has landed, so the batch cannot stall meanwhile.
+        // A batch's scheduler counters reach the profiler as its worker
+        // shards': each total must be the sum of the worker cells (the
+        // stack peak their maximum). Odd tasks 1, 3, 5 wake their even
+        // partners from inside the pool; task 6 is woken by a plain
+        // thread, which no worker's cell counts; that thread also keeps
+        // its waker so the pool's cells can be read once the batch is
+        // over. Task 7 stays runnable until that wake has landed, so the
+        // batch cannot stall meanwhile.
         let slots: Vec<Slot> = (0..8).map(|_| Mutex::new(None)).collect();
         let woken_outside = AtomicBool::new(false);
-        let (out, outside) = std::thread::scope(|s| {
+        let (profile, outside) = std::thread::scope(|s| {
             let outside = s.spawn(|| {
                 let w = take_waker(&slots[6], yield_now);
                 w.wake();
                 woken_outside.store(true, SeqCst);
                 w
             });
-            let out = run_batch(&cfg(2, Backend::Coro), 8, None, None, |i| {
+            let (_, profile) = profiled(&cfg(2, Backend::Coro), 8, |i| {
                 if i % 2 == 0 {
                     *slots[i].lock() = Some(current_waker().expect("on a pool task"));
                     park_current().expect("woken");
@@ -1251,19 +1225,20 @@ mod tests {
                     }
                 }
             });
-            (out, outside.join().expect("waker thread"))
+            (profile, outside.join().expect("waker thread"))
         });
         let pool = &outside.shared;
         let sum = |cell: fn(&WorkerStats) -> &AtomicU64| {
             pool.stats.iter().map(|w| cell(w).load(SeqCst)).sum::<u64>()
         };
-        assert_eq!(out.stats.remote_wakes, sum(|w| &w.remote_wakes));
-        assert_eq!(out.stats.steals, sum(|w| &w.steals));
-        assert_eq!(out.stats.loans, sum(|w| &w.loans));
-        assert_eq!(out.stats.local_hits, sum(|w| &w.local_hits));
-        assert_eq!(out.stats.worker_parks, sum(|w| &w.worker_parks));
+        let total = |key| profile.total_counter(key);
+        assert_eq!(total(CounterKey::RemoteWakes), sum(|w| &w.remote_wakes));
+        assert_eq!(total(CounterKey::Steals), sum(|w| &w.steals));
+        assert_eq!(total(CounterKey::Loans), sum(|w| &w.loans));
+        assert_eq!(total(CounterKey::LocalHits), sum(|w| &w.local_hits));
+        assert_eq!(total(CounterKey::WorkerParks), sum(|w| &w.worker_parks));
         let deepest = pool.stats.iter().map(|w| w.stack_high_water.load(SeqCst)).max();
-        assert_eq!(Some(out.stats.stack_high_water), deepest);
+        assert_eq!(Some(total(CounterKey::StackHighWater)), deepest);
     }
 
     fn my_worker() -> usize {
@@ -1286,7 +1261,7 @@ mod tests {
         let both_running = std::sync::Barrier::new(2);
         let slot: Slot = Mutex::new(None);
         let resumed = AtomicBool::new(false);
-        let out = run_batch(&cfg(2, Backend::Coro), 2, None, None, |i| {
+        let (out, profile) = profiled(&cfg(2, Backend::Coro), 2, |i| {
             both_running.wait();
             if i == 0 {
                 *slot.lock() = current_waker();
@@ -1299,9 +1274,10 @@ mod tests {
                 my_worker()
             }
         });
-        let BatchStats { remote_wakes, steals, loans, .. } = out.stats;
         assert_eq!(unwrap_all(out), vec![0, 1]);
-        assert_eq!((remote_wakes, steals, loans), (1, 0, 0));
+        let counts = [CounterKey::RemoteWakes, CounterKey::Steals, CounterKey::Loans]
+            .map(|key| profile.total_counter(key));
+        assert_eq!(counts, [1, 0, 0]);
     }
 
     #[test]
@@ -1312,7 +1288,7 @@ mod tests {
         // steal — while task 2 holds worker 1.
         let slots: Vec<Slot> = (0..3).map(|_| Mutex::new(None)).collect();
         let (loaned_parked, back_home) = (AtomicBool::new(false), AtomicBool::new(false));
-        let out = run_batch(&cfg(2, Backend::Coro), 3, None, None, |i| match i {
+        let (out, profile) = profiled(&cfg(2, Backend::Coro), 3, |i| match i {
             0 => {
                 hold_worker_until(&loaned_parked);
                 take_waker(&slots[1], std::hint::spin_loop).wake();
@@ -1334,9 +1310,9 @@ mod tests {
                 vec![my_worker()]
             }
         });
-        let BatchStats { steals, loans, .. } = out.stats;
         assert_eq!(unwrap_all(out), vec![vec![0], vec![1, 0], vec![1]]);
-        assert_eq!((steals, loans), (1, 1));
+        let counts = [CounterKey::Steals, CounterKey::Loans].map(|key| profile.total_counter(key));
+        assert_eq!(counts, [1, 1]);
     }
 
     #[test]
@@ -1393,7 +1369,7 @@ mod tests {
                 }
             });
             assert_eq!(turn.load(SeqCst), 2 * ROUNDS, "workers={workers}");
-            assert!(out.results.iter().all(|r| r.is_ok()));
+            assert!(out.iter().all(|r| r.is_ok()));
         }
     }
 
@@ -1451,7 +1427,7 @@ mod tests {
                     let _held = ledger.lock();
                     op();
                 });
-                let payload = out.results.into_iter().next().unwrap().expect_err("must panic");
+                let payload = out.into_iter().next().unwrap().expect_err("must panic");
                 let text = payload.downcast::<String>().map(|s| *s).unwrap_or_default();
                 assert!(text.contains(&format!("{name} while holding a `")), "{text}");
                 assert!(text.contains("::Ledger` lock"), "{backend:?}: {text}");
@@ -1482,7 +1458,7 @@ mod tests {
                 done.store(true, SeqCst);
                 out
             });
-            let result = out.results.into_iter().next().unwrap();
+            let result = out.into_iter().next().unwrap();
             match backend {
                 Backend::Coro => {
                     let payload = result.expect_err("a coroutine's wait must panic");
@@ -1510,7 +1486,9 @@ mod tests {
     #[test]
     fn a_deeper_task_reads_a_higher_stack_high_water() {
         let high_water = |backend, depth| {
-            run_batch(&cfg(1, backend), 1, None, None, |_| descend(depth)).stats.stack_high_water
+            profiled(&cfg(1, backend), 1, |_| descend(depth))
+                .1
+                .total_counter(CounterKey::StackHighWater)
         };
         let depths = [2u32, 16, 64];
         let readings = depths.map(|d| high_water(Backend::Coro, d));

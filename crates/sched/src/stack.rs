@@ -11,8 +11,8 @@
 //! Builds with `debug_assertions` also measure what the slabs are for:
 //! `Stack::new` paints the slab with one byte value, and
 //! [`Stack::high_water`] finds the deepest byte that no longer holds it
-//! once the task is done. The pool reports the maximum as
-//! `BatchStats::stack_high_water`. Release builds neither paint nor scan.
+//! once the task is done. The pool reports the maximum as the profiler's
+//! `stack_high_water` counter. Release builds neither paint nor scan.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 
@@ -28,7 +28,7 @@ const PAINT: u8 = 0xa5;
 pub(crate) const MIN_STACK_BYTES: usize = 64 * 1024;
 
 /// Default per-task stack: 128 KiB. The deepest stack the tests measure
-/// (`BatchStats::stack_high_water`, debug builds) was 48 920 B, and a
+/// (the profiler's `stack_high_water`, debug builds) was 48 920 B, and a
 /// release build of the same probe read 15 244 B: a margin of about 2.7×
 /// and 8.6×. `tests/profiler_gate.rs` fails if the gate scenario's
 /// high-water reaches half of this. Keeping the default this small lets

@@ -269,23 +269,11 @@ impl Communicator for Comm {
 
     fn probe_any(&self, specs: &[(RankSelector, TagSelector)]) -> Result<(usize, Status)> {
         assert!(!specs.is_empty(), "probe_any needs at least one selector pair");
-        let spec =
-            |&(src, tag): &(RankSelector, TagSelector)| MatchSpec { ns: Namespace::User, src, tag };
-        // One pair (every `probe`) stays off the heap.
-        let (one, many);
-        let specs = match specs {
-            [pair] => {
-                one = spec(pair);
-                std::slice::from_ref(&one)
-            }
-            _ => {
-                many = specs.iter().map(spec).collect::<Vec<_>>();
-                &many[..]
-            }
-        };
+        let specs: Vec<MatchSpec> =
+            specs.iter().map(|&(src, tag)| MatchSpec { ns: Namespace::User, src, tag }).collect();
         self.check_abort()?;
         let (i, info) = self.matched(self.mailbox().peek_any(
-            specs,
+            &specs,
             || self.shared.is_aborted(),
             || specs.iter().find_map(|s| self.dead_source(s)),
             &self.obs,

@@ -1,12 +1,12 @@
 //! The [`Communicator`] trait: the MPI-like call surface shared by the base
-//! runtime ([`Comm`](crate::Comm), world or derived) and the layers that
+//! runtime ([`Comm`](crate::Comm)) and the layers that
 //! interpose on it (`redcr_red::ReplicaComm`, `redcr_ckpt::CountingComm`).
 //!
 //! Applications written against this trait run unchanged with or without
 //! redundancy — the transparency property of the paper's RedMPI design.
 //! The trait is deliberately narrow where it is *required*: a layer
 //! implements ten methods and no type, and inherits the non-blocking
-//! operations, the probes' conveniences and every collective.
+//! operations and every collective.
 
 use bytes::Bytes;
 
@@ -30,7 +30,7 @@ use crate::tag::{Namespace, Tag, TagSelector};
 /// [`obs`](Self::obs) — identity, the clock, the two point-to-point choke
 /// points, the two ways to look without taking, a deterministic collective
 /// sequence counter and the telemetry handle. Everything else — the
-/// non-blocking operations over [`Request`], `probe`, typed sends,
+/// non-blocking operations over [`Request`], typed sends,
 /// send-receive and all collectives — is provided on top, so an
 /// implementation that interposes on the required ten (like the
 /// replication layer) covers the rest as well.
@@ -87,8 +87,7 @@ pub trait Communicator {
     /// matching one of `specs` is available and returns that pair's index
     /// and the message's status, without consuming it. When several pairs
     /// already have a message buffered, the lowest index wins. This is the
-    /// one blocking wait [`probe`](Self::probe) and
-    /// [`waitany`](Self::waitany) are built on.
+    /// one blocking wait [`waitany`](Self::waitany) is built on.
     ///
     /// As with [`iprobe`](Self::iprobe), under replication the index is
     /// advisory: replicas may see different arrival orders, so applications
@@ -144,16 +143,6 @@ pub trait Communicator {
     /// See [`recv_ns`](Self::recv_ns).
     fn recv(&self, src: RankSelector, tag: TagSelector) -> Result<(Bytes, Status)> {
         self.recv_ns(src, tag, Namespace::User)
-    }
-
-    /// Blocking probe: waits until a matching user-namespace message is
-    /// available and returns its status without consuming it.
-    ///
-    /// # Errors
-    ///
-    /// See [`probe_any`](Self::probe_any).
-    fn probe(&self, src: RankSelector, tag: TagSelector) -> Result<Status> {
-        Ok(self.probe_any(&[(src, tag)])?.1)
     }
 
     // ------------------------------------------------------------------
@@ -285,25 +274,6 @@ pub trait Communicator {
     ///
     /// Decoding fails if the payload length is not a multiple of 8.
     fn recv_f64s(&self, src: RankSelector, tag: TagSelector) -> Result<(Vec<f64>, Status)> {
-        let (bytes, status) = self.recv(src, tag)?;
-        Ok((datatype::decode(&bytes)?, status))
-    }
-
-    /// Sends a slice of `u64` values.
-    ///
-    /// # Errors
-    ///
-    /// See [`send_ns`](Self::send_ns).
-    fn send_u64s(&self, dest: Rank, tag: Tag, values: &[u64]) -> Result<()> {
-        self.send_bytes(dest, tag, datatype::encode(values))
-    }
-
-    /// Receives a slice of `u64` values.
-    ///
-    /// # Errors
-    ///
-    /// Decoding fails if the payload length is not a multiple of 8.
-    fn recv_u64s(&self, src: RankSelector, tag: TagSelector) -> Result<(Vec<u64>, Status)> {
         let (bytes, status) = self.recv(src, tag)?;
         Ok((datatype::decode(&bytes)?, status))
     }
@@ -484,95 +454,6 @@ pub trait Communicator {
             None => Bytes::new(),
         };
         Gathered::unframe(self.bcast(root, framed)?)
-    }
-
-    /// Scatters `parts` from `root` (only the root's `parts` is consulted;
-    /// it must contain exactly `size()` entries). Returns this rank's part.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpiError::CollectiveMismatch`](crate::MpiError::CollectiveMismatch)
-    /// if the root's `parts` has the wrong length, or an abort error.
-    fn scatter(&self, root: Rank, parts: Option<Vec<Bytes>>) -> Result<Bytes>
-    where
-        Self: Sized,
-    {
-        let n = self.size();
-        let seq = self.next_collective_seq();
-        let tag = coll_tag(seq, 0);
-        if self.rank() == root {
-            let parts = parts.ok_or(crate::MpiError::CollectiveMismatch {
-                what: "scatter root must supply parts",
-            })?;
-            if parts.len() != n {
-                return Err(crate::MpiError::CollectiveMismatch {
-                    what: "scatter parts length != communicator size",
-                });
-            }
-            let mut own = Bytes::new();
-            for (i, part) in parts.into_iter().enumerate() {
-                if i == root.index() {
-                    own = part;
-                } else {
-                    self.send_ns(Rank::new(i as u32), tag, part, Namespace::Collective)?;
-                }
-            }
-            Ok(own)
-        } else {
-            let (bytes, _) = self.recv_ns(
-                RankSelector::Rank(root),
-                TagSelector::Tag(tag),
-                Namespace::Collective,
-            )?;
-            Ok(bytes)
-        }
-    }
-
-    /// All-to-all personalized exchange: `parts[i]` goes to rank `i`;
-    /// returns the parts received from each rank, in rank order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpiError::CollectiveMismatch`](crate::MpiError::CollectiveMismatch)
-    /// if `parts.len() != size()`, or an abort error.
-    fn alltoall(&self, parts: Vec<Bytes>) -> Result<Vec<Bytes>>
-    where
-        Self: Sized,
-    {
-        let n = self.size();
-        if parts.len() != n {
-            return Err(crate::MpiError::CollectiveMismatch {
-                what: "alltoall parts length != communicator size",
-            });
-        }
-        let seq = self.next_collective_seq();
-        let tag = coll_tag(seq, 0);
-        let me = self.rank().index();
-        let mut out: Vec<Option<Bytes>> = vec![None; n];
-        // Eager sends never block, so send everything first.
-        for (i, part) in parts.into_iter().enumerate() {
-            if i == me {
-                out[i] = Some(part);
-            } else {
-                self.send_ns(Rank::new(i as u32), tag, part, Namespace::Collective)?;
-            }
-        }
-        for (i, slot) in out.iter_mut().enumerate() {
-            if i != me {
-                let (bytes, _) = self.recv_ns(
-                    RankSelector::Rank(Rank::new(i as u32)),
-                    TagSelector::Tag(tag),
-                    Namespace::Collective,
-                )?;
-                *slot = Some(bytes);
-            }
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: the loop above filled every peer slot and `me` was filled before it"
-        )]
-        let all = out.into_iter().map(|o| o.expect("all slots filled")).collect();
-        Ok(all)
     }
 
     /// Inclusive prefix reduction (linear chain): rank `i` returns

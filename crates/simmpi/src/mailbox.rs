@@ -34,8 +34,8 @@
 //!
 //! The push side wakes only when the deposited envelope can satisfy the
 //! parked interest, and skips notification entirely when no receiver is
-//! parked — no thundering herd. A generation counter records every
-//! notification actually sent, so tests can assert the
+//! parked — no thundering herd. Each notification actually sent counts
+//! in the profiler's `notifies`, so tests can assert the
 //! no-spurious-wakeup property.
 //!
 //! # When nothing can arrive any more
@@ -214,9 +214,6 @@ struct Inner {
     /// The (single) parked receiver, if any. A mailbox is only ever
     /// received from by its own rank's task.
     waiter: Option<Waiter>,
-    /// Generation counter: notifications actually sent. Pushes that can't
-    /// satisfy the parked interest (or find nobody parked) don't bump it.
-    wakeups: u64,
 }
 
 impl Inner {
@@ -256,9 +253,8 @@ impl Mailbox {
     }
 
     /// Commits a wake of the parked receiver, if there is one and
-    /// `unblocks` says the event at hand can end its wait: counts the
-    /// notification and ends the registration. Returns the waker for the
-    /// caller to invoke
+    /// `unblocks` says the event at hand can end its wait: ends the
+    /// registration and returns the waker for the caller to invoke
     /// once `inner` is released — the scheduler wake must not nest inside
     /// the leaf lock. One wake makes the task runnable and it re-checks the
     /// mailbox when it runs, so later pushes find no waiter and skip the
@@ -269,9 +265,7 @@ impl Mailbox {
         inner: &mut Inner,
         unblocks: impl FnOnce(&Interest) -> bool,
     ) -> Option<redcr_sched::Waker> {
-        let waiter = inner.waiter.take_if(|w| unblocks(&w.interest))?;
-        inner.wakeups += 1;
-        Some(waiter.waker)
+        inner.waiter.take_if(|w| unblocks(&w.interest)).map(|w| w.waker)
     }
 
     /// Deposits an envelope, waking the parked receiver only when the
@@ -348,7 +342,7 @@ impl Mailbox {
                 panic!(
                     "blocking mailbox wait from a thread that is not a scheduler task: \
                      nothing matches and nothing could wake it; call recv_match/peek_match \
-                     from inside redcr_sched::run_batch (a World run does), or use the try_ variants"
+                     from inside redcr_sched::run_batch (a World run does), or peek with try_peek_match first"
                 );
             };
             // Hand the worker to whoever should be sending. The waker
@@ -410,12 +404,6 @@ impl Mailbox {
         out
     }
 
-    /// Non-blocking variant of [`recv_match`](Self::recv_match): removes
-    /// and returns the oldest match, or `None` if nothing matches now.
-    pub fn try_recv_match(&self, spec: &MatchSpec) -> Option<Envelope> {
-        self.inner.lock().take_match(spec)
-    }
-
     /// Blocking probe over a set: waits until an envelope matches one of
     /// `specs` and returns that spec's index with the envelope's metadata,
     /// without removing it (and without cloning payload bytes). When
@@ -451,35 +439,17 @@ impl Mailbox {
             w.wake();
         }
     }
-
-    /// Notifications sent to this mailbox's receiver so far (generation
-    /// counter; used to assert the no-spurious-wakeup property in tests).
-    pub fn wakeups(&self) -> u64 {
-        self.inner.lock().wakeups
-    }
-
-    /// Number of buffered envelopes.
-    pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
-    }
-
-    /// Whether the mailbox is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all buffered envelopes (used between restart attempts).
-    pub fn clear(&self) {
-        self.inner.lock().queue.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::Sinks;
     use crate::tag::{Namespace, Tag};
     use bytes::Bytes;
+    use redcr_prof::Profiler;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn env(src: u32, tag: u64, data: &'static [u8]) -> Envelope {
         Envelope {
@@ -510,6 +480,32 @@ mod tests {
         mb.push(e, &Obs::off());
     }
 
+    /// Takes the oldest match without blocking: a receive whose match is
+    /// already buffered never parks, so a plain thread may make it.
+    fn take(mb: &Mailbox, s: &MatchSpec) -> Option<Envelope> {
+        mb.try_peek_match(s)?;
+        match mb.recv_match(s, || false, || None, &Obs::off()) {
+            Outcome::Matched(env) => Some(env),
+            other => panic!("a buffered match was not taken: {other:?}"),
+        }
+    }
+
+    fn queued(mb: &Mailbox) -> usize {
+        mb.inner.lock().queue.len()
+    }
+
+    /// Sinks with only the profiler on.
+    fn profiling() -> Sinks {
+        Sinks { profiler: Some(Arc::new(Profiler::new())), ..Sinks::default() }
+    }
+
+    /// The `sends` and `notifies` totals of the handles drained so far
+    /// (one reading: a report empties the profiler).
+    fn sends_and_notifies(sinks: &Sinks) -> (u64, u64) {
+        let report = sinks.profiler.as_ref().map(|p| p.report()).unwrap();
+        (report.total_counter(CounterKey::Sends), report.total_counter(CounterKey::Notifies))
+    }
+
     /// Runs `receiver` and `sender` as the two tasks of one scheduler
     /// batch over a fresh mailbox and flag, once on one worker and once on
     /// two. The sender starts only after the receiver has registered its
@@ -527,7 +523,7 @@ mod tests {
                 stack_bytes: 128 * 1024,
                 backend: redcr_sched::Backend::native(),
             };
-            let batch = redcr_sched::run_batch(&cfg, 2, None, None, |task| {
+            let outcomes = redcr_sched::run_batch(&cfg, 2, None, None, |task| {
                 if task == 0 {
                     receiver(&mb, &flag);
                 } else {
@@ -537,7 +533,7 @@ mod tests {
                     sender(&mb, &flag);
                 }
             });
-            for outcome in batch.results {
+            for outcome in outcomes {
                 if let Err(panic) = outcome {
                     std::panic::resume_unwind(panic);
                 }
@@ -550,11 +546,11 @@ mod tests {
         let mb = Mailbox::new();
         push(&mb, env(0, 1, b"first"));
         push(&mb, env(0, 1, b"second"));
-        let got = mb.try_recv_match(&exact(0, 1)).unwrap();
+        let got = take(&mb, &exact(0, 1)).unwrap();
         assert_eq!(&got.payload[..], b"first");
-        let got = mb.try_recv_match(&from_rank(0)).unwrap();
+        let got = take(&mb, &from_rank(0)).unwrap();
         assert_eq!(&got.payload[..], b"second");
-        assert!(mb.try_recv_match(&any()).is_none());
+        assert!(take(&mb, &any()).is_none());
     }
 
     #[test]
@@ -562,10 +558,9 @@ mod tests {
         let mb = Mailbox::new();
         push(&mb, env(1, 9, b"other"));
         push(&mb, env(0, 1, b"wanted"));
-        let got =
-            mb.try_recv_match(&spec(RankSelector::Any, TagSelector::Tag(Tag::new(1)))).unwrap();
+        let got = take(&mb, &spec(RankSelector::Any, TagSelector::Tag(Tag::new(1)))).unwrap();
         assert_eq!(&got.payload[..], b"wanted");
-        assert_eq!(mb.len(), 1, "non-matching message stays queued");
+        assert_eq!(queued(&mb), 1, "non-matching message stays queued");
     }
 
     #[test]
@@ -585,15 +580,15 @@ mod tests {
         }
         for s in &user {
             assert!(mb.try_peek_match(s).is_none());
-            assert!(mb.try_recv_match(s).is_none());
+            assert!(take(&mb, s).is_none());
         }
         push(&mb, env(0, 5, b"user"));
         for s in &user {
             assert!(s.matches(zero, Tag::new(5).wire(Namespace::User)));
             assert_eq!(mb.try_peek_match(s).unwrap().len, 4);
         }
-        assert_eq!(&mb.try_recv_match(&any()).unwrap().payload[..], b"user");
-        assert_eq!(mb.len(), 2, "the other namespaces' envelopes stay queued");
+        assert_eq!(&take(&mb, &any()).unwrap().payload[..], b"user");
+        assert_eq!(queued(&mb), 2, "the other namespaces' envelopes stay queued");
     }
 
     #[test]
@@ -602,11 +597,11 @@ mod tests {
         push(&mb, env(2, 5, b"oldest"));
         push(&mb, env(0, 1, b"newer"));
         push(&mb, env(1, 3, b"newest"));
-        let got = mb.try_recv_match(&any()).unwrap();
+        let got = take(&mb, &any()).unwrap();
         assert_eq!(&got.payload[..], b"oldest");
-        let got = mb.try_recv_match(&any()).unwrap();
+        let got = take(&mb, &any()).unwrap();
         assert_eq!(&got.payload[..], b"newer");
-        let got = mb.try_recv_match(&any()).unwrap();
+        let got = take(&mb, &any()).unwrap();
         assert_eq!(&got.payload[..], b"newest");
     }
 
@@ -617,11 +612,11 @@ mod tests {
         push(&mb, env(1, 1, b"b"));
         push(&mb, env(3, 7, b"c"));
         // Drain the middle channel by exact match first.
-        let got = mb.try_recv_match(&exact(1, 1)).unwrap();
+        let got = take(&mb, &exact(1, 1)).unwrap();
         assert_eq!(&got.payload[..], b"b");
         // Wildcards still see a before c.
-        assert_eq!(&mb.try_recv_match(&any()).unwrap().payload[..], b"a");
-        assert_eq!(&mb.try_recv_match(&any()).unwrap().payload[..], b"c");
+        assert_eq!(&take(&mb, &any()).unwrap().payload[..], b"a");
+        assert_eq!(&take(&mb, &any()).unwrap().payload[..], b"c");
     }
 
     #[test]
@@ -632,7 +627,7 @@ mod tests {
         assert_eq!(info.src, Rank::new(2));
         assert_eq!(info.len, 2);
         assert_eq!(info.wire_tag.value(), 3);
-        assert_eq!(mb.len(), 1);
+        assert_eq!(queued(&mb), 1);
     }
 
     #[test]
@@ -721,50 +716,53 @@ mod tests {
 
     #[test]
     fn push_without_parked_receiver_sends_no_wakeup() {
-        let mb = Mailbox::new();
-        push(&mb, env(0, 1, b"a"));
-        push(&mb, env(1, 2, b"b"));
-        assert_eq!(mb.wakeups(), 0, "no receiver parked: no notifications");
+        let (mb, sinks) = (Mailbox::new(), profiling());
+        let obs = sinks.rank(0);
+        mb.push(env(0, 1, b"a"), &obs);
+        mb.push(env(1, 2, b"b"), &obs);
+        sinks.drain(&obs);
+        assert_eq!(sends_and_notifies(&sinks), (2, 0), "no receiver parked: no notifications");
     }
 
     #[test]
     fn push_of_non_matching_message_does_not_wake_parked_receiver() {
+        let sinks = profiling();
         two_tasks(
-            |mb, _| {
-                match mb.recv_match(&exact(3, 5), || false, || None, &Obs::off()) {
-                    Outcome::Matched(e) => assert_eq!(&e.payload[..], b"signal"),
-                    other => panic!("unexpected outcome {other:?}"),
-                }
-                assert_eq!(mb.wakeups(), 1, "exactly the matching push notified");
+            |mb, _| match mb.recv_match(&exact(3, 5), || false, || None, &Obs::off()) {
+                Outcome::Matched(e) => assert_eq!(&e.payload[..], b"signal"),
+                other => panic!("unexpected outcome {other:?}"),
             },
             |mb, _| {
                 // The receiver's interest is registered: push traffic it
                 // is NOT interested in.
+                let obs = sinks.rank(1);
                 for _ in 0..4 {
-                    push(mb, env(0, 9, b"noise"));
+                    mb.push(env(0, 9, b"noise"), &obs);
                 }
-                assert_eq!(mb.wakeups(), 0, "non-matching pushes must not notify");
-                push(mb, env(3, 5, b"signal"));
+                assert!(mb.inner.lock().waiter.is_some(), "non-matching pushes must not notify");
+                mb.push(env(3, 5, b"signal"), &obs);
+                sinks.drain(&obs);
             },
         );
+        // `two_tasks` runs the pair twice: one notification per run.
+        assert_eq!(sends_and_notifies(&sinks), (10, 2), "exactly the matching push notified");
     }
 
     #[test]
     fn death_of_unrelated_rank_does_not_wake_specific_waiter() {
-        let mb = Mailbox::new();
         // No waiter parked at all: wake_for_death is a no-op.
-        mb.wake_for_death(Rank::new(4));
-        assert_eq!(mb.wakeups(), 0);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mb = Mailbox::new();
-        push(&mb, env(0, 0, b""));
-        assert!(!mb.is_empty());
-        mb.clear();
-        assert!(mb.is_empty());
-        assert!(mb.try_recv_match(&any()).is_none());
+        Mailbox::new().wake_for_death(Rank::new(4));
+        two_tasks(
+            |mb, _| match mb.recv_match(&from_rank(3), || false, || None, &Obs::off()) {
+                Outcome::Matched(e) => assert_eq!(&e.payload[..], b"signal"),
+                other => panic!("unexpected outcome {other:?}"),
+            },
+            |mb, _| {
+                mb.wake_for_death(Rank::new(4));
+                assert!(mb.inner.lock().waiter.is_some(), "rank 4's death must not notify");
+                push(mb, env(3, 5, b"signal"));
+            },
+        );
     }
 
     /// A deep, mixed mailbox against a reference: a `Vec` of `(arrival
@@ -825,7 +823,7 @@ mod tests {
         let (mut arrivals, mut deepest, mut hits) = (0u64, 0, 0);
         for op in 0..2_000 {
             if op == 1_000 {
-                mb.clear();
+                mb.inner.lock().queue.clear();
                 reference.clear();
             }
             match rng.below(20) {
@@ -840,7 +838,7 @@ mod tests {
                 10..=14 => {
                     let s = rng.spec();
                     let want = oldest(&reference, &s).map(|i| reference.remove(i));
-                    let got = mb.try_recv_match(&s);
+                    let got = take(&mb, &s);
                     assert_eq!(want.is_some(), got.is_some(), "op {op}: take");
                     if let (Some((k, src, wire)), Some(env)) = (want, got) {
                         assert_eq!((env.src, env.wire_tag, env.send_time), (src, wire, k as f64));
@@ -869,7 +867,7 @@ mod tests {
                     assert_eq!(got, want, "op {op}: peek_any");
                 }
             }
-            assert_eq!(mb.len(), reference.len(), "op {op}: len");
+            assert_eq!(queued(&mb), reference.len(), "op {op}: len");
             deepest = deepest.max(reference.len());
         }
         assert!(deepest >= 100 && hits >= 200, "too shallow a run: depth {deepest}, {hits} takes");

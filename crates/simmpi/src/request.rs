@@ -27,13 +27,6 @@ pub enum TestOutcome {
     Pending(Request),
 }
 
-impl TestOutcome {
-    /// Whether the operation completed.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, TestOutcome::Completed(_))
-    }
-}
-
 /// A pending non-blocking operation.
 ///
 /// Obtained from [`Communicator::isend`](crate::Communicator::isend) /

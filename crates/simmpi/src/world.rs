@@ -166,7 +166,7 @@ impl WorldBuilder {
         let pool = redcr_sched::PoolConfig::resolve(self.workers, self.n);
         let shared_for_tasks = &shared;
         let keys = self.placement_keys.as_deref();
-        let batch = redcr_sched::run_batch(&pool, self.n, keys, sinks.profiler.as_deref(), {
+        let outcomes = redcr_sched::run_batch(&pool, self.n, keys, sinks.profiler.as_deref(), {
             move |rank| -> Slot<T> {
                 let shared = Arc::clone(shared_for_tasks);
                 let comm = Comm::new(shared, rank as u32, start_time, sinks.rank(rank as u32));
@@ -218,7 +218,7 @@ impl WorldBuilder {
 
         let mut results = Vec::with_capacity(self.n);
         let mut timings = Vec::with_capacity(self.n);
-        for outcome in batch.results {
+        for outcome in outcomes {
             match outcome {
                 Ok((r, t, drained)) => {
                     sinks.absorb(drained);

@@ -23,15 +23,15 @@ fn ring_pass_around() {
             let me = comm.rank();
             let next = me.offset(1, comm.size());
             let prev = me.offset(-1, comm.size());
-            comm.send_u64s(next, tag(1), &[me.as_u32() as u64])?;
-            let (vals, status) = comm.recv_u64s(prev.into(), tag(1).into())?;
+            comm.send_f64s(next, tag(1), &[me.as_u32() as f64])?;
+            let (vals, status) = comm.recv_f64s(prev.into(), tag(1).into())?;
             assert_eq!(status.source, prev);
             Ok(vals[0])
         })
         .unwrap();
     let got = report.into_results().unwrap();
     for (i, v) in got.iter().enumerate() {
-        assert_eq!(*v, ((i + 7) % 8) as u64);
+        assert_eq!(*v, ((i + 7) % 8) as f64);
     }
 }
 
@@ -114,8 +114,8 @@ fn probe_reports_without_consuming() {
                 comm.send(Rank::new(1), tag(5), b"abc")?;
                 Ok(0)
             } else {
-                let status = comm.probe(Rank::new(0).into(), tag(5).into())?;
-                assert_eq!(status.len, 3);
+                let (i, status) = comm.probe_any(&[(Rank::new(0).into(), tag(5).into())])?;
+                assert_eq!((i, status.len), (0, 3));
                 // Message still available after probing.
                 let (bytes, _) = comm.recv(Rank::new(0).into(), tag(5).into())?;
                 assert_eq!(&bytes[..], b"abc");
@@ -244,31 +244,26 @@ fn allreduce_u64_min_max() {
 }
 
 #[test]
-fn gather_scatter_round_trip() {
+fn gather_collects_rank_ordered_parts_at_the_root() {
     let n = 6;
     let report = World::builder(n)
         .cost_model(CostModel::zero())
         .run(|comm| {
             let me = comm.rank().index() as u8;
             let gathered = comm.gather(Rank::new(2), Bytes::from(vec![me, me]))?;
-            let parts = if comm.rank().index() == 2 {
+            if comm.rank().index() == 2 {
                 let parts = gathered.expect("root sees parts");
                 assert_eq!(parts.len(), n);
                 for (i, p) in parts.iter().enumerate() {
                     assert_eq!(&p[..], &[i as u8, i as u8]);
                 }
-                Some(parts)
             } else {
                 assert!(gathered.is_none());
-                None
-            };
-            let mine = comm.scatter(Rank::new(2), parts)?;
-            Ok(mine.to_vec())
+            }
+            Ok(())
         })
         .unwrap();
-    for (i, part) in report.into_results().unwrap().into_iter().enumerate() {
-        assert_eq!(part, vec![i as u8, i as u8]);
-    }
+    report.into_results().unwrap();
 }
 
 #[test]
@@ -287,24 +282,6 @@ fn allgather_returns_rank_ordered_parts() {
     for r in report.into_results().unwrap() {
         assert_eq!(r, vec![0, 1, 2, 3, 4]);
     }
-}
-
-#[test]
-fn alltoall_personalized_exchange() {
-    let n = 4;
-    let report = World::builder(n)
-        .cost_model(CostModel::zero())
-        .run(|comm| {
-            let me = comm.rank().index() as u8;
-            let parts: Vec<Bytes> = (0..n).map(|d| Bytes::from(vec![me, d as u8])).collect();
-            let got = comm.alltoall(parts)?;
-            for (src, p) in got.iter().enumerate() {
-                assert_eq!(&p[..], &[src as u8, me]);
-            }
-            Ok(())
-        })
-        .unwrap();
-    report.into_results().unwrap();
 }
 
 #[test]
@@ -527,12 +504,13 @@ fn test_reports_pending_then_completed() {
 
 #[test]
 fn send_requests_test_complete_immediately() {
+    use redcr_mpi::TestOutcome;
     World::builder(2)
         .cost_model(CostModel::zero())
         .run(|comm| {
             if comm.rank().index() == 0 {
                 let req = comm.isend(Rank::new(1), tag(1), Bytes::from_static(b"x"))?;
-                assert!(comm.test(req)?.is_completed());
+                assert!(matches!(comm.test(req)?, TestOutcome::Completed(None)));
             } else {
                 comm.recv(Rank::new(0).into(), tag(1).into())?;
             }

@@ -22,10 +22,12 @@ use redcr::cluster::combined::simulate_combined;
 use redcr::cluster::job::FailureExposure;
 use redcr::core::apps::{CgApp, JacobiApp};
 use redcr::core::{ExecutorConfig, ResilientExecutor};
+use redcr::fault::ReplicaGroups;
 use redcr::model::combined::CombinedConfig;
+use redcr::model::partition::RedundancyPartition;
 use redcr::model::units;
-use redcr::mpi::{Communicator, CostModel, MpiError, Tag};
-use redcr::red::{ReplicatedWorld, VoteCost};
+use redcr::mpi::{Communicator, CostModel, MpiError, Rank, Tag};
+use redcr::red::{ReplicatedWorld, VirtualMap, VoteCost};
 use redcr_sched::sync::Mutex;
 
 /// A process-unique, test-unique scratch directory that cleans itself up
@@ -239,6 +241,28 @@ fn replicas_of_one_sphere_store_byte_identical_images() {
     for (key, images) in writes.iter() {
         assert_eq!(images.len(), 2, "{key}: one write per replica");
         assert_eq!(images[0], images[1], "{key}: the replicas' images differ");
+    }
+}
+
+/// The executor kills physical ranks by the failure layer's spheres, built
+/// from the partition's replica counts, while `ReplicatedWorld` routes
+/// messages by its own `VirtualMap` of the same partition: a replica the
+/// two place differently would die in one sphere and vote in another.
+#[test]
+fn failure_spheres_and_replica_map_place_every_replica_alike() {
+    for n in [1u64, 7, 8] {
+        for r in [1.0, 1.25, 1.5, 2.0, 2.25, 2.5, 3.0] {
+            let partition = RedundancyPartition::new(n, r).unwrap();
+            let counts: Vec<usize> = (0..n).map(|v| partition.replicas_of(v) as usize).collect();
+            let groups = ReplicaGroups::from_counts(&counts);
+            let map = VirtualMap::new(partition);
+            assert_eq!(map.n_physical(), groups.n_physical(), "N={n} r={r}");
+            for v in 0..n as usize {
+                let replicas: Vec<usize> =
+                    map.replicas_of(Rank::new(v as u32)).iter().map(|p| p.index()).collect();
+                assert_eq!(replicas, groups.members(v), "N={n} r={r} v={v}");
+            }
+        }
     }
 }
 

@@ -17,7 +17,7 @@
 //! line is its stored layout — and resuming from a restored state
 //! continues the solve identically.
 
-use redcr_mpi::collectives::{Gathered, ReduceOp};
+use redcr_mpi::collectives::ReduceOp;
 use redcr_mpi::{datatype, Communicator, Result};
 
 use crate::compute::ComputeModel;
@@ -133,8 +133,10 @@ impl CgSolver {
         let p_full = comm.allgather(datatype::encode(&state.p))?;
 
         // 2. Local sparse matvec q = A p over the owned rows, read in place
-        //    from the broadcast frame.
-        let (q, flops) = self.matrix.matvec_block(words_of(&p_full)?, lo, hi);
+        //    from the broadcast frame. No rank keeps a decoded copy: with
+        //    every rank of a world on one heap, freeing n copies at once each
+        //    step let the allocator trim the heap top and fault it back in.
+        let (q, flops) = self.matrix.matvec_block(p_full.words()?, lo, hi);
         comm.compute(self.config.compute.cost(flops))?;
 
         // 3. alpha = rho / (p q).
@@ -192,27 +194,10 @@ impl CgSolver {
     /// Propagates runtime errors (abort).
     pub fn verify<C: Communicator>(&self, comm: &C, state: &CgState) -> Result<f64> {
         let x_full = comm.allgather(datatype::encode(&state.x))?;
-        let (ax, _) = self.matrix.matvec_block(words_of(&x_full)?, 0, self.config.n);
+        let (ax, _) = self.matrix.matvec_block(x_full.words()?, 0, self.config.n);
         let err = ax.iter().map(|v| (v - 1.0).abs()).fold(0.0, f64::max);
         Ok(err)
     }
-}
-
-/// The words of every rank's block, back to back: the full vector in its
-/// wire encoding, read in place from the allgather's one broadcast frame.
-/// No rank keeps a decoded copy: with every rank of a world on one heap,
-/// freeing n copies at once each step let the allocator hand the heap top
-/// back to the kernel and fault it in again on the next step.
-///
-/// # Errors
-///
-/// Returns [`DecodeError`](redcr_mpi::MpiError::DecodeError) if a rank's
-/// block is not whole 8-byte words.
-fn words_of(parts: &Gathered) -> Result<&[[u8; 8]]> {
-    for part in parts {
-        datatype::words(part)?;
-    }
-    datatype::words(parts.concat())
 }
 
 #[cfg(test)]

@@ -139,7 +139,8 @@ pub struct QuickVote {
 /// `winner` indexes `raw` directly.
 ///
 /// The unanimous case (every present copy bitwise-equal) is decided with a
-/// single comparison pass; only an actual mismatch — silent data corruption,
+/// single pass that compares each copy with the first present one at most
+/// once; only an actual mismatch — silent data corruption,
 /// by construction — pays for per-copy agreement counting.
 ///
 /// # Panics
@@ -158,9 +159,14 @@ pub fn vote_present(raw: &[Option<Bytes>]) -> QuickVote {
     let reference = raw[first].as_ref().expect("present");
     let mut n = 0usize;
     let mut unanimous = true;
-    for c in raw.iter().flatten() {
+    for (i, c) in raw.iter().enumerate() {
+        let Some(c) = c else { continue };
         n += 1;
-        if c != reference {
+        // The reference itself, and a copy that is the reference's buffer
+        // (a broadcast tree forwards the vote winner's `Bytes`), agree
+        // without a compare. A corrupted copy is always a fresh buffer.
+        let same_buffer = c.as_ptr() == reference.as_ptr() && c.len() == reference.len();
+        if i != first && !same_buffer && c != reference {
             unanimous = false;
         }
     }
@@ -271,6 +277,15 @@ mod tests {
     #[should_panic(expected = "zero copies")]
     fn empty_vote_panics() {
         let _ = vote_full(&[]);
+    }
+
+    #[test]
+    fn shared_buffer_copies_vote_like_equal_ones() {
+        let shared = Bytes::from(b"good".to_vec());
+        let v = vote_present(&[Some(b(b"BAD!")), Some(shared.clone()), Some(shared.clone())]);
+        assert_eq!(v, QuickVote { winner: 1, unanimous: false, majority: true });
+        let v = vote_present(&[Some(shared.clone()), None, Some(shared)]);
+        assert_eq!(v, QuickVote { winner: 0, unanimous: true, majority: true });
     }
 
     #[test]

@@ -135,6 +135,22 @@ impl Gathered {
     pub fn concat(&self) -> &[u8] {
         &self.buf[8 + 8 * self.count..]
     }
+
+    /// [`concat`](Self::concat) as 8-byte words, when every part is whole
+    /// words: one pass over the header's lengths, not one per part.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MpiError::DecodeError`] if a part's length is not a
+    /// multiple of 8, as [`datatype::words`](crate::datatype::words) of
+    /// that part would.
+    pub fn words(&self) -> Result<&[[u8; 8]]> {
+        let lens = self.buf[8..8 + 8 * self.count].as_chunks::<8>().0;
+        if lens.iter().fold(0, |or, len| or | u64::from_le_bytes(*len)) % 8 != 0 {
+            return Err(MpiError::DecodeError { what: "8-byte word slice" });
+        }
+        crate::datatype::words(self.concat())
+    }
 }
 
 impl<'a> IntoIterator for &'a Gathered {
@@ -239,6 +255,17 @@ mod tests {
         let back = Gathered::unframe(frame_parts(&[])).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.iter().next(), None);
+    }
+
+    #[test]
+    fn words_need_every_part_whole() {
+        let parts = [Bytes::from(vec![1u8; 16]), Bytes::new(), Bytes::from(vec![2u8; 8])];
+        let back = Gathered::unframe(frame_parts(&parts)).unwrap();
+        assert_eq!(back.words().unwrap().as_flattened(), back.concat());
+        // 7 + 9 bytes are 16 in all, but neither part is whole words.
+        let parts = [Bytes::from(vec![1u8; 7]), Bytes::from(vec![2u8; 9])];
+        let back = Gathered::unframe(frame_parts(&parts)).unwrap();
+        assert!(matches!(back.words(), Err(MpiError::DecodeError { .. })));
     }
 
     fn rejected(buf: Vec<u8>) -> bool {
